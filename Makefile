@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench benchsmoke serve servesmoke
+.PHONY: check fmt vet build test race lint bench benchsmoke serve servesmoke e2e
 
 check: fmt vet build race lint benchsmoke
 
@@ -35,6 +35,14 @@ lint:
 # benchmark drivers without paying for a full measurement run.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier' -benchtime 1x .
+
+# End-to-end serving benchmark gate: the benchmark's own unit tests under
+# the race detector, then a short chat-tree run, which exits non-zero
+# unless every tree-speculated output equals incremental decoding token
+# for token.
+e2e:
+	cd e2ebench && $(GO) test -race ./...
+	bash e2ebench/run.sh --workload chat-tree --seed 1 --seconds 2 --trace 0
 
 # Run the serving daemon locally (ctrl-C drains gracefully).
 serve:

@@ -54,9 +54,12 @@ type Session interface {
 	// verified tokens afterwards. This is SpecInfer's tree-based parallel
 	// decoding (§4.2).
 	//
-	// The returned distributions are freshly computed on every call, but
-	// implementations may retain (alias) them internally until the next
-	// commit to avoid re-copying; callers must treat them as read-only.
+	// Implementations may retain (alias) the returned distributions
+	// internally until the next commit to avoid re-copying, and when the
+	// same tree comes back grown by appended nodes they may return the
+	// distributions of nodes scored by the earlier call from retention —
+	// the same values a fresh computation gives. Callers must treat them
+	// as read-only.
 	DecodeTree(t *tree.Tree) [][]float32
 
 	// Accept commits a sequence of verified tokens (excluding the tree

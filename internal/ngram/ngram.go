@@ -204,9 +204,8 @@ func (m *Model) NewSession() model.Session {
 }
 
 // session tracks the committed token history; n-gram "decoding" is just a
-// context-window lookup, so tree decoding needs no special kernel — but we
-// still walk the tree through the same DFS order the transformer uses, to
-// keep behaviours aligned.
+// context-window lookup, so tree decoding needs no special kernel: a
+// depth-first walk scores every node from its own root path on each call.
 type session struct {
 	m        *Model
 	history  []int

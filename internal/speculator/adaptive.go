@@ -104,8 +104,9 @@ type frontierNode struct {
 // SpeculateBudget grows a token tree best-first under a caller-supplied
 // budget, letting a per-iteration policy reshape the tree without
 // rebuilding the speculator (the SSM session and its KV cache persist
-// across calls). Each wave scores the current tree with one SSM pass,
-// proposes for every unsaturated node its next unused tokens up to the
+// across calls). Each wave scores the current tree with one SSM pass —
+// on an incremental session only the nodes the previous wave admitted
+// run through the model — proposes for every unsaturated node its next unused tokens up to the
 // node's remaining fanout, ranks the proposals by path probability, and
 // admits the best ones; it stops when the budget is exhausted or no
 // candidate clears the probability threshold. Zero budget fields take
@@ -117,8 +118,9 @@ func (a *AdaptiveSpeculator) SpeculateBudget(rootTok model.Token, cfg AdaptiveCo
 	scored := 0 // nodes whose frontier state has been derived
 
 	for tr.NumSpeculated() < cfg.MaxNodes {
-		// One SSM pass scores the whole tree; only nodes appended since
-		// the previous wave need their proposal state derived.
+		// One SSM pass scores the tree (forwarding only the nodes
+		// appended since the previous wave, on an incremental session);
+		// only those nodes need their proposal state derived.
 		dists := a.session.DecodeTree(tr)
 		for id := scored; id < tr.Len(); id++ {
 			if tr.Node(id).Depth >= cfg.MaxDepth {

@@ -147,10 +147,12 @@ func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token) 
 		if len(frontier) == 0 {
 			break
 		}
-		// One SSM decoding step: score the whole partial tree, read the
-		// frontier nodes' distributions. (The model sees each token once
-		// per level; the shared-prefix structure mirrors §4.2's cache
-		// reuse, at small-model cost as analyzed in §5.3.)
+		// One SSM decoding step per level: score the partial tree and
+		// read the frontier nodes' distributions. The tree only grows
+		// between calls, so an incremental session (the transformer's)
+		// forwards just the previous level's new nodes against its
+		// retained K/V rows — each node is drafted once, as §5.3's
+		// small-overhead analysis assumes.
 		dists := sess.DecodeTree(tr)
 		seen := make(map[tree.NodeID]bool)
 		var next []tree.NodeID
@@ -203,8 +205,8 @@ func (s *Speculator) pickChildren(d []float32, k int) []int {
 	return toks
 }
 
-// NewSequence is the sequence-based baseline (prior work: a single (prior work: a single
-// SSM proposing a single token sequence). It is an ordinary Speculator
+// NewSequence is the sequence-based baseline (prior work: a single SSM
+// proposing a single token sequence). It is an ordinary Speculator
 // with a width-1 expansion configuration; the constructor exists to make
 // the baseline explicit in experiment code.
 func NewSequence(depth int, sample sampling.Config, ssm model.Model) *Speculator {

@@ -167,7 +167,7 @@ func TestDecodeTreeSingleCopy(t *testing.T) {
 	tr.AddChild(a, 9, 1, 0)
 	dists := s.DecodeTree(tr)
 	for id := 0; id < tr.Len(); id++ {
-		if len(dists[id]) == 0 || &dists[id][0] != &s.treeDists[id][0] {
+		if len(dists[id]) == 0 || &dists[id][0] != &s.tree.dists[id][0] {
 			t.Fatalf("node %d: returned distribution re-cloned instead of shared with retention", id)
 		}
 	}

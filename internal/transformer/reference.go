@@ -71,7 +71,7 @@ func (s *Session) useSliceCache() {
 // per-token projections, per-head score buffers. Semantics are identical
 // to forwardBatched (see its doc comment); only the compute schedule — and
 // the allocation count, O(layers × tokens × heads) — differs.
-func (s *Session) forwardReference(tokens []model.Token, positions []int, mask func(i, j int) bool, attendCache bool) (dists [][]float32, newK, newV [][][]float32) {
+func (s *Session) forwardReference(tokens []model.Token, positions []int, mask func(i, j int) bool) (dists [][]float32, newK, newV [][][]float32) {
 	cfg := s.m.cfg
 	nNew := len(tokens)
 	hd := cfg.headDim()
@@ -107,10 +107,7 @@ func (s *Session) forwardReference(tokens []model.Token, positions []int, mask f
 	for l := 0; l < cfg.Layers; l++ {
 		lw := &s.m.layers[l]
 		cachedK, cachedV := s.cacheK[l], s.cacheV[l]
-		nCached := 0
-		if attendCache {
-			nCached = len(cachedK)
-		}
+		nCached := len(cachedK)
 		kRows := make([][]float32, nNew)
 		vRows := make([][]float32, nNew)
 		// New tokens are processed in order; the topology guarantees a

@@ -244,15 +244,63 @@ type Session struct {
 	n        int       // committed tokens
 	lastDist []float32 // distribution after the last committed token
 
-	// Tree-decode scratch: K/V rows per speculated node (lin index >= 1)
-	// and the per-node output distributions, retained for Accept.
-	lastTree  *tree.Tree
-	treeK     [][][]float32 // [layer][linIdx-1][hidden]
-	treeV     [][][]float32
-	treeDists [][]float32 // indexed by node id
-	// treeLinIdx maps node id -> linearization index for the last tree,
-	// so Accept can find each accepted node's scratch K/V row.
-	treeLinIdx []int
+	// tree is the state of the last DecodeTree, retained until the next
+	// commit; nil until the session's first DecodeTree.
+	tree *treeState
+
+	// treeRows counts the tree nodes DecodeTree has run through the
+	// forward pass (the incremental-drafting tests read it).
+	treeRows int
+}
+
+// treeState is what a DecodeTree call leaves behind for the next call
+// and for Accept: per scored node (by node id), the node's token and
+// parent as they were when scored, its ancestor bitset, its K/V rows and
+// its next-token distribution. Accept commits verified nodes' rows from
+// it without recomputation; a DecodeTree of the same tree grown by
+// appended nodes forwards only the new ones against it.
+type treeState struct {
+	t      *tree.Tree // the tree last scored; nil when nothing is retained
+	tok    []model.Token
+	parent []tree.NodeID
+	anc    tree.Ancestry
+	k, v   [][][]float32 // [layer][id-1][hidden]; the root's rows are committed
+	dists  [][]float32   // [id]
+}
+
+// scored returns the number of retained nodes.
+func (ts *treeState) scored() int { return len(ts.tok) }
+
+// reset drops the retained tree, keeping its storage for the next one.
+// Row and distribution slots are cleared so the dropped forward-pass
+// buffers can be collected.
+func (ts *treeState) reset() {
+	ts.t = nil
+	ts.tok, ts.parent = ts.tok[:0], ts.parent[:0]
+	ts.anc.Reset()
+	for l := range ts.k {
+		clear(ts.k[l])
+		clear(ts.v[l])
+		ts.k[l], ts.v[l] = ts.k[l][:0], ts.v[l][:0]
+	}
+	clear(ts.dists)
+	ts.dists = ts.dists[:0]
+}
+
+// extends reports whether t is the retained tree grown by at least one
+// appended node, every retained node still carrying the token and
+// parent it was scored with.
+func (ts *treeState) extends(t *tree.Tree) bool {
+	n := ts.scored()
+	if ts.t != t || t.Len() <= n {
+		return false
+	}
+	for id := 0; id < n; id++ {
+		if nd := &t.Nodes[id]; nd.Token != ts.tok[id] || nd.Parent != ts.parent[id] {
+			return false
+		}
+	}
+	return true
 }
 
 var _ model.Session = (*Session)(nil)
@@ -288,7 +336,7 @@ func (s *Session) Prefill(prompt []model.Token) []float32 {
 		for i := range positions {
 			positions[i] = i
 		}
-		dists, k, v := s.forward(prompt, positions, nil, true)
+		dists, k, v := s.forward(prompt, positions, nil, nil)
 		s.commitRows(k, v)
 		s.n = len(prompt)
 		s.invalidateTree()
@@ -317,7 +365,7 @@ func (s *Session) prefillChunked(tokens []model.Token, firstPos int) []float32 {
 		for i := range positions {
 			positions[i] = firstPos + off + i
 		}
-		dists, k, v := s.forward(chunk, positions, nil, true)
+		dists, k, v := s.forward(chunk, positions, nil, nil)
 		s.commitRows(k, v)
 		s.n += len(chunk)
 		last = dists[len(dists)-1]
@@ -374,7 +422,7 @@ func (s *Session) Decode(tok model.Token) []float32 {
 	if s.n == 0 {
 		panic("transformer: Decode before Prefill")
 	}
-	dists, k, v := s.forward([]model.Token{tok}, []int{s.n}, nil, true)
+	dists, k, v := s.forward([]model.Token{tok}, []int{s.n}, nil, nil)
 	s.commitRows(k, v)
 	s.n++
 	s.invalidateTree()
@@ -383,15 +431,28 @@ func (s *Session) Decode(tok model.Token) []float32 {
 }
 
 // DecodeTree implements model.Session: tree-based parallel decoding. All
-// speculated nodes are processed in a single forward pass; the root's
-// distribution is the one already produced when its token was committed.
+// speculated nodes are processed in a single forward pass, in node-id
+// order under the tree's ancestor mask; the root's distribution is the
+// one already produced when its token was committed.
 //
-// The returned distributions are freshly allocated per call, but the
-// session retains references to them until the next commit (Accept,
-// Decode or Prefill) so Accept can serve the post-commit distribution
-// without recomputation; callers must treat them as read-only until then.
-// (Every in-repo consumer — sampling.Transform, the verifiers — copies
-// before mutating.)
+// Incremental drafting: when t is the tree this session scored last,
+// grown since by appended nodes, with no commit in between and every
+// earlier node unchanged, only the appended nodes run through the
+// forward pass. They attend the committed cache, the retained K/V rows
+// of their already-scored ancestors, and each other under the mask; the
+// earlier nodes' distributions come back from retention. A speculator
+// growing one tree level by level or wave by wave therefore forwards
+// each node once. Every other call — a different tree, an in-place edit
+// of a scored node, a tree with no new nodes, or any call on a
+// Reference() session, which stays the oracle — scores the whole tree.
+// Both give bit-identical results (DESIGN.md §16).
+//
+// The returned distributions are shared with the session's retention
+// until the next commit (Accept, Decode or Prefill), so Accept can serve
+// the post-commit distribution and a later extension can return them
+// without recomputation; callers must treat them as read-only. (Every
+// in-repo consumer — sampling.Transform, the verifiers — copies before
+// mutating.)
 func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
 	if s.n == 0 {
 		panic("transformer: DecodeTree before Prefill")
@@ -399,46 +460,56 @@ func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
 	if s.lastDist == nil {
 		panic("transformer: no distribution for tree root")
 	}
+	ts := s.tree
+	if ts == nil {
+		ts = &treeState{k: make([][][]float32, s.m.cfg.Layers), v: make([][][]float32, s.m.cfg.Layers)}
+		s.tree = ts
+	}
+	if s.ref || !ts.extends(t) {
+		ts.reset()
+		ts.t = t
+	}
+	first := ts.scored()
+	ts.anc.Extend(t)
+	for id := first; id < t.Len(); id++ {
+		ts.tok = append(ts.tok, t.Nodes[id].Token)
+		ts.parent = append(ts.parent, t.Nodes[id].Parent)
+	}
+	if first == 0 {
+		ts.dists = append(ts.dists, cloneVec(s.lastDist))
+		first = 1
+	}
+	if nNew := t.Len() - first; nNew > 0 {
+		tokens := make([]model.Token, nNew)
+		positions := make([]int, nNew)
+		for i := range tokens {
+			nd := &t.Nodes[first+i]
+			tokens[i] = nd.Token
+			// The root occupies committed position n-1; a node at depth d
+			// sits at absolute position n-1+d, exactly where it would land
+			// if its branch were committed.
+			positions[i] = s.n - 1 + nd.Depth
+		}
+		// New token i is node first+i; retained row j is node 1+j. Every
+		// new token attends the whole committed cache (all committed
+		// tokens are ancestors).
+		mask := func(i, j int) bool { return ts.anc.Has(first+i, first+j) }
+		var prior *priorRows
+		if first > 1 {
+			prior = &priorRows{k: ts.k, v: ts.v, mask: func(i, j int) bool { return ts.anc.Has(first+i, 1+j) }}
+		}
+		dists, k, v := s.forward(tokens, positions, mask, prior)
+		s.treeRows += nNew
+		for l := range ts.k {
+			ts.k[l] = append(ts.k[l], k[l]...)
+			ts.v[l] = append(ts.v[l], v[l]...)
+		}
+		ts.dists = append(ts.dists, dists...)
+	}
+	// The returned distributions ALIAS the retained ones (copied exactly
+	// once out of the forward pass); see the method comment.
 	out := make([][]float32, t.Len())
-	out[t.Root()] = cloneVec(s.lastDist)
-	if t.Len() == 1 {
-		s.invalidateTree()
-		return out
-	}
-	lin := t.Linearize()
-	nSpec := len(lin.Order) - 1
-	tokens := make([]model.Token, nSpec)
-	positions := make([]int, nSpec)
-	for i := 1; i < len(lin.Order); i++ {
-		tokens[i-1] = lin.Tokens[i]
-		// The root occupies committed position n-1; a node at depth d sits
-		// at absolute position n-1+d, exactly where it would land if its
-		// branch were committed.
-		positions[i-1] = s.n - 1 + lin.Depths[i]
-	}
-	// Topology-aware mask among the new tokens: new token i (lin index
-	// i+1) may attend new token j (lin index j+1) iff j+1 is an
-	// ancestor-or-self of i+1. Every new token attends the whole
-	// committed cache (all committed tokens are ancestors).
-	mask := func(i, j int) bool { return lin.Mask[i+1][j+1] }
-	dists, k, v := s.forward(tokens, positions, mask, true)
-	for i := 1; i < len(lin.Order); i++ {
-		out[lin.Order[i]] = dists[i-1]
-	}
-	// Retain scratch for Accept. The retained distributions ALIAS the
-	// returned ones (fresh this call, copied exactly once out of the
-	// forward pass) instead of being re-cloned; see the method comment.
-	s.lastTree = t
-	s.treeK, s.treeV = k, v
-	s.treeDists = make([][]float32, t.Len())
-	for _, id := range lin.Order {
-		s.treeDists[id] = out[id]
-	}
-	// Record lin index per node for row lookup in Accept.
-	s.treeLinIdx = make([]int, t.Len())
-	for i, id := range lin.Order {
-		s.treeLinIdx[id] = i
-	}
+	copy(out, ts.dists)
 	return out
 }
 
@@ -451,37 +522,38 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 		panic("transformer: Accept before Prefill")
 	}
 	i := 0
-	if s.lastTree != nil {
-		u := s.lastTree.Root()
+	if ts := s.tree; ts != nil && ts.t != nil {
+		u := ts.t.Root()
 		for i < len(tokens) {
-			v := s.lastTree.ChildWithToken(u, tokens[i])
-			// Trees are append-only, so any node appended to lastTree
-			// AFTER our DecodeTree call has an id beyond the scratch we
-			// cached (the speculator keeps expanding the tree it scored);
-			// such nodes must be recomputed, not served from scratch.
-			if v == -1 || v >= len(s.treeLinIdx) {
+			v := ts.t.ChildWithToken(u, tokens[i])
+			// Trees are append-only, so any node appended to the tree
+			// AFTER the last DecodeTree call has an id beyond the retained
+			// rows (the speculator keeps expanding the tree it scored);
+			// such nodes — and any node edited in place since it was
+			// scored — must be recomputed, not served from retention.
+			if v == -1 || v >= ts.scored() || ts.tok[v] != tokens[i] || ts.parent[v] != u {
 				break
 			}
-			li := s.treeLinIdx[v]
-			// Copy the accepted rows out of the tree scratch: the batched
-			// forward lays all of a pass's K/V rows in one backing array,
-			// and aliasing a few accepted rows would pin the whole array
-			// (every rejected branch) in memory for the cache's lifetime.
-			// For the paged arena the copy is a head-segment memcpy
-			// straight into page storage — no intermediate per-row clone.
+			// Copy the accepted rows out of the retained tree rows: the
+			// batched forward lays all of a pass's K/V rows in one backing
+			// array, and aliasing a few accepted rows would pin the whole
+			// array (every rejected branch) in memory for the cache's
+			// lifetime. For the paged arena the copy is a head-segment
+			// memcpy straight into page storage — no intermediate per-row
+			// clone.
 			if s.cache != nil {
 				for l := 0; l < s.m.cfg.Layers; l++ {
-					s.cache.Append(l, s.treeK[l][li-1], s.treeV[l][li-1])
+					s.cache.Append(l, ts.k[l][v-1], ts.v[l][v-1])
 				}
 				s.cache.Advance(1)
 			} else {
 				for l := 0; l < s.m.cfg.Layers; l++ {
-					s.cacheK[l] = append(s.cacheK[l], cloneVec(s.treeK[l][li-1]))
-					s.cacheV[l] = append(s.cacheV[l], cloneVec(s.treeV[l][li-1]))
+					s.cacheK[l] = append(s.cacheK[l], cloneVec(ts.k[l][v-1]))
+					s.cacheV[l] = append(s.cacheV[l], cloneVec(ts.v[l][v-1]))
 				}
 			}
 			s.n++
-			s.lastDist = s.treeDists[v]
+			s.lastDist = ts.dists[v]
 			u = v
 			i++
 		}
@@ -497,7 +569,7 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 		for j := range positions {
 			positions[j] = s.n + j
 		}
-		dists, k, v := s.forward(rest, positions, nil, true)
+		dists, k, v := s.forward(rest, positions, nil, nil)
 		s.commitRows(k, v)
 		s.n += len(rest)
 		s.lastDist = dists[len(dists)-1]
@@ -509,10 +581,9 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 }
 
 func (s *Session) invalidateTree() {
-	s.lastTree = nil
-	s.treeK, s.treeV = nil, nil
-	s.treeDists = nil
-	s.treeLinIdx = nil
+	if s.tree != nil {
+		s.tree.reset()
+	}
 }
 
 // commitRows appends a forward pass's K/V rows to the committed cache:
@@ -543,7 +614,7 @@ func (s *Session) Close() {
 		s.cache.Release()
 	}
 	s.cacheK, s.cacheV = nil, nil
-	s.invalidateTree()
+	s.tree = nil
 	s.lastDist = nil
 	s.scr = nil
 	s.n = 0
@@ -577,16 +648,29 @@ func (s *Session) mm(w *tensor.Matrix, qw *tensor.QuantMatrix, x, out *tensor.Ma
 }
 
 // forward runs the transformer over a batch of new tokens at the given
-// absolute positions. mask(i, j) reports whether new token i may attend
-// new token j; nil means ordinary causality among the new tokens (j <= i).
-// attendCache controls whether new tokens see the committed KV cache.
-// It returns the per-token next-token distributions (fresh slices) plus
-// the K/V rows of the new tokens per layer (fresh, not committed).
-func (s *Session) forward(tokens []model.Token, positions []int, mask func(i, j int) bool, attendCache bool) (dists [][]float32, newK, newV [][][]float32) {
+// absolute positions. Every new token attends the whole committed KV
+// cache. mask(i, j) reports whether new token i may attend new token j;
+// nil means ordinary causality among the new tokens (j <= i). prior, when
+// non-nil, adds the retained rows of an earlier tree pass as a masked
+// segment between the two (batched path only). It returns the per-token
+// next-token distributions (fresh slices) plus the K/V rows of the new
+// tokens per layer (fresh, not committed).
+func (s *Session) forward(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows) (dists [][]float32, newK, newV [][][]float32) {
 	if s.ref {
-		return s.forwardReference(tokens, positions, mask, attendCache)
+		if prior != nil {
+			panic("transformer: the reference path scores whole trees only")
+		}
+		return s.forwardReference(tokens, positions, mask)
 	}
-	return s.forwardBatched(tokens, positions, mask, attendCache)
+	return s.forwardBatched(tokens, positions, mask, prior)
+}
+
+// priorRows is the "prior rows" attention segment of an incremental tree
+// pass: the K/V rows of tree nodes scored by earlier passes, which new
+// token i attends at row j iff mask(i, j) (j is an ancestor of i).
+type priorRows struct {
+	k, v [][][]float32 // [layer][row][hidden]
+	mask func(i, j int) bool
 }
 
 // forwardBatched is the token-batched forward pass (§4.2's "one pass over
@@ -601,8 +685,10 @@ func (s *Session) forward(tokens []model.Token, positions []int, mask func(i, j 
 // same operands as the scalar reference, norms/softmaxes are applied
 // row-wise with the same kernels, and the attention loops are untouched —
 // so the outputs are float-for-float identical to forwardReference (the
-// golden tests assert this).
-func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, attendCache bool) (dists [][]float32, newK, newV [][][]float32) {
+// golden tests assert this). The prior segment keeps that: its scores are
+// the in-pass segment's dot-then-scale, and a key's position in the score
+// vector never changes its arithmetic (DESIGN.md §16).
+func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows) (dists [][]float32, newK, newV [][][]float32) {
 	cfg := s.m.cfg
 	nNew := len(tokens)
 	hd := cfg.headDim()
@@ -667,10 +753,12 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			qwq, qwk, qwv, qwo = ql.wq, ql.wk, ql.wv, ql.wo
 			qwGate, qwUp, qwDown = ql.wGate, ql.wUp, ql.wDown
 		}
-		nCached := 0
-		if attendCache {
-			nCached = s.n
+		nCached := s.n
+		var priorK, priorV [][]float32
+		if prior != nil {
+			priorK, priorV = prior.k[l], prior.v[l]
 		}
+		nPrior := len(priorK)
 		kRows, vRows := newK[l], newV[l]
 		kMat := &kvViews[2*l]
 		vMat := &kvViews[2*l+1]
@@ -697,9 +785,9 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			}
 		}
 
-		// Attention per (token, head) over cached positions + allowed new
-		// ones. The topology guarantees a token only attends new tokens
-		// that precede it in the linearization. The cached segment is
+		// Attention per (token, head) over cached positions + allowed prior
+		// and new ones. The topology guarantees a token only attends new
+		// tokens that precede it in the batch. The cached segment is
 		// dense (every new token sees the whole committed context): with
 		// the paged arena each head's keys/values are read as at most a
 		// handful of contiguous page slices streamed by the contiguous
@@ -726,7 +814,7 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		}
 		attend := func(i, h int, scoreBuf []float32) {
 			qi, oi := q.Row(i), attnOut.Row(i)
-			scores := scoreBuf[:nCached+i+1]
+			scores := scoreBuf[:nCached+nPrior+i+1]
 			qh := qi[h*hd : (h+1)*hd]
 			if nCached > 0 {
 				if s.cache != nil {
@@ -746,11 +834,19 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 					scores[j] *= scale
 				}
 			}
-			for j := 0; j <= i; j++ {
-				if mask(i, j) {
-					scores[nCached+j] = tensor.Dot(qh, kRows[j][h*hd:(h+1)*hd]) * scale
+			for j := 0; j < nPrior; j++ {
+				if prior.mask(i, j) {
+					scores[nCached+j] = tensor.Dot(qh, priorK[j][h*hd:(h+1)*hd]) * scale
 				} else {
 					scores[nCached+j] = tensor.NegInf
+				}
+			}
+			newScores := scores[nCached+nPrior:]
+			for j := 0; j <= i; j++ {
+				if mask(i, j) {
+					newScores[j] = tensor.Dot(qh, kRows[j][h*hd:(h+1)*hd]) * scale
+				} else {
+					newScores[j] = tensor.NegInf
 				}
 			}
 			tensor.SoftmaxMasked(scores)
@@ -777,13 +873,18 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 					}
 				}
 			}
-			for j := 0; j <= i; j++ {
+			for j := 0; j < nPrior; j++ {
 				if scores[nCached+j] != 0 {
-					tensor.Axpy(scores[nCached+j], vRows[j][h*hd:(h+1)*hd], oh)
+					tensor.Axpy(scores[nCached+j], priorV[j][h*hd:(h+1)*hd], oh)
+				}
+			}
+			for j := 0; j <= i; j++ {
+				if newScores[j] != 0 {
+					tensor.Axpy(newScores[j], vRows[j][h*hd:(h+1)*hd], oh)
 				}
 			}
 		}
-		s.runAttention(attend, nNew, nCached, hd)
+		s.runAttention(attend, nNew, nCached+nPrior, hd)
 		s.mm(lw.wo, qwo, attnOut, proj)
 		for i := 0; i < nNew; i++ {
 			tensor.Add(x.Row(i), proj.Row(i))
@@ -845,15 +946,16 @@ const attnParallelFloor = 1 << 15
 // Workers claim items from an atomic counter and each item is computed by
 // exactly the same code on the same read-only inputs regardless of which
 // worker runs it, so outputs are bit-identical for every pool size; only
-// the score scratch is per-worker.
-func (s *Session) runAttention(attend func(i, h int, scoreBuf []float32), nNew, nCached, hd int) {
+// the score scratch is per-worker. nKeys counts the keys every item sees
+// besides the in-pass ones (committed cache plus prior rows).
+func (s *Session) runAttention(attend func(i, h int, scoreBuf []float32), nNew, nKeys, hd int) {
 	heads := s.m.cfg.Heads
 	items := nNew * heads
 	nw := s.attnPool
 	if nw > items {
 		nw = items
 	}
-	if !s.attnExplicit && items*(nCached+nNew)*hd < attnParallelFloor {
+	if !s.attnExplicit && items*(nKeys+nNew)*hd < attnParallelFloor {
 		nw = 1
 	}
 	// Head-outer iteration: consecutive items share a head, so one head's
@@ -862,7 +964,7 @@ func (s *Session) runAttention(attend func(i, h int, scoreBuf []float32), nNew, 
 	// results (disjoint output spans, no cross-item reads), only cache
 	// behaviour.
 	if nw <= 1 {
-		buf := s.scr.Floats("scores", nCached+nNew)
+		buf := s.scr.Floats("scores", nKeys+nNew)
 		for h := 0; h < heads; h++ {
 			for i := 0; i < nNew; i++ {
 				attend(i, h, buf)
@@ -870,7 +972,7 @@ func (s *Session) runAttention(attend func(i, h int, scoreBuf []float32), nNew, 
 		}
 		return
 	}
-	bufs := s.scr.Mat("pscores", nw, nCached+nNew)
+	bufs := s.scr.Mat("pscores", nw, nKeys+nNew)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(nw)

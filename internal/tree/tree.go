@@ -1,9 +1,9 @@
 // Package tree implements SpecInfer's token tree (paper §3, Definition 3.1):
 // the structure that organizes speculated candidate token sequences. It
-// provides expansion configurations, tree merge (Definition 3.2), the
-// depth-first linearization used to share a single KV cache across all
-// branches (§4.2), and the topology-aware causal mask that lets the
-// verifier decode every node of the tree in one fused attention pass.
+// provides expansion configurations, tree merge (Definition 3.2), and the
+// topology-aware causal mask (Ancestry) that lets the verifier decode
+// every node of the tree in one fused attention pass over a single KV
+// cache shared by all branches (§4.2).
 package tree
 
 import (
@@ -193,11 +193,10 @@ func (t *Tree) Leaves() []NodeID {
 	return out
 }
 
-// DFSOrder returns node ids in depth-first preorder starting at the root.
-// This is the traversal order SpecInfer uses to lay speculated tokens into
-// the shared KV cache (§4.2): every node appears after all its ancestors,
-// so a node's ancestor set is always cached before the node is processed.
-// Children are visited in insertion order, making the layout deterministic.
+// DFSOrder returns node ids in depth-first preorder starting at the root:
+// every node appears after all its ancestors, and children are visited in
+// insertion order, so the order is deterministic. Merge and PruneToBudget
+// rebuild trees in this order.
 func (t *Tree) DFSOrder() []NodeID {
 	order := make([]NodeID, 0, len(t.Nodes))
 	var visit func(NodeID)
@@ -221,56 +220,57 @@ func (t *Tree) IsAncestorOrSelf(a, b NodeID) bool {
 	return false
 }
 
-// Linearization is a token tree flattened in DFS order together with the
-// topology-aware causal mask (§4.2). Index i in all slices refers to the
-// i-th node in DFS order; index 0 is the root.
-type Linearization struct {
-	Order  []NodeID // DFS preorder of node ids
-	Tokens []Token  // Tokens[i] = token of Order[i]
-	Depths []int    // Depths[i] = tree depth of Order[i] (root = 0)
-	// Mask[i][j] is true iff Order[j] is an ancestor-or-self of Order[i]:
-	// position j may attend position i... precisely, node i attends to
-	// node j. For a path-shaped tree this degenerates to the ordinary
-	// lower-triangular causal mask.
-	Mask [][]bool
-	// PosOf maps a node id back to its index in Order.
-	PosOf map[NodeID]int
+// Ancestry is the topology-aware causal mask of §4.2 (Equation 4
+// generalized to trees) as one packed ancestor-or-self bitset per node,
+// indexed by node id: bit j of node i's row is set iff node j lies on the
+// root-to-i path. Node i's row has i/64+1 words, built by copying its
+// parent's row and setting bit i, so rows are built in node-id order —
+// valid because a tree stores every parent before its children — and a
+// tree grown by appended nodes extends its Ancestry row by row without
+// touching the existing rows. The tree-parallel forward pass lets node i
+// attend node j iff Has(i, j): every node then receives exactly the
+// attention its own sequence S_u would, and for a path-shaped tree the
+// mask is the ordinary lower-triangular causal one.
+//
+// The zero value is an empty Ancestry ready for Extend.
+type Ancestry struct {
+	words []uint64 // row i is words[off[i] : off[i]+i/64+1]
+	off   []int
 }
 
-// Linearize flattens the tree in DFS order and builds the topology-aware
-// causal mask. The mask generalizes Equation 4 of the paper: entry (i, j)
-// is kept (true) when node j lies on node i's root path, and masked to
-// -inf otherwise, so the fused attention kernel computes, for every node,
-// exactly the attention its own sequence S_u would receive.
-func (t *Tree) Linearize() *Linearization {
-	order := t.DFSOrder()
-	n := len(order)
-	lin := &Linearization{
-		Order:  order,
-		Tokens: make([]Token, n),
-		Depths: make([]int, n),
-		Mask:   make([][]bool, n),
-		PosOf:  make(map[NodeID]int, n),
-	}
-	for i, id := range order {
-		lin.Tokens[i] = t.Nodes[id].Token
-		lin.Depths[i] = t.Nodes[id].Depth
-		lin.PosOf[id] = i
-	}
-	// ancestor bitmap per node, built by inheriting the parent's row.
-	rows := make(map[NodeID][]bool, n)
-	for _, id := range order { // DFS order: parent rows exist first
-		row := make([]bool, n)
-		if p := t.Nodes[id].Parent; p != -1 {
-			copy(row, rows[p])
+// Extend appends rows for the nodes of t beyond those it has rows for;
+// the existing rows must describe t's leading nodes. It panics if a node
+// is stored before its parent.
+func (a *Ancestry) Extend(t *Tree) {
+	for id := len(a.off); id < t.Len(); id++ {
+		off := len(a.words)
+		for w := 0; w <= id/64; w++ {
+			a.words = append(a.words, 0)
 		}
-		row[lin.PosOf[id]] = true
-		rows[id] = row
+		if id > 0 {
+			p := t.Nodes[id].Parent
+			if p < 0 || p >= id {
+				panic(fmt.Sprintf("tree: node %d stored before its parent %d", id, p))
+			}
+			copy(a.words[off:], a.words[a.off[p]:a.off[p]+p/64+1])
+		}
+		a.words[off+id/64] |= 1 << (id % 64)
+		a.off = append(a.off, off)
 	}
-	for i, id := range order {
-		lin.Mask[i] = rows[id]
+}
+
+// Has reports whether node j is an ancestor-or-self of node i.
+func (a *Ancestry) Has(i, j NodeID) bool {
+	if j > i {
+		return false // ancestors precede their descendants in node-id order
 	}
-	return lin
+	return a.words[a.off[i]+j/64]>>(j%64)&1 != 0
+}
+
+// Reset drops every row, keeping the storage for reuse.
+func (a *Ancestry) Reset() {
+	a.words = a.words[:0]
+	a.off = a.off[:0]
 }
 
 // Merge computes the tree merge of Definition 3.2: the smallest tree whose

@@ -57,29 +57,29 @@ func TestDFSOrderParentsFirst(t *testing.T) {
 	}
 }
 
-func TestLinearizeMaskMatchesAncestry(t *testing.T) {
+func TestAncestryMatchesIsAncestorOrSelf(t *testing.T) {
 	tr := buildFigure4Tree()
-	lin := tr.Linearize()
+	var anc Ancestry
+	anc.Extend(tr)
 	n := tr.Len()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			want := tr.IsAncestorOrSelf(lin.Order[j], lin.Order[i])
-			if lin.Mask[i][j] != want {
-				t.Fatalf("mask[%d][%d]=%v want %v (nodes %d,%d)",
-					i, j, lin.Mask[i][j], want, lin.Order[i], lin.Order[j])
+			if got, want := anc.Has(i, j), tr.IsAncestorOrSelf(j, i); got != want {
+				t.Fatalf("Has(%d,%d)=%v want %v", i, j, got, want)
 			}
 		}
 	}
 }
 
-func TestLinearizeMaskOfPathIsCausal(t *testing.T) {
+func TestAncestryOfPathIsCausal(t *testing.T) {
 	tr := FromSequence(1, []Token{5, 6, 7, 8}, nil, 0)
-	lin := tr.Linearize()
-	for i := range lin.Mask {
-		for j := range lin.Mask[i] {
-			if lin.Mask[i][j] != (j <= i) {
+	var anc Ancestry
+	anc.Extend(tr)
+	for i := 0; i < tr.Len(); i++ {
+		for j := 0; j < tr.Len(); j++ {
+			if anc.Has(i, j) != (j <= i) {
 				t.Fatalf("path tree mask must be lower triangular, (%d,%d)=%v",
-					i, j, lin.Mask[i][j])
+					i, j, anc.Has(i, j))
 			}
 		}
 	}
@@ -89,27 +89,72 @@ func TestMaskFigure4Example(t *testing.T) {
 	// The paper's Figure 4 highlights that t7's row attends t2,t3,t4,t6,t7
 	// but NOT t5 even though t5 precedes t7 in the cache layout.
 	tr := buildFigure4Tree()
-	lin := tr.Linearize()
-	idxOfToken := func(tok Token) int {
-		for i, v := range lin.Tokens {
-			if v == tok {
-				return i
-			}
+	var anc Ancestry
+	anc.Extend(tr)
+	i7 := -1
+	for id := range tr.Nodes {
+		if tr.Nodes[id].Token == 7 {
+			i7 = id
 		}
-		t.Fatalf("token %d not found", tok)
-		return -1
 	}
-	i7 := idxOfToken(7)
+	if i7 == -1 {
+		t.Fatal("token 7 not found")
+	}
 	attends := map[Token]bool{}
-	for j, ok := range lin.Mask[i7] {
-		if ok {
-			attends[lin.Tokens[j]] = true
+	for j := range tr.Nodes {
+		if anc.Has(i7, j) {
+			attends[tr.Nodes[j].Token] = true
 		}
 	}
 	want := map[Token]bool{2: true, 3: true, 4: true, 6: true, 7: true}
 	if !reflect.DeepEqual(attends, want) {
 		t.Fatalf("t7 attends %v, want %v", attends, want)
 	}
+}
+
+// TestAncestryExtendIncremental grows a tree well past one 64-bit word
+// per row, extending the Ancestry after every append, and checks each
+// step against a fresh build and a parent walk; Reset must return it to
+// a reusable empty state.
+func TestAncestryExtendIncremental(t *testing.T) {
+	rng := tensor.NewRNG(77)
+	tr := New(0)
+	var grown Ancestry
+	grown.Extend(tr)
+	for tr.Len() < 150 {
+		tr.AddChild(rng.Intn(tr.Len()), rng.Intn(1000), 1, 0)
+		grown.Extend(tr)
+	}
+	var fresh Ancestry
+	fresh.Extend(tr)
+	for i := 0; i < tr.Len(); i++ {
+		for j := 0; j < tr.Len(); j++ {
+			want := tr.IsAncestorOrSelf(j, i)
+			if grown.Has(i, j) != want || fresh.Has(i, j) != want {
+				t.Fatalf("Has(%d,%d): grown %v fresh %v want %v", i, j, grown.Has(i, j), fresh.Has(i, j), want)
+			}
+		}
+	}
+	grown.Reset()
+	path := FromSequence(1, []Token{2, 3}, nil, 0)
+	grown.Extend(path)
+	if !grown.Has(2, 1) || grown.Has(1, 2) {
+		t.Fatal("Ancestry reused after Reset describes the wrong tree")
+	}
+}
+
+func TestAncestryRejectsChildBeforeParent(t *testing.T) {
+	tr := New(0)
+	tr.AddChild(0, 1, 1, 0)
+	tr.AddChild(1, 2, 1, 0)
+	tr.Nodes[1].Parent = 2 // hostile in-place edit: node 1 now follows its parent
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Extend accepted a node stored before its parent")
+		}
+	}()
+	var anc Ancestry
+	anc.Extend(tr)
 }
 
 func TestMergeDefinition(t *testing.T) {
