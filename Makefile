@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench benchsmoke serve servesmoke e2e
+.PHONY: check fmt vet build test race lint archcheck bench benchsmoke serve servesmoke e2e
 
-check: fmt vet build race lint benchsmoke
+check: fmt vet build race lint archcheck benchsmoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -22,6 +22,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The packed projection kernel is amd64 assembly behind build tags. Vet
+# the portable fallback as an arm64 build sees it, and run the kernel's
+# packages under GOAMD64=v3, where the kernel is compiled out and
+# MatMulT alone must keep every golden test.
+archcheck:
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/...
+	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/...
 
 # Extra flags reach the linter via LINT_FLAGS, e.g.
 #   make lint LINT_FLAGS='-json'

@@ -278,8 +278,9 @@ func (c *PrefixCache) Lookup(ns string, tokens []int, maxLen int) *PinnedPrefix 
 // Insert records tokens' KV prefix from a donor arena: full prompt
 // pages are aliased into the trie (they are immutable until the donor's
 // Release, and the trie keeps them alive past it), the partial
-// remainder — the donor's append boundary — is copied. Existing entries
-// are refreshed, not duplicated. The arena must hold at least
+// remainder — the donor's append boundary — is copied; tokens shorter
+// than one page leave the cache unchanged. Existing entries are
+// refreshed, not duplicated. The arena must hold at least
 // len(tokens) committed positions; its geometry fixes the namespace's
 // geometry at first insert and must match thereafter.
 //
@@ -330,7 +331,12 @@ func (c *PrefixCache) Insert(ns string, tokens []int, a *Arena) {
 		ch.lastUsed = c.tick()
 		node = ch
 	}
-	if rem := len(tokens) - full*pr; rem > 0 {
+	// A tail is cached only below at least one full page. A root-level
+	// tail could serve only a later prompt that starts with this whole
+	// sub-page prompt and is longer, yet every distinct short prompt
+	// would keep a copy, so the cache's bytes would grow with the
+	// number of requests served.
+	if rem := len(tokens) - full*pr; rem > 0 && full > 0 {
 		key := chunkKey(tokens[full*pr:])
 		var tail *prefixTail
 		for _, t := range node.tails {

@@ -86,6 +86,43 @@ func TestPrefixLookupMissThenHit(t *testing.T) {
 	}
 }
 
+// TestPrefixSubPagePromptsAreNotCached: a prompt shorter than one page
+// has no full page to hang a tail on, so inserting it caches nothing —
+// distinct short prompts must not grow the cache request by request —
+// while a prompt of one page plus a remainder still caches its tail.
+func TestPrefixSubPagePromptsAreNotCached(t *testing.T) {
+	c := NewPrefixCache(1 << 20)
+	rng := tensor.NewRNG(7)
+	for i := 0; i < 20; i++ {
+		a, cfg := testArena(4)
+		toks := tokensN(100*i, 3) // distinct 3-token prompts, page = 4 rows
+		fillRows(a, cfg, rng, len(toks))
+		c.Insert("llm", toks, a)
+		if h := c.Lookup("llm", toks, len(toks)); h != nil {
+			t.Fatalf("sub-page prompt %d was cached: lookup hit %d tokens", i, h.Len())
+		}
+	}
+	if st := c.Stats(); st.Tails != 0 || st.Nodes != 0 || st.Bytes != 0 || st.Inserts != 0 {
+		t.Fatalf("after 20 sub-page prompts stats = %+v, want an empty cache", st)
+	}
+
+	a, cfg := testArena(4)
+	toks := tokensN(5000, 6) // 1 page + 2-row tail
+	k, v := fillRows(a, cfg, rng, len(toks))
+	c.Insert("llm", toks, a)
+	if st := c.Stats(); st.Nodes != 1 || st.Tails != 1 || st.Bytes == 0 {
+		t.Fatalf("after a page-plus-remainder prompt stats = %+v, want 1 node and 1 tail", st)
+	}
+	h := c.Lookup("llm", toks, len(toks))
+	if h == nil || h.Len() != 6 {
+		t.Fatalf("lookup = %v, want the 6-token page+tail hit", h)
+	}
+	b := New(cfg)
+	b.AdoptPrefix(h)
+	checkPrefix(t, b, cfg, k, v, 6)
+	h.Release()
+}
+
 func TestPrefixDivergentSuffixesShareLeadingPages(t *testing.T) {
 	c := NewPrefixCache(1 << 20)
 	a, cfg := testArena(4)

@@ -268,6 +268,26 @@ func TestLoadReportsTypeErrors(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints: per-architecture variants of one
+// declaration (a //go:build line, or a GOARCH file-name suffix) must not
+// be type-checked together, or every such package fails to load.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":         "module example.test\n\ngo 1.22\n",
+		"arch/never.go":  "//go:build ignore\n\npackage arch\n\nconst n = 1\n",
+		"arch/always.go": "package arch\n\nconst n = 2\n",
+		"arch/extra.go":  "package arch\n",
+		"arch/y_wasm.go": "package arch\n\nconst n = 3\n",
+	})
+	pkgs, err := lint.Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("load with build-constrained variants failed: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 2 {
+		t.Fatalf("loaded %d packages, want 1 holding always.go and extra.go", len(pkgs))
+	}
+}
+
 // TestRepositoryIsLintClean runs the full suite over this repository —
 // the same gate CI applies via cmd/specinferlint.
 func TestRepositoryIsLintClean(t *testing.T) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -236,7 +237,17 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
+		if e.IsDir() || !isSourceFile(e.Name()) {
+			continue
+		}
+		// Honor build constraints (file-name GOOS/GOARCH suffixes and
+		// //go:build lines) the way the go command does for this host, so
+		// a package's per-architecture variants are not checked together.
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if match {
 			names = append(names, e.Name())
 		}
 	}

@@ -24,45 +24,17 @@ import (
 // parity on the Table-1 alignment workloads, and greedy token-identity
 // on the engine smoke prompts (DESIGN.md §12 states the full contract).
 
-// quantLayerWeights is one layer's block-quantized projection matrices.
-type quantLayerWeights struct {
-	wq, wk, wv, wo    *tensor.QuantMatrix
-	wGate, wUp, wDown *tensor.QuantMatrix // wGate nil for ArchOPT
-}
-
-// quantWeights is the quantized view of a model's weights, built once
-// per model on first use and shared (read-only) by all its quantized
-// sessions.
-type quantWeights struct {
-	layers []quantLayerWeights
-	lmHead *tensor.QuantMatrix
-}
-
-// quantizedWeights lazily quantizes the model's projection weights.
-// Safe for concurrent sessions: the once guards the build, and the
-// result is immutable afterwards.
-func (m *Model) quantizedWeights() *quantWeights {
+// quantizedWeights lazily quantizes the model's projection weights
+// (Model.projs order). Safe for concurrent sessions: the once guards the
+// build, and the result is immutable afterwards.
+func (m *Model) quantizedWeights() []*tensor.QuantMatrix {
 	m.quantOnce.Do(func() {
-		qw := &quantWeights{
-			layers: make([]quantLayerWeights, len(m.layers)),
-			lmHead: tensor.Quantize(m.lmHead, tensor.QuantBlock),
-		}
-		for l := range m.layers {
-			lw := &m.layers[l]
-			ql := quantLayerWeights{
-				wq:    tensor.Quantize(lw.wq, tensor.QuantBlock),
-				wk:    tensor.Quantize(lw.wk, tensor.QuantBlock),
-				wv:    tensor.Quantize(lw.wv, tensor.QuantBlock),
-				wo:    tensor.Quantize(lw.wo, tensor.QuantBlock),
-				wUp:   tensor.Quantize(lw.wUp, tensor.QuantBlock),
-				wDown: tensor.Quantize(lw.wDown, tensor.QuantBlock),
+		m.quant = make([]*tensor.QuantMatrix, len(m.projs))
+		for i, w := range m.projs {
+			if w != nil {
+				m.quant[i] = tensor.Quantize(w, tensor.QuantBlock)
 			}
-			if lw.wGate != nil {
-				ql.wGate = tensor.Quantize(lw.wGate, tensor.QuantBlock)
-			}
-			qw.layers[l] = ql
 		}
-		m.quant = qw
 	})
 	return m.quant
 }

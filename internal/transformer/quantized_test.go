@@ -192,7 +192,7 @@ func TestQuantizedSharedWeights(t *testing.T) {
 	q := m.Quantized()
 	s1 := q.NewSession().(*Session)
 	s2 := q.NewSession().(*Session)
-	if s1.quant == nil || s1.quant != s2.quant {
+	if s1.quant == nil || &s1.quant[0] != &s2.quant[0] {
 		t.Fatal("quantized sessions must share the model's quantized weight set")
 	}
 }

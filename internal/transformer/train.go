@@ -114,6 +114,7 @@ func (t *Trainer) apply() {
 			p.data[j] -= float32(t.lr * (m / c1) / (math.Sqrt(v/c2) + eps))
 		}
 	}
+	t.m.repack()
 }
 
 // trainCache holds the forward intermediates of one layer needed by the

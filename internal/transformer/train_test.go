@@ -179,3 +179,24 @@ func TestTrainerRejectsShortSequence(t *testing.T) {
 	}()
 	tr.Step([]int{1})
 }
+
+// TestForwardAfterTrainStepMatchesReference: Trainer updates the float
+// weights in place, and the packed view the batched path multiplies by
+// must follow. A forward pass, a Step, then another forward pass must
+// equal the reference path, which reads the float weights directly.
+func TestForwardAfterTrainStepMatchesReference(t *testing.T) {
+	m := New(goldenConfigs()[0])
+	prompt := []int{3, 14, 15, 9, 26, 5}
+	before := m.NewSession().Prefill(prompt)
+	NewTrainer(m, 0).Step([]int{3, 14, 15, 9, 26, 5, 35, 8, 9, 7})
+
+	bat, ref := m.NewSession(), m.Reference().NewSession()
+	got, want := bat.Prefill(prompt), ref.Prefill(prompt)
+	if maxAbsDiff(before, got) == 0 {
+		t.Fatal("the training step left the output unchanged; the test cannot see a stale view")
+	}
+	requireExact(t, "prefill after Step", got, want)
+	for _, tok := range []int{2, 40, 11} {
+		requireExact(t, "decode after Step", bat.Decode(tok), ref.Decode(tok))
+	}
+}

@@ -104,6 +104,18 @@ type layerWeights struct {
 	wDown        *tensor.Matrix // (hidden x ffn)
 }
 
+// Projection kinds: the order of one layer's weights in Model.projs.
+const (
+	projQ = iota
+	projK
+	projV
+	projO
+	projGate
+	projUp
+	projDown
+	projsPerLayer
+)
+
 // Model is a seeded random-weight transformer implementing model.Model.
 type Model struct {
 	cfg           Config
@@ -115,10 +127,22 @@ type Model struct {
 	lmHead        *tensor.Matrix // (vocab x hidden)
 	ropeTheta     float64
 
-	// quant is the lazily-built block-quantized view of the projection
-	// weights, shared read-only by all Quantized() sessions (quantized.go).
+	// projs lists every weight a forward pass multiplies activations by,
+	// aliasing the matrices above: per layer projsPerLayer entries in
+	// projQ..projDown order (the gate entry nil for ArchOPT), then the LM
+	// head. Session.mm takes an index into it; the packed and quantized
+	// views below are parallel slices in the same order.
+	projs []*tensor.Matrix
+
+	// packed is the packed-panel view of projs, built in New and
+	// rewritten by Trainer after every weight update; nil when the
+	// packed kernel is unavailable (tensor.HasPackedKernel).
+	packed []*tensor.PackedMatrix
+
+	// quant is the lazily-built block-quantized view of projs, shared
+	// read-only by all Quantized() sessions (quantized.go).
 	quantOnce sync.Once
-	quant     *quantWeights
+	quant     []*tensor.QuantMatrix
 }
 
 var _ model.Model = (*Model)(nil)
@@ -170,8 +194,28 @@ func New(cfg Config) *Model {
 			lw.wGate = initMat(cfg.FFN, cfg.Hidden)
 		}
 		m.layers[l] = lw
+		m.projs = append(m.projs, lw.wq, lw.wk, lw.wv, lw.wo, lw.wGate, lw.wUp, lw.wDown)
+	}
+	m.projs = append(m.projs, m.lmHead)
+	if tensor.HasPackedKernel() {
+		m.packed = make([]*tensor.PackedMatrix, len(m.projs))
+		for i, w := range m.projs {
+			if w != nil {
+				m.packed[i] = tensor.Pack(w)
+			}
+		}
 	}
 	return m
+}
+
+// repack rewrites the packed view from the current weights; Trainer
+// calls it after every in-place update so the view never goes stale.
+func (m *Model) repack() {
+	for i, p := range m.packed {
+		if p != nil {
+			p.Repack(m.projs[i])
+		}
+	}
 }
 
 // norm applies the architecture's normalization (RMSNorm for LLaMA,
@@ -225,10 +269,10 @@ func (m *Model) NewSession() model.Session {
 // without recomputation.
 type Session struct {
 	m     *Model
-	scr   *tensor.Scratch   // reusable forward-pass buffers (batched path)
-	rope  *tensor.RopeTable // cached rotation coefficients (batched path)
-	ref   bool              // use the scalar reference path (see reference.go)
-	quant *quantWeights     // non-nil: projection matmuls run quantized (quantized.go)
+	scr   *tensor.Scratch       // reusable forward-pass buffers (batched path)
+	rope  *tensor.RopeTable     // cached rotation coefficients (batched path)
+	ref   bool                  // use the scalar reference path (see reference.go)
+	quant []*tensor.QuantMatrix // non-nil: projection matmuls run quantized (quantized.go)
 
 	// Exactly one cache backend is active. cache is the paged head-major
 	// arena (default sessions); cacheK/cacheV is the legacy slice layout
@@ -634,17 +678,22 @@ func (s *Session) CacheBytes() int {
 	return rows * s.m.cfg.Hidden * 4
 }
 
-// mm runs one projection matmul on the session's active weight
-// representation: the float register-blocked kernel by default, the
-// quantized SWAR kernel (with w's block-quantized twin qw) for
-// Quantized() sessions. The quantized kernel's packing scratch lives in
-// the session arena, so steady-state decode stays alloc-free either way.
-func (s *Session) mm(w *tensor.Matrix, qw *tensor.QuantMatrix, x, out *tensor.Matrix) {
-	if qw != nil {
-		tensor.MatMulTQ(qw, x, out, s.scr)
-		return
+// mm multiplies x by projection i (an index into Model.projs) on the
+// session's active weight representation: the quantized SWAR kernel for
+// Quantized() sessions, otherwise the packed-panel kernel where the CPU
+// has it, else the portable register-blocked MatMulT. The two float
+// kernels are bit-identical (DESIGN.md §17). The quantized kernel's
+// packing scratch lives in the session arena, so steady-state decode
+// stays alloc-free on every path.
+func (s *Session) mm(i int, x, out *tensor.Matrix) {
+	switch {
+	case s.quant != nil:
+		tensor.MatMulTQ(s.quant[i], x, out, s.scr)
+	case s.m.packed != nil:
+		tensor.MatMulTPacked(s.m.packed[i], x, out)
+	default:
+		tensor.MatMulT(s.m.projs[i], x, out)
 	}
-	tensor.MatMulT(w, x, out)
 }
 
 // forward runs the transformer over a batch of new tokens at the given
@@ -747,12 +796,7 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 
 	for l := 0; l < cfg.Layers; l++ {
 		lw := &s.m.layers[l]
-		var qwq, qwk, qwv, qwo, qwGate, qwUp, qwDown *tensor.QuantMatrix
-		if s.quant != nil {
-			ql := &s.quant.layers[l]
-			qwq, qwk, qwv, qwo = ql.wq, ql.wk, ql.wv, ql.wo
-			qwGate, qwUp, qwDown = ql.wGate, ql.wUp, ql.wDown
-		}
+		pi := l * projsPerLayer
 		nCached := s.n
 		var priorK, priorV [][]float32
 		if prior != nil {
@@ -772,9 +816,9 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		for i := 0; i < nNew; i++ {
 			s.m.norm(x.Row(i), lw.attnNorm, lw.attnNormBias, h1.Row(i))
 		}
-		s.mm(lw.wq, qwq, h1, q)
-		s.mm(lw.wk, qwk, h1, kMat)
-		s.mm(lw.wv, qwv, h1, vMat)
+		s.mm(pi+projQ, h1, q)
+		s.mm(pi+projK, h1, kMat)
+		s.mm(pi+projV, h1, vMat)
 		if cfg.Arch == ArchLLaMA {
 			for i := 0; i < nNew; i++ {
 				qi, ki := q.Row(i), kRows[i]
@@ -885,7 +929,7 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			}
 		}
 		s.runAttention(attend, nNew, nCached+nPrior, hd)
-		s.mm(lw.wo, qwo, attnOut, proj)
+		s.mm(pi+projO, attnOut, proj)
 		for i := 0; i < nNew; i++ {
 			tensor.Add(x.Row(i), proj.Row(i))
 		}
@@ -896,18 +940,18 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		}
 		if cfg.Arch == ArchOPT {
 			// Two-projection ReLU MLP.
-			s.mm(lw.wUp, qwUp, h1, up)
+			s.mm(pi+projUp, h1, up)
 			tensor.ReLU(up.Data)
-			s.mm(lw.wDown, qwDown, up, proj)
+			s.mm(pi+projDown, up, proj)
 		} else {
 			// SwiGLU MLP.
-			s.mm(lw.wGate, qwGate, h1, gate)
-			s.mm(lw.wUp, qwUp, h1, up)
+			s.mm(pi+projGate, h1, gate)
+			s.mm(pi+projUp, h1, up)
 			tensor.SiLU(gate.Data)
 			for d := range gate.Data {
 				gate.Data[d] *= up.Data[d]
 			}
-			s.mm(lw.wDown, qwDown, gate, proj)
+			s.mm(pi+projDown, gate, proj)
 		}
 		for i := 0; i < nNew; i++ {
 			tensor.Add(x.Row(i), proj.Row(i))
@@ -921,11 +965,7 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		s.m.norm(x.Row(i), s.m.finalNorm, s.m.finalNormBias, h1.Row(i))
 	}
 	logits := scr.Mat("logits", nNew, cfg.Vocab)
-	var qlm *tensor.QuantMatrix
-	if s.quant != nil {
-		qlm = s.quant.lmHead
-	}
-	s.mm(s.m.lmHead, qlm, h1, logits)
+	s.mm(len(s.m.projs)-1, h1, logits) // the LM head is the last projection
 	tensor.SoftmaxRows(logits)
 	dists = make([][]float32, nNew)
 	for i := range dists {
