@@ -23,13 +23,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The packed projection kernel is amd64 assembly behind build tags. Vet
-# the portable fallback as an arm64 build sees it, and run the kernel's
-# packages under GOAMD64=v3, where the kernel is compiled out and
-# MatMulT alone must keep every golden test.
+# The packed projection kernel and the vector exp/softmax/SiLU/attention
+# kernels are amd64 assembly behind build tags. Vet the portable fallback
+# as an arm64 build sees it, and run the kernels' packages under
+# GOAMD64=v3, where the kernels are compiled out and the scalar loops
+# alone must keep every golden test. Under GODEBUG=cpu.fma=off math.Exp
+# leaves its FMA path, the exp kernel's start-up probe must switch it off
+# (TestExpKernelOffWithoutFMA), and the golden tests must hold on the
+# scalar exponentials.
 archcheck:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/...
 	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/...
+	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/...
 
 # Extra flags reach the linter via LINT_FLAGS, e.g.
 #   make lint LINT_FLAGS='-json'

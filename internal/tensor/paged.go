@@ -12,9 +12,11 @@ import "fmt"
 
 // DotRowsContig4 computes out[r] = Dot(q, page[r*hd:(r+1)*hd]) for
 // r in [0, len(out)), where hd = len(q) — the paged-cache form of
-// DotRows4. Four rows are register-blocked per step (wider blocking
-// spills row pointers and loses); each score is an independent sequential
-// reduction, bit-identical to a per-row Dot.
+// DotRows4. Each score is an independent sequential reduction,
+// bit-identical to a per-row Dot. With the AVX2 kernel and hd a multiple
+// of 8, whole groups of 8 rows run on dotRowsAVX, one lane per row
+// (DESIGN.md §18.3); the rest are register-blocked four rows per step
+// (wider blocking spills row pointers and loses).
 func DotRowsContig4(q, page []float32, out []float32) {
 	hd := len(q)
 	rows := len(out)
@@ -22,6 +24,9 @@ func DotRowsContig4(q, page []float32, out []float32) {
 		panic(fmt.Sprintf("tensor: DotRowsContig4 page %d < rows %d * dim %d", len(page), rows, hd))
 	}
 	r := 0
+	if hasPackedKernel && hd > 0 && hd%8 == 0 && rows >= 8 {
+		r = dotRowsAVX(&q[0], &page[0], hd, rows, &out[0])
+	}
 	for ; r+3 < rows; r += 4 {
 		// The two-step reslice gives each row slice a length the
 		// bounds-check prover can tie to hd = len(q), keeping the inner
@@ -50,13 +55,21 @@ func DotRowsContig4(q, page []float32, out []float32) {
 // r in [0, len(scores)), hd = len(dst), skipping zero scores — the
 // paged-cache form of the per-row Axpy loop over masked-softmax weights.
 // Rows are processed in increasing r with the same per-element order as
-// Axpy, so the accumulation is bit-identical to the per-row loop.
+// Axpy, so the accumulation is bit-identical to the per-row loop. With
+// the AVX2 kernel, attnAccumAVX takes the first hd&^3 elements, one lane
+// each (DESIGN.md §18.3), and accumRows the rest.
 func AttnAccumContig(scores, page, dst []float32) {
 	hd := len(dst)
 	if len(page) < len(scores)*hd {
 		panic(fmt.Sprintf("tensor: AttnAccumContig page %d < rows %d * dim %d", len(page), len(scores), hd))
 	}
 	n := len(scores)
+	if hasPackedKernel && hd >= 4 && n > 0 {
+		if c := attnAccumAVX(&scores[0], n, &page[0], hd, &dst[0]); c < hd {
+			accumRows(scores, page[c:], hd, dst[c:])
+		}
+		return
+	}
 	r := 0
 	for ; r+3 < n; r += 4 {
 		w0, w1, w2, w3 := scores[r], scores[r+1], scores[r+2], scores[r+3]
@@ -64,7 +77,7 @@ func AttnAccumContig(scores, page, dst []float32) {
 			// A masked slot in the block: fall back to the per-row loop so
 			// zero-weight rows contribute no add at all (adding an exact
 			// +0.0 could still flip a -0.0 accumulator).
-			accumRows(scores[r:r+4], page[r*hd:][:4*hd], dst)
+			accumRows(scores[r:r+4], page[r*hd:][:4*hd], hd, dst)
 			continue
 		}
 		base := r * hd
@@ -84,17 +97,19 @@ func AttnAccumContig(scores, page, dst []float32) {
 			dst[d] = s
 		}
 	}
-	accumRows(scores[r:], page[r*hd:], dst)
+	accumRows(scores[r:], page[r*hd:], hd, dst)
 }
 
-// accumRows is the per-row remainder/fallback of AttnAccumContig.
-func accumRows(scores, page, dst []float32) {
-	hd := len(dst)
+// accumRows is the per-row remainder/fallback of AttnAccumContig, and
+// the oracle of its vector kernel: dst[d] += scores[r]*page[r*hd+d] for
+// d < len(dst), rows in increasing r, zero weights skipped. dst may be a
+// leading part of a row (with page offset to match).
+func accumRows(scores, page []float32, hd int, dst []float32) {
 	for r, w := range scores {
 		if w == 0 {
 			continue
 		}
-		row := page[r*hd:][:hd]
+		row := page[r*hd:][:len(dst)]
 		for d, v := range row {
 			dst[d] += w * v
 		}

@@ -71,9 +71,16 @@ func Axpy(alpha float32, x, dst []float32) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
+// Scale multiplies every element of x by alpha in place. With the AVX2
+// kernels, whole blocks of eight run on scaleAVX, which rounds each
+// product exactly as the loop does.
 func Scale(alpha float32, x []float32) {
-	for i := range x {
+	i := 0
+	if hasPackedKernel && len(x) >= 8 {
+		scaleAVX(&x[0], len(x), alpha)
+		i = len(x) &^ 7
+	}
+	for ; i < len(x); i++ {
 		x[i] *= alpha
 	}
 }
@@ -274,35 +281,7 @@ func SoftmaxRows(m *Matrix) {
 
 // Softmax computes the softmax of x in place using the max-subtraction
 // trick for numerical stability. Entries equal to NegInf map to exactly 0.
-func Softmax(x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	maxv := x[0]
-	for _, v := range x[1:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	if math.IsInf(float64(maxv), -1) {
-		// All entries masked: define softmax as uniform to avoid NaN.
-		u := float32(1.0) / float32(len(x))
-		for i := range x {
-			x[i] = u
-		}
-		return
-	}
-	var sum float64
-	for i, v := range x {
-		e := math.Exp(float64(v - maxv))
-		x[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1.0 / sum)
-	for i := range x {
-		x[i] *= inv
-	}
-}
+func Softmax(x []float32) { softmax(x, false, hasExpKernel) }
 
 // SoftmaxMasked is Softmax specialized for heavily masked inputs: entries
 // equal to NegInf skip the math.Exp call and are written as exactly 0.
@@ -312,17 +291,32 @@ func Softmax(x []float32) {
 // contributes exp(0) = 1, so the sum is strictly positive and never -0.0).
 // The batched tree-attention path uses this: under a topology mask most
 // score slots of a deep tree are NegInf, and exp dominates softmax cost.
-func SoftmaxMasked(x []float32) {
+func SoftmaxMasked(x []float32) { softmax(x, true, hasExpKernel) }
+
+// softmax is Softmax (masked false) and SoftmaxMasked (masked true). With
+// vec, the vector kernels take the maximum, the exponentials of whole
+// blocks of four (math.Exp's bits, added to the float64 sum in index
+// order) and the final scaling, so results do not depend on vec. vec
+// false is the scalar loop: the portable path and the kernels' oracle.
+func softmax(x []float32, masked, vec bool) {
 	if len(x) == 0 {
 		return
 	}
-	maxv := x[0]
-	for _, v := range x[1:] {
+	maxv, i := x[0], 1
+	if vec && len(x) >= 8 {
+		// The kernel's maximum may differ from the loop's only in the
+		// sign of a zero maximum, which no v-maxv below can see.
+		if m, ok := maxAVX(&x[0], len(x)); ok {
+			maxv, i = m, len(x)&^7
+		}
+	}
+	for _, v := range x[i:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
 	if isNegInf(maxv) {
+		// All entries masked: define softmax as uniform to avoid NaN.
 		u := float32(1.0) / float32(len(x))
 		for i := range x {
 			x[i] = u
@@ -330,10 +324,39 @@ func SoftmaxMasked(x []float32) {
 		return
 	}
 	var sum float64
+	i = 0
+	if vec {
+		i, sum = expShiftVec(x, maxv, masked)
+	}
+	sum = expShift(x[i:], maxv, masked, sum)
+	inv := float32(1.0 / sum)
+	switch {
+	case vec && (!masked || inv <= math.MaxFloat32):
+		// A finite positive inv maps +0 to +0, so the masked loop's
+		// zero skip below changes nothing; only a NaN inv needs it.
+		Scale(inv, x)
+	case !masked:
+		for i := range x {
+			x[i] *= inv
+		}
+	default:
+		for i, v := range x {
+			if v != 0 {
+				x[i] = v * inv
+			}
+		}
+	}
+}
+
+// expShift sets x[i] = float32(math.Exp(float64(x[i]-maxv))) and returns
+// sum plus every exponential, added in index order. With masked, NegInf
+// entries skip math.Exp and are written as 0, which leaves the same bits
+// (see SoftmaxMasked).
+func expShift(x []float32, maxv float32, masked bool, sum float64) float64 {
 	for i, v := range x {
 		// Bit-pattern compare against the mask sentinel; equivalent to the
 		// float64 IsInf test but without the conversion in the hot loop.
-		if isNegInf(v) {
+		if masked && isNegInf(v) {
 			x[i] = 0
 			continue
 		}
@@ -341,33 +364,27 @@ func SoftmaxMasked(x []float32) {
 		x[i] = float32(e)
 		sum += e
 	}
-	inv := float32(1.0 / sum)
-	for i, v := range x {
-		if v != 0 {
-			x[i] = v * inv
-		}
-	}
+	return sum
 }
 
-// LogSoftmax computes log(softmax(x)) in place.
-func LogSoftmax(x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	maxv := x[0]
-	for _, v := range x[1:] {
-		if v > maxv {
-			maxv = v
+// expShiftVec is expShift over x's whole blocks of four on the vector
+// kernel; a block the kernel declines (an argument out of its range) is
+// computed by expShift. It returns how many leading elements are done and
+// the sum so far. The kernel needs no mask test: with a finite or +Inf
+// maximum a NegInf entry's argument is -Inf, which it maps to +0 like
+// math.Exp, and any other maximum makes it decline the block.
+func expShiftVec(x []float32, maxv float32, masked bool) (int, float64) {
+	var sum float64
+	n := len(x) &^ 3
+	i := 0
+	for i < n {
+		i += expShiftAVX(&x[i], n-i, maxv, &sum)
+		if i < n {
+			sum = expShift(x[i:i+4], maxv, masked, sum)
+			i += 4
 		}
 	}
-	var sum float64
-	for _, v := range x {
-		sum += math.Exp(float64(v - maxv))
-	}
-	lse := float32(math.Log(sum)) + maxv
-	for i := range x {
-		x[i] -= lse
-	}
+	return n, sum
 }
 
 // NegInf is the mask value used to zero out attention scores.
@@ -398,7 +415,27 @@ func RMSNorm(x, gain, out []float32, eps float32) {
 }
 
 // SiLU applies the sigmoid-weighted linear unit x*sigmoid(x) in place.
-func SiLU(x []float32) {
+func SiLU(x []float32) { silu(x, hasExpKernel) }
+
+// silu is SiLU. With vec, whole blocks of four run on the vector kernel,
+// with the same bits; a block it declines runs on siluScalar, as does
+// everything when vec is false.
+func silu(x []float32, vec bool) {
+	i := 0
+	if vec {
+		n := len(x) &^ 3
+		for i < n {
+			i += siluAVX(&x[i], n-i)
+			if i < n {
+				siluScalar(x[i : i+4])
+				i += 4
+			}
+		}
+	}
+	siluScalar(x[i:])
+}
+
+func siluScalar(x []float32) {
 	for i, v := range x {
 		x[i] = v / (1 + float32(math.Exp(float64(-v))))
 	}

@@ -104,18 +104,6 @@ func TestSoftmaxAllMasked(t *testing.T) {
 	}
 }
 
-func TestLogSoftmaxConsistent(t *testing.T) {
-	x := []float32{0.3, -1.2, 2.5, 0}
-	y := append([]float32(nil), x...)
-	Softmax(x)
-	LogSoftmax(y)
-	for i := range x {
-		if !almostEq(float64(x[i]), math.Exp(float64(y[i])), 1e-5) {
-			t.Fatalf("exp(logsoftmax) != softmax at %d: %v vs %v", i, math.Exp(float64(y[i])), x[i])
-		}
-	}
-}
-
 func TestRMSNorm(t *testing.T) {
 	x := []float32{3, 4}
 	gain := []float32{1, 1}

@@ -874,9 +874,7 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 				} else {
 					tensor.DotRows4(qh, kViews[h*nCached:(h+1)*nCached], scores[:nCached])
 				}
-				for j := 0; j < nCached; j++ {
-					scores[j] *= scale
-				}
+				tensor.Scale(scale, scores[:nCached])
 			}
 			for j := 0; j < nPrior; j++ {
 				if prior.mask(i, j) {
@@ -974,11 +972,14 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 	return dists, newK, newV
 }
 
-// attnParallelFloor is the minimum number of scalar multiply-adds in one
-// layer's attention stage below which an implicit (GOMAXPROCS-sized)
-// worker pool falls back to the serial loop: spawning goroutines costs
-// more than it saves on a short decode.
-const attnParallelFloor = 1 << 15
+// attnParallelFloor is the minimum number of multiply-adds in one layer's
+// attention stage below which an implicit (GOMAXPROCS-sized) worker pool
+// falls back to the serial loop: spawning goroutines costs more than it
+// saves. With the vector attention and softmax kernels, a two-way pool
+// broke even only at the largest serving shape measured (21 new rows
+// over 300 keys: about 2^17.7 at head dim 8, 2^18.7 at 16;
+// BenchmarkAttentionFanout, DESIGN.md §18).
+const attnParallelFloor = 1 << 18
 
 // runAttention executes one layer's attention work items — one per
 // (new token, head), each writing a disjoint span of the output matrix —
