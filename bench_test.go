@@ -160,3 +160,19 @@ func BenchmarkVerifier(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerifyCost is the verify-cost premise curve: one LLM
+// tree-verification pass over K = 1, 3, 7, 15, 31, 63 speculated rows
+// at a 128-token context, on perf-LLM and perf-LLM-bw, reporting
+// t(K)/t(1). Run it with -cpu 1,2 to see how a second core moves the
+// knee:
+//
+//	go test -run '^$' -bench BenchmarkVerifyCost -cpu 1,2 .
+func BenchmarkVerifyCost(b *testing.B) {
+	t1 := map[string]float64{}
+	for _, m := range bench.VerifyCostModels {
+		for _, k := range bench.VerifyCostRows {
+			b.Run(fmt.Sprintf("%s/K=%d", m, k), bench.VerifyCost(m, k, t1))
+		}
+	}
+}

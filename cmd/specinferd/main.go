@@ -56,7 +56,7 @@ func main() {
 		topK       = flag.Int("topk", 0, "top-k sampling filter, 0 disables")
 		topP       = flag.Float64("topp", 0, "nucleus sampling mass, 0 disables")
 		adaptive   = flag.Bool("adaptive", false, "dynamic best-first tree expansion")
-		policyOn   = flag.Bool("policy", false, "per-request, per-iteration speculation policy (tree mode; picks tree shape and SSM count from measured accept rate, queue depth and batch occupancy; surfaced in /metricz)")
+		policyOn   = flag.Bool("policy", false, "per-request, per-iteration speculation policy (tree mode; picks tree shape and SSM count from measured accept rate, queue depth and batch occupancy, and decodes incrementally while speculation is measured not to pay; surfaced in /metricz)")
 		ssms       = flag.Int("ssms", 1, "SSM pool size (merge-based speculation if >1)")
 		variant    = flag.String("variant", "", "LLM execution variant: paged|slice|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
 		seed       = flag.Uint64("seed", 1, "engine seed")

@@ -131,9 +131,15 @@ type Config struct {
 	// from its measured accept-length EWMA, the admission-queue depth,
 	// and batch occupancy — deep trees when the batch is underfull
 	// (latency mode), narrow speculation when verification is contended
-	// (throughput mode). TreeSpec mode only; conflicts with Adaptive
-	// (the policy already drives the adaptive grower, with a moving
-	// budget).
+	// (throughput mode). Under Serve each request's step is also timed
+	// with Clock, and the controller floors a request's budget to zero
+	// whenever an incremental step is expected to commit more tokens
+	// per second than the speculative one; a zero-budget step samples
+	// from the LLM's last distribution and decodes one token, with no
+	// tree, verifier or SSM forward (DESIGN.md §19). The offline
+	// Run/RunOnline paths measure nothing and never floor. TreeSpec
+	// mode only; conflicts with Adaptive (the policy already drives the
+	// adaptive grower, with a moving budget).
 	Policy *policy.Config
 
 	// PrefixCacheBytes, when positive, enables the cross-request prefix
@@ -162,9 +168,10 @@ type Config struct {
 	// ServeStats). Defaults to 1024.
 	LatencyWindow int
 	// Clock supplies wall-clock time for live serving (queue-delay and
-	// latency accounting in Serve/Submit). nil defaults to the real
-	// clock. The offline Run/RunOnline paths never read it — their
-	// determinism does not depend on this field.
+	// latency accounting in Serve/Submit, and the per-step costs the
+	// speculation policy prices its decisions with). nil defaults to
+	// the real clock. The offline Run/RunOnline paths never read it —
+	// their determinism does not depend on this field.
 	Clock func() time.Time
 }
 
@@ -346,8 +353,10 @@ type IterationRecord struct {
 	// request's verification accepted this iteration — the committed run
 	// minus the bonus token, before budget/EOS truncation — i.e. the
 	// verifier's accept length, the quantity traversal verification
-	// improves over MSS. -1 when the verification failed. Nil for
-	// incremental decoding (no speculation to accept).
+	// improves over MSS. -1 when the verification failed. 0 for a
+	// zero-budget policy step (PolicyNodes[i] == 0), which verifies
+	// nothing and counts as no verification. Nil for incremental
+	// decoding (no speculation to accept).
 	SpecAccepted []int
 	// SpecSteps is the number of SSM decoding levels used to build the
 	// trees (0 for incremental).
@@ -359,8 +368,9 @@ type IterationRecord struct {
 	PolicyMode string
 	// PolicyNodes[i] is the speculated-node budget the policy granted
 	// the i-th active request this iteration (scaled by the request's
-	// accept-length EWMA within the mode's ceiling). Nil when the
-	// policy engine is disabled.
+	// accept-length EWMA within the mode's ceiling); 0 marks a
+	// zero-budget step, which decoded one token incrementally. Nil when
+	// the policy engine is disabled.
 	PolicyNodes []int
 	// PolicySSMs[i] is how many ensemble SSMs the policy ran for the
 	// i-th request (0 = the whole pool). Nil when the policy engine is
@@ -476,7 +486,7 @@ func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecor
 			active = append(active, st)
 		}
 
-		iters = append(iters, e.runIteration(active))
+		iters = append(iters, e.runIteration(active, nil))
 
 		// Retire finished requests.
 		var still []*reqState
@@ -501,15 +511,30 @@ func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecor
 // session, speculator sessions, RNG stream) is confined to one worker at
 // a time, and the shared models are read-only during serving, which keeps
 // the loop race-clean (the engine tests run it under -race).
-func (e *Engine) runIteration(active []*reqState) IterationRecord {
+//
+// clock, when non-nil (live serving), times each request's step inside
+// its worker; the speculation policy folds those costs in serially, in
+// slot order, after the pool finishes, and prices the next iteration's
+// decisions with them. The offline paths pass nil and measure nothing.
+func (e *Engine) runIteration(active []*reqState, clock func() time.Time) IterationRecord {
 	rec := IterationRecord{BatchSize: len(active)}
 	if e.cfg.Mode != Incremental {
 		rec.SpecSteps = e.specDepth()
 	}
+	measured := e.pol != nil && clock != nil
 	if e.pol != nil {
-		e.decidePolicy(active, &rec)
+		e.decidePolicy(active, &rec, measured)
 	}
 	shapes := make([]stepShape, len(active))
+	step := e.step
+	if measured {
+		step = func(st *reqState) stepShape {
+			t0 := clock()
+			sh := e.step(st)
+			sh.dur = clock().Sub(t0)
+			return sh
+		}
+	}
 	nw := e.cfg.Workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
@@ -519,7 +544,7 @@ func (e *Engine) runIteration(active []*reqState) IterationRecord {
 	}
 	if nw <= 1 {
 		for i, st := range active {
-			shapes[i] = e.step(st)
+			shapes[i] = step(st)
 		}
 	} else {
 		// A panic inside a worker goroutine would kill the whole process
@@ -550,7 +575,7 @@ func (e *Engine) runIteration(active []*reqState) IterationRecord {
 					if i >= len(active) {
 						return
 					}
-					shapes[i] = e.step(active[i])
+					shapes[i] = step(active[i])
 				}
 			}()
 		}
@@ -572,10 +597,17 @@ func (e *Engine) runIteration(active []*reqState) IterationRecord {
 		rec.Committed = append(rec.Committed, sh.committed)
 		if e.cfg.Mode != Incremental {
 			rec.SpecAccepted = append(rec.SpecAccepted, sh.specAccepted)
-			if e.pol != nil {
-				// Serial, in slot order: the EWMA update sequence must
-				// not depend on worker interleaving.
+		}
+		if e.pol != nil {
+			// Serial, in slot order: the estimate update sequence must
+			// not depend on worker interleaving. A zero-budget step
+			// verified nothing, so only its cost is evidence.
+			nodes := rec.PolicyNodes[i]
+			if nodes > 0 {
 				e.pol.Observe(st.req.ID, sh.specAccepted)
+			}
+			if measured {
+				e.pol.ObserveCost(st.req.ID, nodes, sh.dur.Seconds())
 			}
 		}
 		rec.CtxLens = append(rec.CtxLens, st.llm.Len())
@@ -675,17 +707,20 @@ type stepShape struct {
 	pathPositions int // summed root-to-leaf path lengths
 	committed     int // tokens committed
 	specAccepted  int // speculated tokens the verifier accepted (-1 on error)
+	// dur is the step's wall time, measured only on the live path.
+	dur time.Duration
 }
 
 // step runs one decoding iteration for one request.
 func (e *Engine) step(st *reqState) stepShape {
 	if e.cfg.Mode == Incremental {
-		tok := e.cfg.Sample.Sample(st.rng, st.lastDist)
-		st.lastDist = st.llm.Decode(tok)
-		e.commit(st, []model.Token{tok})
-		st.res.Steps++
-		st.res.CommittedPerStep = append(st.res.CommittedPerStep, 1)
-		st.res.TreeNodesPerStep = append(st.res.TreeNodesPerStep, 0)
+		e.decodeStep(st)
+		return stepShape{committed: 1}
+	}
+	if ps, ok := st.spec.(*policySpeculator); ok && ps.dec.Budget.MaxNodes <= 0 {
+		// Zero-budget policy step: an incremental step. The SSM
+		// sessions see the token the next time the request speculates.
+		ps.Defer(e.decodeStep(st))
 		return stepShape{committed: 1}
 	}
 
@@ -730,6 +765,19 @@ func (e *Engine) step(st *reqState) stepShape {
 		sh.pathPositions += tr.Node(leaf).Depth
 	}
 	return sh
+}
+
+// decodeStep is one incremental decoding step: sample the next token
+// from the LLM's last distribution, forward it, and commit it. It
+// returns the token.
+func (e *Engine) decodeStep(st *reqState) model.Token {
+	tok := e.cfg.Sample.Sample(st.rng, st.lastDist)
+	st.lastDist = st.llm.Decode(tok)
+	e.commit(st, []model.Token{tok})
+	st.res.Steps++
+	st.res.CommittedPerStep = append(st.res.CommittedPerStep, 1)
+	st.res.TreeNodesPerStep = append(st.res.TreeNodesPerStep, 0)
+	return tok
 }
 
 // truncate clips a verified token run at the request's remaining

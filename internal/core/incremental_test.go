@@ -180,8 +180,12 @@ func TestEngineIncrementalDraftMatchesReferenceSSM(t *testing.T) {
 		{ID: 2, Prompt: []int{5, 5, 6, 6}, MaxNewTok: 24},
 	}
 	modes := map[string]Config{
-		"greedy-tree":        {Mode: TreeSpec, Sample: sampling.GreedyConfig()},
-		"stochastic-mss-pol": {Mode: TreeSpec, Sample: sampling.StochasticConfig(), Policy: &policy.Config{}},
+		"greedy-tree": {Mode: TreeSpec, Sample: sampling.GreedyConfig()},
+		// A cold temperature: best-first drafts record a point-mass
+		// proposal, so a draft is accepted with the LLM's probability
+		// of it, and the oracle drafter's argmax drafts must be nearly
+		// certain for long accepted paths to exercise retention.
+		"stochastic-mss-pol": {Mode: TreeSpec, Sample: sampling.Config{Mode: sampling.Stochastic, Temperature: 0.1}, Policy: &policy.Config{}},
 	}
 	for dname, ssm := range drafters {
 		for mname, cfg := range modes {

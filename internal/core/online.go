@@ -89,7 +89,7 @@ func (e *Engine) RunOnline(reqs []TimedRequest, pricer IterationPricer) ([]Onlin
 			e.simQueued++
 		}
 
-		rec := e.runIteration(active)
+		rec := e.runIteration(active, nil)
 		iters = append(iters, rec)
 		clock += pricer(rec)
 

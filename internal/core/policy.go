@@ -13,15 +13,21 @@ import (
 // engine writes the current decision before stepping (serially, on the
 // scheduler goroutine), and Speculate grows one tree per selected SSM
 // under the decided budget, merging ensembles per Definition 3.2. All
-// SSM sessions track the committed sequence through Accept regardless
-// of whether they speculated this iteration, so a later decision can
-// re-enable any ensemble member without resyncing.
+// SSM sessions track the committed sequence regardless of whether they
+// speculated this iteration, so a later decision can re-enable any
+// ensemble member without resyncing. Tokens committed by zero-budget
+// steps reach them late: Defer queues them, and the next Speculate
+// forwards the whole backlog in one batched Accept before drafting —
+// bit-identical to committing them one at a time, at one SSM pass.
 type policySpeculator struct {
 	specs []*speculator.AdaptiveSpeculator
 	// dec is this iteration's decision. Written by decidePolicy before
 	// the worker pool starts and read by the single worker stepping
 	// this request — never concurrently.
 	dec policy.Decision
+	// backlog holds committed tokens the SSM sessions have not seen
+	// yet (touched only by the worker stepping this request).
+	backlog []model.Token
 }
 
 func newPolicySpeculator(sample sampling.Config, ssms []model.Model) *policySpeculator {
@@ -41,11 +47,28 @@ func (p *policySpeculator) Prefill(prompt []model.Token) {
 
 // Accept commits verified tokens into every SSM session — including
 // members the current decision benched, keeping the whole ensemble
-// aligned with the request sequence.
+// aligned with the request sequence. Speculate has already flushed the
+// backlog, so the tokens extend the tree it drafted.
 func (p *policySpeculator) Accept(tokens []model.Token) {
 	for _, s := range p.specs {
 		s.Accept(tokens)
 	}
+}
+
+// Defer queues tokens a zero-budget step committed without any SSM
+// forward.
+func (p *policySpeculator) Defer(tokens ...model.Token) {
+	p.backlog = append(p.backlog, tokens...)
+}
+
+// catchUp forwards the deferred backlog into every SSM session in one
+// batched Accept.
+func (p *policySpeculator) catchUp() {
+	if len(p.backlog) == 0 {
+		return
+	}
+	p.Accept(p.backlog)
+	p.backlog = p.backlog[:0]
 }
 
 // Close releases every SSM session.
@@ -53,13 +76,16 @@ func (p *policySpeculator) Close() {
 	for _, s := range p.specs {
 		s.Close()
 	}
+	p.backlog = nil
 }
 
-// Speculate grows the decided number of SSM trees under the decided
-// budget and merges them. A zero node budget yields a bare root — the
-// verification pass then degenerates to an incremental step (bonus
-// token only).
+// Speculate catches the SSM sessions up on any deferred tokens, then
+// grows the decided number of SSM trees under the decided budget and
+// merges them. The engine never calls it on a zero budget — that step
+// decodes without a tree — but a zero budget still yields a valid bare
+// root.
 func (p *policySpeculator) Speculate(rootTok model.Token) *tree.Tree {
+	p.catchUp()
 	b := p.dec.Budget
 	if b.MaxNodes <= 0 {
 		return tree.New(rootTok)
@@ -106,19 +132,25 @@ func pruneByPathProb(tr *tree.Tree, budget int) *tree.Tree {
 
 // decidePolicy computes this iteration's speculation decisions — on the
 // scheduler goroutine, before the worker pool starts, so decisions are
-// a pure function of batch order and observed accept lengths and the
-// engine's any-Workers determinism holds. The mode is batch-global (its
-// inputs — queue depth and occupancy — are shared); the budget is
-// per-request (scaled by each request's accept-length EWMA).
-func (e *Engine) decidePolicy(active []*reqState, rec *IterationRecord) {
+// a pure function of batch order, observed accept lengths and (when
+// measured) folded step costs, and the engine's any-Workers determinism
+// holds. The mode is batch-global (its inputs — queue depth and
+// occupancy — are shared); the budget is per-request (scaled by each
+// request's accept-length EWMA). With measured costs the controller may
+// floor a request's budget to zero.
+func (e *Engine) decidePolicy(active []*reqState, rec *IterationRecord, measured bool) {
 	// The admission backlog: the live serve queue, or RunOnline's
 	// ready-but-unadmitted arrivals during co-simulation (one of the two
 	// is always zero).
 	queueLen := e.QueueLen() + e.simQueued
 	rec.PolicyMode = e.pol.ModeFor(queueLen, len(active), e.cfg.MaxBatch).String()
+	decide := e.pol.Decide
+	if measured {
+		decide = e.pol.DecideMeasured
+	}
 	depth := 0
 	for _, st := range active {
-		d := e.pol.Decide(st.req.ID, queueLen, len(active), e.cfg.MaxBatch)
+		d := decide(st.req.ID, queueLen, len(active), e.cfg.MaxBatch)
 		if ps, ok := st.spec.(*policySpeculator); ok {
 			ps.dec = d
 		}

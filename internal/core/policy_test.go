@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,7 +88,7 @@ func TestPolicyDeterministicAcrossWorkers(t *testing.T) {
 		iters []IterationRecord
 	}
 	var base *outcome
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		for _, attn := range []int{1, 4} {
 			name := fmt.Sprintf("workers=%d/attnworkers=%d", workers, attn)
 			llm, ssm := mkModels(attn)
@@ -113,6 +114,49 @@ func TestPolicyDeterministicAcrossWorkers(t *testing.T) {
 	// proves nothing about the policy.
 	if len(base.iters) == 0 || base.iters[0].PolicyMode == "" || len(base.iters[0].PolicyNodes) == 0 {
 		t.Fatal("iteration records carry no policy decisions")
+	}
+}
+
+// TestPolicyRunOnlineDeterministicAcrossWorkers: the co-simulated
+// online path prices iterations but measures nothing, so its policy
+// decisions — and everything downstream — must not depend on Workers.
+func TestPolicyRunOnlineDeterministicAcrossWorkers(t *testing.T) {
+	llm, ssm, reqs := testModels(t, 8, 16)
+	timed := make([]TimedRequest, len(reqs))
+	for i, r := range reqs {
+		timed[i] = TimedRequest{Request: r, Arrival: 0.002 * float64(i)}
+	}
+	pricer := func(rec IterationRecord) float64 {
+		rows := 0
+		for _, n := range rec.TreeNodes {
+			rows += n + 1
+		}
+		return 1e-4 * float64(rows)
+	}
+	var base []OnlineResult
+	var baseIters []IterationRecord
+	for _, workers := range []int{1, 2, 4} {
+		eng := mustEngine(t, Config{
+			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
+			Sample: sampling.StochasticConfig(), Seed: 23,
+			MaxBatch: 3, Workers: workers,
+			Policy: &policy.Config{QueueHighWater: 2},
+		})
+		res, iters := eng.RunOnline(timed, pricer)
+		if base == nil {
+			base, baseIters = res, iters
+			continue
+		}
+		if !reflect.DeepEqual(base, res) || !reflect.DeepEqual(baseIters, iters) {
+			t.Fatalf("workers=%d: RunOnline results or records differ from workers=1", workers)
+		}
+	}
+	for _, rec := range baseIters {
+		for _, n := range rec.PolicyNodes {
+			if n == 0 {
+				t.Fatal("offline RunOnline granted a zero budget: it has no measured costs")
+			}
+		}
 	}
 }
 
@@ -163,14 +207,35 @@ func TestPolicyRetireReleasesHistory(t *testing.T) {
 	waitServeExit(t, cancel, done)
 }
 
+// tickClock is an injected Config.Clock that advances a fixed tick per
+// reading. Stepped serially, every request-step the engine times then
+// costs one tick whatever its tree: the paper's §4.2 premise that
+// verifying a tree costs about one decode, the regime where
+// speculation pays and the zero-budget floor must stay off.
+type tickClock struct {
+	mu sync.Mutex
+	t  time.Time // guarded by mu
+}
+
+func (c *tickClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(time.Millisecond)
+	return c.t
+}
+
 // TestPolicyModeSwitchLive: a burst that overfills the queue must drive
 // throughput-mode iterations, the post-burst tail latency-mode ones,
 // and the two mode counters must account for every policy iteration.
+// Served where speculation pays (flat measured step cost), the live
+// budget must be positive at the end.
 func TestPolicyModeSwitchLive(t *testing.T) {
 	llm, ssm, reqs := testModels(t, 10, 12)
+	clk := &tickClock{t: time.Unix(0, 0)}
 	eng, err := NewEngine(Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample: sampling.GreedyConfig(), Seed: 5, MaxBatch: 2, QueueDepth: 16,
+		Workers: 1, Clock: clk.now,
 		Policy: &policy.Config{QueueHighWater: 3},
 	})
 	if err != nil {

@@ -126,6 +126,10 @@ type serveState struct {
 	polLatIters uint64 // guarded by mu
 	polThrIters uint64 // guarded by mu
 	polBudget   int    // guarded by mu
+	// polSteps counts request-steps the policy decided and polZero
+	// those it floored to a zero budget (incremental steps).
+	polSteps uint64 // guarded by mu
+	polZero  uint64 // guarded by mu
 }
 
 // ServeStats is a point-in-time snapshot of the live serving loop, the
@@ -146,7 +150,8 @@ type ServeStats struct {
 	// Iterations and TokensCommitted accumulate over the Serve lifetime.
 	Iterations, TokensCommitted uint64
 	// SpecVerifications counts speculative verification passes (one per
-	// request per iteration in the speculative modes) and
+	// request per iteration in the speculative modes, except the
+	// policy's zero-budget steps, which verify nothing) and
 	// SpecTokensAccepted the speculated tokens those passes accepted
 	// (committed runs minus bonus tokens, before truncation).
 	// MeanAcceptedLen is their ratio — the mean accept length per
@@ -190,11 +195,15 @@ type ServeStats struct {
 	// speculated-node budget granted across the last iteration's batch
 	// (the "current speculation budget"), and PolicyTrackedRequests is
 	// the number of requests with live acceptance history (bounded by
-	// the active batch once retire hooks run).
+	// the active batch once retire hooks run). PolicySteps counts the
+	// request-steps the policy decided and PolicyZeroSteps those it
+	// floored to a zero budget — incremental steps taken because
+	// speculation was measured not to pay.
 	PolicyEnabled                             bool
 	PolicyLatencyIters, PolicyThroughputIters uint64
 	PolicySpecBudget                          int
 	PolicyTrackedRequests                     int
+	PolicySteps, PolicyZeroSteps              uint64
 }
 
 // Serve runs the live scheduler loop until ctx is cancelled and the
@@ -302,7 +311,7 @@ func (e *Engine) Serve(ctx context.Context) error {
 			continue
 		}
 
-		rec := e.runIteration(active)
+		rec := e.runIteration(active, e.cfg.Clock)
 		s.recordIteration(rec)
 
 		// Stream newly committed tokens; retire finished requests.
@@ -451,6 +460,8 @@ func (e *Engine) ServeStats() ServeStats {
 		st.PolicyLatencyIters = s.polLatIters
 		st.PolicyThroughputIters = s.polThrIters
 		st.PolicySpecBudget = s.polBudget
+		st.PolicySteps = s.polSteps
+		st.PolicyZeroSteps = s.polZero
 	}
 	return st
 }
@@ -648,10 +659,14 @@ func (s *serveState) recordIteration(rec IterationRecord) {
 	for _, c := range rec.Committed {
 		toks += uint64(c)
 	}
-	var verifs, accepted uint64
-	for _, a := range rec.SpecAccepted {
+	var verifs, accepted, zero uint64
+	for i, a := range rec.SpecAccepted {
 		if a < 0 {
 			continue // failed verification: no accept length to record
+		}
+		if rec.PolicyNodes != nil && rec.PolicyNodes[i] == 0 {
+			zero++ // zero-budget step: nothing was verified
+			continue
 		}
 		verifs++
 		accepted += uint64(a)
@@ -673,6 +688,8 @@ func (s *serveState) recordIteration(rec IterationRecord) {
 			s.polLatIters++
 		}
 		s.polBudget = polBudget
+		s.polSteps += uint64(len(rec.PolicyNodes))
+		s.polZero += zero
 	}
 	s.recentT.Add(now.Sub(s.started).Seconds())
 	s.recentC.Add(float64(s.tokens))

@@ -1,5 +1,5 @@
 // Package policy implements the per-request, per-iteration speculation
-// policy engine (ROADMAP item 2, SPIN-style heterogeneous scheduling).
+// policy engine (ROADMAP item 4, SPIN-style heterogeneous scheduling).
 // The paper's §3 leaves dynamic token-tree expansion as future work and
 // keeps tree shape and SSM choice static per serving run; SPIN shows the
 // largest serving wins come from choosing *how hard to speculate* per
@@ -13,7 +13,9 @@
 // driven by three signals:
 //
 //   - an EWMA of the request's measured accept length
-//     (core.IterationRecord.SpecAccepted feeds Observe),
+//     (core.IterationRecord.SpecAccepted feeds Observe), seeded from an
+//     engine-wide EWMA once one exists — the drafter/LLM pair is shared,
+//     so a new request starts from what the engine already knows,
 //   - the current admission-queue depth (core.Engine.QueueLen), and
 //   - batch occupancy (active requests vs. MaxBatch slots).
 //
@@ -28,10 +30,19 @@
 // shallow tree regardless of mode, because nodes past the expected
 // accept point are FLOPs spent on tokens that will be thrown away.
 //
+// Zero-budget floor: the rule above never refuses to speculate, yet on
+// hardware where verifying K tree rows costs about K decodes (DESIGN.md
+// §19) a losing tree is slower than plain decoding. When the engine
+// feeds measured step costs (ObserveCost), DecideMeasured compares the
+// rule's budget against a budget of zero — an incremental step — by
+// expected committed tokens per second of measured step time, and
+// picks the better. Floored requests re-probe the rule's budget on a
+// deterministic exponential backoff so a change of regime is noticed.
+//
 // The package is dependency-free on purpose: decisions are pure
-// functions of (EWMA, queue, occupancy) so the engine can compute them
-// serially before its worker pool and stay deterministic for any
-// Workers setting.
+// functions of (EWMAs, queue, occupancy, cost estimates) so the engine
+// can compute them serially before its worker pool and stay
+// deterministic for any Workers setting.
 package policy
 
 import (
@@ -81,11 +92,16 @@ type Budget struct {
 type Decision struct {
 	Mode Mode
 	// Budget is the expansion envelope for this request this iteration.
-	// MaxNodes 0 means "do not speculate" (verify-free incremental
-	// step); the engine then skips the SSM pass entirely.
+	// MaxNodes 0 (only DecideMeasured grants it) means "do not
+	// speculate": the engine takes an incremental step — sample from
+	// the LLM's last distribution, one Decode — with no tree, no
+	// verifier and no SSM forward; the SSM sessions catch up on the
+	// skipped tokens in one batched pass the next time the request
+	// speculates.
 	Budget Budget
 	// SSMs is how many models of the ensemble to run (clamped by the
-	// engine to the pool size; >= 1 whenever Budget.MaxNodes > 0).
+	// engine to the pool size; >= 1 whenever Budget.MaxNodes > 0, 0 on
+	// a zero-budget step).
 	SSMs int
 }
 
@@ -170,28 +186,141 @@ func (c Config) validate() error {
 	return nil
 }
 
+// Constants of the measured-cost floor. They are deliberately not
+// configuration: the floor prices its own decisions from measurements,
+// and these only set how fast the estimates forget.
+const (
+	// poolAlpha is the EWMA decay of the engine-wide accept length that
+	// seeds new requests (slower than Alpha: it pools every request).
+	poolAlpha = 0.1
+	// zeroCostAlpha is the EWMA decay of the zero-budget step cost.
+	zeroCostAlpha = 0.1
+	// specCostDecay is the per-observation decay of the speculative
+	// step-cost fit: about the last ten speculative steps carry it.
+	specCostDecay = 0.9
+	// maxProbeBackoff caps the zero-budget steps the engine takes
+	// between probes of the rule's budget, and is also how many
+	// speculative steps it takes between zero-budget steps that keep
+	// the zero-step cost fresh while speculation wins.
+	maxProbeBackoff = 128
+	// outlierCap bounds one cost sample at this multiple of the current
+	// estimate. Timing noise on a shared host (preemption, GC, page
+	// faults) only ever lengthens a step, and one long sample would
+	// otherwise skew the comparison for many steps.
+	outlierCap = 2
+)
+
 // Stats is a snapshot of the controller's decision counters, the
 // backing data of the /metricz policy block.
 type Stats struct {
 	// LatencyDecisions / ThroughputDecisions count per-request
 	// decisions made in each mode over the controller's lifetime.
 	LatencyDecisions, ThroughputDecisions uint64
+	// ZeroDecisions counts decisions (of either mode) that granted a
+	// zero budget: an incremental step instead of a speculative one.
+	ZeroDecisions uint64
 	// TrackedRequests is the number of requests with live acceptance
-	// history (bounded by the active batch once retire hooks run).
+	// or probe history (bounded by the active batch once retire hooks
+	// run).
 	TrackedRequests int
 }
 
-// Controller holds per-request acceptance history and produces
-// decisions. It is safe for concurrent use; the engine calls
-// Decide/Observe serially from its scheduler goroutine and Retire from
-// retirement paths, while stats readers may snapshot concurrently.
+// reqTrack is one request's history.
+type reqTrack struct {
+	ewma float64 // accept-length EWMA
+	// probed marks that the request's last speculative step was a probe
+	// out of the floor, to be judged at its next decision by its own
+	// outcome: lastAccepted tokens accepted in lastCost seconds.
+	probed       bool
+	lastAccepted int
+	lastCost     float64
+}
+
+// mean is an exponentially weighted mean with no prior: until the
+// first sample it is undefined, and after k samples it is the
+// exponentially weighted average of exactly those samples.
+type mean struct{ num, den float64 }
+
+func (m *mean) add(x, alpha float64) {
+	m.num = (1-alpha)*m.num + alpha*x
+	m.den = (1-alpha)*m.den + alpha
+}
+
+func (m mean) value() (float64, bool) {
+	if m.den == 0 {
+		return 0, false
+	}
+	return m.num / m.den, true
+}
+
+// costFit is an exponentially decayed least-squares fit of step cost
+// c(n) = a + b·n over speculated-node budgets n.
+type costFit struct{ w, n, nn, c, nc float64 }
+
+func (f *costFit) add(n, c float64) {
+	f.w = specCostDecay*f.w + 1
+	f.n = specCostDecay*f.n + n
+	f.nn = specCostDecay*f.nn + n*n
+	f.c = specCostDecay*f.c + c
+	f.nc = specCostDecay*f.nc + n*c
+}
+
+// at predicts the cost of an n-node step. Step costs cannot have a
+// negative slope or intercept, so the fit is constrained to a, b >= 0:
+// with too little spread in the observed budgets to fit a slope, or a
+// negative one, it falls back to the weighted mean cost; with a
+// negative intercept, to the proportional fit c(n) = b·n.
+func (f costFit) at(n float64) (float64, bool) {
+	if f.w == 0 {
+		return 0, false
+	}
+	mn, mc := f.n/f.w, f.c/f.w
+	b := 0.0
+	if v := f.nn/f.w - mn*mn; v > 1e-9 {
+		b = (f.nc/f.w - mn*mc) / v
+	}
+	switch a := mc - b*mn; {
+	case b <= 0:
+		return mc, true
+	case a < 0:
+		return f.nc / f.nn * n, true
+	default:
+		return a + b*n, true
+	}
+}
+
+// Controller holds per-request acceptance history, the engine-wide
+// acceptance and step-cost estimates, and produces decisions. It is
+// safe for concurrent use; the engine calls Decide/DecideMeasured/
+// Observe/ObserveCost serially from its scheduler goroutine and Retire
+// from retirement paths, while stats readers may snapshot concurrently.
 type Controller struct {
 	cfg Config
 
 	mu   sync.Mutex
-	ewma map[int]float64 // guarded by mu — per-request accept-length EWMA
-	lat  uint64          // guarded by mu — latency-mode decision count
-	thr  uint64          // guarded by mu — throughput-mode decision count
+	reqs map[int]*reqTrack // guarded by mu — per-request history
+	pool mean              // guarded by mu — engine-wide accept length
+	// zeroCost is the EWMA of measured zero-budget step seconds and
+	// specCost the fit of speculative step seconds over budgets.
+	zeroCost mean    // guarded by mu
+	specCost costFit // guarded by mu
+	// zeroRun counts zero-budget decisions since the last probe, and
+	// backoff is how many the engine takes before the next floored
+	// request probes: it doubles on a losing probe (up to
+	// maxProbeBackoff) and resets to 1 on a winning one. Both are
+	// engine-wide, like the evidence a probe refreshes, so exploration
+	// is rationed per step served and does not restart with every
+	// short request.
+	zeroRun int // guarded by mu
+	backoff int // guarded by mu
+	// specRun counts speculative decisions the estimates chose since
+	// the last zero-budget step: every maxProbeBackoff of them one step
+	// is taken at zero instead, so the zero-step cost — otherwise
+	// measured only while floored — cannot go stale.
+	specRun int    // guarded by mu
+	lat     uint64 // guarded by mu — latency-mode decision count
+	thr     uint64 // guarded by mu — throughput-mode decision count
+	zero    uint64 // guarded by mu — zero-budget decision count
 }
 
 // NewController validates the configuration and returns a controller.
@@ -200,7 +329,7 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, ewma: make(map[int]float64)}, nil
+	return &Controller{cfg: cfg, reqs: make(map[int]*reqTrack), backoff: 1}, nil
 }
 
 // Config returns the controller's effective configuration.
@@ -225,30 +354,90 @@ func (c *Controller) ModeFor(queueLen, active, maxBatch int) Mode {
 	return Latency
 }
 
-// Decide returns the speculation plan for one request this iteration.
-// It is a pure function of the request's EWMA and the shared
-// (queueLen, active, maxBatch) signals — no randomness, no clock — so
-// identical traces yield identical decisions regardless of engine
-// worker counts.
+// Decide returns the speculation plan for one request this iteration
+// under the rule alone — it never grants a zero budget. It is a pure
+// function of the request's EWMA (or, for a request with no history,
+// the engine-wide seed) and the shared (queueLen, active, maxBatch)
+// signals — no randomness, no clock — so identical traces yield
+// identical decisions regardless of engine worker counts.
 func (c *Controller) Decide(reqID, queueLen, active, maxBatch int) Decision {
 	mode := c.ModeFor(queueLen, active, maxBatch)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ew := c.seedLocked()
+	if t, ok := c.reqs[reqID]; ok {
+		ew = t.ewma
+	}
+	c.countLocked(mode)
+	return c.rule(mode, ew)
+}
+
+// DecideMeasured is Decide with the zero-budget floor: it grants the
+// rule's budget or zero, whichever gives more expected committed
+// tokens per second of measured step time — (1 + accept EWMA) tokens
+// at the fitted cost of the rule's budget against one token at the
+// zero-step cost. Until both kinds of step have been measured it
+// bootstraps: zero first (measuring the zero-step cost), then the
+// rule's budget. Once the engine has taken backoff zero-budget steps
+// since its last probe, the next floored request probes the rule's
+// budget instead; that request's next decision judges the probe by its
+// own measured outcome, resetting the backoff on a win (the probe
+// committed tokens faster than zero steps do) and doubling it (up to
+// maxProbeBackoff) on a loss. Symmetrically, while speculation wins,
+// one decision in maxProbeBackoff+1 is zero to re-measure the
+// zero-step cost. Like Decide it is a pure function of the
+// controller's state and its arguments.
+func (c *Controller) DecideMeasured(reqID, queueLen, active, maxBatch int) Decision {
+	mode := c.ModeFor(queueLen, active, maxBatch)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.trackLocked(reqID)
+	c.countLocked(mode)
+	d := c.rule(mode, t.ewma)
+	zero := Decision{Mode: mode}
+
+	c0, ok0 := c.zeroCost.value()
+	cn, okn := c.specCost.at(float64(d.Budget.MaxNodes))
+	switch {
+	case !ok0:
+		c.zero++
+		return zero
+	case !okn:
+		return d
+	}
+	if t.probed {
+		t.probed = false
+		if float64(1+t.lastAccepted)*c0 > t.lastCost {
+			c.backoff = 1
+		} else if c.backoff < maxProbeBackoff {
+			c.backoff *= 2
+		}
+	}
+	if (1+t.ewma)*c0 > cn {
+		if c.specRun < maxProbeBackoff {
+			c.specRun++
+			return d
+		}
+		c.specRun = 0
+		c.zero++
+		return zero
+	}
+	if c.zeroRun >= c.backoff {
+		c.zeroRun = 0
+		t.probed = true
+		return d
+	}
+	c.zeroRun++
+	c.zero++
+	return zero
+}
+
+// rule maps a mode and an accept-length estimate to the mode's budget.
+func (c *Controller) rule(mode Mode, ew float64) Decision {
 	ceiling, ssms := c.cfg.Latency, c.cfg.LatencySSMs
 	if mode == Throughput {
 		ceiling, ssms = c.cfg.Throughput, c.cfg.ThroughputSSMs
 	}
-
-	c.mu.Lock()
-	ew, ok := c.ewma[reqID]
-	if !ok {
-		ew = c.cfg.InitAcceptLen
-	}
-	if mode == Throughput {
-		c.thr++
-	} else {
-		c.lat++
-	}
-	c.mu.Unlock()
-
 	// Scale the node and depth budget by the request's expected accept
 	// length: tree mass past the expected accept point is verification
 	// work spent on tokens that will be rejected.
@@ -267,37 +456,95 @@ func (c *Controller) Decide(reqID, queueLen, active, maxBatch int) Decision {
 	}
 }
 
+//lint:holds c.mu
+func (c *Controller) countLocked(mode Mode) {
+	if mode == Throughput {
+		c.thr++
+	} else {
+		c.lat++
+	}
+}
+
+// seedLocked is a new request's starting accept length: the
+// engine-wide EWMA once any verification has been observed, else
+// InitAcceptLen.
+//
+//lint:holds c.mu
+func (c *Controller) seedLocked() float64 {
+	if v, ok := c.pool.value(); ok {
+		return v
+	}
+	return c.cfg.InitAcceptLen
+}
+
+//lint:holds c.mu
+func (c *Controller) trackLocked(reqID int) *reqTrack {
+	t, ok := c.reqs[reqID]
+	if !ok {
+		t = &reqTrack{ewma: c.seedLocked()}
+		c.reqs[reqID] = t
+	}
+	return t
+}
+
 // Observe folds one measured accept length (IterationRecord.SpecAccepted
-// for the request) into the request's EWMA. Negative values — the
-// engine's failed-verification sentinel — are ignored.
+// for the request) into the request's EWMA and the engine-wide one.
+// Negative values — the engine's failed-verification sentinel — are
+// ignored; the engine does not call it for zero-budget steps, which
+// verify nothing.
 func (c *Controller) Observe(reqID, accepted int) {
 	if accepted < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ew, ok := c.ewma[reqID]
-	if !ok {
-		ew = c.cfg.InitAcceptLen
-	}
-	c.ewma[reqID] = (1-c.cfg.Alpha)*ew + c.cfg.Alpha*float64(accepted)
+	t := c.trackLocked(reqID)
+	t.ewma = (1-c.cfg.Alpha)*t.ewma + c.cfg.Alpha*float64(accepted)
+	t.lastAccepted = accepted
+	c.pool.add(float64(accepted), poolAlpha)
 }
 
-// Retire drops a request's acceptance history. The engine calls it at
-// every retirement path so the history map stays bounded by the active
-// batch instead of growing with the lifetime request count.
+// ObserveCost folds one measured step time of a request into the cost
+// estimates: nodes is the speculated-node budget the step was granted
+// (0 for a zero-budget step) and seconds its wall time, including any
+// SSM catch-up it paid for. Non-positive times are ignored.
+func (c *Controller) ObserveCost(reqID, nodes int, seconds float64) {
+	if seconds <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t, ok := c.reqs[reqID]; ok {
+		t.lastCost = seconds
+	}
+	if nodes <= 0 {
+		if v, ok := c.zeroCost.value(); ok {
+			seconds = math.Min(seconds, outlierCap*v)
+		}
+		c.zeroCost.add(seconds, zeroCostAlpha)
+		return
+	}
+	if v, ok := c.specCost.at(float64(nodes)); ok {
+		seconds = math.Min(seconds, outlierCap*v)
+	}
+	c.specCost.add(float64(nodes), seconds)
+}
+
+// Retire drops a request's history. The engine calls it at every
+// retirement path so the history map stays bounded by the active batch
+// instead of growing with the lifetime request count.
 func (c *Controller) Retire(reqID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.ewma, reqID)
+	delete(c.reqs, reqID)
 }
 
-// Tracked reports how many requests currently have acceptance history
-// (the retire-leak regression probe).
+// Tracked reports how many requests currently have history (the
+// retire-leak regression probe).
 func (c *Controller) Tracked() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.ewma)
+	return len(c.reqs)
 }
 
 // Stats snapshots the decision counters.
@@ -307,7 +554,8 @@ func (c *Controller) Stats() Stats {
 	return Stats{
 		LatencyDecisions:    c.lat,
 		ThroughputDecisions: c.thr,
-		TrackedRequests:     len(c.ewma),
+		ZeroDecisions:       c.zero,
+		TrackedRequests:     len(c.reqs),
 	}
 }
 

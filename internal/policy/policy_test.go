@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -220,5 +221,171 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewController(Config{}); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
+	}
+}
+
+// decodeCost is a synthetic zero-budget step time, in seconds.
+const decodeCost = 1e-4
+
+// runFloor drives one request through steps decisions, feeding back the
+// accept length and the step cost the two callbacks assign, and returns
+// the granted node budgets (0 = zero-budget step).
+func runFloor(c *Controller, id, steps int, accepted func(nodes int) int, cost func(nodes int) float64) []int {
+	out := make([]int, steps)
+	for i := range out {
+		d := c.DecideMeasured(id, 0, 1, 8)
+		n := d.Budget.MaxNodes
+		out[i] = n
+		if n > 0 {
+			c.Observe(id, accepted(n))
+		}
+		c.ObserveCost(id, n, cost(n))
+	}
+	return out
+}
+
+// requireRefreshOnly fails unless every zero budget in budgets is an
+// isolated refresh step: at least maxProbeBackoff speculative steps
+// before the next zero one.
+func requireRefreshOnly(t *testing.T, budgets []int) {
+	t.Helper()
+	last := -maxProbeBackoff - 1
+	for i, n := range budgets {
+		if n != 0 {
+			continue
+		}
+		if i-last <= maxProbeBackoff {
+			t.Fatalf("zero budgets at steps %d and %d, want >= %d speculative steps between: %v",
+				last, i, maxProbeBackoff, budgets)
+		}
+		last = i
+	}
+}
+
+// TestFloorStaysOffWhenSpeculationPays: with a flat verify cost (a tree
+// costs one decode, §4.2's premise) and high acceptance, the floor never
+// fires: the only zero budgets are the bootstrap step that measures the
+// decode cost and one refresh step per maxProbeBackoff speculative
+// steps that keeps that measurement current.
+func TestFloorStaysOffWhenSpeculationPays(t *testing.T) {
+	c := mustController(t, Config{})
+	budgets := runFloor(c, 1, 200,
+		func(int) int { return 3 },
+		func(int) float64 { return decodeCost })
+	if budgets[0] != 0 {
+		t.Fatalf("first decision budget %d, want the zero-step bootstrap", budgets[0])
+	}
+	requireRefreshOnly(t, budgets[1:])
+	if z, max := c.Stats().ZeroDecisions, uint64(1+200/(maxProbeBackoff+1)); z > max {
+		t.Fatalf("ZeroDecisions = %d, want <= %d (bootstrap and refreshes)", z, max)
+	}
+}
+
+// TestFloorFiresAndProbesOnBackoff: with a linear cost (K rows cost K
+// decodes) and nothing accepted, the controller floors within a few
+// steps, then probes the rule's budget after 1, 2, 4, … up to
+// maxProbeBackoff zero steps, so speculative steps settle well under 1/8
+// of all steps.
+func TestFloorFiresAndProbesOnBackoff(t *testing.T) {
+	c := mustController(t, Config{})
+	budgets := runFloor(c, 1, 600,
+		func(int) int { return 0 },
+		func(n int) float64 { return decodeCost * float64(n+1) })
+	// Bootstrap: one zero step, one speculative step; then floored.
+	if budgets[0] != 0 || budgets[1] == 0 || budgets[2] != 0 {
+		t.Fatalf("bootstrap budgets %v, want zero, speculative, zero", budgets[:3])
+	}
+	var runs []int // zero-step runs between probes
+	run, spec := 0, 0
+	for _, n := range budgets[2:] {
+		if n == 0 {
+			run++
+			continue
+		}
+		spec++
+		runs = append(runs, run)
+		run = 0
+	}
+	want := []int{1, 2, 4, 8, 16, 32, 64, maxProbeBackoff, maxProbeBackoff}
+	if len(runs) < len(want) || !reflect.DeepEqual(runs[:len(want)], want) {
+		t.Fatalf("zero runs between probes %v, want prefix %v", runs, want)
+	}
+	if share := float64(spec+1) / float64(len(budgets)); share > 1.0/8 {
+		t.Fatalf("speculative share %.3f, want <= 1/8", share)
+	}
+}
+
+// TestFloorProbeWinResetsBackoff: a floored request whose regime turns
+// (speculation now pays) is noticed at its next probe; the win resets
+// the backoff, so probes follow every other step until the estimates
+// agree, and from then on the request speculates on every step but the
+// rationed zero-cost refreshes.
+func TestFloorProbeWinResetsBackoff(t *testing.T) {
+	c := mustController(t, Config{})
+	runFloor(c, 1, 200,
+		func(int) int { return 0 },
+		func(n int) float64 { return decodeCost * float64(n+1) })
+	budgets := runFloor(c, 1, 120,
+		func(int) int { return 4 },
+		func(int) float64 { return decodeCost })
+	first := -1 // first speculative step
+	for i, n := range budgets {
+		if n > 0 {
+			first = i
+			break
+		}
+	}
+	if first < 0 || first > maxProbeBackoff {
+		t.Fatalf("first probe after the regime change at step %d, want within %d", first, maxProbeBackoff)
+	}
+	// Within a few steps of the first probe the estimates agree and only
+	// the rationed refresh steps are zero.
+	requireRefreshOnly(t, budgets[first+8:])
+}
+
+// TestNewRequestsSeedFromPooledAcceptance: once the engine has measured
+// acceptance, a new request starts from the engine-wide EWMA instead of
+// InitAcceptLen.
+func TestNewRequestsSeedFromPooledAcceptance(t *testing.T) {
+	c := mustController(t, Config{InitAcceptLen: 2, NodesPerAccept: 2})
+	if d := c.Decide(9, 0, 1, 8); d.Budget.MaxNodes != 6 {
+		t.Fatalf("fresh engine budget %d, want 6 from InitAcceptLen", d.Budget.MaxNodes)
+	}
+	for id := 0; id < 4; id++ {
+		for i := 0; i < 10; i++ {
+			c.Observe(id, 0)
+		}
+		c.Retire(id)
+	}
+	// Pooled EWMA is 0: nodes = ceil(1*2) = 2, depth = 1.
+	want := Budget{MaxNodes: 2, MaxDepth: 1, FanoutCap: 3}
+	if d := c.Decide(9, 0, 1, 8); d.Budget != want {
+		t.Fatalf("new request budget %+v, want %+v from the pooled EWMA", d.Budget, want)
+	}
+}
+
+// TestFloorProbesAcrossShortRequests: the probe backoff counts zero
+// steps engine-wide, so a stream of requests too short to reach the
+// backoff cap on their own still probes, at no more than about one step
+// in maxProbeBackoff once the backoff has grown.
+func TestFloorProbesAcrossShortRequests(t *testing.T) {
+	c := mustController(t, Config{})
+	const reqs, steps = 200, 8
+	spec := 0
+	for id := 0; id < reqs; id++ {
+		for _, n := range runFloor(c, id, steps,
+			func(int) int { return 0 },
+			func(n int) float64 { return decodeCost * float64(n+1) }) {
+			if n > 0 && id >= reqs/2 {
+				spec++
+			}
+		}
+		c.Retire(id)
+	}
+	// Second half: the backoff sits at its cap.
+	total := reqs / 2 * steps
+	if spec == 0 || spec > total/maxProbeBackoff+1 {
+		t.Fatalf("%d probes in %d steps of short requests, want about %d",
+			spec, total, total/(maxProbeBackoff+1))
 	}
 }

@@ -601,6 +601,9 @@ type FleetStats struct {
 	SpecPolicyEnabled                         bool
 	PolicyLatencyIters, PolicyThroughputIters uint64
 	PolicySpecBudget, PolicyTrackedRequests   int
+	// PolicySteps and PolicyZeroSteps sum the replicas' policy-decided
+	// request-steps and the zero-budget (incremental) ones among them.
+	PolicySteps, PolicyZeroSteps uint64
 }
 
 // FleetStats snapshots the fleet.
@@ -656,6 +659,8 @@ func (r *Router) FleetStats() FleetStats {
 			fs.PolicyThroughputIters += st.PolicyThroughputIters
 			fs.PolicySpecBudget += st.PolicySpecBudget
 			fs.PolicyTrackedRequests += st.PolicyTrackedRequests
+			fs.PolicySteps += st.PolicySteps
+			fs.PolicyZeroSteps += st.PolicyZeroSteps
 		}
 		lat = append(lat, st.LatencySamples)
 		qd = append(qd, st.QueueDelaySamples)

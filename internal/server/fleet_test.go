@@ -17,13 +17,24 @@ import (
 // stubModel instances.
 func newFleetEnv(t *testing.T, n int) (*testEnv, *router.Router) {
 	t.Helper()
+	return newFleetEnvWith(t, n, nil)
+}
+
+// newFleetEnvWith is newFleetEnv with every replica's engine config
+// passed through mutate first.
+func newFleetEnvWith(t *testing.T, n int, mutate func(*core.Config)) (*testEnv, *router.Router) {
+	t.Helper()
 	engs := make([]*core.Engine, n)
 	for i := range engs {
-		eng, err := core.NewEngine(core.Config{
+		cfg := core.Config{
 			Mode: core.Incremental, LLM: &stubModel{vocab: 32},
 			Sample: sampling.GreedyConfig(), Seed: 7,
 			MaxBatch: 2, QueueDepth: 4,
-		})
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		eng, err := core.NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

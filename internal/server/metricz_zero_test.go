@@ -101,7 +101,8 @@ func TestMetriczFreshReplica(t *testing.T) {
 			t.Fatal("policy block missing with Config.Policy set")
 		}
 		if m.Policy.LatencyIters != 0 || m.Policy.ThroughputIters != 0 ||
-			m.Policy.SpecBudget != 0 || m.Policy.TrackedRequests != 0 {
+			m.Policy.SpecBudget != 0 || m.Policy.TrackedRequests != 0 ||
+			m.Policy.ZeroSteps != 0 || m.Policy.ZeroStepShare != 0 {
 			t.Fatalf("fresh replica reports policy activity: %+v", m.Policy)
 		}
 
@@ -116,7 +117,51 @@ func TestMetriczFreshReplica(t *testing.T) {
 		if m2.Policy == nil || m2.Policy.LatencyIters+m2.Policy.ThroughputIters == 0 {
 			t.Fatalf("policy iterations not counted after traffic: %+v", m2.Policy)
 		}
+		// The live controller's first step is a zero-budget step that
+		// measures the decode cost, so the counter is live after any
+		// traffic, and the share agrees with the engine's counters.
+		st := env.eng.ServeStats()
+		if m2.Policy.ZeroSteps == 0 || m2.Policy.ZeroSteps != st.PolicyZeroSteps {
+			t.Fatalf("zero_steps %d, engine counted %d (of %d policy steps)",
+				m2.Policy.ZeroSteps, st.PolicyZeroSteps, st.PolicySteps)
+		}
+		if want := float64(st.PolicyZeroSteps) / float64(st.PolicySteps); m2.Policy.ZeroStepShare != want {
+			t.Fatalf("zero_step_share %v, want %v", m2.Policy.ZeroStepShare, want)
+		}
 	})
+}
+
+// TestFleetMetriczPolicyZeroSteps: the fleet rollup sums the replicas'
+// zero-budget step counters and recomputes the share from the sums.
+func TestFleetMetriczPolicyZeroSteps(t *testing.T) {
+	env, rt := newFleetEnvWith(t, 2, func(cfg *core.Config) {
+		cfg.Mode = core.TreeSpec
+		cfg.SSMs = []model.Model{&stubModel{vocab: 32}}
+		cfg.Policy = &policy.Config{}
+	})
+	for _, body := range []string{`{"prompt":[2,3,4],"max_new_tokens":6}`, `{"prompt":[9],"max_new_tokens":6}`} {
+		if _, out := postGenerate(t, env.http.URL, body); out.Error != "" {
+			t.Fatalf("generate failed: %q", out.Error)
+		}
+	}
+	fs := rt.FleetStats()
+	var zero, steps uint64
+	for _, r := range fs.Replicas {
+		zero += r.PolicyZeroSteps
+		steps += r.PolicySteps
+	}
+	if zero == 0 || fs.PolicyZeroSteps != zero || fs.PolicySteps != steps {
+		t.Fatalf("fleet zero/policy steps %d/%d, replicas sum to %d/%d",
+			fs.PolicyZeroSteps, fs.PolicySteps, zero, steps)
+	}
+	var m metriczResponse
+	if err := json.Unmarshal(getMetriczRaw(t, env.http.URL), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Policy == nil || m.Policy.ZeroSteps != zero ||
+		m.Policy.ZeroStepShare != float64(zero)/float64(steps) {
+		t.Fatalf("fleet policy block %+v, want %d zero steps of %d", m.Policy, zero, steps)
+	}
 }
 
 // TestFleetMetriczZeroTraffic: the fleet rollup recomputes

@@ -489,14 +489,26 @@ type replicaMetrics struct {
 
 // policyMetrics is the /metricz view of the speculation policy layer:
 // how many iterations each mode decided, the node budget the last
-// iteration granted across its batch, and how many per-request
-// acceptance histories the controller currently holds (bounded by the
-// active batch when retirement is working).
+// iteration granted across its batch, how many per-request acceptance
+// histories the controller currently holds (bounded by the active batch
+// when retirement is working), and how many request-steps — and what
+// share of them — the measured-cost floor took with a zero budget.
 type policyMetrics struct {
-	LatencyIters    uint64 `json:"latency_iters"`
-	ThroughputIters uint64 `json:"throughput_iters"`
-	SpecBudget      int    `json:"spec_budget"`
-	TrackedRequests int    `json:"tracked_requests"`
+	LatencyIters    uint64  `json:"latency_iters"`
+	ThroughputIters uint64  `json:"throughput_iters"`
+	SpecBudget      int     `json:"spec_budget"`
+	TrackedRequests int     `json:"tracked_requests"`
+	ZeroSteps       uint64  `json:"zero_steps"`
+	ZeroStepShare   float64 `json:"zero_step_share"`
+}
+
+// zeroShare is the share of policy-decided request-steps taken with a
+// zero budget (0 before the first step).
+func zeroShare(zero, steps uint64) float64 {
+	if steps == 0 {
+		return 0
+	}
+	return float64(zero) / float64(steps)
 }
 
 // prefixCacheMetrics is the /metricz view of kvcache.PrefixStats.
@@ -573,6 +585,8 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 			ThroughputIters: st.PolicyThroughputIters,
 			SpecBudget:      st.PolicySpecBudget,
 			TrackedRequests: st.PolicyTrackedRequests,
+			ZeroSteps:       st.PolicyZeroSteps,
+			ZeroStepShare:   zeroShare(st.PolicyZeroSteps, st.PolicySteps),
 		}
 	}
 	return resp
@@ -644,6 +658,8 @@ func fleetMetricz(fs router.FleetStats) metriczResponse {
 			ThroughputIters: fs.PolicyThroughputIters,
 			SpecBudget:      fs.PolicySpecBudget,
 			TrackedRequests: fs.PolicyTrackedRequests,
+			ZeroSteps:       fs.PolicyZeroSteps,
+			ZeroStepShare:   zeroShare(fs.PolicyZeroSteps, fs.PolicySteps),
 		}
 	}
 	return resp

@@ -18,11 +18,20 @@ import (
 // deep chains happen where it is confident.
 //
 // Note on stochastic decoding: adaptive expansion picks drafts
-// deterministically (best-first), so — like ForceTopK — it forfeits
-// Theorem 4.2's exact distribution preservation and, empirically, accepts
-// fewer tokens under MSS than sampled drafts do (see the ablation bench).
-// It is primarily intended for greedy decoding, where it beats the static
-// configuration at an equal node budget.
+// deterministically (best-first), so the distribution a draft was
+// actually drawn from is the point mass on it, not the SSM's
+// distribution q that ranked it. Under stochastic sampling every
+// admitted node therefore records that point mass as its proposal
+// (q is kept for ranking only, and as the node's Prob). The verifiers'
+// acceptance ratio then becomes p(x) and their residual update removes
+// x from the target — sampling without replacement over the drafted
+// children, which preserves the LLM's distribution exactly (Theorem
+// 4.2) whatever tokens were picked. Recording q instead would emit a
+// draft x with probability p(x)/q(x) > p(x) whenever p(x) < q(x) < 1.
+// Best-first drafts accept fewer tokens under MSS than sampled drafts
+// do (see the ablation bench); the grower is primarily intended for
+// greedy decoding, where it beats the static configuration at an equal
+// node budget.
 type AdaptiveConfig struct {
 	// MaxNodes is the speculated-node budget per tree (compare against a
 	// static config's MaxNodes() for an equal-budget ablation).
@@ -174,7 +183,7 @@ func (a *AdaptiveSpeculator) SpeculateBudget(rootTok model.Token, cfg AdaptiveCo
 			if tr.ChildWithToken(c.parent, tok) != -1 {
 				continue // already admitted (defensive: order tokens are distinct)
 			}
-			tr.AddChildDist(c.parent, tok, f.dist[tok], 0, f.dist)
+			tr.AddChildDist(c.parent, tok, f.dist[tok], 0, a.drawnFrom(tok, f.dist))
 			fr = append(fr, &frontierNode{path: c.score})
 			if c.ord >= f.next {
 				f.next = c.ord + 1
@@ -202,6 +211,20 @@ func (a *AdaptiveSpeculator) proposalDist(raw []float32) []float32 {
 		return append([]float32(nil), raw...)
 	}
 	return a.sample.Transform(raw)
+}
+
+// drawnFrom is the proposal distribution recorded for an admitted
+// draft: the point mass on tok under stochastic sampling, where the
+// deterministic pick is what the verifier must correct for, and the
+// ranking distribution itself under greedy decoding, where no verifier
+// reads it.
+func (a *AdaptiveSpeculator) drawnFrom(tok model.Token, ranked []float32) []float32 {
+	if a.sample.Mode == sampling.Greedy {
+		return ranked
+	}
+	pm := make([]float32, len(ranked))
+	pm[tok] = 1
+	return pm
 }
 
 // topPositive returns up to k positive-probability tokens of d in
