@@ -23,18 +23,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The packed projection kernel and the vector exp/softmax/SiLU/attention
-# kernels are amd64 assembly behind build tags. Vet the portable fallback
-# as an arm64 build sees it, and run the kernels' packages under
+# The packed projection kernel and the vector exp/softmax/SiLU/attention/
+# pow kernels are amd64 assembly behind build tags. Vet the portable
+# fallback as an arm64 build sees it, and run the kernels' packages, and
+# sampling, whose temperature step runs on the pow kernel, under
 # GOAMD64=v3, where the kernels are compiled out and the scalar loops
 # alone must keep every golden test. Under GODEBUG=cpu.fma=off math.Exp
-# leaves its FMA path, the exp kernel's start-up probe must switch it off
-# (TestExpKernelOffWithoutFMA), and the golden tests must hold on the
-# scalar exponentials.
+# leaves its FMA path, the exp kernel's start-up probe must switch it and
+# the pow kernel off (TestExpKernelOffWithoutFMA,
+# TestPowKernelOffWithoutFMA), and the golden tests must hold on the
+# scalar exponentials and math.Pow.
 archcheck:
-	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/...
-	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/...
-	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
+	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
+	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 
 # Extra flags reach the linter via LINT_FLAGS, e.g.
 #   make lint LINT_FLAGS='-json'

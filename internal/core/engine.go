@@ -459,6 +459,8 @@ type reqState struct {
 	// live is the submission handle when the request arrived through
 	// Submit (nil on the offline Run/RunOnline paths).
 	live *liveReq
+	// sampleBuf is decodeStep's scratch for the sampling distribution.
+	sampleBuf []float32
 }
 
 // Run serves the trace to completion with continuous batching and returns
@@ -771,7 +773,7 @@ func (e *Engine) step(st *reqState) stepShape {
 // from the LLM's last distribution, forward it, and commit it. It
 // returns the token.
 func (e *Engine) decodeStep(st *reqState) model.Token {
-	tok := e.cfg.Sample.Sample(st.rng, st.lastDist)
+	tok := e.cfg.Sample.SampleBuf(st.rng, st.lastDist, &st.sampleBuf)
 	st.lastDist = st.llm.Decode(tok)
 	e.commit(st, []model.Token{tok})
 	st.res.Steps++

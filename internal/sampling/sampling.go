@@ -41,13 +41,22 @@ type Config struct {
 	TopP        float64 // 0 or >= 1 disables
 }
 
-// Validate returns a non-nil error for nonsensical settings.
+// Validate returns a non-nil error for nonsensical settings, NaN and
+// infinite ones included: flag parsing accepts both, and a NaN temperature
+// would otherwise skip the temperature step silently (every comparison
+// with NaN is false) and an infinite one would sample uniformly.
 func (c Config) Validate() error {
+	if math.IsNaN(c.Temperature) || math.IsInf(c.Temperature, 0) {
+		return fmt.Errorf("sampling: temperature %v is not finite", c.Temperature)
+	}
 	if c.Temperature < 0 {
 		return fmt.Errorf("sampling: negative temperature %v", c.Temperature)
 	}
 	if c.TopK < 0 {
 		return fmt.Errorf("sampling: negative top-k %d", c.TopK)
+	}
+	if math.IsNaN(c.TopP) {
+		return fmt.Errorf("sampling: top-p is NaN")
 	}
 	if c.TopP < 0 {
 		return fmt.Errorf("sampling: negative top-p %v", c.TopP)
@@ -56,12 +65,23 @@ func (c Config) Validate() error {
 }
 
 // Transform converts temperature-1 probabilities into the distribution
-// the policy actually samples from. The input is not modified. For Greedy
+// the policy actually samples from. The input is not modified and the
+// result is a fresh slice the caller may keep and mutate (MSS and
+// traversal verification turn it into the residual in place). For Greedy
 // the result is a one-hot distribution on the argmax, which makes greedy
 // decoding a degenerate case of the stochastic machinery.
 func (c Config) Transform(probs []float32) []float32 {
-	out := make([]float32, len(probs))
+	return c.transform(make([]float32, len(probs)), probs, tensor.Pow)
+}
+
+// transform is Transform writing into dst, of len(probs), and returning it,
+// or a fresh slice once a top-k or top-p filter applies. pow raises every
+// positive entry to a power in place; Transform passes tensor.Pow, which
+// returns math.Pow's bits on its vector kernel.
+func (c Config) transform(dst, probs []float32, pow func(x []float32, y float64)) []float32 {
+	out := dst
 	if c.Mode == Greedy {
+		clear(out)
 		i, _ := tensor.ArgMax(probs)
 		out[i] = 1
 		return out
@@ -69,12 +89,7 @@ func (c Config) Transform(probs []float32) []float32 {
 	copy(out, probs)
 	if c.Temperature > 0 && c.Temperature != 1 {
 		// softmax(logits/T) == p^{1/T} renormalized.
-		invT := 1.0 / c.Temperature
-		for i, p := range out {
-			if p > 0 {
-				out[i] = float32(math.Pow(float64(p), invT))
-			}
-		}
+		pow(out, 1.0/c.Temperature)
 		tensor.Normalize(out)
 	}
 	if c.TopK > 0 && c.TopK < len(out) {
@@ -125,14 +140,27 @@ func nucleus(probs []float32, p float64) []float32 {
 	return out
 }
 
-// Sample draws a token from the transformed distribution.
+// Sample draws a token from the transformed distribution. Greedy
+// decoding takes the argmax of probs itself, the token the one-hot
+// Transform would give, without building it.
 func (c Config) Sample(rng *tensor.RNG, probs []float32) int {
-	d := c.Transform(probs)
+	var buf []float32
+	return c.SampleBuf(rng, probs, &buf)
+}
+
+// SampleBuf is Sample with *buf as the scratch space for the transformed
+// distribution, grown to len(probs) when shorter. A caller that samples
+// every step keeps one buffer and, unless a top-k or top-p filter applies,
+// allocates nothing. Greedy decoding does not touch it.
+func (c Config) SampleBuf(rng *tensor.RNG, probs []float32, buf *[]float32) int {
 	if c.Mode == Greedy {
-		i, _ := tensor.ArgMax(d)
+		i, _ := tensor.ArgMax(probs)
 		return i
 	}
-	return rng.SampleCategorical(d)
+	if len(*buf) < len(probs) {
+		*buf = make([]float32, len(probs))
+	}
+	return rng.SampleCategorical(c.transform((*buf)[:len(probs)], probs, tensor.Pow))
 }
 
 // GreedyConfig is the default greedy policy.

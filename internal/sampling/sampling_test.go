@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -122,17 +123,127 @@ func TestStochasticSampleFrequencies(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Config{Temperature: -1}).Validate(); err == nil {
-		t.Fatal("negative temperature must be invalid")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"default stochastic", StochasticConfig(), true},
+		{"greedy", GreedyConfig(), true},
+		{"temperature 0.7, top-k, top-p", Config{Mode: Stochastic, Temperature: 0.7, TopK: 20, TopP: 0.9}, true},
+		{"top-p +Inf disables", Config{Mode: Stochastic, TopP: inf}, true},
+		{"negative temperature", Config{Temperature: -1}, false},
+		{"NaN temperature", Config{Mode: Stochastic, Temperature: nan}, false},
+		{"+Inf temperature", Config{Mode: Stochastic, Temperature: inf}, false},
+		{"-Inf temperature", Config{Mode: Stochastic, Temperature: -inf}, false},
+		{"negative top-k", Config{TopK: -1}, false},
+		{"negative top-p", Config{TopP: -0.1}, false},
+		{"NaN top-p", Config{Mode: Stochastic, TopP: nan}, false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", tc.name, err, tc.ok)
+		}
 	}
-	if err := (Config{TopK: -1}).Validate(); err == nil {
-		t.Fatal("negative top-k must be invalid")
+}
+
+// powScalar is the temperature step as a plain math.Pow loop: the oracle
+// for Transform's vector kernel and the benchmark's scalar side.
+func powScalar(x []float32, y float64) {
+	for i, p := range x {
+		if p > 0 {
+			x[i] = float32(math.Pow(float64(p), y))
+		}
 	}
-	if err := (Config{TopP: -0.1}).Validate(); err == nil {
-		t.Fatal("negative top-p must be invalid")
+}
+
+// testDist returns a seeded softmax distribution over n tokens, the shape
+// a model session returns.
+func testDist(n int, seed uint64) []float32 {
+	rng := tensor.NewRNG(seed)
+	p := make([]float32, n)
+	for i := range p {
+		p[i] = float32(rng.NormFloat64() * 3)
 	}
-	if err := StochasticConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	tensor.Softmax(p)
+	return p
+}
+
+// TestTransformMatchesScalarPow holds Transform, on whatever pow kernel
+// this build runs, to the math.Pow loop bit for bit, for every temperature
+// the kernel serves and the scalar-only ones, with and without filters.
+func TestTransformMatchesScalarPow(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 7, 64, 255, 256, 1000} {
+		p := testDist(n, uint64(n))
+		p[n/2] = 0 // a zero entry stays zero
+		for _, temp := range []float64{0.03, 0.05, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 1, 1.5, 2, 3, 100} {
+			for _, c := range []Config{
+				{Mode: Stochastic, Temperature: temp},
+				{Mode: Stochastic, Temperature: temp, TopK: 20},
+				{Mode: Stochastic, Temperature: temp, TopP: 0.9},
+			} {
+				got := c.Transform(p)
+				want := c.transform(make([]float32, n), p, powScalar)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("n=%d %+v: [%d] = %v, math.Pow loop gives %v", n, c, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSampleBufMatchesSample: the buffered sampler draws the same tokens
+// from the same RNG stream as Sample, allocates nothing once its buffer is
+// sized, and greedy sampling allocates nothing at all.
+func TestSampleBufMatchesSample(t *testing.T) {
+	p := testDist(256, 5)
+	for _, c := range []Config{GreedyConfig(), StochasticConfig(), {Mode: Stochastic, Temperature: 0.7}, {Mode: Stochastic, Temperature: 0.7, TopK: 20}} {
+		r1, r2 := tensor.NewRNG(9), tensor.NewRNG(9)
+		var buf []float32
+		for i := 0; i < 200; i++ {
+			if a, b := c.Sample(r1, p), c.SampleBuf(r2, p, &buf); a != b {
+				t.Fatalf("%+v draw %d: Sample %d, SampleBuf %d", c, i, a, b)
+			}
+		}
+	}
+	rng := tensor.NewRNG(1)
+	var buf []float32
+	for name, f := range map[string]func(){
+		"greedy Sample":         func() { GreedyConfig().Sample(rng, p) },
+		"temperature SampleBuf": func() { Config{Mode: Stochastic, Temperature: 0.7}.SampleBuf(rng, p, &buf) },
+	} {
+		f()
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %v times per call", name, allocs)
+		}
+	}
+}
+
+// transformSink keeps BenchmarkTransform's results live.
+var transformSink []float32
+
+// BenchmarkTransform times Transform at serving shapes, with its
+// temperature step on the math.Pow loop (scalar) and on tensor.Pow
+// (kernel, where this build and CPU have it).
+func BenchmarkTransform(b *testing.B) {
+	for _, vocab := range []int{256, 32000} {
+		p := testDist(vocab, 1)
+		for _, temp := range []float64{0.7, 1.5} {
+			c := Config{Mode: Stochastic, Temperature: temp}
+			for _, side := range []struct {
+				name string
+				pow  func([]float32, float64)
+			}{{"scalar", powScalar}, {"kernel", tensor.Pow}} {
+				b.Run(fmt.Sprintf("vocab=%d/T=%v/%s", vocab, temp, side.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						transformSink = c.transform(make([]float32, vocab), p, side.pow)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -16,6 +16,11 @@ import "math"
 // scalar loops then run instead.
 var hasExpKernel = hasPackedKernel && detectFMA() && expProbeMatches()
 
+// hasPowKernel is fixed at start-up like hasExpKernel: the pow kernel
+// runs on EXP4 and copies this Go release's math.Pow, math.Log and
+// math.Exp step for step, and its probe checks that copy bit for bit.
+var hasPowKernel = hasExpKernel && powProbeMatches()
+
 func detectFMA() bool {
 	const fma = 1 << 12
 	_, _, ecx, _ := cpuid(1, 0)
@@ -54,6 +59,46 @@ func expProbeMatches() bool {
 	return true
 }
 
+// powProbeMatches compares the pow kernel with math.Pow on a fixed set of
+// 512 float32 inputs with scrambled mantissas, half of them between 2^-8
+// and 1 and half spread over every float32 exponent from -149 to 127, at
+// exponents y that cover both of pow's yf branches, an integer y and a y
+// below 1: the float64 results bit for bit, and the float32 results as
+// their rounding. A change to one rounding step of archLog moves about
+// 0.3 % of such results, so a different pow, Log or Exp cannot pass.
+func powProbeMatches() bool {
+	var x [2 * powChunk]float32
+	for i := range x {
+		m := float64(uint32(i)*2654435761&(1<<23-1)) / (1 << 23)
+		e := i%277 - 149
+		if i%2 == 1 {
+			e = i%8 - 8 // where sampling probabilities lie, and Log is most sensitive
+		}
+		x[i] = float32(math.Ldexp(1+m, e))
+	}
+	var t [powChunk]float64
+	for _, y := range []float64{1 / 0.7, 1 / 0.6, 3, 1 / 1.5} {
+		yf, yi, ok := powKernelArgs(y)
+		if !ok {
+			return false
+		}
+		got := x
+		for c := 0; c < len(got); c += powChunk {
+			if powVec(got[c:c+powChunk], yf, yi, &t) != powChunk {
+				return false
+			}
+			for i, v := range x[c : c+powChunk] {
+				want := math.Pow(float64(v), y)
+				if math.Float64bits(t[i]) != math.Float64bits(want) ||
+					math.Float32bits(got[c+i]) != math.Float32bits(float32(want)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // expAVX replaces x[i] by math.Exp(x[i]) for i < n&^3, in blocks of four,
 // and returns the number done: n&^3, or the start of the first block
 // holding an argument outside the kernel's range (left unchanged).
@@ -67,6 +112,24 @@ func expAVX(x *float64, n int) int
 //
 //go:noescape
 func expShiftAVX(x *float32, n int, maxv float32, sum *float64) int
+
+// powLogAVX is the pow kernel's first pass: t[i] = yf*math.Log(x[i]) for
+// i < n&^3 and x[i] > 0, in blocks of four (t of a lane with x[i] <= 0 or
+// NaN is that of +0). It returns the number done: n&^3, or the start of the
+// first block holding +Inf.
+//
+//go:noescape
+func powLogAVX(x *float32, n int, yf float64, t *float64) int
+
+// powExpAVX is the second pass: for i < n&^3, in blocks of four, every
+// x[i] > 0 becomes float32(r) for r = math.Pow(float64(x[i]), yi+yf),
+// given powLogAVX's t, and t[i] becomes r (float64(x[i]) in the other
+// lanes, whose x[i] keep their bits). It returns the number done: n&^3,
+// or the start of the first block with a result outside float64's normal
+// range (left unchanged).
+//
+//go:noescape
+func powExpAVX(x *float32, t *float64, n int, yi int) int
 
 // siluAVX applies x[i] = x[i] / (1 + float32(math.Exp(float64(-x[i]))))
 // for i < n&^3, in blocks of four, and returns the number done, stopping

@@ -572,3 +572,276 @@ scaleLoop:
 scaleDone:
 	VZEROUPPER
 	RET
+
+// The pow kernel's constants, each broadcast to four lanes: the mantissa
+// mask and exponent bias of Frexp, the 1.5*2^52 shift that converts a
+// small int64 lane to float64 exactly, +Inf, Ldexp's largest normal biased
+// exponent, archLog's constants (src/math/log_amd64.s, same decimal
+// literals, so the assembler rounds them to the same bits) and int64 1.
+#define PMANT 0
+#define PEBIAS 32
+#define PMAGIC 64
+#define PPOSINF 96
+#define PEMAX 128
+#define PHSQRT2 160
+#define PLN2HI 192
+#define PLN2LO 224
+#define PL1 256
+#define PL2 288
+#define PL3 320
+#define PL4 352
+#define PL5 384
+#define PL6 416
+#define PL7 448
+#define PI64ONE 480
+
+DATA powc<>+0(SB)/8, $0x000FFFFFFFFFFFFF
+DATA powc<>+8(SB)/8, $0x000FFFFFFFFFFFFF
+DATA powc<>+16(SB)/8, $0x000FFFFFFFFFFFFF
+DATA powc<>+24(SB)/8, $0x000FFFFFFFFFFFFF
+DATA powc<>+32(SB)/8, $0x3FE
+DATA powc<>+40(SB)/8, $0x3FE
+DATA powc<>+48(SB)/8, $0x3FE
+DATA powc<>+56(SB)/8, $0x3FE
+DATA powc<>+64(SB)/8, $0x4338000000000000
+DATA powc<>+72(SB)/8, $0x4338000000000000
+DATA powc<>+80(SB)/8, $0x4338000000000000
+DATA powc<>+88(SB)/8, $0x4338000000000000
+DATA powc<>+96(SB)/8, $0x7FF0000000000000
+DATA powc<>+104(SB)/8, $0x7FF0000000000000
+DATA powc<>+112(SB)/8, $0x7FF0000000000000
+DATA powc<>+120(SB)/8, $0x7FF0000000000000
+DATA powc<>+128(SB)/8, $2046
+DATA powc<>+136(SB)/8, $2046
+DATA powc<>+144(SB)/8, $2046
+DATA powc<>+152(SB)/8, $2046
+DATA powc<>+160(SB)/8, $7.07106781186547524401e-01
+DATA powc<>+168(SB)/8, $7.07106781186547524401e-01
+DATA powc<>+176(SB)/8, $7.07106781186547524401e-01
+DATA powc<>+184(SB)/8, $7.07106781186547524401e-01
+DATA powc<>+192(SB)/8, $6.93147180369123816490e-01
+DATA powc<>+200(SB)/8, $6.93147180369123816490e-01
+DATA powc<>+208(SB)/8, $6.93147180369123816490e-01
+DATA powc<>+216(SB)/8, $6.93147180369123816490e-01
+DATA powc<>+224(SB)/8, $1.90821492927058770002e-10
+DATA powc<>+232(SB)/8, $1.90821492927058770002e-10
+DATA powc<>+240(SB)/8, $1.90821492927058770002e-10
+DATA powc<>+248(SB)/8, $1.90821492927058770002e-10
+DATA powc<>+256(SB)/8, $6.666666666666735130e-01
+DATA powc<>+264(SB)/8, $6.666666666666735130e-01
+DATA powc<>+272(SB)/8, $6.666666666666735130e-01
+DATA powc<>+280(SB)/8, $6.666666666666735130e-01
+DATA powc<>+288(SB)/8, $3.999999999940941908e-01
+DATA powc<>+296(SB)/8, $3.999999999940941908e-01
+DATA powc<>+304(SB)/8, $3.999999999940941908e-01
+DATA powc<>+312(SB)/8, $3.999999999940941908e-01
+DATA powc<>+320(SB)/8, $2.857142874366239149e-01
+DATA powc<>+328(SB)/8, $2.857142874366239149e-01
+DATA powc<>+336(SB)/8, $2.857142874366239149e-01
+DATA powc<>+344(SB)/8, $2.857142874366239149e-01
+DATA powc<>+352(SB)/8, $2.222219843214978396e-01
+DATA powc<>+360(SB)/8, $2.222219843214978396e-01
+DATA powc<>+368(SB)/8, $2.222219843214978396e-01
+DATA powc<>+376(SB)/8, $2.222219843214978396e-01
+DATA powc<>+384(SB)/8, $1.818357216161805012e-01
+DATA powc<>+392(SB)/8, $1.818357216161805012e-01
+DATA powc<>+400(SB)/8, $1.818357216161805012e-01
+DATA powc<>+408(SB)/8, $1.818357216161805012e-01
+DATA powc<>+416(SB)/8, $1.531383769920937332e-01
+DATA powc<>+424(SB)/8, $1.531383769920937332e-01
+DATA powc<>+432(SB)/8, $1.531383769920937332e-01
+DATA powc<>+440(SB)/8, $1.531383769920937332e-01
+DATA powc<>+448(SB)/8, $1.479819860511658591e-01
+DATA powc<>+456(SB)/8, $1.479819860511658591e-01
+DATA powc<>+464(SB)/8, $1.479819860511658591e-01
+DATA powc<>+472(SB)/8, $1.479819860511658591e-01
+DATA powc<>+480(SB)/8, $1
+DATA powc<>+488(SB)/8, $1
+DATA powc<>+496(SB)/8, $1
+DATA powc<>+504(SB)/8, $1
+GLOBL powc<>(SB), RODATA, $512
+
+// The pow kernel is pow from src/math/pow.go on four float64 lanes,
+// split into two passes so that each loop's dependency chain is short
+// enough for consecutive blocks to overlap:
+//   - powLogAVX: t = yf*Log(x), with Log as archLog (src/math/log_amd64.s):
+//     the same SSE2 multiplies, adds, subtracts and divide in the same
+//     order, here in their packed form;
+//   - powExpAVX: a1 = Exp(t) by EXP4; x1, xe = Frexp(x); then for each bit
+//     of yi from the lowest: if set, a1 *= x1 and ae += xe; x1 *= x1,
+//     xe <<= 1, and if x1 < 0.5, x1 += x1 and xe--; finally Ldexp(a1, ae)
+//     by adding ae to a1's exponent field.
+// y = yi + yf, where yi and yf are pow's integer and fractional parts
+// after its yf > 0.5 adjustment (yf in (-0.5, 0.5], 0 <= yi < 32; see
+// powKernelArgs). Lanes with x > 0 are active; the others (zeros,
+// negatives, NaNs) compute on +0 and keep their bits. A positive float32
+// widens to a normal float64 with a Frexp exponent in [-148, 128], so
+// archLog's k is Frexp's xe and its f1 before the Sqrt2/2 step is Frexp's
+// x1; with yi < 32 pow's xe guard never fires, and |yf*Log(x)| < 52 stays
+// on archExp's main path.
+
+// func powLogAVX(x *float32, n int, yf float64, t *float64) int
+//
+// Per block of 4: t[i] = yf*Log(float64(x[i])) for x[i] > 0 (and for +0
+// in the other lanes). Stops at the first block holding +Inf, which
+// math.Pow handles apart, and returns the number of elements done.
+TEXT ·powLogAVX(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	ANDQ         $~3, BX
+	VBROADCASTSD yf+16(FP), Y15
+	MOVQ         t+24(FP), SI
+	XORQ         CX, CX
+
+logLoop:
+	CMPQ         CX, BX
+	JGE          logDone
+	VMOVUPS      (DI)(CX*4), X12
+	VXORPS       X9, X9, X9
+	VCMPPS       $0x1e, X9, X12, X13     // active lanes: x > 0, false for NaN
+	VCVTPS2PD    X12, Y0
+	VCMPPD       $0x00, powc<>+PPOSINF(SB), Y0, Y4
+	VMOVMSKPD    Y4, AX
+	TESTQ        AX, AX
+	JNZ          logDone
+	VPMOVSXDQ    X13, Y11
+	VANDPD       Y11, Y0, Y0
+
+	// f1 in Y1 and k in Y3, as float64 by the 1.5*2^52 shift.
+	VANDPD       powc<>+PMANT(SB), Y0, Y1
+	VORPD        expc<>+HALF(SB), Y1, Y1
+	VPSRLQ       $52, Y0, Y2
+	VPSUBQ       powc<>+PEBIAS(SB), Y2, Y2
+	VPADDQ       powc<>+PMAGIC(SB), Y2, Y3
+	VSUBPD       powc<>+PMAGIC(SB), Y3, Y3
+
+	// archLog, one packed instruction per scalar one.
+	VCMPPD       $0x02, powc<>+PHSQRT2(SB), Y1, Y4 // f1 <= Sqrt2/2
+	VANDPD       expc<>+ONE(SB), Y4, Y4
+	VSUBPD       Y4, Y3, Y3              // k
+	VADDPD       expc<>+ONE(SB), Y4, Y4
+	VMULPD       Y4, Y1, Y5              // f1
+	VSUBPD       expc<>+ONE(SB), Y5, Y5  // f = f1 - 1
+	VADDPD       expc<>+TWO(SB), Y5, Y6
+	VDIVPD       Y6, Y5, Y6              // s = f / (2 + f)
+	VMULPD       Y6, Y6, Y7              // s2
+	VMULPD       Y7, Y7, Y8              // s4
+	VMULPD       powc<>+PL7(SB), Y8, Y9
+	VADDPD       powc<>+PL5(SB), Y9, Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       powc<>+PL3(SB), Y9, Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       powc<>+PL1(SB), Y9, Y9
+	VMULPD       Y9, Y7, Y7              // t1
+	VMULPD       powc<>+PL6(SB), Y8, Y9
+	VADDPD       powc<>+PL4(SB), Y9, Y9
+	VMULPD       Y8, Y9, Y9
+	VADDPD       powc<>+PL2(SB), Y9, Y9
+	VMULPD       Y9, Y8, Y8              // t2
+	VADDPD       Y8, Y7, Y7              // R = t1 + t2
+	VMULPD       expc<>+HALF(SB), Y5, Y8
+	VMULPD       Y5, Y8, Y8              // hfsq = 0.5 * f * f
+	VADDPD       Y8, Y7, Y7              // hfsq + R
+	VMULPD       Y7, Y6, Y6              // s*(hfsq+R)
+	VMULPD       powc<>+PLN2LO(SB), Y3, Y7
+	VADDPD       Y7, Y6, Y6              // + k*Ln2Lo
+	VSUBPD       Y6, Y8, Y8              // hfsq - (...)
+	VSUBPD       Y5, Y8, Y8              // (...) - f
+	VMULPD       powc<>+PLN2HI(SB), Y3, Y3
+	VSUBPD       Y8, Y3, Y3              // Log(x) = k*Ln2Hi - (...)
+	VMULPD       Y3, Y15, Y3
+	VMOVUPD      Y3, (SI)(CX*8)
+	ADDQ         $4, CX
+	JMP          logLoop
+
+logDone:
+	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func powExpAVX(x *float32, t *float64, n int, yi int) int
+//
+// Per block of 4, from powLogAVX's t: every lane with x[i] > 0 gets
+// r = math.Pow(float64(x[i]), y), t[i] = r and x[i] = float32(r); the
+// other lanes keep x[i] and get t[i] = float64(x[i]). A block where
+// Ldexp would make an active lane's result subnormal or infinite is left
+// unchanged and ends the call, as does one whose t is off EXP4's range
+// (which powLogAVX never produces); the caller computes it with
+// math.Pow. Returns the number of elements done.
+TEXT ·powExpAVX(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         t+8(FP), SI
+	MOVQ         n+16(FP), BX
+	ANDQ         $~3, BX
+	MOVQ         yi+24(FP), R8
+	VMOVDQU      powc<>+PI64ONE(SB), Y14
+	XORQ         CX, CX
+
+powLoop:
+	CMPQ         CX, BX
+	JGE          powDone
+	VMOVUPD      (SI)(CX*8), Y0
+	EXPRANGE(Y0, Y4, Y5)
+	VMOVMSKPD    Y5, AX
+	CMPQ         AX, $15
+	JNE          powDone
+	EXP4(Y0, Y4, Y5, X6, Y7)             // a1
+
+	// Frexp of the active lanes' x: x1 in Y1, xe in Y2.
+	VMOVUPS      (DI)(CX*4), X12
+	VXORPS       X9, X9, X9
+	VCMPPS       $0x1e, X9, X12, X13
+	VCVTPS2PD    X12, Y10
+	VPMOVSXDQ    X13, Y11
+	VANDPD       Y11, Y10, Y3
+	VANDPD       powc<>+PMANT(SB), Y3, Y1
+	VORPD        expc<>+HALF(SB), Y1, Y1
+	VPSRLQ       $52, Y3, Y2
+	VPSUBQ       powc<>+PEBIAS(SB), Y2, Y2
+
+	// The squaring loop over the bits of yi; ae in Y9.
+	VPXOR        Y9, Y9, Y9
+	MOVQ         R8, R9
+
+powBit:
+	TESTQ        R9, R9
+	JZ           powLdexp
+	TESTQ        $1, R9
+	JZ           powSquare
+	VMULPD       Y1, Y0, Y0              // a1 *= x1
+	VPADDQ       Y2, Y9, Y9              // ae += xe
+
+powSquare:
+	VMULPD       Y1, Y1, Y1              // x1 *= x1
+	VPADDQ       Y2, Y2, Y2              // xe <<= 1
+	VCMPPD       $0x01, expc<>+HALF(SB), Y1, Y4 // x1 < .5
+	VADDPD       Y1, Y1, Y8
+	VBLENDVPD    Y4, Y8, Y1, Y1          // x1 += x1
+	VPADDQ       Y4, Y2, Y2              // xe-- (the mask is -1)
+	SHRQ         $1, R9
+	JMP          powBit
+
+powLdexp:
+	// Ldexp(a1, ae) stays normal iff a1's biased exponent plus ae lies
+	// in [1, 2046] in every active lane; it is then the integer add.
+	VPSRLQ       $52, Y0, Y4
+	VPADDQ       Y9, Y4, Y4
+	VPCMPGTQ     powc<>+PEMAX(SB), Y4, Y5
+	VPCMPGTQ     Y4, Y14, Y6
+	VPOR         Y6, Y5, Y5
+	VPTEST       Y11, Y5
+	JNZ          powDone
+	VPSLLQ       $52, Y9, Y9
+	VPADDQ       Y9, Y0, Y0
+	VBLENDVPD    Y11, Y0, Y10, Y0
+	VMOVUPD      Y0, (SI)(CX*8)
+	VCVTPD2PSY   Y0, X0
+	VBLENDVPS    X13, X0, X12, X0        // inactive lanes keep x's bits
+	VMOVUPS      X0, (DI)(CX*4)
+	ADDQ         $4, CX
+	JMP          powLoop
+
+powDone:
+	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET

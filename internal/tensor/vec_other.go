@@ -3,13 +3,24 @@
 package tensor
 
 // Builds without the vector kernels (other architectures, and
-// GOAMD64=v3; see vec_amd64.go): softmax, SiLU and the attention kernels
-// run their scalar loops.
-const hasExpKernel = false
+// GOAMD64=v3; see vec_amd64.go): softmax, SiLU, pow and the attention
+// kernels run their scalar loops.
+const (
+	hasExpKernel = false
+	hasPowKernel = false
+)
 
 func expAVX(x *float64, n int) int { panic("tensor: vector kernels not built") }
 
 func expShiftAVX(x *float32, n int, maxv float32, sum *float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func powLogAVX(x *float32, n int, yf float64, t *float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func powExpAVX(x *float32, t *float64, n int, yi int) int {
 	panic("tensor: vector kernels not built")
 }
 

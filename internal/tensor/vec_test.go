@@ -11,6 +11,13 @@ import (
 // comparisons are on bit patterns, so a -0 for +0 or a different NaN
 // fails too.
 
+func requirePowKernel(t testing.TB) {
+	t.Helper()
+	if !hasPowKernel {
+		t.Skip("pow kernel not active in this build, on this CPU or under this GODEBUG")
+	}
+}
+
 func requireExpKernel(t testing.TB) {
 	t.Helper()
 	if !hasExpKernel {
@@ -243,6 +250,190 @@ func TestSiLUKernelMatchesScalar(t *testing.T) {
 	requireSameFloat32s(t, got, want, "range edges")
 }
 
+// powTemperatures are the sampling temperatures the pow tests run at:
+// y = 1/T covers the scalar-only exponents (T = 0.03 gives yi >= 32,
+// T = 2 gives pow's Sqrt case), integer y (T = 0.05, 0.5, 1/3), both of
+// pow's yf branches (T = 0.6 gives yf > 0.5) and y < 1 (T > 1).
+var powTemperatures = []float64{0.03, 0.05, 0.1, 0.25, 1.0 / 3, 0.5, 0.6, 0.7, 0.9, 1.5, 2, 3}
+
+// powRef is the operation Pow performs on one element, in float64.
+func powRef(p, y float64) float64 {
+	if p > 0 {
+		return math.Pow(p, y)
+	}
+	return p
+}
+
+// powWide returns the float64 results of the pow kernel's blocks, taken
+// from its scratch, with powRef's result for the blocks it declines and
+// the tail.
+func powWide(x []float32, y float64) []float64 {
+	wide := make([]float64, len(x))
+	for i, p := range x {
+		wide[i] = powRef(float64(p), y)
+	}
+	yf, yi, ok := powKernelArgs(y)
+	if !ok {
+		return wide
+	}
+	buf := append([]float32(nil), x...)
+	var t [powChunk]float64
+	for i, n := 0, len(x)&^3; i < n; {
+		m := min(n-i, powChunk)
+		done := powVec(buf[i:i+m], yf, yi, &t)
+		copy(wide[i:], t[:done])
+		i += done
+		if done < m {
+			i += 4
+		}
+	}
+	return wide
+}
+
+// requirePowBits runs Pow on x and compares every element with
+// float32(math.Pow(float64(p), y)) for p > 0 and with p itself otherwise
+// (a signalling NaN included), bit for bit. Rounding to float32 hides
+// almost every float64 difference, so it also compares the kernel's
+// float64 results (powWide) with math.Pow's, bit for bit.
+func requirePowBits(t *testing.T, x []float32, y float64, what string) {
+	t.Helper()
+	got := append([]float32(nil), x...)
+	Pow(got, y)
+	wide := powWide(x, y)
+	for i, p := range x {
+		want := powRef(float64(p), y)
+		if math.Float64bits(wide[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: float64 pow(%v [%#x], %v) = %v (%#x), math.Pow gives %v (%#x)", what,
+				p, math.Float32bits(p), y, wide[i], math.Float64bits(wide[i]), want, math.Float64bits(want))
+		}
+		want32 := p
+		if p > 0 {
+			want32 = float32(want)
+		}
+		if math.Float32bits(got[i]) != math.Float32bits(want32) {
+			t.Fatalf("%s: pow(%v [%#x], %v) = %v (%#x), math.Pow gives %v (%#x)", what,
+				p, math.Float32bits(p), y, got[i], math.Float32bits(got[i]), want32, math.Float32bits(want32))
+		}
+	}
+}
+
+// powSpecials are inputs at the edges of the kernel's domain: signed
+// zeros, NaNs, infinities, float32 subnormals from 2^-149 up, the edges of
+// the normal range, values around 1 and around archLog's Sqrt2/2 split,
+// and negatives.
+var powSpecials = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.NaN()), math.Float32frombits(0x7fc00001),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.Float32frombits(1), math.Float32frombits(2), math.Float32frombits(0x400),
+	math.Float32frombits(0x007fffff), math.Float32frombits(0x00800000),
+	1, math.Nextafter32(1, 0), math.Nextafter32(1, 2), 0.5, 2,
+	float32(math.Sqrt2 / 2), math.Nextafter32(float32(math.Sqrt2/2), 0), math.Nextafter32(float32(math.Sqrt2/2), 1),
+	math.MaxFloat32, math.Nextafter32(math.MaxFloat32, 0), 1e30, 1e-30,
+	-1, -0.5, -math.MaxFloat32, -math.Float32frombits(1),
+}
+
+func TestPowKernelSpecialValues(t *testing.T) {
+	requirePowKernel(t)
+	// Every special value in every lane of a block, between ordinary
+	// probabilities, so a declined block is computed whole by the
+	// fallback and its neighbours stay on the kernel.
+	var x []float32
+	for _, s := range powSpecials {
+		for lane := 0; lane < 4; lane++ {
+			block := []float32{0.3, 0.01, 0.6, 0.09}
+			block[lane] = s
+			x = append(x, 0.2, 0.7, 1e-4, 0.05)
+			x = append(x, block...)
+		}
+	}
+	x = append(x, powSpecials...) // and unaligned, with a tail
+	for _, temp := range powTemperatures {
+		requirePowBits(t, x, 1/temp, fmt.Sprintf("T=%v", temp))
+	}
+}
+
+// TestPowKernelRandom compares 1 M random float32 inputs per temperature:
+// sampling probabilities, every positive finite float32 bit pattern, and
+// any bit pattern at all.
+func TestPowKernelRandom(t *testing.T) {
+	requirePowKernel(t)
+	x := make([]float32, 1<<16)
+	for ti, temp := range powTemperatures {
+		rng := NewRNG(uint64(31 + ti))
+		for chunk := 0; chunk < 16; chunk++ {
+			for i := range x {
+				switch i % 4 {
+				case 0: // a probability from a sampling distribution
+					x[i] = float32(rng.Float64())
+				case 1: // a small probability from a peaked distribution
+					x[i] = float32(math.Exp(-rng.Float64() * 100))
+				case 2: // any positive finite float32, subnormals included
+					x[i] = math.Float32frombits(uint32(rng.Uint64() % 0x7f800000))
+				default: // any bit pattern
+					x[i] = math.Float32frombits(uint32(rng.Uint64()))
+				}
+			}
+			requirePowBits(t, x, 1/temp, fmt.Sprintf("T=%v chunk %d", temp, chunk))
+		}
+	}
+}
+
+// TestPowKernelLengths covers every length from 1 to 300 — partial
+// blocks, tails, zeros, and a declined block with its +Inf in every lane
+// position, in the tail too — at every temperature.
+func TestPowKernelLengths(t *testing.T) {
+	requirePowKernel(t)
+	for _, temp := range powTemperatures {
+		for n := 1; n <= 300; n++ {
+			x := vecInputs(n, "normal", uint64(n))
+			Softmax(x)
+			if n%3 == 0 {
+				x[n/2] = 0
+			}
+			if n%5 == 0 {
+				x[2*n/3] = float32(math.Inf(1))
+			}
+			if n%7 == 0 {
+				x[n-1] = float32(math.Inf(1))
+			}
+			requirePowBits(t, x, 1/temp, fmt.Sprintf("T=%v n=%d", temp, n))
+		}
+	}
+}
+
+// TestPowKernelTakesItsDomain guards against a kernel that declines
+// everything, which the bit comparisons above cannot see: on sampling
+// distributions it must do every whole block for every y in its domain,
+// and powKernelArgs must send exactly the documented y to the scalar loop.
+func TestPowKernelTakesItsDomain(t *testing.T) {
+	requirePowKernel(t)
+	x := vecInputs(powChunk, "normal", 7)
+	Softmax(x)
+	for _, temp := range powTemperatures {
+		y := 1 / temp
+		yf, yi, ok := powKernelArgs(y)
+		if want := y < 32 && y != 0.5 && y != 1; ok != want {
+			t.Fatalf("T=%v: powKernelArgs ok = %v, want %v", temp, ok, want)
+		}
+		if !ok {
+			continue
+		}
+		if yf <= -0.5 || yf > 0.5 || float64(yi)+yf != y {
+			t.Fatalf("T=%v: split %v = %d + %v", temp, y, yi, yf)
+		}
+		buf := append([]float32(nil), x...)
+		var scratch [powChunk]float64
+		if done := powVec(buf[:powChunk], yf, yi, &scratch); done != powChunk {
+			t.Fatalf("T=%v: kernel did %d of %d elements", temp, done, powChunk)
+		}
+	}
+	for _, y := range []float64{0, -1, 1, 0.5, 32, 31.6, math.Inf(1), math.NaN()} {
+		if _, _, ok := powKernelArgs(y); ok {
+			t.Fatalf("powKernelArgs(%v) accepted", y)
+		}
+	}
+}
+
 var (
 	attnRowCounts = []int{0, 1, 7, 8, 15, 16, 17, 40, 160, 300}
 	attnHeadDims  = []int{2, 6, 8, 16, 32, 64}
@@ -293,7 +484,10 @@ func TestVectorKernelsAllocFree(t *testing.T) {
 	page := vecInputs(64*16, "normal", 5)
 	out := make([]float32, 64)
 	dst := make([]float32, 16)
+	probs := vecInputs(255, "normal", 6) // a tail too
+	Softmax(probs)
 	for name, f := range map[string]func(){
+		"Pow":             func() { Pow(probs, 1/0.7); Pow(probs, 0.7) },
 		"SoftmaxMasked":   func() { SoftmaxMasked(x) },
 		"Softmax":         func() { Softmax(logits) },
 		"SiLU":            func() { SiLU(act) },
