@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint archcheck bench benchsmoke serve servesmoke e2e
+.PHONY: check fmt vet build test race lint archcheck benchsmoke serve servesmoke e2e
 
 check: fmt vet build race lint archcheck benchsmoke
 
@@ -46,10 +46,13 @@ LINT_FLAGS ?=
 lint:
 	$(GO) run ./cmd/specinferlint $(LINT_FLAGS) ./...
 
-# One-iteration pass over the perf microbenchmarks: catches bit-rot in the
-# benchmark drivers without paying for a full measurement run.
+# One-iteration pass over every root perf driver (forward passes, engine
+# iterations, verifier accept length, verify-cost curve): catches bit-rot
+# in the benchmark drivers without paying for a full measurement run.
+# Measure with the same drivers at a real benchtime, e.g.
+#   go test -run '^$' -bench BenchmarkForward -benchtime 1s .
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier|BenchmarkVerifyCost' -benchtime 1x .
 
 # End-to-end serving benchmark gate: the benchmark's own unit tests under
 # the race detector, then a short chat-tree run, which exits non-zero
@@ -69,13 +72,3 @@ serve:
 # generation, scrape /metricz, then SIGTERM and require a clean exit.
 servesmoke:
 	./scripts/servesmoke.sh
-
-# Full measurement run with a pinned benchtime; writes BENCH_PR10.json
-# (benchmark -> ns/op, ns/token, allocs/op, plus paged-vs-slice,
-# paged-vs-reference, batched-vs-reference, prefix-cache warm-vs-cold,
-# quantized-vs-float, router affinity-vs-blind, verifier traversal-vs-MSS
-# accept-length, and speculation-policy adaptive-vs-static tokens/sec and
-# p99 comparisons, with host provenance) at the repo root. Compare two
-# reports with `go run ./cmd/benchdiff`.
-bench:
-	$(GO) run ./cmd/perfbench -benchtime 1s -o BENCH_PR10.json

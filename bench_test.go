@@ -125,10 +125,10 @@ func metricName(s string) string {
 	return r.Replace(s)
 }
 
-// BenchmarkForward runs the PR 2 forward-pass microbenchmarks: batched vs
+// BenchmarkForward runs the forward-pass microbenchmarks: batched vs
 // pre-batching reference for prefill, incremental decode, and tree
-// verification at widths 1–5. cmd/perfbench renders the same suite as
-// machine-readable JSON with derived speedups.
+// verification at widths 1–5, plus the long-context sweep (paged arena
+// vs reference at committed contexts 128–1024).
 func BenchmarkForward(b *testing.B) {
 	for _, pb := range bench.PerfSuite() {
 		if strings.HasPrefix(pb.Name, "forward/") {

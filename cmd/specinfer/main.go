@@ -10,6 +10,7 @@
 //	specinfer -mode incremental
 //	specinfer -mode tree -width 5 -stochastic -batch 8 -requests 16
 //	specinfer -dataset WebQA -ssms 3   # merge-based speculation, 3 SSMs
+//	specinfer -substrate transformer   # small transformer LLM/SSM pair
 package main
 
 import (
@@ -26,11 +27,7 @@ import (
 	"specinfer/internal/gpu"
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
-	"specinfer/internal/sampling"
-	"specinfer/internal/speculator"
 	"specinfer/internal/tokenizer"
-	"specinfer/internal/tree"
-	"specinfer/internal/workload"
 )
 
 func main() {
@@ -50,7 +47,7 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "dynamic best-first tree expansion")
 		policyOn   = flag.Bool("policy", false, "per-request, per-iteration speculation policy (tree mode; picks tree shape and SSM count from measured accept rate, queue depth and batch occupancy)")
 		ssms       = flag.Int("ssms", 1, "SSM pool size (merge-based speculation if >1)")
-		variant    = flag.String("variant", "", "LLM execution variant: paged|slice|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
+		substrate  = flag.String("substrate", "ngram", "model substrate: ngram (calibrated n-gram pair) | transformer (small transformer pair)")
 		seed       = flag.Uint64("seed", 1, "engine seed")
 		showText   = flag.Bool("text", true, "print generations as pseudo-text")
 		workers    = flag.Int("workers", 0, "request-step worker pool size, 0 = GOMAXPROCS")
@@ -59,88 +56,20 @@ func main() {
 	)
 	flag.Parse()
 
-	ds, err := workload.LookupDataset(*dataset)
+	sv, err := bench.NewServing(bench.ServeFlags{
+		Dataset: *dataset, Substrate: *substrate, Mode: *mode,
+		Width: *width, Depth: *depth, SSMs: *ssms,
+		Stochastic: *stochastic, Temperature: *temp, TopK: *topK, TopP: *topP,
+		Verifier: *verif, Adaptive: *adaptive, Policy: *policyOn,
+		Batch: *batch, Workers: *workers, Seed: *seed,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	ds, cfg := sv.Dataset, sv.Config
 	tok := tokenizer.New(ds.Vocab, ds.Seed)
-
-	// Execution variants are a transformer notion, so -variant switches
-	// the substrate from the calibrated n-gram pair to the transformer
-	// pair; core.Config.Variant then resolves the named view of the LLM.
-	var (
-		llm, ssm model.Model
-		extras   func(n int) []model.Model
-		trace    []workload.Request
-	)
-	if *variant == "" {
-		pair := bench.Models(ds)
-		llm, ssm = pair.LLM, pair.SSM
-		trace = pair.Trace(*requests, *gen)
-		extras = func(n int) []model.Model {
-			var out []model.Model
-			for _, m := range pair.ExtraSSMs(n) {
-				out = append(out, m)
-			}
-			return out
-		}
-	} else {
-		if *ssms > 1 {
-			fmt.Fprintln(os.Stderr, "-ssms > 1 requires the n-gram substrate (drop -variant)")
-			os.Exit(2)
-		}
-		tf := bench.TransformerPair(ds)
-		llm, ssm = tf.LLM, tf.SSM
-		trace = tf.Trace(*requests, *gen)
-		extras = func(int) []model.Model { return nil }
-	}
-
-	cfg := core.Config{
-		LLM:      llm,
-		Variant:  *variant,
-		Verifier: *verif,
-		SeqDepth: *depth,
-		MaxBatch: *batch,
-		Seed:     *seed,
-		Workers:  *workers,
-	}
-	if *stochastic {
-		cfg.Sample = sampling.Config{
-			Mode:        sampling.Stochastic,
-			Temperature: *temp,
-			TopK:        *topK,
-			TopP:        *topP,
-		}
-	} else {
-		cfg.Sample = sampling.GreedyConfig()
-	}
-	if *adaptive {
-		cfg.Adaptive = &speculator.AdaptiveConfig{MaxNodes: *width * 3, MaxDepth: *depth}
-	}
-	if *policyOn {
-		cfg.Policy = &policy.Config{}
-	}
-	switch *mode {
-	case "incremental":
-		cfg.Mode = core.Incremental
-	case "sequence":
-		cfg.Mode = core.SequenceSpec
-		cfg.SSMs = []model.Model{ssm}
-	case "tree":
-		cfg.Mode = core.TreeSpec
-		exp := make(tree.ExpansionConfig, *depth)
-		for i := range exp {
-			exp[i] = 1
-		}
-		exp[0] = *width
-		cfg.Expansion = exp
-		cfg.SSMs = []model.Model{ssm}
-		cfg.SSMs = append(cfg.SSMs, extras(*ssms-1)...)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
+	trace := sv.Trace(*requests, *gen)
 
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
@@ -186,11 +115,7 @@ func main() {
 
 	fmt.Printf("SpecInfer-Go — %s on %s, %d requests, batch %d, %s decoding\n",
 		cfg.Mode, ds.Name, *requests, *batch, cfg.Sample.Mode)
-	variantNote := ""
-	if *variant != "" {
-		variantNote = " [" + *variant + "]"
-	}
-	fmt.Printf("LLM: %s%s   SSM pool: %d\n\n", llm.Name(), variantNote, len(cfg.SSMs))
+	fmt.Printf("LLM: %s   SSM pool: %d\n\n", cfg.LLM.Name(), len(cfg.SSMs))
 
 	var totalSteps, totalTokens int
 	for i, r := range results {

@@ -32,15 +32,9 @@ import (
 
 	"specinfer/internal/bench"
 	"specinfer/internal/core"
-	"specinfer/internal/model"
-	specpolicy "specinfer/internal/policy"
 	"specinfer/internal/router"
-	"specinfer/internal/sampling"
 	"specinfer/internal/server"
-	"specinfer/internal/speculator"
 	"specinfer/internal/tokenizer"
-	"specinfer/internal/tree"
-	"specinfer/internal/workload"
 )
 
 func main() {
@@ -58,7 +52,7 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "dynamic best-first tree expansion")
 		policyOn   = flag.Bool("policy", false, "per-request, per-iteration speculation policy (tree mode; picks tree shape and SSM count from measured accept rate, queue depth and batch occupancy, and decodes incrementally while speculation is measured not to pay; surfaced in /metricz)")
 		ssms       = flag.Int("ssms", 1, "SSM pool size (merge-based speculation if >1)")
-		variant    = flag.String("variant", "", "LLM execution variant: paged|slice|reference|quantized (switches to the transformer substrate; empty = calibrated n-gram substrate)")
+		substrate  = flag.String("substrate", "ngram", "model substrate: ngram (calibrated n-gram pair) | transformer (small transformer pair)")
 		seed       = flag.Uint64("seed", 1, "engine seed")
 		workers    = flag.Int("workers", 0, "request-step worker pool size, 0 = GOMAXPROCS")
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
@@ -71,90 +65,22 @@ func main() {
 	)
 	flag.Parse()
 
-	ds, err := workload.LookupDataset(*dataset)
+	sv, err := bench.NewServing(bench.ServeFlags{
+		Dataset: *dataset, Substrate: *substrate, Mode: *mode,
+		Width: *width, Depth: *depth, SSMs: *ssms,
+		Stochastic: *stochastic, Temperature: *temp, TopK: *topK, TopP: *topP,
+		Verifier: *verif, Adaptive: *adaptive, Policy: *policyOn,
+		Batch: *batch, Workers: *workers, Seed: *seed,
+		PrefixCacheMB: *prefixMB,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	ds, cfg := sv.Dataset, sv.Config
+	cfg.QueueDepth = *queue
+	cfg.DrainTimeout = *drain
 	tok := tokenizer.New(ds.Vocab, ds.Seed)
-
-	// -variant switches the substrate to the transformer pair (execution
-	// variants are a transformer notion); core.Config.Variant resolves
-	// the named view of the LLM at engine construction.
-	var (
-		llm, ssm model.Model
-		extras   func(n int) []model.Model
-	)
-	if *variant == "" {
-		pair := bench.Models(ds)
-		llm, ssm = pair.LLM, pair.SSM
-		extras = func(n int) []model.Model {
-			var out []model.Model
-			for _, m := range pair.ExtraSSMs(n) {
-				out = append(out, m)
-			}
-			return out
-		}
-	} else {
-		if *ssms > 1 {
-			fmt.Fprintln(os.Stderr, "-ssms > 1 requires the n-gram substrate (drop -variant)")
-			os.Exit(2)
-		}
-		tf := bench.TransformerPair(ds)
-		llm, ssm = tf.LLM, tf.SSM
-		extras = func(int) []model.Model { return nil }
-	}
-
-	cfg := core.Config{
-		LLM:          llm,
-		Variant:      *variant,
-		Verifier:     *verif,
-		SeqDepth:     *depth,
-		MaxBatch:     *batch,
-		Seed:         *seed,
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		DrainTimeout: *drain,
-	}
-	if *prefixMB > 0 {
-		cfg.PrefixCacheBytes = *prefixMB << 20
-	}
-	if *stochastic {
-		cfg.Sample = sampling.Config{
-			Mode:        sampling.Stochastic,
-			Temperature: *temp,
-			TopK:        *topK,
-			TopP:        *topP,
-		}
-	} else {
-		cfg.Sample = sampling.GreedyConfig()
-	}
-	if *adaptive {
-		cfg.Adaptive = &speculator.AdaptiveConfig{MaxNodes: *width * 3, MaxDepth: *depth}
-	}
-	if *policyOn {
-		cfg.Policy = &specpolicy.Config{}
-	}
-	switch *mode {
-	case "incremental":
-		cfg.Mode = core.Incremental
-	case "sequence":
-		cfg.Mode = core.SequenceSpec
-		cfg.SSMs = []model.Model{ssm}
-	case "tree":
-		cfg.Mode = core.TreeSpec
-		exp := make(tree.ExpansionConfig, *depth)
-		for i := range exp {
-			exp[i] = 1
-		}
-		exp[0] = *width
-		cfg.Expansion = exp
-		cfg.SSMs = []model.Model{ssm}
-		cfg.SSMs = append(cfg.SSMs, extras(*ssms-1)...)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
 
 	if *replicas < 1 {
 		fmt.Fprintf(os.Stderr, "-replicas must be at least 1, got %d\n", *replicas)
@@ -209,12 +135,8 @@ func main() {
 	}
 	fmt.Printf("specinferd — %s on %s, batch %d, queue %d, %s decoding%s\n",
 		cfg.Mode, ds.Name, *batch, *queue, cfg.Sample.Mode, fleetNote)
-	variantNote := ""
-	if *variant != "" {
-		variantNote = " [" + *variant + "]"
-	}
-	fmt.Printf("LLM: %s%s   SSM pool: %d   listening on %s\n",
-		llm.Name(), variantNote, len(cfg.SSMs), *addr)
+	fmt.Printf("LLM: %s   SSM pool: %d   listening on %s\n",
+		cfg.LLM.Name(), len(cfg.SSMs), *addr)
 
 	if err := srv.Run(ctx, *addr); err != nil {
 		fmt.Fprintln(os.Stderr, err)

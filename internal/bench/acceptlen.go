@@ -15,8 +15,8 @@ package bench
 // byte-identical instances, and verification i uses the same RNG seed in
 // both. The reported "accept-len" metric is computed over the full fixed
 // evaluation grid (instances x seeds) rather than over b.N timed ops, so
-// the number recorded in BENCH_PR9.json is deterministic per host-
-// independent arithmetic, not benchtime-dependent sampling.
+// it is deterministic, host-independent arithmetic, not
+// benchtime-dependent sampling.
 
 import (
 	"fmt"
@@ -173,18 +173,17 @@ func acceptLenBench(ds workload.Dataset, verifierName string) func(*testing.B) {
 }
 
 // AcceptLenSuite returns the accept-length scenario pairs, one
-// {traversal, mss} pair per Table-1 dataset. TokensPerOp is 1 — the
-// scenarios' payload is the deterministic accept-len metric (and the
-// paired ns/op), not a tokens-processed rate; instance generation is
-// deferred to Run so building the suite stays cheap for filtered runs.
+// {traversal, mss} pair per Table-1 dataset. The scenarios' payload is
+// the deterministic accept-len metric (and the paired ns/op); instance
+// generation is deferred to Run so building the suite stays cheap for
+// filtered runs.
 func AcceptLenSuite() []PerfBenchmark {
 	var out []PerfBenchmark
 	for _, ds := range Datasets() {
 		for _, v := range []string{"traversal", "mss"} {
 			out = append(out, PerfBenchmark{
-				Name:        fmt.Sprintf("verifier/accept-length/%s/%s", ds.Name, v),
-				TokensPerOp: 1,
-				Run:         acceptLenBench(ds, v),
+				Name: fmt.Sprintf("verifier/accept-length/%s/%s", ds.Name, v),
+				Run:  acceptLenBench(ds, v),
 			})
 		}
 	}

@@ -10,8 +10,9 @@ package bench
 // Each batched benchmark has a -ref twin that runs the pre-batching
 // scalar path (transformer.Model.Reference) or the serial engine loop
 // (Workers=1 + reference sessions), so one run of the suite yields the
-// old-vs-new speedups directly. The drivers live here, not in a _test.go
-// file, so bench_test.go and cmd/perfbench share them.
+// old-vs-new speedups directly. The root bench_test.go drivers
+// (BenchmarkForward, BenchmarkEngineIteration, BenchmarkVerifier) run
+// them with `go test -bench`.
 
 import (
 	"context"
@@ -33,10 +34,7 @@ import (
 // PerfBenchmark is one microbenchmark of the perf suite.
 type PerfBenchmark struct {
 	Name string
-	// TokensPerOp is how many tokens one benchmark op processes
-	// (forward passes: tokens in the pass; engine: tokens committed).
-	TokensPerOp float64
-	Run         func(b *testing.B)
+	Run  func(b *testing.B)
 }
 
 const (
@@ -67,14 +65,11 @@ func perfModels() (*transformer.Model, *transformer.Model) {
 	return perfLLM, perfSSM
 }
 
-// bwModel is the weight-streaming benchmark model for the quantized
-// sweep. It is deliberately wider than perf-LLM (hidden 256, FFN 3072,
-// vocab 4096, 2 wide heads): at this geometry the projection and LM-head
-// matmuls are ~70% of even a c1024 decode step, so the scenario measures
-// what quantization actually buys on weight streaming rather than being
-// drowned by attention over the (still-float) KV cache — the regime the
-// paper's serving workloads live in, where weight matrices dwarf any
-// single request's KV footprint.
+// bwModel is the weight-streaming model of the verify-cost curve. It is
+// deliberately wider than perf-LLM (hidden 256, FFN 3072, vocab 4096, 2
+// wide heads): at this geometry the projection and LM-head matmuls
+// dominate a forward pass, the regime the paper's serving workloads live
+// in, where weight matrices dwarf any single request's KV footprint.
 func bwModel() *transformer.Model {
 	bwOnce.Do(func() {
 		bwLLM = transformer.New(transformer.Config{
@@ -83,22 +78,6 @@ func bwModel() *transformer.Model {
 		})
 	})
 	return bwLLM
-}
-
-// bwSession opens a session on the bandwidth model: "float" is the paged
-// batched path, "quant" the same path with block-quantized projection
-// weights (the PR 7 tentpole). The two are NOT bit-identical — quant is
-// tolerance-gated — so their twin speedup is a genuine accuracy/speed
-// trade, unlike the paged/slice/ref trio.
-func bwSession(kind string) model.Session {
-	m := bwModel()
-	switch kind {
-	case "float":
-		return m.NewSession()
-	case "quant":
-		return m.Quantized().NewSession()
-	}
-	panic("bench: unknown bandwidth session kind " + kind)
 }
 
 func perfPrompt(n int) []model.Token {
@@ -130,31 +109,16 @@ func perfTree(w int) *tree.Tree {
 	return tr
 }
 
-// session opens an LLM session on the requested path.
+// perfSession opens a perf-LLM session: the default batched forward
+// over the paged KV arena, or the scalar Reference() path over the
+// per-position slice cache. The two are bit-identical, so paged-vs-ref
+// is a pure speedup.
 func perfSession(reference bool) model.Session {
-	if reference {
-		return perfSessionKind("ref")
-	}
-	return perfSessionKind("paged")
-}
-
-// perfSessionKind opens an LLM session on one of the three bit-identical
-// variants: "paged" (batched forward, head-major paged KV arena — the
-// default), "slice" (batched forward, PR 2 per-position slice cache), or
-// "ref" (scalar forward, slice cache). paged-vs-slice isolates the cache
-// layout; paged-vs-ref is the cumulative speedup over the pre-batching
-// baseline.
-func perfSessionKind(kind string) model.Session {
 	llm, _ := perfModels()
-	switch kind {
-	case "paged":
-		return llm.NewSession()
-	case "slice":
-		return llm.SliceCache().NewSession()
-	case "ref":
+	if reference {
 		return llm.Reference().NewSession()
 	}
-	panic("bench: unknown session kind " + kind)
+	return llm.NewSession()
 }
 
 func prefillBench(reference bool) func(*testing.B) {
@@ -220,9 +184,9 @@ func treeBench(width int, reference bool) func(*testing.B) {
 // accepting, so the context length is pinned for the whole measurement:
 // w=1 is an 8-token chain (incremental-decode shape), larger widths are
 // tree verification.
-func longCtxBench(ctxLen, width int, kind string) func(*testing.B) {
+func longCtxBench(ctxLen, width int, reference bool) func(*testing.B) {
 	return func(b *testing.B) {
-		s := perfSessionKind(kind)
+		s := perfSession(reference)
 		// Build the committed context the way a served request does: half
 		// arrives as the prompt in one prefill, half is generated token by
 		// token. Growing the cache one forward at a time is what scatters a
@@ -230,29 +194,6 @@ func longCtxBench(ctxLen, width int, kind string) func(*testing.B) {
 		// rows end up ~2KB apart instead of adjacent); the paged arena
 		// packs rows identically no matter how they arrived, which is the
 		// effect these benchmarks exist to measure.
-		s.Prefill(perfPrompt(ctxLen / 2))
-		rng := tensor.NewRNG(4321)
-		for s.Len() < ctxLen {
-			s.Decode(rng.Intn(256))
-		}
-		tr := perfTree(width)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.DecodeTree(tr)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/token")
-	}
-}
-
-// longCtxQuantBench is longCtxBench on the bandwidth model: same
-// committed-context construction (prefill half, decode half), same
-// pinned-context tree verification per op, with kind selecting the
-// quantized or float weight path. The quant/float ratio is the PR 7
-// acceptance gate (>= 1.5x on c1024/decode8).
-func longCtxQuantBench(ctxLen, width int, kind string) func(*testing.B) {
-	return func(b *testing.B) {
-		s := bwSession(kind)
 		s.Prefill(perfPrompt(ctxLen / 2))
 		rng := tensor.NewRNG(4321)
 		for s.Len() < ctxLen {
@@ -350,8 +291,8 @@ func prefixBench(batch, prefixLen int, warm bool) func(*testing.B) {
 }
 
 // RouterTraceConfig parameterizes one fleet run over a shared-prefix
-// trace: the PR 8 router scenario and its measured-vs-sim cross-check
-// share it.
+// trace (TestRouterMeasuredVsSimOrdering runs it under both placement
+// policies).
 type RouterTraceConfig struct {
 	Replicas  int
 	Groups    int
@@ -433,116 +374,50 @@ func RunRouterTrace(cfg RouterTraceConfig, reqs []workload.Request, fail func(..
 	}
 }
 
-// routerBench measures fleet serving under shared-prefix traffic — the
-// PR 8 tentpole scenario. Each op builds a fresh 4-replica fleet (cold
-// per-replica prefix caches) and serves the full grouped trace through
-// it. Under prefix-affinity routing a group's requests all land on one
-// replica, so each group pays one cold prefill and the rest adopt the
-// warm prefix pages; hash-blind round-robin spreads every group across
-// all replicas, so nearly every request prefills cold. MaxNew 1 makes
-// the op TTFT-shaped (prefill-dominated); MaxNew 16 makes it aggregate
-// throughput. The affinity/blind ratio on the ttft pair is the
-// acceptance gate (>= 1.5x).
-func routerBench(cfg RouterTraceConfig) func(*testing.B) {
-	return func(b *testing.B) {
-		reqs := routerTraceRequests(cfg)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			RunRouterTrace(cfg, reqs, b.Fatal)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(reqs)), "ns/token")
-	}
-}
-
 // PerfSuite returns the full microbenchmark suite: batched vs reference
 // forward passes (prefill, decode, tree verification at widths 1–5), the
-// long-context cache-layout sweep (committed context 128/512/1024 on the
-// paged, slice, and reference variants), the quantized-vs-float weight
-// streaming sweep on the wide bandwidth model, and the engine iteration
-// loop at batch sizes 1–16, plus the serial pre-batching engine baseline
-// at batch 8.
+// long-context sweep (committed context 128/512/1024, paged vs
+// reference), the engine iteration loop at batch sizes 1–16 plus the
+// serial pre-batching engine baseline at batch 8, the shared-prefix TTFT
+// pair (prefix cache warm vs cold), and the verifier accept-length pairs.
 func PerfSuite() []PerfBenchmark {
 	var out []PerfBenchmark
-	add := func(name string, tokens float64, fn func(*testing.B)) {
-		out = append(out, PerfBenchmark{Name: name, TokensPerOp: tokens, Run: fn})
+	add := func(name string, fn func(*testing.B)) {
+		out = append(out, PerfBenchmark{Name: name, Run: fn})
 	}
-	add("forward/prefill32/batched", perfPromptLen, prefillBench(false))
-	add("forward/prefill32/ref", perfPromptLen, prefillBench(true))
-	add("forward/decode/batched", 1, decodeBench(false))
-	add("forward/decode/ref", 1, decodeBench(true))
+	add("forward/prefill32/batched", prefillBench(false))
+	add("forward/prefill32/ref", prefillBench(true))
+	add("forward/decode/batched", decodeBench(false))
+	add("forward/decode/ref", decodeBench(true))
 	for w := 1; w <= 5; w++ {
-		n := float64(perfTree(w).Len())
-		add(perfTreeName(w, false), n, treeBench(w, false))
-		add(perfTreeName(w, true), n, treeBench(w, true))
+		add(perfTreeName(w, false), treeBench(w, false))
+		add(perfTreeName(w, true), treeBench(w, true))
 	}
-	// Long-context sweep: the PR 3 cache-layout benchmarks. Every point
-	// runs on all three bit-identical variants so the report derives both
-	// paged-vs-slice (layout win) and paged-vs-ref (cumulative) speedups.
-	kinds := []string{"paged", "slice", "ref"}
-	chain := float64(perfTree(1).Len())
+	// Long-context sweep: the paged arena against the reference path's
+	// slice cache, where the KV read pattern dominates.
+	kinds := []struct {
+		name      string
+		reference bool
+	}{{"paged", false}, {"ref", true}}
 	for _, c := range []int{128, 512, 1024} {
-		for _, kind := range kinds {
-			add(fmt.Sprintf("forward/longctx/c%d/decode8/%s", c, kind), chain,
-				longCtxBench(c, 1, kind))
+		for _, k := range kinds {
+			add(fmt.Sprintf("forward/longctx/c%d/decode8/%s", c, k.name), longCtxBench(c, 1, k.reference))
 		}
 	}
-	w4 := float64(perfTree(4).Len())
-	for _, kind := range kinds {
-		add("forward/longctx/c1024/tree-w4/"+kind, w4, longCtxBench(1024, 4, kind))
-	}
-	// PR 7 tentpole scenario: quantized vs float weight streaming on the
-	// wide bandwidth model at long context (gate: quant >= 1.5x float on
-	// c1024). Decode-chain shape, same construction as the longctx sweep.
-	for _, c := range []int{256, 1024} {
-		for _, kind := range []string{"quant", "float"} {
-			add(fmt.Sprintf("forward/longctx-q/c%d/decode8/%s", c, kind), chain,
-				longCtxQuantBench(c, 1, kind))
-		}
+	for _, k := range kinds {
+		add("forward/longctx/c1024/tree-w4/"+k.name, longCtxBench(1024, 4, k.reference))
 	}
 	for _, bs := range []int{1, 4, 8, 16} {
-		add(perfEngineName(bs, false), float64(bs*perfGenLen), engineBench(bs, false))
+		add(perfEngineName(bs, false), engineBench(bs, false))
 	}
-	add(perfEngineName(8, true), float64(8*perfGenLen), engineBench(8, true))
-	// PR 5 tentpole scenario: TTFT under shared-prefix traffic, prefix
-	// cache on vs off (acceptance gate: warm >= 3x cold).
-	add("engine/prefix/shared512x16/warm", 16, prefixBench(16, 512, true))
-	add("engine/prefix/shared512x16/cold", 16, prefixBench(16, 512, false))
-	// PR 8 tentpole scenario: 4-replica fleet under grouped shared-prefix
-	// traffic, prefix-affinity vs hash-blind round-robin placement
-	// (acceptance gate: affinity >= 1.5x on the ttft pair). The group
-	// count is coprime with the replica count: with trace-order
-	// round-robin submission, a group count divisible by the replica
-	// count would accidentally pin each group to one replica and hide
-	// the policies' difference (see TestPredictShardingCounts).
-	for _, s := range []struct {
-		name   string
-		cfg    RouterTraceConfig
-		tokens float64
-	}{
-		{"router/shared-prefix/r4/ttft/affinity",
-			RouterTraceConfig{Replicas: 4, Groups: 7, Requests: 28, PrefixLen: 384, SuffixLen: 16, MaxNew: 1, Policy: router.PrefixAffinity}, 28},
-		{"router/shared-prefix/r4/ttft/blind",
-			RouterTraceConfig{Replicas: 4, Groups: 7, Requests: 28, PrefixLen: 384, SuffixLen: 16, MaxNew: 1, Policy: router.RoundRobin}, 28},
-		{"router/shared-prefix/r4/tput/affinity",
-			RouterTraceConfig{Replicas: 4, Groups: 7, Requests: 28, PrefixLen: 384, SuffixLen: 16, MaxNew: 16, Policy: router.PrefixAffinity}, 448},
-		{"router/shared-prefix/r4/tput/blind",
-			RouterTraceConfig{Replicas: 4, Groups: 7, Requests: 28, PrefixLen: 384, SuffixLen: 16, MaxNew: 16, Policy: router.RoundRobin}, 448},
-	} {
-		add(s.name, s.tokens, routerBench(s.cfg))
-	}
-	// PR 9 tentpole scenario: mean accepted speculated tokens per
-	// verification, traversal vs MSS on identical instances (gate:
-	// traversal's accept-len >= MSS's on every Table-1 dataset).
+	add(perfEngineName(8, true), engineBench(8, true))
+	// TTFT under shared-prefix traffic, prefix cache on vs off. The
+	// cache's effect is gated by a counted test, TestPrefixCacheSharedPrefill.
+	add("engine/prefix/shared512x16/warm", prefixBench(16, 512, true))
+	add("engine/prefix/shared512x16/cold", prefixBench(16, 512, false))
+	// Mean accepted speculated tokens per verification, traversal vs MSS
+	// on identical instances (gated by TestTraversalAcceptLenDominatesMSS).
 	out = append(out, AcceptLenSuite()...)
-	// PR 10 tentpole scenario: adaptive per-iteration speculation policy
-	// vs the best static tree shape on a bursty arrival trace, scored on
-	// the A10 co-simulation clock (gate: adaptive >= 1.2x tokens/sec at
-	// equal-or-better p99 vs BOTH statics). 5376 = 3 rounds x (48 burst +
-	// 8 trickle) requests x 32 new tokens.
-	for _, shape := range []string{"adaptive", "static-deep", "static-narrow"} {
-		add("policy/bursty/"+shape, 5376, policyBurstyBench(shape))
-	}
 	return out
 }
 

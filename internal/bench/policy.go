@@ -25,7 +25,6 @@ import (
 	"specinfer/internal/speculator"
 	"specinfer/internal/tensor"
 	"specinfer/internal/workload"
-	"testing"
 )
 
 // Static tree shapes matching the policy's own two operating points, so
@@ -152,22 +151,4 @@ func RunPolicyBursty(shape string) PolicyBurstyResult {
 		out.TokensPerSec = float64(out.Tokens) / out.BusySeconds
 	}
 	return out
-}
-
-// policyBurstyBench wraps one shape as a perf-suite benchmark: ns/op is
-// the real wall cost of the co-simulated serve, while the quantities
-// under test — simulated serving throughput and tail latency — are
-// reported as tok/s and p99-ms extra metrics and flow into the report's
-// tokens_per_sec/p99_ms fields and the adaptive-vs-static speedup pair.
-func policyBurstyBench(shape string) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var res PolicyBurstyResult
-		for i := 0; i < b.N; i++ {
-			res = RunPolicyBursty(shape)
-		}
-		b.ReportMetric(res.TokensPerSec, "tok/s")
-		b.ReportMetric(res.P99Ms, "p99-ms")
-	}
 }

@@ -3,9 +3,7 @@ package bench
 import "testing"
 
 // TestPolicyBurstyGate is the PR 10 acceptance gate, computed live from
-// the same deterministic co-simulation the policy/bursty/* benchmarks
-// report (the committed BENCH_PR10.json numbers are this run's output):
-// on the bursty trace the adaptive policy must deliver at least 1.2x the
+// a deterministic co-simulation on the A10 clock: on the bursty trace the adaptive policy must deliver at least 1.2x the
 // serving tokens/sec of the BEST static tree shape, at equal-or-better
 // p99 request latency. The two statics are the policy's own operating
 // points, so the margin is purely from switching shape per iteration.

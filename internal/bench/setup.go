@@ -128,10 +128,9 @@ func (p Pair) SSMModels() []model.Model { return []model.Model{p.SSM} }
 // Datasets returns the benchmark datasets in the paper's order.
 func Datasets() []workload.Dataset { return workload.Datasets() }
 
-// TFPair bundles a transformer LLM/SSM pair for a dataset — the substrate
-// the CLIs switch to when an execution variant is requested, since
-// variants (paged/slice/reference/quantized) are a transformer notion the
-// n-gram models don't have. The nets are small random models on the
+// TFPair bundles a transformer LLM/SSM pair for a dataset — the CLIs'
+// -substrate transformer, which serves on the paged KV arena the n-gram
+// models don't have. The nets are small random models on the
 // dataset's vocabulary: right-shaped for exercising kernels and serving
 // paths, not trained for acceptance quality (the calibrated n-gram pair
 // remains the paper-faithful substrate for the experiment tables).

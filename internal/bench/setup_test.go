@@ -39,3 +39,29 @@ func TestModelsConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestTransformerPairDeterministic: the CLI substrate is cached and
+// reproducible — two lookups return the same models, and traces are
+// stable across calls.
+func TestTransformerPairDeterministic(t *testing.T) {
+	ds := Datasets()[0]
+	a := TransformerPair(ds)
+	b := TransformerPair(ds)
+	if a.LLM != b.LLM || a.SSM != b.SSM {
+		t.Fatal("TransformerPair must cache per dataset")
+	}
+	if a.LLM.VocabSize() != ds.Vocab {
+		t.Fatalf("LLM vocab %d != dataset vocab %d", a.LLM.VocabSize(), ds.Vocab)
+	}
+	t1, t2 := a.Trace(3, 8), a.Trace(3, 8)
+	for i := range t1 {
+		if len(t1[i].Prompt) != len(t2[i].Prompt) {
+			t.Fatal("traces not deterministic")
+		}
+		for j := range t1[i].Prompt {
+			if t1[i].Prompt[j] != t2[i].Prompt[j] {
+				t.Fatal("traces not deterministic")
+			}
+		}
+	}
+}

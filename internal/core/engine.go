@@ -93,17 +93,6 @@ type Config struct {
 	// Seed drives all engine randomness (per-request streams are split
 	// from it, so results are independent of batch interleaving).
 	Seed uint64
-	// Variant selects a named execution variant of the LLM (weights and
-	// semantics unchanged up to the variant's documented tolerance): the
-	// LLM must implement model.Varianter and recognize the name, or
-	// NewEngine fails. The transformer substrate accepts "paged" (the
-	// default), "slice", "reference", and "quantized" (7-bit
-	// block-quantized projection weights — the only variant that is not
-	// bit-exact with the others). Empty means the model as given. The
-	// variant applies to the LLM only; SSMs are small enough that their
-	// weight streaming is not the bandwidth term worth trading accuracy
-	// for.
-	Variant string
 	// ForceTopK forces top-k expansion even under stochastic decoding
 	// (see speculator.Config).
 	ForceTopK bool
@@ -409,19 +398,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: UseZeroEOS conflicts with EOS=%d; pick one", cfg.EOS)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Variant != "" && cfg.LLM != nil {
-		v, ok := cfg.LLM.(model.Varianter)
-		if !ok {
-			return nil, fmt.Errorf("core: variant %q: model %s does not support execution variants",
-				cfg.Variant, cfg.LLM.Name())
-		}
-		m, ok := v.Variant(cfg.Variant)
-		if !ok {
-			return nil, fmt.Errorf("core: model %s does not recognize variant %q",
-				cfg.LLM.Name(), cfg.Variant)
-		}
-		cfg.LLM = m
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

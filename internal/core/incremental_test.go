@@ -18,27 +18,9 @@ import (
 // Incremental drafting (transformer.Session.DecodeTree forwarding only
 // the nodes a grower appended since its last call) must leave every
 // grower's trees unchanged. These tests run each grower on default SSM
-// sessions and on full-rescoring oracle sessions and require identical
+// sessions and on Reference() oracle sessions and require identical
 // trees, node for node and proposal distribution for proposal
 // distribution, and identical engine output.
-
-// rescoring is the full-rescore oracle for any transformer variant: its
-// sessions hand the inner session a fresh copy of the tree on every
-// DecodeTree, which the transformer always scores in full.
-type rescoring struct{ model.Model }
-
-func (r rescoring) NewSession() model.Session { return rescoringSession{r.Model.NewSession()} }
-
-type rescoringSession struct{ model.Session }
-
-func (s rescoringSession) DecodeTree(t *tree.Tree) [][]float32 {
-	c := &tree.Tree{Nodes: make([]tree.Node, t.Len())}
-	for i, n := range t.Nodes {
-		n.Children = append([]tree.NodeID(nil), n.Children...)
-		c.Nodes[i] = n
-	}
-	return s.Session.DecodeTree(c)
-}
 
 // requireSameTree compares two speculated trees bit for bit: structure,
 // tokens, and every proposal's probability, SSM id and distribution.
@@ -72,9 +54,8 @@ func requireSameTree(t *testing.T, ctx string, got, want *tree.Tree) {
 // TestIncrementalGrowersBitExact drives each tree grower — static TopK,
 // static SampleK, a merged 2-SSM ensemble, adaptive, and the policy
 // speculator — over a few speculate/accept rounds on incremental SSM
-// sessions and on oracle sessions (Reference() for float SSMs, full
-// rescoring for Quantized() ones), for both architectures and
-// AttnWorkers 1 and 4.
+// sessions and on Reference() oracle sessions, for both architectures
+// and AttnWorkers 1 and 4.
 func TestIncrementalGrowersBitExact(t *testing.T) {
 	greedy := sampling.GreedyConfig()
 	stoch := sampling.StochasticConfig()
@@ -103,57 +84,40 @@ func TestIncrementalGrowersBitExact(t *testing.T) {
 	}
 	for _, arch := range []transformer.Arch{transformer.ArchLLaMA, transformer.ArchOPT} {
 		for _, workers := range []int{1, 4} {
-			for _, quant := range []bool{false, true} {
-				ssmModels := make([]*transformer.Model, 2)
-				for i := range ssmModels {
-					ssmModels[i] = transformer.New(transformer.Config{
-						Name: "inc-ssm", Arch: arch, Vocab: 48, Hidden: 16, Heads: 2, FFN: 32,
-						Layers: 2, Seed: uint64(60 + i), AttnWorkers: workers,
-					})
-				}
-				variants := func(oracle bool) []model.Model {
-					out := make([]model.Model, len(ssmModels))
-					for i, m := range ssmModels {
-						switch {
-						case quant && oracle:
-							out[i] = rescoring{m.Quantized()}
-						case quant:
-							out[i] = m.Quantized()
-						case oracle:
-							out[i] = m.Reference()
-						default:
-							out[i] = m
+			incSSMs := make([]model.Model, 2)
+			refSSMs := make([]model.Model, 2)
+			for i := range incSSMs {
+				m := transformer.New(transformer.Config{
+					Name: "inc-ssm", Arch: arch, Vocab: 48, Hidden: 16, Heads: 2, FFN: 32,
+					Layers: 2, Seed: uint64(60 + i), AttnWorkers: workers,
+				})
+				incSSMs[i], refSSMs[i] = m, m.Reference()
+			}
+			for _, g := range growers {
+				t.Run(fmt.Sprintf("%s/w%d/%s", arch, workers, g.name), func(t *testing.T) {
+					inc := g.mk(incSSMs[:g.nSSM])
+					oracle := g.mk(refSSMs[:g.nSSM])
+					rng := tensor.NewRNG(313)
+					prompt := []model.Token{4, 8, 15, 16, 23, 42}
+					inc.Prefill(prompt)
+					oracle.Prefill(prompt)
+					root := prompt[len(prompt)-1]
+					for round := 0; round < 3; round++ {
+						got, want := inc.Speculate(root), oracle.Speculate(root)
+						requireSameTree(t, fmt.Sprintf("round %d", round), got, want)
+						// Commit a random path of the tree plus a bonus token.
+						var accepted []model.Token
+						u := got.Root()
+						for len(got.Node(u).Children) > 0 && rng.Intn(4) > 0 {
+							u = got.Node(u).Children[rng.Intn(len(got.Node(u).Children))]
+							accepted = append(accepted, got.Node(u).Token)
 						}
+						accepted = append(accepted, rng.Intn(48))
+						inc.Accept(accepted)
+						oracle.Accept(accepted)
+						root = accepted[len(accepted)-1]
 					}
-					return out
-				}
-				for _, g := range growers {
-					name := fmt.Sprintf("%s/w%d/quant=%v/%s", arch, workers, quant, g.name)
-					t.Run(name, func(t *testing.T) {
-						inc := g.mk(variants(false)[:g.nSSM])
-						oracle := g.mk(variants(true)[:g.nSSM])
-						rng := tensor.NewRNG(313)
-						prompt := []model.Token{4, 8, 15, 16, 23, 42}
-						inc.Prefill(prompt)
-						oracle.Prefill(prompt)
-						root := prompt[len(prompt)-1]
-						for round := 0; round < 3; round++ {
-							got, want := inc.Speculate(root), oracle.Speculate(root)
-							requireSameTree(t, fmt.Sprintf("round %d", round), got, want)
-							// Commit a random path of the tree plus a bonus token.
-							var accepted []model.Token
-							u := got.Root()
-							for len(got.Node(u).Children) > 0 && rng.Intn(4) > 0 {
-								u = got.Node(u).Children[rng.Intn(len(got.Node(u).Children))]
-								accepted = append(accepted, got.Node(u).Token)
-							}
-							accepted = append(accepted, rng.Intn(48))
-							inc.Accept(accepted)
-							oracle.Accept(accepted)
-							root = accepted[len(accepted)-1]
-						}
-					})
-				}
+				})
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // prefixSharer is the optional session capability the prefix cache
 // needs: access to the paged arena (for inserting committed prompt
 // pages) and a prefill that adopts a cached prefix. transformer.Session
-// implements it; sessions that do not (ngram, reference/slice-cache
-// transformers) fall back to cold prefill transparently, following the
+// implements it; sessions that do not (ngram, Reference() transformers)
+// fall back to cold prefill transparently, following the
 // repo's structural-optional-interface convention (model.Closer,
 // model.CacheSizer).
 type prefixSharer interface {

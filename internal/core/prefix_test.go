@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
 	"specinfer/internal/sampling"
 	"specinfer/internal/tensor"
@@ -147,5 +149,80 @@ func TestPrefixCacheRejectsNegativeBudget(t *testing.T) {
 		PrefixCacheBytes: -1,
 	}); err == nil {
 		t.Fatal("negative PrefixCacheBytes accepted")
+	}
+}
+
+// prefillCounter wraps a paged transformer and counts the prompt rows
+// its sessions run through the forward pass at prefill: the whole prompt
+// on a cold Prefill, only the suffix past the adopted prefix on
+// PrefillShared.
+type prefillCounter struct {
+	*transformer.Model
+	rows *atomic.Int64
+}
+
+func (m prefillCounter) NewSession() model.Session {
+	return countingSession{m.Model.NewSession().(*transformer.Session), m.rows}
+}
+
+type countingSession struct {
+	*transformer.Session
+	rows *atomic.Int64
+}
+
+func (s countingSession) Prefill(prompt []model.Token) []float32 {
+	s.rows.Add(int64(len(prompt)))
+	return s.Session.Prefill(prompt)
+}
+
+func (s countingSession) PrefillShared(h *kvcache.PinnedPrefix, prompt []model.Token) []float32 {
+	s.rows.Add(int64(len(prompt) - h.Len()))
+	return s.Session.PrefillShared(h, prompt)
+}
+
+// TestPrefixCacheSharedPrefill is the prefix cache's performance gate,
+// counted rather than timed: 16 requests share a 512-token prefix and
+// add 16 novel tokens each (MaxNewTok 1, so the run is prefill-shaped).
+// With the cache on, only the first request prefills the shared prefix;
+// the rest adopt its pages and forward their suffixes. Warm must forward
+// at most a third of cold's LLM prefill rows; the exact counts (8448
+// cold, 768 warm) are pinned so any change to what the cache serves
+// shows up here.
+func TestPrefixCacheSharedPrefill(t *testing.T) {
+	const (
+		batch     = 16
+		prefixLen = 512
+		suffixLen = 16
+	)
+	rng := tensor.NewRNG(6060)
+	prefix := make([]model.Token, prefixLen)
+	for i := range prefix {
+		prefix[i] = rng.Intn(192)
+	}
+	reqs := make([]workload.Request, batch)
+	for i := range reqs {
+		p := append([]model.Token(nil), prefix...)
+		for j := 0; j < suffixLen; j++ {
+			p = append(p, rng.Intn(192))
+		}
+		reqs[i] = workload.Request{ID: i, Prompt: p, MaxNewTok: 1}
+	}
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	prefillRows := func(cacheBytes int64) int64 {
+		var rows atomic.Int64
+		run(t, Config{
+			Mode: TreeSpec, LLM: prefillCounter{llm.(*transformer.Model), &rows},
+			SSMs: []model.Model{ssm}, Sample: sampling.GreedyConfig(), Seed: 17,
+			MaxBatch: batch, PrefixCacheBytes: cacheBytes,
+		}, reqs)
+		return rows.Load()
+	}
+	cold, warm := prefillRows(0), prefillRows(256<<20)
+	t.Logf("LLM prefill rows: cold %d, warm %d", cold, warm)
+	if warm*3 > cold {
+		t.Fatalf("warm prefill forwarded %d rows, more than a third of cold's %d", warm, cold)
+	}
+	if wantCold, wantWarm := int64(batch*(prefixLen+suffixLen)), int64(prefixLen+batch*suffixLen); cold != wantCold || warm != wantWarm {
+		t.Fatalf("prefill rows cold %d warm %d, want %d and %d", cold, warm, wantCold, wantWarm)
 	}
 }

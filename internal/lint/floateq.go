@@ -15,9 +15,7 @@ import (
 var FloatEqAnalyzer = &Analyzer{
 	Name: "floateq",
 	Doc: "flag ==/!= between computed floating-point operands (constant-operand " +
-		"sentinel checks are allowed); compare with a tolerance, e.g. tensor.ApproxEq " +
-		"(absolute) or tensor.ApproxEqRel (relative with an absolute floor, for " +
-		"magnitude-varying values like logits)",
+		"sentinel checks are allowed); compare with a tolerance, e.g. tensor.ApproxEq",
 	Run: runFloatEq,
 }
 
@@ -36,7 +34,7 @@ func runFloatEq(p *Pass) {
 				return true // one side is an exactly-stored constant sentinel
 			}
 			p.Reportf(be.OpPos,
-				"floating-point %s between computed values; compare with a tolerance (e.g. tensor.ApproxEq or tensor.ApproxEqRel)", be.Op)
+				"floating-point %s between computed values; compare with a tolerance (e.g. tensor.ApproxEq)", be.Op)
 			return true
 		})
 	}

@@ -73,17 +73,6 @@ type Session interface {
 	Len() int
 }
 
-// Varianter is optionally implemented by Models that expose named
-// execution variants of themselves — alternative kernel/cache
-// configurations over the same weights (the transformer's "paged",
-// "slice", "reference", and "quantized" views). Variant returns the
-// variant model and true, or false for an unknown name; the empty name
-// must resolve to the model's default configuration. The serving engine
-// uses it for core.Config.Variant selection.
-type Varianter interface {
-	Variant(name string) (Model, bool)
-}
-
 // Closer is optionally implemented by Sessions that hold releasable
 // resources (e.g. the transformer's paged KV arena). The serving engine
 // closes a request's sessions when the request retires; a closed Session

@@ -186,7 +186,8 @@ func TestRingConsistentRemoval(t *testing.T) {
 // TestAffinityKeepsGroupsTogether: under PrefixAffinity every request
 // of a shared-prefix group lands on the same replica (warm prefix
 // cache), and the same trace under RoundRobin spreads each group
-// across replicas — the contrast the perf suite measures.
+// across replicas — the contrast TestRouterMeasuredVsSimOrdering
+// measures end to end.
 func TestAffinityKeepsGroupsTogether(t *testing.T) {
 	ds := workload.Datasets()[0]
 	m := workload.NewMarkov(ds)

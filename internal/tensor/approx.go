@@ -8,23 +8,3 @@ import "math"
 func ApproxEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
-
-// ApproxEqRel reports whether a and b agree within a RELATIVE tolerance:
-// |a-b| <= relTol * max(|a|, |b|), with absTol as the floor that keeps
-// the comparison meaningful near zero (a pure relative test can never
-// pass when one side is exactly 0). Use this instead of ApproxEq when
-// the magnitudes vary — an absolute tolerance tuned for O(1) values is
-// vacuous for large-magnitude logits and too strict for tiny tail
-// probabilities. The quantized-variant gating tests are the canonical
-// consumer (DESIGN.md §12).
-func ApproxEqRel(a, b, relTol, absTol float64) bool {
-	d := math.Abs(a - b)
-	if d <= absTol {
-		return true
-	}
-	m := math.Abs(a)
-	if bm := math.Abs(b); bm > m {
-		m = bm
-	}
-	return d <= relTol*m
-}

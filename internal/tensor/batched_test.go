@@ -129,23 +129,6 @@ func TestScratchMatReuse(t *testing.T) {
 	}
 }
 
-func TestDotRows4MatchesDot(t *testing.T) {
-	q := make([]float32, 16)
-	fillSeq(q, 0.4)
-	rows := make([][]float32, 11)
-	for i := range rows {
-		rows[i] = make([]float32, 16)
-		fillSeq(rows[i], float32(i)*0.21-1)
-	}
-	out := make([]float32, len(rows))
-	DotRows4(q, rows, out)
-	for i := range rows {
-		if out[i] != Dot(rows[i], q) {
-			t.Fatalf("row %d: %v vs %v", i, out[i], Dot(rows[i], q))
-		}
-	}
-}
-
 func TestSoftmaxMaskedMatchesSoftmax(t *testing.T) {
 	mk := func() []float32 {
 		x := make([]float32, 13)

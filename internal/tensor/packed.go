@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Packed-panel weights for the vectorized projection kernel.
 //
@@ -89,7 +92,7 @@ func MatMulTPacked(w *PackedMatrix, x *Matrix, out *Matrix) {
 	panels := (w.Rows + PanelRows - 1) / PanelRows
 	nw := 1
 	if x.Rows*w.Rows*w.Cols >= packedParallelThreshold {
-		nw = min(matmulWorkers(), panels)
+		nw = min(runtime.GOMAXPROCS(0), panels)
 	}
 	if nw <= 1 {
 		packedPanels(w, x, out, 0, panels)

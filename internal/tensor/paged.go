@@ -11,8 +11,8 @@ import "fmt"
 // layout changes which cache lines are touched, never the arithmetic.
 
 // DotRowsContig4 computes out[r] = Dot(q, page[r*hd:(r+1)*hd]) for
-// r in [0, len(out)), where hd = len(q) — the paged-cache form of
-// DotRows4. Each score is an independent sequential reduction,
+// r in [0, len(out)), where hd = len(q) — one query against a page of
+// keys, the attention-score kernel. Each score is an independent sequential reduction,
 // bit-identical to a per-row Dot. With the AVX2 kernel and hd a multiple
 // of 8, whole groups of 8 rows run on dotRowsAVX, one lane per row
 // (DESIGN.md §18.3); the rest are register-blocked four rows per step

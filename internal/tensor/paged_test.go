@@ -82,16 +82,13 @@ func TestPagedKernelPanics(t *testing.T) {
 	})
 }
 
-// Benchmarks pitting the contiguous-page kernels against their per-row
-// counterparts at attention shape (hd=16, 1024 cached rows, 64-row pages):
-// the contiguous forms must not be slower, since the whole point of the
-// paged layout is to feed them.
+// Benchmarks of the contiguous-page kernels at attention shape (hd=16,
+// 1024 cached rows, 64-row pages).
 
 const (
 	benchHD   = 16
 	benchRows = 1024
 	benchPgSz = 64
-	benchHid  = 64 // hidden width of the interleaved per-position rows
 )
 
 func benchPages() (q []float32, pages [][]float32, out []float32) {
@@ -106,19 +103,6 @@ func benchPages() (q []float32, pages [][]float32, out []float32) {
 	return q, pages, make([]float32, benchRows)
 }
 
-func benchRowViews() (q []float32, rows [][]float32, out []float32) {
-	rng := NewRNG(7)
-	q = make([]float32, benchHD)
-	rng.FillNormal(q, 1)
-	rows = make([][]float32, benchRows)
-	for r := range rows {
-		row := make([]float32, benchHid)
-		rng.FillNormal(row, 1)
-		rows[r] = row[benchHD : 2*benchHD] // head-1 segment, as the slice cache reads it
-	}
-	return q, rows, make([]float32, benchRows)
-}
-
 func BenchmarkDotRowsContig4(b *testing.B) {
 	q, pages, out := benchPages()
 	b.ResetTimer()
@@ -127,14 +111,6 @@ func BenchmarkDotRowsContig4(b *testing.B) {
 			DotRowsContig4(q, pages[p], out[o:o+benchPgSz])
 			o += benchPgSz
 		}
-	}
-}
-
-func BenchmarkDotRows4(b *testing.B) {
-	q, rows, out := benchRowViews()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DotRows4(q, rows, out)
 	}
 }
 
@@ -149,22 +125,6 @@ func BenchmarkAttnAccumContig(b *testing.B) {
 		for p, o := 0, 0; o < benchRows; p++ {
 			AttnAccumContig(scores[o:o+benchPgSz], pages[p], dst)
 			o += benchPgSz
-		}
-	}
-}
-
-func BenchmarkAxpyRows(b *testing.B) {
-	_, rows, scores := benchRowViews()
-	for i := range scores {
-		scores[i] = 1.0 / benchRows
-	}
-	dst := make([]float32, benchHD)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < benchRows; j++ {
-			if scores[j] != 0 {
-				Axpy(scores[j], rows[j], dst)
-			}
 		}
 	}
 }

@@ -13,9 +13,6 @@ package tensor
 type Scratch struct {
 	floats map[string][]float32
 	mats   map[string]*Matrix
-	rows   map[string][][]float32
-	u64s   map[string][]uint64
-	i32s   map[string][]int32
 }
 
 // NewScratch returns an empty arena.
@@ -23,9 +20,6 @@ func NewScratch() *Scratch {
 	return &Scratch{
 		floats: make(map[string][]float32),
 		mats:   make(map[string]*Matrix),
-		rows:   make(map[string][][]float32),
-		u64s:   make(map[string][]uint64),
-		i32s:   make(map[string][]int32),
 	}
 }
 
@@ -38,45 +32,6 @@ func (s *Scratch) Floats(key string, n int) []float32 {
 		s.floats[key] = buf
 	}
 	//lint:ignore aliasret Scratch's contract IS the aliasing arena: callers own the window only until their next Floats call
-	return buf[:n]
-}
-
-// Rows returns a length-n slice-of-slices for key (for building row
-// views over non-contiguous storage, e.g. per-head KV windows), reusing
-// the key's backing array across calls. Entries are stale on return.
-func (s *Scratch) Rows(key string, n int) [][]float32 {
-	buf := s.rows[key]
-	if cap(buf) < n {
-		buf = make([][]float32, n)
-		s.rows[key] = buf
-	}
-	//lint:ignore aliasret Scratch's contract IS the aliasing arena: callers own the window only until their next Rows call
-	return buf[:n]
-}
-
-// Uint64s returns a length-n uint64 buffer for key (packed quantized
-// activations), reusing (and growing) the key's storage across calls.
-// Contents are stale on return.
-func (s *Scratch) Uint64s(key string, n int) []uint64 {
-	buf := s.u64s[key]
-	if cap(buf) < n {
-		buf = make([]uint64, n)
-		s.u64s[key] = buf
-	}
-	//lint:ignore aliasret Scratch's contract IS the aliasing arena: callers own the window only until their next Uint64s call
-	return buf[:n]
-}
-
-// Int32s returns a length-n int32 buffer for key (per-block code sums),
-// reusing (and growing) the key's storage across calls. Contents are
-// stale on return.
-func (s *Scratch) Int32s(key string, n int) []int32 {
-	buf := s.i32s[key]
-	if cap(buf) < n {
-		buf = make([]int32, n)
-		s.i32s[key] = buf
-	}
-	//lint:ignore aliasret Scratch's contract IS the aliasing arena: callers own the window only until their next Int32s call
 	return buf[:n]
 }
 

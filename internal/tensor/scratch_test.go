@@ -21,14 +21,12 @@ func TestScratchDistinctKeysDoNotAlias(t *testing.T) {
 		}
 	}
 
-	u := s.Uint64s("a", 4) // same key string, different kind: still distinct
-	n := s.Int32s("a", 4)
-	u[0], n[0] = 7, 9
-	if a[0] != 1 {
-		t.Fatalf("uint64/int32 buffers clobbered float storage: a[0]=%v", a[0])
+	m := s.Mat("a", 2, 4) // same key string, different kind: still distinct
+	for i := range m.Data {
+		m.Data[i] = 3
 	}
-	if u[0] != 7 || n[0] != 9 {
-		t.Fatalf("typed buffers alias each other: u[0]=%d n[0]=%d", u[0], n[0])
+	if a[0] != 1 {
+		t.Fatalf("matrix buffer clobbered float storage: a[0]=%v", a[0])
 	}
 }
 
@@ -47,20 +45,8 @@ func TestScratchReusesStorage(t *testing.T) {
 		t.Fatal("smaller request should re-slice the existing storage")
 	}
 
-	u1 := s.Uint64s("k", 16)
-	if &u1[0] != &s.Uint64s("k", 16)[0] {
-		t.Fatal("Uint64s did not reuse backing storage")
-	}
-	i1 := s.Int32s("k", 16)
-	if &i1[0] != &s.Int32s("k", 16)[0] {
-		t.Fatal("Int32s did not reuse backing storage")
-	}
-
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = s.Floats("k", 16)
-		_ = s.Uint64s("k", 16)
-		_ = s.Int32s("k", 16)
-		_ = s.Rows("k", 4)
 		_ = s.Mat("k", 2, 8)
 	})
 	if allocs != 0 {
@@ -82,16 +68,6 @@ func TestScratchGrowth(t *testing.T) {
 	}
 	for i := range big {
 		big[i] = -1
-	}
-	u := s.Uint64s("g", 3)
-	u = s.Uint64s("g", 300)
-	if len(u) != 300 {
-		t.Fatalf("grown uint64 buffer length %d, want 300", len(u))
-	}
-	n := s.Int32s("g", 3)
-	n = s.Int32s("g", 300)
-	if len(n) != 300 {
-		t.Fatalf("grown int32 buffer length %d, want 300", len(n))
 	}
 }
 

@@ -139,26 +139,15 @@ func MatMul(x *Matrix, w *Matrix, out *Matrix) {
 	if nw > x.Rows {
 		nw = x.Rows
 	}
-	var wg sync.WaitGroup
-	chunk := (x.Rows + nw - 1) / nw
-	for s := 0; s < x.Rows; s += chunk {
-		e := s + chunk
-		if e > x.Rows {
-			e = x.Rows
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				xr := x.Row(i)
-				or := out.Row(i)
-				for j := 0; j < w.Rows; j++ {
-					or[j] = Dot(w.Row(j), xr)
-				}
+	parallelRows(x.Rows, nw, func(s, e int) {
+		for i := s; i < e; i++ {
+			xr := x.Row(i)
+			or := out.Row(i)
+			for j := 0; j < w.Rows; j++ {
+				or[j] = Dot(w.Row(j), xr)
 			}
-		}(s, e)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // MatMulT computes out = X * W^T like MatMul, but splits work across the
@@ -197,19 +186,27 @@ func MatMulT(w *Matrix, x *Matrix, out *Matrix) {
 		}
 		return
 	}
+	parallelRows(w.Rows, nw, func(s, e int) {
+		for i := 0; i < x.Rows; i++ {
+			matMulTChunk(w, x.Row(i), out.Row(i), s, e)
+		}
+	})
+}
+
+// parallelRows splits [0, rows) into nw contiguous chunks and runs f on
+// each from its own goroutine, waiting for all of them.
+func parallelRows(rows, nw int, f func(s, e int)) {
 	var wg sync.WaitGroup
-	chunk := (w.Rows + nw - 1) / nw
-	for s := 0; s < w.Rows; s += chunk {
+	chunk := (rows + nw - 1) / nw
+	for s := 0; s < rows; s += chunk {
 		e := s + chunk
-		if e > w.Rows {
-			e = w.Rows
+		if e > rows {
+			e = rows
 		}
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
-			for i := 0; i < x.Rows; i++ {
-				matMulTChunk(w, x.Row(i), out.Row(i), s, e)
-			}
+			f(s, e)
 		}(s, e)
 	}
 	wg.Wait()
@@ -239,34 +236,6 @@ func matMulTChunk(w *Matrix, xr, or []float32, s, e int) {
 	}
 	for ; j < e; j++ {
 		or[j] = Dot(w.Row(j), xr)
-	}
-}
-
-// DotRows4 computes out[i] = Dot(q, rows[i]) for every row, four rows per
-// step — the attention-score kernel: one query against a window of keys.
-// Like matMulTChunk, each score is an independent strictly-sequential
-// reduction, so results are bit-identical to per-row Dot calls while the
-// four chains overlap in the pipeline.
-func DotRows4(q []float32, rows [][]float32, out []float32) {
-	if len(rows) != len(out) {
-		panic("tensor: DotRows4 length mismatch")
-	}
-	n := len(q)
-	i := 0
-	for ; i+3 < len(rows); i += 4 {
-		r0, r1, r2, r3 := rows[i][:n], rows[i+1][:n], rows[i+2][:n], rows[i+3][:n]
-		var s0, s1, s2, s3 float32
-		for k := 0; k < n; k++ {
-			qk := q[k]
-			s0 += r0[k] * qk
-			s1 += r1[k] * qk
-			s2 += r2[k] * qk
-			s3 += r3[k] * qk
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < len(rows); i++ {
-		out[i] = Dot(rows[i], q)
 	}
 }
 

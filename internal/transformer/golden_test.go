@@ -187,3 +187,35 @@ func TestScratchReuseAcrossCalls(t *testing.T) {
 		t.Fatal("scratch arena reallocated between equal-sized decodes")
 	}
 }
+
+// TestChunkedPrefillBitExact: prompts longer than prefillChunk run
+// through multiple forward passes on the batched path; the result must be
+// bit-identical to the monolithic single-pass reference. This pins the
+// chunking argument (cached-segment dot ordering equals in-pass mask
+// ordering) with a prompt spanning several chunk boundaries.
+func TestChunkedPrefillBitExact(t *testing.T) {
+	if prefillChunk >= 300 {
+		t.Fatalf("test prompt no longer spans chunks (prefillChunk=%d)", prefillChunk)
+	}
+	for _, cfg := range goldenConfigs() {
+		cfg := cfg
+		t.Run(cfg.Arch.String(), func(t *testing.T) {
+			m := New(cfg)
+			bat := m.NewSession()
+			ref := m.Reference().NewSession()
+			rng := tensor.NewRNG(31337)
+			prompt := make([]model.Token, 300)
+			for i := range prompt {
+				prompt[i] = rng.Intn(cfg.Vocab)
+			}
+			requireExact(t, "long prefill", bat.Prefill(prompt), ref.Prefill(prompt))
+			// One decode after: the cache contents chunking produced must
+			// also be identical, not just the final distribution.
+			tok := rng.Intn(cfg.Vocab)
+			requireExact(t, "post-prefill decode", bat.Decode(tok), ref.Decode(tok))
+			if bat.Len() != ref.Len() {
+				t.Fatalf("lengths diverged: %d vs %d", bat.Len(), ref.Len())
+			}
+		})
+	}
+}

@@ -28,41 +28,21 @@ func cloneTree(t *tree.Tree) *tree.Tree {
 	return c
 }
 
-// rescoring is the full-rescore oracle for any variant: its sessions hand
-// the inner session a fresh copy of the tree on every DecodeTree.
-type rescoring struct{ model.Model }
-
-func (r rescoring) NewSession() model.Session { return rescoringSession{r.Model.NewSession()} }
-
-type rescoringSession struct{ model.Session }
-
-func (s rescoringSession) DecodeTree(t *tree.Tree) [][]float32 {
-	return s.Session.DecodeTree(cloneTree(t))
-}
-
 // TestIncrementalDecodeTreeBitExact grows random trees a few nodes at a
 // time, scoring after every growth step, and requires each returned
 // distribution — and the distribution after accepting a path of the
-// final tree plus a bonus token — to equal the full-rescoring oracle's
-// bit for bit: Reference() for the float model, a rescoring session of
-// the same variant for Quantized(). Both architectures, AttnWorkers 1
-// and 4. Every node must have been forwarded exactly once.
+// final tree plus a bonus token — to equal the Reference() oracle's bit
+// for bit. Both architectures, AttnWorkers 1 and 4. Every node must have
+// been forwarded exactly once.
 func TestIncrementalDecodeTreeBitExact(t *testing.T) {
 	for _, base := range goldenConfigs() {
 		for _, workers := range []int{1, 4} {
-			for _, variant := range []string{"float", "quantized"} {
-				cfg := base
-				cfg.AttnWorkers = workers
-				t.Run(fmt.Sprintf("%s/w%d/%s", cfg.Arch, workers, variant), func(t *testing.T) {
-					m := New(cfg)
-					var inc model.Model = m
-					var oracle model.Model = m.Reference()
-					if variant == "quantized" {
-						inc, oracle = m.Quantized(), rescoring{m.Quantized()}
-					}
-					incrementalVsOracle(t, cfg.Vocab, inc, oracle)
-				})
-			}
+			cfg := base
+			cfg.AttnWorkers = workers
+			t.Run(fmt.Sprintf("%s/w%d", cfg.Arch, workers), func(t *testing.T) {
+				m := New(cfg)
+				incrementalVsOracle(t, cfg.Vocab, m, m.Reference())
+			})
 		}
 	}
 }

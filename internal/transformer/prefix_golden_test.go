@@ -164,12 +164,9 @@ func TestPrefillSharedGuards(t *testing.T) {
 	expectPanic("reference session", func() {
 		m.Reference().NewSession().(*Session).PrefillShared(h, prompt)
 	})
-	// Reference and slice sessions report no arena (the capability gate
-	// core uses to fall back to cold prefill).
+	// Reference sessions report no arena (the capability gate core uses
+	// to fall back to cold prefill).
 	if m.Reference().NewSession().(*Session).Arena() != nil {
 		t.Fatal("reference session reports an arena")
-	}
-	if m.SliceCache().NewSession().(*Session).Arena() != nil {
-		t.Fatal("slice session reports an arena")
 	}
 }

@@ -28,43 +28,15 @@ type refModel struct{ *Model }
 // than) the batched sessions of m itself.
 func (m *Model) Reference() model.Model { return refModel{m} }
 
-// NewSession implements model.Model.
+// NewSession implements model.Model. The session swaps the paged arena
+// for the pre-paging per-position slice cache the scalar path reads.
 func (rm refModel) NewSession() model.Session {
 	s := rm.Model.NewSession().(*Session)
 	s.ref = true
-	s.useSliceCache()
-	return s
-}
-
-// sliceModel is a view of a Model whose sessions run the batched forward
-// path over the PR 2 per-position slice KV cache instead of the paged
-// head-major arena.
-type sliceModel struct{ *Model }
-
-// SliceCache returns a model.Model view of m whose sessions keep the
-// pre-paging slice cache layout ([layer][pos][hidden], one heap
-// allocation per row) under the batched forward pass. It isolates the
-// cache-layout change: the long-context benchmarks measure the paged
-// arena against this view so the locality win is not conflated with the
-// PR 2 batching win. Bit-exact with default and Reference() sessions.
-func (m *Model) SliceCache() model.Model { return sliceModel{m} }
-
-// NewSession implements model.Model.
-func (sm sliceModel) NewSession() model.Session {
-	s := sm.Model.NewSession().(*Session)
-	s.useSliceCache()
-	return s
-}
-
-// useSliceCache switches a fresh session from the paged arena to the
-// legacy slice cache. Must be called before any tokens are committed.
-func (s *Session) useSliceCache() {
-	if s.n != 0 {
-		panic("transformer: useSliceCache on non-empty session")
-	}
 	s.cache = nil
-	s.cacheK = make([][][]float32, s.m.cfg.Layers)
-	s.cacheV = make([][][]float32, s.m.cfg.Layers)
+	s.cacheK = make([][][]float32, rm.cfg.Layers)
+	s.cacheV = make([][][]float32, rm.cfg.Layers)
+	return s
 }
 
 // forwardReference is the scalar forward pass: one token at a time,

@@ -130,19 +130,14 @@ type Model struct {
 	// projs lists every weight a forward pass multiplies activations by,
 	// aliasing the matrices above: per layer projsPerLayer entries in
 	// projQ..projDown order (the gate entry nil for ArchOPT), then the LM
-	// head. Session.mm takes an index into it; the packed and quantized
-	// views below are parallel slices in the same order.
+	// head. Session.mm takes an index into it; the packed view below is a
+	// parallel slice in the same order.
 	projs []*tensor.Matrix
 
 	// packed is the packed-panel view of projs, built in New and
 	// rewritten by Trainer after every weight update; nil when the
 	// packed kernel is unavailable (tensor.HasPackedKernel).
 	packed []*tensor.PackedMatrix
-
-	// quant is the lazily-built block-quantized view of projs, shared
-	// read-only by all Quantized() sessions (quantized.go).
-	quantOnce sync.Once
-	quant     []*tensor.QuantMatrix
 }
 
 var _ model.Model = (*Model)(nil)
@@ -263,21 +258,19 @@ func (m *Model) NewSession() model.Session {
 }
 
 // Session is the per-request state: a grown-on-demand KV cache (the
-// paged head-major arena by default, the pre-paging per-position slice
-// layout for reference/baseline sessions) plus the scratch K/V from the
+// paged head-major arena, or the pre-paging per-position slice layout
+// for Reference() sessions) plus the scratch K/V from the
 // last tree-parallel decode, kept so Accept can commit verified rows
 // without recomputation.
 type Session struct {
-	m     *Model
-	scr   *tensor.Scratch       // reusable forward-pass buffers (batched path)
-	rope  *tensor.RopeTable     // cached rotation coefficients (batched path)
-	ref   bool                  // use the scalar reference path (see reference.go)
-	quant []*tensor.QuantMatrix // non-nil: projection matmuls run quantized (quantized.go)
+	m    *Model
+	scr  *tensor.Scratch   // reusable forward-pass buffers (batched path)
+	rope *tensor.RopeTable // cached rotation coefficients (batched path)
+	ref  bool              // use the scalar reference path (see reference.go)
 
 	// Exactly one cache backend is active. cache is the paged head-major
-	// arena (default sessions); cacheK/cacheV is the legacy slice layout
-	// [layer][pos][hidden] kept for Reference() and SliceCache() sessions
-	// so the old layout stays measurable and bit-exactly comparable.
+	// arena (default sessions); cacheK/cacheV is the pre-paging slice
+	// layout [layer][pos][hidden] the scalar Reference() path reads.
 	cache  *kvcache.Arena
 	cacheK [][][]float32
 	cacheV [][][]float32
@@ -418,8 +411,8 @@ func (s *Session) prefillChunked(tokens []model.Token, firstPos int) []float32 {
 }
 
 // Arena exposes the session's paged KV arena for cross-request prefix
-// sharing (nil for reference and slice-cache sessions, which keep the
-// pre-paging layout and cannot alias pages).
+// sharing (nil for Reference() sessions, which keep the pre-paging
+// layout and cannot alias pages).
 func (s *Session) Arena() *kvcache.Arena {
 	if s.ref {
 		return nil
@@ -632,7 +625,7 @@ func (s *Session) invalidateTree() {
 
 // commitRows appends a forward pass's K/V rows to the committed cache:
 // head-segment memcpys into the paged arena, or per-position row appends
-// for the legacy slice cache of reference/baseline sessions.
+// for the slice cache of Reference() sessions.
 func (s *Session) commitRows(k, v [][][]float32) {
 	if s.cache != nil {
 		nNew := len(k[0])
@@ -678,22 +671,16 @@ func (s *Session) CacheBytes() int {
 	return rows * s.m.cfg.Hidden * 4
 }
 
-// mm multiplies x by projection i (an index into Model.projs) on the
-// session's active weight representation: the quantized SWAR kernel for
-// Quantized() sessions, otherwise the packed-panel kernel where the CPU
-// has it, else the portable register-blocked MatMulT. The two float
-// kernels are bit-identical (DESIGN.md §17). The quantized kernel's
-// packing scratch lives in the session arena, so steady-state decode
-// stays alloc-free on every path.
+// mm multiplies x by projection i (an index into Model.projs): on the
+// packed-panel kernel where the CPU has it, else on the portable
+// register-blocked MatMulT. The two kernels are bit-identical (DESIGN.md
+// §17).
 func (s *Session) mm(i int, x, out *tensor.Matrix) {
-	switch {
-	case s.quant != nil:
-		tensor.MatMulTQ(s.quant[i], x, out, s.scr)
-	case s.m.packed != nil:
+	if s.m.packed != nil {
 		tensor.MatMulTPacked(s.m.packed[i], x, out)
-	default:
-		tensor.MatMulT(s.m.projs[i], x, out)
+		return
 	}
+	tensor.MatMulT(s.m.projs[i], x, out)
 }
 
 // forward runs the transformer over a batch of new tokens at the given
@@ -832,50 +819,28 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		// Attention per (token, head) over cached positions + allowed prior
 		// and new ones. The topology guarantees a token only attends new
 		// tokens that precede it in the batch. The cached segment is
-		// dense (every new token sees the whole committed context): with
-		// the paged arena each head's keys/values are read as at most a
+		// dense (every new token sees the whole committed context): each
+		// head's keys/values are read from the paged arena as at most a
 		// handful of contiguous page slices streamed by the contiguous
-		// kernels; slice-cache sessions keep the PR 2 per-head views
-		// built once per layer. The raw dots are scaled in a separate
-		// pass either way, preserving the reference's dot-then-scale
-		// rounding exactly. Work items are (token, head) pairs with
+		// kernels. The raw dots are scaled in a separate pass, preserving
+		// the reference's dot-then-scale rounding exactly. Work items are (token, head) pairs with
 		// disjoint output spans, so runAttention may shard them across
 		// the session's worker pool without changing a single bit.
-		var cachedK, cachedV [][]float32
-		var kViews [][]float32
-		if s.cache == nil && nCached > 0 {
-			cachedK, cachedV = s.cacheK[l], s.cacheV[l]
-			kViews = scr.Rows("kviews", nCached*cfg.Heads)
-			for h := 0; h < cfg.Heads; h++ {
-				for j := 0; j < nCached; j++ {
-					kViews[h*nCached+j] = cachedK[j][h*hd : (h+1)*hd]
-				}
-			}
-		}
-		pageRows := 0
-		if s.cache != nil {
-			pageRows = s.cache.PageRows()
-		}
+		pageRows := s.cache.PageRows()
 		attend := func(i, h int, scoreBuf []float32) {
 			qi, oi := q.Row(i), attnOut.Row(i)
 			scores := scoreBuf[:nCached+nPrior+i+1]
 			qh := qi[h*hd : (h+1)*hd]
-			if nCached > 0 {
-				if s.cache != nil {
-					pages := s.cache.KPages(l, h)
-					for p, o := 0, 0; o < nCached; p++ {
-						rows := pageRows
-						if rows > nCached-o {
-							rows = nCached - o
-						}
-						tensor.DotRowsContig4(qh, pages[p], scores[o:o+rows])
-						o += rows
-					}
-				} else {
-					tensor.DotRows4(qh, kViews[h*nCached:(h+1)*nCached], scores[:nCached])
+			kPages := s.cache.KPages(l, h)
+			for p, o := 0, 0; o < nCached; p++ {
+				rows := pageRows
+				if rows > nCached-o {
+					rows = nCached - o
 				}
-				tensor.Scale(scale, scores[:nCached])
+				tensor.DotRowsContig4(qh, kPages[p], scores[o:o+rows])
+				o += rows
 			}
+			tensor.Scale(scale, scores[:nCached])
 			for j := 0; j < nPrior; j++ {
 				if prior.mask(i, j) {
 					scores[nCached+j] = tensor.Dot(qh, priorK[j][h*hd:(h+1)*hd]) * scale
@@ -896,24 +861,14 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			for d := 0; d < hd; d++ {
 				oh[d] = 0
 			}
-			if nCached > 0 {
-				if s.cache != nil {
-					pages := s.cache.VPages(l, h)
-					for p, o := 0, 0; o < nCached; p++ {
-						rows := pageRows
-						if rows > nCached-o {
-							rows = nCached - o
-						}
-						tensor.AttnAccumContig(scores[o:o+rows], pages[p], oh)
-						o += rows
-					}
-				} else {
-					for j := 0; j < nCached; j++ {
-						if scores[j] != 0 {
-							tensor.Axpy(scores[j], cachedV[j][h*hd:(h+1)*hd], oh)
-						}
-					}
+			vPages := s.cache.VPages(l, h)
+			for p, o := 0, 0; o < nCached; p++ {
+				rows := pageRows
+				if rows > nCached-o {
+					rows = nCached - o
 				}
+				tensor.AttnAccumContig(scores[o:o+rows], vPages[p], oh)
+				o += rows
 			}
 			for j := 0; j < nPrior; j++ {
 				if scores[nCached+j] != 0 {

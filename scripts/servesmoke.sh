@@ -4,10 +4,6 @@
 # require a clean (exit 0) graceful drain. CI runs this after the unit
 # gate; `make servesmoke` runs it locally.
 #
-# SPECINFERD_VARIANT selects an LLM execution variant (e.g. quantized);
-# it is passed through as -variant, so CI boots the daemon once on the
-# default n-gram substrate and once on the quantized transformer path.
-#
 # Any failure (including ones surfaced by set -e mid-pipeline) lands in
 # the EXIT trap, which kills a still-running daemon so a broken run can
 # never leave an orphaned specinferd holding the port.
@@ -15,7 +11,6 @@ set -euo pipefail
 
 ADDR="${SPECINFERD_ADDR:-127.0.0.1:18080}"
 BIN="${SPECINFERD_BIN:-./specinferd.smoke}"
-VARIANT="${SPECINFERD_VARIANT:-}"
 PID=""
 
 cleanup() {
@@ -29,7 +24,7 @@ trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/specinferd
 
-"$BIN" -addr "$ADDR" -batch 2 -queue 8 ${VARIANT:+-variant "$VARIANT"} &
+"$BIN" -addr "$ADDR" -batch 2 -queue 8 &
 PID=$!
 
 # Wait (up to ~10s) for the daemon to come up.
@@ -90,7 +85,7 @@ fi
 # private).
 echo "servesmoke: fleet (2 replicas, prefix affinity)"
 "$BIN" -addr "$ADDR" -batch 2 -queue 8 -replicas 2 \
-    -variant paged -prefix-cache-mb 64 &
+    -substrate transformer -prefix-cache-mb 64 &
 PID=$!
 
 up=0
