@@ -94,7 +94,9 @@ func TestIncrementalGrowersBitExact(t *testing.T) {
 				incSSMs[i], refSSMs[i] = m, m.Reference()
 			}
 			for _, g := range growers {
-				t.Run(fmt.Sprintf("%s/w%d/%s", arch, workers, g.name), func(t *testing.T) {
+				// The SSMs carry float32 weights; quant=false in the name
+				// records that no quantized model takes part.
+				t.Run(fmt.Sprintf("%s/w%d/quant=false/%s", arch, workers, g.name), func(t *testing.T) {
 					inc := g.mk(incSSMs[:g.nSSM])
 					oracle := g.mk(refSSMs[:g.nSSM])
 					rng := tensor.NewRNG(313)

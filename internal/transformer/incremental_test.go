@@ -39,7 +39,7 @@ func TestIncrementalDecodeTreeBitExact(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cfg := base
 			cfg.AttnWorkers = workers
-			t.Run(fmt.Sprintf("%s/w%d", cfg.Arch, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/w%d/float", cfg.Arch, workers), func(t *testing.T) {
 				m := New(cfg)
 				incrementalVsOracle(t, cfg.Vocab, m, m.Reference())
 			})

@@ -10,11 +10,19 @@ import (
 )
 
 // Golden tests for the paged head-major KV arena and the intra-forward
-// attention pool. The default session (batched forward, paged arena,
-// pooled attention) must agree float-for-float with the Reference() view
-// (scalar forward, per-position slice cache) on every distribution under
-// every attention-worker count. Any drift means the paged layout or the worker sharding changed the
-// arithmetic, which would silently alter acceptance decisions downstream.
+// attention pool. Three sessions of the same weights must agree
+// float-for-float on every distribution under every attention-worker
+// count:
+//
+//   - the default session (batched forward, paged arena, pooled attention),
+//   - a split-prompt session: a default session whose prompt arrives as a
+//     short Prefill followed by one Accept of the rest, so its first KV
+//     rows are committed by the batched Accept tail instead of prefill,
+//   - the Reference() view (scalar forward, per-position slice cache).
+//
+// Any drift means the paged layout, the commit path or the worker
+// sharding changed the arithmetic, which would silently alter acceptance
+// decisions downstream.
 
 // attnWorkerCounts returns the pool sizes the sweep covers. An explicit
 // count always engages the pool (the small-pass serial gate only applies
@@ -28,12 +36,12 @@ func attnWorkerCounts() []int {
 	return counts
 }
 
-// TestPagedForwardBitExactVsReference drives a paged session and a
-// Reference() session through an identical serving history — prefill, incremental decodes,
-// tree decodes over random trees, accepts whose tail carries ≥3 off-tree
-// tokens (the batched Accept tail) — for both architectures and every
+// TestPagedForwardBitExactThreeWay drives the three sessions through an
+// identical serving history — prefill, incremental decodes, tree decodes
+// over random trees, accepts whose tail carries ≥3 off-tree tokens (the
+// batched Accept tail) — for both architectures and every
 // attention-worker count.
-func TestPagedForwardBitExactVsReference(t *testing.T) {
+func TestPagedForwardBitExactThreeWay(t *testing.T) {
 	for _, base := range goldenConfigs() {
 		for _, workers := range attnWorkerCounts() {
 			cfg := base
@@ -42,26 +50,34 @@ func TestPagedForwardBitExactVsReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/attnworkers=%d", cfg.Arch, workers), func(t *testing.T) {
 				m := New(cfg)
 				paged := m.NewSession()
+				split := m.NewSession()
 				ref := m.Reference().NewSession()
 				rng := tensor.NewRNG(777)
+
+				check := func(ctx string, dp, ds, dr []float32) {
+					t.Helper()
+					requireExact(t, ctx+" paged-vs-ref", dp, dr)
+					requireExact(t, ctx+" split-vs-ref", ds, dr)
+				}
 
 				prompt := make([]model.Token, 10)
 				for i := range prompt {
 					prompt[i] = rng.Intn(cfg.Vocab)
 				}
-				requireExact(t, "prefill", paged.Prefill(prompt), ref.Prefill(prompt))
+				split.Prefill(prompt[:3])
+				check("prefill", paged.Prefill(prompt), split.Accept(prompt[3:]), ref.Prefill(prompt))
 
 				last := prompt[len(prompt)-1]
 				for round := 0; round < 3; round++ {
 					ctx := fmt.Sprintf("round %d", round)
 					tok := rng.Intn(cfg.Vocab)
-					requireExact(t, ctx+" decode", paged.Decode(tok), ref.Decode(tok))
+					check(ctx+" decode", paged.Decode(tok), split.Decode(tok), ref.Decode(tok))
 					last = tok
 
 					tr := randomTree(rng, last, cfg.Vocab)
-					dp, dr := paged.DecodeTree(tr), ref.DecodeTree(tr)
+					dp, ds, dr := paged.DecodeTree(tr), split.DecodeTree(tr), ref.DecodeTree(tr)
 					for id := 0; id < tr.Len(); id++ {
-						requireExact(t, fmt.Sprintf("%s tree node %d", ctx, id), dp[id], dr[id])
+						check(fmt.Sprintf("%s tree node %d", ctx, id), dp[id], ds[id], dr[id])
 					}
 
 					// Accept a random root path (KV reuse straight from tree
@@ -77,11 +93,12 @@ func TestPagedForwardBitExactVsReference(t *testing.T) {
 					for b := 0; b < 3; b++ {
 						accepted = append(accepted, rng.Intn(cfg.Vocab))
 					}
-					requireExact(t, ctx+" accept", paged.Accept(accepted), ref.Accept(accepted))
+					check(ctx+" accept", paged.Accept(accepted), split.Accept(accepted), ref.Accept(accepted))
 					last = accepted[len(accepted)-1]
 				}
-				if paged.Len() != ref.Len() {
-					t.Fatalf("session lengths diverged: paged %d ref %d", paged.Len(), ref.Len())
+				if paged.Len() != ref.Len() || split.Len() != ref.Len() {
+					t.Fatalf("session lengths diverged: paged %d split %d ref %d",
+						paged.Len(), split.Len(), ref.Len())
 				}
 			})
 		}
