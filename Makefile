@@ -57,12 +57,15 @@ benchsmoke:
 # End-to-end serving benchmark gate: the benchmark's own unit tests under
 # the race detector, then a short chat-tree run, which exits non-zero
 # unless every tree-speculated output equals incremental decoding token
-# for token, and a short burst-stoch run, which serves through the
-# speculation policy's zero-budget floor.
+# for token, a short burst-stoch run, which serves through the
+# speculation policy's zero-budget floor, and a short prefix-fleet run,
+# which routes shared-prefix traffic over two replicas that adopt cached
+# prefixes, every output checked against incremental decoding.
 e2e:
 	cd e2ebench && $(GO) test -race ./...
 	bash e2ebench/run.sh --workload chat-tree --seed 1 --seconds 2 --trace 0
 	bash e2ebench/run.sh --workload burst-stoch --seed 1 --seconds 2 --trace 0
+	bash e2ebench/run.sh --workload prefix-fleet --seed 1 --seconds 2 --trace 0
 
 # Run the serving daemon locally (ctrl-C drains gracefully).
 serve:

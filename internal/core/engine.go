@@ -68,14 +68,18 @@ type Config struct {
 	// MaxBatch bounds the number of concurrently served requests
 	// (continuous batching slots); defaults to 8.
 	MaxBatch int
-	// Workers bounds the worker pool that steps the active requests of an
-	// iteration concurrently (the data-parallel request loop of §5: each
-	// request's SSM speculation + LLM tree verification is independent of
-	// every other's). 0 means GOMAXPROCS; 1 forces serial stepping.
-	// Output is bit-identical for every setting: per-request RNG streams
-	// are split from Seed, sessions are per-request, and results are
-	// written to slot-indexed arrays, so no observable state depends on
-	// goroutine interleaving.
+	// Workers bounds the worker pool that runs an iteration's requests
+	// concurrently (the data-parallel request loop of §5): first the
+	// prefill phase, which prefills the LLM and SSM sessions of every
+	// newly admitted request, then the step phase, in which each
+	// request's SSM speculation + LLM tree verification is independent
+	// of every other's. 0 means GOMAXPROCS; 1 forces serial prefill and
+	// stepping. Output is bit-identical for every setting: per-request
+	// RNG streams are split from Seed, sessions are per-request, results
+	// are written to slot-indexed arrays, and every prefix-cache call
+	// runs on the scheduler goroutine in slot order, so no observable
+	// state — outputs, iteration records, cache hits and evictions —
+	// depends on goroutine interleaving.
 	Workers int
 	// EOS is the end-of-sequence token id: generation stops once a step
 	// commits it. Disabling is explicit: set NoEOS (-1), which is also
@@ -409,7 +413,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.pol = ctl
 	}
-	e.wrapPrefixCache()
+	if cfg.PrefixCacheBytes > 0 {
+		e.prefix = kvcache.NewPrefixCache(cfg.PrefixCacheBytes)
+	}
 	return e, nil
 }
 
@@ -428,6 +434,13 @@ type reqState struct {
 	rng      *tensor.RNG
 	res      RequestResult
 	done     bool
+	// prefilled is set once the prefill phase has run the request's
+	// prompt through its sessions; until then it is not stepped.
+	prefilled bool
+	// prefix lists the request's prefix-cache sessions (LLM first, then
+	// the speculator's SSM sessions), whose cache calls the prefill
+	// phase stages on the scheduler goroutine. Nil with the cache off.
+	prefix []*prefixSession
 	// verr is the verification error that retired the request, if any
 	// (also recorded in res.Err; kept separately so the live path can
 	// finish the submission with it).
@@ -454,8 +467,9 @@ func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecor
 
 	for len(pending) > 0 || len(active) > 0 {
 		// Admission: iteration-level scheduling (Orca). New requests are
-		// admitted (and prefilled) as soon as a slot frees up, without
-		// waiting for the whole batch to drain.
+		// admitted as soon as a slot frees up, without waiting for the
+		// whole batch to drain; the iteration's prefill phase prefills
+		// them.
 		for len(active) < e.cfg.MaxBatch && len(pending) > 0 {
 			idx := pending[0]
 			pending = pending[1:]
@@ -481,92 +495,44 @@ func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecor
 	return results, iters
 }
 
-// runIteration steps every active request once and assembles the
-// iteration record. Requests are stepped by a bounded worker pool
+// runIteration runs one engine iteration over the active batch: the
+// prefill phase, then one step of every prefilled request, and returns
+// the iteration record. Both phases run on the bounded worker pool
 // (Config.Workers); each worker claims slots from an atomic counter and
-// writes its result to the claimed slot, so the record — and every other
-// output — is independent of scheduling order. Per-request state (LLM
-// session, speculator sessions, RNG stream) is confined to one worker at
-// a time, and the shared models are read-only during serving, which keeps
-// the loop race-clean (the engine tests run it under -race).
+// writes its result to the claimed slot, so the record — and every
+// other output — is independent of scheduling order. Per-request state
+// (LLM session, speculator sessions, RNG stream) is confined to one
+// worker at a time, and the shared models are read-only during serving,
+// which keeps the loop race-clean (the engine tests run it under -race).
 //
 // clock, when non-nil (live serving), times each request's step inside
 // its worker; the speculation policy folds those costs in serially, in
 // slot order, after the pool finishes, and prices the next iteration's
-// decisions with them. The offline paths pass nil and measure nothing.
+// decisions with them. Prefill time is not part of any step's cost. The
+// offline paths pass nil and measure nothing.
 func (e *Engine) runIteration(active []*reqState, clock func() time.Time) IterationRecord {
-	rec := IterationRecord{BatchSize: len(active)}
+	batch := e.prefill(active)
+	rec := IterationRecord{BatchSize: len(batch)}
 	if e.cfg.Mode != Incremental {
 		rec.SpecSteps = e.specDepth()
 	}
 	measured := e.pol != nil && clock != nil
 	if e.pol != nil {
-		e.decidePolicy(active, &rec, measured)
+		e.decidePolicy(batch, &rec, measured)
 	}
-	shapes := make([]stepShape, len(active))
-	step := e.step
-	if measured {
-		step = func(st *reqState) stepShape {
-			t0 := clock()
-			sh := e.step(st)
-			sh.dur = clock().Sub(t0)
-			return sh
+	shapes := make([]stepShape, len(batch))
+	e.parallel(len(batch), func(i int) {
+		st := batch[i]
+		if !measured {
+			shapes[i] = e.step(st)
+			return
 		}
-	}
-	nw := e.cfg.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > len(active) {
-		nw = len(active)
-	}
-	if nw <= 1 {
-		for i, st := range active {
-			shapes[i] = step(st)
-		}
-	} else {
-		// A panic inside a worker goroutine would kill the whole process
-		// before any caller could contain it; capture the first one and
-		// re-raise it on the scheduler goroutine instead, so a fleet
-		// front-end that recovers around Serve can eject just this
-		// replica. The batch is torn down anyway — partial stepping of
-		// the surviving requests does not need to stay consistent.
-		var panicMu sync.Mutex
-		var panicked any // guarded by panicMu
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(nw)
-		for w := 0; w < nw; w++ {
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						panicMu.Lock()
-						if panicked == nil {
-							panicked = p
-						}
-						panicMu.Unlock()
-					}
-				}()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(active) {
-						return
-					}
-					shapes[i] = step(active[i])
-				}
-			}()
-		}
-		wg.Wait()
-		panicMu.Lock()
-		p := panicked
-		panicMu.Unlock()
-		if p != nil {
-			//lint:ignore panicmsg re-raising the worker's original panic value preserves it for the fleet supervisor's recover
-			panic(p)
-		}
-	}
-	for i, st := range active {
+		t0 := clock()
+		sh := e.step(st)
+		sh.dur = clock().Sub(t0)
+		shapes[i] = sh
+	})
+	for i, st := range batch {
 		sh := shapes[i]
 		rec.ReqIDs = append(rec.ReqIDs, st.req.ID)
 		rec.TreeNodes = append(rec.TreeNodes, sh.nodes)
@@ -597,6 +563,124 @@ func (e *Engine) runIteration(active []*reqState, clock func() time.Time) Iterat
 		rec.PrefixSharedToks = append(rec.PrefixSharedToks, shared)
 	}
 	return rec
+}
+
+// prefill is an iteration's prefill phase: it runs the prompts of every
+// active request not yet prefilled through its LLM and SSM sessions on
+// the worker pool, and returns the requests to step this iteration.
+// Admission only opens the sessions; paying for the forward passes here
+// lets a burst's prefills overlap instead of queueing on the scheduler
+// goroutine. Every prefix-cache call stays on the scheduler goroutine,
+// in slot order: lookups before the pool starts, inserts after it
+// finishes, so cache hits, evictions and PrefixSharedToks do not depend
+// on goroutine interleaving. A request that could adopt pages an earlier
+// request of the same phase is about to insert sits the phase out and
+// prefills next iteration, adopting them (waitsForInsert); it is not
+// stepped this iteration. The first unprefilled request never waits, so
+// every iteration steps at least one request.
+func (e *Engine) prefill(active []*reqState) []*reqState {
+	var staged []*reqState
+	waiting := 0
+	for _, st := range active {
+		if st.prefilled {
+			continue
+		}
+		if waitsForInsert(st, staged) {
+			waiting++
+			continue
+		}
+		for _, s := range st.prefix {
+			s.lookup(st.req.Prompt)
+		}
+		staged = append(staged, st)
+	}
+	if len(staged) == 0 {
+		return active
+	}
+	e.parallel(len(staged), func(i int) {
+		st := staged[i]
+		st.lastDist = st.llm.Prefill(st.req.Prompt)
+		if st.spec != nil {
+			st.spec.Prefill(st.req.Prompt)
+		}
+	})
+	for _, st := range staged {
+		st.prefilled = true
+		for _, s := range st.prefix {
+			s.publish()
+		}
+	}
+	if waiting == 0 {
+		return active
+	}
+	batch := make([]*reqState, 0, len(active)-waiting)
+	for _, st := range active {
+		if st.prefilled {
+			batch = append(batch, st)
+		}
+	}
+	return batch
+}
+
+// parallel runs fn(0) … fn(n-1) on the worker pool: up to
+// Config.Workers goroutines (GOMAXPROCS when 0), each claiming indices
+// from an atomic counter, or inline when one worker suffices. fn must
+// write only to state owned by index i.
+//
+// A panic inside a worker goroutine would kill the whole process before
+// any caller could contain it, so the first one is captured and
+// re-raised on the calling (scheduler) goroutine once every worker has
+// stopped; a fleet front-end that recovers around Serve can then eject
+// just this replica. The batch is torn down anyway — partial work on the
+// surviving indices does not need to stay consistent.
+func (e *Engine) parallel(n int, fn func(i int)) {
+	nw := e.cfg.Workers
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	if nw > n {
+		nw = n
+	}
+	if nw <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var panicMu sync.Mutex
+	var panicked any // guarded by panicMu
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for w := 0; w < nw; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicMu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					panicMu.Unlock()
+				}
+			}()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	panicMu.Lock()
+	p := panicked
+	panicMu.Unlock()
+	if p != nil {
+		//lint:ignore panicmsg re-raising the worker's original panic value preserves it for the fleet supervisor's recover
+		panic(p)
+	}
 }
 
 // sessionCacheBytes reports a session's KV-cache footprint when it
@@ -644,37 +728,39 @@ func (e *Engine) specDepth() int {
 	}
 }
 
+// admit opens a request's sessions and RNG stream. It is bookkeeping
+// only: the iteration's prefill phase runs the prompt through the
+// sessions (Engine.prefill).
 func (e *Engine) admit(req workload.Request) *reqState {
+	var opened []*prefixSession
+	llm, ssms := e.admissionModels(&opened)
 	st := &reqState{
-		req: req,
-		llm: e.cfg.LLM.NewSession(),
-		rng: tensor.NewRNG(e.cfg.Seed ^ (uint64(req.ID)+1)*0x9e3779b97f4a7c15),
-		res: RequestResult{ID: req.ID, PromptLen: len(req.Prompt)},
+		req:     req,
+		llm:     llm.NewSession(),
+		lastTok: req.Prompt[len(req.Prompt)-1],
+		rng:     tensor.NewRNG(e.cfg.Seed ^ (uint64(req.ID)+1)*0x9e3779b97f4a7c15),
+		res:     RequestResult{ID: req.ID, PromptLen: len(req.Prompt)},
 	}
-	st.lastDist = st.llm.Prefill(req.Prompt)
-	st.lastTok = req.Prompt[len(req.Prompt)-1]
 	switch e.cfg.Mode {
 	case Incremental:
 		// no speculator: incremental decoding samples straight from the LLM
 	case SequenceSpec:
-		st.spec = speculator.NewSequence(e.cfg.SeqDepth, e.cfg.Sample, e.cfg.SSMs[0])
+		st.spec = speculator.NewSequence(e.cfg.SeqDepth, e.cfg.Sample, ssms[0])
 	case TreeSpec:
 		if e.pol != nil {
-			st.spec = newPolicySpeculator(e.cfg.Sample, e.cfg.SSMs)
+			st.spec = newPolicySpeculator(e.cfg.Sample, ssms)
 		} else if e.cfg.Adaptive != nil {
-			st.spec = speculator.NewAdaptive(*e.cfg.Adaptive, e.cfg.Sample, e.cfg.SSMs[0])
+			st.spec = speculator.NewAdaptive(*e.cfg.Adaptive, e.cfg.Sample, ssms[0])
 		} else {
 			st.spec = speculator.New(speculator.Config{
 				Expansion: e.cfg.Expansion,
 				Sample:    e.cfg.Sample,
 				ForceTopK: e.cfg.ForceTopK,
 				Seed:      e.cfg.Seed ^ uint64(req.ID)<<17,
-			}, e.cfg.SSMs...)
+			}, ssms...)
 		}
 	}
-	if st.spec != nil {
-		st.spec.Prefill(req.Prompt)
-	}
+	st.prefix = opened
 	return st
 }
 

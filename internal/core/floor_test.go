@@ -129,6 +129,7 @@ func TestFloorAlternatingStepsMatchIncremental(t *testing.T) {
 	})
 	st := eng.admit(req)
 	defer eng.release(st)
+	eng.prefill([]*reqState{st})
 	ps := st.spec.(*policySpeculator)
 	pattern := []bool{true, false, true, true, false, true, true, true, false, false}
 	zeros := 0

@@ -29,22 +29,32 @@ type prefixShared interface {
 // prefixModel wraps a model so every session it opens consults the
 // engine's prefix cache at prefill. The namespace isolates this model's
 // entries: the LLM and each SSM see the same token streams but cache
-// incompatible K/V geometries and values.
+// incompatible K/V geometries and values. Every session it opens is
+// appended to *opened, so the admission that opened it — the LLM
+// session directly, the SSM sessions inside a speculator — can stage
+// its cache calls in the prefill phase.
 type prefixModel struct {
 	model.Model
-	cache *kvcache.PrefixCache
-	ns    string
+	cache  *kvcache.PrefixCache
+	ns     string
+	opened *[]*prefixSession
 }
 
 func (m prefixModel) NewSession() model.Session {
-	return &prefixSession{inner: m.Model.NewSession(), cache: m.cache, ns: m.ns}
+	s := &prefixSession{inner: m.Model.NewSession(), cache: m.cache, ns: m.ns}
+	*m.opened = append(*m.opened, s)
+	return s
 }
 
-// prefixSession decorates one session with prefix-cache lookup at
-// Prefill and insert-on-prefill plus insert-on-retire, so concurrent
-// same-prefix admissions hit (the pages of a prompt are complete and
-// immutable the moment its prefill commits — no need to wait for
-// retirement) and evicted entries are re-seeded when a request closes.
+// prefixSession decorates one session with the prefix cache. Its
+// prefill is split in three so the cache is only ever called from the
+// scheduler goroutine: lookup pins the longest cached prefix before the
+// prefill phase, Prefill runs the forward pass on a worker (adopting the
+// pinned prefix, or cold), and publish inserts the prompt's pages after
+// the phase, so later admissions hit (the pages of a prompt are
+// complete and immutable the moment its prefill commits — no need to
+// wait for retirement). Close inserts again, re-seeding entries the LRU
+// evicted while the request ran.
 type prefixSession struct {
 	inner  model.Session
 	cache  *kvcache.PrefixCache
@@ -52,30 +62,54 @@ type prefixSession struct {
 	prompt []model.Token
 	pinned *kvcache.PinnedPrefix
 	shared int
+	filled bool // the prompt's K/V are in the arena
 	closed bool
 }
 
 var _ model.Session = (*prefixSession)(nil)
 var _ model.Closer = (*prefixSession)(nil)
 
-func (s *prefixSession) Prefill(prompt []model.Token) []float32 {
+// arena returns the inner session's paged arena, or nil when it cannot
+// share pages (such sessions prefill cold and never touch the cache).
+func (s *prefixSession) arena() *kvcache.Arena {
+	if sh, ok := s.inner.(prefixSharer); ok {
+		return sh.Arena()
+	}
+	return nil
+}
+
+// lookup pins the longest cached prefix of prompt for the coming
+// Prefill. Scheduler goroutine only.
+func (s *prefixSession) lookup(prompt []model.Token) {
 	s.prompt = append([]model.Token(nil), prompt...)
-	sh, ok := s.inner.(prefixSharer)
-	if !ok || sh.Arena() == nil {
-		return s.inner.Prefill(prompt)
+	if s.arena() == nil {
+		return
 	}
 	// Cap the lookup one short of the full prompt: at least one token
 	// must run through the forward pass to produce the last-token
 	// distribution a prefill returns.
-	var dist []float32
 	if h := s.cache.Lookup(s.ns, s.prompt, len(prompt)-1); h != nil {
 		s.pinned, s.shared = h, h.Len()
-		dist = sh.PrefillShared(h, prompt)
-	} else {
-		dist = s.inner.Prefill(prompt)
 	}
-	s.cache.Insert(s.ns, s.prompt, sh.Arena())
-	return dist
+}
+
+// Prefill forwards the prompt lookup staged: only the suffix past the
+// pinned prefix on a hit, the whole prompt otherwise. It never calls
+// the cache, so it may run on a worker goroutine.
+func (s *prefixSession) Prefill(prompt []model.Token) []float32 {
+	s.filled = true
+	if s.pinned != nil {
+		return s.inner.(prefixSharer).PrefillShared(s.pinned, prompt)
+	}
+	return s.inner.Prefill(prompt)
+}
+
+// publish inserts the prefilled prompt's pages for later requests.
+// Scheduler goroutine only.
+func (s *prefixSession) publish() {
+	if s.filled && s.arena() != nil {
+		s.cache.Insert(s.ns, s.prompt, s.arena())
+	}
 }
 
 func (s *prefixSession) Decode(tok model.Token) []float32      { return s.inner.Decode(tok) }
@@ -97,15 +131,14 @@ func (s *prefixSession) CacheBytes() int {
 
 // Close re-inserts the prompt prefix (restoring entries the LRU may
 // have evicted while the request ran — the insert-on-retire half of the
-// policy), releases the pin, and closes the inner session.
+// policy), releases the pin, and closes the inner session. A session
+// retired before its prefill inserts nothing.
 func (s *prefixSession) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if sh, ok := s.inner.(prefixSharer); ok && sh.Arena() != nil && len(s.prompt) > 0 {
-		s.cache.Insert(s.ns, s.prompt, sh.Arena())
-	}
+	s.publish()
 	if s.pinned != nil {
 		s.pinned.Release()
 		s.pinned = nil
@@ -115,19 +148,56 @@ func (s *prefixSession) Close() {
 	}
 }
 
-// wrapPrefixCache installs the shared prefix cache over the configured
-// models when Config.PrefixCacheBytes is set.
-func (e *Engine) wrapPrefixCache() {
-	if e.cfg.PrefixCacheBytes <= 0 {
-		return
+// admissionModels returns the models an admission opens its sessions
+// on: the configured ones, or — with the prefix cache on — wrappers that
+// append every session they open to *opened.
+func (e *Engine) admissionModels(opened *[]*prefixSession) (model.Model, []model.Model) {
+	if e.prefix == nil {
+		return e.cfg.LLM, e.cfg.SSMs
 	}
-	e.prefix = kvcache.NewPrefixCache(e.cfg.PrefixCacheBytes)
-	e.cfg.LLM = prefixModel{Model: e.cfg.LLM, cache: e.prefix, ns: "llm"}
+	llm := prefixModel{Model: e.cfg.LLM, cache: e.prefix, ns: "llm", opened: opened}
 	ssms := make([]model.Model, len(e.cfg.SSMs))
 	for i, m := range e.cfg.SSMs {
-		ssms[i] = prefixModel{Model: m, cache: e.prefix, ns: fmt.Sprintf("ssm%d", i)}
+		ssms[i] = prefixModel{Model: m, cache: e.prefix, ns: fmt.Sprintf("ssm%d", i), opened: opened}
 	}
-	e.cfg.SSMs = ssms
+	return llm, ssms
+}
+
+// waitsForInsert reports whether st should sit out this iteration's
+// prefill phase: one of its sessions could adopt more of its prompt
+// from the pages an earlier request of the phase (staged) is about to
+// insert than from what the cache holds now. It then prefills one
+// iteration later, adopting those pages (DESIGN.md §10.3).
+func waitsForInsert(st *reqState, staged []*reqState) bool {
+	if len(staged) == 0 {
+		return false
+	}
+	prompt := st.req.Prompt
+	for _, s := range st.prefix {
+		if s.arena() == nil {
+			continue
+		}
+		pageRows := s.arena().PageRows()
+		have := -1 // looked up only when some donor could share
+		for _, donor := range staged {
+			for _, d := range donor.prefix {
+				if d.ns != s.ns {
+					continue
+				}
+				n := kvcache.InsertedMatch(d.prompt, prompt, len(prompt)-1, pageRows)
+				if n == 0 {
+					continue
+				}
+				if have < 0 {
+					have = s.cache.Match(s.ns, prompt, len(prompt)-1)
+				}
+				if n > have {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // PrefixCacheStats snapshots the engine's prefix cache; the zero value

@@ -71,18 +71,26 @@ type liveReq struct {
 	streamed  int       // tokens already sent on the tokens channel
 }
 
-// stream sends any newly committed tokens to the consumer.
-func (lr *liveReq) stream(out []model.Token) {
+// stream sends any newly committed tokens of lr to the consumer. The
+// first call that sends a token records the request's time to first
+// token (Submit to that send).
+func (s *serveState) stream(lr *liveReq, out []model.Token) {
+	if lr.streamed == 0 && len(out) > 0 {
+		ttft := s.clock().Sub(lr.submitted)
+		s.mu.Lock()
+		s.ttft.Add(ttft.Seconds())
+		s.mu.Unlock()
+	}
 	for _, tok := range out[lr.streamed:] {
 		lr.tokens <- tok
 	}
 	lr.streamed = len(out)
 }
 
-// finish streams any remaining tokens, delivers the Result, and closes
-// both channels. Must be called exactly once.
-func (lr *liveReq) finish(res Result) {
-	lr.stream(res.Output)
+// finish streams any remaining tokens of lr, delivers the Result, and
+// closes both channels. Must be called exactly once per request.
+func (s *serveState) finish(lr *liveReq, res Result) {
+	s.stream(lr, res.Output)
 	close(lr.tokens)
 	lr.result <- res
 	close(lr.result)
@@ -114,6 +122,9 @@ type serveState struct {
 	kvBytes       int64           // guarded by mu
 	latency       *metrics.Window // guarded by mu
 	queueDelay    *metrics.Window // guarded by mu
+	// ttft holds recent requests' times to first token: Submit to the
+	// first streamed token.
+	ttft *metrics.Window // guarded by mu
 	// recentT/recentC pair (uptime seconds, cumulative committed
 	// tokens) at the last recentThroughputSamples iteration boundaries,
 	// backing the sliding-window throughput figure.
@@ -176,13 +187,16 @@ type ServeStats struct {
 	RecentTokensPerSec  float64
 	RecentWindowSeconds float64
 	// Latency and QueueDelay summarize the most recent completed
-	// requests (Config.LatencyWindow of them), in seconds.
-	Latency, QueueDelay metrics.Summary
-	// LatencySamples and QueueDelaySamples are the raw retained samples
-	// behind the two summaries, exported so a multi-replica rollup can
-	// merge per-replica windows into exact fleet-wide quantiles
-	// (metrics.Merge) instead of averaging per-replica percentiles.
-	LatencySamples, QueueDelaySamples metrics.Snapshot
+	// requests (Config.LatencyWindow of them), in seconds. TTFT
+	// summarizes the time to first token — Submit to the first streamed
+	// token — of the most recent requests that streamed one.
+	Latency, QueueDelay, TTFT metrics.Summary
+	// LatencySamples, QueueDelaySamples and TTFTSamples are the raw
+	// retained samples behind the three summaries, exported so a
+	// multi-replica rollup can merge per-replica windows into exact
+	// fleet-wide quantiles (metrics.Merge) instead of averaging
+	// per-replica percentiles.
+	LatencySamples, QueueDelaySamples, TTFTSamples metrics.Snapshot
 	// PrefixCache snapshots the cross-request prefix KV cache;
 	// PrefixCacheEnabled is false (and the stats zero) when
 	// Config.PrefixCacheBytes is unset.
@@ -209,10 +223,12 @@ type ServeStats struct {
 // Serve runs the live scheduler loop until ctx is cancelled and the
 // engine has drained. It owns iteration-level scheduling for requests
 // arriving through Submit: each pass admits queued requests into free
-// continuous-batching slots, retires cancelled or expired requests at
-// the iteration boundary (releasing their sessions and KV pages), steps
-// the active batch once, streams newly committed tokens, and retires
-// finished requests.
+// continuous-batching slots (opening their sessions), retires cancelled
+// or expired requests at the iteration boundary (releasing their
+// sessions and KV pages — a request admitted and cancelled in the same
+// pass never pays for its prefill), runs the iteration — the prefill
+// phase for newly admitted requests, then one step of the batch —
+// streams newly committed tokens, and retires finished requests.
 //
 // Cancelling ctx starts graceful drain: Submit rejects with
 // ErrDraining, queued-but-unadmitted requests are retired with
@@ -228,6 +244,7 @@ func (e *Engine) Serve(ctx context.Context) error {
 		started:    e.cfg.Clock(),
 		latency:    metrics.NewWindow(e.cfg.LatencyWindow),
 		queueDelay: metrics.NewWindow(e.cfg.LatencyWindow),
+		ttft:       metrics.NewWindow(e.cfg.LatencyWindow),
 		recentT:    metrics.NewWindow(recentThroughputSamples),
 		recentC:    metrics.NewWindow(recentThroughputSamples),
 	}
@@ -320,7 +337,7 @@ func (e *Engine) Serve(ctx context.Context) error {
 			if st.done {
 				e.finishLive(s, st, st.verr)
 			} else {
-				st.live.stream(st.res.Output)
+				s.stream(st.live, st.res.Output)
 				still = append(still, st)
 			}
 		}
@@ -426,8 +443,10 @@ func (e *Engine) ServeStats() ServeStats {
 		KVBytesActive:      s.kvBytes,
 		Latency:            s.latency.Summary(),
 		QueueDelay:         s.queueDelay.Summary(),
+		TTFT:               s.ttft.Summary(),
 		LatencySamples:     s.latency.Snapshot(),
 		QueueDelaySamples:  s.queueDelay.Snapshot(),
+		TTFTSamples:        s.ttft.Snapshot(),
 
 		PrefixCacheEnabled: e.prefix != nil,
 		PrefixCache:        prefix,
@@ -508,15 +527,16 @@ func (e *Engine) Serving() bool {
 	return !s.stopped && !s.draining
 }
 
-// admitLive moves a queued request into a batching slot: prefill both
-// sessions and record its admission time. A request whose context is
-// already dead is retired immediately instead.
+// admitLive moves a queued request into a batching slot: open its
+// sessions and record its admission time (the next iteration's prefill
+// phase prefills them). A request whose context is already dead is
+// retired immediately instead.
 func (e *Engine) admitLive(s *serveState, lr *liveReq) *reqState {
 	if err := lr.ctx.Err(); err != nil {
 		s.mu.Lock()
 		s.canceled++
 		s.mu.Unlock()
-		lr.finish(Result{
+		s.finish(lr, Result{
 			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
 			Err:           err,
 			Latency:       s.clock().Sub(lr.submitted),
@@ -564,7 +584,7 @@ func (e *Engine) finishLive(s *serveState, st *reqState, err error) {
 	s.latency.Add(res.Latency.Seconds())
 	s.queueDelay.Add(res.QueueDelay.Seconds())
 	s.mu.Unlock()
-	st.live.finish(res)
+	s.finish(st.live, res)
 }
 
 // sweepQueue retires queued-but-unadmitted requests whose context is
@@ -589,7 +609,7 @@ func (e *Engine) sweepQueue(s *serveState) {
 	s.canceled += uint64(len(dead))
 	s.mu.Unlock()
 	for _, lr := range dead {
-		lr.finish(Result{
+		s.finish(lr, Result{
 			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
 			Err:           lr.ctx.Err(),
 			Latency:       s.clock().Sub(lr.submitted),
@@ -610,7 +630,7 @@ func (e *Engine) rejectQueued(s *serveState) {
 	s.canceled += uint64(len(queued))
 	s.mu.Unlock()
 	for _, lr := range queued {
-		lr.finish(Result{
+		s.finish(lr, Result{
 			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
 			Err:           ErrDraining,
 			Latency:       s.clock().Sub(lr.submitted),
@@ -636,7 +656,7 @@ func (e *Engine) stopServing(s *serveState) {
 			s.mu.Lock()
 			s.canceled++
 			s.mu.Unlock()
-			lr.finish(Result{
+			s.finish(lr, Result{
 				RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
 				Err:           ErrDraining,
 				Latency:       s.clock().Sub(lr.submitted),

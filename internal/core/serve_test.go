@@ -740,6 +740,7 @@ func TestServeRecentThroughputTracksCurrentTraffic(t *testing.T) {
 		started:    clk.now(),
 		latency:    metrics.NewWindow(8),
 		queueDelay: metrics.NewWindow(8),
+		ttft:       metrics.NewWindow(8),
 		recentT:    metrics.NewWindow(recentThroughputSamples),
 		recentC:    metrics.NewWindow(recentThroughputSamples),
 	}

@@ -3,6 +3,7 @@ package kvcache
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -214,15 +215,52 @@ func (c *PrefixCache) tick() uint64 {
 // that need at least one novel token to compute (a prefill must produce
 // the last token's distribution) pass maxLen = len(tokens)-1.
 func (c *PrefixCache) Lookup(ns string, tokens []int, maxLen int) *PinnedPrefix {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, path, tail, n := c.match(ns, tokens, maxLen)
+	if n == 0 {
+		c.misses++
+		return nil
+	}
+	h := &PinnedPrefix{c: c, geom: r.geom, path: path, tail: tail, n: n}
+	var shared int64
+	for _, nd := range path {
+		nd.pins++
+		nd.lastUsed = c.tick()
+		shared += nd.bytes
+	}
+	if tail != nil {
+		tail.pins++
+		tail.lastUsed = c.tick()
+		shared += tail.bytes
+	}
+	c.hits++
+	c.tokensShared += uint64(n)
+	c.bytesShared += uint64(shared)
+	return h
+}
+
+// Match reports how many tokens Lookup would match right now, without
+// pinning, touching the LRU clock or counting a hit or miss.
+func (c *PrefixCache) Match(ns string, tokens []int, maxLen int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, _, _, n := c.match(ns, tokens, maxLen)
+	return n
+}
+
+// match walks ns's trie along tokens, capped at maxLen: the full-page
+// path, the longest exactly matching tail below it, and the matched
+// length (0 on a miss).
+//
+//lint:holds c.mu
+func (c *PrefixCache) match(ns string, tokens []int, maxLen int) (*prefixRoot, []*prefixNode, *prefixTail, int) {
 	if maxLen > len(tokens) {
 		maxLen = len(tokens)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	r := c.roots[ns]
 	if r == nil {
-		c.misses++
-		return nil
+		return nil, nil, nil, 0
 	}
 	pr := r.geom.PageRows
 	node := r.node
@@ -253,26 +291,30 @@ func (c *PrefixCache) Lookup(ns string, tokens []int, maxLen int) *PinnedPrefix 
 	if tail != nil {
 		n += tail.rows
 	}
-	if n == 0 {
-		c.misses++
-		return nil
+	return r, path, tail, n
+}
+
+// InsertedMatch reports how many tokens of tokens, capped at maxLen, a
+// Lookup could match from the entries Insert(ns, donor, a) adds for an
+// arena a with pageRows rows per page: the full pages the two runs
+// share, plus the donor's whole run when Insert would cache its
+// remainder as a tail and tokens continues past it. A caller that
+// stages lookups before the inserts they could use (the serving
+// engine's prefill phase) asks it whether waiting for the insert pays.
+func InsertedMatch(donor, tokens []int, maxLen, pageRows int) int {
+	if maxLen > len(tokens) {
+		maxLen = len(tokens)
 	}
-	h := &PinnedPrefix{c: c, geom: r.geom, path: path, tail: tail, n: n}
-	var shared int64
-	for _, nd := range path {
-		nd.pins++
-		nd.lastUsed = c.tick()
-		shared += nd.bytes
+	full := len(donor) / pageRows * pageRows
+	n := 0
+	for n+pageRows <= maxLen && n+pageRows <= full && slices.Equal(donor[n:n+pageRows], tokens[n:n+pageRows]) {
+		n += pageRows
 	}
-	if tail != nil {
-		tail.pins++
-		tail.lastUsed = c.tick()
-		shared += tail.bytes
+	if n == full && full > 0 && len(donor) > full && len(donor) <= maxLen &&
+		slices.Equal(donor[full:], tokens[full:len(donor)]) {
+		n = len(donor)
 	}
-	c.hits++
-	c.tokensShared += uint64(n)
-	c.bytesShared += uint64(shared)
-	return h
+	return n
 }
 
 // Insert records tokens' KV prefix from a donor arena: full prompt

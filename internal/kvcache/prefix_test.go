@@ -333,3 +333,74 @@ func TestPrefixGuards(t *testing.T) {
 	h.Release()
 	expectPanic("adopt released handle", func() { New(cfg).AdoptPrefix(h) })
 }
+
+// TestPrefixMatchCountsNothing: Match reports Lookup's length without
+// pinning, counting or touching the LRU order.
+func TestPrefixMatchCountsNothing(t *testing.T) {
+	c := NewPrefixCache(1 << 20)
+	a, cfg := testArena(4)
+	toks := tokensN(0, 10)
+	fillRows(a, cfg, tensor.NewRNG(3), len(toks))
+	if n := c.Match("llm", toks, len(toks)); n != 0 {
+		t.Fatalf("Match on empty cache = %d, want 0", n)
+	}
+	c.Insert("llm", toks, a)
+	before := c.Stats()
+	for _, maxLen := range []int{3, 4, 9, 10, 11} {
+		want := 0
+		if h := c.Lookup("llm", toks, maxLen); h != nil {
+			want = h.Len()
+			h.Release()
+		}
+		mid := c.Stats()
+		if got := c.Match("llm", toks, maxLen); got != want {
+			t.Fatalf("maxLen %d: Match = %d, Lookup = %d", maxLen, got, want)
+		}
+		if st := c.Stats(); st != mid {
+			t.Fatalf("maxLen %d: Match changed stats %+v -> %+v", maxLen, mid, st)
+		}
+	}
+	if st := c.Stats(); st.Hits+st.Misses != before.Hits+before.Misses+5 || st.Pinned != 0 {
+		t.Fatalf("stats after lookups = %+v", st)
+	}
+}
+
+// TestInsertedMatchAgreesWithInsert: for donor/prompt pairs sharing
+// pages, tails, whole prompts or nothing, InsertedMatch equals what a
+// Lookup finds after inserting the donor into an empty cache.
+func TestInsertedMatchAgreesWithInsert(t *testing.T) {
+	const pr = 4
+	shared := tokensN(100, 3*pr+2) // three pages plus a two-token tail
+	cases := []struct {
+		name          string
+		donor, prompt []int
+	}{
+		{"same prompt", shared, shared},
+		{"prompt extends donor", shared, append(append([]int(nil), shared...), 7, 8)},
+		{"donor extends prompt", append(append([]int(nil), shared...), 7, 8), shared},
+		{"diverge in page 2", shared, append(append([]int(nil), shared[:pr+1]...), tokensN(900, 2*pr)...)},
+		{"diverge in the tail", shared, append(append([]int(nil), shared[:3*pr+1]...), 5, 6, 7)},
+		{"sub-page donor", shared[:pr-1], shared},
+		{"one-page donor", shared[:pr], shared},
+		{"unrelated", tokensN(500, 9), shared},
+		{"empty donor", nil, shared},
+	}
+	for _, tc := range cases {
+		for _, maxLen := range []int{len(tc.prompt) - 1, len(tc.prompt), pr, 2 * pr} {
+			c := NewPrefixCache(1 << 20)
+			if len(tc.donor) > 0 {
+				a, cfg := testArena(pr)
+				fillRows(a, cfg, tensor.NewRNG(9), len(tc.donor))
+				c.Insert("llm", tc.donor, a)
+			}
+			want := 0
+			if h := c.Lookup("llm", tc.prompt, maxLen); h != nil {
+				want = h.Len()
+				h.Release()
+			}
+			if got := InsertedMatch(tc.donor, tc.prompt, maxLen, pr); got != want {
+				t.Errorf("%s, maxLen %d: InsertedMatch = %d, Lookup after Insert = %d", tc.name, maxLen, got, want)
+			}
+		}
+	}
+}

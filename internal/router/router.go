@@ -559,7 +559,7 @@ type ReplicaStats struct {
 }
 
 // FleetStats is the fleet-wide /metricz rollup: per-replica snapshots
-// plus aggregates. Latency and queue-delay quantiles are computed by
+// plus aggregates. Latency, queue-delay and TTFT quantiles are computed by
 // pooling the replicas' raw retained samples (metrics.Merge), which is
 // exact for the merged window — not an average of per-replica
 // percentiles, which has no defined meaning for P99.
@@ -586,9 +586,9 @@ type FleetStats struct {
 	QueueDepth, QueueCap                  int
 	KVBytesActive                         int64
 	TokensPerSec, RecentTokensPerSec      float64
-	// Latency and QueueDelay are fleet-wide quantiles over the pooled
-	// per-replica sample windows, in seconds.
-	Latency, QueueDelay metrics.Summary
+	// Latency, QueueDelay and TTFT (time to first token) are fleet-wide
+	// quantiles over the pooled per-replica sample windows, in seconds.
+	Latency, QueueDelay, TTFT metrics.Summary
 	// Prefix-cache rollup across replicas (each replica owns a private
 	// cache; these are sums).
 	PrefixCacheEnabled                    bool
@@ -611,6 +611,7 @@ func (r *Router) FleetStats() FleetStats {
 	fs := FleetStats{Policy: r.cfg.Policy.String()}
 	lat := make([]metrics.Snapshot, 0, len(r.reps))
 	qd := make([]metrics.Snapshot, 0, len(r.reps))
+	ttft := make([]metrics.Snapshot, 0, len(r.reps))
 	for _, rep := range r.reps {
 		st := rep.eng.ServeStats()
 		rs := ReplicaStats{ID: rep.id, ServeStats: st}
@@ -664,9 +665,11 @@ func (r *Router) FleetStats() FleetStats {
 		}
 		lat = append(lat, st.LatencySamples)
 		qd = append(qd, st.QueueDelaySamples)
+		ttft = append(ttft, st.TTFTSamples)
 	}
 	fs.Latency = metrics.Merge(lat...).Summary()
 	fs.QueueDelay = metrics.Merge(qd...).Summary()
+	fs.TTFT = metrics.Merge(ttft...).Summary()
 	if fs.SpecVerifications > 0 {
 		fs.MeanAcceptedLen = float64(fs.SpecTokensAccepted) / float64(fs.SpecVerifications)
 	}

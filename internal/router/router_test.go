@@ -20,7 +20,10 @@ import (
 // per-decode delay and an optional poison trigger: a session whose
 // prompt starts with poisonTok panics after panicAfter decode calls.
 // Each replica gets its OWN instance (replicas share no state), so a
-// poisoned replica's failure tests isolation, not contagion.
+// poisoned replica's failure tests isolation, not contagion. With gate
+// set, a session whose prompt starts with gateTok signals entered at
+// its first decode and blocks there until gate is closed, holding its
+// replica's iteration open.
 type fleetModel struct {
 	vocab      int
 	tok        model.Token
@@ -28,6 +31,9 @@ type fleetModel struct {
 	poisonTok  model.Token
 	panicAfter int // decode calls before the poison session panics (0 = disabled unless poisoned at prefill)
 	poisoned   bool
+
+	gateTok       model.Token
+	gate, entered chan struct{}
 }
 
 func (m *fleetModel) Name() string   { return "fleet" }
@@ -41,6 +47,7 @@ type fleetSession struct {
 	n       int
 	decodes int
 	poison  bool
+	gated   bool
 }
 
 func (s *fleetSession) dist() []float32 {
@@ -51,6 +58,7 @@ func (s *fleetSession) dist() []float32 {
 
 func (s *fleetSession) Prefill(p []model.Token) []float32 {
 	s.n = len(p)
+	s.gated = s.m.gate != nil && len(p) > 0 && p[0] == s.m.gateTok
 	if s.m.poisoned && len(p) > 0 && p[0] == s.m.poisonTok {
 		s.poison = true
 		if s.m.panicAfter == 0 {
@@ -65,6 +73,10 @@ func (s *fleetSession) Decode(model.Token) []float32 {
 		time.Sleep(s.m.delay)
 	}
 	s.decodes++
+	if s.gated && s.decodes == 1 {
+		s.m.entered <- struct{}{}
+		<-s.m.gate
+	}
 	if s.poison && s.decodes >= s.m.panicAfter {
 		panic("fleetModel: poisoned decode")
 	}
@@ -484,6 +496,75 @@ func TestReplicaPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestReplicaPrefillPanicOnWorkerContained: prefills run on the worker
+// pool, so a poisoned prefill panics on a pool goroutine. With two
+// poisoned requests admitted in one pass at Workers 2, both prefills
+// run concurrently; the pool must hand the panic back to the scheduler
+// goroutine, where the router contains it: the replica is ejected, the
+// process survives, the unstreamed requests move to the healthy
+// replica, and Run returns the contained cause.
+func TestReplicaPrefillPanicOnWorkerContained(t *testing.T) {
+	const (
+		poison = 13
+		gated  = 7
+	)
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	engs := newFleet(t, 2, func(i int) *fleetModel {
+		m := &fleetModel{vocab: 32, tok: 3, poisonTok: poison, gateTok: gated, gate: gate, entered: entered}
+		m.poisoned = i == 0
+		return m
+	}, func(cfg *core.Config) { cfg.Workers = 2 })
+	// RoundRobin alternates replicas 0, 1, 0, 1, 0 over the submissions
+	// below, so the blocker and both poisoned requests land on replica 0.
+	r, err := New(Config{Replicas: engs, Policy: RoundRobin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel, done := startRouter(t, r)
+	submit := func(id int, prompt []int) <-chan core.Result {
+		t.Helper()
+		_, res, err := r.Submit(context.Background(), workload.Request{ID: id, Prompt: prompt, MaxNewTok: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	blocker := submit(1, []int{gated, 2, 3})
+	select {
+	case <-entered: // replica 0 is inside the blocker's first step
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocker never reached its first decode")
+	}
+	fillers := []<-chan core.Result{submit(2, []int{1, 2, 3})}
+	poisoned := []<-chan core.Result{submit(3, []int{poison, 2, 3})}
+	fillers = append(fillers, submit(4, []int{1, 2, 4}))
+	poisoned = append(poisoned, submit(5, []int{poison, 2, 4}))
+	if q := engs[0].QueueLen(); q != 2 {
+		t.Fatalf("replica 0 queue holds %d requests, want both poisoned ones", q)
+	}
+	close(gate) // replica 0 admits both poisoned requests in its next pass
+
+	if out := mustFleetResult(t, blocker, 10*time.Second); !errors.Is(out.Err, ErrReplicaLost) {
+		t.Fatalf("blocker streamed a token before the panic, got err %v, want ErrReplicaLost", out.Err)
+	}
+	for i, res := range append(fillers, poisoned...) {
+		if out := mustFleetResult(t, res, 10*time.Second); out.Err != nil || len(out.Output) != 4 {
+			t.Fatalf("request %d: err %v, %d tokens; want re-routed and complete", i, out.Err, len(out.Output))
+		}
+	}
+	fs := r.FleetStats()
+	if fs.Replicas[0].State != "down" || !strings.Contains(fs.Replicas[0].Err, "poisoned prefill") {
+		t.Fatalf("replica 0: state %q err %q, want down with the prefill panic", fs.Replicas[0].State, fs.Replicas[0].Err)
+	}
+	if fs.Live != 1 || fs.RingReplicas != 1 {
+		t.Fatalf("fleet after failure: live %d ring %d, want 1 and 1", fs.Live, fs.RingReplicas)
+	}
+	cancel()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "panicked: fleetModel: poisoned prefill") {
+		t.Fatalf("Run returned %v, want the contained prefill panic", err)
+	}
+}
+
 // TestReplicaLossMidStream: when the serving replica dies after tokens
 // streamed, the request cannot be transparently resumed — the partial
 // output is delivered under ErrReplicaLost.
@@ -563,6 +644,15 @@ func TestFleetRollup(t *testing.T) {
 	}
 	if fs.Latency.N != n {
 		t.Fatalf("pooled latency sample count %d, want %d", fs.Latency.N, n)
+	}
+	// Every request streamed a first token: the pooled TTFT window holds
+	// one sample per request, and its maximum is the slowest replica's.
+	var ttftMax float64
+	for _, rs := range fs.Replicas {
+		ttftMax = max(ttftMax, rs.TTFT.Max)
+	}
+	if fs.TTFT.N != n || fs.TTFT.Max != ttftMax {
+		t.Fatalf("pooled TTFT %+v, want %d samples with max %v", fs.TTFT, n, ttftMax)
 	}
 	if fs.TokensCommitted != uint64(3*n) {
 		t.Fatalf("rollup tokens %d, want %d", fs.TokensCommitted, 3*n)

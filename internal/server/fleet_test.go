@@ -135,6 +135,9 @@ func TestFleetGenerateAndMetricz(t *testing.T) {
 	if m.LatencyMs.N != 3 {
 		t.Fatalf("pooled latency N %d, want 3", m.LatencyMs.N)
 	}
+	if m.TTFTMs.N != 3 {
+		t.Fatalf("pooled ttft N %d, want 3", m.TTFTMs.N)
+	}
 	// MaxBatch and QueueCap roll up as fleet capacity sums.
 	if m.MaxBatch != 4 || m.QueueCap != 8 {
 		t.Fatalf("fleet capacity rollup wrong: %+v", m)

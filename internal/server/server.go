@@ -12,8 +12,8 @@
 //	                     Fleet mode is healthy while at least one
 //	                     replica is live and reports per-replica states.
 //	GET  /metricz      — live ServeStats snapshot (queue depth, active
-//	                     slots, tokens/sec, latency quantiles, KV
-//	                     bytes). Fleet mode keeps the same top-level
+//	                     slots, tokens/sec, latency, queue-delay and
+//	                     time-to-first-token quantiles, KV bytes). Fleet mode keeps the same top-level
 //	                     aggregate fields (quantiles pooled exactly
 //	                     across replicas via metrics.Merge) and adds a
 //	                     "router" block plus a per-replica "replicas"
@@ -446,6 +446,9 @@ type metriczResponse struct {
 	KVBytesActive       int64           `json:"kv_bytes_active"`
 	LatencyMs           latencyQuantile `json:"latency_ms"`
 	QueueDelayMs        latencyQuantile `json:"queue_delay_ms"`
+	// TTFTMs is the time to first token: Submit to the first streamed
+	// token, over the most recent requests that streamed one.
+	TTFTMs latencyQuantile `json:"ttft_ms"`
 	// PrefixCache is present when the engine's cross-request prefix KV
 	// cache is enabled (core.Config.PrefixCacheBytes). In fleet mode it
 	// is the sum over the replicas' private caches.
@@ -568,6 +571,7 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 		KVBytesActive:       st.KVBytesActive,
 		LatencyMs:           quantilesMs(st.Latency),
 		QueueDelayMs:        quantilesMs(st.QueueDelay),
+		TTFTMs:              quantilesMs(st.TTFT),
 	}
 	if st.PrefixCacheEnabled {
 		p := st.PrefixCache
@@ -593,9 +597,9 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 }
 
 // fleetMetricz builds the fleet rollup: the same top-level aggregate
-// fields a single engine reports (sums over replicas; latency and
-// queue-delay quantiles pooled exactly from the per-replica sample
-// windows), plus the router block and per-replica breakdown.
+// fields a single engine reports (sums over replicas; latency,
+// queue-delay and TTFT quantiles pooled exactly from the per-replica
+// sample windows), plus the router block and per-replica breakdown.
 func fleetMetricz(fs router.FleetStats) metriczResponse {
 	resp := metriczResponse{
 		Serving:    fs.Live > 0,
@@ -609,6 +613,7 @@ func fleetMetricz(fs router.FleetStats) metriczResponse {
 		KVBytesActive: fs.KVBytesActive,
 		LatencyMs:     quantilesMs(fs.Latency),
 		QueueDelayMs:  quantilesMs(fs.QueueDelay),
+		TTFTMs:        quantilesMs(fs.TTFT),
 		Router: &routerMetrics{
 			Policy:   fs.Policy,
 			Replicas: len(fs.Replicas), Live: fs.Live, RingReplicas: fs.RingReplicas,

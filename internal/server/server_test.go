@@ -328,6 +328,9 @@ func TestHealthzAndMetricz(t *testing.T) {
 	if m.LatencyMs.N != 1 || m.LatencyMs.Max < 0 {
 		t.Fatalf("metricz latency wrong: %+v", m.LatencyMs)
 	}
+	if m.TTFTMs.N != 1 || m.TTFTMs.Max < 0 || m.TTFTMs.Max > m.LatencyMs.Max {
+		t.Fatalf("metricz ttft wrong: %+v (latency %+v)", m.TTFTMs, m.LatencyMs)
+	}
 	if m.MaxBatch != 2 || m.QueueCap != 4 {
 		t.Fatalf("metricz limits wrong: %+v", m)
 	}
