@@ -32,11 +32,13 @@ race:
 # leaves its FMA path, the exp kernel's start-up probe must switch it and
 # the pow kernel off (TestExpKernelOffWithoutFMA,
 # TestPowKernelOffWithoutFMA), and the golden tests must hold on the
-# scalar exponentials and math.Pow.
+# scalar exponentials and math.Pow. Last, FuzzTreeAttention fuzzes the
+# blocked attention items against the per-row ones for 20 seconds.
 archcheck:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeAttention$$' -fuzztime 20s ./internal/transformer/
 
 # Extra flags reach the linter via LINT_FLAGS, e.g.
 #   make lint LINT_FLAGS='-json'

@@ -168,11 +168,18 @@ func BenchmarkVerifier(b *testing.B) {
 // knee:
 //
 //	go test -run '^$' -bench BenchmarkVerifyCost -cpu 1,2 .
+//
+// The perf-LLM/ctx=272 cases are the attention-heavy point, prefix-fleet's
+// 21-node trees over a 272-token context.
 func BenchmarkVerifyCost(b *testing.B) {
 	t1 := map[string]float64{}
 	for _, m := range bench.VerifyCostModels {
 		for _, k := range bench.VerifyCostRows {
-			b.Run(fmt.Sprintf("%s/K=%d", m, k), bench.VerifyCost(m, k, t1))
+			b.Run(fmt.Sprintf("%s/K=%d", m, k), bench.VerifyCost(m, bench.VerifyCostCtx, k, t1))
 		}
+	}
+	for _, k := range bench.VerifyCostLongRows {
+		b.Run(fmt.Sprintf("perf-LLM/ctx=%d/K=%d", bench.VerifyCostLongCtx, k),
+			bench.VerifyCost("perf-LLM", bench.VerifyCostLongCtx, k, t1))
 	}
 }

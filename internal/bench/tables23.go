@@ -80,12 +80,15 @@ func Table2(cfg Table2Config) []Table2Row {
 
 // avgVerified runs the engine and returns mean committed tokens per step.
 func avgVerified(p Pair, mode sampling.Mode, exp tree.ExpansionConfig, nReq, genLen int, naive bool) float64 {
-	res, _ := runEngine(p, core.Config{
-		Mode:          core.TreeSpec,
-		Expansion:     exp,
-		Sample:        sampling.Config{Mode: mode, Temperature: 1},
-		NaiveSampling: naive,
-	}, nReq, 8, genLen)
+	cfg := core.Config{
+		Mode:      core.TreeSpec,
+		Expansion: exp,
+		Sample:    sampling.Config{Mode: mode, Temperature: 1},
+	}
+	if naive {
+		cfg.Verifier = core.VerifierNaive
+	}
+	res, _ := runEngine(p, cfg, nReq, 8, genLen)
 	var per []float64
 	for _, r := range res {
 		per = append(per, r.AvgCommitted())

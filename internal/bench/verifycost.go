@@ -19,8 +19,18 @@ var VerifyCostRows = []int{1, 3, 7, 15, 31, 63}
 // whose 46 MB of weights stream from memory like a real LLM's.
 var VerifyCostModels = []string{"perf-LLM", "perf-LLM-bw"}
 
-// verifyCostCtx is the committed context every tree attends.
-const verifyCostCtx = 128
+// VerifyCostCtx is the committed context every tree of the premise curve
+// attends.
+const VerifyCostCtx = 128
+
+// VerifyCostLongCtx is the context of the curve's attention-heavy point,
+// e2ebench prefix-fleet's shape: 256-token shared prefixes plus the
+// request's own tokens, where attention is most of a verify pass.
+const VerifyCostLongCtx = 272
+
+// VerifyCostLongRows are the K of that point: one decode's worth of rows
+// and prefix-fleet's 21-node trees.
+var VerifyCostLongRows = []int{1, 21}
 
 func verifyCostModel(name string) model.Model {
 	if name == "perf-LLM-bw" {
@@ -47,14 +57,14 @@ func verifyCostTree(k, vocab int) *tree.Tree {
 }
 
 // VerifyCost times one tree-verification pass of K speculated rows over
-// a verifyCostCtx-token context — the LLM half of a speculation step —
-// and reports t(K)/t(1), the cost of verifying K rows in decodes. §4.2
-// of the paper assumes it stays near 1 while the pass is memory-bound;
-// on a CPU it grows toward K once the rows saturate compute. t1 carries
-// the denominator between sub-benchmarks run one after another: the K =
-// 1 case (first in VerifyCostRows order) records its pass time there
-// per (model, GOMAXPROCS).
-func VerifyCost(modelName string, k int, t1 map[string]float64) func(b *testing.B) {
+// a ctx-token context — the LLM half of a speculation step — and reports
+// t(K)/t(1), the cost of verifying K rows in decodes. §4.2 of the paper
+// assumes it stays near 1 while the pass is memory-bound; on a CPU it
+// grows toward K once the rows saturate compute. t1 carries the
+// denominator between sub-benchmarks run one after another: the K = 1
+// case (first in each row list) records its pass time there per (model,
+// context, GOMAXPROCS).
+func VerifyCost(modelName string, ctx, k int, t1 map[string]float64) func(b *testing.B) {
 	return func(b *testing.B) {
 		m := verifyCostModel(modelName)
 		s := m.NewSession()
@@ -64,7 +74,7 @@ func VerifyCost(modelName string, k int, t1 map[string]float64) func(b *testing.
 			}
 		}()
 		rng := tensor.NewRNG(8181)
-		prompt := make([]model.Token, verifyCostCtx)
+		prompt := make([]model.Token, ctx)
 		for i := range prompt {
 			prompt[i] = rng.Intn(m.VocabSize())
 		}
@@ -79,7 +89,7 @@ func VerifyCost(modelName string, k int, t1 map[string]float64) func(b *testing.
 		b.StopTimer()
 		perPass := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		b.ReportMetric(perPass/float64(k), "ns/row")
-		key := modelName + "/" + strconv.Itoa(runtime.GOMAXPROCS(0))
+		key := modelName + "/" + strconv.Itoa(ctx) + "/" + strconv.Itoa(runtime.GOMAXPROCS(0))
 		if k == 1 {
 			t1[key] = perPass
 		}

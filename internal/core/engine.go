@@ -107,12 +107,6 @@ type Config struct {
 	// or VerifierNaive (the naive-sampling ablation baseline of Table 3).
 	// Ignored under greedy decoding, which always uses argmax descent.
 	Verifier string
-	// NaiveSampling replaces multi-step speculative sampling with the
-	// naive-sampling baseline during stochastic verification (the ablation
-	// of Table 3). Ignored under greedy decoding. Deprecated alias for
-	// Verifier = VerifierNaive; setting both to conflicting values is a
-	// configuration error.
-	NaiveSampling bool
 	// Adaptive, when non-nil, replaces the static expansion configuration
 	// with dynamic best-first tree growth (the paper's stated future
 	// work; see speculator.AdaptiveConfig). TreeSpec mode only; uses the
@@ -213,11 +207,7 @@ func (c Config) withDefaults() Config {
 		c.LatencyWindow = 1024
 	}
 	if c.Verifier == "" {
-		if c.NaiveSampling {
-			c.Verifier = VerifierNaive
-		} else {
-			c.Verifier = VerifierMSS
-		}
+		c.Verifier = VerifierMSS
 	}
 	if c.Clock == nil {
 		//lint:ignore nondeterminism live serving measures real wall-clock queueing/latency; the offline deterministic paths never read Clock
@@ -250,9 +240,6 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("core: unknown verifier %q (want %s, %s or %s)",
 			c.Verifier, VerifierMSS, VerifierNaive, VerifierTraversal)
-	}
-	if c.NaiveSampling && c.Verifier != VerifierNaive {
-		return fmt.Errorf("core: NaiveSampling conflicts with Verifier=%q; pick one", c.Verifier)
 	}
 	if c.Policy != nil {
 		if c.Mode != TreeSpec {

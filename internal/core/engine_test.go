@@ -704,9 +704,8 @@ func TestZeroTokenEOSTreeSpec(t *testing.T) {
 	}
 }
 
-// TestVerifierSelection: Config.Verifier wiring — the MSS default, the
-// deprecated NaiveSampling alias, and rejection of unknown or conflicting
-// selections.
+// TestVerifierSelection: Config.Verifier wiring — the MSS default and
+// rejection of unknown selections.
 func TestVerifierSelection(t *testing.T) {
 	llm, ssm, _ := testModels(t, 1, 1)
 	base := func() Config {
@@ -722,25 +721,9 @@ func TestVerifierSelection(t *testing.T) {
 	}
 
 	cfg := base()
-	cfg.NaiveSampling = true
-	if e, err = NewEngine(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if e.cfg.Verifier != VerifierNaive {
-		t.Fatalf("NaiveSampling alias resolved to %q, want %q", e.cfg.Verifier, VerifierNaive)
-	}
-
-	cfg = base()
 	cfg.Verifier = "banzai"
 	if _, err := NewEngine(cfg); err == nil {
 		t.Fatal("unknown verifier must fail validation")
-	}
-
-	cfg = base()
-	cfg.NaiveSampling = true
-	cfg.Verifier = VerifierMSS
-	if _, err := NewEngine(cfg); err == nil {
-		t.Fatal("NaiveSampling + Verifier=mss must conflict")
 	}
 
 	for _, v := range []string{VerifierMSS, VerifierNaive, VerifierTraversal} {

@@ -349,42 +349,6 @@ func TestGenerateBeamWidthOneIsGreedy(t *testing.T) {
 	}
 }
 
-func TestVotingSpeculatorBudget(t *testing.T) {
-	_, ssm, mk := trainedPair(t)
-	rng := tensor.NewRNG(44)
-	ssm2 := ngram.New(ngram.Config{Name: "ssm2", Vocab: 192, Order: 2, Smoothing: 0.05})
-	ssm2.TrainCorpus(mk.Corpus(rng, 20, 256))
-	ssm3 := ngram.New(ngram.Config{Name: "ssm3", Vocab: 192, Order: 2, Smoothing: 0.05})
-	ssm3.TrainCorpus(mk.Corpus(rng, 20, 256))
-
-	v := NewVoting(VotingConfig{
-		Expansion: tree.WidthConfig(2),
-		Budget:    8,
-		Sample:    sampling.GreedyConfig(),
-	}, ssm, ssm2, ssm3)
-	prompt := mk.Generate(rng, 10)
-	v.Prefill(prompt)
-	tr := v.Speculate(prompt[len(prompt)-1])
-	if tr.NumSpeculated() > 8 {
-		t.Fatalf("vote pruning exceeded budget: %d nodes", tr.NumSpeculated())
-	}
-	if tr.NumSpeculated() == 0 {
-		t.Fatal("vote pruning removed everything")
-	}
-	// Tree validity: every non-root node's parent exists and depth is
-	// consistent.
-	for id := 1; id < tr.Len(); id++ {
-		n := tr.Node(id)
-		if n.Parent < 0 || n.Parent >= tr.Len() {
-			t.Fatal("pruned tree has dangling parent")
-		}
-		if n.Depth != tr.Node(n.Parent).Depth+1 {
-			t.Fatal("pruned tree has inconsistent depths")
-		}
-	}
-	v.Accept([]model.Token{tr.Node(tr.Node(0).Children[0]).Token})
-}
-
 func mathLog(p float32) float64 {
 	if p <= 0 {
 		return -1e9

@@ -23,12 +23,18 @@ func NewScratch() *Scratch {
 	}
 }
 
+// grown is the capacity a key's storage of capacity c grows to when a
+// request needs n > c: at least twice c, so a key whose size creeps up
+// call by call (attention scratch sized by a context that grows with
+// every committed token) reallocates O(log n) times, not on every call.
+func grown(c, n int) int { return max(n, 2*c) }
+
 // Floats returns a length-n buffer for key, reusing (and growing) the
 // key's storage across calls.
 func (s *Scratch) Floats(key string, n int) []float32 {
 	buf := s.floats[key]
 	if cap(buf) < n {
-		buf = make([]float32, n)
+		buf = make([]float32, grown(cap(buf), n))
 		s.floats[key] = buf
 	}
 	//lint:ignore aliasret Scratch's contract IS the aliasing arena: callers own the window only until their next Floats call
@@ -49,7 +55,7 @@ func (s *Scratch) Mat(key string, rows, cols int) *Matrix {
 	}
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]float32, n)
+		m.Data = make([]float32, grown(cap(m.Data), n))
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m

@@ -71,6 +71,29 @@ func TestScratchGrowth(t *testing.T) {
 	}
 }
 
+// TestScratchGrowthDoubles: a key whose size creeps up one element per
+// call, as attention scratch does with a growing context, reallocates
+// only when it outgrows twice its previous storage.
+func TestScratchGrowthDoubles(t *testing.T) {
+	s := NewScratch()
+	var last *float32
+	reallocs := 0
+	for n := 1; n <= 1000; n++ {
+		f := s.Floats("c", n)
+		m := s.Mat("c", 2, n)
+		if &f[0] != last {
+			reallocs++
+			last = &f[0]
+		}
+		if len(f) != n || len(m.Data) != 2*n {
+			t.Fatalf("n=%d: lengths %d and %d", n, len(f), len(m.Data))
+		}
+	}
+	if reallocs > 11 {
+		t.Fatalf("growing one element at a time to 1000 reallocated %d times", reallocs)
+	}
+}
+
 // TestScratchMat: the Mat view re-dimensions the same header and grows
 // its storage like the flat buffers do.
 func TestScratchMat(t *testing.T) {

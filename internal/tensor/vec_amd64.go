@@ -160,3 +160,47 @@ func maxAVX(x *float32, n int) (m float32, ok bool)
 //
 //go:noescape
 func scaleAVX(x *float32, n int, a float32)
+
+// dotBlockAVX sets out[r*8+i] = Dot(q_i, keys[r*hd:][:hd]) * scale for
+// r < n and i < 8, given qT[k*8+i] = q_i[k], hd >= 1.
+//
+//go:noescape
+func dotBlockAVX(qT, keys *float32, hd, n int, scale float32, out *float32)
+
+// accBlockAVX adds w[r*8+i]*v[r*hd+d] to acc[i*hd+d] for i < 8 and
+// d < hd&^7 over the n rows in increasing r, skipping ±0 weights, hd >= 8.
+//
+//go:noescape
+func accBlockAVX(w *float32, n int, v *float32, hd int, acc *float32)
+
+// accBlock4AVX is accBlockAVX over lanes 0-3 only.
+//
+//go:noescape
+func accBlock4AVX(w *float32, n int, v *float32, hd int, acc *float32)
+
+// maxBlockAVX sets m[i] to the largest of x[r*8+i] over r < n, n >= 1,
+// and returns false if any of those is NaN. Between +0 and -0 it may
+// return either.
+//
+//go:noescape
+func maxBlockAVX(x *float32, n int, m *[BlockLanes]float32) bool
+
+// expBlockAVX is the lockstep softmax pass over a key-major block: for
+// r < n, e = math.Exp(float64(x[r*8+i]-m[i])), x[r*8+i] = float32(e) and
+// sums[i] += e, lane by lane in key order. It returns the number of keys
+// done: n, or the first key with an argument off the kernel's range (left
+// unchanged).
+//
+//go:noescape
+func expBlockAVX(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int
+
+// expBlock4AVX is expBlockAVX over lanes 0-3 only; lanes 4-7 are left
+// unchanged.
+//
+//go:noescape
+func expBlock4AVX(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int
+
+// scaleBlockAVX multiplies x[r*8+i] by inv[i] for r < n.
+//
+//go:noescape
+func scaleBlockAVX(x *float32, n int, inv *[BlockLanes]float32)

@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // Vector exponential, softmax, SiLU and attention kernels, declared in
-// vec_amd64.go and called from tensor.go and paged.go (DESIGN.md §18).
+// vec_amd64.go and called from tensor.go, paged.go and block.go
+// (DESIGN.md §18, §21).
 //
 // EXP4 is Go's math.archExp (src/math/exp_amd64.s, the FMA path) with
 // every scalar instruction replaced by its 4-lane packed twin: the same
@@ -843,5 +844,471 @@ powLdexp:
 
 powDone:
 	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// The blocked attention kernels (block.go, DESIGN.md §21). A block holds
+// eight query rows, one float32 lane each; scores and weights are
+// key-major, eight lanes per key, so one YMM register carries one key's
+// entry for every row. Each lane runs its row's chain of the per-row
+// kernels in the same order: no fused multiply-add, sums in key order.
+
+// func dotBlockAVX(qT, keys *float32, hd, n int, scale float32, out *float32)
+//
+// out[r*8+i] = (sum over k of qT[k*8+i]*keys[r*hd+k]) * scale. Eight keys
+// go together, one accumulator each: per k, the eight keys' k-th elements
+// are broadcast and multiplied by the column qT[k] of all eight queries,
+// and added to the key's lanes (VMULPS then VADDPS, from +0 in increasing
+// k, as Dot). The scale multiplies the finished sums before the store.
+// The last n%8 keys go one at a time.
+TEXT ·dotBlockAVX(SB), NOSPLIT, $0-48
+	MOVQ         qT+0(FP), AX
+	MOVQ         keys+8(FP), SI
+	MOVQ         hd+16(FP), DX
+	MOVQ         n+24(FP), BX
+	VBROADCASTSS scale+32(FP), Y15
+	MOVQ         out+40(FP), DI
+	MOVQ         DX, R12
+	SHLQ         $2, R12                 // R12: key stride in bytes
+
+dbk8:
+	CMPQ         BX, $8
+	JLT          dbk1
+	VXORPS       Y0, Y0, Y0
+	VXORPS       Y1, Y1, Y1
+	VXORPS       Y2, Y2, Y2
+	VXORPS       Y3, Y3, Y3
+	VXORPS       Y4, Y4, Y4
+	VXORPS       Y5, Y5, Y5
+	VXORPS       Y6, Y6, Y6
+	VXORPS       Y7, Y7, Y7
+	MOVQ         SI, R10                 // keys 0, 1, 2
+	LEAQ         (SI)(R12*4), R9         // keys 4, 5, 6
+	LEAQ         (SI)(R12*2), R11
+	ADDQ         R12, R11                // keys 3 and 7 (via R12*4)
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dbk8Col:
+	VMOVUPS      (R8), Y8
+	VBROADCASTSS (R10), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y0, Y0
+	VBROADCASTSS (R10)(R12*1), Y10
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y1, Y1
+	VBROADCASTSS (R10)(R12*2), Y11
+	VMULPS       Y8, Y11, Y11
+	VADDPS       Y11, Y2, Y2
+	VBROADCASTSS (R11), Y12
+	VMULPS       Y8, Y12, Y12
+	VADDPS       Y12, Y3, Y3
+	VBROADCASTSS (R9), Y13
+	VMULPS       Y8, Y13, Y13
+	VADDPS       Y13, Y4, Y4
+	VBROADCASTSS (R9)(R12*1), Y14
+	VMULPS       Y8, Y14, Y14
+	VADDPS       Y14, Y5, Y5
+	VBROADCASTSS (R9)(R12*2), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y6, Y6
+	VBROADCASTSS (R11)(R12*4), Y10
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y7, Y7
+	ADDQ         $4, R10
+	ADDQ         $4, R9
+	ADDQ         $4, R11
+	ADDQ         $32, R8
+	DECQ         CX
+	JNZ          dbk8Col
+
+	VMULPS       Y15, Y0, Y0
+	VMULPS       Y15, Y1, Y1
+	VMULPS       Y15, Y2, Y2
+	VMULPS       Y15, Y3, Y3
+	VMULPS       Y15, Y4, Y4
+	VMULPS       Y15, Y5, Y5
+	VMULPS       Y15, Y6, Y6
+	VMULPS       Y15, Y7, Y7
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	VMOVUPS      Y4, 128(DI)
+	VMOVUPS      Y5, 160(DI)
+	VMOVUPS      Y6, 192(DI)
+	VMOVUPS      Y7, 224(DI)
+	ADDQ         $256, DI
+	LEAQ         (SI)(R12*8), SI
+	SUBQ         $8, BX
+	JMP          dbk8
+
+dbk1:
+	TESTQ        BX, BX
+	JZ           dbkDone
+	VXORPS       Y0, Y0, Y0
+	MOVQ         SI, R10
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dbk1Col:
+	VBROADCASTSS (R10), Y9
+	VMULPS       (R8), Y9, Y9
+	VADDPS       Y9, Y0, Y0
+	ADDQ         $4, R10
+	ADDQ         $32, R8
+	DECQ         CX
+	JNZ          dbk1Col
+
+	VMULPS       Y15, Y0, Y0
+	VMOVUPS      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         R12, SI
+	DECQ         BX
+	JMP          dbk1
+
+dbkDone:
+	VZEROUPPER
+	RET
+
+// ACCLANE adds lane i's term of one value row to its accumulator: the
+// weight at off(R8) broadcast, times the row's eight columns in Y8.
+#define ACCLANE(off, acc, t) \
+	VBROADCASTSS off(R8), t \
+	VMULPS       Y8, t, t \
+	VADDPS       t, acc, acc
+
+// ACCLANEOR is ACCLANE unless bit (the lane's bit in DX, set for a ±0
+// weight) is set, jumping past the lane to skip.
+#define ACCLANEOR(bit, off, acc, skip) \
+	TESTL        $bit, DX \
+	JNZ          skip \
+	ACCLANE(off, acc, Y9)
+
+// func accBlockAVX(w *float32, n int, v *float32, hd int, acc *float32)
+//
+// acc[i*hd+d] += w[r*8+i]*v[r*hd+d] for d < hd&^7, eight columns at a
+// time with lane i's eight in Y<i>: rows in increasing r, rounded product
+// then add, and a lane whose weight is +0 or -0 skipped, exactly as
+// accumRows does per row. A row whose eight weights are all nonzero (the
+// common case) needs no per-lane test.
+TEXT ·accBlockAVX(SB), NOSPLIT, $0-40
+	MOVQ         w+0(FP), AX
+	MOVQ         n+8(FP), BX
+	MOVQ         v+16(FP), SI
+	MOVQ         hd+24(FP), R13
+	MOVQ         acc+32(FP), DI
+	MOVQ         R13, R12
+	SHLQ         $2, R12                 // R12: row stride in bytes
+	SHRQ         $3, R13                 // R13: groups of eight columns
+	VXORPS       Y15, Y15, Y15
+	LEAQ         (DI)(R12*4), R9         // lanes 4, 5, 6
+	LEAQ         (DI)(R12*2), R11
+	ADDQ         R12, R11                // lanes 3 and 7 (via R12*4)
+
+abCols:
+	VMOVUPS      (DI), Y0
+	VMOVUPS      (DI)(R12*1), Y1
+	VMOVUPS      (DI)(R12*2), Y2
+	VMOVUPS      (R11), Y3
+	VMOVUPS      (R9), Y4
+	VMOVUPS      (R9)(R12*1), Y5
+	VMOVUPS      (R9)(R12*2), Y6
+	VMOVUPS      (R11)(R12*4), Y7
+	MOVQ         AX, R8
+	MOVQ         SI, R10
+	MOVQ         BX, CX
+
+abRow:
+	TESTQ        CX, CX
+	JZ           abStore
+	VMOVUPS      (R10), Y8
+	VCMPPS       $0x00, (R8), Y15, Y10   // lanes whose weight is ±0
+	VMOVMSKPS    Y10, DX
+	TESTL        DX, DX
+	JNZ          abSparse
+	ACCLANE(0, Y0, Y9)
+	ACCLANE(4, Y1, Y10)
+	ACCLANE(8, Y2, Y11)
+	ACCLANE(12, Y3, Y12)
+	ACCLANE(16, Y4, Y13)
+	ACCLANE(20, Y5, Y14)
+	ACCLANE(24, Y6, Y9)
+	ACCLANE(28, Y7, Y10)
+
+abNext:
+	ADDQ         $32, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JMP          abRow
+
+abSparse:
+	ACCLANEOR(1, 0, Y0, ab1)
+ab1:
+	ACCLANEOR(2, 4, Y1, ab2)
+ab2:
+	ACCLANEOR(4, 8, Y2, ab3)
+ab3:
+	ACCLANEOR(8, 12, Y3, ab4)
+ab4:
+	ACCLANEOR(16, 16, Y4, ab5)
+ab5:
+	ACCLANEOR(32, 20, Y5, ab6)
+ab6:
+	ACCLANEOR(64, 24, Y6, ab7)
+ab7:
+	ACCLANEOR(128, 28, Y7, abNext)
+	JMP          abNext
+
+abStore:
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, (DI)(R12*1)
+	VMOVUPS      Y2, (DI)(R12*2)
+	VMOVUPS      Y3, (R11)
+	VMOVUPS      Y4, (R9)
+	VMOVUPS      Y5, (R9)(R12*1)
+	VMOVUPS      Y6, (R9)(R12*2)
+	VMOVUPS      Y7, (R11)(R12*4)
+	ADDQ         $32, DI
+	ADDQ         $32, R9
+	ADDQ         $32, R11
+	ADDQ         $32, SI
+	DECQ         R13
+	JNZ          abCols
+
+	VZEROUPPER
+	RET
+
+// func accBlock4AVX(w *float32, n int, v *float32, hd int, acc *float32)
+//
+// accBlockAVX for a block with at most four rows: lanes 0-3 only, four
+// accumulator chains per eight columns.
+TEXT ·accBlock4AVX(SB), NOSPLIT, $0-40
+	MOVQ         w+0(FP), AX
+	MOVQ         n+8(FP), BX
+	MOVQ         v+16(FP), SI
+	MOVQ         hd+24(FP), R13
+	MOVQ         acc+32(FP), DI
+	MOVQ         R13, R12
+	SHLQ         $2, R12                 // R12: row stride in bytes
+	SHRQ         $3, R13                 // R13: groups of eight columns
+	VXORPS       Y15, Y15, Y15
+	LEAQ         (DI)(R12*2), R11
+	ADDQ         R12, R11                // lane 3
+
+a4Cols:
+	VMOVUPS      (DI), Y0
+	VMOVUPS      (DI)(R12*1), Y1
+	VMOVUPS      (DI)(R12*2), Y2
+	VMOVUPS      (R11), Y3
+	MOVQ         AX, R8
+	MOVQ         SI, R10
+	MOVQ         BX, CX
+
+a4Row:
+	TESTQ        CX, CX
+	JZ           a4Store
+	VMOVUPS      (R10), Y8
+	VCMPPS       $0x00, (R8), X15, X10   // lanes whose weight is ±0
+	VMOVMSKPS    X10, DX
+	TESTL        DX, DX
+	JNZ          a4Sparse
+	ACCLANE(0, Y0, Y9)
+	ACCLANE(4, Y1, Y10)
+	ACCLANE(8, Y2, Y11)
+	ACCLANE(12, Y3, Y12)
+
+a4Next:
+	ADDQ         $32, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JMP          a4Row
+
+a4Sparse:
+	ACCLANEOR(1, 0, Y0, a41)
+a41:
+	ACCLANEOR(2, 4, Y1, a42)
+a42:
+	ACCLANEOR(4, 8, Y2, a43)
+a43:
+	ACCLANEOR(8, 12, Y3, a4Next)
+	JMP          a4Next
+
+a4Store:
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, (DI)(R12*1)
+	VMOVUPS      Y2, (DI)(R12*2)
+	VMOVUPS      Y3, (R11)
+	ADDQ         $32, DI
+	ADDQ         $32, R11
+	ADDQ         $32, SI
+	DECQ         R13
+	JNZ          a4Cols
+
+	VZEROUPPER
+	RET
+
+// func maxBlockAVX(x *float32, n int, m *[8]float32) bool
+//
+// m[i] is the largest of lane i over the n keys, from four running VMAXPS
+// accumulators; the result is false if any entry is NaN. For NaN-free
+// input the maximum's value does not depend on the order of comparison;
+// only a tie between +0 and -0 may resolve to either sign.
+TEXT ·maxBlockAVX(SB), NOSPLIT, $0-25
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	MOVQ         m+16(FP), SI
+	VMOVUPS      (DI), Y0
+	VCMPPS       $0x03, Y0, Y0, Y4       // unordered: NaN lanes
+	VMOVAPS      Y0, Y1
+	VMOVAPS      Y0, Y2
+	VMOVAPS      Y0, Y3
+	MOVQ         $1, CX
+
+mbQuad:
+	LEAQ         4(CX), DX
+	CMPQ         DX, BX
+	JGT          mbOne
+	MOVQ         CX, R8
+	SHLQ         $5, R8
+	VMOVUPS      (DI)(R8*1), Y5
+	VMOVUPS      32(DI)(R8*1), Y6
+	VMOVUPS      64(DI)(R8*1), Y7
+	VMOVUPS      96(DI)(R8*1), Y8
+	VCMPPS       $0x03, Y5, Y6, Y9
+	VCMPPS       $0x03, Y7, Y8, Y10
+	VORPS        Y10, Y9, Y9
+	VORPS        Y9, Y4, Y4
+	VMAXPS       Y5, Y0, Y0
+	VMAXPS       Y6, Y1, Y1
+	VMAXPS       Y7, Y2, Y2
+	VMAXPS       Y8, Y3, Y3
+	MOVQ         DX, CX
+	JMP          mbQuad
+
+mbOne:
+	CMPQ         CX, BX
+	JGE          mbDone
+	MOVQ         CX, R8
+	SHLQ         $5, R8
+	VMOVUPS      (DI)(R8*1), Y5
+	VCMPPS       $0x03, Y5, Y5, Y9
+	VORPS        Y9, Y4, Y4
+	VMAXPS       Y5, Y0, Y0
+	INCQ         CX
+	JMP          mbOne
+
+mbDone:
+	VMAXPS       Y1, Y0, Y0
+	VMAXPS       Y3, Y2, Y2
+	VMAXPS       Y2, Y0, Y0
+	VMOVUPS      Y0, (SI)
+	VMOVMSKPS    Y4, AX
+	TESTL        AX, AX
+	SETEQ        ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func expBlockAVX(x *float32, n int, m *[8]float32, sums *[8]float64) int
+//
+// Per key: the eight lanes' x-m[i] (VSUBPS), widened in two halves,
+// EXP4 on each, then sums[i] += e in two packed adds — lane i's own
+// float64 chain in key order, eight chains in all — and x = float32(e).
+// A key with a lane off the kernel's range ends the call unchanged.
+TEXT ·expBlockAVX(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	MOVQ         m+16(FP), SI
+	MOVQ         sums+24(FP), R8
+	VMOVUPS      (SI), Y12
+	VMOVUPD      (R8), Y13
+	VMOVUPD      32(R8), Y14
+	XORQ         CX, CX
+
+ebLoop:
+	CMPQ         CX, BX
+	JGE          ebDone
+	VMOVUPS      (DI), Y15
+	VSUBPS       Y12, Y15, Y15
+	VCVTPS2PD    X15, Y0
+	VEXTRACTF128 $1, Y15, X6
+	VCVTPS2PD    X6, Y6
+	EXPRANGE(Y0, Y4, Y5)
+	EXPRANGE(Y6, Y10, Y11)
+	VANDPD       Y11, Y5, Y5
+	VMOVMSKPD    Y5, AX
+	CMPQ         AX, $15
+	JNE          ebDone
+	EXP4(Y0, Y4, Y1, X2, Y3)
+	EXP4(Y6, Y10, Y7, X8, Y9)
+	VADDPD       Y0, Y13, Y13
+	VADDPD       Y6, Y14, Y14
+	VCVTPD2PSY   Y0, X0
+	VCVTPD2PSY   Y6, X6
+	VINSERTF128  $1, X6, Y0, Y0
+	VMOVUPS      Y0, (DI)
+	ADDQ         $32, DI
+	INCQ         CX
+	JMP          ebLoop
+
+ebDone:
+	VMOVUPD      Y13, (R8)
+	VMOVUPD      Y14, 32(R8)
+	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func expBlock4AVX(x *float32, n int, m *[8]float32, sums *[8]float64) int
+//
+// expBlockAVX for a block with at most four rows: lanes 0-3 only, one
+// EXP4 per key; lanes 4-7 are left unchanged.
+TEXT ·expBlock4AVX(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	MOVQ         m+16(FP), SI
+	MOVQ         sums+24(FP), R8
+	VMOVUPS      (SI), X12
+	VMOVUPD      (R8), Y13
+	XORQ         CX, CX
+
+eb4Loop:
+	CMPQ         CX, BX
+	JGE          eb4Done
+	VMOVUPS      (DI), X15
+	VSUBPS       X12, X15, X15
+	VCVTPS2PD    X15, Y0
+	EXP4OR(eb4Done)
+	VADDPD       Y0, Y13, Y13
+	VCVTPD2PSY   Y0, X0
+	VMOVUPS      X0, (DI)
+	ADDQ         $32, DI
+	INCQ         CX
+	JMP          eb4Loop
+
+eb4Done:
+	VMOVUPD      Y13, (R8)
+	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func scaleBlockAVX(x *float32, n int, inv *[8]float32)
+//
+// x[r*8+i] *= inv[i] for r < n.
+TEXT ·scaleBlockAVX(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	MOVQ         inv+16(FP), SI
+	VMOVUPS      (SI), Y1
+
+sbLoop:
+	TESTQ        BX, BX
+	JZ           sbDone
+	VMULPS       (DI), Y1, Y0
+	VMOVUPS      Y0, (DI)
+	ADDQ         $32, DI
+	DECQ         BX
+	JMP          sbLoop
+
+sbDone:
 	VZEROUPPER
 	RET

@@ -37,3 +37,31 @@ func attnAccumAVX(scores *float32, n int, page *float32, hd int, dst *float32) i
 func maxAVX(x *float32, n int) (float32, bool) { panic("tensor: vector kernels not built") }
 
 func scaleAVX(x *float32, n int, a float32) { panic("tensor: vector kernels not built") }
+
+func dotBlockAVX(qT, keys *float32, hd, n int, scale float32, out *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func accBlockAVX(w *float32, n int, v *float32, hd int, acc *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func accBlock4AVX(w *float32, n int, v *float32, hd int, acc *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func maxBlockAVX(x *float32, n int, m *[BlockLanes]float32) bool {
+	panic("tensor: vector kernels not built")
+}
+
+func expBlockAVX(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func expBlock4AVX(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func scaleBlockAVX(x *float32, n int, inv *[BlockLanes]float32) {
+	panic("tensor: vector kernels not built")
+}

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
@@ -277,6 +275,10 @@ type Session struct {
 
 	attnPool     int  // resolved attention worker bound (>= 1)
 	attnExplicit bool // AttnWorkers was set explicitly; skip the size gate
+
+	// plan is the batched forward pass's attention block plan, its mask
+	// storage reused across passes (attention.go).
+	plan blockPlan
 
 	n        int       // committed tokens
 	lastDist []float32 // distribution after the last committed token
@@ -711,19 +713,20 @@ type priorRows struct {
 
 // forwardBatched is the token-batched forward pass (§4.2's "one pass over
 // the weights"): per layer it performs ONE projection matmul per weight
-// matrix over all new tokens, per-token/per-head attention under the
-// topology-aware mask, one batched MLP, and at the end one batched LM-head
+// matrix over all new tokens, blocked attention under the topology-aware
+// mask, one batched MLP, and at the end one batched LM-head
 // projection with a row softmax. All intermediates live in the session's
 // scratch arena, so a pass performs O(layers) allocations instead of the
 // reference path's O(layers × tokens × heads).
 //
 // Bit-exactness: every matmul element is the same sequential Dot over the
 // same operands as the scalar reference, norms/softmaxes are applied
-// row-wise with the same kernels, and the attention loops are untouched —
-// so the outputs are float-for-float identical to forwardReference (the
+// row-wise with the same kernels, and every attention row, alone or as a
+// lane of a block, keeps the reference's per-row reduction orders — so
+// the outputs are float-for-float identical to forwardReference (the
 // golden tests assert this). The prior segment keeps that: its scores are
 // the in-pass segment's dot-then-scale, and a key's position in the score
-// vector never changes its arithmetic (DESIGN.md §16).
+// vector never changes its arithmetic (DESIGN.md §16, §21).
 func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows) (dists [][]float32, newK, newV [][][]float32) {
 	cfg := s.m.cfg
 	nNew := len(tokens)
@@ -754,9 +757,21 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		}
 	}
 
+	// The attention stage's per-pass state; with enough rows for a block
+	// the mask is evaluated here, once for every layer and head.
+	at := &attnStage{heads: cfg.Heads, hd: hd, scale: scale, cache: s.cache, mask: mask}
+	nPrior := 0
+	if prior != nil {
+		at.priorMask, nPrior = prior.mask, len(prior.k[0])
+	}
+	if s.plan.build(nNew, nPrior, mask, at.priorMask) {
+		at.plan = &s.plan
+	}
+
 	h1 := scr.Mat("h1", nNew, cfg.Hidden)
 	q := scr.Mat("q", nNew, cfg.Hidden)
 	attnOut := scr.Mat("attn", nNew, cfg.Hidden)
+	at.q, at.out = q, attnOut
 	proj := scr.Mat("proj", nNew, cfg.Hidden)
 	gate := scr.Mat("gate", nNew, cfg.FFN)
 	up := scr.Mat("up", nNew, cfg.FFN)
@@ -789,7 +804,6 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		if prior != nil {
 			priorK, priorV = prior.k[l], prior.v[l]
 		}
-		nPrior := len(priorK)
 		kRows, vRows := newK[l], newV[l]
 		kMat := &kvViews[2*l]
 		vMat := &kvViews[2*l+1]
@@ -816,72 +830,15 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			}
 		}
 
-		// Attention per (token, head) over cached positions + allowed prior
-		// and new ones. The topology guarantees a token only attends new
-		// tokens that precede it in the batch. The cached segment is
-		// dense (every new token sees the whole committed context): each
-		// head's keys/values are read from the paged arena as at most a
-		// handful of contiguous page slices streamed by the contiguous
-		// kernels. The raw dots are scaled in a separate pass, preserving
-		// the reference's dot-then-scale rounding exactly. Work items are (token, head) pairs with
-		// disjoint output spans, so runAttention may shard them across
-		// the session's worker pool without changing a single bit.
-		pageRows := s.cache.PageRows()
-		attend := func(i, h int, scoreBuf []float32) {
-			qi, oi := q.Row(i), attnOut.Row(i)
-			scores := scoreBuf[:nCached+nPrior+i+1]
-			qh := qi[h*hd : (h+1)*hd]
-			kPages := s.cache.KPages(l, h)
-			for p, o := 0, 0; o < nCached; p++ {
-				rows := pageRows
-				if rows > nCached-o {
-					rows = nCached - o
-				}
-				tensor.DotRowsContig4(qh, kPages[p], scores[o:o+rows])
-				o += rows
-			}
-			tensor.Scale(scale, scores[:nCached])
-			for j := 0; j < nPrior; j++ {
-				if prior.mask(i, j) {
-					scores[nCached+j] = tensor.Dot(qh, priorK[j][h*hd:(h+1)*hd]) * scale
-				} else {
-					scores[nCached+j] = tensor.NegInf
-				}
-			}
-			newScores := scores[nCached+nPrior:]
-			for j := 0; j <= i; j++ {
-				if mask(i, j) {
-					newScores[j] = tensor.Dot(qh, kRows[j][h*hd:(h+1)*hd]) * scale
-				} else {
-					newScores[j] = tensor.NegInf
-				}
-			}
-			tensor.SoftmaxMasked(scores)
-			oh := oi[h*hd : (h+1)*hd]
-			for d := 0; d < hd; d++ {
-				oh[d] = 0
-			}
-			vPages := s.cache.VPages(l, h)
-			for p, o := 0, 0; o < nCached; p++ {
-				rows := pageRows
-				if rows > nCached-o {
-					rows = nCached - o
-				}
-				tensor.AttnAccumContig(scores[o:o+rows], vPages[p], oh)
-				o += rows
-			}
-			for j := 0; j < nPrior; j++ {
-				if scores[nCached+j] != 0 {
-					tensor.Axpy(scores[nCached+j], priorV[j][h*hd:(h+1)*hd], oh)
-				}
-			}
-			for j := 0; j <= i; j++ {
-				if newScores[j] != 0 {
-					tensor.Axpy(newScores[j], vRows[j][h*hd:(h+1)*hd], oh)
-				}
-			}
+		// Attention over the cached positions and the allowed prior and
+		// new rows, per (block, head) and (row, head) item (attention.go).
+		at.layer, at.nCached = l, nCached
+		at.kRows, at.vRows = kRows, vRows
+		at.priorK, at.priorV = priorK, priorV
+		if at.plan != nil {
+			at.stageRows(scr)
 		}
-		s.runAttention(attend, nNew, nCached+nPrior, hd)
+		s.runAttention(at)
 		s.mm(pi+projO, attnOut, proj)
 		for i := 0; i < nNew; i++ {
 			tensor.Add(x.Row(i), proj.Row(i))
@@ -925,67 +882,6 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		dists[i] = cloneVec(logits.Row(i))
 	}
 	return dists, newK, newV
-}
-
-// attnParallelFloor is the minimum number of multiply-adds in one layer's
-// attention stage below which an implicit (GOMAXPROCS-sized) worker pool
-// falls back to the serial loop: spawning goroutines costs more than it
-// saves. With the vector attention and softmax kernels, a two-way pool
-// broke even only at the largest serving shape measured (21 new rows
-// over 300 keys: about 2^17.7 at head dim 8, 2^18.7 at 16;
-// BenchmarkAttentionFanout, DESIGN.md §18).
-const attnParallelFloor = 1 << 18
-
-// runAttention executes one layer's attention work items — one per
-// (new token, head), each writing a disjoint span of the output matrix —
-// either serially or on a bounded goroutine pool (Config.AttnWorkers).
-// Workers claim items from an atomic counter and each item is computed by
-// exactly the same code on the same read-only inputs regardless of which
-// worker runs it, so outputs are bit-identical for every pool size; only
-// the score scratch is per-worker. nKeys counts the keys every item sees
-// besides the in-pass ones (committed cache plus prior rows).
-func (s *Session) runAttention(attend func(i, h int, scoreBuf []float32), nNew, nKeys, hd int) {
-	heads := s.m.cfg.Heads
-	items := nNew * heads
-	nw := s.attnPool
-	if nw > items {
-		nw = items
-	}
-	if !s.attnExplicit && items*(nKeys+nNew)*hd < attnParallelFloor {
-		nw = 1
-	}
-	// Head-outer iteration: consecutive items share a head, so one head's
-	// cached K/V pages stay hot across every new token before the sweep
-	// moves on — the paged layout's locality win. Item order cannot change
-	// results (disjoint output spans, no cross-item reads), only cache
-	// behaviour.
-	if nw <= 1 {
-		buf := s.scr.Floats("scores", nKeys+nNew)
-		for h := 0; h < heads; h++ {
-			for i := 0; i < nNew; i++ {
-				attend(i, h, buf)
-			}
-		}
-		return
-	}
-	bufs := s.scr.Mat("pscores", nw, nKeys+nNew)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(w int) {
-			defer wg.Done()
-			buf := bufs.Row(w)
-			for {
-				it := int(next.Add(1)) - 1
-				if it >= items {
-					return
-				}
-				attend(it%nNew, it/nNew, buf)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 func cloneVec(v []float32) []float32 {
