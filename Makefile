@@ -33,12 +33,15 @@ race:
 # the pow kernel off (TestExpKernelOffWithoutFMA,
 # TestPowKernelOffWithoutFMA), and the golden tests must hold on the
 # scalar exponentials and math.Pow. Last, FuzzTreeAttention fuzzes the
-# blocked attention items against the per-row ones for 20 seconds.
+# blocked attention items against the per-row ones for 20 seconds, and
+# FuzzExpKernels the 512-bit and AVX2 exponentials against the scalar
+# loops (it skips on CPUs without AVX-512F).
 archcheck:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	$(GO) test -run '^$$' -fuzz '^FuzzTreeAttention$$' -fuzztime 20s ./internal/transformer/
+	$(GO) test -run '^$$' -fuzz '^FuzzExpKernels$$' -fuzztime 20s ./internal/tensor/
 
 # Extra flags reach the linter via LINT_FLAGS, e.g.
 #   make lint LINT_FLAGS='-json'
@@ -49,12 +52,14 @@ lint:
 	$(GO) run ./cmd/specinferlint $(LINT_FLAGS) ./...
 
 # One-iteration pass over every root perf driver (forward passes, engine
-# iterations, verifier accept length, verify-cost curve): catches bit-rot
+# iterations, verifier accept length, verify-cost curve), and the panel
+# and SoftmaxBlock kernel benchmarks on each vector tier: catches bit-rot
 # in the benchmark drivers without paying for a full measurement run.
 # Measure with the same drivers at a real benchtime, e.g.
 #   go test -run '^$' -bench BenchmarkForward -benchtime 1s .
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier|BenchmarkVerifyCost' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMatMulTPacked|BenchmarkSoftmaxBlock' -benchtime 1x ./internal/tensor/
 
 # End-to-end serving benchmark gate: the benchmark's own unit tests under
 # the race detector, then a short chat-tree run, which exits non-zero

@@ -72,12 +72,12 @@ func SoftmaxBlock(x []float32, n int, lens []int) {
 	if n == 0 {
 		return
 	}
-	softmaxBlock(x[:n*BlockLanes], lens, hasExpKernel)
+	softmaxBlock(x[:n*BlockLanes], lens, expTier)
 }
 
-func softmaxBlock(x []float32, lens []int, vec bool) {
+func softmaxBlock(x []float32, lens []int, t tier) {
 	n := len(x) / BlockLanes
-	if vec {
+	if t != scalarTier {
 		var m [BlockLanes]float32
 		if maxBlockAVX(&x[0], n, &m) && finite(m[:len(lens)]) {
 			// Each row's maximum is its lane's: NegInf padding cannot
@@ -87,29 +87,7 @@ func softmaxBlock(x []float32, lens []int, vec bool) {
 			if len(lens) <= 4 {
 				lanes = 4
 			}
-			var sums [BlockLanes]float64
-			for r := 0; r < n; r++ {
-				if lanes == 4 {
-					r += expBlock4AVX(&x[r*BlockLanes], n-r, &m, &sums)
-				} else {
-					r += expBlockAVX(&x[r*BlockLanes], n-r, &m, &sums)
-				}
-				if r == n {
-					break
-				}
-				// A key with an argument off the kernel's range: its lanes
-				// on scalar math.Exp, still in key order.
-				key := x[r*BlockLanes:][:lanes]
-				for i, v := range key {
-					if isNegInf(v) {
-						key[i] = 0
-						continue
-					}
-					e := math.Exp(float64(v - m[i]))
-					key[i] = float32(e)
-					sums[i] += e
-				}
-			}
+			sums := expBlockVec(x, n, &m, lanes, t)
 			// A finite maximum contributes exp(0) = 1, so every row's sum
 			// is at least 1 and its inverse finite: Scale's case in
 			// softmax.
@@ -126,6 +104,45 @@ func softmaxBlock(x []float32, lens []int, vec bool) {
 	}
 }
 
+// expBlockVec is the exponential pass of the lockstep block softmax on
+// tier t's kernels: for the first lanes lanes (4 or 8) of every key r,
+// x[r*BlockLanes+i] = float32(e) for e = math.Exp(float64(x-m[i])), and
+// lane i's float64 sum of those e in key order, which it returns. A key
+// the kernel declines runs its lanes on scalar math.Exp; a NegInf entry
+// there becomes 0 and adds nothing, as the kernel's exp(-Inf) = +0 adds
+// nothing.
+func expBlockVec(x []float32, n int, m *[BlockLanes]float32, lanes int, t tier) [BlockLanes]float64 {
+	var sums [BlockLanes]float64
+	for r := 0; r < n; r++ {
+		switch {
+		case lanes == 4 && t == avx512Tier:
+			r += expBlock4AVX512(&x[r*BlockLanes], n-r, m, &sums)
+		case lanes == 4:
+			r += expBlock4AVX(&x[r*BlockLanes], n-r, m, &sums)
+		case t == avx512Tier:
+			r += expBlockAVX512(&x[r*BlockLanes], n-r, m, &sums)
+		default:
+			r += expBlockAVX(&x[r*BlockLanes], n-r, m, &sums)
+		}
+		if r == n {
+			break
+		}
+		// A key with an argument off the kernel's range: its lanes
+		// on scalar math.Exp, still in key order.
+		key := x[r*BlockLanes:][:lanes]
+		for i, v := range key {
+			if isNegInf(v) {
+				key[i] = 0
+				continue
+			}
+			e := math.Exp(float64(v - m[i]))
+			key[i] = float32(e)
+			sums[i] += e
+		}
+	}
+	return sums
+}
+
 // finite reports whether every maximum in m is finite.
 func finite(m []float32) bool {
 	for _, v := range m {
@@ -136,7 +153,7 @@ func finite(m []float32) bool {
 	return true
 }
 
-// softmaxLane is softmax(x, true, false), the scalar masked loop, on lane
+// softmaxLane is softmax(x, true, scalarTier), the scalar masked loop, on lane
 // i of the key-major block x over its first n keys; the lane's later
 // entries become 0.
 func softmaxLane(x []float32, i, n int) {

@@ -142,7 +142,7 @@ func TestSoftmaxBlockScalarLanes(t *testing.T) {
 					blk[r*BlockLanes+i] = v
 				}
 			}
-			softmaxBlock(blk, lens, false)
+			softmaxBlock(blk, lens, scalarTier)
 			for i, row := range rows {
 				SoftmaxMasked(row)
 				got := make([]float32, lens[i])
@@ -276,6 +276,22 @@ func BenchmarkSoftmaxBlock(b *testing.B) {
 			}
 		}
 	})
+	// Each vector tier by name, over eight rows and over a block of four
+	// (the four-lane kernels).
+	for _, bt := range benchTiers()[2:] {
+		for _, rows := range []int{BlockLanes, 4} {
+			name := bt.name
+			if rows == 4 {
+				name += "-rows4"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(x, src)
+					softmaxBlock(x, lens[:rows], bt.t)
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkAccumBlock(b *testing.B) {

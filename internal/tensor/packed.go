@@ -23,10 +23,12 @@ import (
 // before the add — so MatMulTPacked is bit-identical to MatMulT for
 // every shape, split and input, ±0 and subnormals included. MatMulT
 // stays the portable path and the oracle the packed kernel is tested
-// against.
+// against. On AVX-512F CPUs the same chains run sixteen lanes to a
+// register (DESIGN.md §22): four input rows per panel step, or one or
+// two rows over two panels at once, over the same packed layout.
 
 // PanelRows is the number of output rows in one packed panel: four
-// 8-lane AVX vectors.
+// 8-lane AVX vectors, or two 16-lane AVX-512 ones.
 const PanelRows = 32
 
 // packedParallelThreshold is the minimum number of multiply-adds at
@@ -94,11 +96,15 @@ func MatMulTPacked(w *PackedMatrix, x *Matrix, out *Matrix) {
 	if x.Rows*w.Rows*w.Cols >= packedParallelThreshold {
 		nw = min(runtime.GOMAXPROCS(0), panels)
 	}
+	run := packedPanels
+	if panelTier == avx512Tier {
+		run = packedPanels512
+	}
 	if nw <= 1 {
-		packedPanels(w, x, out, 0, panels)
+		run(w, x, out, 0, panels)
 		return
 	}
-	parallelRows(panels, nw, func(s, e int) { packedPanels(w, x, out, s, e) })
+	parallelRows(panels, nw, func(s, e int) { run(w, x, out, s, e) })
 }
 
 // packedPanels computes the output columns of panels [s, e) for every
@@ -141,6 +147,90 @@ func packedPanels(w *PackedMatrix, x, out *Matrix, s, e int) {
 			}
 			panelDot1(&panel[0], &x0[0], k, &buf[0])
 			copy(out.Row(i)[j0:], buf[:width])
+		}
+	}
+}
+
+// packedPanels512 is packedPanels on the 512-bit tier: per panel, four
+// input rows per panelDot4 call; then the one to three rows left walk the
+// panels two at a time (packedRows512). Every output element is the same
+// chain as on the AVX2 tier, only computed in another order.
+func packedPanels512(w *PackedMatrix, x, out *Matrix, s, e int) {
+	k := w.Cols
+	if k == 0 {
+		packedPanels(w, x, out, s, e)
+		return
+	}
+	rows4, ldo := x.Rows&^3, out.Cols
+	if rows4 > 0 {
+		var buf [4 * PanelRows]float32
+		for p := s; p < e; p++ {
+			panel := w.Data[p*PanelRows*k : (p+1)*PanelRows*k]
+			j0 := p * PanelRows
+			width := min(PanelRows, w.Rows-j0)
+			for i := 0; i < rows4; i += 4 {
+				xs := x.Data[i*k : (i+4)*k]
+				if width == PanelRows {
+					o := out.Data[i*ldo+j0 : (i+3)*ldo+j0+PanelRows]
+					panelDot4(&panel[0], &xs[0], k, &o[0], ldo)
+					continue
+				}
+				panelDot4(&panel[0], &xs[0], k, &buf[0], PanelRows)
+				for r := 0; r < 4; r++ {
+					copy(out.Row(i + r)[j0:], buf[r*PanelRows:r*PanelRows+width])
+				}
+			}
+		}
+	}
+	i := rows4
+	if x.Rows-i >= 2 {
+		packedRows512(w, x, out, i, 2, s, e)
+		i += 2
+	}
+	if i < x.Rows {
+		packedRows512(w, x, out, i, 1, s, e)
+	}
+}
+
+// packedRows512 computes the outputs of input rows i to i+rows-1 (rows 1
+// or 2) over panels [s, e): two panels per panelDot1x2 or panelDot2x2
+// call, which keeps twice the accumulator chains of panelDot1 and
+// panelDot2 in flight, and an odd last panel on those.
+func packedRows512(w *PackedMatrix, x, out *Matrix, i, rows, s, e int) {
+	k := w.Cols
+	x0, o0 := x.Row(i)[:k], out.Row(i)
+	var x1, o1 []float32
+	if rows == 2 {
+		x1, o1 = x.Row(i + 1)[:k], out.Row(i+1)
+	}
+	var buf [2][2 * PanelRows]float32
+	for p := s; p < e; p += 2 {
+		n := min(2, e-p)
+		panels := w.Data[p*PanelRows*k : (p+n)*PanelRows*k]
+		j0, span := p*PanelRows, n*PanelRows
+		width := min(span, w.Rows-j0)
+		d0, d1 := &buf[0][0], &buf[1][0]
+		if width == span {
+			d0 = &o0[j0 : j0+span][0]
+			if rows == 2 {
+				d1 = &o1[j0 : j0+span][0]
+			}
+		}
+		switch {
+		case n == 2 && rows == 2:
+			panelDot2x2(&panels[0], &x0[0], &x1[0], k, d0, d1)
+		case n == 2:
+			panelDot1x2(&panels[0], &x0[0], k, d0)
+		case rows == 2:
+			panelDot2(&panels[0], &x0[0], &x1[0], k, d0, d1)
+		default:
+			panelDot1(&panels[0], &x0[0], k, d0)
+		}
+		if width < span {
+			copy(o0[j0:], buf[0][:width])
+			if rows == 2 {
+				copy(o1[j0:], buf[1][:width])
+			}
 		}
 	}
 }

@@ -158,7 +158,8 @@ func TestPackedMatMulAllocFree(t *testing.T) {
 // BenchmarkMatMulTPacked times the packed kernel against MatMulT on the
 // serving models' projection shapes and on larger ones, and the packed
 // kernel serial against a forced 2-way panel split (run with -cpu 1,2
-// to find the crossover that sets packedParallelThreshold).
+// to find the crossover that sets packedParallelThreshold): packed-* on
+// the AVX2 tier and, where it runs, avx512-* on the 512-bit tier.
 func BenchmarkMatMulTPacked(b *testing.B) {
 	requirePackedKernel(b)
 	for _, sh := range []struct{ n, rows, cols int }{
@@ -187,6 +188,19 @@ func BenchmarkMatMulTPacked(b *testing.B) {
 		b.Run(name+"/packed-split2", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				parallelRows(panels, 2, func(s, e int) { packedPanels(p, x, out, s, e) })
+			}
+		})
+		if !hasAVX512 {
+			continue
+		}
+		b.Run(name+"/avx512-serial", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				packedPanels512(p, x, out, 0, panels)
+			}
+		})
+		b.Run(name+"/avx512-split2", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				parallelRows(panels, 2, func(s, e int) { packedPanels512(p, x, out, s, e) })
 			}
 		})
 	}

@@ -250,7 +250,7 @@ func SoftmaxRows(m *Matrix) {
 
 // Softmax computes the softmax of x in place using the max-subtraction
 // trick for numerical stability. Entries equal to NegInf map to exactly 0.
-func Softmax(x []float32) { softmax(x, false, hasExpKernel) }
+func Softmax(x []float32) { softmax(x, false, expTier) }
 
 // SoftmaxMasked is Softmax specialized for heavily masked inputs: entries
 // equal to NegInf skip the math.Exp call and are written as exactly 0.
@@ -260,14 +260,39 @@ func Softmax(x []float32) { softmax(x, false, hasExpKernel) }
 // contributes exp(0) = 1, so the sum is strictly positive and never -0.0).
 // The batched tree-attention path uses this: under a topology mask most
 // score slots of a deep tree are NegInf, and exp dominates softmax cost.
-func SoftmaxMasked(x []float32) { softmax(x, true, hasExpKernel) }
+func SoftmaxMasked(x []float32) { softmax(x, true, expTier) }
 
-// softmax is Softmax (masked false) and SoftmaxMasked (masked true). With
-// vec, the vector kernels take the maximum, the exponentials of whole
+// tier names the widest vector kernels a call may run on. Every tier
+// returns the scalar loop's bits; the package runs on the widest one the
+// build and CPU support (expTier, panelTier), and the tests pass each
+// tier explicitly.
+type tier uint8
+
+const (
+	scalarTier tier = iota // the portable loops, the kernels' oracle
+	avx2Tier               // the 256-bit kernels
+	avx512Tier             // the 512-bit kernels, with the AVX2 ones for what they leave
+)
+
+// topTier returns the widest of the tiers that are available.
+func topTier(avx2, avx512 bool) tier {
+	switch {
+	case avx512:
+		return avx512Tier
+	case avx2:
+		return avx2Tier
+	}
+	return scalarTier
+}
+
+// softmax is Softmax (masked false) and SoftmaxMasked (masked true). On
+// a vector tier, the kernels take the maximum, the exponentials of whole
 // blocks of four (math.Exp's bits, added to the float64 sum in index
-// order) and the final scaling, so results do not depend on vec. vec
-// false is the scalar loop: the portable path and the kernels' oracle.
-func softmax(x []float32, masked, vec bool) {
+// order) and the final scaling, so results do not depend on the tier.
+// scalarTier is the scalar loop: the portable path and the kernels'
+// oracle.
+func softmax(x []float32, masked bool, t tier) {
+	vec := t != scalarTier
 	if len(x) == 0 {
 		return
 	}
@@ -295,7 +320,7 @@ func softmax(x []float32, masked, vec bool) {
 	var sum float64
 	i = 0
 	if vec {
-		i, sum = expShiftVec(x, maxv, masked)
+		i, sum = expShiftVec(x, maxv, masked, t)
 	}
 	sum = expShift(x[i:], maxv, masked, sum)
 	inv := float32(1.0 / sum)
@@ -336,18 +361,22 @@ func expShift(x []float32, maxv float32, masked bool, sum float64) float64 {
 	return sum
 }
 
-// expShiftVec is expShift over x's whole blocks of four on the vector
+// expShiftVec is expShift over x's whole blocks of four on tier t's
 // kernel; a block the kernel declines (an argument out of its range) is
 // computed by expShift. It returns how many leading elements are done and
 // the sum so far. The kernel needs no mask test: with a finite or +Inf
 // maximum a NegInf entry's argument is -Inf, which it maps to +0 like
 // math.Exp, and any other maximum makes it decline the block.
-func expShiftVec(x []float32, maxv float32, masked bool) (int, float64) {
+func expShiftVec(x []float32, maxv float32, masked bool, t tier) (int, float64) {
 	var sum float64
 	n := len(x) &^ 3
 	i := 0
 	for i < n {
-		i += expShiftAVX(&x[i], n-i, maxv, &sum)
+		if t == avx512Tier {
+			i += expShiftAVX512(&x[i], n-i, maxv, &sum)
+		} else {
+			i += expShiftAVX(&x[i], n-i, maxv, &sum)
+		}
 		if i < n {
 			sum = expShift(x[i:i+4], maxv, masked, sum)
 			i += 4
@@ -384,17 +413,21 @@ func RMSNorm(x, gain, out []float32, eps float32) {
 }
 
 // SiLU applies the sigmoid-weighted linear unit x*sigmoid(x) in place.
-func SiLU(x []float32) { silu(x, hasExpKernel) }
+func SiLU(x []float32) { silu(x, expTier) }
 
-// silu is SiLU. With vec, whole blocks of four run on the vector kernel,
+// silu is SiLU. On a vector tier, whole blocks of four run on its kernel,
 // with the same bits; a block it declines runs on siluScalar, as does
-// everything when vec is false.
-func silu(x []float32, vec bool) {
+// everything on scalarTier.
+func silu(x []float32, t tier) {
 	i := 0
-	if vec {
+	if t != scalarTier {
 		n := len(x) &^ 3
 		for i < n {
-			i += siluAVX(&x[i], n-i)
+			if t == avx512Tier {
+				i += siluAVX512(&x[i], n-i)
+			} else {
+				i += siluAVX(&x[i], n-i)
+			}
 			if i < n {
 				siluScalar(x[i : i+4])
 				i += 4

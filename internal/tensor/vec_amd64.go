@@ -14,7 +14,16 @@ import "math"
 // release's math.Exp: it fails when math.Exp takes its non-FMA path
 // (GODEBUG=cpu.fma=off) or when a Go release changes archExp, and the
 // scalar loops then run instead.
-var hasExpKernel = hasPackedKernel && detectFMA() && expProbeMatches()
+var hasExpKernel = hasPackedKernel && detectFMA() && expProbeMatches(expAVX)
+
+// hasExp512 is fixed at start-up the same way for the 512-bit tier of the
+// exponentials: on top of the AVX2 kernels, which it runs for its blocks
+// of four, the CPU must pass hasAVX512 and EXP8 must pass the same probe
+// on its own.
+var hasExp512 = hasExpKernel && hasAVX512 && expProbeMatches(expAVX512)
+
+// expTier is the tier softmax, SoftmaxBlock and SiLU run on.
+var expTier = topTier(hasExpKernel, hasExp512)
 
 // hasPowKernel is fixed at start-up like hasExpKernel: the pow kernel
 // runs on EXP4 and copies this Go release's math.Pow, math.Log and
@@ -27,11 +36,12 @@ func detectFMA() bool {
 	return ecx&fma != 0
 }
 
-// expProbeMatches compares the exp kernel with math.Exp on a fixed set of
-// arguments spread over the kernel's range, bit for bit. On math.Exp's
+// expProbeMatches compares the exp kernel exp (expAVX or expAVX512) with
+// math.Exp on a fixed set of arguments spread over the kernel's range, bit
+// for bit. On math.Exp's
 // non-FMA path 77 of the 1024 probes round differently (Go 1.24), so the
 // probe cannot pass there.
-func expProbeMatches() bool {
+func expProbeMatches(exp func(x *float64, n int) int) bool {
 	var x, want [1024]float64
 	for i := range x {
 		// Alternating signs, magnitudes from 2^-10 to 2^9, plus a sweep
@@ -48,7 +58,7 @@ func expProbeMatches() bool {
 	}
 	x[0], want[0] = -708, math.Exp(-708)
 	x[1], want[1] = 709, math.Exp(709)
-	if expAVX(&x[0], len(x)) != len(x) {
+	if exp(&x[0], len(x)) != len(x) {
 		return false
 	}
 	for i := range x {
@@ -204,3 +214,37 @@ func expBlock4AVX(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]f
 //
 //go:noescape
 func scaleBlockAVX(x *float32, n int, inv *[BlockLanes]float32)
+
+// The 512-bit tier's exponentials (DESIGN.md §22): each is its AVX2 twin
+// with EXP8, eight float64 lanes per block, in place of EXP4, and the
+// same bits. Each stops at the first block of eight it declines, like the
+// AVX2 kernels at a block of four, and takes a last block of four on
+// EXP4; a caller that computes the next four elements apart and calls
+// again covers the same blocks as with the AVX2 kernel.
+
+// expAVX512 is expAVX on EXP8.
+//
+//go:noescape
+func expAVX512(x *float64, n int) int
+
+// expShiftAVX512 is expShiftAVX on EXP8, its sum still one index-order
+// float64 chain.
+//
+//go:noescape
+func expShiftAVX512(x *float32, n int, maxv float32, sum *float64) int
+
+// siluAVX512 is siluAVX on EXP8.
+//
+//go:noescape
+func siluAVX512(x *float32, n int) int
+
+// expBlockAVX512 is expBlockAVX with one EXP8 per key.
+//
+//go:noescape
+func expBlockAVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int
+
+// expBlock4AVX512 is expBlock4AVX with two keys per EXP8, key r's sums
+// added before key r+1's.
+//
+//go:noescape
+func expBlock4AVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int

@@ -1312,3 +1312,288 @@ sbLoop:
 sbDone:
 	VZEROUPPER
 	RET
+
+// The 512-bit tier (DESIGN.md §22). EXP8 is EXP4 on the eight float64
+// lanes of a ZMM register: the same constants, each broadcast from its
+// expc slot by the instruction itself, the same operations in the same
+// order, so every lane returns its EXP4 lane's bits. Only two steps
+// change form, not value: the range check compares into opmask registers
+// instead of vector masks, and the -Inf lanes are zeroed by the last
+// multiply's zeroing mask instead of a VANDPD. The kernels use
+// AVX-512F instructions only.
+
+// EXPRANGE8 sets opmask m to the lanes of x on archExp's main path and ok
+// to those plus the lanes equal to -Inf, as EXPRANGE does.
+#define EXPRANGE8(x, m, ok) \
+	VCMPPD.BCST  $0x1d, expc<>+LO(SB), x, m \
+	VCMPPD.BCST  $0x12, expc<>+HI(SB), x, m, m \
+	VCMPPD.BCST  $0x00, expc<>+NEGINF(SB), x, ok \
+	KORW         m, ok, ok
+
+// EXP8 is EXP4 line for line on ZMM registers x, t and s, with k a YMM
+// register for the eight int32 k, given EXPRANGE8's opmask m.
+#define EXP8(x, m, t, k, s) \
+	VMULPD.BCST       expc<>+LOG2E(SB), x, t \
+	VCVTPD2DQ         t, k \
+	VCVTDQ2PD         k, t \
+	VFNMADD231PD.BCST expc<>+LN2U(SB), t, x \
+	VFNMADD231PD.BCST expc<>+LN2L(SB), t, x \
+	VMULPD.BCST       expc<>+SIXTEENTH(SB), x, x \
+	VBROADCASTSD      expc<>+C8(SB), t \
+	VFMADD213PD.BCST  expc<>+C7(SB), x, t \
+	VFMADD213PD.BCST  expc<>+C6(SB), x, t \
+	VFMADD213PD.BCST  expc<>+C5(SB), x, t \
+	VFMADD213PD.BCST  expc<>+C4(SB), x, t \
+	VFMADD213PD.BCST  expc<>+C3(SB), x, t \
+	VFMADD213PD.BCST  expc<>+HALF(SB), x, t \
+	VFMADD213PD.BCST  expc<>+ONE(SB), x, t \
+	VMULPD            t, x, x \
+	VADDPD.BCST       expc<>+TWO(SB), x, t \
+	VMULPD            t, x, x \
+	VADDPD.BCST       expc<>+TWO(SB), x, t \
+	VMULPD            t, x, x \
+	VADDPD.BCST       expc<>+TWO(SB), x, t \
+	VMULPD            t, x, x \
+	VADDPD.BCST       expc<>+TWO(SB), x, t \
+	VFMADD213PD.BCST  expc<>+ONE(SB), t, x \
+	VPMOVSXDQ         k, s \
+	VPADDQ.BCST       expc<>+BIAS(SB), s, s \
+	VPSLLQ            $52, s, s \
+	VMULPD.Z          s, x, m, x
+
+// EXP8OR is EXPRANGE8 then EXP8 on Z0 with Z1-Z3, K1 and K2 as scratch,
+// jumping to fail (clobbering AX) when the block is not the kernel's.
+#define EXP8OR(fail) \
+	EXPRANGE8(Z0, K1, K2) \
+	KMOVW        K2, AX \
+	CMPL         AX, $0xff \
+	JNE          fail \
+	EXP8(Z0, K1, Z1, Y2, Z3)
+
+// SUM8 adds the eight lanes of z to the float64 in X15, lane 0 first;
+// y and x are z's YMM and XMM forms, t a YMM scratch register and tx its
+// XMM form.
+#define SUM8(z, y, x, t, tx) \
+	SUM4(y, x, tx) \
+	VEXTRACTF64X4 $1, z, t \
+	SUM4(t, tx, X5)
+
+// func expAVX512(x *float64, n int) int
+//
+// expAVX on EXP8: blocks of eight, then a last block of four on EXP4.
+// It stops at the first block it declines, so a caller that computes the
+// next four elements apart and calls again covers the same blocks of
+// four as with expAVX.
+TEXT ·expAVX512(SB), NOSPLIT, $0-24
+	MOVQ    x+0(FP), DI
+	MOVQ    n+8(FP), BX
+	ANDQ    $~3, BX
+	XORQ    CX, CX
+
+exp8Loop:
+	LEAQ    8(CX), DX
+	CMPQ    DX, BX
+	JGT     exp8Tail
+	VMOVUPD (DI)(CX*8), Z0
+	EXP8OR(exp8Done)
+	VMOVUPD Z0, (DI)(CX*8)
+	MOVQ    DX, CX
+	JMP     exp8Loop
+
+exp8Tail:
+	CMPQ    CX, BX
+	JGE     exp8Done
+	VMOVUPD (DI)(CX*8), Y0
+	EXP4OR(exp8Done)
+	VMOVUPD Y0, (DI)(CX*8)
+	ADDQ    $4, CX
+
+exp8Done:
+	MOVQ    CX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func expShiftAVX512(x *float32, n int, maxv float32, sum *float64) int
+//
+// expShiftAVX on EXP8: per block of eight, the same exponentials, the
+// same float32 stores and the same index-order float64 chain into *sum;
+// a last block of four on EXP4. It stops like expAVX512.
+TEXT ·expShiftAVX512(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	ANDQ         $~3, BX
+	VBROADCASTSS maxv+16(FP), Y14
+	MOVQ         sum+24(FP), R8
+	VMOVSD       (R8), X15
+	XORQ         CX, CX
+
+shift8Loop:
+	LEAQ         8(CX), DX
+	CMPQ         DX, BX
+	JGT          shift8Tail
+	VMOVUPS      (DI)(CX*4), Y7
+	VSUBPS       Y14, Y7, Y7
+	VCVTPS2PD    Y7, Z0
+	EXP8OR(shift8Done)
+	VCVTPD2PS    Z0, Y6
+	VMOVUPS      Y6, (DI)(CX*4)
+	SUM8(Z0, Y0, X0, Y4, X4)
+	MOVQ         DX, CX
+	JMP          shift8Loop
+
+shift8Tail:
+	CMPQ         CX, BX
+	JGE          shift8Done
+	VMOVUPS      (DI)(CX*4), X7
+	VSUBPS       X14, X7, X7
+	VCVTPS2PD    X7, Y0
+	EXP4OR(shift8Done)
+	VCVTPD2PSY   Y0, X6
+	VMOVUPS      X6, (DI)(CX*4)
+	SUM4(Y0, X0, X4)
+	ADDQ         $4, CX
+
+shift8Done:
+	VMOVSD       X15, (R8)
+	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func siluAVX512(x *float32, n int) int
+//
+// siluAVX on EXP8: blocks of eight, then a last block of four on EXP4.
+// It stops like expAVX512.
+TEXT ·siluAVX512(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	ANDQ         $~3, BX
+	VBROADCASTSS f32c<>+0(SB), Y8
+	VBROADCASTSS f32c<>+4(SB), Y9
+	XORQ         CX, CX
+
+silu8Loop:
+	LEAQ         8(CX), DX
+	CMPQ         DX, BX
+	JGT          silu8Tail
+	VMOVUPS      (DI)(CX*4), Y7
+	VXORPS       Y8, Y7, Y6
+	VCVTPS2PD    Y6, Z0
+	EXP8OR(silu8Done)
+	VCVTPD2PS    Z0, Y6
+	VADDPS       Y9, Y6, Y6
+	VDIVPS       Y6, Y7, Y6
+	VMOVUPS      Y6, (DI)(CX*4)
+	MOVQ         DX, CX
+	JMP          silu8Loop
+
+silu8Tail:
+	CMPQ         CX, BX
+	JGE          silu8Done
+	VMOVUPS      (DI)(CX*4), X7
+	VXORPS       X8, X7, X6
+	VCVTPS2PD    X6, Y0
+	EXP4OR(silu8Done)
+	VCVTPD2PSY   Y0, X6
+	VADDPS       X9, X6, X6
+	VDIVPS       X6, X7, X6
+	VMOVUPS      X6, (DI)(CX*4)
+	ADDQ         $4, CX
+
+silu8Done:
+	MOVQ         CX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func expBlockAVX512(x *float32, n int, m *[8]float32, sums *[8]float64) int
+//
+// expBlockAVX with one EXP8 per key: the eight lanes' x-m[i], widened
+// whole, and sums[i] += e in one packed add, lane i's own chain in key
+// order as before.
+TEXT ·expBlockAVX512(SB), NOSPLIT, $0-40
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), BX
+	MOVQ         m+16(FP), SI
+	MOVQ         sums+24(FP), R8
+	VMOVUPS      (SI), Y12
+	VMOVUPD      (R8), Z13
+	XORQ         CX, CX
+
+eb8Loop:
+	CMPQ         CX, BX
+	JGE          eb8Done
+	VMOVUPS      (DI), Y15
+	VSUBPS       Y12, Y15, Y15
+	VCVTPS2PD    Y15, Z0
+	EXP8OR(eb8Done)
+	VADDPD       Z0, Z13, Z13
+	VCVTPD2PS    Z0, Y0
+	VMOVUPS      Y0, (DI)
+	ADDQ         $32, DI
+	INCQ         CX
+	JMP          eb8Loop
+
+eb8Done:
+	VMOVUPD      Z13, (R8)
+	MOVQ         CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func expBlock4AVX512(x *float32, n int, m *[8]float32, sums *[8]float64) int
+//
+// expBlock4AVX with two keys per EXP8: lanes 0-3 of key r in the low
+// half, of key r+1 in the high half. The low half is added to the sums
+// before the high half, so each lane's chain stays in key order. A last
+// odd key, or a pair the range check declines, runs one key on EXP4, and
+// the call ends at the first key EXP4 declines.
+TEXT ·expBlock4AVX512(SB), NOSPLIT, $0-40
+	MOVQ          x+0(FP), DI
+	MOVQ          n+8(FP), BX
+	MOVQ          m+16(FP), SI
+	MOVQ          sums+24(FP), R8
+	VMOVUPS       (SI), X12
+	VINSERTF128   $1, X12, Y12, Y12
+	VMOVUPD       (R8), Y13
+	XORQ          CX, CX
+
+eb48Pair:
+	LEAQ          2(CX), DX
+	CMPQ          DX, BX
+	JGT           eb48One
+	VMOVUPS       (DI), X15
+	VINSERTF128   $1, 32(DI), Y15, Y15
+	VSUBPS        Y12, Y15, Y15
+	VCVTPS2PD     Y15, Z0
+	EXPRANGE8(Z0, K1, K2)
+	KMOVW         K2, AX
+	CMPL          AX, $0xff
+	JNE           eb48One
+	EXP8(Z0, K1, Z1, Y2, Z3)
+	VADDPD        Y0, Y13, Y13
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPD        Y1, Y13, Y13
+	VCVTPD2PS     Z0, Y0
+	VMOVUPS       X0, (DI)
+	VEXTRACTF128  $1, Y0, 32(DI)
+	ADDQ          $64, DI
+	MOVQ          DX, CX
+	JMP           eb48Pair
+
+eb48One:
+	CMPQ          CX, BX
+	JGE           eb48Done
+	VMOVUPS       (DI), X15
+	VSUBPS        X12, X15, X15
+	VCVTPS2PD     X15, Y0
+	EXP4OR(eb48Done)
+	VADDPD        Y0, Y13, Y13
+	VCVTPD2PSY    Y0, X0
+	VMOVUPS       X0, (DI)
+	ADDQ          $32, DI
+	INCQ          CX
+	JMP           eb48Pair
+
+eb48Done:
+	VMOVUPD       Y13, (R8)
+	MOVQ          CX, ret+32(FP)
+	VZEROUPPER
+	RET

@@ -7,7 +7,9 @@ package tensor
 // kernels run their scalar loops.
 const (
 	hasExpKernel = false
+	hasExp512    = false
 	hasPowKernel = false
+	expTier      = scalarTier
 )
 
 func expAVX(x *float64, n int) int { panic("tensor: vector kernels not built") }
@@ -63,5 +65,21 @@ func expBlock4AVX(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]f
 }
 
 func scaleBlockAVX(x *float32, n int, inv *[BlockLanes]float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func expAVX512(x *float64, n int) int { panic("tensor: vector kernels not built") }
+
+func expShiftAVX512(x *float32, n int, maxv float32, sum *float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func siluAVX512(x *float32, n int) int { panic("tensor: vector kernels not built") }
+
+func expBlockAVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func expBlock4AVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int {
 	panic("tensor: vector kernels not built")
 }

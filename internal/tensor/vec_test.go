@@ -25,14 +25,18 @@ func requireExpKernel(t testing.TB) {
 	}
 }
 
-// expVec is math.Exp over x in place on the exp kernel, with the blocks
-// it declines (and the tail) on scalar math.Exp — the composition the
-// softmax and SiLU kernels use.
-func expVec(x []float64) {
+// expVec is math.Exp over x in place on tier t's exp kernel, with the
+// blocks it declines (and the tail) on scalar math.Exp — the composition
+// the softmax and SiLU kernels use.
+func expVec(x []float64, t tier) {
+	exp := expAVX
+	if t == avx512Tier {
+		exp = expAVX512
+	}
 	n := len(x) &^ 3
 	i := 0
 	for i < n {
-		i += expAVX(&x[i], n-i)
+		i += exp(&x[i], n-i)
 		if i < n {
 			for j := i; j < i+4; j++ {
 				x[j] = math.Exp(x[j])
@@ -45,17 +49,28 @@ func expVec(x []float64) {
 	}
 }
 
-// requireExpBits runs expVec on args and compares every lane with
-// math.Exp, bit for bit.
+// expTiers returns the vector tiers whose exp kernels run here: AVX2, and
+// the 512-bit tier where it passed its probe.
+func expTiers() []tier {
+	if hasExp512 {
+		return []tier{avx2Tier, avx512Tier}
+	}
+	return []tier{avx2Tier}
+}
+
+// requireExpBits runs expVec on args on every exp tier and compares every
+// lane with math.Exp, bit for bit.
 func requireExpBits(t *testing.T, args []float64) {
 	t.Helper()
 	got := make([]float64, len(args))
-	copy(got, args)
-	expVec(got)
-	for i, x := range args {
-		if want := math.Exp(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("exp(%v) [%#x] = %v (%#x), math.Exp gives %v (%#x)", x,
-				math.Float64bits(x), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+	for _, tr := range expTiers() {
+		copy(got, args)
+		expVec(got, tr)
+		for i, x := range args {
+			if want := math.Exp(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("tier %d: exp(%v) [%#x] = %v (%#x), math.Exp gives %v (%#x)", tr, x,
+					math.Float64bits(x), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
 		}
 	}
 }
@@ -206,7 +221,7 @@ func TestSoftmaxKernelsMatchScalar(t *testing.T) {
 					}
 				}
 				got := append([]float32(nil), x...)
-				i, sum := expShiftVec(got, maxv, masked)
+				i, sum := expShiftVec(got, maxv, masked, expTier)
 				sum = expShift(got[i:], maxv, masked, sum)
 				want := append([]float32(nil), x...)
 				wantSum := expShift(want, maxv, masked, 0)
@@ -222,7 +237,7 @@ func TestSoftmaxKernelsMatchScalar(t *testing.T) {
 				} else {
 					Softmax(got)
 				}
-				softmax(want, masked, false)
+				softmax(want, masked, scalarTier)
 				requireSameFloat32s(t, got, want, fmt.Sprintf("%s n=%d masked=%v", flavour, n, masked))
 			}
 		}
@@ -237,7 +252,7 @@ func TestSiLUKernelMatchesScalar(t *testing.T) {
 			got := append([]float32(nil), x...)
 			want := append([]float32(nil), x...)
 			SiLU(got)
-			silu(want, false)
+			silu(want, scalarTier)
 			requireSameFloat32s(t, got, want, fmt.Sprintf("%s n=%d", flavour, n))
 		}
 	}
@@ -246,7 +261,7 @@ func TestSiLUKernelMatchesScalar(t *testing.T) {
 	got := append([]float32(nil), x...)
 	want := append([]float32(nil), x...)
 	SiLU(got)
-	silu(want, false)
+	silu(want, scalarTier)
 	requireSameFloat32s(t, got, want, "range edges")
 }
 
@@ -501,7 +516,9 @@ func TestVectorKernelsAllocFree(t *testing.T) {
 }
 
 // Kernel benchmarks at serving shapes. The scalar sub-benchmarks run the
-// same inputs through the scalar loops, so one run reports both sides.
+// same inputs through the scalar loops, so one run reports both sides;
+// kernel is the tier the package runs on, and avx2 and avx512 pin a tier
+// (benchTiers).
 
 func BenchmarkSoftmaxMasked(b *testing.B) {
 	x := vecInputs(160, "normal", 1)
@@ -509,11 +526,11 @@ func BenchmarkSoftmaxMasked(b *testing.B) {
 		x[j] = NegInf // the tree segment: a few new slots masked
 	}
 	buf := make([]float32, len(x))
-	for _, vec := range []bool{false, true} {
-		b.Run(kernelName(vec), func(b *testing.B) {
+	for _, tr := range benchTiers() {
+		b.Run(tr.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(buf, x)
-				softmax(buf, true, vec)
+				softmax(buf, true, tr.t)
 			}
 		})
 	}
@@ -522,11 +539,11 @@ func BenchmarkSoftmaxMasked(b *testing.B) {
 func BenchmarkSoftmax(b *testing.B) {
 	x := vecInputs(256, "normal", 2) // one row of LM-head logits
 	buf := make([]float32, len(x))
-	for _, vec := range []bool{false, true} {
-		b.Run(kernelName(vec), func(b *testing.B) {
+	for _, tr := range benchTiers() {
+		b.Run(tr.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(buf, x)
-				softmax(buf, false, vec)
+				softmax(buf, false, tr.t)
 			}
 		})
 	}
@@ -536,20 +553,33 @@ func BenchmarkSiLU(b *testing.B) {
 	for _, rows := range []int{1, 21} {
 		x := vecInputs(160*rows, "normal", 3) // FFN width 160
 		buf := make([]float32, len(x))
-		for _, vec := range []bool{false, true} {
-			b.Run(fmt.Sprintf("rows=%d/%s", rows, kernelName(vec)), func(b *testing.B) {
+		for _, tr := range benchTiers() {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, tr.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(buf, x)
-					silu(buf, vec)
+					silu(buf, tr.t)
 				}
 			})
 		}
 	}
 }
 
-func kernelName(vec bool) string {
-	if vec && hasExpKernel {
-		return "kernel"
+// benchTier is a tier a benchmark runs, under its sub-benchmark name.
+type benchTier struct {
+	name string
+	t    tier
+}
+
+// benchTiers returns the tiers an exp kernel benchmark runs: the scalar
+// loop, the package's own tier as "kernel", and then each vector tier by
+// name, the 512-bit one only where it runs.
+func benchTiers() []benchTier {
+	bt := []benchTier{{"scalar", scalarTier}, {"kernel", expTier}}
+	if expTier != scalarTier {
+		bt = append(bt, benchTier{"avx2", avx2Tier})
 	}
-	return "scalar"
+	if hasExp512 {
+		bt = append(bt, benchTier{"avx512", avx512Tier})
+	}
+	return bt
 }

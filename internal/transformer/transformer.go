@@ -280,6 +280,10 @@ type Session struct {
 	// storage reused across passes (attention.go).
 	plan blockPlan
 
+	// commitKV is the K/V row headers of committed passes (commitPass),
+	// reused across passes.
+	commitKV passKV
+
 	n        int       // committed tokens
 	lastDist []float32 // distribution after the last committed token
 
@@ -375,11 +379,9 @@ func (s *Session) Prefill(prompt []model.Token) []float32 {
 		for i := range positions {
 			positions[i] = i
 		}
-		dists, k, v := s.forward(prompt, positions, nil, nil)
-		s.commitRows(k, v)
+		s.lastDist = s.commitPass(prompt, positions)
 		s.n = len(prompt)
 		s.invalidateTree()
-		s.lastDist = dists[len(dists)-1]
 		return cloneVec(s.lastDist)
 	}
 	s.lastDist = s.prefillChunked(prompt, 0)
@@ -404,10 +406,8 @@ func (s *Session) prefillChunked(tokens []model.Token, firstPos int) []float32 {
 		for i := range positions {
 			positions[i] = firstPos + off + i
 		}
-		dists, k, v := s.forward(chunk, positions, nil, nil)
-		s.commitRows(k, v)
+		last = s.commitPass(chunk, positions)
 		s.n += len(chunk)
-		last = dists[len(dists)-1]
 	}
 	return last
 }
@@ -461,11 +461,9 @@ func (s *Session) Decode(tok model.Token) []float32 {
 	if s.n == 0 {
 		panic("transformer: Decode before Prefill")
 	}
-	dists, k, v := s.forward([]model.Token{tok}, []int{s.n}, nil, nil)
-	s.commitRows(k, v)
+	s.lastDist = s.commitPass([]model.Token{tok}, []int{s.n})
 	s.n++
 	s.invalidateTree()
-	s.lastDist = dists[0]
 	return cloneVec(s.lastDist)
 }
 
@@ -608,10 +606,8 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 		for j := range positions {
 			positions[j] = s.n + j
 		}
-		dists, k, v := s.forward(rest, positions, nil, nil)
-		s.commitRows(k, v)
+		s.lastDist = s.commitPass(rest, positions)
 		s.n += len(rest)
-		s.lastDist = dists[len(dists)-1]
 	}
 	if s.lastDist == nil {
 		panic("transformer: Accept produced no distribution")
@@ -700,7 +696,68 @@ func (s *Session) forward(tokens []model.Token, positions []int, mask func(i, j 
 		}
 		return s.forwardReference(tokens, positions, mask)
 	}
-	return s.forwardBatched(tokens, positions, mask, prior)
+	logits, newK, newV := s.forwardBatched(tokens, positions, mask, prior, &passKV{})
+	dists = make([][]float32, len(tokens))
+	for i := range dists {
+		dists[i] = cloneVec(logits.Row(i))
+	}
+	return dists, newK, newV
+}
+
+// commitPass runs tokens at the given positions through the forward pass
+// under plain causality, commits their K/V rows at once and returns the
+// last token's distribution (a fresh slice). On the batched path the rows
+// live in the scratch arena only until commitRows copies them into arena
+// pages, their row headers are the session's, reused pass after pass,
+// and only the last distribution leaves the arena, so a committed pass
+// allocates no per-row storage.
+func (s *Session) commitPass(tokens []model.Token, positions []int) []float32 {
+	if s.ref {
+		dists, k, v := s.forwardReference(tokens, positions, nil)
+		s.commitRows(k, v)
+		return dists[len(dists)-1]
+	}
+	logits, k, v := s.forwardBatched(tokens, positions, nil, nil, &s.commitKV)
+	s.commitRows(k, v)
+	return cloneVec(logits.Row(len(tokens) - 1))
+}
+
+// passKV holds a forward pass's K/V row headers: per-layer Matrix views
+// for the projection matmuls, and per-layer row slices for attention and
+// the commit. A tree pass takes a fresh one, as its rows are retained
+// until the next commit; committed passes reuse the session's.
+type passKV struct {
+	views  []tensor.Matrix // K of layer l at 2l, V at 2l+1
+	rows   [][]float32     // K rows, then V rows, layer-major
+	layers [][][]float32   // K per layer, then V per layer
+}
+
+// lay points p's headers at kAll and vAll, which hold each layer's nNew
+// rows layer after layer, growing p's storage as needed, and returns the
+// per-layer K and V rows.
+func (p *passKV) lay(kAll, vAll *tensor.Matrix, layers, nNew int) (newK, newV [][][]float32) {
+	if cap(p.views) < 2*layers {
+		p.views = make([]tensor.Matrix, 2*layers)
+		p.layers = make([][][]float32, 2*layers)
+	}
+	if cap(p.rows) < 2*layers*nNew {
+		p.rows = make([][]float32, 2*layers*nNew)
+	}
+	p.views, p.layers, p.rows = p.views[:2*layers], p.layers[:2*layers], p.rows[:2*layers*nNew]
+	hidden := kAll.Cols
+	for l := 0; l < layers; l++ {
+		span := l * nNew * hidden
+		p.views[2*l] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: kAll.Data[span : span+nNew*hidden]}
+		p.views[2*l+1] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: vAll.Data[span : span+nNew*hidden]}
+		kRows := p.rows[l*nNew : (l+1)*nNew]
+		vRows := p.rows[(layers+l)*nNew : (layers+l+1)*nNew]
+		for i := 0; i < nNew; i++ {
+			kRows[i] = kAll.Row(l*nNew + i)
+			vRows[i] = vAll.Row(l*nNew + i)
+		}
+		p.layers[l], p.layers[layers+l] = kRows, vRows
+	}
+	return p.layers[:layers], p.layers[layers:]
 }
 
 // priorRows is the "prior rows" attention segment of an incremental tree
@@ -727,7 +784,12 @@ type priorRows struct {
 // golden tests assert this). The prior segment keeps that: its scores are
 // the in-pass segment's dot-then-scale, and a key's position in the score
 // vector never changes its arithmetic (DESIGN.md §16, §21).
-func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows) (dists [][]float32, newK, newV [][][]float32) {
+//
+// It returns the pass's row-softmaxed logits, in the scratch arena, and
+// the new rows' K/V per layer under kv's headers. With kv the session's
+// commitKV the rows live in the scratch arena too, valid until the next
+// pass; with any other kv they are freshly allocated.
+func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows, kv *passKV) (logits *tensor.Matrix, newK, newV [][][]float32) {
 	cfg := s.m.cfg
 	nNew := len(tokens)
 	hd := cfg.headDim()
@@ -776,25 +838,18 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 	gate := scr.Mat("gate", nNew, cfg.FFN)
 	up := scr.Mat("up", nNew, cfg.FFN)
 
-	// K/V rows outlive the pass (commitRows/Accept retain them in the KV
-	// cache), so they cannot live in the scratch arena: all layers' rows
-	// are laid out in two freshly allocated backing matrices, with
-	// per-layer Matrix views for the projection matmuls.
-	kAll := tensor.NewMatrix(cfg.Layers*nNew, cfg.Hidden)
-	vAll := tensor.NewMatrix(cfg.Layers*nNew, cfg.Hidden)
-	kvViews := make([]tensor.Matrix, 2*cfg.Layers)
-	kHead := make([][]float32, cfg.Layers*nNew)
-	vHead := make([][]float32, cfg.Layers*nNew)
-	newK = make([][][]float32, cfg.Layers)
-	newV = make([][][]float32, cfg.Layers)
-	for l := 0; l < cfg.Layers; l++ {
-		for i := 0; i < nNew; i++ {
-			kHead[l*nNew+i] = kAll.Row(l*nNew + i)
-			vHead[l*nNew+i] = vAll.Row(l*nNew + i)
-		}
-		newK[l] = kHead[l*nNew : (l+1)*nNew]
-		newV[l] = vHead[l*nNew : (l+1)*nNew]
+	// All layers' K/V rows are laid out in two backing matrices. A tree
+	// pass's rows outlive it (DecodeTree retains them for Accept and for
+	// later extensions), so they are freshly allocated; a committed
+	// pass's are copied into arena pages before the next pass, so they
+	// live in the scratch arena.
+	var kAll, vAll *tensor.Matrix
+	if kv == &s.commitKV {
+		kAll, vAll = scr.Mat("kAll", cfg.Layers*nNew, cfg.Hidden), scr.Mat("vAll", cfg.Layers*nNew, cfg.Hidden)
+	} else {
+		kAll, vAll = tensor.NewMatrix(cfg.Layers*nNew, cfg.Hidden), tensor.NewMatrix(cfg.Layers*nNew, cfg.Hidden)
 	}
+	newK, newV = kv.lay(kAll, vAll, cfg.Layers, nNew)
 
 	for l := 0; l < cfg.Layers; l++ {
 		lw := &s.m.layers[l]
@@ -805,10 +860,7 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			priorK, priorV = prior.k[l], prior.v[l]
 		}
 		kRows, vRows := newK[l], newV[l]
-		kMat := &kvViews[2*l]
-		vMat := &kvViews[2*l+1]
-		*kMat = tensor.Matrix{Rows: nNew, Cols: cfg.Hidden, Data: kAll.Data[l*nNew*cfg.Hidden : (l+1)*nNew*cfg.Hidden]}
-		*vMat = tensor.Matrix{Rows: nNew, Cols: cfg.Hidden, Data: vAll.Data[l*nNew*cfg.Hidden : (l+1)*nNew*cfg.Hidden]}
+		kMat, vMat := &kv.views[2*l], &kv.views[2*l+1]
 
 		// One QKV projection matmul over every new token. Within a layer a
 		// token's Q/K/V depend only on activations entering the layer, so
@@ -868,20 +920,15 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		}
 	}
 
-	// Final norm + one batched LM-head projection + row softmax. The rows
-	// are copied exactly once out of the scratch arena into fresh slices
-	// owned by the caller.
+	// Final norm + one batched LM-head projection + row softmax, left in
+	// the scratch arena for the caller to copy out what it keeps.
 	for i := 0; i < nNew; i++ {
 		s.m.norm(x.Row(i), s.m.finalNorm, s.m.finalNormBias, h1.Row(i))
 	}
-	logits := scr.Mat("logits", nNew, cfg.Vocab)
+	logits = scr.Mat("logits", nNew, cfg.Vocab)
 	s.mm(len(s.m.projs)-1, h1, logits) // the LM head is the last projection
 	tensor.SoftmaxRows(logits)
-	dists = make([][]float32, nNew)
-	for i := range dists {
-		dists[i] = cloneVec(logits.Row(i))
-	}
-	return dists, newK, newV
+	return logits, newK, newV
 }
 
 func cloneVec(v []float32) []float32 {

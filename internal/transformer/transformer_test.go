@@ -2,6 +2,7 @@ package transformer
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -414,5 +415,37 @@ func TestAcceptAfterTreeGrowth(t *testing.T) {
 	want := ref.Decode(11)
 	if diff := maxAbsDiff(got, want); diff > 1e-4 {
 		t.Fatalf("accept after tree growth diverged: %v", diff)
+	}
+}
+
+// TestCommittedPassesStageRowsInScratch checks that a committed pass
+// (Decode here) allocates no storage for its own K/V rows: they are
+// staged in the scratch arena and copied into arena pages, so a decode's
+// heap allocation is the pages' growth, one K/V row set per token, plus
+// two copies of the distribution and a few small headers — not a second
+// row set per token as when each pass allocated its rows.
+func TestCommittedPassesStageRowsInScratch(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.Hidden, cfg.FFN, cfg.Layers = 128, 64, 4
+	m := New(cfg)
+	s := m.NewSession()
+	prompt := make([]int, 64)
+	for i := range prompt {
+		prompt[i] = i % cfg.Vocab
+	}
+	s.Prefill(prompt)
+	s.Decode(1) // warm the scratch arena
+	const decodes = 128
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < decodes; i++ {
+		s.Decode(i % cfg.Vocab)
+	}
+	runtime.ReadMemStats(&after)
+	perDecode := float64(after.TotalAlloc-before.TotalAlloc) / decodes
+	rowBytes := float64(2 * cfg.Layers * cfg.Hidden * 4)
+	t.Logf("%.0f bytes per decode; one token's K/V rows are %.0f bytes", perDecode, rowBytes)
+	if perDecode > 1.5*rowBytes {
+		t.Fatalf("a decode allocates %.0f bytes, more than 1.5x its K/V rows (%.0f bytes): the pass allocates its rows again", perDecode, rowBytes)
 	}
 }
