@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race lint archcheck benchsmoke serve servesmoke e2e
+.PHONY: check fmt vet build test race lint archcheck benchsmoke tablescheck serve servesmoke e2e
 
 check: fmt vet build race lint archcheck benchsmoke
 
@@ -60,6 +60,16 @@ lint:
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier|BenchmarkVerifyCost' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulTPacked|BenchmarkSoftmaxBlock' -benchtime 1x ./internal/tensor/
+
+# The offline reproductions (Tables 1-3, Figures 7-11, the ablations) are
+# deterministic: diff a fresh `benchtables -quick` (~35 s on 2 vCPUs)
+# against the committed output, so no change moves a reproduced figure
+# silently. The golden file holds amd64 bits with the default GOAMD64:
+# FMA fusion on arm64 or under GOAMD64=v3 changes low digits, as with
+# TestStochasticOutputsGolden. After a deliberate change, regenerate it:
+#   go run ./cmd/benchtables -quick > cmd/benchtables/testdata/quick.golden
+tablescheck:
+	$(GO) run ./cmd/benchtables -quick | diff -u cmd/benchtables/testdata/quick.golden -
 
 # End-to-end serving benchmark gate: the benchmark's own unit tests under
 # the race detector, then a short chat-tree run, which exits non-zero

@@ -80,9 +80,8 @@ type Report struct {
 	IterLatency     metrics.Summary
 	SSMSeconds      float64 // share spent speculating
 	LLMSeconds      float64 // share spent verifying/decoding
-	// PerRequest holds per-request accounting when the iteration records
-	// carry request ids (engine runs always do; synthetic records may
-	// not).
+	// PerRequest holds per-request accounting, keyed by request ID
+	// (core.ReqIter.ID).
 	PerRequest map[int]RequestLatency
 	// RequestPerToken summarizes the per-request seconds-per-token
 	// distribution (tail latency: P50/P90/P99).
@@ -126,15 +125,13 @@ func Simulate(dep Deployment, iters []core.IterationRecord) Report {
 		iterTimes = append(iterTimes, t)
 		rep.TotalSeconds += t
 		rep.Iterations++
-		for i, c := range it.Committed {
-			rep.TotalTokens += c
-			if i < len(it.ReqIDs) {
-				rl := rep.PerRequest[it.ReqIDs[i]]
-				rl.Iterations++
-				rl.Seconds += t
-				rl.Tokens += c
-				rep.PerRequest[it.ReqIDs[i]] = rl
-			}
+		for _, r := range it.Reqs {
+			rep.TotalTokens += r.Committed
+			rl := rep.PerRequest[r.ID]
+			rl.Iterations++
+			rl.Seconds += t
+			rl.Tokens += r.Committed
+			rep.PerRequest[r.ID] = rl
 		}
 	}
 	var perTok []float64
@@ -153,7 +150,7 @@ func Simulate(dep Deployment, iters []core.IterationRecord) Report {
 		// time divided by mean tokens committed per request per iteration.
 		var sumBatch int
 		for _, it := range iters {
-			sumBatch += it.BatchSize
+			sumBatch += len(it.Reqs)
 		}
 		meanCommitPerReq := float64(rep.TotalTokens) / float64(sumBatch)
 		meanIter := rep.TotalSeconds / float64(rep.Iterations)
@@ -176,22 +173,23 @@ func (d Deployment) IterationPricer() core.IterationPricer {
 
 // iterationTime prices one engine iteration.
 func iterationTime(dep Deployment, it core.IterationRecord, rep *Report) float64 {
-	if it.BatchSize == 0 {
+	batch := len(it.Reqs)
+	if batch == 0 {
 		return 0
 	}
 	meanCtx := 0
-	for _, c := range it.CtxLens {
-		meanCtx += c
+	for _, r := range it.Reqs {
+		meanCtx += r.CtxLen
 	}
-	meanCtx /= it.BatchSize
+	meanCtx /= batch
 
 	// --- Speculation phase: SpecSteps SSM levels. Multiple SSMs run data
 	// parallel on separate GPUs, so the pool costs the same as one SSM.
 	var ssmTime float64
 	if it.SpecSteps > 0 {
 		totalNodes := 0
-		for _, n := range it.TreeNodes {
-			totalNodes += n
+		for _, r := range it.Reqs {
+			totalNodes += r.TreeNodes
 		}
 		perLevel := (totalNodes + it.SpecSteps - 1) / it.SpecSteps
 		ssmTime = float64(it.SpecSteps) * gpu.SSMStep(dep.SSM, dep.Device, perLevel, meanCtx)
@@ -200,25 +198,25 @@ func iterationTime(dep Deployment, it core.IterationRecord, rep *Report) float64
 	// --- Verification / decoding phase.
 	positions := 0
 	kernels := 0
-	for i := 0; i < it.BatchSize; i++ {
+	for _, r := range it.Reqs {
 		if it.SpecSteps == 0 {
 			positions++
 			kernels++
 			continue
 		}
 		if dep.SequenceDecode {
-			positions += it.TreePathPositions[i]
-			kernels += it.TreeLeaves[i]
+			positions += r.TreePathPositions
+			kernels += r.TreeLeaves
 		} else {
-			positions += it.TreeNodes[i]
+			positions += r.TreeNodes
 			kernels++
 		}
 	}
-	if positions < it.BatchSize {
-		positions = it.BatchSize // empty trees still decode one token
+	if positions < batch {
+		positions = batch // empty trees still decode one token
 	}
 	params := gpu.StepParams{
-		Batch:       it.BatchSize,
+		Batch:       batch,
 		Positions:   positions,
 		AttnKernels: kernels,
 		CtxLen:      meanCtx,
@@ -239,7 +237,7 @@ func iterationTime(dep Deployment, it core.IterationRecord, rep *Report) float64
 	}
 	if it.SpecSteps > 0 {
 		rep.EnergyJoules += float64(it.SpecSteps) * gpu.StepEnergy(dep.SSM, gpu.StepParams{
-			Batch: it.BatchSize, Positions: it.BatchSize, AttnKernels: it.BatchSize, CtxLen: meanCtx,
+			Batch: batch, Positions: batch, AttnKernels: batch, CtxLen: meanCtx,
 		})
 	}
 

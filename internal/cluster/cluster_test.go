@@ -12,13 +12,9 @@ import (
 func incIters(n, b, ctx int) []core.IterationRecord {
 	out := make([]core.IterationRecord, n)
 	for i := range out {
-		it := core.IterationRecord{BatchSize: b}
+		var it core.IterationRecord
 		for j := 0; j < b; j++ {
-			it.TreeNodes = append(it.TreeNodes, 0)
-			it.TreeLeaves = append(it.TreeLeaves, 0)
-			it.TreePathPositions = append(it.TreePathPositions, 0)
-			it.Committed = append(it.Committed, 1)
-			it.CtxLens = append(it.CtxLens, ctx)
+			it.Reqs = append(it.Reqs, core.ReqIter{ID: j, Committed: 1, CtxLen: ctx})
 		}
 		out[i] = it
 	}
@@ -31,13 +27,12 @@ func incIters(n, b, ctx int) []core.IterationRecord {
 func specIters(n, b, ctx, nodes, leaves, pathPos, alpha, depth int) []core.IterationRecord {
 	out := make([]core.IterationRecord, n)
 	for i := range out {
-		it := core.IterationRecord{BatchSize: b, SpecSteps: depth}
+		it := core.IterationRecord{SpecSteps: depth}
 		for j := 0; j < b; j++ {
-			it.TreeNodes = append(it.TreeNodes, nodes)
-			it.TreeLeaves = append(it.TreeLeaves, leaves)
-			it.TreePathPositions = append(it.TreePathPositions, pathPos)
-			it.Committed = append(it.Committed, alpha)
-			it.CtxLens = append(it.CtxLens, ctx)
+			it.Reqs = append(it.Reqs, core.ReqIter{
+				ID: j, TreeNodes: nodes, TreeLeaves: leaves, TreePathPositions: pathPos,
+				Committed: alpha, CtxLen: ctx,
+			})
 		}
 		out[i] = it
 	}
@@ -176,7 +171,7 @@ func TestEmptyIterationsHandled(t *testing.T) {
 	if rep.TotalSeconds != 0 || rep.TotalTokens != 0 {
 		t.Fatal("empty run must be zero")
 	}
-	rep = Simulate(dep7B(), []core.IterationRecord{{BatchSize: 0}})
+	rep = Simulate(dep7B(), []core.IterationRecord{{}})
 	if rep.TotalSeconds != 0 {
 		t.Fatal("zero-batch iteration must cost nothing")
 	}
@@ -187,14 +182,11 @@ func TestPerRequestAccounting(t *testing.T) {
 	iters := make([]core.IterationRecord, 4)
 	for i := range iters {
 		iters[i] = core.IterationRecord{
-			BatchSize:         2,
-			ReqIDs:            []int{5, 9},
-			TreeNodes:         []int{10, 10},
-			TreeLeaves:        []int{2, 2},
-			TreePathPositions: []int{12, 12},
-			Committed:         []int{3, 2},
-			CtxLens:           []int{100, 100},
-			SpecSteps:         8,
+			Reqs: []core.ReqIter{
+				{ID: 5, TreeNodes: 10, TreeLeaves: 2, TreePathPositions: 12, Committed: 3, CtxLen: 100},
+				{ID: 9, TreeNodes: 10, TreeLeaves: 2, TreePathPositions: 12, Committed: 2, CtxLen: 100},
+			},
+			SpecSteps: 8,
 		}
 	}
 	rep := Simulate(dep7B(), iters)

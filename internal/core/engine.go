@@ -118,15 +118,18 @@ type Config struct {
 	// from its measured accept-length EWMA, the admission-queue depth,
 	// and batch occupancy — deep trees when the batch is underfull
 	// (latency mode), narrow speculation when verification is contended
-	// (throughput mode). Under Serve each request's step is also timed
-	// with Clock, and the controller floors a request's budget to zero
+	// (throughput mode). The admission-queue depth is the backlog the
+	// scheduler loop's source reports: the Submit queue under Serve,
+	// the arrived-but-unadmitted requests under RunOnline, and none
+	// under Run. Under Serve each request's step is also timed with
+	// Clock, and the controller floors a request's budget to zero
 	// whenever an incremental step is expected to commit more tokens
 	// per second than the speculative one; a zero-budget step samples
 	// from the LLM's last distribution and decodes one token, with no
-	// tree, verifier or SSM forward (DESIGN.md §19). The offline
-	// Run/RunOnline paths measure nothing and never floor. TreeSpec
-	// mode only; conflicts with Adaptive (the policy already drives the
-	// adaptive grower, with a moving budget).
+	// tree, verifier or SSM forward (DESIGN.md §19). Run and RunOnline
+	// measure nothing and never floor. TreeSpec mode only; conflicts
+	// with Adaptive (the policy already drives the adaptive grower,
+	// with a moving budget).
 	Policy *policy.Config
 
 	// PrefixCacheBytes, when positive, enables the cross-request prefix
@@ -155,10 +158,12 @@ type Config struct {
 	// ServeStats). Defaults to 1024.
 	LatencyWindow int
 	// Clock supplies wall-clock time for live serving (queue-delay and
-	// latency accounting in Serve/Submit, and the per-step costs the
-	// speculation policy prices its decisions with). nil defaults to
-	// the real clock. The offline Run/RunOnline paths never read it —
-	// their determinism does not depend on this field.
+	// latency accounting in Serve/Submit, the drain deadline, and the
+	// per-step costs the speculation policy prices its decisions with).
+	// nil defaults to the real clock. Run and RunOnline never read it:
+	// their clock is virtual (RunOnline's advances by its
+	// IterationPricer), so their determinism does not depend on this
+	// field.
 	Clock func() time.Time
 }
 
@@ -281,9 +286,11 @@ type RequestResult struct {
 	TreeNodesPerStep []int
 	// PromptLen is the request's prompt length.
 	PromptLen int
-	// Err is non-nil when the request was retired by a serving error (for
-	// the offline paths, a verifier error on a malformed speculated tree);
-	// Output then holds whatever was committed before the failure.
+	// Err is nil on normal completion (budget or EOS reached). A request
+	// retired early carries the reason: a verifier error on a malformed
+	// speculated tree, or, for a request submitted through Submit,
+	// context.Canceled, context.DeadlineExceeded, ErrDraining or
+	// ErrDrainTimeout. Output then holds whatever was committed before.
 	Err error
 }
 
@@ -298,68 +305,68 @@ func (r RequestResult) AvgCommitted() float64 {
 
 // IterationRecord describes one engine iteration for the cost model.
 type IterationRecord struct {
-	// BatchSize is the number of active requests this iteration.
-	BatchSize int
-	// ReqIDs[i] is the request ID of the i-th active request, letting the
-	// cost model attribute iteration time to requests (per-request
-	// latency percentiles).
-	ReqIDs []int
-	// TreeNodes[i] is the speculated-node count of the i-th active
-	// request's tree (0 for incremental decoding).
-	TreeNodes []int
-	// TreeLeaves[i] is the number of root-to-leaf sequences in the i-th
-	// request's tree — the kernel count of the sequence-based decoding
-	// baseline (Figure 11).
-	TreeLeaves []int
-	// TreePathPositions[i] is the sum of root-to-leaf path lengths of the
-	// i-th request's tree — the token-positions the sequence-based
-	// decoding baseline processes (shared prefixes recomputed).
-	TreePathPositions []int
-	// Committed[i] is the number of tokens the i-th request committed.
-	Committed []int
-	// CtxLens[i] is the committed context length of the i-th request at
-	// the END of the iteration (drives KV-read costs).
-	CtxLens []int
-	// CacheBytes[i] is the KV-cache storage (bytes) held by the i-th
-	// request's LLM session at the end of the iteration — the per-request
-	// accounting a memory-aware scheduler needs. 0 when the session does
-	// not report it (model.CacheSizer).
-	CacheBytes []int64
-	// PrefixSharedToks[i] is how many of the i-th request's prompt
-	// tokens its LLM session served from the cross-request prefix cache
-	// at admission (0 on a miss or with the cache disabled).
-	PrefixSharedToks []int
-	// SpecAccepted[i] is the number of speculated tokens the i-th
-	// request's verification accepted this iteration — the committed run
-	// minus the bonus token, before budget/EOS truncation — i.e. the
-	// verifier's accept length, the quantity traversal verification
-	// improves over MSS. -1 when the verification failed. 0 for a
-	// zero-budget policy step (PolicyNodes[i] == 0), which verifies
-	// nothing and counts as no verification. Nil for incremental
-	// decoding (no speculation to accept).
-	SpecAccepted []int
+	// Reqs holds one row per request stepped this iteration, in slot
+	// order; its length is the iteration's batch size.
+	Reqs []ReqIter
 	// SpecSteps is the number of SSM decoding levels used to build the
-	// trees (0 for incremental).
+	// trees: 0 for incremental decoding, and under the speculation
+	// policy the deepest budget it granted (0 when every step of the
+	// iteration was zero-budget).
 	SpecSteps int
 	// PolicyMode is the speculation policy's mode this iteration
 	// ("latency" or "throughput"); empty when the policy engine is
-	// disabled. The mode is batch-global — its inputs (queue depth,
-	// batch occupancy) are shared by every request of the iteration.
+	// disabled, and then the rows' Policy* fields are zero. The mode is
+	// batch-global — its inputs (queue depth, batch occupancy) are
+	// shared by every request of the iteration.
 	PolicyMode string
-	// PolicyNodes[i] is the speculated-node budget the policy granted
-	// the i-th active request this iteration (scaled by the request's
-	// accept-length EWMA within the mode's ceiling); 0 marks a
-	// zero-budget step, which decoded one token incrementally. Nil when
-	// the policy engine is disabled.
-	PolicyNodes []int
-	// PolicySSMs[i] is how many ensemble SSMs the policy ran for the
-	// i-th request (0 = the whole pool). Nil when the policy engine is
-	// disabled.
-	PolicySSMs []int
 }
 
-// Engine serves requests: offline traces via Run/RunOnline, live
-// traffic via Serve/Submit (see serve.go).
+// ReqIter is one request's row of an IterationRecord.
+type ReqIter struct {
+	// ID is the request ID, letting the cost model attribute iteration
+	// time to requests (per-request latency percentiles).
+	ID int
+	// TreeNodes is the speculated-node count of the request's tree (0
+	// for an incremental step).
+	TreeNodes int
+	// TreeLeaves and TreePathPositions count the tree's root-to-leaf
+	// sequences and sum their lengths: the kernels and token-positions
+	// of the sequence-based decoding baseline (Figure 11), which
+	// recomputes shared prefixes.
+	TreeLeaves, TreePathPositions int
+	// Committed is the number of tokens the request committed.
+	Committed int
+	// CtxLen is the committed context length at the END of the
+	// iteration (drives KV-read costs).
+	CtxLen int
+	// CacheBytes is the KV-cache storage (bytes) the request's LLM
+	// session holds at the end of the iteration — the per-request
+	// accounting a memory-aware scheduler needs. 0 when the session does
+	// not report it (model.CacheSizer).
+	CacheBytes int64
+	// PrefixSharedToks is how many prompt tokens the LLM session served
+	// from the cross-request prefix cache at admission (0 on a miss or
+	// with the cache disabled).
+	PrefixSharedToks int
+	// SpecAccepted is the number of speculated tokens the verification
+	// accepted — the committed run minus the bonus token, before
+	// budget/EOS truncation — i.e. the verifier's accept length, the
+	// quantity traversal verification improves over MSS. -1 when the
+	// verification failed. 0 for a step that verified nothing: every
+	// step of incremental decoding (the record's SpecSteps is 0) and a
+	// zero-budget policy step (PolicyNodes == 0).
+	SpecAccepted int
+	// PolicyNodes is the speculated-node budget the policy granted
+	// (scaled by the request's accept-length EWMA within the mode's
+	// ceiling); 0 marks a zero-budget step, which decoded one token
+	// incrementally. PolicySSMs is how many ensemble SSMs the policy ran
+	// (0 = the whole pool).
+	PolicyNodes, PolicySSMs int
+}
+
+// Engine serves requests: traces via Run/RunOnline (see online.go), live
+// traffic via Serve/Submit (see serve.go), all through one scheduler
+// loop (Engine.schedule).
 type Engine struct {
 	cfg Config
 
@@ -370,15 +377,9 @@ type Engine struct {
 	// pol is the speculation policy controller, non-nil when
 	// Config.Policy is set (see policy.go).
 	pol *policy.Controller
-	// simQueued is RunOnline's admission backlog — arrivals at or before
-	// the simulated clock still waiting for a slot — surfaced to the
-	// policy as the queue-depth signal the live path reads from the
-	// serve queue. Written and read only on the co-simulation
-	// goroutine; always zero outside RunOnline.
-	simQueued int
 
-	// mu guards srv, the live-serving state installed by Serve. The
-	// offline paths never touch it.
+	// mu guards srv, the live-serving state installed by Serve. Run and
+	// RunOnline never touch it.
 	mu  sync.Mutex
 	srv *serveState // guarded by mu
 }
@@ -412,7 +413,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // reqState is the per-request serving state held while a request occupies
 // a continuous-batching slot.
 type reqState struct {
-	pos      int // index into the Run input slice
+	pos      int // index into the trace (Run/RunOnline)
 	req      workload.Request
 	llm      model.Session
 	spec     treeSpeculator // nil for incremental decoding
@@ -428,126 +429,130 @@ type reqState struct {
 	// the speculator's SSM sessions), whose cache calls the prefill
 	// phase stages on the scheduler goroutine. Nil with the cache off.
 	prefix []*prefixSession
-	// verr is the verification error that retired the request, if any
-	// (also recorded in res.Err; kept separately so the live path can
-	// finish the submission with it).
-	verr error
 	// live is the submission handle when the request arrived through
-	// Submit (nil on the offline Run/RunOnline paths).
+	// Submit (nil under Run/RunOnline).
 	live *liveReq
 	// sampleBuf is decodeStep's scratch for the sampling distribution.
 	sampleBuf []float32
 }
 
-// Run serves the trace to completion with continuous batching and returns
-// one result per request (in request order) plus the per-iteration records
-// the hardware cost model consumes.
-func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecord) {
-	results := make([]RequestResult, len(reqs))
-	var iters []IterationRecord
+// source feeds the scheduler loop (Engine.schedule) and takes what it
+// produces. traceSource replays a request list on a virtual clock (Run,
+// RunOnline); liveSource admits from the Submit queue on Config.Clock
+// (Serve).
+type source interface {
+	// admit returns the next iteration's batch: active plus the requests
+	// admitted into free slots, minus the requests the source retired at
+	// the iteration boundary. An empty batch ends the loop unless more
+	// is set; then the loop asks again.
+	admit(active []*reqState) (batch []*reqState, more bool)
+	// backlog is the admission backlog the speculation policy sees:
+	// requests that have arrived but hold no slot.
+	backlog() int
+	// iterated takes the iteration's record, before retirement, with
+	// the batch it covered.
+	iterated(rec IterationRecord, active []*reqState)
+	// retire delivers a finished request's result; its sessions are
+	// already released.
+	retire(st *reqState)
+}
 
-	pending := make([]int, len(reqs)) // indices into reqs
-	for i := range pending {
-		pending[i] = i
-	}
+// schedule is the engine's one scheduler loop, §5.1's request manager
+// under Orca-style iteration-level scheduling: admit into free slots
+// (as soon as one frees, not when the batch drains), prefill the newly
+// admitted, step the batch, retire the finished. clock, when non-nil
+// (live serving), times each step for the speculation policy.
+func (e *Engine) schedule(src source, clock func() time.Time) {
 	var active []*reqState
-
-	for len(pending) > 0 || len(active) > 0 {
-		// Admission: iteration-level scheduling (Orca). New requests are
-		// admitted as soon as a slot frees up, without waiting for the
-		// whole batch to drain; the iteration's prefill phase prefills
-		// them.
-		for len(active) < e.cfg.MaxBatch && len(pending) > 0 {
-			idx := pending[0]
-			pending = pending[1:]
-			st := e.admit(reqs[idx])
-			st.pos = idx
-			active = append(active, st)
+	// Normal exits leave nothing active. A panic unwinding the loop (a
+	// faulty model, re-raised from the worker pool) would leak the
+	// batch's KV pages, prefix-cache pins and policy history: release
+	// them and let the panic carry on unchanged. Their submitters get
+	// no Result; a fleet front-end that recovers around Serve re-routes
+	// or fails them.
+	defer func() {
+		for _, st := range active {
+			e.release(st)
 		}
-
-		iters = append(iters, e.runIteration(active, nil))
-
-		// Retire finished requests.
+	}()
+	for {
+		var more bool
+		if active, more = src.admit(active); len(active) == 0 {
+			if !more {
+				return
+			}
+			continue
+		}
+		batch := e.prefill(active)
+		rec := e.stepBatch(batch, src.backlog(), clock)
+		src.iterated(rec, active)
 		var still []*reqState
 		for _, st := range active {
 			if st.done {
-				results[st.pos] = st.res
 				e.release(st)
+				src.retire(st)
 			} else {
 				still = append(still, st)
 			}
 		}
 		active = still
 	}
-	return results, iters
 }
 
-// runIteration runs one engine iteration over the active batch: the
-// prefill phase, then one step of every prefilled request, and returns
-// the iteration record. Both phases run on the bounded worker pool
-// (Config.Workers); each worker claims slots from an atomic counter and
-// writes its result to the claimed slot, so the record — and every
-// other output — is independent of scheduling order. Per-request state
-// (LLM session, speculator sessions, RNG stream) is confined to one
-// worker at a time, and the shared models are read-only during serving,
-// which keeps the loop race-clean (the engine tests run it under -race).
+// stepBatch steps every prefilled request once on the bounded worker
+// pool (Config.Workers) and returns the iteration record. Each worker
+// writes its request's row in place, so the record — and every other
+// output — is independent of scheduling order. Per-request state (LLM
+// session, speculator sessions, RNG stream) is confined to one worker at
+// a time, and the shared models are read-only during serving, which
+// keeps the loop race-clean (the engine tests run it under -race).
 //
-// clock, when non-nil (live serving), times each request's step inside
-// its worker; the speculation policy folds those costs in serially, in
-// slot order, after the pool finishes, and prices the next iteration's
-// decisions with them. Prefill time is not part of any step's cost. The
-// offline paths pass nil and measure nothing.
-func (e *Engine) runIteration(active []*reqState, clock func() time.Time) IterationRecord {
-	batch := e.prefill(active)
-	rec := IterationRecord{BatchSize: len(batch)}
+// queued is the admission backlog the speculation policy decides with.
+// clock, when non-nil, times each step inside its worker; the policy
+// folds those costs in serially, in slot order, after the pool
+// finishes, and prices the next iteration's decisions with them.
+// Prefill time is not part of any step's cost.
+func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time) IterationRecord {
+	rec := IterationRecord{Reqs: make([]ReqIter, len(batch))}
 	if e.cfg.Mode != Incremental {
 		rec.SpecSteps = e.specDepth()
 	}
 	measured := e.pol != nil && clock != nil
 	if e.pol != nil {
-		e.decidePolicy(batch, &rec, measured)
+		e.decidePolicy(batch, queued, &rec, measured)
 	}
-	shapes := make([]stepShape, len(batch))
+	var durs []time.Duration
+	if measured {
+		durs = make([]time.Duration, len(batch))
+	}
 	e.parallel(len(batch), func(i int) {
-		st := batch[i]
-		if !measured {
-			shapes[i] = e.step(st)
-			return
+		st, row := batch[i], &rec.Reqs[i]
+		row.ID = st.req.ID
+		if measured {
+			t0 := clock()
+			e.step(st, row)
+			durs[i] = clock().Sub(t0)
+		} else {
+			e.step(st, row)
 		}
-		t0 := clock()
-		sh := e.step(st)
-		sh.dur = clock().Sub(t0)
-		shapes[i] = sh
+		row.CtxLen = st.llm.Len()
+		row.CacheBytes = sessionCacheBytes(st.llm)
+		if ps, ok := st.llm.(prefixShared); ok {
+			row.PrefixSharedToks = ps.PrefixSharedTokens()
+		}
 	})
-	for i, st := range batch {
-		sh := shapes[i]
-		rec.ReqIDs = append(rec.ReqIDs, st.req.ID)
-		rec.TreeNodes = append(rec.TreeNodes, sh.nodes)
-		rec.TreeLeaves = append(rec.TreeLeaves, sh.leaves)
-		rec.TreePathPositions = append(rec.TreePathPositions, sh.pathPositions)
-		rec.Committed = append(rec.Committed, sh.committed)
-		if e.cfg.Mode != Incremental {
-			rec.SpecAccepted = append(rec.SpecAccepted, sh.specAccepted)
-		}
-		if e.pol != nil {
-			// Serial, in slot order: the estimate update sequence must
-			// not depend on worker interleaving. A zero-budget step
-			// verified nothing, so only its cost is evidence.
-			nodes := rec.PolicyNodes[i]
-			if nodes > 0 {
-				e.pol.Observe(st.req.ID, sh.specAccepted)
+	if e.pol != nil {
+		// Serial, in slot order: the estimate update sequence must not
+		// depend on worker interleaving. A zero-budget step verified
+		// nothing, so only its cost is evidence.
+		for i, row := range rec.Reqs {
+			if row.PolicyNodes > 0 {
+				e.pol.Observe(row.ID, row.SpecAccepted)
 			}
 			if measured {
-				e.pol.ObserveCost(st.req.ID, nodes, sh.dur.Seconds())
+				e.pol.ObserveCost(row.ID, row.PolicyNodes, durs[i].Seconds())
 			}
 		}
-		rec.CtxLens = append(rec.CtxLens, st.llm.Len())
-		rec.CacheBytes = append(rec.CacheBytes, sessionCacheBytes(st.llm))
-		shared := 0
-		if ps, ok := st.llm.(prefixShared); ok {
-			shared = ps.PrefixSharedTokens()
-		}
-		rec.PrefixSharedToks = append(rec.PrefixSharedToks, shared)
 	}
 	return rec
 }
@@ -751,31 +756,24 @@ func (e *Engine) admit(req workload.Request) *reqState {
 	return st
 }
 
-// stepShape reports one request-iteration's work for the cost model.
-type stepShape struct {
-	nodes         int // speculated tree nodes verified
-	leaves        int // root-to-leaf sequences in the tree
-	pathPositions int // summed root-to-leaf path lengths
-	committed     int // tokens committed
-	specAccepted  int // speculated tokens the verifier accepted (-1 on error)
-	// dur is the step's wall time, measured only on the live path.
-	dur time.Duration
-}
-
-// step runs one decoding iteration for one request.
-func (e *Engine) step(st *reqState) stepShape {
+// step runs one decoding iteration for one request and fills in its
+// row's work for the cost model.
+func (e *Engine) step(st *reqState, row *ReqIter) {
 	if e.cfg.Mode == Incremental {
 		e.decodeStep(st)
-		return stepShape{committed: 1}
+		row.Committed = 1
+		return
 	}
 	if ps, ok := st.spec.(*policySpeculator); ok && ps.dec.Budget.MaxNodes <= 0 {
 		// Zero-budget policy step: an incremental step. The SSM
 		// sessions see the token the next time the request speculates.
 		ps.Defer(e.decodeStep(st))
-		return stepShape{committed: 1}
+		row.Committed = 1
+		return
 	}
 
 	tr := st.spec.Speculate(st.lastTok)
+	row.TreeNodes = tr.NumSpeculated()
 	dists := st.llm.DecodeTree(tr)
 	var verified []model.Token
 	var verr error
@@ -792,30 +790,25 @@ func (e *Engine) step(st *reqState) stepShape {
 	if verr != nil {
 		// A malformed speculated tree fails this one request, not the
 		// replica: retire it with the error and commit nothing.
-		st.verr = verr
 		st.res.Err = verr
 		st.done = true
-		return stepShape{nodes: tr.NumSpeculated(), specAccepted: -1}
+		row.SpecAccepted = -1
+		return
 	}
-	specAccepted := len(verified) - 1 // accept length, before truncation
+	row.SpecAccepted = len(verified) - 1 // accept length, before truncation
 	verified = e.truncate(st, verified)
 	st.lastDist = st.llm.Accept(verified)
 	st.spec.Accept(verified)
 	e.commit(st, verified)
 	st.res.Steps++
 	st.res.CommittedPerStep = append(st.res.CommittedPerStep, len(verified))
-	st.res.TreeNodesPerStep = append(st.res.TreeNodesPerStep, tr.NumSpeculated())
+	st.res.TreeNodesPerStep = append(st.res.TreeNodesPerStep, row.TreeNodes)
 
-	sh := stepShape{
-		nodes:        tr.NumSpeculated(),
-		committed:    len(verified),
-		specAccepted: specAccepted,
-	}
+	row.Committed = len(verified)
 	for _, leaf := range tr.Leaves() {
-		sh.leaves++
-		sh.pathPositions += tr.Node(leaf).Depth
+		row.TreeLeaves++
+		row.TreePathPositions += tr.Node(leaf).Depth
 	}
-	return sh
 }
 
 // decodeStep is one incremental decoding step: sample the next token

@@ -120,14 +120,11 @@ func TestContinuousBatching(t *testing.T) {
 	}
 	sawFull := false
 	for _, it := range iters {
-		if it.BatchSize > 3 {
-			t.Fatalf("batch size %d exceeds MaxBatch 3", it.BatchSize)
+		if len(it.Reqs) > 3 {
+			t.Fatalf("batch size %d exceeds MaxBatch 3", len(it.Reqs))
 		}
-		if it.BatchSize == 3 {
+		if len(it.Reqs) == 3 {
 			sawFull = true
-		}
-		if len(it.TreeNodes) != it.BatchSize || len(it.Committed) != it.BatchSize {
-			t.Fatal("iteration record lengths inconsistent")
 		}
 	}
 	if !sawFull {
@@ -207,8 +204,8 @@ func TestStatsConsistency(t *testing.T) {
 	}
 	var iterCommitted int
 	for _, it := range iters {
-		for _, c := range it.Committed {
-			iterCommitted += c
+		for _, r := range it.Reqs {
+			iterCommitted += r.Committed
 		}
 	}
 	if iterCommitted != 3*40 {
@@ -583,15 +580,15 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		}
 		totalIterCommitted := 0
 		for _, it := range iters {
-			if it.BatchSize > batch || it.BatchSize < 1 {
+			if len(it.Reqs) > batch || len(it.Reqs) < 1 {
 				return false
 			}
-			for i, c := range it.Committed {
-				if c < 1 {
+			for _, r := range it.Reqs {
+				if r.Committed < 1 {
 					return false
 				}
-				totalIterCommitted += c
-				if mode != Incremental && it.TreeNodes[i] < 1 {
+				totalIterCommitted += r.Committed
+				if mode != Incremental && r.TreeNodes < 1 {
 					return false
 				}
 			}
@@ -755,14 +752,11 @@ func TestTraversalVerifierEndToEnd(t *testing.T) {
 	}
 	total := 0
 	for _, it := range iters {
-		if len(it.SpecAccepted) != it.BatchSize {
-			t.Fatalf("SpecAccepted len %d != batch size %d", len(it.SpecAccepted), it.BatchSize)
-		}
-		for _, a := range it.SpecAccepted {
-			if a < 0 {
-				t.Fatalf("negative accept length %d without a verification error", a)
+		for _, r := range it.Reqs {
+			if r.SpecAccepted < 0 {
+				t.Fatalf("negative accept length %d without a verification error", r.SpecAccepted)
 			}
-			total += a
+			total += r.SpecAccepted
 		}
 	}
 	if total == 0 {
@@ -771,8 +765,10 @@ func TestTraversalVerifierEndToEnd(t *testing.T) {
 
 	_, incIters := run(t, Config{Mode: Incremental, LLM: llm, Sample: sampling.StochasticConfig(), Seed: 17}, reqs)
 	for _, it := range incIters {
-		if it.SpecAccepted != nil {
-			t.Fatal("incremental iterations must not record accept lengths")
+		for _, r := range it.Reqs {
+			if it.SpecSteps != 0 || r.SpecAccepted != 0 {
+				t.Fatal("incremental iterations must not record accept lengths")
+			}
 		}
 	}
 }

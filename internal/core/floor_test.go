@@ -140,7 +140,7 @@ func TestFloorAlternatingStepsMatchIncremental(t *testing.T) {
 		} else {
 			zeros++
 		}
-		eng.step(st)
+		eng.step(st, &ReqIter{})
 		if pattern[i%len(pattern)] && (st.res.CommittedPerStep[i] != 1 || st.res.TreeNodesPerStep[i] != 0) {
 			t.Fatalf("zero step %d committed %d tokens over %d nodes", i,
 				st.res.CommittedPerStep[i], st.res.TreeNodesPerStep[i])

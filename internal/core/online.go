@@ -34,6 +34,24 @@ func (r OnlineResult) Latency() float64 { return r.Finish - r.Arrival }
 // the indirection keeps core free of hardware-model dependencies.
 type IterationPricer func(IterationRecord) float64
 
+// Run serves the trace to completion with continuous batching and returns
+// one result per request (in request order) plus the per-iteration records
+// the hardware cost model consumes. It is RunOnline with every request
+// arriving at 0 and no clock: an offline batch, not a queue, so the
+// speculation policy sees no admission backlog.
+func (e *Engine) Run(reqs []workload.Request) ([]RequestResult, []IterationRecord) {
+	timed := make([]TimedRequest, len(reqs))
+	for i, r := range reqs {
+		timed[i].Request = r
+	}
+	online, iters := e.runTrace(timed, nil)
+	results := make([]RequestResult, len(reqs))
+	for i, r := range online {
+		results[i] = r.RequestResult
+	}
+	return results, iters
+}
+
 // RunOnline serves a trace whose requests arrive over time, co-simulating
 // the serving loop with the hardware clock: each engine iteration advances
 // the clock by its priced duration, and pending requests are admitted as
@@ -46,67 +64,82 @@ func (e *Engine) RunOnline(reqs []TimedRequest, pricer IterationPricer) ([]Onlin
 	if pricer == nil {
 		panic("core: RunOnline requires an iteration pricer")
 	}
-	results := make([]OnlineResult, len(reqs))
+	return e.runTrace(reqs, pricer)
+}
+
+// runTrace serves reqs through the scheduler loop from a traceSource.
+func (e *Engine) runTrace(reqs []TimedRequest, pricer IterationPricer) ([]OnlineResult, []IterationRecord) {
+	t := &traceSource{e: e, reqs: reqs, pricer: pricer,
+		pending: make([]int, len(reqs)), results: make([]OnlineResult, len(reqs))}
 	for i, r := range reqs {
-		results[i] = OnlineResult{Arrival: r.Arrival}
+		t.pending[i] = i
+		t.results[i].Arrival = r.Arrival
 	}
-
 	// Pending queue in arrival order (stable for ties).
-	pending := make([]int, len(reqs))
-	for i := range pending {
-		pending[i] = i
-	}
-	sort.SliceStable(pending, func(a, b int) bool {
-		return reqs[pending[a]].Arrival < reqs[pending[b]].Arrival
+	sort.SliceStable(t.pending, func(a, b int) bool {
+		return reqs[t.pending[a]].Arrival < reqs[t.pending[b]].Arrival
 	})
+	e.schedule(t, nil)
+	return t.results, t.iters
+}
 
-	var iters []IterationRecord
-	var active []*reqState
-	clock := 0.0
+// traceSource feeds the scheduler loop a known request list on a
+// virtual clock, in seconds, that only the pricer advances: without one
+// (Run) every request arrives at 0 and the clock stands still.
+type traceSource struct {
+	e       *Engine
+	reqs    []TimedRequest
+	pending []int // indices into reqs, in arrival order
+	pricer  IterationPricer
+	now     float64
+	results []OnlineResult
+	iters   []IterationRecord
+}
 
-	for len(pending) > 0 || len(active) > 0 {
-		for len(active) < e.cfg.MaxBatch && len(pending) > 0 &&
-			reqs[pending[0]].Arrival <= clock {
-			idx := pending[0]
-			pending = pending[1:]
-			st := e.admit(reqs[idx].Request)
-			st.pos = idx
-			results[idx].Start = clock
-			active = append(active, st)
+// admit fills free slots with the requests that have arrived by now; an
+// empty batch first idles the clock to the next arrival.
+func (t *traceSource) admit(active []*reqState) ([]*reqState, bool) {
+	if len(active) == 0 && len(t.pending) > 0 {
+		if next := t.reqs[t.pending[0]].Arrival; next > t.now {
+			t.now = next
 		}
-		if len(active) == 0 {
-			// Idle until the next arrival.
-			clock = reqs[pending[0]].Arrival
-			continue
-		}
-		// Expose the ready-but-unadmitted backlog to the speculation
-		// policy (pending is sorted by arrival, so the prefix counts).
-		e.simQueued = 0
-		for _, idx := range pending {
-			if reqs[idx].Arrival > clock {
-				break
-			}
-			e.simQueued++
-		}
-
-		rec := e.runIteration(active, nil)
-		iters = append(iters, rec)
-		clock += pricer(rec)
-
-		var still []*reqState
-		for _, st := range active {
-			if st.done {
-				results[st.pos].RequestResult = st.res
-				results[st.pos].Finish = clock
-				e.release(st)
-			} else {
-				still = append(still, st)
-			}
-		}
-		active = still
 	}
-	e.simQueued = 0
-	return results, iters
+	for len(active) < t.e.cfg.MaxBatch && len(t.pending) > 0 &&
+		t.reqs[t.pending[0]].Arrival <= t.now {
+		idx := t.pending[0]
+		t.pending = t.pending[1:]
+		st := t.e.admit(t.reqs[idx].Request)
+		st.pos = idx
+		t.results[idx].Start = t.now
+		active = append(active, st)
+	}
+	return active, len(t.pending) > 0
+}
+
+// backlog counts the arrived requests still waiting for a slot (pending
+// is sorted by arrival, so the prefix counts). Run reports none: its
+// trace is a batch handed over at once, not a queue.
+func (t *traceSource) backlog() int {
+	if t.pricer == nil {
+		return 0
+	}
+	n := 0
+	for n < len(t.pending) && t.reqs[t.pending[n]].Arrival <= t.now {
+		n++
+	}
+	return n
+}
+
+func (t *traceSource) iterated(rec IterationRecord, _ []*reqState) {
+	t.iters = append(t.iters, rec)
+	if t.pricer != nil {
+		t.now += t.pricer(rec)
+	}
+}
+
+func (t *traceSource) retire(st *reqState) {
+	t.results[st.pos].RequestResult = st.res
+	t.results[st.pos].Finish = t.now
 }
 
 // PoissonArrivals draws n arrival times from a Poisson process with the

@@ -68,13 +68,9 @@ func TestRunDeterministicAcrossAttnWorkers(t *testing.T) {
 	// The paged sessions report their KV footprint, so every iteration
 	// record must carry positive per-request cache accounting.
 	for i, rec := range base.iters {
-		if len(rec.CacheBytes) != len(rec.ReqIDs) {
-			t.Fatalf("iter %d: CacheBytes has %d entries for %d requests",
-				i, len(rec.CacheBytes), len(rec.ReqIDs))
-		}
-		for j, b := range rec.CacheBytes {
-			if b <= 0 {
-				t.Fatalf("iter %d req %d: cache bytes %d, want positive", i, j, b)
+		for j, r := range rec.Reqs {
+			if r.CacheBytes <= 0 {
+				t.Fatalf("iter %d req %d: cache bytes %d, want positive", i, j, r.CacheBytes)
 			}
 		}
 	}
@@ -86,13 +82,9 @@ func TestCacheBytesZeroForNonSizerSessions(t *testing.T) {
 	llm, _, reqs := testModels(t, 2, 8)
 	_, iters := run(t, Config{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 3}, reqs)
 	for i, rec := range iters {
-		if len(rec.CacheBytes) != len(rec.ReqIDs) {
-			t.Fatalf("iter %d: CacheBytes has %d entries for %d requests",
-				i, len(rec.CacheBytes), len(rec.ReqIDs))
-		}
-		for _, b := range rec.CacheBytes {
-			if b != 0 {
-				t.Fatalf("iter %d: n-gram session reported %d cache bytes", i, b)
+		for _, r := range rec.Reqs {
+			if r.CacheBytes != 0 {
+				t.Fatalf("iter %d: n-gram session reported %d cache bytes", i, r.CacheBytes)
 			}
 		}
 	}

@@ -132,33 +132,30 @@ func pruneByPathProb(tr *tree.Tree, budget int) *tree.Tree {
 
 // decidePolicy computes this iteration's speculation decisions — on the
 // scheduler goroutine, before the worker pool starts, so decisions are
-// a pure function of batch order, observed accept lengths and (when
-// measured) folded step costs, and the engine's any-Workers determinism
-// holds. The mode is batch-global (its inputs — queue depth and
-// occupancy — are shared); the budget is per-request (scaled by each
-// request's accept-length EWMA). With measured costs the controller may
-// floor a request's budget to zero.
-func (e *Engine) decidePolicy(active []*reqState, rec *IterationRecord, measured bool) {
-	// The admission backlog: the live serve queue, or RunOnline's
-	// ready-but-unadmitted arrivals during co-simulation (one of the two
-	// is always zero).
-	queueLen := e.QueueLen() + e.simQueued
-	rec.PolicyMode = e.pol.ModeFor(queueLen, len(active), e.cfg.MaxBatch).String()
+// a pure function of batch order, the source's admission backlog
+// (queued), observed accept lengths and (when measured) folded step
+// costs, and the engine's any-Workers determinism holds. The mode is
+// batch-global (its inputs — queue depth and occupancy — are shared);
+// the budget is per-request (scaled by each request's accept-length
+// EWMA) and lands in the request's row of rec. With measured costs the
+// controller may floor a request's budget to zero.
+func (e *Engine) decidePolicy(batch []*reqState, queued int, rec *IterationRecord, measured bool) {
+	rec.PolicyMode = e.pol.ModeFor(queued, len(batch), e.cfg.MaxBatch).String()
 	decide := e.pol.Decide
 	if measured {
 		decide = e.pol.DecideMeasured
 	}
 	depth := 0
-	for _, st := range active {
-		d := decide(st.req.ID, queueLen, len(active), e.cfg.MaxBatch)
+	for i, st := range batch {
+		d := decide(st.req.ID, queued, len(batch), e.cfg.MaxBatch)
 		if ps, ok := st.spec.(*policySpeculator); ok {
 			ps.dec = d
 		}
 		if d.Budget.MaxNodes > 0 && d.Budget.MaxDepth > depth {
 			depth = d.Budget.MaxDepth
 		}
-		rec.PolicyNodes = append(rec.PolicyNodes, d.Budget.MaxNodes)
-		rec.PolicySSMs = append(rec.PolicySSMs, d.SSMs)
+		rec.Reqs[i].PolicyNodes = d.Budget.MaxNodes
+		rec.Reqs[i].PolicySSMs = d.SSMs
 	}
 	// SSM levels run data parallel across the batch, so the deepest
 	// decided budget bounds the speculation phase this iteration —

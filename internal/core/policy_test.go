@@ -50,13 +50,9 @@ func TestPolicyRecordsDecisions(t *testing.T) {
 		if rec.PolicyMode != policy.Latency.String() {
 			t.Fatalf("iter %d: mode %q, want latency (offline run: no queue, batch underfull)", i, rec.PolicyMode)
 		}
-		if len(rec.PolicyNodes) != rec.BatchSize || len(rec.PolicySSMs) != rec.BatchSize {
-			t.Fatalf("iter %d: %d budgets / %d ssm counts for batch %d",
-				i, len(rec.PolicyNodes), len(rec.PolicySSMs), rec.BatchSize)
-		}
-		for j, n := range rec.PolicyNodes {
-			if n < 1 {
-				t.Fatalf("iter %d req %d: node budget %d < 1", i, j, n)
+		for j, r := range rec.Reqs {
+			if r.PolicyNodes < 1 {
+				t.Fatalf("iter %d req %d: node budget %d < 1", i, j, r.PolicyNodes)
 			}
 		}
 	}
@@ -112,7 +108,7 @@ func TestPolicyDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// The records must actually carry decisions, or the comparison above
 	// proves nothing about the policy.
-	if len(base.iters) == 0 || base.iters[0].PolicyMode == "" || len(base.iters[0].PolicyNodes) == 0 {
+	if len(base.iters) == 0 || base.iters[0].PolicyMode == "" || len(base.iters[0].Reqs) == 0 {
 		t.Fatal("iteration records carry no policy decisions")
 	}
 }
@@ -128,8 +124,8 @@ func TestPolicyRunOnlineDeterministicAcrossWorkers(t *testing.T) {
 	}
 	pricer := func(rec IterationRecord) float64 {
 		rows := 0
-		for _, n := range rec.TreeNodes {
-			rows += n + 1
+		for _, r := range rec.Reqs {
+			rows += r.TreeNodes + 1
 		}
 		return 1e-4 * float64(rows)
 	}
@@ -152,59 +148,12 @@ func TestPolicyRunOnlineDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	for _, rec := range baseIters {
-		for _, n := range rec.PolicyNodes {
-			if n == 0 {
+		for _, r := range rec.Reqs {
+			if r.PolicyNodes == 0 {
 				t.Fatal("offline RunOnline granted a zero budget: it has no measured costs")
 			}
 		}
 	}
-}
-
-// TestPolicyRetireReleasesHistory: acceptance history must be dropped
-// at every retirement path so the EWMA map is bounded by the active
-// batch, not the lifetime request count. Offline and live paths both;
-// meaningful under -race (make race runs it) since retire and stats
-// readers touch the controller concurrently with the scheduler.
-func TestPolicyRetireReleasesHistory(t *testing.T) {
-	llm, ssm, reqs := testModels(t, 8, 16)
-
-	eng, err := NewEngine(Config{
-		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Sample: sampling.GreedyConfig(), Seed: 3, MaxBatch: 2,
-		Policy: &policy.Config{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(reqs)
-	if st, ok := eng.PolicyStats(); !ok || st.TrackedRequests != 0 {
-		t.Fatalf("offline: %d requests still tracked after Run, want 0", st.TrackedRequests)
-	}
-
-	eng2, err := NewEngine(Config{
-		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Sample: sampling.GreedyConfig(), Seed: 3, MaxBatch: 2, QueueDepth: 16,
-		Policy: &policy.Config{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel, done := startServe(t, eng2)
-	var resChans []<-chan Result
-	for _, req := range reqs {
-		_, rc, err := eng2.Submit(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resChans = append(resChans, rc)
-	}
-	for _, rc := range resChans {
-		if res := mustResult(t, rc, 30*time.Second); res.Err != nil {
-			t.Fatalf("live request failed: %v", res.Err)
-		}
-	}
-	waitStats(t, eng2, func(st ServeStats) bool { return st.PolicyTrackedRequests == 0 })
-	waitServeExit(t, cancel, done)
 }
 
 // tickClock is an injected Config.Clock that advances a fixed tick per
@@ -293,10 +242,10 @@ func TestPolicyEnsembleRunsAndPrunes(t *testing.T) {
 		}
 	}
 	for i, rec := range iters {
-		for j, n := range rec.TreeNodes {
-			if n > rec.PolicyNodes[j] {
+		for j, r := range rec.Reqs {
+			if r.TreeNodes > r.PolicyNodes {
 				t.Fatalf("iter %d req %d: %d tree nodes exceed the %d budget after merge",
-					i, j, n, rec.PolicyNodes[j])
+					i, j, r.TreeNodes, r.PolicyNodes)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -146,8 +145,8 @@ func TestPrefixCacheDeterministicUnderEviction(t *testing.T) {
 	}
 	shared := 0
 	for _, rec := range want.iters {
-		for _, n := range rec.PrefixSharedToks {
-			shared += n
+		for _, r := range rec.Reqs {
+			shared += r.PrefixSharedToks
 		}
 	}
 	if shared == 0 {
@@ -183,12 +182,12 @@ func TestSameBurstFollowerAdoptsNextIteration(t *testing.T) {
 		Sample: sampling.GreedyConfig(), MaxBatch: 2, Workers: 2, PrefixCacheBytes: 64 << 20,
 	})
 	_, iters := eng.Run(reqs)
-	if got := fmt.Sprint(iters[0].ReqIDs, iters[0].PrefixSharedToks); got != "[0] [0]" {
-		t.Fatalf("first iteration (ids, shared tokens) = %s, want the leader alone, cold: [0] [0]", got)
+	if first := iters[0].Reqs; len(first) != 1 || first[0].ID != 0 || first[0].PrefixSharedToks != 0 {
+		t.Fatalf("first iteration rows %+v, want the leader alone, cold", first)
 	}
-	last := iters[1]
-	if got := fmt.Sprint(last.ReqIDs[len(last.ReqIDs)-1], last.PrefixSharedToks[len(last.ReqIDs)-1]); got != "1 128" {
-		t.Fatalf("second iteration's last (id, shared tokens) = %s, want the follower adopting both pages: 1 128", got)
+	rows := iters[1].Reqs
+	if last := rows[len(rows)-1]; last.ID != 1 || last.PrefixSharedToks != 128 {
+		t.Fatalf("second iteration's last row %+v, want the follower (ID 1) adopting both pages (128 tokens)", last)
 	}
 }
 

@@ -97,11 +97,14 @@ func (s *prefixSession) lookup(prompt []model.Token) {
 // pinned prefix on a hit, the whole prompt otherwise. It never calls
 // the cache, so it may run on a worker goroutine.
 func (s *prefixSession) Prefill(prompt []model.Token) []float32 {
-	s.filled = true
+	var dist []float32
 	if s.pinned != nil {
-		return s.inner.(prefixSharer).PrefillShared(s.pinned, prompt)
+		dist = s.inner.(prefixSharer).PrefillShared(s.pinned, prompt)
+	} else {
+		dist = s.inner.Prefill(prompt)
 	}
-	return s.inner.Prefill(prompt)
+	s.filled = true // only now: a prefill that panics leaves nothing to insert
+	return dist
 }
 
 // publish inserts the prefilled prompt's pages for later requests.

@@ -42,13 +42,9 @@ var (
 // Result is the terminal outcome of a live request submitted through
 // Submit. Output and the per-step statistics are whatever the request
 // committed before it finished or was retired — a cancelled request
-// reports its partial generation.
+// reports its partial generation, and Err the reason.
 type Result struct {
 	RequestResult
-	// Err is nil on normal completion (budget or EOS reached). A
-	// request retired early carries the reason: context.Canceled,
-	// context.DeadlineExceeded, ErrDraining, or ErrDrainTimeout.
-	Err error
 	// QueueDelay is the wall-clock time from Submit to slot admission.
 	QueueDelay time.Duration
 	// Latency is the wall-clock time from Submit to retirement.
@@ -220,15 +216,12 @@ type ServeStats struct {
 	PolicySteps, PolicyZeroSteps              uint64
 }
 
-// Serve runs the live scheduler loop until ctx is cancelled and the
-// engine has drained. It owns iteration-level scheduling for requests
-// arriving through Submit: each pass admits queued requests into free
-// continuous-batching slots (opening their sessions), retires cancelled
-// or expired requests at the iteration boundary (releasing their
-// sessions and KV pages — a request admitted and cancelled in the same
-// pass never pays for its prefill), runs the iteration — the prefill
-// phase for newly admitted requests, then one step of the batch —
-// streams newly committed tokens, and retires finished requests.
+// Serve runs the scheduler loop (Engine.schedule) on the Submit queue
+// until ctx is cancelled and the engine has drained. Each pass also
+// retires cancelled or expired requests at the iteration boundary
+// (releasing their sessions and KV pages — a request admitted and
+// cancelled in the same pass never pays for its prefill) and streams
+// newly committed tokens.
 //
 // Cancelling ctx starts graceful drain: Submit rejects with
 // ErrDraining, queued-but-unadmitted requests are retired with
@@ -256,96 +249,95 @@ func (e *Engine) Serve(ctx context.Context) error {
 	e.srv = s
 	e.mu.Unlock()
 	defer e.stopServing(s)
+	e.schedule(&liveSource{e: e, s: s, ctx: ctx}, e.cfg.Clock)
+	return nil
+}
 
-	var active []*reqState
-	draining := false
-	var drainDeadline time.Time
+// liveSource feeds the scheduler loop from the Submit queue on
+// Config.Clock, and runs graceful drain and its deadline.
+type liveSource struct {
+	e             *Engine
+	s             *serveState
+	ctx           context.Context
+	draining      bool
+	drainDeadline time.Time
+}
 
-	for {
-		// Enter draining at the first sign of shutdown. Queued-but-
-		// unadmitted requests are retired with ErrDraining right here,
-		// not when the loop exits: their clients should see the 503
-		// immediately, not after the longest in-flight request finishes.
-		if !draining && ctx.Err() != nil {
-			draining = true
-			s.setDraining()
-			e.rejectQueued(s)
-			if e.cfg.DrainTimeout > 0 {
-				drainDeadline = s.clock().Add(e.cfg.DrainTimeout)
+// admit refreshes the active-slot stats, blocks while nothing is active
+// until a request arrives or shutdown starts, then fills free slots
+// from the queue without blocking and sweeps the batch.
+func (l *liveSource) admit(active []*reqState) ([]*reqState, bool) {
+	e, s := l.e, l.s
+	s.setActive(active)
+	if len(active) == 0 && !l.draining && l.ctx.Err() == nil {
+		select {
+		case lr := <-s.admit:
+			if st := e.admitLive(s, lr); st != nil {
+				active = append(active, st)
 			}
+		case <-l.ctx.Done():
 		}
-
-		// Admission: fill free slots from the queue without blocking
-		// (iteration-level scheduling — new requests join as soon as a
-		// slot frees up, not when the batch drains). Dead-context
-		// requests are swept out of the queue first so they never hold
-		// a queue slot against live submitters (a full-but-dead queue
-		// would bounce Submit with spurious ErrQueueFull).
-		if !draining {
-			e.sweepQueue(s)
-		fill:
-			for len(active) < e.cfg.MaxBatch {
-				select {
-				case lr := <-s.admit:
-					if st := e.admitLive(s, lr); st != nil {
-						active = append(active, st)
-					}
-				default:
-					break fill
-				}
-			}
+	}
+	// Enter draining at the first sign of shutdown. Queued-but-
+	// unadmitted requests are retired with ErrDraining right here, not
+	// when the loop exits: their clients should see the 503
+	// immediately, not after the longest in-flight request finishes.
+	if !l.draining && l.ctx.Err() != nil {
+		l.draining = true
+		s.setDraining()
+		e.rejectQueued(s)
+		if e.cfg.DrainTimeout > 0 {
+			l.drainDeadline = s.clock().Add(e.cfg.DrainTimeout)
 		}
-
-		if len(active) == 0 {
-			if draining {
-				break // in-flight work done; leftovers in the queue are rejected by stopServing
-			}
-			s.setActive(active)
-			// Idle: block until a request arrives or shutdown starts.
+	}
+	// Dead-context requests are swept out of the queue first so they
+	// never hold a queue slot against live submitters (a full-but-dead
+	// queue would bounce Submit with spurious ErrQueueFull).
+	if !l.draining {
+		e.sweepQueue(s)
+	fill:
+		for len(active) < e.cfg.MaxBatch {
 			select {
 			case lr := <-s.admit:
 				if st := e.admitLive(s, lr); st != nil {
 					active = append(active, st)
 				}
-			case <-ctx.Done():
-			}
-			continue
-		}
-
-		// Retire cancelled and deadline-expired requests at the
-		// iteration boundary, before paying for their step.
-		active = e.sweepCancelled(s, active)
-
-		// Hard drain bound: abort whatever is still in flight.
-		if draining && !drainDeadline.IsZero() && !s.clock().Before(drainDeadline) {
-			for _, st := range active {
-				e.finishLive(s, st, ErrDrainTimeout)
-			}
-			active = nil
-		}
-		if len(active) == 0 {
-			s.setActive(active)
-			continue
-		}
-
-		rec := e.runIteration(active, e.cfg.Clock)
-		s.recordIteration(rec)
-
-		// Stream newly committed tokens; retire finished requests.
-		var still []*reqState
-		for _, st := range active {
-			if st.done {
-				e.finishLive(s, st, st.verr)
-			} else {
-				s.stream(st.live, st.res.Output)
-				still = append(still, st)
+			default:
+				break fill
 			}
 		}
-		active = still
-		s.setActive(active)
 	}
-	return nil
+	// Retire cancelled and deadline-expired requests before paying for
+	// their iteration, and, past the drain deadline, whatever is still
+	// in flight.
+	timedOut := !l.drainDeadline.IsZero() && !s.clock().Before(l.drainDeadline)
+	still := active[:0]
+	for _, st := range active {
+		switch {
+		case st.live.ctx.Err() != nil:
+			e.finishLive(s, st, st.live.ctx.Err())
+		case timedOut:
+			e.finishLive(s, st, ErrDrainTimeout)
+		default:
+			still = append(still, st)
+		}
+	}
+	return still, !l.draining
 }
+
+// backlog is the Submit queue's depth.
+func (l *liveSource) backlog() int { return len(l.s.admit) }
+
+// iterated folds the record into the live stats and streams every
+// request's newly committed tokens.
+func (l *liveSource) iterated(rec IterationRecord, active []*reqState) {
+	l.s.recordIteration(rec)
+	for _, st := range active {
+		l.s.stream(st.live, st.res.Output)
+	}
+}
+
+func (l *liveSource) retire(st *reqState) { l.s.deliver(st) }
 
 // Submit hands a request to the running Serve loop. On acceptance it
 // returns a token channel streaming tokens as iterations commit them
@@ -533,14 +525,7 @@ func (e *Engine) Serving() bool {
 // retired immediately instead.
 func (e *Engine) admitLive(s *serveState, lr *liveReq) *reqState {
 	if err := lr.ctx.Err(); err != nil {
-		s.mu.Lock()
-		s.canceled++
-		s.mu.Unlock()
-		s.finish(lr, Result{
-			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-			Err:           err,
-			Latency:       s.clock().Sub(lr.submitted),
-		})
+		s.refuse(lr, err)
 		return nil
 	}
 	lr.started = s.clock()
@@ -549,34 +534,25 @@ func (e *Engine) admitLive(s *serveState, lr *liveReq) *reqState {
 	return st
 }
 
-// sweepCancelled retires every active request whose context has been
-// cancelled or has expired, releasing its session (and thereby its KV
-// pages) before the next iteration is paid for.
-func (e *Engine) sweepCancelled(s *serveState, active []*reqState) []*reqState {
-	still := active[:0]
-	for _, st := range active {
-		if err := st.live.ctx.Err(); err != nil {
-			e.finishLive(s, st, err)
-		} else {
-			still = append(still, st)
-		}
-	}
-	return still
-}
-
-// finishLive retires one live request: release its sessions, deliver
-// the Result, and record its latency.
+// finishLive retires one live request early with err: release its
+// sessions and deliver the Result.
 func (e *Engine) finishLive(s *serveState, st *reqState, err error) {
 	e.release(st)
+	st.res.Err = err
+	s.deliver(st)
+}
+
+// deliver sends a retired request's Result and records its latency;
+// its sessions are already released.
+func (s *serveState) deliver(st *reqState) {
 	now := s.clock()
 	res := Result{
 		RequestResult: st.res,
-		Err:           err,
 		QueueDelay:    st.live.started.Sub(st.live.submitted),
 		Latency:       now.Sub(st.live.submitted),
 	}
 	s.mu.Lock()
-	if err == nil {
+	if res.Err == nil {
 		s.completed++
 	} else {
 		s.canceled++
@@ -585,6 +561,17 @@ func (e *Engine) finishLive(s *serveState, st *reqState, err error) {
 	s.queueDelay.Add(res.QueueDelay.Seconds())
 	s.mu.Unlock()
 	s.finish(st.live, res)
+}
+
+// refuse retires a request that never held a slot with err.
+func (s *serveState) refuse(lr *liveReq, err error) {
+	s.mu.Lock()
+	s.canceled++
+	s.mu.Unlock()
+	s.finish(lr, Result{
+		RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt), Err: err},
+		Latency:       s.clock().Sub(lr.submitted),
+	})
 }
 
 // sweepQueue retires queued-but-unadmitted requests whose context is
@@ -606,14 +593,9 @@ func (e *Engine) sweepQueue(s *serveState) {
 			s.admit <- lr
 		}
 	}
-	s.canceled += uint64(len(dead))
 	s.mu.Unlock()
 	for _, lr := range dead {
-		s.finish(lr, Result{
-			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-			Err:           lr.ctx.Err(),
-			Latency:       s.clock().Sub(lr.submitted),
-		})
+		s.refuse(lr, lr.ctx.Err())
 	}
 }
 
@@ -627,14 +609,9 @@ func (e *Engine) rejectQueued(s *serveState) {
 	for i, n := 0, len(s.admit); i < n; i++ {
 		queued = append(queued, <-s.admit)
 	}
-	s.canceled += uint64(len(queued))
 	s.mu.Unlock()
 	for _, lr := range queued {
-		s.finish(lr, Result{
-			RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-			Err:           ErrDraining,
-			Latency:       s.clock().Sub(lr.submitted),
-		})
+		s.refuse(lr, ErrDraining)
 	}
 }
 
@@ -653,14 +630,7 @@ func (e *Engine) stopServing(s *serveState) {
 	for {
 		select {
 		case lr := <-s.admit:
-			s.mu.Lock()
-			s.canceled++
-			s.mu.Unlock()
-			s.finish(lr, Result{
-				RequestResult: RequestResult{ID: lr.req.ID, PromptLen: len(lr.req.Prompt)},
-				Err:           ErrDraining,
-				Latency:       s.clock().Sub(lr.submitted),
-			})
+			s.refuse(lr, ErrDraining)
 		default:
 			return
 		}
@@ -675,25 +645,22 @@ func (s *serveState) setDraining() {
 
 // recordIteration folds one iteration record into the live stats.
 func (s *serveState) recordIteration(rec IterationRecord) {
-	var toks uint64
-	for _, c := range rec.Committed {
-		toks += uint64(c)
-	}
-	var verifs, accepted, zero uint64
-	for i, a := range rec.SpecAccepted {
-		if a < 0 {
-			continue // failed verification: no accept length to record
-		}
-		if rec.PolicyNodes != nil && rec.PolicyNodes[i] == 0 {
-			zero++ // zero-budget step: nothing was verified
-			continue
-		}
-		verifs++
-		accepted += uint64(a)
-	}
+	policyOn := rec.PolicyMode != ""
+	var toks, verifs, accepted, zero uint64
 	var polBudget int
-	for _, n := range rec.PolicyNodes {
-		polBudget += n
+	for _, r := range rec.Reqs {
+		toks += uint64(r.Committed)
+		polBudget += r.PolicyNodes
+		switch {
+		case policyOn && r.PolicyNodes == 0:
+			zero++ // zero-budget step: nothing was verified
+		case rec.SpecSteps == 0 || r.SpecAccepted < 0:
+			// incremental decoding, or a failed verification: no accept
+			// length to record
+		default:
+			verifs++
+			accepted += uint64(r.SpecAccepted)
+		}
 	}
 	now := s.clock()
 	s.mu.Lock()
@@ -701,14 +668,14 @@ func (s *serveState) recordIteration(rec IterationRecord) {
 	s.tokens += toks
 	s.verifications += verifs
 	s.specAccepted += accepted
-	if rec.PolicyMode != "" {
+	if policyOn {
 		if rec.PolicyMode == policy.Throughput.String() {
 			s.polThrIters++
 		} else {
 			s.polLatIters++
 		}
 		s.polBudget = polBudget
-		s.polSteps += uint64(len(rec.PolicyNodes))
+		s.polSteps += uint64(len(rec.Reqs))
 		s.polZero += zero
 	}
 	s.recentT.Add(now.Sub(s.started).Seconds())

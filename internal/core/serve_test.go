@@ -764,7 +764,7 @@ func TestServeRecentThroughputTracksCurrentTraffic(t *testing.T) {
 	// all from the same steady phase).
 	for i := 0; i < 200; i++ {
 		clk.advance(time.Second)
-		s.recordIteration(IterationRecord{Committed: []int{10}})
+		s.recordIteration(IterationRecord{Reqs: []ReqIter{{Committed: 10}}})
 	}
 	st := eng.ServeStats()
 	approx("lifetime after steady phase", st.TokensPerSec, 10)
@@ -776,7 +776,7 @@ func TestServeRecentThroughputTracksCurrentTraffic(t *testing.T) {
 	// tokens — and reports the drop.
 	for i := 0; i < 100; i++ {
 		clk.advance(time.Second)
-		s.recordIteration(IterationRecord{Committed: []int{1}})
+		s.recordIteration(IterationRecord{Reqs: []ReqIter{{Committed: 1}}})
 	}
 	st = eng.ServeStats()
 	approx("lifetime after slowdown", st.TokensPerSec, 7)

@@ -13,10 +13,12 @@
 // driven by three signals:
 //
 //   - an EWMA of the request's measured accept length
-//     (core.IterationRecord.SpecAccepted feeds Observe), seeded from an
+//     (each core.ReqIter's SpecAccepted feeds Observe), seeded from an
 //     engine-wide EWMA once one exists — the drafter/LLM pair is shared,
 //     so a new request starts from what the engine already knows,
-//   - the current admission-queue depth (core.Engine.QueueLen), and
+//   - the current admission-queue depth: the backlog the engine's
+//     scheduler loop reports (the Submit queue under Serve, arrived
+//     but unadmitted requests under RunOnline, none under Run), and
 //   - batch occupancy (active requests vs. MaxBatch slots).
 //
 // Mode rule: when the queue is at or past QueueHighWater — or the batch
@@ -487,8 +489,8 @@ func (c *Controller) trackLocked(reqID int) *reqTrack {
 	return t
 }
 
-// Observe folds one measured accept length (IterationRecord.SpecAccepted
-// for the request) into the request's EWMA and the engine-wide one.
+// Observe folds one measured accept length (the request's
+// ReqIter.SpecAccepted) into the request's EWMA and the engine-wide one.
 // Negative values — the engine's failed-verification sentinel — are
 // ignored; the engine does not call it for zero-budget steps, which
 // verify nothing.

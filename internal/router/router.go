@@ -536,10 +536,9 @@ func (r *Router) pump(ctx context.Context, req workload.Request, rep *replica, t
 					continue
 				}
 			}
-			deliver(core.Result{
-				RequestResult: core.RequestResult{ID: req.ID, PromptLen: len(req.Prompt)},
-				Err:           ErrReplicaLost,
-			})
+			deliver(core.Result{RequestResult: core.RequestResult{
+				ID: req.ID, PromptLen: len(req.Prompt), Err: ErrReplicaLost,
+			}})
 			return
 		}
 	}
