@@ -35,13 +35,15 @@ race:
 # scalar exponentials and math.Pow. Last, FuzzTreeAttention fuzzes the
 # blocked attention items against the per-row ones for 20 seconds, and
 # FuzzExpKernels the 512-bit and AVX2 exponentials against the scalar
-# loops (it skips on CPUs without AVX-512F).
+# loops (it skips on CPUs without AVX-512F), and FuzzTreeMergePrune tree
+# merge and prune against their definitions.
 archcheck:
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	$(GO) test -run '^$$' -fuzz '^FuzzTreeAttention$$' -fuzztime 20s ./internal/transformer/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpKernels$$' -fuzztime 20s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeMergePrune$$' -fuzztime 20s ./internal/tree/
 
 # Extra flags reach the linter via LINT_FLAGS, e.g.
 #   make lint LINT_FLAGS='-json'

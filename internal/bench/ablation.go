@@ -73,7 +73,7 @@ func Ablation(cfg Table2Config) []AblationRow {
 		})
 		add("adaptive 10-node tree (future work)", mode, core.Config{
 			Mode:     core.TreeSpec,
-			Adaptive: &speculator.AdaptiveConfig{MaxNodes: staticBudget.MaxNodes(), MaxDepth: 8},
+			Adaptive: &tree.Budget{MaxNodes: staticBudget.MaxNodes(), MaxDepth: 8},
 		})
 	}
 	// Merge-based: 1 vs 3 SSMs proposing sequences.

@@ -87,8 +87,7 @@ func acceptLenInstances(ds workload.Dataset) []acceptLenInstance {
 		llmSess = p.LLM.NewSession()
 		llmSess.Prefill(prompt)
 		spec = speculator.New(speculator.Config{
-			Expansion: tree.PaperDefault(), Sample: policy,
-			Seed: seed ^ uint64(len(instances)),
+			Sample: policy, Seed: seed ^ uint64(len(instances)),
 		}, p.SSM)
 		spec.Prefill(prompt)
 		last = prompt[len(prompt)-1]
@@ -96,7 +95,7 @@ func acceptLenInstances(ds workload.Dataset) []acceptLenInstance {
 	}
 	restart()
 	for len(instances) < acceptLenInstanceCount {
-		tr := spec.Speculate(last)
+		tr := spec.Speculate(last, speculator.Shape{Expansion: tree.PaperDefault()})
 		dists := llmSess.DecodeTree(tr)
 		instances = append(instances, acceptLenInstance{tr: tr, dists: dists})
 

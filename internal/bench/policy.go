@@ -22,8 +22,8 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
-	"specinfer/internal/speculator"
 	"specinfer/internal/tensor"
+	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
 
@@ -32,18 +32,9 @@ import (
 // available: static-deep is the policy's latency-mode ceiling,
 // static-narrow its throughput-mode budget.
 var (
-	policyDeep   = speculator.AdaptiveConfig{MaxNodes: 16, MaxDepth: 8, FanoutCap: 3}
-	policyNarrow = speculator.AdaptiveConfig{MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}
+	policyDeep   = tree.Budget{MaxNodes: 16, MaxDepth: 8, FanoutCap: 3}
+	policyNarrow = tree.Budget{MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}
 )
-
-// budgetOf mirrors a static grower config as a policy budget (the two
-// structs are deliberately decoupled — policy stays dependency-free).
-func budgetOf(c speculator.AdaptiveConfig) policy.Budget {
-	return policy.Budget{
-		MaxNodes: c.MaxNodes, MaxDepth: c.MaxDepth,
-		FanoutCap: c.FanoutCap, MinPathProb: c.MinPathProb,
-	}
-}
 
 // policyBurstyTrace is the shared bursty workload: 3 rounds of a
 // 48-request burst followed by 8 trickle singles, 32 new tokens each.
@@ -101,8 +92,8 @@ func RunPolicyBursty(shape string) PolicyBurstyResult {
 	switch shape {
 	case "adaptive":
 		cfg.Policy = &policy.Config{
-			Latency:    budgetOf(policyDeep),
-			Throughput: budgetOf(policyNarrow),
+			Latency:    policyDeep,
+			Throughput: policyNarrow,
 			// Tuned to the measured Alpaca accept EWMA (~3.4): at
 			// NodesPerAccept 4 a healthy request saturates the latency
 			// ceiling instead of idling below it, and the optimistic

@@ -7,7 +7,6 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
-	"specinfer/internal/speculator"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
@@ -98,7 +97,7 @@ func NewServing(f ServeFlags) (Serving, error) {
 		}
 	}
 	if f.Adaptive {
-		cfg.Adaptive = &speculator.AdaptiveConfig{MaxNodes: f.Width * 3, MaxDepth: f.Depth}
+		cfg.Adaptive = &tree.Budget{MaxNodes: f.Width * 3, MaxDepth: f.Depth}
 	}
 	if f.Policy {
 		cfg.Policy = &policy.Config{}

@@ -32,6 +32,8 @@ func TestNewServingRejectsBadFlags(t *testing.T) {
 		{"unknown mode", func(f *ServeFlags) { f.Mode = "beam" }},
 		{"unknown dataset", func(f *ServeFlags) { f.Dataset = "nope" }},
 		{"transformer with ssm pool", func(f *ServeFlags) { f.Substrate, f.SSMs = "transformer", 2 }},
+		{"adaptive incremental", func(f *ServeFlags) { f.Mode, f.Adaptive = "incremental", true }},
+		{"adaptive sequence", func(f *ServeFlags) { f.Mode, f.Adaptive = "sequence", true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := defaultServeFlags()

@@ -108,10 +108,11 @@ type Config struct {
 	// Ignored under greedy decoding, which always uses argmax descent.
 	Verifier string
 	// Adaptive, when non-nil, replaces the static expansion configuration
-	// with dynamic best-first tree growth (the paper's stated future
-	// work; see speculator.AdaptiveConfig). TreeSpec mode only; uses the
-	// first SSM of the pool.
-	Adaptive *speculator.AdaptiveConfig
+	// with dynamic best-first tree growth under this budget (the paper's
+	// stated future work; see tree.Budget, whose zero fields take its
+	// defaults). Every SSM of the pool grows a tree, and the merged tree
+	// is pruned back to the node budget. TreeSpec mode only.
+	Adaptive *tree.Budget
 	// Policy, when non-nil, enables the per-request, per-iteration
 	// speculation policy engine (see internal/policy): each iteration
 	// the controller picks every request's tree budget and SSM count
@@ -181,14 +182,6 @@ const (
 	VerifierTraversal = "traversal"
 )
 
-// treeSpeculator is the lifecycle both the static and the adaptive
-// speculators implement.
-type treeSpeculator interface {
-	Prefill(prompt []model.Token)
-	Accept(tokens []model.Token)
-	Speculate(rootTok model.Token) *tree.Tree
-}
-
 func (c Config) withDefaults() Config {
 	if c.Expansion == nil {
 		c.Expansion = tree.PaperDefault()
@@ -253,6 +246,12 @@ func (c Config) validate() error {
 		if c.Adaptive != nil {
 			return fmt.Errorf("core: Policy conflicts with Adaptive (the policy already drives the adaptive grower); pick one")
 		}
+	}
+	if c.Adaptive != nil && c.Mode != TreeSpec {
+		return fmt.Errorf("core: Adaptive requires TreeSpec mode, got %v", c.Mode)
+	}
+	if c.Mode == SequenceSpec && c.SeqDepth < 1 {
+		return fmt.Errorf("core: sequence depth %d < 1", c.SeqDepth)
 	}
 	if msg := c.Expansion.Validate(); msg != "" {
 		return fmt.Errorf("core: %s", msg)
@@ -413,10 +412,15 @@ func (e *Engine) Config() Config { return e.cfg }
 // reqState is the per-request serving state held while a request occupies
 // a continuous-batching slot.
 type reqState struct {
-	pos      int // index into the trace (Run/RunOnline)
-	req      workload.Request
-	llm      model.Session
-	spec     treeSpeculator // nil for incremental decoding
+	pos  int // index into the trace (Run/RunOnline)
+	req  workload.Request
+	llm  model.Session
+	spec *speculator.Speculator // nil for incremental decoding
+	// shape is the tree the next step drafts: fixed at admission, or
+	// written by decidePolicy each iteration on the scheduler goroutine
+	// before the worker pool starts. A shape that drafts nothing makes
+	// the step an incremental one.
+	shape    speculator.Shape
 	lastTok  model.Token
 	lastDist []float32
 	rng      *tensor.RNG
@@ -514,13 +518,11 @@ func (e *Engine) schedule(src source, clock func() time.Time) {
 // Prefill time is not part of any step's cost.
 func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time) IterationRecord {
 	rec := IterationRecord{Reqs: make([]ReqIter, len(batch))}
-	if e.cfg.Mode != Incremental {
-		rec.SpecSteps = e.specDepth()
-	}
 	measured := e.pol != nil && clock != nil
 	if e.pol != nil {
 		e.decidePolicy(batch, queued, &rec, measured)
 	}
+	rec.SpecSteps = specDepth(batch)
 	var durs []time.Duration
 	if measured {
 		durs = make([]time.Duration, len(batch))
@@ -696,28 +698,23 @@ func (e *Engine) release(st *reqState) {
 	if c, ok := st.llm.(model.Closer); ok {
 		c.Close()
 	}
-	if c, ok := st.spec.(model.Closer); ok {
-		c.Close()
+	if st.spec != nil {
+		st.spec.Close()
 	}
 	if e.pol != nil {
 		e.pol.Retire(st.req.ID)
 	}
 }
 
-func (e *Engine) specDepth() int {
-	switch {
-	case e.cfg.Mode == SequenceSpec:
-		return e.cfg.SeqDepth
-	case e.pol != nil:
-		return e.pol.Config().Latency.MaxDepth
-	case e.cfg.Adaptive != nil:
-		if e.cfg.Adaptive.MaxDepth > 0 {
-			return e.cfg.Adaptive.MaxDepth
-		}
-		return 8
-	default:
-		return len(e.cfg.Expansion)
+// specDepth is the number of SSM decoding levels an iteration runs:
+// levels run data parallel across the batch, so the deepest shape
+// bounds the speculation phase.
+func specDepth(batch []*reqState) int {
+	depth := 0
+	for _, st := range batch {
+		depth = max(depth, st.shape.Depth())
 	}
+	return depth
 }
 
 // admit opens a request's sessions and RNG stream. It is bookkeeping
@@ -733,24 +730,28 @@ func (e *Engine) admit(req workload.Request) *reqState {
 		rng:     tensor.NewRNG(e.cfg.Seed ^ (uint64(req.ID)+1)*0x9e3779b97f4a7c15),
 		res:     RequestResult{ID: req.ID, PromptLen: len(req.Prompt)},
 	}
-	switch e.cfg.Mode {
-	case Incremental:
-		// no speculator: incremental decoding samples straight from the LLM
-	case SequenceSpec:
-		st.spec = speculator.NewSequence(e.cfg.SeqDepth, e.cfg.Sample, ssms[0])
-	case TreeSpec:
-		if e.pol != nil {
-			st.spec = newPolicySpeculator(e.cfg.Sample, ssms)
-		} else if e.cfg.Adaptive != nil {
-			st.spec = speculator.NewAdaptive(*e.cfg.Adaptive, e.cfg.Sample, ssms[0])
-		} else {
-			st.spec = speculator.New(speculator.Config{
-				Expansion: e.cfg.Expansion,
-				Sample:    e.cfg.Sample,
-				ForceTopK: e.cfg.ForceTopK,
-				Seed:      e.cfg.Seed ^ uint64(req.ID)<<17,
-			}, ssms...)
+	if e.cfg.Mode != Incremental { // incremental decoding samples straight from the LLM
+		cfg := speculator.Config{
+			Sample:    e.cfg.Sample,
+			ForceTopK: e.cfg.ForceTopK,
+			Seed:      e.cfg.Seed ^ uint64(req.ID)<<17,
 		}
+		switch {
+		case e.cfg.Mode == SequenceSpec:
+			// The baseline drafts one sequence from the first SSM. Its
+			// SampleK draws come from seed 0: one stream shared by every
+			// request, unlike TreeSpec's per-request seeds.
+			cfg = speculator.Config{Sample: e.cfg.Sample}
+			ssms = ssms[:1]
+			st.shape = speculator.Shape{Expansion: tree.SequenceConfig(e.cfg.SeqDepth)}
+		case e.pol != nil:
+			// decidePolicy writes the shape every iteration.
+		case e.cfg.Adaptive != nil:
+			st.shape = speculator.Shape{Budget: e.cfg.Adaptive.WithDefaults()}
+		default:
+			st.shape = speculator.Shape{Expansion: e.cfg.Expansion}
+		}
+		st.spec = speculator.New(cfg, ssms...)
 	}
 	st.prefix = opened
 	return st
@@ -759,20 +760,19 @@ func (e *Engine) admit(req workload.Request) *reqState {
 // step runs one decoding iteration for one request and fills in its
 // row's work for the cost model.
 func (e *Engine) step(st *reqState, row *ReqIter) {
-	if e.cfg.Mode == Incremental {
-		e.decodeStep(st)
-		row.Committed = 1
-		return
-	}
-	if ps, ok := st.spec.(*policySpeculator); ok && ps.dec.Budget.MaxNodes <= 0 {
-		// Zero-budget policy step: an incremental step. The SSM
-		// sessions see the token the next time the request speculates.
-		ps.Defer(e.decodeStep(st))
+	if !st.shape.Drafts() {
+		// An incremental step: incremental decoding, or a zero-budget
+		// policy step, whose token the SSM sessions see the next time
+		// the request speculates.
+		tok := e.decodeStep(st)
+		if st.spec != nil {
+			st.spec.Defer(tok)
+		}
 		row.Committed = 1
 		return
 	}
 
-	tr := st.spec.Speculate(st.lastTok)
+	tr := st.spec.Speculate(st.lastTok, st.shape)
 	row.TreeNodes = tr.NumSpeculated()
 	dists := st.llm.DecodeTree(tr)
 	var verified []model.Token

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -294,6 +295,14 @@ func TestConfigValidation(t *testing.T) {
 		Sample: sampling.Config{Temperature: -2}}); err == nil {
 		t.Fatal("bad sampling config must fail")
 	}
+	// A best-first budget only shapes tree speculation: elsewhere it
+	// would be silently ignored.
+	for _, mode := range []Mode{Incremental, SequenceSpec} {
+		if _, err := NewEngine(Config{Mode: mode, LLM: llm, SSMs: []model.Model{ssm},
+			Adaptive: &tree.Budget{MaxNodes: 8}}); err == nil {
+			t.Fatalf("Adaptive with %v mode must fail", mode)
+		}
+	}
 	if _, err := NewEngine(Config{Mode: Incremental, LLM: llm}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -306,27 +315,47 @@ func TestModeString(t *testing.T) {
 }
 
 // TestAdaptiveSpeculationLossless: dynamic tree expansion must preserve
-// greedy losslessness and reduce steps like static expansion does.
+// greedy losslessness and reduce steps like static expansion does — from
+// one SSM, and from a pool of two, whose best-first trees are merged and
+// pruned back to the node budget.
 func TestAdaptiveSpeculationLossless(t *testing.T) {
 	llm, ssm, reqs := testModels(t, 4, 40)
+	mk := workload.NewMarkov(workload.DatasetByName("Alpaca"))
+	ssm2 := ngram.New(ngram.Config{Name: "ssm2", Vocab: 192, Order: 2, Smoothing: 0.05})
+	ssm2.TrainCorpus(mk.Corpus(tensor.NewRNG(4321), 20, 256))
+	second := &meteredSSM{Model: ssm2}
 	inc, _ := run(t, Config{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 31}, reqs)
-	ada, _ := run(t, Config{
-		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Adaptive: &speculator.AdaptiveConfig{MaxNodes: 10, MaxDepth: 8},
-		Sample:   sampling.GreedyConfig(), Seed: 31,
-	}, reqs)
-	var incSteps, adaSteps int
-	for i := range reqs {
-		incSteps += inc[i].Steps
-		adaSteps += ada[i].Steps
-		for j := range inc[i].Output {
-			if inc[i].Output[j] != ada[i].Output[j] {
-				t.Fatalf("req %d diverged at %d under adaptive speculation", i, j)
+	for _, pool := range [][]model.Model{{ssm}, {ssm, second}} {
+		t.Run(fmt.Sprintf("%d-ssm", len(pool)), func(t *testing.T) {
+			budget := &tree.Budget{MaxNodes: 10, MaxDepth: 8}
+			ada, recs := run(t, Config{
+				Mode: TreeSpec, LLM: llm, SSMs: pool, Adaptive: budget,
+				Sample: sampling.GreedyConfig(), Seed: 31,
+			}, reqs)
+			var incSteps, adaSteps int
+			for i := range reqs {
+				incSteps += inc[i].Steps
+				adaSteps += ada[i].Steps
+				for j := range inc[i].Output {
+					if inc[i].Output[j] != ada[i].Output[j] {
+						t.Fatalf("req %d diverged at %d under adaptive speculation", i, j)
+					}
+				}
 			}
-		}
+			if adaSteps >= incSteps {
+				t.Fatalf("adaptive steps %d !< incremental %d", adaSteps, incSteps)
+			}
+			for _, rec := range recs {
+				for _, row := range rec.Reqs {
+					if row.TreeNodes > budget.MaxNodes {
+						t.Fatalf("request %d drafted %d nodes, budget %d", row.ID, row.TreeNodes, budget.MaxNodes)
+					}
+				}
+			}
+		})
 	}
-	if adaSteps >= incSteps {
-		t.Fatalf("adaptive steps %d !< incremental %d", adaSteps, incSteps)
+	if second.rows.Load() == 0 {
+		t.Fatal("the second SSM of the pool never drafted")
 	}
 }
 
@@ -334,7 +363,7 @@ func TestAdaptiveStochasticRuns(t *testing.T) {
 	llm, ssm, reqs := testModels(t, 2, 32)
 	res, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Adaptive: &speculator.AdaptiveConfig{MaxNodes: 10},
+		Adaptive: &tree.Budget{MaxNodes: 10},
 		Sample:   sampling.StochasticConfig(), Seed: 32,
 	}, reqs)
 	for _, r := range res {

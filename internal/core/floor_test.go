@@ -12,6 +12,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tensor"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
@@ -130,13 +131,13 @@ func TestFloorAlternatingStepsMatchIncremental(t *testing.T) {
 	st := eng.admit(req)
 	defer eng.release(st)
 	eng.prefill([]*reqState{st})
-	ps := st.spec.(*policySpeculator)
 	pattern := []bool{true, false, true, true, false, true, true, true, false, false}
 	zeros := 0
 	for i := 0; !st.done; i++ {
-		ps.dec = policy.Decision{}
+		st.shape = speculator.Shape{}
 		if !pattern[i%len(pattern)] {
-			ps.dec = eng.pol.Decide(req.ID, 0, 1, 8)
+			d := eng.pol.Decide(req.ID, 0, 1, 8)
+			st.shape = speculator.Shape{Budget: d.Budget, SSMs: d.SSMs}
 		} else {
 			zeros++
 		}
@@ -197,16 +198,16 @@ func TestFloorLiveGreedyMatchesIncremental(t *testing.T) {
 // TestDeferredCatchUpBitIdentical: an SSM that skips zero-budget steps
 // and catches up in one batched Accept must draft bit-identical trees —
 // tokens, parents, ranking probabilities and distributions — to one fed
-// each token eagerly.
+// each token eagerly, and must have forwarded exactly as many tokens.
 func TestDeferredCatchUpBitIdentical(t *testing.T) {
 	_, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
 	sample := sampling.GreedyConfig()
-	eager := newPolicySpeculator(sample, []model.Model{ssm})
-	lazy := newPolicySpeculator(sample, []model.Model{ssm})
+	eagerSSM, lazySSM := &meteredSSM{Model: ssm}, &meteredSSM{Model: ssm}
+	eager := speculator.New(speculator.Config{Sample: sample}, eagerSSM)
+	lazy := speculator.New(speculator.Config{Sample: sample}, lazySSM)
 	defer eager.Close()
 	defer lazy.Close()
-	dec := policy.Decision{Budget: policy.Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 2}, SSMs: 1}
-	eager.dec, lazy.dec = dec, dec
+	dec := speculator.Shape{Budget: tree.Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 2}, SSMs: 1}
 
 	prompt := prefixTrace(1)[0].Prompt
 	eager.Prefill(prompt)
@@ -221,10 +222,11 @@ func TestDeferredCatchUpBitIdentical(t *testing.T) {
 			eager.Accept([]model.Token{root})
 			lazy.Defer(root)
 		}
-		got, want := lazy.Speculate(root), eager.Speculate(root)
+		got, want := lazy.Speculate(root, dec), eager.Speculate(root, dec)
 		requireSameTree(t, fmt.Sprintf("round %d", round), got, want)
-		if len(lazy.backlog) != 0 {
-			t.Fatalf("round %d: %d tokens still deferred after Speculate", round, len(lazy.backlog))
+		if l, e := lazySSM.rows.Load(), eagerSSM.rows.Load(); l != e {
+			t.Fatalf("round %d: %d tokens forwarded after Speculate, eagerly %d: the backlog was not caught up",
+				round, l, e)
 		}
 		// A speculative step: commit a path of the tree plus a bonus.
 		var accepted []model.Token

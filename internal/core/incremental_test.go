@@ -60,27 +60,21 @@ func TestIncrementalGrowersBitExact(t *testing.T) {
 	greedy := sampling.GreedyConfig()
 	stoch := sampling.StochasticConfig()
 	growers := []struct {
-		name string
-		nSSM int
-		mk   func(ssms []model.Model) treeSpeculator
+		name  string
+		nSSM  int
+		cfg   speculator.Config
+		shape speculator.Shape
 	}{
-		{"static-topk", 1, func(ssms []model.Model) treeSpeculator {
-			return speculator.New(speculator.Config{Expansion: tree.PaperDefault(), Sample: greedy}, ssms...)
-		}},
-		{"static-samplek", 1, func(ssms []model.Model) treeSpeculator {
-			return speculator.New(speculator.Config{Expansion: tree.ExpansionConfig{2, 3, 1, 2}, Sample: stoch, Seed: 5}, ssms...)
-		}},
-		{"ensemble-2ssm", 2, func(ssms []model.Model) treeSpeculator {
-			return speculator.New(speculator.Config{Expansion: tree.PaperDefault(), Sample: greedy}, ssms...)
-		}},
-		{"adaptive", 1, func(ssms []model.Model) treeSpeculator {
-			return speculator.NewAdaptive(speculator.AdaptiveConfig{MaxNodes: 16, FanoutCap: 8}, greedy, ssms[0])
-		}},
-		{"policy", 2, func(ssms []model.Model) treeSpeculator {
-			p := newPolicySpeculator(stoch, ssms)
-			p.dec = policy.Decision{Budget: policy.Budget{MaxNodes: 12, MaxDepth: 6, FanoutCap: 3}, SSMs: 2}
-			return p
-		}},
+		{"static-topk", 1, speculator.Config{Sample: greedy},
+			speculator.Shape{Expansion: tree.PaperDefault()}},
+		{"static-samplek", 1, speculator.Config{Sample: stoch, Seed: 5},
+			speculator.Shape{Expansion: tree.ExpansionConfig{2, 3, 1, 2}}},
+		{"ensemble-2ssm", 2, speculator.Config{Sample: greedy},
+			speculator.Shape{Expansion: tree.PaperDefault()}},
+		{"adaptive", 1, speculator.Config{Sample: greedy},
+			speculator.Shape{Budget: tree.Budget{MaxNodes: 16, FanoutCap: 8}}},
+		{"policy", 2, speculator.Config{Sample: stoch},
+			speculator.Shape{Budget: tree.Budget{MaxNodes: 12, MaxDepth: 6, FanoutCap: 3}, SSMs: 2}},
 	}
 	for _, arch := range []transformer.Arch{transformer.ArchLLaMA, transformer.ArchOPT} {
 		for _, workers := range []int{1, 4} {
@@ -97,15 +91,15 @@ func TestIncrementalGrowersBitExact(t *testing.T) {
 				// The SSMs carry float32 weights; quant=false in the name
 				// records that no quantized model takes part.
 				t.Run(fmt.Sprintf("%s/w%d/quant=false/%s", arch, workers, g.name), func(t *testing.T) {
-					inc := g.mk(incSSMs[:g.nSSM])
-					oracle := g.mk(refSSMs[:g.nSSM])
+					inc := speculator.New(g.cfg, incSSMs[:g.nSSM]...)
+					oracle := speculator.New(g.cfg, refSSMs[:g.nSSM]...)
 					rng := tensor.NewRNG(313)
 					prompt := []model.Token{4, 8, 15, 16, 23, 42}
 					inc.Prefill(prompt)
 					oracle.Prefill(prompt)
 					root := prompt[len(prompt)-1]
 					for round := 0; round < 3; round++ {
-						got, want := inc.Speculate(root), oracle.Speculate(root)
+						got, want := inc.Speculate(root, g.shape), oracle.Speculate(root, g.shape)
 						requireSameTree(t, fmt.Sprintf("round %d", round), got, want)
 						// Commit a random path of the tree plus a bonus token.
 						var accepted []model.Token

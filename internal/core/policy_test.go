@@ -11,8 +11,8 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
-	"specinfer/internal/speculator"
 	"specinfer/internal/transformer"
+	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
 
@@ -234,7 +234,7 @@ func TestPolicyEnsembleRunsAndPrunes(t *testing.T) {
 	pol, iters := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm, ssm2},
 		Sample: sampling.GreedyConfig(), Seed: 9,
-		Policy: &policy.Config{Latency: policy.Budget{MaxNodes: 8, MaxDepth: 4, FanoutCap: 2}},
+		Policy: &policy.Config{Latency: tree.Budget{MaxNodes: 8, MaxDepth: 4, FanoutCap: 2}},
 	}, reqs)
 	for i := range inc {
 		if !reflect.DeepEqual(inc[i].Output, pol[i].Output) {
@@ -265,7 +265,7 @@ func TestPolicyConfigConflicts(t *testing.T) {
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample:   sampling.GreedyConfig(),
 		Policy:   &policy.Config{},
-		Adaptive: &speculator.AdaptiveConfig{MaxNodes: 8},
+		Adaptive: &tree.Budget{MaxNodes: 8},
 	}); err == nil {
 		t.Fatal("Policy accepted alongside Adaptive")
 	}

@@ -12,7 +12,6 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
-	"specinfer/internal/speculator"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
@@ -98,7 +97,7 @@ func TestSpeculatedTreesGolden(t *testing.T) {
 		{ID: 1, Prompt: []model.Token{7, 7, 3, 90, 151}, MaxNewTok: 32},
 	}
 	greedy, stoch := sampling.GreedyConfig(), sampling.StochasticConfig()
-	budget := &speculator.AdaptiveConfig{MaxNodes: 10, MaxDepth: 6, FanoutCap: 3}
+	budget := &tree.Budget{MaxNodes: 10, MaxDepth: 6, FanoutCap: 3}
 	cases := []struct {
 		name  string
 		cfg   Config

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// AliasRetAnalyzer generalizes the AdaptiveSpeculator scratch-aliasing
+// AliasRetAnalyzer generalizes the best-first grower's scratch-aliasing
 // bug: an exported function or method must not return a slice that
 // windows into storage the receiver (or a parameter) keeps — the caller
 // holds the result across later calls, and the next reuse of the

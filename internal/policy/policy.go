@@ -6,8 +6,8 @@
 // request per iteration. The controller here decides, for every request
 // at every iteration boundary:
 //
-//   - the tree expansion shape (node budget, depth, fanout) handed to
-//     the best-first adaptive grower, and
+//   - the tree expansion shape (a tree.Budget: node budget, depth,
+//     fanout) handed to the speculator's best-first grower, and
 //   - how many SSMs of the ensemble to run for that request,
 //
 // driven by three signals:
@@ -41,9 +41,9 @@
 // picks the better. Floored requests re-probe the rule's budget on a
 // deterministic exponential backoff so a change of regime is noticed.
 //
-// The package is dependency-free on purpose: decisions are pure
-// functions of (EWMAs, queue, occupancy, cost estimates) so the engine
-// can compute them serially before its worker pool and stay
+// The package depends on nothing but the leaf tree package: decisions
+// are pure functions of (EWMAs, queue, occupancy, cost estimates) so
+// the engine can compute them serially before its worker pool and stay
 // deterministic for any Workers setting.
 package policy
 
@@ -51,6 +51,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"specinfer/internal/tree"
 )
 
 // Mode is the operating point a decision targets.
@@ -74,22 +76,6 @@ func (m Mode) String() string {
 	return "latency"
 }
 
-// Budget is a tree expansion shape: the node/depth/fanout envelope
-// handed to the adaptive best-first grower. It mirrors
-// speculator.AdaptiveConfig without importing it, keeping this package
-// dependency-free.
-type Budget struct {
-	// MaxNodes is the speculated-node budget per tree.
-	MaxNodes int
-	// MaxDepth bounds speculation depth.
-	MaxDepth int
-	// FanoutCap bounds children per node.
-	FanoutCap int
-	// MinPathProb prunes candidates below this SSM path probability;
-	// 0 disables pruning.
-	MinPathProb float64
-}
-
 // Decision is one request-iteration's speculation plan.
 type Decision struct {
 	Mode Mode
@@ -100,7 +86,7 @@ type Decision struct {
 	// verifier and no SSM forward; the SSM sessions catch up on the
 	// skipped tokens in one batched pass the next time the request
 	// speculates.
-	Budget Budget
+	Budget tree.Budget
 	// SSMs is how many models of the ensemble to run (clamped by the
 	// engine to the pool size; >= 1 whenever Budget.MaxNodes > 0, 0 on
 	// a zero-budget step).
@@ -124,7 +110,7 @@ type Config struct {
 	// Latency and Throughput are the per-mode budget ceilings.
 	// Latency defaults to {MaxNodes: 16, MaxDepth: 8, FanoutCap: 3};
 	// Throughput defaults to {MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}.
-	Latency, Throughput Budget
+	Latency, Throughput tree.Budget
 	// LatencySSMs / ThroughputSSMs bound how many ensemble members run
 	// per mode. 0 means "all available" for latency and 1 for
 	// throughput.
@@ -146,11 +132,11 @@ func (c Config) withDefaults() Config {
 	if c.InitAcceptLen == 0 {
 		c.InitAcceptLen = 2
 	}
-	if c.Latency == (Budget{}) {
-		c.Latency = Budget{MaxNodes: 16, MaxDepth: 8, FanoutCap: 3}
+	if c.Latency == (tree.Budget{}) {
+		c.Latency = tree.Budget{MaxNodes: 16, MaxDepth: 8, FanoutCap: 3}
 	}
-	if c.Throughput == (Budget{}) {
-		c.Throughput = Budget{MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}
+	if c.Throughput == (tree.Budget{}) {
+		c.Throughput = tree.Budget{MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}
 	}
 	if c.ThroughputSSMs == 0 {
 		c.ThroughputSSMs = 1
@@ -176,7 +162,7 @@ func (c Config) validate() error {
 	}
 	for _, b := range []struct {
 		name string
-		b    Budget
+		b    tree.Budget
 	}{{"Latency", c.Latency}, {"Throughput", c.Throughput}} {
 		if b.b.MaxNodes < 0 || b.b.MaxDepth < 0 || b.b.FanoutCap < 0 || b.b.MinPathProb < 0 {
 			return fmt.Errorf("policy: negative %s budget field: %+v", b.name, b.b)
@@ -448,7 +434,7 @@ func (c *Controller) rule(mode Mode, ew float64) Decision {
 	depth := clamp(int(math.Ceil(ew))+1, 1, ceiling.MaxDepth)
 	return Decision{
 		Mode: mode,
-		Budget: Budget{
+		Budget: tree.Budget{
 			MaxNodes:    nodes,
 			MaxDepth:    depth,
 			FanoutCap:   ceiling.FanoutCap,

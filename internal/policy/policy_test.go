@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"specinfer/internal/tree"
 )
 
 func mustController(t *testing.T, cfg Config) *Controller {
@@ -57,40 +59,40 @@ func TestDecisionBudgets(t *testing.T) {
 		cfg   Config
 		ewma  []int // Observe sequence for request 1 before deciding
 		queue int
-		want  Budget
+		want  tree.Budget
 		ssms  int
 	}{
 		{
 			name: "fresh request uses InitAcceptLen",
 			cfg:  Config{InitAcceptLen: 2, NodesPerAccept: 2},
 			// nodes = ceil(3*2) = 6, depth = ceil(2)+1 = 3
-			want: Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 3},
+			want: tree.Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 3},
 		},
 		{
 			name: "high acceptance saturates the latency ceiling",
-			cfg:  Config{Latency: Budget{MaxNodes: 10, MaxDepth: 4, FanoutCap: 2}},
+			cfg:  Config{Latency: tree.Budget{MaxNodes: 10, MaxDepth: 4, FanoutCap: 2}},
 			ewma: []int{8, 8, 8, 8, 8, 8, 8, 8, 8, 8},
-			want: Budget{MaxNodes: 10, MaxDepth: 4, FanoutCap: 2},
+			want: tree.Budget{MaxNodes: 10, MaxDepth: 4, FanoutCap: 2},
 		},
 		{
 			name: "zero acceptance shrinks to a stub tree",
 			cfg:  Config{Alpha: 1}, // EWMA tracks the last observation exactly
 			ewma: []int{0},
 			// nodes = ceil(1*2) = 2, depth = ceil(0)+1 = 1
-			want: Budget{MaxNodes: 2, MaxDepth: 1, FanoutCap: 3},
+			want: tree.Budget{MaxNodes: 2, MaxDepth: 1, FanoutCap: 3},
 		},
 		{
 			name:  "throughput ceiling MaxNodes=1 FanoutCap=1",
-			cfg:   Config{Throughput: Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: 1}},
+			cfg:   Config{Throughput: tree.Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: 1}},
 			ewma:  []int{8, 8, 8},
 			queue: 100,
-			want:  Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: 1},
+			want:  tree.Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: 1},
 			ssms:  1,
 		},
 		{
 			name:  "MinPathProb rides along from the ceiling",
-			cfg:   Config{Latency: Budget{MaxNodes: 8, MaxDepth: 4, FanoutCap: 2, MinPathProb: 0.25}},
-			want:  Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 2, MinPathProb: 0.25},
+			cfg:   Config{Latency: tree.Budget{MaxNodes: 8, MaxDepth: 4, FanoutCap: 2, MinPathProb: 0.25}},
+			want:  tree.Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 2, MinPathProb: 0.25},
 			queue: 0,
 		},
 	}
@@ -210,8 +212,8 @@ func TestConfigValidation(t *testing.T) {
 		{Alpha: 1.5},
 		{InitAcceptLen: -1},
 		{NodesPerAccept: -2},
-		{Latency: Budget{MaxNodes: -1, MaxDepth: 1, FanoutCap: 1}},
-		{Throughput: Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: -1}},
+		{Latency: tree.Budget{MaxNodes: -1, MaxDepth: 1, FanoutCap: 1}},
+		{Throughput: tree.Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: -1}},
 		{LatencySSMs: -1},
 	}
 	for i, cfg := range bad {
@@ -358,7 +360,7 @@ func TestNewRequestsSeedFromPooledAcceptance(t *testing.T) {
 		c.Retire(id)
 	}
 	// Pooled EWMA is 0: nodes = ceil(1*2) = 2, depth = 1.
-	want := Budget{MaxNodes: 2, MaxDepth: 1, FanoutCap: 3}
+	want := tree.Budget{MaxNodes: 2, MaxDepth: 1, FanoutCap: 3}
 	if d := c.Decide(9, 0, 1, 8); d.Budget != want {
 		t.Fatalf("new request budget %+v, want %+v from the pooled EWMA", d.Budget, want)
 	}

@@ -11,7 +11,7 @@ import (
 // scratchModel exercises the model.Session license to return DecodeTree
 // distributions that alias internal scratch until the next commit: every
 // call rewrites the same per-node buffers with wave-dependent values.
-// AdaptiveSpeculator runs several DecodeTree waves before any commit and
+// Best-first growth runs several DecodeTree waves before any commit and
 // the admitted nodes' stored dists outlive Speculate (MSS verification
 // reads them after the LLM pass), so holding the raw slices corrupts
 // them — the regression this test pins.
@@ -78,10 +78,10 @@ func (s *scratchSession) Len() int { return s.n }
 // distributions. Every admitted node must keep the distribution it was
 // admitted under.
 func TestAdaptiveSpeculateDistsSurviveLaterWaves(t *testing.T) {
-	a := NewAdaptive(AdaptiveConfig{MaxNodes: 6, MaxDepth: 4, FanoutCap: 2},
-		sampling.GreedyConfig(), &scratchModel{vocab: 8})
+	budget := Shape{Budget: tree.Budget{MaxNodes: 6, MaxDepth: 4, FanoutCap: 2}}
+	a := New(Config{Sample: sampling.GreedyConfig()}, &scratchModel{vocab: 8})
 	a.Prefill([]model.Token{1, 2, 3})
-	tr := a.Speculate(3)
+	tr := a.Speculate(3, budget)
 
 	if tr.NumSpeculated() < 4 {
 		t.Fatalf("speculated only %d nodes; need multiple waves to exercise scratch reuse", tr.NumSpeculated())
@@ -110,10 +110,9 @@ func TestAdaptiveSpeculateDistsSurviveLaterWaves(t *testing.T) {
 			}
 		}
 	}
-	tr2 := NewAdaptive(AdaptiveConfig{MaxNodes: 6, MaxDepth: 4, FanoutCap: 2},
-		sampling.GreedyConfig(), &scratchModel{vocab: 8})
+	tr2 := New(Config{Sample: sampling.GreedyConfig()}, &scratchModel{vocab: 8})
 	tr2.Prefill([]model.Token{1, 2, 3})
-	reref := tr2.Speculate(3)
+	reref := tr2.Speculate(3, budget)
 	if reref.NumSpeculated() != tr.NumSpeculated() {
 		t.Fatalf("mutating returned dists changed speculation: %d vs %d nodes",
 			reref.NumSpeculated(), tr.NumSpeculated())

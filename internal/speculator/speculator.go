@@ -1,64 +1,66 @@
 // Package speculator implements SpecInfer's learning-based speculator
-// (§3): constructing speculated token trees from one or more small
-// speculative models (SSMs) via expansion-based construction (top-k
-// branching under a static ⟨k_1..k_m⟩ expansion configuration) and
-// merge-based construction (union of the trees proposed by multiple
-// boost-tuned SSMs, Definition 3.2).
+// (§3): one speculated token tree per decoding iteration from a pool of
+// small speculative models (SSMs), built by expansion (top-k branching
+// under a static ⟨k_1..k_m⟩ configuration, or best-first growth under a
+// node budget) and merged across the pool (Definition 3.2). The shape of
+// the tree is chosen per call, so a policy can reshape it every
+// iteration without touching the SSM sessions.
 package speculator
 
 import (
-	"fmt"
-
 	"specinfer/internal/model"
 	"specinfer/internal/sampling"
 	"specinfer/internal/tensor"
 	"specinfer/internal/tree"
 )
 
-// ExpandMode selects how the k children of a frontier node are chosen.
-type ExpandMode int
-
-const (
-	// TopK takes the k highest-probability tokens (the paper's static
-	// expansion strategy, §3). With stochastic verification this makes
-	// the output distribution only approximately equal to the LLM's
-	// (drafts are not samples of the proposal), so it is paired with
-	// greedy decoding by default.
-	TopK ExpandMode = iota
-	// SampleK draws k i.i.d. samples from the proposal distribution
-	// (duplicates merged). This is the premise under which Theorem 4.2's
-	// exactness holds, and the default for stochastic decoding.
-	SampleK
-)
-
 // Config configures a per-request speculator.
 type Config struct {
-	// Expansion is the per-SSM expansion configuration. Every SSM expands
-	// with the same configuration; merge-based speculation with m SSMs
-	// therefore proposes up to m times the sequences.
-	Expansion tree.ExpansionConfig
 	// Sample is the decode policy of the *request* (greedy/stochastic with
 	// temperature etc.). SSM distributions are transformed with the same
 	// policy so that MSS's acceptance ratios compare like with like.
 	Sample sampling.Config
-	// Expand chooses the expansion mode. The zero value (TopK) is
-	// overridden to SampleK for stochastic policies unless ForceTopK is
-	// set, preserving Theorem 4.2's exact distribution equivalence.
-	Expand ExpandMode
-	// ForceTopK keeps TopK expansion even under stochastic decoding.
+	// ForceTopK keeps top-k static expansion under stochastic decoding.
+	// Otherwise a stochastic policy expands by SampleK: k i.i.d. draws
+	// from the proposal distribution (duplicates merged), the premise
+	// under which Theorem 4.2's exact distribution equivalence holds.
+	// Top-k drafts are not samples of the proposal, so with stochastic
+	// verification they only approximate the LLM's distribution.
 	ForceTopK bool
 	// Seed drives SampleK expansion randomness.
 	Seed uint64
 }
 
-func (c Config) effectiveExpand() ExpandMode {
-	if c.Sample.Mode == sampling.Stochastic && !c.ForceTopK {
-		return SampleK
+// Shape is the form of one speculated tree.
+type Shape struct {
+	// Expansion, when non-nil, is a static expansion configuration:
+	// every SSM expands its tree level by level, and the trees are
+	// merged with no prune, so m SSMs propose up to m times the
+	// sequences.
+	Expansion tree.ExpansionConfig
+	// Budget, when Expansion is nil, grows every SSM's tree best-first;
+	// the merged tree is pruned back to Budget.MaxNodes by path
+	// probability. A zero MaxNodes drafts nothing.
+	Budget tree.Budget
+	// SSMs is how many models of the pool draft, first first; 0 (or
+	// more than the pool holds) means all of them.
+	SSMs int
+}
+
+// Drafts reports whether the shape proposes any node. A shape that does
+// not is an incremental step: the engine decodes without a tree.
+func (sh Shape) Drafts() bool { return sh.Expansion != nil || sh.Budget.MaxNodes > 0 }
+
+// Depth is the most SSM decoding levels the shape runs: 0 when it
+// drafts nothing.
+func (sh Shape) Depth() int {
+	switch {
+	case sh.Expansion != nil:
+		return len(sh.Expansion)
+	case sh.Budget.MaxNodes > 0:
+		return sh.Budget.WithDefaults().MaxDepth
 	}
-	if c.ForceTopK {
-		return TopK
-	}
-	return c.Expand
+	return 0
 }
 
 // Speculator drives the SSM sessions of a single request. It mirrors the
@@ -66,9 +68,11 @@ func (c Config) effectiveExpand() ExpandMode {
 // speculated token tree per decoding iteration.
 type Speculator struct {
 	cfg      Config
-	ssms     []model.Model
 	sessions []model.Session
 	rng      *tensor.RNG
+	// backlog holds committed tokens the SSM sessions have not seen
+	// yet (see Defer).
+	backlog []model.Token
 }
 
 // New creates a speculator over the given SSM pool. At least one SSM is
@@ -77,24 +81,18 @@ func New(cfg Config, ssms ...model.Model) *Speculator {
 	if len(ssms) == 0 {
 		panic("speculator: need at least one SSM")
 	}
-	if msg := cfg.Expansion.Validate(); msg != "" {
-		panic("speculator: " + msg)
-	}
 	vocab := ssms[0].VocabSize()
 	for _, m := range ssms[1:] {
 		if m.VocabSize() != vocab {
 			panic("speculator: SSM vocabularies differ")
 		}
 	}
-	s := &Speculator{cfg: cfg, ssms: ssms, rng: tensor.NewRNG(cfg.Seed ^ 0xabcdef123)}
+	s := &Speculator{cfg: cfg, rng: tensor.NewRNG(cfg.Seed ^ 0xabcdef123)}
 	for _, m := range ssms {
 		s.sessions = append(s.sessions, m.NewSession())
 	}
 	return s
 }
-
-// NumSSMs returns the size of the SSM pool.
-func (s *Speculator) NumSSMs() int { return len(s.ssms) }
 
 // Prefill feeds the request prompt to every SSM session.
 func (s *Speculator) Prefill(prompt []model.Token) {
@@ -103,12 +101,22 @@ func (s *Speculator) Prefill(prompt []model.Token) {
 	}
 }
 
-// Accept commits the verified tokens into every SSM session, keeping the
-// speculator synchronized with the request's sequence.
+// Accept commits the verified tokens into every SSM session — including
+// the ones the current shape left out, so a later shape can draft from
+// any of them without resyncing. Speculate has already forwarded the
+// backlog, so the tokens extend the tree it drafted.
 func (s *Speculator) Accept(tokens []model.Token) {
 	for _, sess := range s.sessions {
 		sess.Accept(tokens)
 	}
+}
+
+// Defer queues tokens a step committed without drafting (a shape that
+// Drafts nothing). The next Speculate forwards the whole backlog in one
+// batched Accept before drafting: bit-identical to committing the tokens
+// one at a time, at the cost of one SSM pass.
+func (s *Speculator) Defer(tokens ...model.Token) {
+	s.backlog = append(s.backlog, tokens...)
 }
 
 // Close releases every SSM session that holds releasable resources
@@ -119,31 +127,57 @@ func (s *Speculator) Close() {
 			c.Close()
 		}
 	}
+	s.backlog = nil
 }
 
-// Speculate produces the speculated token tree for the next iteration:
-// each SSM expands its own tree under the expansion configuration, and the
-// per-SSM trees are merged (Definition 3.2). rootTok must be the last
-// committed token of the request.
-func (s *Speculator) Speculate(rootTok model.Token) *tree.Tree {
-	trees := make([]*tree.Tree, len(s.sessions))
-	for i, sess := range s.sessions {
-		trees[i] = s.expand(sess, i, rootTok)
+// Speculate catches the SSM sessions up on any deferred tokens, then
+// produces the speculated token tree for the next iteration: each of the
+// shape's SSMs grows its own tree, and the trees are merged (Definition
+// 3.2). rootTok must be the last committed token of the request. A shape
+// that drafts nothing yields a bare root.
+func (s *Speculator) Speculate(rootTok model.Token, shape Shape) *tree.Tree {
+	if len(s.backlog) > 0 {
+		s.Accept(s.backlog)
+		s.backlog = s.backlog[:0]
 	}
-	if len(trees) == 1 {
+	if !shape.Drafts() {
+		return tree.New(rootTok)
+	}
+	if shape.Expansion != nil {
+		if msg := shape.Expansion.Validate(); msg != "" {
+			panic("speculator: " + msg)
+		}
+	}
+	n := shape.SSMs
+	if n <= 0 || n > len(s.sessions) {
+		n = len(s.sessions)
+	}
+	trees := make([]*tree.Tree, n)
+	for i, sess := range s.sessions[:n] {
+		if shape.Expansion != nil {
+			trees[i] = s.expand(sess, i, rootTok, shape.Expansion)
+		} else {
+			trees[i] = s.grow(sess, rootTok, shape.Budget.WithDefaults())
+		}
+	}
+	if n == 1 {
 		return trees[0]
 	}
-	return tree.Merge(trees...)
+	merged := tree.Merge(trees...)
+	if shape.Expansion == nil && merged.NumSpeculated() > shape.Budget.MaxNodes {
+		merged = pruneByPathProb(merged, shape.Budget.MaxNodes)
+	}
+	return merged
 }
 
 // expand builds one SSM's token tree level by level. At step i every
 // frontier node receives its top-k_i tokens under the SSM's (policy-
 // transformed) distribution; the recorded SSMProb is exactly the
 // probability MSS later uses as P(x | u, Θ_SSM).
-func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token) *tree.Tree {
+func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token, exp tree.ExpansionConfig) *tree.Tree {
 	tr := tree.New(rootTok)
 	frontier := []tree.NodeID{tr.Root()}
-	for _, k := range s.cfg.Expansion {
+	for _, k := range exp {
 		if len(frontier) == 0 {
 			break
 		}
@@ -166,7 +200,7 @@ func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token) 
 				}
 				// Duplicate SampleK draws accumulate as proposals on one
 				// child, preserving MSS's draft accounting.
-				id := tr.AddProposal(u, tok, d[tok], ssmID, d)
+				id := tr.AddChildDist(u, tok, d[tok], ssmID, d)
 				if !seen[id] {
 					seen[id] = true
 					next = append(next, id)
@@ -193,9 +227,10 @@ func (s *Speculator) proposalDist(raw []float32) []float32 {
 }
 
 // pickChildren selects up to k candidate tokens from the proposal
-// distribution according to the expansion mode.
+// distribution: k SampleK draws under a stochastic policy, else its
+// top k (see Config.ForceTopK).
 func (s *Speculator) pickChildren(d []float32, k int) []int {
-	if s.cfg.effectiveExpand() == TopK {
+	if s.cfg.Sample.Mode != sampling.Stochastic || s.cfg.ForceTopK {
 		return tensor.TopK(d, k)
 	}
 	toks := make([]int, 0, k)
@@ -205,13 +240,18 @@ func (s *Speculator) pickChildren(d []float32, k int) []int {
 	return toks
 }
 
-// NewSequence is the sequence-based baseline (prior work: a single SSM
-// proposing a single token sequence). It is an ordinary Speculator
-// with a width-1 expansion configuration; the constructor exists to make
-// the baseline explicit in experiment code.
-func NewSequence(depth int, sample sampling.Config, ssm model.Model) *Speculator {
-	if depth < 1 {
-		panic(fmt.Sprintf("speculator: sequence depth %d < 1", depth))
+// pruneByPathProb trims a merged tree back to the node budget, keeping
+// the highest-path-probability nodes (parent-closed, so the result is a
+// valid token tree).
+func pruneByPathProb(tr *tree.Tree, budget int) *tree.Tree {
+	path := make([]float64, tr.Len())
+	path[0] = 1
+	for _, id := range tr.DFSOrder() {
+		if id == 0 {
+			continue
+		}
+		n := tr.Node(id)
+		path[id] = path[n.Parent] * float64(n.SSMProb())
 	}
-	return New(Config{Expansion: tree.SequenceConfig(depth), Sample: sample}, ssm)
+	return tr.PruneToBudget(budget, func(id tree.NodeID) float64 { return path[id] })
 }

@@ -26,15 +26,11 @@ func trainedPair(t *testing.T) (*ngram.Model, *ngram.Model, *workload.Markov) {
 
 func TestExpansionShapeTopK(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
-	cfg := Config{
-		Expansion: tree.ExpansionConfig{2, 2, 1},
-		Sample:    sampling.GreedyConfig(),
-	}
-	s := New(cfg, ssm)
+	s := New(Config{Sample: sampling.GreedyConfig()}, ssm)
 	rng := tensor.NewRNG(1)
 	prompt := mk.Generate(rng, 10)
 	s.Prefill(prompt)
-	tr := s.Speculate(prompt[len(prompt)-1])
+	tr := s.Speculate(prompt[len(prompt)-1], Shape{Expansion: tree.ExpansionConfig{2, 2, 1}})
 
 	// Figure 3: <2,2,1> gives 2+4+4 = 10 speculated nodes, 4 sequences.
 	if tr.NumSpeculated() != 10 {
@@ -50,15 +46,11 @@ func TestExpansionShapeTopK(t *testing.T) {
 
 func TestExpansionRecordsProposals(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
-	s := New(Config{
-		Expansion: tree.WidthConfig(3),
-		Sample:    sampling.StochasticConfig(),
-		Seed:      7,
-	}, ssm)
+	s := New(Config{Sample: sampling.StochasticConfig(), Seed: 7}, ssm)
 	rng := tensor.NewRNG(2)
 	prompt := mk.Generate(rng, 10)
 	s.Prefill(prompt)
-	tr := s.Speculate(prompt[len(prompt)-1])
+	tr := s.Speculate(prompt[len(prompt)-1], Shape{Expansion: tree.WidthConfig(3)})
 	for id := 1; id < tr.Len(); id++ {
 		n := tr.Node(id)
 		if len(n.Proposals) == 0 {
@@ -84,14 +76,11 @@ func TestGreedyExpansionUsesFullDistribution(t *testing.T) {
 	// distinct tokens (top-k of the raw SSM distribution), not collapse
 	// to one-hot.
 	_, ssm, mk := trainedPair(t)
-	s := New(Config{
-		Expansion: tree.ExpansionConfig{3},
-		Sample:    sampling.GreedyConfig(),
-	}, ssm)
+	s := New(Config{Sample: sampling.GreedyConfig()}, ssm)
 	rng := tensor.NewRNG(3)
 	prompt := mk.Generate(rng, 10)
 	s.Prefill(prompt)
-	tr := s.Speculate(prompt[len(prompt)-1])
+	tr := s.Speculate(prompt[len(prompt)-1], Shape{Expansion: tree.ExpansionConfig{3}})
 	if got := len(tr.Node(tr.Root()).Children); got != 3 {
 		t.Fatalf("greedy width-3 expansion produced %d children", got)
 	}
@@ -105,14 +94,10 @@ func TestMergeBasedSpeculation(t *testing.T) {
 	ssm2 := ngram.New(ngram.Config{Name: "ssm2", Vocab: 192, Order: 2, Smoothing: 0.05})
 	ssm2.TrainCorpus(mk.Corpus(rng, 20, 256))
 
-	cfg := Config{Expansion: tree.SequenceConfig(4), Sample: sampling.GreedyConfig()}
-	s := New(cfg, ssm, ssm2)
-	if s.NumSSMs() != 2 {
-		t.Fatal("pool size wrong")
-	}
+	s := New(Config{Sample: sampling.GreedyConfig()}, ssm, ssm2)
 	prompt := mk.Generate(rng, 10)
 	s.Prefill(prompt)
-	tr := s.Speculate(prompt[len(prompt)-1])
+	tr := s.Speculate(prompt[len(prompt)-1], Shape{Expansion: tree.SequenceConfig(4)})
 	// Merged tree must hold between 4 (fully overlapping) and 8 (disjoint)
 	// speculated nodes.
 	if n := tr.NumSpeculated(); n < 4 || n > 8 {
@@ -125,22 +110,23 @@ func TestMergeBasedSpeculation(t *testing.T) {
 
 func TestAcceptKeepsSessionsAligned(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
-	s := New(Config{Expansion: tree.SequenceConfig(3), Sample: sampling.GreedyConfig()}, ssm)
+	seq := Shape{Expansion: tree.SequenceConfig(3)}
+	s := New(Config{Sample: sampling.GreedyConfig()}, ssm)
 	rng := tensor.NewRNG(5)
 	prompt := mk.Generate(rng, 10)
 	s.Prefill(prompt)
-	tr1 := s.Speculate(prompt[len(prompt)-1])
+	tr1 := s.Speculate(prompt[len(prompt)-1], seq)
 	leaf := tr1.Leaves()[0]
 	path := tr1.Sequence(leaf)[1:] // speculated tokens
 	s.Accept(path)
 
 	// A fresh speculator prefilled with the extended sequence must
 	// speculate the identical tree.
-	s2 := New(Config{Expansion: tree.SequenceConfig(3), Sample: sampling.GreedyConfig()}, ssm)
+	s2 := New(Config{Sample: sampling.GreedyConfig()}, ssm)
 	full := append(append([]model.Token{}, prompt...), path...)
 	s2.Prefill(full)
-	a := s.Speculate(path[len(path)-1])
-	b := s2.Speculate(path[len(path)-1])
+	a := s.Speculate(path[len(path)-1], seq)
+	b := s2.Speculate(path[len(path)-1], seq)
 	sa, sb := a.SequenceSet(), b.SequenceSet()
 	if len(sa) != len(sb) {
 		t.Fatalf("diverged after Accept: %d vs %d sequences", len(sa), len(sb))
@@ -155,18 +141,15 @@ func TestAcceptKeepsSessionsAligned(t *testing.T) {
 func TestSampleKExpansionDeterministicPerSeed(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
 	mkSpec := func() *Speculator {
-		return New(Config{
-			Expansion: tree.WidthConfig(4),
-			Sample:    sampling.StochasticConfig(),
-			Seed:      42,
-		}, ssm)
+		return New(Config{Sample: sampling.StochasticConfig(), Seed: 42}, ssm)
 	}
+	shape := Shape{Expansion: tree.WidthConfig(4)}
 	prompt := mk.Generate(tensor.NewRNG(6), 10)
 	s1, s2 := mkSpec(), mkSpec()
 	s1.Prefill(prompt)
 	s2.Prefill(prompt)
-	a := s1.Speculate(prompt[len(prompt)-1]).SequenceSet()
-	b := s2.Speculate(prompt[len(prompt)-1]).SequenceSet()
+	a := s1.Speculate(prompt[len(prompt)-1], shape).SequenceSet()
+	b := s2.Speculate(prompt[len(prompt)-1], shape).SequenceSet()
 	if len(a) != len(b) {
 		t.Fatal("SampleK expansion not deterministic for equal seeds")
 	}
@@ -177,14 +160,21 @@ func TestSampleKExpansionDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestNewSequenceBaseline: the sequence-based baseline (prior work: one
+// SSM proposing one token sequence) is the width-1 static shape.
 func TestNewSequenceBaseline(t *testing.T) {
-	_, ssm, _ := trainedPair(t)
-	s := NewSequence(5, sampling.GreedyConfig(), ssm)
-	if got := len(s.cfg.Expansion); got != 5 {
-		t.Fatalf("sequence baseline depth %d", got)
+	_, ssm, mk := trainedPair(t)
+	s := New(Config{Sample: sampling.GreedyConfig()}, ssm)
+	prompt := mk.Generate(tensor.NewRNG(7), 10)
+	s.Prefill(prompt)
+	shape := Shape{Expansion: tree.SequenceConfig(5)}
+	tr := s.Speculate(prompt[len(prompt)-1], shape)
+	if tr.Depth() != 5 || tr.NumSpeculated() != 5 || len(tr.Leaves()) != 1 {
+		t.Fatalf("sequence baseline: depth %d, %d nodes, %d leaves, want one 5-token path:\n%s",
+			tr.Depth(), tr.NumSpeculated(), len(tr.Leaves()), tr)
 	}
-	if s.cfg.Expansion.NumSequences() != 1 {
-		t.Fatal("sequence baseline must be width 1")
+	if shape.Depth() != 5 {
+		t.Fatalf("sequence shape reports depth %d", shape.Depth())
 	}
 }
 
@@ -198,17 +188,18 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("no ssms", func() {
-		New(Config{Expansion: tree.SequenceConfig(2), Sample: sampling.GreedyConfig()})
-	})
+	greedy := Config{Sample: sampling.GreedyConfig()}
+	mustPanic("no ssms", func() { New(greedy) })
 	mustPanic("bad expansion", func() {
-		New(Config{Expansion: tree.ExpansionConfig{0}, Sample: sampling.GreedyConfig()}, ssm)
+		New(greedy, ssm).Speculate(0, Shape{Expansion: tree.ExpansionConfig{0}})
 	})
 	mustPanic("vocab mismatch", func() {
 		other := ngram.New(ngram.Config{Name: "x", Vocab: 16, Order: 2})
-		New(Config{Expansion: tree.SequenceConfig(2), Sample: sampling.GreedyConfig()}, ssm, other)
+		New(greedy, ssm, other)
 	})
-	mustPanic("bad sequence depth", func() { NewSequence(0, sampling.GreedyConfig(), ssm) })
+	mustPanic("bad sequence depth", func() {
+		New(greedy, ssm).Speculate(0, Shape{Expansion: tree.SequenceConfig(0)})
+	})
 }
 
 func TestBoostTuneCoverageGrows(t *testing.T) {
@@ -255,12 +246,12 @@ func TestGenerateLengthAndDeterminism(t *testing.T) {
 
 func TestAdaptiveSpeculatorBudget(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
-	a := NewAdaptive(AdaptiveConfig{MaxNodes: 10, MaxDepth: 8},
-		sampling.GreedyConfig(), ssm)
+	a := New(Config{Sample: sampling.GreedyConfig()}, ssm)
+	budget := Shape{Budget: tree.Budget{MaxNodes: 10, MaxDepth: 8}}
 	rng := tensor.NewRNG(31)
 	prompt := mk.Generate(rng, 10)
 	a.Prefill(prompt)
-	tr := a.Speculate(prompt[len(prompt)-1])
+	tr := a.Speculate(prompt[len(prompt)-1], budget)
 	if tr.NumSpeculated() == 0 || tr.NumSpeculated() > 10 {
 		t.Fatalf("adaptive tree has %d speculated nodes, budget 10", tr.NumSpeculated())
 	}
@@ -277,12 +268,12 @@ func TestAdaptiveSpeculatorBudget(t *testing.T) {
 
 func TestAdaptiveRespectsMinPathProb(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
-	a := NewAdaptive(AdaptiveConfig{MaxNodes: 64, MaxDepth: 8, MinPathProb: 0.5},
-		sampling.GreedyConfig(), ssm)
+	a := New(Config{Sample: sampling.GreedyConfig()}, ssm)
+	budget := Shape{Budget: tree.Budget{MaxNodes: 64, MaxDepth: 8, MinPathProb: 0.5}}
 	rng := tensor.NewRNG(33)
 	prompt := mk.Generate(rng, 10)
 	a.Prefill(prompt)
-	tr := a.Speculate(prompt[len(prompt)-1])
+	tr := a.Speculate(prompt[len(prompt)-1], budget)
 	// With a harsh threshold the tree must stay small: only confident
 	// chains qualify.
 	if tr.NumSpeculated() > 16 {
@@ -294,9 +285,10 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	_, ssm, mk := trainedPair(t)
 	prompt := mk.Generate(tensor.NewRNG(35), 10)
 	build := func() map[string]bool {
-		a := NewAdaptive(AdaptiveConfig{MaxNodes: 12}, sampling.GreedyConfig(), ssm)
+		a := New(Config{Sample: sampling.GreedyConfig()}, ssm)
+		budget := Shape{Budget: tree.Budget{MaxNodes: 12}}
 		a.Prefill(prompt)
-		return a.Speculate(prompt[len(prompt)-1]).SequenceSet()
+		return a.Speculate(prompt[len(prompt)-1], budget).SequenceSet()
 	}
 	x, y := build(), ([]map[string]bool{build()})[0]
 	if len(x) != len(y) {

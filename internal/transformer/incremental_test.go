@@ -271,18 +271,18 @@ func TestIncrementalDraftForwardCounts(t *testing.T) {
 		{
 			name: "static paper default",
 			speculate: func(ssm model.Model) *tree.Tree {
-				sp := speculator.New(speculator.Config{Expansion: tree.PaperDefault(), Sample: sampling.GreedyConfig()}, ssm)
+				sp := speculator.New(speculator.Config{Sample: sampling.GreedyConfig()}, ssm)
 				sp.Prefill(prompt)
-				return sp.Speculate(prompt[len(prompt)-1])
+				return sp.Speculate(prompt[len(prompt)-1], speculator.Shape{Expansion: tree.PaperDefault()})
 			},
 			sizes: []int{0, 1, 2, 5, 8, 11, 14, 17}, passed: 58, rows: 17, wantSpeculate: 20,
 		},
 		{
 			name: "adaptive MaxNodes 16",
 			speculate: func(ssm model.Model) *tree.Tree {
-				sp := speculator.NewAdaptive(speculator.AdaptiveConfig{MaxNodes: 16, FanoutCap: 16}, sampling.GreedyConfig(), ssm)
+				sp := speculator.New(speculator.Config{Sample: sampling.GreedyConfig()}, ssm)
 				sp.Prefill(prompt)
-				return sp.Speculate(prompt[len(prompt)-1])
+				return sp.Speculate(prompt[len(prompt)-1], speculator.Shape{Budget: tree.Budget{MaxNodes: 16, FanoutCap: 16}})
 			},
 			sizes: []int{0, 8, 12, 14, 15}, passed: 49, rows: 15, wantSpeculate: 16,
 		},

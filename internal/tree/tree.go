@@ -120,14 +120,6 @@ func (t *Tree) AddChildDist(parent NodeID, tok Token, ssmProb float32, ssmID int
 	return id
 }
 
-// AddProposal records an SSM draw of tok under parent: if the child
-// already exists its proposal list grows, otherwise the child is created.
-// Returns the child's id. (Identical to AddChildDist; retained for call
-// sites that emphasize multiset draw accounting.)
-func (t *Tree) AddProposal(parent NodeID, tok Token, ssmProb float32, ssmID int, ssmDist []float32) NodeID {
-	return t.AddChildDist(parent, tok, ssmProb, ssmID, ssmDist)
-}
-
 // addNode appends a fresh node with an empty proposal list. Internal
 // helper for construction paths (Merge, PruneToBudget) that copy proposal
 // multisets verbatim and must not fabricate a placeholder draw.
@@ -490,4 +482,38 @@ func SequenceConfig(depth int) ExpansionConfig {
 		c[i] = 1
 	}
 	return c
+}
+
+// Budget is the envelope of a tree grown best-first instead of by a
+// static ExpansionConfig — the dynamic expansion §3 of the paper leaves
+// as future work. Candidate tokens are ranked by their path probability
+// under the SSM, so the tree branches where the SSM is uncertain but
+// covering and runs deep where it is confident. The speculation policy
+// picks one per request per iteration; a static run fixes one.
+type Budget struct {
+	// MaxNodes is the speculated-node budget per tree. Zero drafts
+	// nothing, unless WithDefaults has filled it in.
+	MaxNodes int
+	// MaxDepth bounds the speculation depth (the paper uses 8).
+	MaxDepth int
+	// FanoutCap bounds how many children one node may receive (guards a
+	// degenerate flat tree on near-uniform SSM distributions).
+	FanoutCap int
+	// MinPathProb drops candidates whose SSM path probability falls
+	// below it; 0 disables the threshold.
+	MinPathProb float64
+}
+
+// WithDefaults fills the zero fields: 10 nodes, depth 8, fanout 4.
+func (b Budget) WithDefaults() Budget {
+	if b.MaxNodes == 0 {
+		b.MaxNodes = 10
+	}
+	if b.MaxDepth == 0 {
+		b.MaxDepth = 8
+	}
+	if b.FanoutCap == 0 {
+		b.FanoutCap = 4
+	}
+	return b
 }

@@ -15,9 +15,9 @@ import (
 func chainTree(rng *tensor.RNG, rootTok int, q0, q1, p0, p1, p2 []float32) (*tree.Tree, [][]float32) {
 	tr := tree.New(rootTok)
 	a := rng.SampleCategorical(q0)
-	an := tr.AddProposal(tr.Root(), a, q0[a], 0, q0)
+	an := tr.AddChildDist(tr.Root(), a, q0[a], 0, q0)
 	b := rng.SampleCategorical(q1)
-	bn := tr.AddProposal(an, b, q1[b], 0, q1)
+	bn := tr.AddChildDist(an, b, q1[b], 0, q1)
 	dists := make([][]float32, tr.Len())
 	dists[tr.Root()] = p0
 	dists[an] = p1
@@ -217,7 +217,7 @@ func TestTraversalPerfectProposalFullAccept(t *testing.T) {
 		toks := make([]int, 0, 4)
 		for d := 0; d < 4; d++ {
 			c := rng.SampleCategorical(p)
-			u = tr.AddProposal(u, c, p[c], 0, p)
+			u = tr.AddChildDist(u, c, p[c], 0, p)
 			toks = append(toks, c)
 		}
 		got := mustTraversal(t, fixedDists(tr, p), tr, policy, rng)
@@ -248,8 +248,8 @@ func TestTraversalDuplicateDrawsPreserveDistribution(t *testing.T) {
 		tr := tree.New(9)
 		c1 := rng.SampleCategorical(q)
 		c2 := rng.SampleCategorical(q)
-		tr.AddProposal(tr.Root(), c1, q[c1], 0, q)
-		tr.AddProposal(tr.Root(), c2, q[c2], 0, q)
+		tr.AddChildDist(tr.Root(), c1, q[c1], 0, q)
+		tr.AddChildDist(tr.Root(), c2, q[c2], 0, q)
 		got := mustTraversal(t, fixedDists(tr, p), tr, policy, rng)
 		counts[got[0]]++
 	}

@@ -121,8 +121,8 @@ func TestMSSPreservesDistribution(t *testing.T) {
 		tr := tree.New(9)
 		c1 := rng.SampleCategorical(q)
 		c2 := rng.SampleCategorical(q)
-		tr.AddProposal(tr.Root(), c1, q[c1], 0, q)
-		tr.AddProposal(tr.Root(), c2, q[c2], 0, q)
+		tr.AddChildDist(tr.Root(), c1, q[c1], 0, q)
+		tr.AddChildDist(tr.Root(), c2, q[c2], 0, q)
 		got := mustStochastic(t, fixedDists(tr, p), tr, policy, rng)
 		counts[got[0]]++
 	}
@@ -150,8 +150,8 @@ func TestMSSMultiSSMPreservesDistribution(t *testing.T) {
 		c1 := rng.SampleCategorical(q1)
 		c2 := rng.SampleCategorical(q2)
 		tr := tree.New(9)
-		tr.AddProposal(tr.Root(), c1, q1[c1], 0, q1)
-		tr.AddProposal(tr.Root(), c2, q2[c2], 1, q2)
+		tr.AddChildDist(tr.Root(), c1, q1[c1], 0, q1)
+		tr.AddChildDist(tr.Root(), c2, q2[c2], 1, q2)
 		got := mustStochastic(t, fixedDists(tr, p), tr, policy, rng)
 		counts[got[0]]++
 	}
@@ -308,7 +308,7 @@ func TestMSSPreservesTransformedDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := rng.SampleCategorical(q)
 		tr := tree.New(9)
-		tr.AddProposal(tr.Root(), c, q[c], 0, q)
+		tr.AddChildDist(tr.Root(), c, q[c], 0, q)
 		got := mustStochastic(t, fixedDists(tr, raw), tr, policy, rng)
 		counts[got[0]]++
 	}
@@ -326,7 +326,7 @@ func TestMSSZeroProposalProbability(t *testing.T) {
 	p := []float32{0.5, 0.5}
 	q := []float32{1, 0}
 	tr := tree.New(9)
-	tr.AddProposal(tr.Root(), 1, 0, 0, q) // token 1 has q=0
+	tr.AddChildDist(tr.Root(), 1, 0, 0, q) // token 1 has q=0
 	got := mustStochastic(t, fixedDists(tr, p), tr, sampling.StochasticConfig(), tensor.NewRNG(2))
 	if len(got) != 1 {
 		t.Fatalf("zero-probability child must be rejected, got %v", got)
@@ -402,7 +402,7 @@ func TestStochasticZeroResidualStaysInPolicySupport(t *testing.T) {
 			rng := tensor.NewRNG(seed)
 			for i := 0; i < 500; i++ {
 				tr := tree.New(9)
-				tr.AddProposal(tr.Root(), 0, q[0], 0, q)
+				tr.AddChildDist(tr.Root(), 0, q[0], 0, q)
 				got, err := run(fixedDists(tr, p), tr, policy, rng)
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", name, seed, err)
@@ -560,7 +560,7 @@ func TestMSSNeverCommitsPolicyZeroedToken(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			c := rng.SampleCategorical(q)
 			tr := tree.New(9)
-			tr.AddProposal(tr.Root(), c, q[c], 0, q)
+			tr.AddChildDist(tr.Root(), c, q[c], 0, q)
 			got := mustStochastic(t, fixedDists(tr, p), tr, policy, rng)
 			if got[0] >= 2 {
 				t.Fatalf("seed %d: committed token %d, zeroed by top-2 policy", seed, got[0])
