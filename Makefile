@@ -54,13 +54,14 @@ lint:
 	$(GO) run ./cmd/specinferlint $(LINT_FLAGS) ./...
 
 # One-iteration pass over every root perf driver (forward passes, engine
-# iterations, verifier accept length, verify-cost curve), and the panel
+# iterations, verifier accept length, verify-cost curve, one speculation
+# step with its allocations), and the panel
 # and SoftmaxBlock kernel benchmarks on each vector tier: catches bit-rot
 # in the benchmark drivers without paying for a full measurement run.
 # Measure with the same drivers at a real benchtime, e.g.
 #   go test -run '^$' -bench BenchmarkForward -benchtime 1s .
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier|BenchmarkVerifyCost' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier|BenchmarkVerifyCost|BenchmarkSpeculationStep' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMatMulTPacked|BenchmarkSoftmaxBlock' -benchtime 1x ./internal/tensor/
 
 # The offline reproductions (Tables 1-3, Figures 7-11, the ablations) are

@@ -183,3 +183,13 @@ func BenchmarkVerifyCost(b *testing.B) {
 			bench.VerifyCost("perf-LLM", bench.VerifyCostLongCtx, k, t1))
 	}
 }
+
+// BenchmarkSpeculationStep is one greedy speculation step of one request
+// on perf-LLM drafted by perf-SSM with the paper's ⟨1,1,3,1,1,1,1,1⟩
+// tree: Speculate → DecodeTree → VerifyGreedy → Accept. Its allocs/op
+// and B/op are the per-step garbage of warm sessions:
+//
+//	go test -run '^$' -bench BenchmarkSpeculationStep -benchtime 2000x .
+func BenchmarkSpeculationStep(b *testing.B) {
+	bench.SpeculationStep(b)
+}

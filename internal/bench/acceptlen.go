@@ -96,7 +96,12 @@ func acceptLenInstances(ds workload.Dataset) []acceptLenInstance {
 	restart()
 	for len(instances) < acceptLenInstanceCount {
 		tr := spec.Speculate(last, speculator.Shape{Expansion: tree.PaperDefault()})
-		dists := llmSess.DecodeTree(tr)
+		// The instance outlives the session's next Accept, which frees
+		// the distributions DecodeTree returned: keep a copy.
+		dists := make([][]float32, 0, tr.Len())
+		for _, d := range llmSess.DecodeTree(tr) {
+			dists = append(dists, append([]float32(nil), d...))
+		}
 		instances = append(instances, acceptLenInstance{tr: tr, dists: dists})
 
 		verified, err := verifier.VerifyStochastic(dists, tr, policy, advance)

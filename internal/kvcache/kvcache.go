@@ -20,10 +20,14 @@
 // engine's lifecycle: commits only ever extend the depth-first prefix,
 // and the whole cache is dropped page-wise when the request retires. It
 // is not safe for concurrent mutation; concurrent reads are safe once a
-// position has been advanced.
+// position has been advanced. Arenas that share a PagePool recycle each
+// other's released pages.
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // DefaultPageRows is the default number of positions per page. 64
 // positions × a typical head dim keeps a page comfortably inside L1/L2
@@ -37,6 +41,88 @@ type Config struct {
 	// PageRows is the number of positions per page; 0 means
 	// DefaultPageRows.
 	PageRows int
+	// Pages is the free list the arena draws new pages from and
+	// releases its private pages to, shared with the other arenas of a
+	// model; nil gives the arena a pool of its own.
+	Pages *PagePool
+}
+
+// PagePool is a concurrency-safe free list of KV pages, one list per
+// page length (PageRows × HeadDim floats), shared by the arenas of one
+// model. A released arena returns only its private pages: pages adopted
+// from a prefix cache, and pages a PrefixCache.Insert aliased, stay
+// with the cache (see Arena.Release). Pages come back with stale
+// contents, which is safe because an arena reads no row it has not
+// written. A list keeps what a burst of requests released only while
+// it is used: pages that stay in it through a whole window of
+// pageTrimWindow draws are dropped for the collector.
+type PagePool struct {
+	mu   sync.Mutex
+	free map[int]*pageList // guarded by mu
+}
+
+// pageList is the free pages of one length.
+type pageList struct {
+	pages [][]float32 // the top of the stack is drawn first
+	draws int         // draws in the current trim window
+	low   int         // fewest free pages after a draw in the window
+}
+
+// pageTrimWindow is the number of draws after which the pages the
+// window never reached are dropped.
+const pageTrimWindow = 16
+
+// NewPagePool returns an empty pool.
+func NewPagePool() *PagePool { return &PagePool{free: make(map[int]*pageList)} }
+
+// list returns the free list of pages of size floats.
+//
+//lint:holds p.mu
+func (p *PagePool) list(size int) *pageList {
+	l := p.free[size]
+	if l == nil {
+		l = &pageList{}
+		p.free[size] = l
+	}
+	return l
+}
+
+// get fills pages with pooled pages of size floats, allocating what the
+// pool lacks.
+func (p *PagePool) get(size int, pages [][]float32) {
+	p.mu.Lock()
+	l := p.list(size)
+	n := len(l.pages)
+	got := min(n, len(pages))
+	copy(pages, l.pages[n-got:])
+	clear(l.pages[n-got:])
+	l.pages = l.pages[:n-got]
+	l.low = min(l.low, len(l.pages))
+	if l.draws++; l.draws == pageTrimWindow {
+		// The bottom low pages sat idle through the window.
+		kept := copy(l.pages, l.pages[l.low:])
+		clear(l.pages[kept:])
+		l.pages = l.pages[:kept]
+		l.draws, l.low = 0, kept
+	}
+	p.mu.Unlock()
+	for i := got; i < len(pages); i++ {
+		pages[i] = make([]float32, size)
+	}
+}
+
+// putFrom returns the pages of every stream in k and v past the first
+// keep to the pool, under one lock.
+func (p *PagePool) putFrom(size int, k, v [][][]float32, keep int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.list(size)
+	for s := range k {
+		if len(k[s]) > keep {
+			l.pages = append(l.pages, k[s][keep:]...)
+			l.pages = append(l.pages, v[s][keep:]...)
+		}
+	}
 }
 
 // Arena is a paged, head-major KV cache. See the package comment for the
@@ -51,6 +137,14 @@ type Arena struct {
 	// in them: fill starts past the shared region and the boundary page,
 	// if partially filled, is a private copy.
 	sharedPages int
+	// published is the number of leading pages per stream a
+	// PrefixCache.Insert has aliased into its trie. The cache keeps
+	// reading them after this arena's Release, so they never go back to
+	// the pool. Insert and Release both run with the arena quiescent
+	// (Insert reads the page lists too), so a plain field suffices.
+	published int
+	pool      *PagePool
+	newPages  [][]float32 // one layer's fresh K and V pages, reused per Append
 }
 
 // New allocates an empty arena (no pages are allocated until the first
@@ -66,14 +160,21 @@ func New(cfg Config) *Arena {
 	if cfg.PageRows == 0 {
 		cfg.PageRows = DefaultPageRows
 	}
+	if cfg.Pages == nil {
+		cfg.Pages = NewPagePool()
+	}
 	return &Arena{
 		layers: cfg.Layers, heads: cfg.Heads, hd: cfg.HeadDim,
 		pageRows: cfg.PageRows,
 		fill:     make([]int, cfg.Layers),
 		k:        make([][][]float32, cfg.Layers*cfg.Heads),
 		v:        make([][][]float32, cfg.Layers*cfg.Heads),
+		pool:     cfg.Pages,
 	}
 }
+
+// pageLen is the number of floats in one page.
+func (a *Arena) pageLen() int { return a.pageRows * a.hd }
 
 // Len reports the number of committed positions.
 func (a *Arena) Len() int { return a.n }
@@ -99,12 +200,22 @@ func (a *Arena) Append(layer int, kRow, vRow []float32) {
 	row := a.fill[layer]
 	a.fill[layer]++
 	page, off := row/a.pageRows, (row%a.pageRows)*a.hd
+	if page == len(a.k[layer*a.heads]) {
+		// The layer's first row on a new page: one page per head for K
+		// and for V, from the pool in one call.
+		if a.newPages == nil {
+			a.newPages = make([][]float32, 2*a.heads)
+		}
+		a.pool.get(a.pageLen(), a.newPages)
+		for h := 0; h < a.heads; h++ {
+			s := layer*a.heads + h
+			a.k[s] = append(a.k[s], a.newPages[2*h])
+			a.v[s] = append(a.v[s], a.newPages[2*h+1])
+		}
+		clear(a.newPages)
+	}
 	for h := 0; h < a.heads; h++ {
 		s := layer*a.heads + h
-		if page == len(a.k[s]) {
-			a.k[s] = append(a.k[s], make([]float32, a.pageRows*a.hd))
-			a.v[s] = append(a.v[s], make([]float32, a.pageRows*a.hd))
-		}
 		copy(a.k[s][page][off:off+a.hd], kRow[h*a.hd:(h+1)*a.hd])
 		copy(a.v[s][page][off:off+a.hd], vRow[h*a.hd:(h+1)*a.hd])
 	}
@@ -169,19 +280,24 @@ func (a *Arena) SharedBytes() int {
 	return a.sharedPages * a.layers * a.heads * 2 * a.pageRows * a.hd * 4
 }
 
-// Release frees every page (each page is an independent allocation, so
-// the storage is reclaimed page-wise) and resets the arena to empty. The
-// arena may be reused afterwards. Pages adopted from a prefix cache are
-// merely un-referenced, never mutated, so releasing and reusing an arena
-// whose prefix is still pinned (or cached) elsewhere is safe: the cache
-// and other adopters keep reading the original page storage.
+// Release frees every page and resets the arena to empty; the arena may
+// be reused afterwards. Private pages go back to the arena's PagePool.
+// Pages adopted from a prefix cache, and pages a PrefixCache.Insert
+// aliased, are merely un-referenced, never mutated or recycled, so
+// releasing and reusing an arena whose prefix is still pinned (or
+// cached) elsewhere is safe: the cache and other adopters keep reading
+// the original page storage.
 func (a *Arena) Release() {
+	a.pool.putFrom(a.pageLen(), a.k, a.v, max(a.sharedPages, a.published))
 	for s := range a.k {
-		a.k[s], a.v[s] = nil, nil
+		clear(a.k[s])
+		clear(a.v[s])
+		a.k[s], a.v[s] = a.k[s][:0], a.v[s][:0]
 	}
 	for l := range a.fill {
 		a.fill[l] = 0
 	}
 	a.n = 0
 	a.sharedPages = 0
+	a.published = 0
 }

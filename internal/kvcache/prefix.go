@@ -373,6 +373,9 @@ func (c *PrefixCache) Insert(ns string, tokens []int, a *Arena) {
 		ch.lastUsed = c.tick()
 		node = ch
 	}
+	// Every full page is now, or already was, the trie's to read: the
+	// donor's Release must not recycle it.
+	a.published = max(a.published, full)
 	// A tail is cached only below at least one full page. A root-level
 	// tail could serve only a later prompt that starts with this whole
 	// sub-page prompt and is longer, yet every distinct short prompt
@@ -502,16 +505,19 @@ func (a *Arena) AdoptPrefix(h *PinnedPrefix) {
 		panic(fmt.Sprintf("kvcache: AdoptPrefix geometry %+v != handle geometry %+v", geom, h.geom))
 	}
 	streams := a.layers * a.heads
+	var boundary [][]float32 // the private boundary pages, K then V per stream
+	if h.tail != nil {
+		boundary = make([][]float32, 2*streams)
+		a.pool.get(a.pageLen(), boundary)
+	}
 	for s := 0; s < streams; s++ {
-		k := make([][]float32, 0, len(h.path)+1)
-		v := make([][]float32, 0, len(h.path)+1)
+		k, v := a.k[s][:0], a.v[s][:0]
 		for _, nd := range h.path {
 			k = append(k, nd.k[s])
 			v = append(v, nd.v[s])
 		}
 		if h.tail != nil {
-			pk := make([]float32, a.pageRows*a.hd)
-			pv := make([]float32, a.pageRows*a.hd)
+			pk, pv := boundary[2*s], boundary[2*s+1]
 			copy(pk, h.tail.k[s])
 			copy(pv, h.tail.v[s])
 			k = append(k, pk)

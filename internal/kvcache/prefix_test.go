@@ -404,3 +404,81 @@ func TestInsertedMatchAgreesWithInsert(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledPagesNeverAliasThePrefix: released arenas hand their
+// private pages to the pool, and the arenas filled next write over them,
+// so a page the prefix cache still reads must never reach the pool —
+// neither a full prompt page the donor's Insert aliased nor a page an
+// adopter shares. Donor and adopter are released, new arenas are filled
+// from the pool (and past it), and a fresh adoption must still read the
+// rows as they were at insert, bit for bit.
+func TestRecycledPagesNeverAliasThePrefix(t *testing.T) {
+	pool := NewPagePool()
+	cfg := Config{Layers: 2, Heads: 3, HeadDim: 4, PageRows: 4, Pages: pool}
+	c := NewPrefixCache(1 << 20)
+	rng := tensor.NewRNG(7)
+	toks := tokensN(0, 10) // 2 full pages + a 2-row tail
+
+	donor := New(cfg)
+	k, v := fillRows(donor, cfg, rng, len(toks))
+	c.Insert("llm", toks, donor)
+	adopter := New(cfg)
+	h := c.Lookup("llm", toks, len(toks))
+	if h == nil || h.Len() != len(toks) {
+		t.Fatalf("lookup = %v, want a %d-token hit", h, len(toks))
+	}
+	adopter.AdoptPrefix(h)
+	fillRows(adopter, cfg, rng, 7) // past the copied boundary page
+	h.Release()
+
+	cached := map[*float32]bool{}
+	for _, a := range []*Arena{donor, adopter} {
+		for s := range a.k {
+			for p := 0; p < 2; p++ {
+				cached[&a.k[s][p][0]], cached[&a.v[s][p][0]] = true, true
+			}
+		}
+	}
+	donor.Release()
+	adopter.Release()
+	free := pooled(pool)
+	// Per stream, for K and for V, the donor's boundary page and the
+	// adopter's three private pages (its boundary copy and the two its
+	// appends opened) go back; the two shared prompt pages do not.
+	if want := (1 + 3) * 2 * cfg.Layers * cfg.Heads; free != want {
+		t.Fatalf("pool holds %d pages after release, want %d", free, want)
+	}
+	for _, list := range pool.free {
+		for _, pg := range list.pages {
+			if cached[&pg[0]] {
+				t.Fatal("a page the prefix cache reads went back to the pool")
+			}
+		}
+	}
+
+	for i := 0; i < 3; i++ {
+		fillRows(New(cfg), cfg, rng, 3*cfg.PageRows)
+	}
+	if n := pooled(pool); n != 0 {
+		t.Fatalf("new arenas left %d of %d pooled pages unused", n, free)
+	}
+	again := New(cfg)
+	h2 := c.Lookup("llm", toks, len(toks))
+	if h2 == nil || h2.Len() != len(toks) {
+		t.Fatalf("second lookup = %v, want a %d-token hit", h2, len(toks))
+	}
+	defer h2.Release()
+	again.AdoptPrefix(h2)
+	checkPrefix(t, again, cfg, k, v, len(toks))
+}
+
+// pooled counts the pages p holds, over all page lengths.
+func pooled(p *PagePool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, l := range p.free {
+		n += len(l.pages)
+	}
+	return n
+}

@@ -34,8 +34,9 @@ type Model interface {
 // probabilities at temperature 1 over the model vocabulary; samplers apply
 // temperature / top-k / top-p downstream.
 //
-// The returned slices are owned by the caller (implementations must not
-// reuse the backing arrays across calls).
+// The distributions Prefill, Decode and Accept return are owned by the
+// caller (implementations must not reuse their backing arrays). Those
+// DecodeTree returns are borrowed: see DecodeTree.
 type Session interface {
 	// Prefill processes the prompt in one pass and returns the next-token
 	// distribution after its last token. Must be called exactly once,
@@ -54,12 +55,16 @@ type Session interface {
 	// verified tokens afterwards. This is SpecInfer's tree-based parallel
 	// decoding (§4.2).
 	//
-	// Implementations may retain (alias) the returned distributions
-	// internally until the next commit to avoid re-copying, and when the
-	// same tree comes back grown by appended nodes they may return the
-	// distributions of nodes scored by the earlier call from retention —
-	// the same values a fresh computation gives. Callers must treat them
-	// as read-only.
+	// The returned distributions, and the slice holding them, may be
+	// the session's own storage, reused once the scored tree is dropped:
+	// they stay valid only until the session's next Accept, Decode,
+	// Prefill or Close, or the next DecodeTree that does not extend t
+	// (extending means t itself, grown by appended nodes, every scored
+	// node unchanged). When t comes back extended, implementations may
+	// return the distributions of nodes scored by the earlier call from
+	// retention — the same values a fresh computation gives — and those
+	// stay valid as well. Callers must treat them as read-only and copy
+	// whatever they keep longer.
 	DecodeTree(t *tree.Tree) [][]float32
 
 	// Accept commits a sequence of verified tokens (excluding the tree
@@ -74,9 +79,10 @@ type Session interface {
 }
 
 // Closer is optionally implemented by Sessions that hold releasable
-// resources (e.g. the transformer's paged KV arena). The serving engine
-// closes a request's sessions when the request retires; a closed Session
-// must not be used again.
+// resources (e.g. the transformer's paged KV arena and pooled
+// workspace). The serving engine closes a request's sessions when the
+// request retires; a closed Session must not be used again (the
+// transformer's panics).
 type Closer interface {
 	Close()
 }

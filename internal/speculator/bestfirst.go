@@ -5,7 +5,6 @@ import (
 
 	"specinfer/internal/model"
 	"specinfer/internal/sampling"
-	"specinfer/internal/tensor"
 	"specinfer/internal/tree"
 )
 
@@ -71,7 +70,7 @@ func (s *Speculator) grow(sess model.Session, rootTok model.Token, cfg tree.Budg
 				d = append([]float32(nil), d...)
 			}
 			fr[id].dist = d
-			fr[id].order = topPositive(d, cfg.FanoutCap)
+			fr[id].order = topPositive(s.topk.TopK(d, cfg.FanoutCap), d)
 		}
 		scored = tr.Len()
 
@@ -145,16 +144,16 @@ func (s *Speculator) drawnFrom(tok model.Token, ranked []float32) []float32 {
 	return pm
 }
 
-// topPositive returns up to k positive-probability tokens of d in
-// descending probability order — a node's complete candidate list, since
-// it can never receive more than FanoutCap children. The fixed ordering
-// replaces the old per-wave topUnused shortlist, whose
-// limit+len(children) sizing could under-return eligible tokens when
-// existing children and zero-probability entries both landed inside the
-// shortlist.
-func topPositive(d []float32, k int) []model.Token {
+// topPositive returns the positive-probability tokens of top, d's top
+// FanoutCap tokens in descending probability order, in a new slice — a
+// node's complete candidate list, since it can never receive more than
+// FanoutCap children. The fixed ordering replaces the old per-wave
+// topUnused shortlist, whose limit+len(children) sizing could
+// under-return eligible tokens when existing children and
+// zero-probability entries both landed inside the shortlist.
+func topPositive(top []int, d []float32) []model.Token {
 	var out []model.Token
-	for _, tok := range tensor.TopK(d, k) {
+	for _, tok := range top {
 		if d[tok] <= 0 {
 			break // TopK is descending: the rest are non-positive too
 		}

@@ -73,6 +73,15 @@ type Speculator struct {
 	// backlog holds committed tokens the SSM sessions have not seen
 	// yet (see Defer).
 	backlog []model.Token
+
+	// Drafting buffers, reused call after call: the per-SSM trees of one
+	// Speculate, expand's frontier levels and its per-level set of
+	// admitted children, and the candidate tokens of one node.
+	trees          []*tree.Tree
+	frontier, next []tree.NodeID
+	seen           map[tree.NodeID]bool
+	topk           tensor.TopKBuf
+	picks          []int
 }
 
 // New creates a speculator over the given SSM pool. At least one SSM is
@@ -152,14 +161,15 @@ func (s *Speculator) Speculate(rootTok model.Token, shape Shape) *tree.Tree {
 	if n <= 0 || n > len(s.sessions) {
 		n = len(s.sessions)
 	}
-	trees := make([]*tree.Tree, n)
+	s.trees = s.trees[:0]
 	for i, sess := range s.sessions[:n] {
 		if shape.Expansion != nil {
-			trees[i] = s.expand(sess, i, rootTok, shape.Expansion)
+			s.trees = append(s.trees, s.expand(sess, i, rootTok, shape.Expansion))
 		} else {
-			trees[i] = s.grow(sess, rootTok, shape.Budget.WithDefaults())
+			s.trees = append(s.trees, s.grow(sess, rootTok, shape.Budget.WithDefaults()))
 		}
 	}
+	trees := s.trees
 	if n == 1 {
 		return trees[0]
 	}
@@ -175,8 +185,14 @@ func (s *Speculator) Speculate(rootTok model.Token, shape Shape) *tree.Tree {
 // transformed) distribution; the recorded SSMProb is exactly the
 // probability MSS later uses as P(x | u, Θ_SSM).
 func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token, exp tree.ExpansionConfig) *tree.Tree {
-	tr := tree.New(rootTok)
-	frontier := []tree.NodeID{tr.Root()}
+	// Room for the whole tree up front, capped so a wide configuration
+	// does not reserve nodes it may never fill; past the cap the node
+	// list grows by appends.
+	tr := tree.NewSized(rootTok, min(1+exp.MaxNodes(), 256))
+	if s.seen == nil {
+		s.seen = make(map[tree.NodeID]bool)
+	}
+	frontier := append(s.frontier[:0], tr.Root())
 	for _, k := range exp {
 		if len(frontier) == 0 {
 			break
@@ -188,8 +204,9 @@ func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token, 
 		// retained K/V rows — each node is drafted once, as §5.3's
 		// small-overhead analysis assumes.
 		dists := sess.DecodeTree(tr)
-		seen := make(map[tree.NodeID]bool)
-		var next []tree.NodeID
+		seen := s.seen
+		clear(seen)
+		next := s.next[:0]
 		for _, u := range frontier {
 			d := s.proposalDist(dists[u])
 			for _, tok := range s.pickChildren(d, k) {
@@ -207,8 +224,10 @@ func (s *Speculator) expand(sess model.Session, ssmID int, rootTok model.Token, 
 				}
 			}
 		}
-		frontier = next
+		// The level just expanded becomes the next level's buffer.
+		frontier, s.next = next, frontier
 	}
+	s.frontier = frontier
 	return tr
 }
 
@@ -229,14 +248,16 @@ func (s *Speculator) proposalDist(raw []float32) []float32 {
 // pickChildren selects up to k candidate tokens from the proposal
 // distribution: k SampleK draws under a stochastic policy, else its
 // top k (see Config.ForceTopK).
+// The result is valid until the next call.
 func (s *Speculator) pickChildren(d []float32, k int) []int {
 	if s.cfg.Sample.Mode != sampling.Stochastic || s.cfg.ForceTopK {
-		return tensor.TopK(d, k)
+		return s.topk.TopK(d, k)
 	}
-	toks := make([]int, 0, k)
+	toks := s.picks[:0]
 	for i := 0; i < k; i++ {
 		toks = append(toks, s.rng.SampleCategorical(d))
 	}
+	s.picks = toks
 	return toks
 }
 

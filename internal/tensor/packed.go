@@ -32,11 +32,13 @@ import (
 const PanelRows = 32
 
 // packedParallelThreshold is the minimum number of multiply-adds at
-// which MatMulTPacked splits its panels across goroutines: the measured
-// serial/2-way crossover of the packed kernel on a 2-core Xeon
-// (DESIGN.md §17). Below it, waking a second worker costs more than the
-// halved kernel time saves. It is 256x MatMulT's parallelThreshold, so
-// every projection of the serving-size models runs serially.
+// which MatMulTPacked splits its panels across goroutines: the smallest
+// size at which the 2-way split has not lost to the serial kernel in
+// any measurement session on a 2-vCPU Xeon (DESIGN.md §17.4, §22.5;
+// the isolated crossover moved between 1.3 M and 34 M from session to
+// session). It is 256x MatMulT's parallelThreshold, so every projection
+// of the serving-size models runs serially, where both cores are
+// already busy with the engine's workers.
 const packedParallelThreshold = 1 << 24
 
 // PackedMatrix is a (Rows x Cols) weight matrix in packed-panel layout.

@@ -166,6 +166,7 @@ func BenchmarkMatMulTPacked(b *testing.B) {
 		{1, 256, 64}, {3, 256, 64}, {21, 256, 64}, {21, 160, 64}, {64, 256, 64},
 		{128, 256, 64}, {128, 160, 64}, {128, 64, 160},
 		{128, 256, 128}, {128, 256, 256}, {128, 512, 256}, {128, 1024, 256},
+		{128, 2048, 256}, {128, 3072, 256}, {128, 256, 3072},
 	} {
 		w := NewMatrix(sh.rows, sh.cols)
 		x := NewMatrix(sh.n, sh.cols)

@@ -568,14 +568,34 @@ func ArgMax(x []float32) (int, float32) {
 // order of value (ties broken by lower index first). k is clamped to
 // len(x). Runs in O(n*k), fine for the small k used in speculation.
 func TopK(x []float32, k int) []int {
+	var b TopKBuf
+	return b.TopK(x, k)
+}
+
+// TopKBuf is TopK with reusable storage, for callers that rank in a
+// loop: after warm-up a call allocates nothing. The zero value is ready
+// to use; it is not safe for concurrent use.
+type TopKBuf struct {
+	idx   []int
+	taken []bool // all false between calls
+}
+
+// TopK is the package's TopK. The result aliases the buffer and stays
+// valid until the next call.
+func (b *TopKBuf) TopK(x []float32, k int) []int {
 	if k > len(x) {
 		k = len(x)
 	}
 	if k <= 0 {
 		return nil
 	}
-	idx := make([]int, 0, k)
-	taken := make([]bool, len(x))
+	if cap(b.idx) < k {
+		b.idx = make([]int, 0, k)
+	}
+	if len(b.taken) < len(x) {
+		b.taken = make([]bool, len(x))
+	}
+	idx, taken := b.idx[:0], b.taken[:len(x)]
 	for n := 0; n < k; n++ {
 		bi := -1
 		var bv float32
@@ -590,6 +610,11 @@ func TopK(x []float32, k int) []int {
 		taken[bi] = true
 		idx = append(idx, bi)
 	}
+	for _, i := range idx {
+		taken[i] = false
+	}
+	b.idx = idx
+	//lint:ignore aliasret TopKBuf exists to hand out its buffer: the result is valid until the next call, as documented
 	return idx
 }
 

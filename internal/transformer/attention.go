@@ -303,13 +303,13 @@ func (s *Session) runAttention(a *attnStage) {
 		nw = 1
 	}
 	if nw <= 1 {
-		buf := s.scr.Floats("scores", bufLen)
+		buf := s.ws.scr.Floats("scores", bufLen)
 		for it := 0; it < items; it++ {
 			a.item(it, buf)
 		}
 		return
 	}
-	bufs := s.scr.Mat("pscores", nw, bufLen)
+	bufs := s.ws.scr.Mat("pscores", nw, bufLen)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(nw)

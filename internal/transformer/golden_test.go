@@ -180,9 +180,9 @@ func TestScratchReuseAcrossCalls(t *testing.T) {
 	s := m.NewSession().(*Session)
 	s.Prefill([]int{1, 2, 3, 4})
 	s.Decode(5)
-	x1 := s.scr.Mat("x", 1, m.cfg.Hidden)
+	x1 := s.ws.scr.Mat("x", 1, m.cfg.Hidden)
 	s.Decode(6)
-	x2 := s.scr.Mat("x", 1, m.cfg.Hidden)
+	x2 := s.ws.scr.Mat("x", 1, m.cfg.Hidden)
 	if &x1.Data[0] != &x2.Data[0] {
 		t.Fatal("scratch arena reallocated between equal-sized decodes")
 	}

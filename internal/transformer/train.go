@@ -28,6 +28,22 @@ type Trainer struct {
 	lr     float64
 	params []paramTensor
 	step   int
+
+	grads trainGrads // views of the params' gradient buffers, built once
+	work  *trainWork // LossAndGrads' buffers, grown to the longest sequence
+}
+
+// trainGrads views the gradient buffers of the parameters by role.
+type trainGrads struct {
+	embed, lmHead *tensor.Matrix
+	finalNorm     []float32
+	layers        []layerGrads
+}
+
+type layerGrads struct {
+	attnNorm, mlpNorm []float32
+	wq, wk, wv, wo    *tensor.Matrix
+	wGate, wUp, wDown *tensor.Matrix
 }
 
 // paramTensor pairs a flat parameter vector with its gradient and Adam
@@ -50,30 +66,37 @@ func NewTrainer(m *Model, lr float64) *Trainer {
 		lr = 1e-2
 	}
 	t := &Trainer{m: m, lr: lr}
-	add := func(name string, data []float32) {
+	add := func(name string, data []float32) []float32 {
+		g := make([]float32, len(data))
 		t.params = append(t.params, paramTensor{
 			name:  name,
 			data:  data,
-			grad:  make([]float32, len(data)),
+			grad:  g,
 			adamM: make([]float32, len(data)),
 			adamV: make([]float32, len(data)),
 		})
+		return g
 	}
-	add("embed", m.embed.Data)
-	add("lmHead", m.lmHead.Data)
-	add("finalNorm", m.finalNorm)
+	mat := func(name string, w *tensor.Matrix) *tensor.Matrix {
+		return &tensor.Matrix{Rows: w.Rows, Cols: w.Cols, Data: add(name, w.Data)}
+	}
+	t.grads.embed = mat("embed", m.embed)
+	t.grads.lmHead = mat("lmHead", m.lmHead)
+	t.grads.finalNorm = add("finalNorm", m.finalNorm)
 	for l := range m.layers {
 		lw := &m.layers[l]
 		p := fmt.Sprintf("layer%d.", l)
-		add(p+"attnNorm", lw.attnNorm)
-		add(p+"wq", lw.wq.Data)
-		add(p+"wk", lw.wk.Data)
-		add(p+"wv", lw.wv.Data)
-		add(p+"wo", lw.wo.Data)
-		add(p+"mlpNorm", lw.mlpNorm)
-		add(p+"wGate", lw.wGate.Data)
-		add(p+"wUp", lw.wUp.Data)
-		add(p+"wDown", lw.wDown.Data)
+		var g layerGrads
+		g.attnNorm = add(p+"attnNorm", lw.attnNorm)
+		g.wq = mat(p+"wq", lw.wq)
+		g.wk = mat(p+"wk", lw.wk)
+		g.wv = mat(p+"wv", lw.wv)
+		g.wo = mat(p+"wo", lw.wo)
+		g.mlpNorm = add(p+"mlpNorm", lw.mlpNorm)
+		g.wGate = mat(p+"wGate", lw.wGate)
+		g.wUp = mat(p+"wUp", lw.wUp)
+		g.wDown = mat(p+"wDown", lw.wDown)
+		t.grads.layers = append(t.grads.layers, g)
 	}
 	return t
 }
@@ -133,6 +156,55 @@ type trainCache struct {
 	act     [][]float32 // silu(gate)*up
 }
 
+// trainWork is a Trainer's step workspace: every activation and gradient
+// row LossAndGrads uses, for sequences of up to maxT predicted
+// positions. Only the first T rows of a step are touched; buffers that
+// the step accumulates into are cleared before use, the rest are fully
+// overwritten.
+type trainWork struct {
+	maxT                     int
+	x, fNorm, probs          [][]float32
+	dx, dxIn, dAtt, dK, dV   [][]float32
+	layers                   []trainCache
+	proj, dlogits, dNormed   []float32
+	dGate, dUp, dAct, dB, dw []float32
+	tmpH, dA                 []float32
+}
+
+func newTrainWork(cfg Config, maxT int) *trainWork {
+	hid, ffn := cfg.Hidden, cfg.FFN
+	w := &trainWork{
+		maxT: maxT,
+		x:    newRows(maxT, hid), fNorm: newRows(maxT, hid), probs: newRows(maxT, cfg.Vocab),
+		dx: newRows(maxT, hid), dxIn: newRows(maxT, hid),
+		dAtt: newRows(maxT, hid), dK: newRows(maxT, hid), dV: newRows(maxT, hid),
+		layers:  make([]trainCache, cfg.Layers),
+		proj:    make([]float32, hid),
+		dlogits: make([]float32, cfg.Vocab), dNormed: make([]float32, hid),
+		dGate: make([]float32, ffn), dUp: make([]float32, ffn), dAct: make([]float32, ffn),
+		dB: make([]float32, hid), dw: make([]float32, maxT),
+		tmpH: make([]float32, hid), dA: make([]float32, hid),
+	}
+	for l := range w.layers {
+		c := &w.layers[l]
+		c.xIn, c.aNorm = newRows(maxT, hid), newRows(maxT, hid)
+		c.qr, c.kr, c.v = newRows(maxT, hid), newRows(maxT, hid), newRows(maxT, hid)
+		c.attnOut, c.x1, c.bNorm = newRows(maxT, hid), newRows(maxT, hid), newRows(maxT, hid)
+		c.gate, c.up, c.act = newRows(maxT, ffn), newRows(maxT, ffn), newRows(maxT, ffn)
+		// Row i of a head's attention weights has i+1 entries: one
+		// triangular slab per head.
+		c.attW = make([][][]float32, cfg.Heads)
+		for h := range c.attW {
+			slab := make([]float32, maxT*(maxT+1)/2)
+			c.attW[h] = make([][]float32, maxT)
+			for i := range c.attW[h] {
+				c.attW[h][i] = slab[i*(i+1)/2 : (i+1)*(i+2)/2]
+			}
+		}
+	}
+	return w
+}
+
 // LossAndGrads computes the mean next-token cross-entropy of seq and
 // fills the gradient buffers (zeroing them first). Exposed for gradient-
 // check tests; most callers use Step.
@@ -145,29 +217,27 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 	T := len(seq) - 1
 	hd := cfg.headDim()
 	scale := float32(1.0 / math.Sqrt(float64(hd)))
+	if t.work == nil || t.work.maxT < T {
+		t.work = newTrainWork(cfg, T)
+	}
+	ws := t.work
+	proj := ws.proj
 
 	// ---- Forward with caches ----
-	x := make([][]float32, T)
+	x := ws.x
 	for i := 0; i < T; i++ {
 		tok := seq[i]
 		if tok < 0 || tok >= cfg.Vocab {
 			panic("transformer: training token out of vocab")
 		}
-		x[i] = cloneVec(t.m.embed.Row(tok))
+		copy(x[i], t.m.embed.Row(tok))
 	}
-	caches := make([]trainCache, cfg.Layers)
 	for l := 0; l < cfg.Layers; l++ {
 		lw := &t.m.layers[l]
-		c := &caches[l]
-		c.xIn = cloneRows(x)
-		c.aNorm = newRows(T, cfg.Hidden)
-		c.qr = newRows(T, cfg.Hidden)
-		c.kr = newRows(T, cfg.Hidden)
-		c.v = newRows(T, cfg.Hidden)
-		c.attnOut = newRows(T, cfg.Hidden)
-		c.attW = make([][][]float32, cfg.Heads)
-		for h := range c.attW {
-			c.attW[h] = make([][]float32, T)
+		c := &ws.layers[l]
+		for i := 0; i < T; i++ {
+			copy(c.xIn[i], x[i])
+			clear(c.attnOut[i])
 		}
 		for i := 0; i < T; i++ {
 			tensor.RMSNorm(c.xIn[i], lw.attnNorm, c.aNorm[i], 1e-5)
@@ -180,26 +250,22 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 			}
 			for h := 0; h < cfg.Heads; h++ {
 				qh := c.qr[i][h*hd : (h+1)*hd]
-				w := make([]float32, i+1)
+				w := c.attW[h][i]
 				for j := 0; j <= i; j++ {
 					w[j] = tensor.Dot(qh, c.kr[j][h*hd:(h+1)*hd]) * scale
 				}
 				tensor.Softmax(w)
-				c.attW[h][i] = w
 				oh := c.attnOut[i][h*hd : (h+1)*hd]
 				for j := 0; j <= i; j++ {
 					tensor.Axpy(w[j], c.v[j][h*hd:(h+1)*hd], oh)
 				}
 			}
-			proj := make([]float32, cfg.Hidden)
 			tensor.MatVec(lw.wo, c.attnOut[i], proj)
-			x[i] = addVec(c.xIn[i], proj)
+			addInto(x[i], c.xIn[i], proj)
 		}
-		c.x1 = cloneRows(x)
-		c.bNorm = newRows(T, cfg.Hidden)
-		c.gate = newRows(T, cfg.FFN)
-		c.up = newRows(T, cfg.FFN)
-		c.act = newRows(T, cfg.FFN)
+		for i := 0; i < T; i++ {
+			copy(c.x1[i], x[i])
+		}
 		for i := 0; i < T; i++ {
 			tensor.RMSNorm(c.x1[i], lw.mlpNorm, c.bNorm[i], 1e-5)
 			tensor.MatVec(lw.wGate, c.bNorm[i], c.gate[i])
@@ -207,14 +273,12 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 			for d := 0; d < cfg.FFN; d++ {
 				c.act[i][d] = silu(c.gate[i][d]) * c.up[i][d]
 			}
-			proj := make([]float32, cfg.Hidden)
 			tensor.MatVec(lw.wDown, c.act[i], proj)
-			x[i] = addVec(c.x1[i], proj)
+			addInto(x[i], c.x1[i], proj)
 		}
 	}
 	// Final norm + head.
-	fNorm := newRows(T, cfg.Hidden)
-	probs := newRows(T, cfg.Vocab)
+	fNorm, probs := ws.fNorm, ws.probs
 	var loss float64
 	for i := 0; i < T; i++ {
 		tensor.RMSNorm(x[i], t.m.finalNorm, fNorm[i], 1e-5)
@@ -229,37 +293,38 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 	loss /= float64(T)
 
 	// ---- Backward ----
-	g := t.gradIndex()
-	dx := newRows(T, cfg.Hidden)
-	dNormed := make([]float32, cfg.Hidden)
+	g := &t.grads
+	dx, dxIn := ws.dx, ws.dxIn
+	dNormed, dlogits := ws.dNormed, ws.dlogits
 	for i := 0; i < T; i++ {
-		dlogits := cloneVec(probs[i])
+		clear(dx[i])
+	}
+	for i := 0; i < T; i++ {
+		copy(dlogits, probs[i])
 		dlogits[seq[i+1]] -= 1
 		tensor.Scale(1/float32(T), dlogits)
-		tensor.OuterAcc(dlogits, fNorm[i], g.mat("lmHead", cfg.Vocab, cfg.Hidden))
+		tensor.OuterAcc(dlogits, fNorm[i], g.lmHead)
 		tensor.MatVecT(t.m.lmHead, dlogits, dNormed)
-		rmsNormBack(x[i], t.m.finalNorm, dNormed, dx[i], g.vec("finalNorm"))
+		rmsNormBack(x[i], t.m.finalNorm, dNormed, dx[i], g.finalNorm)
 	}
 
+	dAtt, dK, dV := ws.dAtt, ws.dK, ws.dV // grads of post-rope q and k, and of v
+	dGate, dUp, dAct, dB, tmpH := ws.dGate, ws.dUp, ws.dAct, ws.dB, ws.tmpH
 	for l := cfg.Layers - 1; l >= 0; l-- {
 		lw := &t.m.layers[l]
-		c := &caches[l]
-		pfx := fmt.Sprintf("layer%d.", l)
-		dxIn := newRows(T, cfg.Hidden)
-		dAtt := newRows(T, cfg.Hidden) // grads of post-rope q (and k below)
-		dK := newRows(T, cfg.Hidden)
-		dV := newRows(T, cfg.Hidden)
-		dGate := make([]float32, cfg.FFN)
-		dUp := make([]float32, cfg.FFN)
-		dAct := make([]float32, cfg.FFN)
-		dB := make([]float32, cfg.Hidden)
-		tmpH := make([]float32, cfg.Hidden)
+		lg := &g.layers[l]
+		c := &ws.layers[l]
+		for i := 0; i < T; i++ {
+			clear(dAtt[i])
+			clear(dK[i])
+			clear(dV[i])
+		}
 
 		// MLP backward: dx[i] is the gradient of the layer output x2.
 		for i := 0; i < T; i++ {
 			// x2 = x1 + Wd act
 			tensor.MatVecT(lw.wDown, dx[i], dAct)
-			tensor.OuterAcc(dx[i], c.act[i], g.mat(pfx+"wDown", cfg.Hidden, cfg.FFN))
+			tensor.OuterAcc(dx[i], c.act[i], lg.wDown)
 			for d := 0; d < cfg.FFN; d++ {
 				z := c.gate[i][d]
 				sg := sigmoid(z)
@@ -267,13 +332,13 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 				dGate[d] = dAct[d] * c.up[i][d] * (sg + z*sg*(1-sg))
 				dUp[d] = dAct[d] * siluZ
 			}
-			tensor.OuterAcc(dGate, c.bNorm[i], g.mat(pfx+"wGate", cfg.FFN, cfg.Hidden))
-			tensor.OuterAcc(dUp, c.bNorm[i], g.mat(pfx+"wUp", cfg.FFN, cfg.Hidden))
+			tensor.OuterAcc(dGate, c.bNorm[i], lg.wGate)
+			tensor.OuterAcc(dUp, c.bNorm[i], lg.wUp)
 			tensor.MatVecT(lw.wGate, dGate, dB)
 			tensor.MatVecT(lw.wUp, dUp, tmpH)
 			tensor.Add(dB, tmpH)
 			// x1 receives the residual gradient plus the norm path.
-			rmsNormBack(c.x1[i], lw.mlpNorm, dB, dx[i], g.vec(pfx+"mlpNorm"))
+			rmsNormBack(c.x1[i], lw.mlpNorm, dB, dx[i], lg.mlpNorm)
 			// dx[i] now holds dL/dx1 (residual added inside rmsNormBack's
 			// accumulate-into semantics).
 		}
@@ -281,11 +346,10 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 		// Attention backward: dx[i] = dL/dx1; x1 = xIn + Wo attnOut.
 		for i := 0; i < T; i++ {
 			tensor.MatVecT(lw.wo, dx[i], tmpH) // d attnOut
-			tensor.OuterAcc(dx[i], c.attnOut[i], g.mat(pfx+"wo", cfg.Hidden, cfg.Hidden))
+			tensor.OuterAcc(dx[i], c.attnOut[i], lg.wo)
 			for h := 0; h < cfg.Heads; h++ {
 				doH := tmpH[h*hd : (h+1)*hd]
-				w := c.attW[h][i]
-				dw := make([]float32, i+1)
+				w, dw := c.attW[h][i], ws.dw[:i+1]
 				for j := 0; j <= i; j++ {
 					dw[j] = tensor.Dot(doH, c.v[j][h*hd:(h+1)*hd])
 					tensor.Axpy(w[j], doH, dV[j][h*hd:(h+1)*hd])
@@ -304,15 +368,15 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 		}
 		// Undo RoPE on dq/dk, then back through the projections and the
 		// attention norm.
-		dA := make([]float32, cfg.Hidden)
+		dA := ws.dA
 		for i := 0; i < T; i++ {
 			for h := 0; h < cfg.Heads; h++ {
 				tensor.RopeInverse(dAtt[i][h*hd:(h+1)*hd], i, t.m.ropeTheta)
 				tensor.RopeInverse(dK[i][h*hd:(h+1)*hd], i, t.m.ropeTheta)
 			}
-			tensor.OuterAcc(dAtt[i], c.aNorm[i], g.mat(pfx+"wq", cfg.Hidden, cfg.Hidden))
-			tensor.OuterAcc(dK[i], c.aNorm[i], g.mat(pfx+"wk", cfg.Hidden, cfg.Hidden))
-			tensor.OuterAcc(dV[i], c.aNorm[i], g.mat(pfx+"wv", cfg.Hidden, cfg.Hidden))
+			tensor.OuterAcc(dAtt[i], c.aNorm[i], lg.wq)
+			tensor.OuterAcc(dK[i], c.aNorm[i], lg.wk)
+			tensor.OuterAcc(dV[i], c.aNorm[i], lg.wv)
 			tensor.MatVecT(lw.wq, dAtt[i], dA)
 			tensor.MatVecT(lw.wk, dK[i], tmpH)
 			tensor.Add(dA, tmpH)
@@ -320,40 +384,16 @@ func (t *Trainer) LossAndGrads(seq []model.Token) float64 {
 			tensor.Add(dA, tmpH)
 			// xIn receives residual gradient (already in dx[i]) + norm path.
 			copy(dxIn[i], dx[i])
-			rmsNormBack(c.xIn[i], lw.attnNorm, dA, dxIn[i], g.vec(pfx+"attnNorm"))
+			rmsNormBack(c.xIn[i], lw.attnNorm, dA, dxIn[i], lg.attnNorm)
 		}
-		dx = dxIn
+		dx, dxIn = dxIn, dx
 	}
 
 	// Embedding gradient.
-	embG := g.mat("embed", cfg.Vocab, cfg.Hidden)
 	for i := 0; i < T; i++ {
-		tensor.Add(embG.Row(seq[i]), dx[i])
+		tensor.Add(g.embed.Row(seq[i]), dx[i])
 	}
 	return loss
-}
-
-// gradIndex provides named access to the gradient buffers.
-type gradIndex struct{ byName map[string][]float32 }
-
-func (t *Trainer) gradIndex() gradIndex {
-	m := make(map[string][]float32, len(t.params))
-	for i := range t.params {
-		m[t.params[i].name] = t.params[i].grad
-	}
-	return gradIndex{byName: m}
-}
-
-func (g gradIndex) vec(name string) []float32 {
-	v, ok := g.byName[name]
-	if !ok {
-		panic("transformer: unknown gradient " + name)
-	}
-	return v
-}
-
-func (g gradIndex) mat(name string, rows, cols int) *tensor.Matrix {
-	return &tensor.Matrix{Rows: rows, Cols: cols, Data: g.vec(name)}
 }
 
 // rmsNormBack backpropagates y = rmsnorm(x)*gain: given dL/dy (dy), it
@@ -382,20 +422,11 @@ func sigmoid(z float32) float32 {
 
 func silu(z float32) float32 { return z * sigmoid(z) }
 
-func addVec(a, b []float32) []float32 {
-	out := make([]float32, len(a))
+// addInto sets out = a + b element-wise.
+func addInto(out, a, b []float32) {
 	for i := range a {
 		out[i] = a[i] + b[i]
 	}
-	return out
-}
-
-func cloneRows(rows [][]float32) [][]float32 {
-	out := make([][]float32, len(rows))
-	for i, r := range rows {
-		out[i] = cloneVec(r)
-	}
-	return out
 }
 
 func newRows(n, d int) [][]float32 {
@@ -452,6 +483,10 @@ func Distill(student *Trainer, teacher model.Model, genPrompt func() []model.Tok
 			tok := greedy.Sample(rng, d)
 			seq = append(seq, tok)
 			d = sess.Decode(tok)
+		}
+		// The next step's teacher session reuses this one's storage.
+		if c, ok := sess.(model.Closer); ok {
+			c.Close()
 		}
 		lastLoss = student.Step(seq)
 	}

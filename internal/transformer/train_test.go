@@ -1,6 +1,8 @@
 package transformer
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -198,5 +200,47 @@ func TestForwardAfterTrainStepMatchesReference(t *testing.T) {
 	requireExact(t, "prefill after Step", got, want)
 	for _, tok := range []int{2, 40, 11} {
 		requireExact(t, "decode after Step", bat.Decode(tok), ref.Decode(tok))
+	}
+}
+
+// TestDistilledWeightsGolden pins the bits of a short distillation run
+// on the e2ebench geometry (perf-LLM teaching perf-SSM), followed by
+// steps on sequences that shrink and grow, so a trainer that reuses its
+// step workspace across calls of different lengths must still produce
+// every weight bit for bit. The hash was recorded before the workspace
+// existed.
+func TestDistilledWeightsGolden(t *testing.T) {
+	teacher := New(Config{Name: "perf-LLM", Vocab: 256, Hidden: 64, Heads: 4, FFN: 160, Layers: 4, Seed: 61})
+	student := New(Config{Name: "perf-SSM", Vocab: 256, Hidden: 32, Heads: 4, FFN: 64, Layers: 2, Seed: 62})
+	tr := NewTrainer(student, 3e-3)
+	rng := tensor.NewRNG(4242)
+	genPrompt := func() []int {
+		p := make([]int, 16)
+		for i := range p {
+			p[i] = rng.Intn(192)
+		}
+		return p
+	}
+	loss := Distill(tr, teacher, genPrompt, 16, 12, 4242)
+	for _, n := range []int{5, 40, 2, 17} {
+		seq := make([]int, n)
+		for i := range seq {
+			seq[i] = rng.Intn(256)
+		}
+		loss += tr.Step(seq)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(loss))
+	h.Write(b[:])
+	for _, p := range tr.params {
+		for _, v := range p.data {
+			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
+			h.Write(b[:4])
+		}
+	}
+	const want = uint64(0x8ccb8b5f9246f029)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("distilled weights hash %#x, want %#x", got, want)
 	}
 }

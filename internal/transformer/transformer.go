@@ -136,6 +136,11 @@ type Model struct {
 	// rewritten by Trainer after every weight update; nil when the
 	// packed kernel is unavailable (tensor.HasPackedKernel).
 	packed []*tensor.PackedMatrix
+
+	// workspaces pools closed sessions' forward-pass storage, and pages
+	// their KV-cache pages, for the sessions opened next.
+	workspaces wsPool
+	pages      *kvcache.PagePool
 }
 
 var _ model.Model = (*Model)(nil)
@@ -152,7 +157,7 @@ func New(cfg Config) *Model {
 	if cfg.MaxSeq == 0 {
 		cfg.MaxSeq = 1024
 	}
-	m := &Model{cfg: cfg, ropeTheta: theta}
+	m := &Model{cfg: cfg, ropeTheta: theta, pages: kvcache.NewPagePool()}
 	std := 0.08 // large enough that tiny models produce peaked, varied logits
 	initMat := func(rows, cols int) *tensor.Matrix {
 		w := tensor.NewMatrix(rows, cols)
@@ -238,33 +243,34 @@ func (m *Model) VocabSize() int { return m.cfg.Vocab }
 // Config returns the model geometry.
 func (m *Model) Config() Config { return m.cfg }
 
-// NewSession implements model.Model.
+// NewSession implements model.Model. The session's workspace comes from
+// the model's pool, and its KV pages from the model's page pool; Close
+// returns both.
 func (m *Model) NewSession() model.Session {
-	s := &Session{m: m, scr: tensor.NewScratch()}
+	ws := m.workspaces.get(m)
+	s := &Session{m: m, ws: ws}
 	s.attnPool = m.cfg.AttnWorkers
 	s.attnExplicit = s.attnPool > 0
 	if !s.attnExplicit {
 		s.attnPool = runtime.GOMAXPROCS(0)
 	}
-	if m.cfg.Arch == ArchLLaMA {
-		s.rope = tensor.NewRopeTable(m.ropeTheta, m.cfg.headDim())
-	}
 	s.cache = kvcache.New(kvcache.Config{
 		Layers: m.cfg.Layers, Heads: m.cfg.Heads, HeadDim: m.cfg.headDim(),
+		Pages: m.pages,
 	})
 	return s
 }
 
 // Session is the per-request state: a grown-on-demand KV cache (the
 // paged head-major arena, or the pre-paging per-position slice layout
-// for Reference() sessions) plus the scratch K/V from the
-// last tree-parallel decode, kept so Accept can commit verified rows
-// without recomputation.
+// for Reference() sessions), the committed length and last distribution,
+// and a pooled workspace that holds the forward passes' storage and the
+// retained tree of the last tree-parallel decode, kept so Accept can
+// commit verified rows without recomputation.
 type Session struct {
-	m    *Model
-	scr  *tensor.Scratch   // reusable forward-pass buffers (batched path)
-	rope *tensor.RopeTable // cached rotation coefficients (batched path)
-	ref  bool              // use the scalar reference path (see reference.go)
+	m   *Model
+	ws  *workspace // pooled storage; nil once the session is closed
+	ref bool       // use the scalar reference path (see reference.go)
 
 	// Exactly one cache backend is active. cache is the paged head-major
 	// arena (default sessions); cacheK/cacheV is the pre-paging slice
@@ -276,19 +282,11 @@ type Session struct {
 	attnPool     int  // resolved attention worker bound (>= 1)
 	attnExplicit bool // AttnWorkers was set explicitly; skip the size gate
 
-	// plan is the batched forward pass's attention block plan, its mask
-	// storage reused across passes (attention.go).
-	plan blockPlan
-
-	// commitKV is the K/V row headers of committed passes (commitPass),
-	// reused across passes.
-	commitKV passKV
-
 	n        int       // committed tokens
-	lastDist []float32 // distribution after the last committed token
+	lastDist []float32 // ws.last once a token is committed: the next-token distribution
 
-	// tree is the state of the last DecodeTree, retained until the next
-	// commit; nil until the session's first DecodeTree.
+	// tree is the state of the last DecodeTree (the workspace's), retained
+	// until the next commit; nil until the session's first DecodeTree.
 	tree *treeState
 
 	// treeRows counts the tree nodes DecodeTree has run through the
@@ -302,6 +300,9 @@ type Session struct {
 // its next-token distribution. Accept commits verified nodes' rows from
 // it without recomputation; a DecodeTree of the same tree grown by
 // appended nodes forwards only the new ones against it.
+//
+// The rows and distributions live in rows, a bump arena reused once the
+// tree is dropped, so after warm-up a tree pass allocates nothing.
 type treeState struct {
 	t      *tree.Tree // the tree last scored; nil when nothing is retained
 	tok    []model.Token
@@ -309,25 +310,31 @@ type treeState struct {
 	anc    tree.Ancestry
 	k, v   [][][]float32 // [layer][id-1][hidden]; the root's rows are committed
 	dists  [][]float32   // [id]
+
+	rows floatArena
+
+	// first is the node id of the current pass's first new token, read
+	// by mask and prior.mask (built once in newWorkspace).
+	first int
+	mask  func(i, j int) bool
+	prior priorRows
 }
 
 // scored returns the number of retained nodes.
 func (ts *treeState) scored() int { return len(ts.tok) }
 
-// reset drops the retained tree, keeping its storage for the next one.
-// Row and distribution slots are cleared so the dropped forward-pass
-// buffers can be collected.
+// reset drops the retained tree, keeping its storage for the next one:
+// every row and distribution slice handed out since the last reset goes
+// back to the arena.
 func (ts *treeState) reset() {
 	ts.t = nil
 	ts.tok, ts.parent = ts.tok[:0], ts.parent[:0]
 	ts.anc.Reset()
 	for l := range ts.k {
-		clear(ts.k[l])
-		clear(ts.v[l])
 		ts.k[l], ts.v[l] = ts.k[l][:0], ts.v[l][:0]
 	}
-	clear(ts.dists)
 	ts.dists = ts.dists[:0]
+	ts.rows.reset()
 }
 
 // extends reports whether t is the retained tree grown by at least one
@@ -368,6 +375,7 @@ const prefillChunk = 128
 // prompt in prefillChunk-token batches (see above); the scalar reference
 // path keeps the single monolithic pass it has always been.
 func (s *Session) Prefill(prompt []model.Token) []float32 {
+	s.live()
 	if s.n != 0 {
 		panic("transformer: Prefill on non-empty session")
 	}
@@ -375,41 +383,29 @@ func (s *Session) Prefill(prompt []model.Token) []float32 {
 		panic("transformer: empty prompt")
 	}
 	if s.ref {
-		positions := make([]int, len(prompt))
-		for i := range positions {
-			positions[i] = i
-		}
-		s.lastDist = s.commitPass(prompt, positions)
-		s.n = len(prompt)
-		s.invalidateTree()
-		return cloneVec(s.lastDist)
+		s.commitPass(prompt)
+	} else {
+		s.prefillChunked(prompt)
 	}
-	s.lastDist = s.prefillChunked(prompt, 0)
 	s.invalidateTree()
 	return cloneVec(s.lastDist)
 }
 
-// prefillChunked runs tokens through the forward pass in prefillChunk
-// batches starting at absolute position firstPos, committing each chunk
-// before the next so later chunks attend the earlier ones through the KV
-// cache. Returns the last token's distribution (a forward-pass-owned
-// fresh slice).
-func (s *Session) prefillChunked(tokens []model.Token, firstPos int) []float32 {
-	var last []float32
+// prefillChunked commits tokens through the forward pass in prefillChunk
+// batches at the next positions, each chunk before the next so later
+// chunks attend the earlier ones through the KV cache.
+func (s *Session) prefillChunked(tokens []model.Token) {
 	for off := 0; off < len(tokens); off += prefillChunk {
-		end := off + prefillChunk
-		if end > len(tokens) {
-			end = len(tokens)
-		}
-		chunk := tokens[off:end]
-		positions := make([]int, len(chunk))
-		for i := range positions {
-			positions[i] = firstPos + off + i
-		}
-		last = s.commitPass(chunk, positions)
-		s.n += len(chunk)
+		s.commitPass(tokens[off:min(off+prefillChunk, len(tokens))])
 	}
-	return last
+}
+
+// live panics when the session has been closed: its workspace may
+// already serve another session.
+func (s *Session) live() {
+	if s.ws == nil {
+		panic("transformer: use of a closed session")
+	}
 }
 
 // Arena exposes the session's paged KV arena for cross-request prefix
@@ -439,6 +435,7 @@ func (s *Session) Arena() *kvcache.Arena {
 //
 // The handle stays pinned and must be released when the session closes.
 func (s *Session) PrefillShared(h *kvcache.PinnedPrefix, prompt []model.Token) []float32 {
+	s.live()
 	if s.n != 0 {
 		panic("transformer: PrefillShared on non-empty session")
 	}
@@ -451,18 +448,20 @@ func (s *Session) PrefillShared(h *kvcache.PinnedPrefix, prompt []model.Token) [
 	}
 	s.cache.AdoptPrefix(h)
 	s.n = p
-	s.lastDist = s.prefillChunked(prompt[p:], p)
+	s.prefillChunked(prompt[p:])
 	s.invalidateTree()
 	return cloneVec(s.lastDist)
 }
 
 // Decode implements model.Session.
 func (s *Session) Decode(tok model.Token) []float32 {
+	s.live()
 	if s.n == 0 {
 		panic("transformer: Decode before Prefill")
 	}
-	s.lastDist = s.commitPass([]model.Token{tok}, []int{s.n})
-	s.n++
+	toks := s.ws.tokens(1)
+	toks[0] = tok
+	s.commitPass(toks)
 	s.invalidateTree()
 	return cloneVec(s.lastDist)
 }
@@ -484,24 +483,21 @@ func (s *Session) Decode(tok model.Token) []float32 {
 // Reference() session, which stays the oracle — scores the whole tree.
 // Both give bit-identical results (DESIGN.md §16).
 //
-// The returned distributions are shared with the session's retention
-// until the next commit (Accept, Decode or Prefill), so Accept can serve
-// the post-commit distribution and a later extension can return them
-// without recomputation; callers must treat them as read-only. (Every
-// in-repo consumer — sampling.Transform, the verifiers — copies before
-// mutating.)
+// The returned distributions, and the slice holding them, are the
+// session's retention, in its tree arena: they stay valid until the
+// session's next Accept, Decode, Prefill or Close, or the next DecodeTree
+// that does not extend t, so Accept can serve the post-commit
+// distribution and a later extension can return them without
+// recomputation. Callers must treat them as read-only and copy what they
+// keep longer. (Every in-repo consumer — sampling.Transform, the
+// verifiers — copies before mutating.)
 func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
+	s.live()
 	if s.n == 0 {
 		panic("transformer: DecodeTree before Prefill")
 	}
-	if s.lastDist == nil {
-		panic("transformer: no distribution for tree root")
-	}
-	ts := s.tree
-	if ts == nil {
-		ts = &treeState{k: make([][][]float32, s.m.cfg.Layers), v: make([][][]float32, s.m.cfg.Layers)}
-		s.tree = ts
-	}
+	ts := &s.ws.tree
+	s.tree = ts
 	if s.ref || !ts.extends(t) {
 		ts.reset()
 		ts.t = t
@@ -513,12 +509,13 @@ func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
 		ts.parent = append(ts.parent, t.Nodes[id].Parent)
 	}
 	if first == 0 {
-		ts.dists = append(ts.dists, cloneVec(s.lastDist))
+		root := ts.rows.alloc(len(s.lastDist))
+		copy(root, s.lastDist)
+		ts.dists = append(ts.dists, root)
 		first = 1
 	}
 	if nNew := t.Len() - first; nNew > 0 {
-		tokens := make([]model.Token, nNew)
-		positions := make([]int, nNew)
+		tokens, positions := s.ws.tokens(nNew), s.ws.positions(nNew)
 		for i := range tokens {
 			nd := &t.Nodes[first+i]
 			tokens[i] = nd.Token
@@ -530,24 +527,39 @@ func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
 		// New token i is node first+i; retained row j is node 1+j. Every
 		// new token attends the whole committed cache (all committed
 		// tokens are ancestors).
-		mask := func(i, j int) bool { return ts.anc.Has(first+i, first+j) }
+		ts.first = first
 		var prior *priorRows
 		if first > 1 {
-			prior = &priorRows{k: ts.k, v: ts.v, mask: func(i, j int) bool { return ts.anc.Has(first+i, 1+j) }}
+			ts.prior.k, ts.prior.v = ts.k, ts.v
+			prior = &ts.prior
 		}
-		dists, k, v := s.forward(tokens, positions, mask, prior)
 		s.treeRows += nNew
-		for l := range ts.k {
-			ts.k[l] = append(ts.k[l], k[l]...)
-			ts.v[l] = append(ts.v[l], v[l]...)
+		if s.ref {
+			dists, k, v := s.forwardReference(tokens, positions, ts.mask)
+			s.retain(dists, k, v)
+		} else {
+			logits, k, v := s.forwardBatched(tokens, positions, ts.mask, prior, true)
+			for i := 0; i < nNew; i++ {
+				d := ts.rows.alloc(logits.Cols)
+				copy(d, logits.Row(i))
+				ts.dists = append(ts.dists, d)
+			}
+			s.retain(nil, k, v)
 		}
-		ts.dists = append(ts.dists, dists...)
 	}
-	// The returned distributions ALIAS the retained ones (copied exactly
-	// once out of the forward pass); see the method comment.
-	out := make([][]float32, t.Len())
-	copy(out, ts.dists)
-	return out
+	//lint:ignore aliasret the model.Session contract: DecodeTree's distributions are the retained tree's, valid until it is dropped
+	return ts.dists[:t.Len():t.Len()]
+}
+
+// retain appends a tree pass's K/V rows, and dists when non-nil, to the
+// retained tree.
+func (s *Session) retain(dists [][]float32, k, v [][][]float32) {
+	ts := s.tree
+	for l := range ts.k {
+		ts.k[l] = append(ts.k[l], k[l]...)
+		ts.v[l] = append(ts.v[l], v[l]...)
+	}
+	ts.dists = append(ts.dists, dists...)
 }
 
 // Accept implements model.Session: commits verified tokens. Tokens that
@@ -555,6 +567,7 @@ func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
 // DecodeTree; any remaining tokens (e.g. the bonus token sampled from the
 // LLM on speculation miss) are decoded in one batched forward pass.
 func (s *Session) Accept(tokens []model.Token) []float32 {
+	s.live()
 	if s.n == 0 {
 		panic("transformer: Accept before Prefill")
 	}
@@ -571,13 +584,10 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 			if v == -1 || v >= ts.scored() || ts.tok[v] != tokens[i] || ts.parent[v] != u {
 				break
 			}
-			// Copy the accepted rows out of the retained tree rows: the
-			// batched forward lays all of a pass's K/V rows in one backing
-			// array, and aliasing a few accepted rows would pin the whole
-			// array (every rejected branch) in memory for the cache's
-			// lifetime. For the paged arena the copy is a head-segment
-			// memcpy straight into page storage — no intermediate per-row
-			// clone.
+			// Copy the accepted rows out of the tree arena, which the
+			// next tree reuses. For the paged arena the copy is a
+			// head-segment memcpy straight into page storage — no
+			// intermediate per-row clone.
 			if s.cache != nil {
 				for l := 0; l < s.m.cfg.Layers; l++ {
 					s.cache.Append(l, ts.k[l][v-1], ts.v[l][v-1])
@@ -590,9 +600,11 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 				}
 			}
 			s.n++
-			s.lastDist = ts.dists[v]
 			u = v
 			i++
+		}
+		if u != ts.t.Root() {
+			copy(s.lastDist, ts.dists[u])
 		}
 	}
 	s.invalidateTree()
@@ -602,15 +614,7 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 	// attends the committed cache plus its batch predecessors under plain
 	// causality, which is bit-identical to committing them one at a time.
 	if rest := tokens[i:]; len(rest) > 0 {
-		positions := make([]int, len(rest))
-		for j := range positions {
-			positions[j] = s.n + j
-		}
-		s.lastDist = s.commitPass(rest, positions)
-		s.n += len(rest)
-	}
-	if s.lastDist == nil {
-		panic("transformer: Accept produced no distribution")
+		s.commitPass(rest)
 	}
 	return cloneVec(s.lastDist)
 }
@@ -642,16 +646,22 @@ func (s *Session) commitRows(k, v [][][]float32) {
 }
 
 // Close implements model.Closer: it releases the session's KV cache
-// (page-wise for the paged arena) and the retained tree scratch. A
-// closed session must not be used again.
+// (page-wise for the paged arena, into the model's page pool) and hands
+// its workspace back to the model's pool. Any later call on the session
+// panics, except Close, which does nothing, and Len and CacheBytes,
+// which report an empty session.
 func (s *Session) Close() {
+	if s.ws == nil {
+		return
+	}
 	if s.cache != nil {
 		s.cache.Release()
 	}
+	s.ws.tree.reset()
+	s.m.workspaces.put(s.ws)
+	s.ws, s.tree = nil, nil
 	s.cacheK, s.cacheV = nil, nil
-	s.tree = nil
 	s.lastDist = nil
-	s.scr = nil
 	s.n = 0
 }
 
@@ -681,51 +691,36 @@ func (s *Session) mm(i int, x, out *tensor.Matrix) {
 	tensor.MatMulT(s.m.projs[i], x, out)
 }
 
-// forward runs the transformer over a batch of new tokens at the given
-// absolute positions. Every new token attends the whole committed KV
-// cache. mask(i, j) reports whether new token i may attend new token j;
-// nil means ordinary causality among the new tokens (j <= i). prior, when
-// non-nil, adds the retained rows of an earlier tree pass as a masked
-// segment between the two (batched path only). It returns the per-token
-// next-token distributions (fresh slices) plus the K/V rows of the new
-// tokens per layer (fresh, not committed).
-func (s *Session) forward(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows) (dists [][]float32, newK, newV [][][]float32) {
-	if s.ref {
-		if prior != nil {
-			panic("transformer: the reference path scores whole trees only")
-		}
-		return s.forwardReference(tokens, positions, mask)
+// commitPass runs tokens at the next positions through the forward pass
+// under plain causality, commits their K/V rows at once, advances the
+// committed length, and leaves the last token's distribution in
+// s.lastDist (the workspace's buffer). On the batched path the rows live
+// in the scratch arena only until commitRows copies them into arena
+// pages, so a committed pass allocates no per-row storage.
+func (s *Session) commitPass(tokens []model.Token) {
+	positions := s.ws.positions(len(tokens))
+	for i := range positions {
+		positions[i] = s.n + i
 	}
-	logits, newK, newV := s.forwardBatched(tokens, positions, mask, prior, &passKV{})
-	dists = make([][]float32, len(tokens))
-	for i := range dists {
-		dists[i] = cloneVec(logits.Row(i))
-	}
-	return dists, newK, newV
-}
-
-// commitPass runs tokens at the given positions through the forward pass
-// under plain causality, commits their K/V rows at once and returns the
-// last token's distribution (a fresh slice). On the batched path the rows
-// live in the scratch arena only until commitRows copies them into arena
-// pages, their row headers are the session's, reused pass after pass,
-// and only the last distribution leaves the arena, so a committed pass
-// allocates no per-row storage.
-func (s *Session) commitPass(tokens []model.Token, positions []int) []float32 {
+	var last []float32
 	if s.ref {
 		dists, k, v := s.forwardReference(tokens, positions, nil)
 		s.commitRows(k, v)
-		return dists[len(dists)-1]
+		last = dists[len(dists)-1]
+	} else {
+		logits, k, v := s.forwardBatched(tokens, positions, nil, nil, false)
+		s.commitRows(k, v)
+		last = logits.Row(len(tokens) - 1)
 	}
-	logits, k, v := s.forwardBatched(tokens, positions, nil, nil, &s.commitKV)
-	s.commitRows(k, v)
-	return cloneVec(logits.Row(len(tokens) - 1))
+	s.lastDist = s.ws.last
+	copy(s.lastDist, last)
+	s.n += len(tokens)
 }
 
 // passKV holds a forward pass's K/V row headers: per-layer Matrix views
 // for the projection matmuls, and per-layer row slices for attention and
-// the commit. A tree pass takes a fresh one, as its rows are retained
-// until the next commit; committed passes reuse the session's.
+// the commit. The workspace's one passKV serves every pass: a tree pass
+// retains its rows by copying the row headers out (treeState.k and v).
 type passKV struct {
 	views  []tensor.Matrix // K of layer l at 2l, V at 2l+1
 	rows   [][]float32     // K rows, then V rows, layer-major
@@ -733,9 +728,9 @@ type passKV struct {
 }
 
 // lay points p's headers at kAll and vAll, which hold each layer's nNew
-// rows layer after layer, growing p's storage as needed, and returns the
-// per-layer K and V rows.
-func (p *passKV) lay(kAll, vAll *tensor.Matrix, layers, nNew int) (newK, newV [][][]float32) {
+// rows of hidden floats layer after layer, growing p's storage as
+// needed, and returns the per-layer K and V rows.
+func (p *passKV) lay(kAll, vAll []float32, layers, nNew, hidden int) (newK, newV [][][]float32) {
 	if cap(p.views) < 2*layers {
 		p.views = make([]tensor.Matrix, 2*layers)
 		p.layers = make([][][]float32, 2*layers)
@@ -744,16 +739,15 @@ func (p *passKV) lay(kAll, vAll *tensor.Matrix, layers, nNew int) (newK, newV []
 		p.rows = make([][]float32, 2*layers*nNew)
 	}
 	p.views, p.layers, p.rows = p.views[:2*layers], p.layers[:2*layers], p.rows[:2*layers*nNew]
-	hidden := kAll.Cols
 	for l := 0; l < layers; l++ {
 		span := l * nNew * hidden
-		p.views[2*l] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: kAll.Data[span : span+nNew*hidden]}
-		p.views[2*l+1] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: vAll.Data[span : span+nNew*hidden]}
+		p.views[2*l] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: kAll[span : span+nNew*hidden]}
+		p.views[2*l+1] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: vAll[span : span+nNew*hidden]}
 		kRows := p.rows[l*nNew : (l+1)*nNew]
 		vRows := p.rows[(layers+l)*nNew : (layers+l+1)*nNew]
 		for i := 0; i < nNew; i++ {
-			kRows[i] = kAll.Row(l*nNew + i)
-			vRows[i] = vAll.Row(l*nNew + i)
+			kRows[i] = p.views[2*l].Row(i)
+			vRows[i] = p.views[2*l+1].Row(i)
 		}
 		p.layers[l], p.layers[layers+l] = kRows, vRows
 	}
@@ -773,8 +767,7 @@ type priorRows struct {
 // matrix over all new tokens, blocked attention under the topology-aware
 // mask, one batched MLP, and at the end one batched LM-head
 // projection with a row softmax. All intermediates live in the session's
-// scratch arena, so a pass performs O(layers) allocations instead of the
-// reference path's O(layers × tokens × heads).
+// workspace, so after warm-up a pass allocates nothing.
 //
 // Bit-exactness: every matmul element is the same sequential Dot over the
 // same operands as the scalar reference, norms/softmaxes are applied
@@ -786,22 +779,21 @@ type priorRows struct {
 // vector never changes its arithmetic (DESIGN.md §16, §21).
 //
 // It returns the pass's row-softmaxed logits, in the scratch arena, and
-// the new rows' K/V per layer under kv's headers. With kv the session's
-// commitKV the rows live in the scratch arena too, valid until the next
-// pass; with any other kv they are freshly allocated.
-func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows, kv *passKV) (logits *tensor.Matrix, newK, newV [][][]float32) {
+// the new rows' K/V per layer under the workspace's headers, valid until
+// the next pass. The rows of a tree pass (retain) outlive it: they are
+// drawn from the tree arena, which keeps them until the tree is dropped;
+// a committed pass's are copied into arena pages at once, so they live in
+// the scratch arena.
+func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows, retain bool) (logits *tensor.Matrix, newK, newV [][][]float32) {
 	cfg := s.m.cfg
+	ws := s.ws
 	nNew := len(tokens)
 	hd := cfg.headDim()
 	scale := float32(1.0 / math.Sqrt(float64(hd)))
 	if mask == nil {
 		mask = func(i, j int) bool { return j <= i }
 	}
-	scr := s.scr
-	if scr == nil {
-		scr = tensor.NewScratch()
-		s.scr = scr
-	}
+	scr := ws.scr
 
 	// Embed all new tokens into the activation matrix.
 	x := scr.Mat("x", nNew, cfg.Hidden)
@@ -821,13 +813,14 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 
 	// The attention stage's per-pass state; with enough rows for a block
 	// the mask is evaluated here, once for every layer and head.
-	at := &attnStage{heads: cfg.Heads, hd: hd, scale: scale, cache: s.cache, mask: mask}
+	at := &ws.at
+	*at = attnStage{heads: cfg.Heads, hd: hd, scale: scale, cache: s.cache, mask: mask}
 	nPrior := 0
 	if prior != nil {
 		at.priorMask, nPrior = prior.mask, len(prior.k[0])
 	}
-	if s.plan.build(nNew, nPrior, mask, at.priorMask) {
-		at.plan = &s.plan
+	if ws.plan.build(nNew, nPrior, mask, at.priorMask) {
+		at.plan = &ws.plan
 	}
 
 	h1 := scr.Mat("h1", nNew, cfg.Hidden)
@@ -838,18 +831,15 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 	gate := scr.Mat("gate", nNew, cfg.FFN)
 	up := scr.Mat("up", nNew, cfg.FFN)
 
-	// All layers' K/V rows are laid out in two backing matrices. A tree
-	// pass's rows outlive it (DecodeTree retains them for Accept and for
-	// later extensions), so they are freshly allocated; a committed
-	// pass's are copied into arena pages before the next pass, so they
-	// live in the scratch arena.
-	var kAll, vAll *tensor.Matrix
-	if kv == &s.commitKV {
-		kAll, vAll = scr.Mat("kAll", cfg.Layers*nNew, cfg.Hidden), scr.Mat("vAll", cfg.Layers*nNew, cfg.Hidden)
+	// All layers' K/V rows are laid out in two backing spans.
+	var kAll, vAll []float32
+	if n := cfg.Layers * nNew * cfg.Hidden; retain {
+		kAll, vAll = ws.tree.rows.alloc(n), ws.tree.rows.alloc(n)
 	} else {
-		kAll, vAll = tensor.NewMatrix(cfg.Layers*nNew, cfg.Hidden), tensor.NewMatrix(cfg.Layers*nNew, cfg.Hidden)
+		kAll, vAll = scr.Floats("kAll", n), scr.Floats("vAll", n)
 	}
-	newK, newV = kv.lay(kAll, vAll, cfg.Layers, nNew)
+	kv := &ws.kv
+	newK, newV = kv.lay(kAll, vAll, cfg.Layers, nNew, cfg.Hidden)
 
 	for l := 0; l < cfg.Layers; l++ {
 		lw := &s.m.layers[l]
@@ -876,8 +866,8 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 			for i := 0; i < nNew; i++ {
 				qi, ki := q.Row(i), kRows[i]
 				for h := 0; h < cfg.Heads; h++ {
-					s.rope.Apply(qi[h*hd:(h+1)*hd], positions[i])
-					s.rope.Apply(ki[h*hd:(h+1)*hd], positions[i])
+					ws.rope.Apply(qi[h*hd:(h+1)*hd], positions[i])
+					ws.rope.Apply(ki[h*hd:(h+1)*hd], positions[i])
 				}
 			}
 		}

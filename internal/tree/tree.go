@@ -83,6 +83,14 @@ func New(rootToken Token) *Tree {
 	return &Tree{Nodes: []Node{{Token: rootToken, Parent: -1}}}
 }
 
+// NewSized is New with room for n nodes, root included, so a tree grown
+// to at most n nodes allocates its node list once.
+func NewSized(rootToken Token, n int) *Tree {
+	nodes := make([]Node, 1, max(n, 1))
+	nodes[0] = Node{Token: rootToken, Parent: -1}
+	return &Tree{Nodes: nodes}
+}
+
 // Root returns the root node id.
 func (t *Tree) Root() NodeID { return 0 }
 
