@@ -20,13 +20,15 @@
 // engine's lifecycle: commits only ever extend the depth-first prefix,
 // and the whole cache is dropped page-wise when the request retires. It
 // is not safe for concurrent mutation; concurrent reads are safe once a
-// position has been advanced. Arenas that share a PagePool recycle each
-// other's released pages.
+// position has been advanced. Arenas recycle each other's released
+// pages through a process-wide free list per page length.
 package kvcache
 
 import (
 	"fmt"
 	"sync"
+
+	"specinfer/internal/freelist"
 )
 
 // DefaultPageRows is the default number of positions per page. 64
@@ -41,88 +43,34 @@ type Config struct {
 	// PageRows is the number of positions per page; 0 means
 	// DefaultPageRows.
 	PageRows int
-	// Pages is the free list the arena draws new pages from and
-	// releases its private pages to, shared with the other arenas of a
-	// model; nil gives the arena a pool of its own.
-	Pages *PagePool
 }
 
-// PagePool is a concurrency-safe free list of KV pages, one list per
-// page length (PageRows × HeadDim floats), shared by the arenas of one
-// model. A released arena returns only its private pages: pages adopted
-// from a prefix cache, and pages a PrefixCache.Insert aliased, stay
-// with the cache (see Arena.Release). Pages come back with stale
-// contents, which is safe because an arena reads no row it has not
-// written. A list keeps what a burst of requests released only while
-// it is used: pages that stay in it through a whole window of
-// pageTrimWindow draws are dropped for the collector.
-type PagePool struct {
-	mu   sync.Mutex
-	free map[int]*pageList // guarded by mu
+// freePages holds the process's free KV pages, one free list per page
+// length (PageRows × HeadDim floats), so every arena of every model
+// recycles the pages of the others with the same geometry. A released
+// arena returns only its private pages: pages adopted from a prefix
+// cache, and pages a PrefixCache.Insert aliased, stay with the cache
+// (see Arena.Release). Pages come back with stale contents, which is
+// safe because an arena reads no row it has not written. Each new arena
+// ticks its list, which trims the pages a window of arenas left idle.
+var freePages struct {
+	mu    sync.Mutex
+	byLen map[int]*freelist.List[[]float32] // guarded by mu
 }
 
-// pageList is the free pages of one length.
-type pageList struct {
-	pages [][]float32 // the top of the stack is drawn first
-	draws int         // draws in the current trim window
-	low   int         // fewest free pages after a draw in the window
-}
-
-// pageTrimWindow is the number of draws after which the pages the
-// window never reached are dropped.
-const pageTrimWindow = 16
-
-// NewPagePool returns an empty pool.
-func NewPagePool() *PagePool { return &PagePool{free: make(map[int]*pageList)} }
-
-// list returns the free list of pages of size floats.
-//
-//lint:holds p.mu
-func (p *PagePool) list(size int) *pageList {
-	l := p.free[size]
+// pageList returns the free list of pages of size floats.
+func pageList(size int) *freelist.List[[]float32] {
+	freePages.mu.Lock()
+	defer freePages.mu.Unlock()
+	l := freePages.byLen[size]
 	if l == nil {
-		l = &pageList{}
-		p.free[size] = l
+		if freePages.byLen == nil {
+			freePages.byLen = make(map[int]*freelist.List[[]float32])
+		}
+		l = new(freelist.List[[]float32])
+		freePages.byLen[size] = l
 	}
 	return l
-}
-
-// get fills pages with pooled pages of size floats, allocating what the
-// pool lacks.
-func (p *PagePool) get(size int, pages [][]float32) {
-	p.mu.Lock()
-	l := p.list(size)
-	n := len(l.pages)
-	got := min(n, len(pages))
-	copy(pages, l.pages[n-got:])
-	clear(l.pages[n-got:])
-	l.pages = l.pages[:n-got]
-	l.low = min(l.low, len(l.pages))
-	if l.draws++; l.draws == pageTrimWindow {
-		// The bottom low pages sat idle through the window.
-		kept := copy(l.pages, l.pages[l.low:])
-		clear(l.pages[kept:])
-		l.pages = l.pages[:kept]
-		l.draws, l.low = 0, kept
-	}
-	p.mu.Unlock()
-	for i := got; i < len(pages); i++ {
-		pages[i] = make([]float32, size)
-	}
-}
-
-// putFrom returns the pages of every stream in k and v past the first
-// keep to the pool, under one lock.
-func (p *PagePool) putFrom(size int, k, v [][][]float32, keep int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l := p.list(size)
-	for s := range k {
-		if len(k[s]) > keep {
-			l.pages = append(l.pages, k[s][keep:]...)
-			l.pages = append(l.pages, v[s][keep:]...)
-		}
-	}
 }
 
 // Arena is a paged, head-major KV cache. See the package comment for the
@@ -140,11 +88,10 @@ type Arena struct {
 	// published is the number of leading pages per stream a
 	// PrefixCache.Insert has aliased into its trie. The cache keeps
 	// reading them after this arena's Release, so they never go back to
-	// the pool. Insert and Release both run with the arena quiescent
+	// the free list. Insert and Release both run with the arena quiescent
 	// (Insert reads the page lists too), so a plain field suffices.
 	published int
-	pool      *PagePool
-	newPages  [][]float32 // one layer's fresh K and V pages, reused per Append
+	free      *freelist.List[[]float32] // the free pages of this arena's page length
 }
 
 // New allocates an empty arena (no pages are allocated until the first
@@ -160,21 +107,25 @@ func New(cfg Config) *Arena {
 	if cfg.PageRows == 0 {
 		cfg.PageRows = DefaultPageRows
 	}
-	if cfg.Pages == nil {
-		cfg.Pages = NewPagePool()
-	}
-	return &Arena{
+	a := &Arena{
 		layers: cfg.Layers, heads: cfg.Heads, hd: cfg.HeadDim,
 		pageRows: cfg.PageRows,
 		fill:     make([]int, cfg.Layers),
 		k:        make([][][]float32, cfg.Layers*cfg.Heads),
 		v:        make([][][]float32, cfg.Layers*cfg.Heads),
-		pool:     cfg.Pages,
+		free:     pageList(cfg.PageRows * cfg.HeadDim),
 	}
+	a.free.Tick()
+	return a
 }
 
-// pageLen is the number of floats in one page.
-func (a *Arena) pageLen() int { return a.pageRows * a.hd }
+// newPage returns a free page, recycled or new. Its contents are stale.
+func (a *Arena) newPage() []float32 {
+	if p, ok := a.free.Get(); ok {
+		return p
+	}
+	return make([]float32, a.pageRows*a.hd)
+}
 
 // Len reports the number of committed positions.
 func (a *Arena) Len() int { return a.n }
@@ -200,22 +151,12 @@ func (a *Arena) Append(layer int, kRow, vRow []float32) {
 	row := a.fill[layer]
 	a.fill[layer]++
 	page, off := row/a.pageRows, (row%a.pageRows)*a.hd
-	if page == len(a.k[layer*a.heads]) {
-		// The layer's first row on a new page: one page per head for K
-		// and for V, from the pool in one call.
-		if a.newPages == nil {
-			a.newPages = make([][]float32, 2*a.heads)
-		}
-		a.pool.get(a.pageLen(), a.newPages)
-		for h := 0; h < a.heads; h++ {
-			s := layer*a.heads + h
-			a.k[s] = append(a.k[s], a.newPages[2*h])
-			a.v[s] = append(a.v[s], a.newPages[2*h+1])
-		}
-		clear(a.newPages)
-	}
 	for h := 0; h < a.heads; h++ {
 		s := layer*a.heads + h
+		if page == len(a.k[s]) {
+			a.k[s] = append(a.k[s], a.newPage())
+			a.v[s] = append(a.v[s], a.newPage())
+		}
 		copy(a.k[s][page][off:off+a.hd], kRow[h*a.hd:(h+1)*a.hd])
 		copy(a.v[s][page][off:off+a.hd], vRow[h*a.hd:(h+1)*a.hd])
 	}
@@ -281,15 +222,19 @@ func (a *Arena) SharedBytes() int {
 }
 
 // Release frees every page and resets the arena to empty; the arena may
-// be reused afterwards. Private pages go back to the arena's PagePool.
-// Pages adopted from a prefix cache, and pages a PrefixCache.Insert
-// aliased, are merely un-referenced, never mutated or recycled, so
-// releasing and reusing an arena whose prefix is still pinned (or
-// cached) elsewhere is safe: the cache and other adopters keep reading
-// the original page storage.
+// be reused afterwards. Private pages go back to the free pages of their
+// length for any arena to reuse. Pages adopted from a prefix cache, and
+// pages a PrefixCache.Insert aliased, are merely un-referenced, never
+// mutated or recycled, so releasing and reusing an arena whose prefix is
+// still pinned (or cached) elsewhere is safe: the cache and other
+// adopters keep reading the original page storage.
 func (a *Arena) Release() {
-	a.pool.putFrom(a.pageLen(), a.k, a.v, max(a.sharedPages, a.published))
+	keep := max(a.sharedPages, a.published)
 	for s := range a.k {
+		for p := keep; p < len(a.k[s]); p++ {
+			a.free.Put(a.k[s][p])
+			a.free.Put(a.v[s][p])
+		}
 		clear(a.k[s])
 		clear(a.v[s])
 		a.k[s], a.v[s] = a.k[s][:0], a.v[s][:0]

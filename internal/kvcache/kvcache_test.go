@@ -3,6 +3,7 @@ package kvcache
 import (
 	"testing"
 
+	"specinfer/internal/freelist"
 	"specinfer/internal/tensor"
 )
 
@@ -197,5 +198,36 @@ func TestDefaultPageRows(t *testing.T) {
 	a := New(Config{Layers: 1, Heads: 1, HeadDim: 2})
 	if a.PageRows() != DefaultPageRows {
 		t.Fatalf("default PageRows %d != %d", a.PageRows(), DefaultPageRows)
+	}
+}
+
+// TestFreePagesTrimIdle: each new arena ticks its page list, so after a
+// burst of arenas releases its pages, arenas that come one at a time
+// leave about one arena's pages in the list, not the burst's.
+func TestFreePagesTrimIdle(t *testing.T) {
+	// A page length no other test uses.
+	cfg := Config{Layers: 2, Heads: 3, HeadDim: 7, PageRows: 2}
+	free := pageList(cfg.PageRows * cfg.HeadDim)
+	rng := tensor.NewRNG(3)
+	perArena := 2 * cfg.Layers * cfg.Heads // one K and one V page per stream
+	var burst []*Arena
+	for i := 0; i < 8; i++ {
+		a := New(cfg)
+		fillRows(a, cfg, rng, cfg.PageRows)
+		burst = append(burst, a)
+	}
+	for _, a := range burst {
+		a.Release()
+	}
+	if n := free.Len(); n != 8*perArena {
+		t.Fatalf("free list holds %d pages after the burst, want %d", n, 8*perArena)
+	}
+	for i := 0; i < 2*freelist.Window; i++ {
+		a := New(cfg)
+		fillRows(a, cfg, rng, cfg.PageRows)
+		a.Release()
+	}
+	if n := free.Len(); n > perArena {
+		t.Fatalf("free list holds %d pages after one arena at a time, want at most %d", n, perArena)
 	}
 }

@@ -505,11 +505,6 @@ func (a *Arena) AdoptPrefix(h *PinnedPrefix) {
 		panic(fmt.Sprintf("kvcache: AdoptPrefix geometry %+v != handle geometry %+v", geom, h.geom))
 	}
 	streams := a.layers * a.heads
-	var boundary [][]float32 // the private boundary pages, K then V per stream
-	if h.tail != nil {
-		boundary = make([][]float32, 2*streams)
-		a.pool.get(a.pageLen(), boundary)
-	}
 	for s := 0; s < streams; s++ {
 		k, v := a.k[s][:0], a.v[s][:0]
 		for _, nd := range h.path {
@@ -517,7 +512,7 @@ func (a *Arena) AdoptPrefix(h *PinnedPrefix) {
 			v = append(v, nd.v[s])
 		}
 		if h.tail != nil {
-			pk, pv := boundary[2*s], boundary[2*s+1]
+			pk, pv := a.newPage(), a.newPage()
 			copy(pk, h.tail.k[s])
 			copy(pv, h.tail.v[s])
 			k = append(k, pk)

@@ -406,15 +406,17 @@ func TestInsertedMatchAgreesWithInsert(t *testing.T) {
 }
 
 // TestRecycledPagesNeverAliasThePrefix: released arenas hand their
-// private pages to the pool, and the arenas filled next write over them,
-// so a page the prefix cache still reads must never reach the pool —
+// private pages to the free list, and the arenas filled next write over
+// them, so a page the prefix cache still reads must never reach it —
 // neither a full prompt page the donor's Insert aliased nor a page an
 // adopter shares. Donor and adopter are released, new arenas are filled
-// from the pool (and past it), and a fresh adoption must still read the
-// rows as they were at insert, bit for bit.
+// from the free list (and past it), and a fresh adoption must still read
+// the rows as they were at insert, bit for bit.
 func TestRecycledPagesNeverAliasThePrefix(t *testing.T) {
-	pool := NewPagePool()
-	cfg := Config{Layers: 2, Heads: 3, HeadDim: 4, PageRows: 4, Pages: pool}
+	// A page length no other test uses, so the pages drawn below are
+	// this test's releases or new ones.
+	cfg := Config{Layers: 2, Heads: 3, HeadDim: 5, PageRows: 4}
+	free := pageList(cfg.PageRows * cfg.HeadDim)
 	c := NewPrefixCache(1 << 20)
 	rng := tensor.NewRNG(7)
 	toks := tokensN(0, 10) // 2 full pages + a 2-row tail
@@ -431,36 +433,52 @@ func TestRecycledPagesNeverAliasThePrefix(t *testing.T) {
 	fillRows(adopter, cfg, rng, 7) // past the copied boundary page
 	h.Release()
 
-	cached := map[*float32]bool{}
+	// The two leading pages per stream are the cache's; the donor's
+	// boundary page and the adopter's three private pages (its boundary
+	// copy and the two its appends opened) go back to the free list.
+	cached, released := map[*float32]bool{}, map[*float32]bool{}
 	for _, a := range []*Arena{donor, adopter} {
 		for s := range a.k {
-			for p := 0; p < 2; p++ {
-				cached[&a.k[s][p][0]], cached[&a.v[s][p][0]] = true, true
+			for p := range a.k[s] {
+				set := released
+				if p < 2 {
+					set = cached
+				}
+				set[&a.k[s][p][0]], set[&a.v[s][p][0]] = true, true
 			}
 		}
 	}
+	if want := (1 + 3) * 2 * cfg.Layers * cfg.Heads; len(released) != want {
+		t.Fatalf("%d private pages, want %d", len(released), want)
+	}
+	before := free.Len()
 	donor.Release()
 	adopter.Release()
-	free := pooled(pool)
-	// Per stream, for K and for V, the donor's boundary page and the
-	// adopter's three private pages (its boundary copy and the two its
-	// appends opened) go back; the two shared prompt pages do not.
-	if want := (1 + 3) * 2 * cfg.Layers * cfg.Heads; free != want {
-		t.Fatalf("pool holds %d pages after release, want %d", free, want)
+	if n := free.Len() - before; n != len(released) {
+		t.Fatalf("release added %d pages to the free list, want %d", n, len(released))
 	}
-	for _, list := range pool.free {
-		for _, pg := range list.pages {
-			if cached[&pg[0]] {
-				t.Fatal("a page the prefix cache reads went back to the pool")
+
+	// The new arenas' ticks may trim part of the list, so only some
+	// released pages must come back, and no cached one.
+	reused := 0
+	for i := 0; i < 3; i++ {
+		a := New(cfg)
+		fillRows(a, cfg, rng, 3*cfg.PageRows)
+		for s := range a.k {
+			for p := range a.k[s] {
+				for _, pg := range [][]float32{a.k[s][p], a.v[s][p]} {
+					if cached[&pg[0]] {
+						t.Fatal("a page the prefix cache reads went back to the free list")
+					}
+					if released[&pg[0]] {
+						reused++
+					}
+				}
 			}
 		}
 	}
-
-	for i := 0; i < 3; i++ {
-		fillRows(New(cfg), cfg, rng, 3*cfg.PageRows)
-	}
-	if n := pooled(pool); n != 0 {
-		t.Fatalf("new arenas left %d of %d pooled pages unused", n, free)
+	if reused == 0 {
+		t.Fatal("new arenas reused none of the released pages")
 	}
 	again := New(cfg)
 	h2 := c.Lookup("llm", toks, len(toks))
@@ -470,15 +488,4 @@ func TestRecycledPagesNeverAliasThePrefix(t *testing.T) {
 	defer h2.Release()
 	again.AdoptPrefix(h2)
 	checkPrefix(t, again, cfg, k, v, len(toks))
-}
-
-// pooled counts the pages p holds, over all page lengths.
-func pooled(p *PagePool) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, l := range p.free {
-		n += len(l.pages)
-	}
-	return n
 }

@@ -24,6 +24,7 @@ import (
 	"math"
 	"runtime"
 
+	"specinfer/internal/freelist"
 	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
 	"specinfer/internal/tensor"
@@ -137,10 +138,9 @@ type Model struct {
 	// packed kernel is unavailable (tensor.HasPackedKernel).
 	packed []*tensor.PackedMatrix
 
-	// workspaces pools closed sessions' forward-pass storage, and pages
-	// their KV-cache pages, for the sessions opened next.
-	workspaces wsPool
-	pages      *kvcache.PagePool
+	// workspaces holds closed sessions' forward-pass storage for the
+	// sessions opened next.
+	workspaces freelist.List[*workspace]
 }
 
 var _ model.Model = (*Model)(nil)
@@ -157,7 +157,7 @@ func New(cfg Config) *Model {
 	if cfg.MaxSeq == 0 {
 		cfg.MaxSeq = 1024
 	}
-	m := &Model{cfg: cfg, ropeTheta: theta, pages: kvcache.NewPagePool()}
+	m := &Model{cfg: cfg, ropeTheta: theta}
 	std := 0.08 // large enough that tiny models produce peaked, varied logits
 	initMat := func(rows, cols int) *tensor.Matrix {
 		w := tensor.NewMatrix(rows, cols)
@@ -244,10 +244,14 @@ func (m *Model) VocabSize() int { return m.cfg.Vocab }
 func (m *Model) Config() Config { return m.cfg }
 
 // NewSession implements model.Model. The session's workspace comes from
-// the model's pool, and its KV pages from the model's page pool; Close
-// returns both.
+// the model's free list, and its KV pages from kvcache's; Close returns
+// both.
 func (m *Model) NewSession() model.Session {
-	ws := m.workspaces.get(m)
+	m.workspaces.Tick()
+	ws, ok := m.workspaces.Get()
+	if !ok {
+		ws = newWorkspace(m)
+	}
 	s := &Session{m: m, ws: ws}
 	s.attnPool = m.cfg.AttnWorkers
 	s.attnExplicit = s.attnPool > 0
@@ -256,7 +260,6 @@ func (m *Model) NewSession() model.Session {
 	}
 	s.cache = kvcache.New(kvcache.Config{
 		Layers: m.cfg.Layers, Heads: m.cfg.Heads, HeadDim: m.cfg.headDim(),
-		Pages: m.pages,
 	})
 	return s
 }
@@ -325,14 +328,18 @@ func (ts *treeState) scored() int { return len(ts.tok) }
 
 // reset drops the retained tree, keeping its storage for the next one:
 // every row and distribution slice handed out since the last reset goes
-// back to the arena.
+// back to the arena. The row headers are cleared, not just truncated, so
+// none outlives the arena chunk a reset consolidates away.
 func (ts *treeState) reset() {
 	ts.t = nil
 	ts.tok, ts.parent = ts.tok[:0], ts.parent[:0]
 	ts.anc.Reset()
 	for l := range ts.k {
+		clear(ts.k[l])
+		clear(ts.v[l])
 		ts.k[l], ts.v[l] = ts.k[l][:0], ts.v[l][:0]
 	}
+	clear(ts.dists)
 	ts.dists = ts.dists[:0]
 	ts.rows.reset()
 }
@@ -646,10 +653,10 @@ func (s *Session) commitRows(k, v [][][]float32) {
 }
 
 // Close implements model.Closer: it releases the session's KV cache
-// (page-wise for the paged arena, into the model's page pool) and hands
-// its workspace back to the model's pool. Any later call on the session
-// panics, except Close, which does nothing, and Len and CacheBytes,
-// which report an empty session.
+// (page-wise for the paged arena, into kvcache's free pages) and hands
+// its workspace back to the model's free list. Any later call on the
+// session panics, except Close, which does nothing, and Len and
+// CacheBytes, which report an empty session.
 func (s *Session) Close() {
 	if s.ws == nil {
 		return
@@ -657,8 +664,8 @@ func (s *Session) Close() {
 	if s.cache != nil {
 		s.cache.Release()
 	}
-	s.ws.tree.reset()
-	s.m.workspaces.put(s.ws)
+	s.ws.release()
+	s.m.workspaces.Put(s.ws)
 	s.ws, s.tree = nil, nil
 	s.cacheK, s.cacheV = nil, nil
 	s.lastDist = nil
@@ -735,10 +742,14 @@ func (p *passKV) lay(kAll, vAll []float32, layers, nNew, hidden int) (newK, newV
 		p.views = make([]tensor.Matrix, 2*layers)
 		p.layers = make([][][]float32, 2*layers)
 	}
-	if cap(p.rows) < 2*layers*nNew {
-		p.rows = make([][]float32, 2*layers*nNew)
+	n := 2 * layers * nNew
+	if cap(p.rows) < n {
+		p.rows = make([][]float32, n)
 	}
-	p.views, p.layers, p.rows = p.views[:2*layers], p.layers[:2*layers], p.rows[:2*layers*nNew]
+	if n < len(p.rows) {
+		clear(p.rows[n:]) // the last pass's headers past this one's
+	}
+	p.views, p.layers, p.rows = p.views[:2*layers], p.layers[:2*layers], p.rows[:n]
 	for l := 0; l < layers; l++ {
 		span := l * nNew * hidden
 		p.views[2*l] = tensor.Matrix{Rows: nNew, Cols: hidden, Data: kAll[span : span+nNew*hidden]}
@@ -752,6 +763,13 @@ func (p *passKV) lay(kAll, vAll []float32, layers, nNew, hidden int) (newK, newV
 		p.layers[l], p.layers[layers+l] = kRows, vRows
 	}
 	return p.layers[:layers], p.layers[layers:]
+}
+
+// drop clears every header, leaving p's storage.
+func (p *passKV) drop() {
+	clear(p.views)
+	clear(p.rows)
+	clear(p.layers)
 }
 
 // priorRows is the "prior rows" attention segment of an incremental tree

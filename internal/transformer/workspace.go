@@ -1,8 +1,6 @@
 package transformer
 
 import (
-	"sync"
-
 	"specinfer/internal/model"
 	"specinfer/internal/tensor"
 )
@@ -14,7 +12,9 @@ import (
 // None of it carries meaning from one request to the next — every
 // buffer is fully overwritten before it is read — so a closed session
 // hands its workspace back to the Model's pool and the next session
-// starts warm (DESIGN.md §25).
+// starts warm (DESIGN.md §25). The pool is a freelist.List: sessions of
+// one Model open and close on any goroutine (two replicas can share a
+// Model), and the list drops the workspaces a burst left idle.
 type workspace struct {
 	scr  *tensor.Scratch
 	rope *tensor.RopeTable // nil for ArchOPT
@@ -58,53 +58,15 @@ func (ws *workspace) positions(n int) []int {
 	return ws.pos[:n]
 }
 
-// wsPool is a Model's free list of workspaces. Sessions of one Model may
-// open and close on any goroutine (two replicas can share a Model), so
-// the list is behind a mutex. The list keeps what a burst of sessions
-// left behind only while it is used: workspaces that stay in the list
-// through a whole window of wsTrimWindow gets are surplus and are
-// dropped for the collector, so a model serving one request at a time
-// after a burst holds one request's workspaces, not the burst's.
-type wsPool struct {
-	mu   sync.Mutex
-	free []*workspace // guarded by mu; the top of the stack is reused first
-	gets int          // guarded by mu; gets in the current trim window
-	low  int          // guarded by mu; fewest free workspaces after a get in the window
-}
-
-// wsTrimWindow is the number of gets after which the workspaces the
-// window never reached are dropped.
-const wsTrimWindow = 4
-
-// get returns a pooled workspace, or a new one when the pool is empty.
-func (p *wsPool) get(m *Model) *workspace {
-	p.mu.Lock()
-	var ws *workspace
-	if n := len(p.free); n > 0 {
-		ws = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.low = min(p.low, len(p.free))
-	if p.gets++; p.gets == wsTrimWindow {
-		// The bottom low workspaces sat idle through the window.
-		n := copy(p.free, p.free[p.low:])
-		clear(p.free[n:])
-		p.free = p.free[:n]
-		p.gets, p.low = 0, n
-	}
-	p.mu.Unlock()
-	if ws == nil {
-		ws = newWorkspace(m)
-	}
-	return ws
-}
-
-// put returns a workspace whose session has closed.
-func (p *wsPool) put(ws *workspace) {
-	p.mu.Lock()
-	p.free = append(p.free, ws)
-	p.mu.Unlock()
+// release empties the workspace for the model's pool: it drops the
+// retained tree, every K/V row header and the attention stage's
+// operands, so a pooled workspace keeps nothing alive but its own
+// buffers — not the tree arena's chunks before its last consolidation,
+// and not the closed session's cache.
+func (ws *workspace) release() {
+	ws.tree.reset()
+	ws.kv.drop()
+	ws.at = attnStage{}
 }
 
 // floatArena is a bump allocator of float32 slices over a list of

@@ -3,6 +3,7 @@ package transformer
 import (
 	"testing"
 
+	"specinfer/internal/freelist"
 	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
 	"specinfer/internal/tree"
@@ -21,6 +22,21 @@ func chainTree(root model.Token, vocab int) *tree.Tree {
 		}
 	}
 	return tr
+}
+
+// reusedSession runs use on a new session of m, closes it, and returns
+// the session opened next, which must have taken over the workspace.
+func reusedSession(t *testing.T, m *Model, use func(*Session)) *Session {
+	t.Helper()
+	a := m.NewSession().(*Session)
+	use(a)
+	ws := a.ws
+	a.Close()
+	b := m.NewSession().(*Session)
+	if b.ws != ws {
+		t.Fatal("a session opened after Close did not reuse the pooled workspace")
+	}
+	return b
 }
 
 // TestClosedSessionPanics: a closed session has handed its workspace and
@@ -47,7 +63,7 @@ func TestClosedSessionPanics(t *testing.T) {
 			s.Prefill([]model.Token{1, 2, 3})
 			s.Close()
 			s.Close()
-			live := m.NewSession().(*Session) // takes the closed session's workspace
+			live := m.NewSession().(*Session) // may take the closed session's workspace
 			live.Prefill([]model.Token{5, 6})
 			defer live.Close()
 			defer func() {
@@ -65,16 +81,11 @@ func TestClosedSessionPanics(t *testing.T) {
 // session on a fresh model.
 func TestWorkspacePooledAcrossSessions(t *testing.T) {
 	m := New(testConfig(52))
-	a := m.NewSession().(*Session)
-	a.Prefill([]model.Token{1, 2, 3, 4, 5})
-	a.DecodeTree(chainTree(5, m.cfg.Vocab))
-	a.Accept([]model.Token{6, 7, 9})
-	ws := a.ws
-	a.Close()
-	b := m.NewSession().(*Session)
-	if b.ws != ws {
-		t.Fatal("a session opened after Close did not reuse the pooled workspace")
-	}
+	b := reusedSession(t, m, func(a *Session) {
+		a.Prefill([]model.Token{1, 2, 3, 4, 5})
+		a.DecodeTree(chainTree(5, m.cfg.Vocab))
+		a.Accept([]model.Token{6, 7, 9})
+	})
 	fresh := New(testConfig(52)).NewSession()
 	prompt := []model.Token{9, 8, 7}
 	requireExact(t, "prefill", b.Prefill(prompt), fresh.Prefill(prompt))
@@ -85,6 +96,69 @@ func TestWorkspacePooledAcrossSessions(t *testing.T) {
 	}
 	path := []model.Token{8, 9, 10, 11}
 	requireExact(t, "accept", b.Accept(path), fresh.Accept(path))
+}
+
+// TestClosedWorkspaceHoldsNoStaleRows: a tree larger than any before it
+// spills the tree arena into new chunks, and the reset at Close
+// consolidates them into one. The workspace then waits in the pool, so
+// no row header, view or attention operand in it may still point into
+// the dropped chunks, or at the closed session's cache.
+func TestClosedWorkspaceHoldsNoStaleRows(t *testing.T) {
+	m := New(testConfig(55))
+	s := m.NewSession().(*Session)
+	s.Prefill([]model.Token{1, 2, 3, 4, 5})
+	s.DecodeTree(chainTree(5, m.cfg.Vocab))
+	s.Accept([]model.Token{6, 7})
+	// Three 20-node chains under the root: 61 nodes, past the one chunk
+	// the first round left.
+	big := tree.New(7)
+	for b := 0; b < 3; b++ {
+		u := big.AddChild(big.Root(), model.Token(8+b), 1, 0)
+		for d := 0; d < 19; d++ {
+			u = big.AddChild(u, model.Token((11+3*d+b)%m.cfg.Vocab), 1, 0)
+		}
+	}
+	s.DecodeTree(big)
+	ws := s.ws
+	if n := len(ws.tree.rows.chunks); n < 2 {
+		t.Fatalf("the big tree left %d arena chunks, want a spill into at least 2", n)
+	}
+	old := map[*float32]bool{}
+	for _, c := range ws.tree.rows.chunks {
+		old[&c[0]] = true
+	}
+	s.Close()
+
+	if n := len(ws.tree.rows.chunks); n != 1 || old[&ws.tree.rows.chunks[0][0]] {
+		t.Fatalf("Close left %d arena chunks, want 1 new consolidated chunk", n)
+	}
+	requireCleared := func(what string, rows [][]float32) {
+		t.Helper()
+		for i, r := range rows[:cap(rows)] {
+			if r != nil {
+				t.Fatalf("%s header %d still set after Close", what, i)
+			}
+		}
+	}
+	for l := range ws.tree.k {
+		requireCleared("tree K", ws.tree.k[l])
+		requireCleared("tree V", ws.tree.v[l])
+	}
+	requireCleared("tree distribution", ws.tree.dists)
+	requireCleared("pass K/V row", ws.kv.rows)
+	for i, v := range ws.kv.views[:cap(ws.kv.views)] {
+		if v.Data != nil {
+			t.Fatalf("pass K/V view %d still set after Close", i)
+		}
+	}
+	for i, l := range ws.kv.layers[:cap(ws.kv.layers)] {
+		if l != nil {
+			t.Fatalf("pass K/V layer %d still set after Close", i)
+		}
+	}
+	if ws.at.cache != nil || ws.at.kRows != nil || ws.at.priorK != nil || ws.at.q != nil {
+		t.Fatal("the attention stage still holds the closed session's operands")
+	}
 }
 
 // TestWarmTreePassAllocatesNothing: on a warmed session a 21-node tree
@@ -99,17 +173,15 @@ func TestWarmTreePassAllocatesNothing(t *testing.T) {
 		prompt[i] = (7 * i) % cfg.Vocab
 	}
 	// Warm the pooled workspace — scratch, RoPE table, tree arena — and
-	// the page pool on an earlier request, as a serving model is warm.
-	warm := m.NewSession()
-	warm.Prefill(prompt)
-	for i := 0; i < 64; i++ {
-		warm.DecodeTree(chainTree(model.Token(i), cfg.Vocab))
-		warm.Accept([]model.Token{(i + 1) % cfg.Vocab, (i + 2) % cfg.Vocab, 0})
-	}
-	warm.(*Session).Close()
-
-	s := m.NewSession()
-	defer s.(*Session).Close()
+	// the free KV pages on an earlier request, as a serving model is warm.
+	s := reusedSession(t, m, func(warm *Session) {
+		warm.Prefill(prompt)
+		for i := 0; i < 64; i++ {
+			warm.DecodeTree(chainTree(model.Token(i), cfg.Vocab))
+			warm.Accept([]model.Token{(i + 1) % cfg.Vocab, (i + 2) % cfg.Vocab, 0})
+		}
+	})
+	defer s.Close()
 	s.Prefill(prompt)
 	tr := chainTree(prompt[len(prompt)-1], cfg.Vocab)
 	if tr.Len() != 21 {
@@ -137,9 +209,9 @@ func TestWarmTreePassAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWorkspacePoolTrimsIdle: after a burst of sessions closes, a model
-// serving one session at a time keeps about one workspace, not the
-// burst's.
+// TestWorkspacePoolTrimsIdle: NewSession ticks the model's free list, so
+// after a burst of sessions closes, a model serving one session at a
+// time keeps about one workspace, not the burst's.
 func TestWorkspacePoolTrimsIdle(t *testing.T) {
 	m := New(testConfig(53))
 	var burst []*Session
@@ -149,15 +221,15 @@ func TestWorkspacePoolTrimsIdle(t *testing.T) {
 	for _, s := range burst {
 		s.Close()
 	}
-	if n := len(m.workspaces.free); n != 8 {
+	if n := m.workspaces.Len(); n != 8 {
 		t.Fatalf("pool holds %d workspaces after the burst, want 8", n)
 	}
-	for i := 0; i < 3*wsTrimWindow; i++ {
+	for i := 0; i < 2*freelist.Window; i++ {
 		s := m.NewSession().(*Session)
 		s.Prefill([]model.Token{1, 2})
 		s.Close()
 	}
-	if n := len(m.workspaces.free); n > 1 {
+	if n := m.workspaces.Len(); n > 1 {
 		t.Fatalf("pool holds %d workspaces after serving one session at a time, want at most 1", n)
 	}
 }
