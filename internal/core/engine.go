@@ -137,7 +137,8 @@ type Config struct {
 	// KV cache: admissions look up the longest cached prefix of their
 	// prompt and adopt its pages read-only instead of recomputing them,
 	// and committed prompt pages are inserted for later requests (see
-	// kvcache.PrefixCache). The value is the LRU eviction budget in
+	// kvcache.PrefixCache) unless the request is a guest
+	// (workload.Request.Guest). The value is the LRU eviction budget in
 	// bytes. Output is bit-identical with the cache on or off; only
 	// models whose sessions expose the paged arena (the transformer
 	// substrate) participate — others prefill cold transparently. Zero
@@ -722,7 +723,7 @@ func specDepth(batch []*reqState) int {
 // sessions (Engine.prefill).
 func (e *Engine) admit(req workload.Request) *reqState {
 	var opened []*prefixSession
-	llm, ssms := e.admissionModels(&opened)
+	llm, ssms := e.admissionModels(&opened, req.Guest)
 	st := &reqState{
 		req:     req,
 		llm:     llm.NewSession(),

@@ -32,16 +32,18 @@ type prefixShared interface {
 // incompatible K/V geometries and values. Every session it opens is
 // appended to *opened, so the admission that opened it — the LLM
 // session directly, the SSM sessions inside a speculator — can stage
-// its cache calls in the prefill phase.
+// its cache calls in the prefill phase. A guest request's sessions
+// (workload.Request.Guest) are opened as guests.
 type prefixModel struct {
 	model.Model
 	cache  *kvcache.PrefixCache
 	ns     string
+	guest  bool
 	opened *[]*prefixSession
 }
 
 func (m prefixModel) NewSession() model.Session {
-	s := &prefixSession{inner: m.Model.NewSession(), cache: m.cache, ns: m.ns}
+	s := &prefixSession{inner: m.Model.NewSession(), cache: m.cache, ns: m.ns, guest: m.guest}
 	*m.opened = append(*m.opened, s)
 	return s
 }
@@ -54,11 +56,15 @@ func (m prefixModel) NewSession() model.Session {
 // the phase, so later admissions hit (the pages of a prompt are
 // complete and immutable the moment its prefill commits — no need to
 // wait for retirement). Close inserts again, re-seeding entries the LRU
-// evicted while the request ran.
+// evicted while the request ran. A guest session looks up like any
+// other but never inserts: an overflow request placed off its affine
+// replica must not copy its tenant's prefix into this replica's cache
+// (DESIGN.md §13.5).
 type prefixSession struct {
 	inner  model.Session
 	cache  *kvcache.PrefixCache
 	ns     string
+	guest  bool
 	prompt []model.Token
 	pinned *kvcache.PinnedPrefix
 	shared int
@@ -107,10 +113,10 @@ func (s *prefixSession) Prefill(prompt []model.Token) []float32 {
 	return dist
 }
 
-// publish inserts the prefilled prompt's pages for later requests.
-// Scheduler goroutine only.
+// publish inserts the prefilled prompt's pages for later requests; a
+// guest's publish does nothing. Scheduler goroutine only.
 func (s *prefixSession) publish() {
-	if s.filled && s.arena() != nil {
+	if s.filled && !s.guest && s.arena() != nil {
 		s.cache.Insert(s.ns, s.prompt, s.arena())
 	}
 }
@@ -153,15 +159,16 @@ func (s *prefixSession) Close() {
 
 // admissionModels returns the models an admission opens its sessions
 // on: the configured ones, or — with the prefix cache on — wrappers that
-// append every session they open to *opened.
-func (e *Engine) admissionModels(opened *[]*prefixSession) (model.Model, []model.Model) {
+// append every session they open to *opened, as guests when guest is
+// set.
+func (e *Engine) admissionModels(opened *[]*prefixSession, guest bool) (model.Model, []model.Model) {
 	if e.prefix == nil {
 		return e.cfg.LLM, e.cfg.SSMs
 	}
-	llm := prefixModel{Model: e.cfg.LLM, cache: e.prefix, ns: "llm", opened: opened}
+	llm := prefixModel{Model: e.cfg.LLM, cache: e.prefix, ns: "llm", guest: guest, opened: opened}
 	ssms := make([]model.Model, len(e.cfg.SSMs))
 	for i, m := range e.cfg.SSMs {
-		ssms[i] = prefixModel{Model: m, cache: e.prefix, ns: fmt.Sprintf("ssm%d", i), opened: opened}
+		ssms[i] = prefixModel{Model: m, cache: e.prefix, ns: fmt.Sprintf("ssm%d", i), guest: guest, opened: opened}
 	}
 	return llm, ssms
 }
@@ -170,7 +177,8 @@ func (e *Engine) admissionModels(opened *[]*prefixSession) (model.Model, []model
 // prefill phase: one of its sessions could adopt more of its prompt
 // from the pages an earlier request of the phase (staged) is about to
 // insert than from what the cache holds now. It then prefills one
-// iteration later, adopting those pages (DESIGN.md §10.3).
+// iteration later, adopting those pages (DESIGN.md §10.3). A guest
+// inserts nothing, so it is never a donor.
 func waitsForInsert(st *reqState, staged []*reqState) bool {
 	if len(staged) == 0 {
 		return false
@@ -183,6 +191,9 @@ func waitsForInsert(st *reqState, staged []*reqState) bool {
 		pageRows := s.arena().PageRows()
 		have := -1 // looked up only when some donor could share
 		for _, donor := range staged {
+			if donor.req.Guest {
+				continue
+			}
 			for _, d := range donor.prefix {
 				if d.ns != s.ns {
 					continue

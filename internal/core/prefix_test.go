@@ -222,3 +222,63 @@ func TestPrefixCacheSharedPrefill(t *testing.T) {
 		t.Fatalf("prefill rows cold %d warm %d, want %d and %d", cold, warm, wantCold, wantWarm)
 	}
 }
+
+// TestGuestAdoptsButNeverInserts: a guest request (workload.Request.Guest)
+// adopts the prefix its engine's cache already holds, inserts nothing
+// through prefill or Close, and decodes exactly what the same request
+// does as a host. A guest is no donor either: a request that shares its
+// prompt prefills beside it instead of waiting for its pages.
+func TestGuestAdoptsButNeverInserts(t *testing.T) {
+	reqs := prefixTrace(2)
+	engine := func() *Engine {
+		llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+		return mustEngine(t, Config{
+			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
+			Expansion: tree.WidthConfig(2)[:3],
+			Sample:    sampling.GreedyConfig(), Seed: 17,
+			MaxBatch: 2, PrefixCacheBytes: 64 << 20,
+		})
+	}
+	guest := reqs[1]
+	guest.Guest = true
+
+	hostEng, guestEng := engine(), engine()
+	hostEng.Run(reqs[:1])
+	guestEng.Run(reqs[:1])
+	before := guestEng.PrefixCacheStats()
+	asHost, _ := hostEng.Run(reqs[1:])
+	asGuest, _ := guestEng.Run([]workload.Request{guest})
+	after := guestEng.PrefixCacheStats()
+
+	if after.Hits <= before.Hits || after.TokensShared <= before.TokensShared {
+		t.Fatalf("guest did not adopt the cached prefix: %+v -> %+v", before, after)
+	}
+	if after.Inserts != before.Inserts || after.Bytes != before.Bytes {
+		t.Fatalf("guest inserted into the cache: inserts %d -> %d, bytes %d -> %d",
+			before.Inserts, after.Inserts, before.Bytes, after.Bytes)
+	}
+	if host := hostEng.PrefixCacheStats(); host.Inserts <= before.Inserts {
+		t.Fatalf("test vacuous: the host request inserted nothing (%d -> %d)", before.Inserts, host.Inserts)
+	}
+	if after.Pinned != 0 {
+		t.Fatalf("%d pins leaked after the guest closed", after.Pinned)
+	}
+	if !reflect.DeepEqual(asGuest[0].Output, asHost[0].Output) {
+		t.Fatalf("guest output %v, host output %v", asGuest[0].Output, asHost[0].Output)
+	}
+
+	// On a cold cache a host's second request waits one iteration to
+	// adopt the first's pages; behind a guest it prefills at once.
+	firstIter := func(first workload.Request) int {
+		_, iters := engine().Run([]workload.Request{first, reqs[1]})
+		return len(iters[0].Reqs)
+	}
+	if n := firstIter(reqs[0]); n != 1 {
+		t.Fatalf("behind a host the second request stepped in iteration 0 (%d stepped)", n)
+	}
+	first := reqs[0]
+	first.Guest = true
+	if n := firstIter(first); n != 2 {
+		t.Fatalf("the second request waited on a guest's inserts (%d stepped in iteration 0)", n)
+	}
+}

@@ -3,9 +3,14 @@
 // consistent hash over their prompt's leading prefix chunk — the same
 // chunk key the kvcache prefix trie uses — so requests that share a
 // system prompt land on the replica whose prefix KV cache is already
-// warm for it. When the affine replica is saturated the router falls
-// back to the least-loaded replica, and it sheds (ErrQueueFull) only
-// when every replica's admission queue is full. Replicas are isolated
+// warm for it. Placement is work-conserving: when the affine replica
+// already holds two requests in flight and another live replica holds
+// none, the request goes to the idle replica as a guest
+// (workload.Request.Guest), which adopts that replica's cached prefixes
+// but inserts none, so each cache keeps to its own ring arc. When the
+// affine replica is saturated the router falls back to the
+// least-loaded replica, and it sheds (ErrQueueFull) only when every
+// replica's admission queue is full. Replicas are isolated
 // failure domains: a panicked or drained replica is ejected from the
 // ring and its queued work is re-routed to the survivors.
 package router

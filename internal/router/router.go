@@ -36,7 +36,8 @@ type Policy int
 const (
 	// PrefixAffinity routes by consistent hash over the prompt's
 	// leading prefix chunk, so requests sharing a system prompt land on
-	// the replica whose prefix KV cache is warm for it.
+	// the replica whose prefix KV cache is warm for it — unless that
+	// replica is busy while another idles (spillInFlight).
 	PrefixAffinity Policy = iota
 	// RoundRobin ignores the prompt and deals requests out in arrival
 	// order — the hash-blind baseline the affinity benchmark measures
@@ -101,6 +102,12 @@ type replica struct {
 	draining bool               // guarded by mu (DrainReplica was called)
 	stopped  bool               // guarded by mu (Serve has exited)
 	err      error              // guarded by mu (failure cause; nil on graceful exit)
+
+	// inFlight counts the router's requests on the replica: accepted
+	// by its Submit and not yet settled by their pump (terminal Result
+	// received, or the replica went down under them). Guarded by
+	// Router.mu, not mu: placement reads every replica's count at once.
+	inFlight int
 }
 
 // isOut reports whether placement should skip the replica (drain
@@ -111,9 +118,18 @@ func (rep *replica) isOut() bool {
 	return rep.draining || rep.stopped
 }
 
+// spillInFlight is the in-flight count at which PrefixAffinity stops
+// holding a request on its affine replica while another live replica
+// has nothing in flight: the request goes to that idle replica as a
+// guest instead. At 1 a guest's cold prefill costs about as much as
+// sharing the busy replica would; at 2 the idle replica's otherwise
+// wasted time outweighs it (DESIGN.md §13.5).
+const spillInFlight = 2
+
 // Router fronts a fleet of engine replicas: consistent-hash prefix
-// affinity for first-choice placement, least-queue-depth fallback when
-// the affine replica is saturated, shedding only when every replica's
+// affinity for first-choice placement, overflow onto an idle replica
+// when the affine one is busy, least-queue-depth fallback when the
+// affine replica is saturated, shedding only when every replica's
 // queue is full, and re-routing of queued work off drained or failed
 // replicas.
 type Router struct {
@@ -124,7 +140,8 @@ type Router struct {
 	ring     *ring  // guarded by mu
 	running  bool   // guarded by mu
 	rr       int    // guarded by mu (round-robin cursor)
-	rerouted uint64 // guarded by mu (requests landed off their first-choice replica)
+	rerouted uint64 // guarded by mu (requests landed off their first-choice replica by fallback)
+	spilled  uint64 // guarded by mu (requests placed on an idle replica as guests)
 	shed     uint64 // guarded by mu (requests refused with every queue full)
 }
 
@@ -283,8 +300,11 @@ func (r *Router) affinityKey(prompt []int) string {
 // placement returns candidate replicas in submission order: the
 // policy's first choice, then the remaining in-service replicas by
 // ascending queue depth (the saturation fallback). Drained and failed
-// replicas never appear.
-func (r *Router) placement(req workload.Request) []*replica {
+// replicas never appear. spill, when non-nil, is an idle replica to try
+// before them all with the request as a guest: under PrefixAffinity,
+// the live replica of lowest id with nothing in flight, chosen when
+// the affine replica holds spillInFlight or more.
+func (r *Router) placement(req workload.Request) (order []*replica, spill *replica) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	type cand struct {
@@ -299,7 +319,7 @@ func (r *Router) placement(req workload.Request) []*replica {
 		cands = append(cands, cand{rep, rep.eng.QueueLen()})
 	}
 	if len(cands) == 0 {
-		return nil
+		return nil, nil
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].qlen < cands[j].qlen })
 
@@ -320,35 +340,63 @@ func (r *Router) placement(req workload.Request) []*replica {
 		}
 	}
 
-	order := make([]*replica, 0, len(cands))
+	order = make([]*replica, 0, len(cands))
 	if first != nil && !first.isOut() {
 		order = append(order, first)
+		if r.cfg.Policy == PrefixAffinity && first.inFlight >= spillInFlight {
+			for _, rep := range r.reps {
+				if rep != first && rep.inFlight == 0 && !rep.isOut() {
+					spill = rep
+					break
+				}
+			}
+		}
 	}
 	for _, c := range cands {
 		if c.rep != first {
 			order = append(order, c.rep)
 		}
 	}
-	return order
+	return order, spill
 }
 
-// trySubmit offers the request to each candidate in order. Saturation
-// (queue full) and lifecycle rejections (draining, stopped) move on to
-// the next candidate; validation errors propagate immediately. When
-// every candidate refused, the error is core.ErrQueueFull if any queue
-// was actually full (the 429 shed signal) and the last lifecycle error
-// otherwise.
-func (r *Router) trySubmit(ctx context.Context, req workload.Request, order []*replica) (*replica, <-chan model.Token, <-chan core.Result, error) {
+// settle records that the pump is done with its request on rep.
+func (r *Router) settle(rep *replica) {
+	r.mu.Lock()
+	rep.inFlight--
+	r.mu.Unlock()
+}
+
+// trySubmit offers the request to spill as a guest, when set, and then
+// to each candidate in order. Saturation (queue full) and lifecycle
+// rejections (draining, stopped) move on to the next candidate;
+// validation errors propagate immediately. When every candidate
+// refused, the error is core.ErrQueueFull if any queue was actually
+// full (the 429 shed signal) and the last lifecycle error otherwise.
+func (r *Router) trySubmit(ctx context.Context, req workload.Request, order []*replica, spill *replica) (*replica, <-chan model.Token, <-chan core.Result, error) {
+	if spill != nil {
+		guest := req
+		guest.Guest = true
+		// A refusal falls through: spill is in order too, as a host.
+		if toks, res, err := spill.eng.Submit(ctx, guest); err == nil {
+			r.mu.Lock()
+			spill.inFlight++
+			r.spilled++
+			r.mu.Unlock()
+			return spill, toks, res, nil
+		}
+	}
 	sawFull := false
 	var lastErr error
 	for i, rep := range order {
 		toks, res, err := rep.eng.Submit(ctx, req)
 		if err == nil {
+			r.mu.Lock()
+			rep.inFlight++
 			if i > 0 {
-				r.mu.Lock()
 				r.rerouted++
-				r.mu.Unlock()
 			}
+			r.mu.Unlock()
 			return rep, toks, res, nil
 		}
 		switch {
@@ -388,11 +436,11 @@ func (r *Router) Submit(ctx context.Context, req workload.Request) (<-chan model
 	if req.MaxNewTok <= 0 {
 		return nil, nil, fmt.Errorf("router: Submit requires positive MaxNewTok, got %d", req.MaxNewTok)
 	}
-	order := r.placement(req)
+	order, spill := r.placement(req)
 	if len(order) == 0 {
 		return nil, nil, core.ErrNotServing
 	}
-	rep, toks, res, err := r.trySubmit(ctx, req, order)
+	rep, toks, res, err := r.trySubmit(ctx, req, order, spill)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -419,7 +467,8 @@ func retryable(err error) bool {
 // may not be marked out yet); survivors that are merely saturated are
 // retried with a short backoff, bounded by the client context and an
 // attempt cap. When every survivor is itself draining or stopped the
-// fleet is going down and resubmit fails fast.
+// fleet is going down and resubmit fails fast. A re-routed request is
+// never a guest: it takes the placement order without spilling.
 func (r *Router) resubmit(ctx context.Context, req workload.Request, exclude int) (*replica, <-chan model.Token, <-chan core.Result, error) {
 	const (
 		attempts = 200
@@ -429,7 +478,7 @@ func (r *Router) resubmit(ctx context.Context, req workload.Request, exclude int
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		order := r.placement(req)
+		order, _ := r.placement(req)
 		kept := order[:0]
 		for _, rep := range order {
 			if rep.id != exclude {
@@ -444,6 +493,7 @@ func (r *Router) resubmit(ctx context.Context, req workload.Request, exclude int
 			toks, res, err := rep.eng.Submit(ctx, req)
 			if err == nil {
 				r.mu.Lock()
+				rep.inFlight++
 				r.rerouted++
 				r.mu.Unlock()
 				return rep, toks, res, nil
@@ -467,7 +517,9 @@ func (r *Router) resubmit(ctx context.Context, req workload.Request, exclude int
 // pump forwards one request's stream from its serving replica to the
 // router-owned channels, re-routing on replica drain/failure when
 // nothing has streamed yet. It is the isolation boundary that lets
-// Submit's channels outlive any single replica.
+// Submit's channels outlive any single replica. It settles the
+// request's in-flight count on each replica it leaves, before it
+// re-routes or delivers.
 func (r *Router) pump(ctx context.Context, req workload.Request, rep *replica, toks <-chan model.Token, res <-chan core.Result, out chan<- model.Token, final chan<- core.Result) {
 	streamed := 0
 	deliver := func(result core.Result) {
@@ -493,6 +545,7 @@ func (r *Router) pump(ctx context.Context, req workload.Request, rep *replica, t
 	// onResult finishes or re-routes; reports whether the pump should
 	// keep running against a new replica.
 	onResult := func(result core.Result) bool {
+		r.settle(rep)
 		drain()
 		if retryable(result.Err) && streamed == 0 {
 			if rep2, t2, r2, err := r.resubmit(ctx, req, rep.id); err == nil {
@@ -530,6 +583,7 @@ func (r *Router) pump(ctx context.Context, req workload.Request, rep *replica, t
 				continue
 			default:
 			}
+			r.settle(rep)
 			if streamed == 0 {
 				if rep2, t2, r2, err := r.resubmit(ctx, req, rep.id); err == nil {
 					rep, toks, res = rep2, t2, r2
@@ -554,6 +608,9 @@ type ReplicaStats struct {
 	// Err is the failure cause when the replica went down for a reason
 	// other than graceful drain.
 	Err string
+	// InFlight counts the router's requests on the replica that have
+	// not yet settled; it returns to 0 once the fleet is quiet.
+	InFlight int
 	core.ServeStats
 }
 
@@ -571,8 +628,10 @@ type FleetStats struct {
 	Live, RingReplicas int
 	// Rerouted counts requests that landed off their first-choice
 	// replica (saturation fallback or post-drain/failure re-routing);
-	// Shed counts requests refused with every replica's queue full.
-	Rerouted, Shed uint64
+	// Spilled counts requests placed on an idle replica as guests while
+	// their affine replica was busy; Shed counts requests refused with
+	// every replica's queue full.
+	Rerouted, Spilled, Shed uint64
 	// Aggregate counters summed over replicas.
 	Submitted, Completed, Canceled, Rejected uint64
 	TokensCommitted                          uint64
@@ -673,7 +732,11 @@ func (r *Router) FleetStats() FleetStats {
 		fs.MeanAcceptedLen = float64(fs.SpecTokensAccepted) / float64(fs.SpecVerifications)
 	}
 	r.mu.Lock()
+	for i, rep := range r.reps {
+		fs.Replicas[i].InFlight = rep.inFlight
+	}
 	fs.Rerouted = r.rerouted
+	fs.Spilled = r.spilled
 	fs.Shed = r.shed
 	fs.RingReplicas = r.ring.size()
 	r.mu.Unlock()

@@ -138,6 +138,18 @@ func startRouter(t *testing.T, r *Router) (context.CancelFunc, chan error) {
 	return cancel, done
 }
 
+// assertSettled fails unless every replica's in-flight count is back
+// to 0: each request the router placed was settled exactly once, on
+// completion, cancel, re-route, drain or replica loss.
+func assertSettled(t *testing.T, r *Router) {
+	t.Helper()
+	for _, rs := range r.FleetStats().Replicas {
+		if rs.InFlight != 0 {
+			t.Fatalf("replica %d still counts %d requests in flight", rs.ID, rs.InFlight)
+		}
+	}
+}
+
 func mustFleetResult(t *testing.T, results <-chan core.Result, within time.Duration) core.Result {
 	t.Helper()
 	select {
@@ -399,6 +411,7 @@ func TestDrainReplicaMidTraceLosesNothing(t *testing.T) {
 	for err := range errCh {
 		t.Errorf("accepted request lost: %v", err)
 	}
+	assertSettled(t, r)
 
 	fs := r.FleetStats()
 	if fs.Replicas[1].State != "down" && fs.Replicas[1].State != "draining" {
@@ -421,6 +434,7 @@ func TestDrainReplicaMidTraceLosesNothing(t *testing.T) {
 	if after := engs[1].ServeStats().Submitted; after != before {
 		t.Fatalf("drained replica accepted new work (%d -> %d)", before, after)
 	}
+	assertSettled(t, r)
 
 	cancel()
 	if err := <-done; err != nil {
@@ -458,6 +472,7 @@ func TestReplicaPanicIsolation(t *testing.T) {
 	if len(out.Output) != 4 {
 		t.Fatalf("re-routed request output %d tokens, want 4", len(out.Output))
 	}
+	assertSettled(t, r)
 
 	// Replica 0 must be down with a recorded cause; the fleet serves on.
 	deadline := time.Now().Add(5 * time.Second)
@@ -488,6 +503,7 @@ func TestReplicaPanicIsolation(t *testing.T) {
 			t.Fatalf("request after failure: %v", out.Err)
 		}
 	}
+	assertSettled(t, r)
 
 	cancel()
 	err = <-done
@@ -552,6 +568,7 @@ func TestReplicaPrefillPanicOnWorkerContained(t *testing.T) {
 			t.Fatalf("request %d: err %v, %d tokens; want re-routed and complete", i, out.Err, len(out.Output))
 		}
 	}
+	assertSettled(t, r)
 	fs := r.FleetStats()
 	if fs.Replicas[0].State != "down" || !strings.Contains(fs.Replicas[0].Err, "poisoned prefill") {
 		t.Fatalf("replica 0: state %q err %q, want down with the prefill panic", fs.Replicas[0].State, fs.Replicas[0].Err)
@@ -600,6 +617,7 @@ func TestReplicaLossMidStream(t *testing.T) {
 	if streamed == 0 || streamed >= 50 {
 		t.Fatalf("streamed %d tokens, want partial progress", streamed)
 	}
+	assertSettled(t, r)
 }
 
 // TestFleetRollup: the rollup sums counters across replicas and pools
@@ -663,6 +681,127 @@ func TestFleetRollup(t *testing.T) {
 	if fs.Live != 3 || fs.RingReplicas != 3 {
 		t.Fatalf("live %d ring %d, want 3 and 3", fs.Live, fs.RingReplicas)
 	}
+	// One request at a time never leaves a replica busy: pure affinity.
+	if fs.Spilled != 0 {
+		t.Fatalf("sequential traffic spilled %d requests", fs.Spilled)
+	}
+	assertSettled(t, r)
+}
+
+// TestSpillToIdleReplica: under PrefixAffinity a request leaves its
+// affine replica only when that replica holds spillInFlight requests
+// and another live replica holds none; it then lands on the idle one
+// as a guest, counted in Spilled, not Rerouted. With every replica
+// busy it stays affine. Each replica's model gates its sessions at the
+// first decode, so requests stay in flight until the test releases
+// them.
+func TestSpillToIdleReplica(t *testing.T) {
+	const gated = 7
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	entered := []chan struct{}{make(chan struct{}, 8), make(chan struct{}, 8)}
+	engs := newFleet(t, 2, func(i int) *fleetModel {
+		return &fleetModel{vocab: 16, tok: 3, gateTok: gated, gate: gates[i], entered: entered[i]}
+	}, func(cfg *core.Config) { cfg.MaxBatch = 4 })
+	r, err := New(Config{Replicas: engs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel, done := startRouter(t, r)
+	var once sync.Once
+	release := func() { once.Do(func() { close(gates[0]); close(gates[1]) }) }
+	defer func() {
+		release() // a failed check must not leave the replicas gated
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("Run returned %v", err)
+		}
+	}()
+
+	prompt := []int{gated, 2, 3}
+	affine, _ := r.ring.lookup(r.affinityKey(prompt))
+	idle := 1 - affine
+	var results []<-chan core.Result
+	submit := func(id int) {
+		t.Helper()
+		_, res, err := r.Submit(context.Background(), workload.Request{ID: id, Prompt: prompt, MaxNewTok: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	waitEntered := func(rep int) {
+		t.Helper()
+		select {
+		case <-entered[rep]:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("replica %d never reached a gated decode", rep)
+		}
+	}
+	submitted := func() [2]uint64 {
+		return [2]uint64{engs[0].ServeStats().Submitted, engs[1].ServeStats().Submitted}
+	}
+
+	submit(0)
+	waitEntered(affine) // the affine replica is inside request 0's first step
+	submit(1)           // one in flight is not busy enough to spill
+	if got := submitted(); got[affine] != 2 || got[idle] != 0 {
+		t.Fatalf("second request placed %v, want both on affine replica %d", got, affine)
+	}
+	submit(2) // the affine replica holds 2, the other none: spill
+	if got := submitted(); got[affine] != 2 || got[idle] != 1 {
+		t.Fatalf("third request placed %v, want it on idle replica %d", got, idle)
+	}
+	waitEntered(idle) // the guest holds the idle replica too
+	submit(3)         // every replica busy: pure affinity
+	if got := submitted(); got[affine] != 3 || got[idle] != 1 {
+		t.Fatalf("fourth request placed %v, want it on affine replica %d", got, affine)
+	}
+
+	fs := r.FleetStats()
+	if fs.Spilled != 1 || fs.Rerouted != 0 {
+		t.Fatalf("spilled %d rerouted %d, want 1 and 0", fs.Spilled, fs.Rerouted)
+	}
+	if fs.Replicas[affine].InFlight != 3 || fs.Replicas[idle].InFlight != 1 {
+		t.Fatalf("in flight %d/%d, want 3 on the affine replica and 1 on the idle one",
+			fs.Replicas[affine].InFlight, fs.Replicas[idle].InFlight)
+	}
+	release()
+	for i, res := range results {
+		if out := mustFleetResult(t, res, 10*time.Second); out.Err != nil || len(out.Output) != 2 {
+			t.Fatalf("request %d: err %v, %d tokens", i, out.Err, len(out.Output))
+		}
+	}
+	assertSettled(t, r)
+}
+
+// TestInFlightSettlesOnCancel: a request its client cancels mid-stream
+// retires with the context's error and leaves nothing in flight.
+func TestInFlightSettlesOnCancel(t *testing.T) {
+	engs := newFleet(t, 2, func(int) *fleetModel {
+		return &fleetModel{vocab: 16, tok: 3, delay: time.Millisecond}
+	}, nil)
+	r, err := New(Config{Replicas: engs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, done := startRouter(t, r)
+	defer func() {
+		stop()
+		if err := <-done; err != nil {
+			t.Fatalf("Run returned %v", err)
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	toks, res, err := r.Submit(ctx, workload.Request{ID: 1, Prompt: []int{1, 2, 3}, MaxNewTok: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-toks
+	cancel()
+	if out := mustFleetResult(t, res, 10*time.Second); !errors.Is(out.Err, context.Canceled) {
+		t.Fatalf("canceled request err %v, want context.Canceled", out.Err)
+	}
+	assertSettled(t, r)
 }
 
 // TestSubmitBeforeRun: a fleet that is not serving rejects cleanly.

@@ -476,8 +476,11 @@ type routerMetrics struct {
 	Live         int `json:"live"`
 	RingReplicas int `json:"ring_replicas"`
 	// Rerouted counts requests that landed off their first-choice
-	// replica; Shed counts requests refused with every queue full.
+	// replica by fallback; Spilled counts requests placed on an idle
+	// replica as guests; Shed counts requests refused with every queue
+	// full.
 	Rerouted uint64 `json:"rerouted"`
+	Spilled  uint64 `json:"spilled"`
 	Shed     uint64 `json:"shed"`
 }
 
@@ -487,6 +490,8 @@ type replicaMetrics struct {
 	ID    int    `json:"id"`
 	State string `json:"state"`
 	Err   string `json:"err,omitempty"`
+	// InFlight counts the router's unsettled requests on the replica.
+	InFlight int `json:"in_flight"`
 	metriczResponse
 }
 
@@ -617,12 +622,12 @@ func fleetMetricz(fs router.FleetStats) metriczResponse {
 		Router: &routerMetrics{
 			Policy:   fs.Policy,
 			Replicas: len(fs.Replicas), Live: fs.Live, RingReplicas: fs.RingReplicas,
-			Rerouted: fs.Rerouted, Shed: fs.Shed,
+			Rerouted: fs.Rerouted, Spilled: fs.Spilled, Shed: fs.Shed,
 		},
 	}
 	var agg *prefixCacheMetrics
 	for _, rs := range fs.Replicas {
-		rm := replicaMetrics{ID: rs.ID, State: rs.State, Err: rs.Err,
+		rm := replicaMetrics{ID: rs.ID, State: rs.State, Err: rs.Err, InFlight: rs.InFlight,
 			metriczResponse: statsToMetricz(rs.ServeStats)}
 		resp.Replicas = append(resp.Replicas, rm)
 		resp.ActiveRequests += rs.ActiveRequests

@@ -390,7 +390,7 @@ func (s *Session) Prefill(prompt []model.Token) []float32 {
 		panic("transformer: empty prompt")
 	}
 	if s.ref {
-		s.commitPass(prompt)
+		s.commitPass(prompt, true)
 	} else {
 		s.prefillChunked(prompt)
 	}
@@ -400,10 +400,12 @@ func (s *Session) Prefill(prompt []model.Token) []float32 {
 
 // prefillChunked commits tokens through the forward pass in prefillChunk
 // batches at the next positions, each chunk before the next so later
-// chunks attend the earlier ones through the KV cache.
+// chunks attend the earlier ones through the KV cache. Only the last
+// chunk runs the LM head.
 func (s *Session) prefillChunked(tokens []model.Token) {
 	for off := 0; off < len(tokens); off += prefillChunk {
-		s.commitPass(tokens[off:min(off+prefillChunk, len(tokens))])
+		end := min(off+prefillChunk, len(tokens))
+		s.commitPass(tokens[off:end], end == len(tokens))
 	}
 }
 
@@ -468,7 +470,7 @@ func (s *Session) Decode(tok model.Token) []float32 {
 	}
 	toks := s.ws.tokens(1)
 	toks[0] = tok
-	s.commitPass(toks)
+	s.commitPass(toks, true)
 	s.invalidateTree()
 	return cloneVec(s.lastDist)
 }
@@ -545,7 +547,7 @@ func (s *Session) DecodeTree(t *tree.Tree) [][]float32 {
 			dists, k, v := s.forwardReference(tokens, positions, ts.mask)
 			s.retain(dists, k, v)
 		} else {
-			logits, k, v := s.forwardBatched(tokens, positions, ts.mask, prior, true)
+			logits, k, v := s.forwardBatched(tokens, positions, ts.mask, prior, true, nNew)
 			for i := 0; i < nNew; i++ {
 				d := ts.rows.alloc(logits.Cols)
 				copy(d, logits.Row(i))
@@ -621,7 +623,7 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 	// attends the committed cache plus its batch predecessors under plain
 	// causality, which is bit-identical to committing them one at a time.
 	if rest := tokens[i:]; len(rest) > 0 {
-		s.commitPass(rest)
+		s.commitPass(rest, true)
 	}
 	return cloneVec(s.lastDist)
 }
@@ -699,12 +701,14 @@ func (s *Session) mm(i int, x, out *tensor.Matrix) {
 }
 
 // commitPass runs tokens at the next positions through the forward pass
-// under plain causality, commits their K/V rows at once, advances the
-// committed length, and leaves the last token's distribution in
-// s.lastDist (the workspace's buffer). On the batched path the rows live
-// in the scratch arena only until commitRows copies them into arena
-// pages, so a committed pass allocates no per-row storage.
-func (s *Session) commitPass(tokens []model.Token) {
+// under plain causality, commits their K/V rows at once and advances the
+// committed length. With dist set it leaves the last token's
+// distribution in s.lastDist (the workspace's buffer); the batched path
+// runs the LM head on that one row, and without dist (a prefill chunk
+// before the last) on none. On the batched path the rows live in the
+// scratch arena only until commitRows copies them into arena pages, so
+// a committed pass allocates no per-row storage.
+func (s *Session) commitPass(tokens []model.Token, dist bool) {
 	positions := s.ws.positions(len(tokens))
 	for i := range positions {
 		positions[i] = s.n + i
@@ -715,12 +719,20 @@ func (s *Session) commitPass(tokens []model.Token) {
 		s.commitRows(k, v)
 		last = dists[len(dists)-1]
 	} else {
-		logits, k, v := s.forwardBatched(tokens, positions, nil, nil, false)
+		head := 0
+		if dist {
+			head = 1
+		}
+		logits, k, v := s.forwardBatched(tokens, positions, nil, nil, false, head)
 		s.commitRows(k, v)
-		last = logits.Row(len(tokens) - 1)
+		if dist {
+			last = logits.Row(0)
+		}
 	}
-	s.lastDist = s.ws.last
-	copy(s.lastDist, last)
+	if last != nil {
+		s.lastDist = s.ws.last
+		copy(s.lastDist, last)
+	}
 	s.n += len(tokens)
 }
 
@@ -796,13 +808,16 @@ type priorRows struct {
 // the in-pass segment's dot-then-scale, and a key's position in the score
 // vector never changes its arithmetic (DESIGN.md §16, §21).
 //
-// It returns the pass's row-softmaxed logits, in the scratch arena, and
-// the new rows' K/V per layer under the workspace's headers, valid until
-// the next pass. The rows of a tree pass (retain) outlive it: they are
-// drawn from the tree arena, which keeps them until the tree is dropped;
-// a committed pass's are copied into arena pages at once, so they live in
-// the scratch arena.
-func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows, retain bool) (logits *tensor.Matrix, newK, newV [][][]float32) {
+// It returns the row-softmaxed logits of the pass's last head rows (nil
+// when head is 0), in the scratch arena, and the new rows' K/V per layer
+// under the workspace's headers, valid until the next pass. A tree pass
+// asks for every row's distribution, a committed pass for the last
+// one's at most: rows are independent, so the head rows' bits do not
+// depend on how many others ran the head. The rows of a tree pass
+// (retain) outlive it: they are drawn from the tree arena, which keeps
+// them until the tree is dropped; a committed pass's are copied into
+// arena pages at once, so they live in the scratch arena.
+func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask func(i, j int) bool, prior *priorRows, retain bool, head int) (logits *tensor.Matrix, newK, newV [][][]float32) {
 	cfg := s.m.cfg
 	ws := s.ws
 	nNew := len(tokens)
@@ -928,12 +943,17 @@ func (s *Session) forwardBatched(tokens []model.Token, positions []int, mask fun
 		}
 	}
 
-	// Final norm + one batched LM-head projection + row softmax, left in
-	// the scratch arena for the caller to copy out what it keeps.
-	for i := 0; i < nNew; i++ {
-		s.m.norm(x.Row(i), s.m.finalNorm, s.m.finalNormBias, h1.Row(i))
+	// Final norm + one batched LM-head projection + row softmax over the
+	// last head rows, left in the scratch arena for the caller to copy
+	// out.
+	if head == 0 {
+		return nil, newK, newV
 	}
-	logits = scr.Mat("logits", nNew, cfg.Vocab)
+	h1 = scr.Mat("h1", head, cfg.Hidden) // the same storage, head rows
+	for i := 0; i < head; i++ {
+		s.m.norm(x.Row(nNew-head+i), s.m.finalNorm, s.m.finalNormBias, h1.Row(i))
+	}
+	logits = scr.Mat("logits", head, cfg.Vocab)
 	s.mm(len(s.m.projs)-1, h1, logits) // the LM head is the last projection
 	tensor.SoftmaxRows(logits)
 	return logits, newK, newV

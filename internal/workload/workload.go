@@ -254,6 +254,11 @@ type Request struct {
 	// open with the same prompt prefix. Routing benchmarks use it to
 	// check that affinity placement keeps a group on one replica.
 	Group int
+	// Guest marks a request served off its prefix-affine replica as
+	// overflow: it adopts any prefix its replica's cache already holds
+	// but inserts none of its own, so each replica's prefix cache keeps
+	// to its own ring arc. The router sets it; traces leave it false.
+	Guest bool
 }
 
 // Trace builds a request trace of n requests with fixed prompt length and

@@ -133,6 +133,21 @@ case "$fleet" in
     exit 1
     ;;
 esac
+case "$fleet" in
+*'"spilled":'*) ;;
+*)
+    echo "servesmoke: fleet metricz router block missing spilled" >&2
+    exit 1
+    ;;
+esac
+# Both requests finished, so the router holds nothing in flight: every
+# replica entry reports in_flight 0.
+settled=$(printf '%s' "$fleet" | grep -o '"in_flight":0[,}]' | wc -l)
+inflight=$(printf '%s' "$fleet" | grep -o '"in_flight":' | wc -l)
+if [ "$inflight" -ne 2 ] || [ "$settled" -ne 2 ]; then
+    echo "servesmoke: $settled of $inflight replica entries report in_flight 0, want 2 of 2" >&2
+    exit 1
+fi
 live_entries=$(printf '%s' "$fleet" | grep -o '"state":"live"' | wc -l)
 if [ "$live_entries" -lt 2 ]; then
     echo "servesmoke: per-replica array reports $live_entries live entries, want 2" >&2
