@@ -59,9 +59,14 @@ type Config struct {
 	// SSMs is the speculative model pool (ignored for Incremental).
 	SSMs []model.Model
 	// Expansion is the token tree expansion configuration for TreeSpec;
-	// defaults to the paper's ⟨1,1,3,1,1,1,1,1⟩.
+	// defaults to the paper's ⟨1,1,3,1,1,1,1,1⟩. Run and RunOnline draft
+	// it whole on every step. Under Serve it is the ceiling the engine's
+	// shape chooser cuts: each step drafts its first d levels, or none,
+	// whichever the measured step costs and acceptance say commits
+	// tokens fastest (DESIGN.md §26).
 	Expansion tree.ExpansionConfig
 	// SeqDepth is the speculation depth for SequenceSpec; defaults to 8.
+	// Under Serve it is a ceiling, like Expansion.
 	SeqDepth int
 	// Sample is the decode policy applied to every request.
 	Sample sampling.Config
@@ -111,7 +116,10 @@ type Config struct {
 	// with dynamic best-first tree growth under this budget (the paper's
 	// stated future work; see tree.Budget, whose zero fields take its
 	// defaults). Every SSM of the pool grows a tree, and the merged tree
-	// is pruned back to the node budget. TreeSpec mode only.
+	// is pruned back to the node budget. TreeSpec mode only. Under Serve
+	// the budget is a ceiling, like Expansion: each step grows its tree
+	// under the budget with MaxDepth cut to the depth the shape chooser
+	// grants, or decodes incrementally.
 	Adaptive *tree.Budget
 	// Policy, when non-nil, enables the per-request, per-iteration
 	// speculation policy engine (see internal/policy): each iteration
@@ -122,15 +130,15 @@ type Config struct {
 	// (throughput mode). The admission-queue depth is the backlog the
 	// scheduler loop's source reports: the Submit queue under Serve,
 	// the arrived-but-unadmitted requests under RunOnline, and none
-	// under Run. Under Serve each request's step is also timed with
-	// Clock, and the controller floors a request's budget to zero
-	// whenever an incremental step is expected to commit more tokens
-	// per second than the speculative one; a zero-budget step samples
-	// from the LLM's last distribution and decodes one token, with no
-	// tree, verifier or SSM forward (DESIGN.md §19). Run and RunOnline
-	// measure nothing and never floor. TreeSpec mode only; conflicts
-	// with Adaptive (the policy already drives the adaptive grower,
-	// with a moving budget).
+	// under Run. Under Serve the rule's budget is only the ceiling: the
+	// engine's shape chooser cuts it to the depth, or to zero, that the
+	// measured step costs and acceptance say commits tokens fastest,
+	// as it does Expansion and Adaptive without a Policy (DESIGN.md §19,
+	// §26). A zero-budget step samples from the LLM's last distribution
+	// and decodes one token, with no tree, verifier or SSM forward. Run
+	// and RunOnline measure nothing and grant the rule's budget whole.
+	// TreeSpec mode only; conflicts with Adaptive (the policy already
+	// drives the adaptive grower, with a moving budget).
 	Policy *policy.Config
 
 	// PrefixCacheBytes, when positive, enables the cross-request prefix
@@ -161,7 +169,7 @@ type Config struct {
 	LatencyWindow int
 	// Clock supplies wall-clock time for live serving (queue-delay and
 	// latency accounting in Serve/Submit, the drain deadline, and the
-	// per-step costs the speculation policy prices its decisions with).
+	// per-step costs the shape chooser prices its decisions with).
 	// nil defaults to the real clock. Run and RunOnline never read it:
 	// their clock is virtual (RunOnline's advances by its
 	// IterationPricer), so their determinism does not depend on this
@@ -309,9 +317,8 @@ type IterationRecord struct {
 	// order; its length is the iteration's batch size.
 	Reqs []ReqIter
 	// SpecSteps is the number of SSM decoding levels used to build the
-	// trees: 0 for incremental decoding, and under the speculation
-	// policy the deepest budget it granted (0 when every step of the
-	// iteration was zero-budget).
+	// trees: the deepest row's Depth, 0 for incremental decoding and
+	// when every step of the iteration was a zero step.
 	SpecSteps int
 	// PolicyMode is the speculation policy's mode this iteration
 	// ("latency" or "throughput"); empty when the policy engine is
@@ -352,10 +359,12 @@ type ReqIter struct {
 	// accepted — the committed run minus the bonus token, before
 	// budget/EOS truncation — i.e. the verifier's accept length, the
 	// quantity traversal verification improves over MSS. -1 when the
-	// verification failed. 0 for a step that verified nothing: every
-	// step of incremental decoding (the record's SpecSteps is 0) and a
-	// zero-budget policy step (PolicyNodes == 0).
+	// verification failed. 0 for a step that verified nothing (Depth 0).
 	SpecAccepted int
+	// Depth is how many SSM decoding levels the step's shape drafted: 0
+	// for an incremental step — every step of incremental decoding, and
+	// a zero step the shape chooser granted under Serve.
+	Depth int
 	// PolicyNodes is the speculated-node budget the policy granted
 	// (scaled by the request's accept-length EWMA within the mode's
 	// ceiling); 0 marks a zero-budget step, which decoded one token
@@ -377,6 +386,15 @@ type Engine struct {
 	// pol is the speculation policy controller, non-nil when
 	// Config.Policy is set (see policy.go).
 	pol *policy.Controller
+	// shapes prices every speculating request's steps under Serve: the
+	// controller's chooser under Config.Policy, else the engine's own
+	// (nil for incremental decoding). ceiling is the shape it cuts
+	// without a Policy — the admitted static or adaptive shape, the
+	// same for every request — and ceilNodes[d-1] the speculated nodes
+	// of its cut to d levels.
+	shapes    *policy.Chooser
+	ceiling   speculator.Shape
+	ceilNodes []int
 
 	// mu guards srv, the live-serving state installed by Serve. Run and
 	// RunOnline never touch it.
@@ -394,12 +412,28 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg}
-	if cfg.Policy != nil {
+	switch {
+	case cfg.Policy != nil:
 		ctl, err := policy.NewController(*cfg.Policy)
 		if err != nil {
 			return nil, err
 		}
-		e.pol = ctl
+		e.pol, e.shapes = ctl, ctl.Chooser()
+	case cfg.Mode != Incremental:
+		pool := len(cfg.SSMs)
+		switch {
+		case cfg.Mode == SequenceSpec:
+			// The baseline drafts one sequence from the first SSM.
+			e.ceiling, pool = speculator.Shape{Expansion: tree.SequenceConfig(cfg.SeqDepth)}, 1
+		case cfg.Adaptive != nil:
+			e.ceiling = speculator.Shape{Budget: cfg.Adaptive.WithDefaults()}
+		default:
+			e.ceiling = speculator.Shape{Expansion: cfg.Expansion}
+		}
+		e.shapes = policy.NewChooser()
+		for d := 1; d <= e.ceiling.Depth(); d++ {
+			e.ceilNodes = append(e.ceilNodes, e.ceiling.Cut(d).Nodes(pool))
+		}
 	}
 	if cfg.PrefixCacheBytes > 0 {
 		e.prefix = kvcache.NewPrefixCache(cfg.PrefixCacheBytes)
@@ -417,10 +451,11 @@ type reqState struct {
 	req  workload.Request
 	llm  model.Session
 	spec *speculator.Speculator // nil for incremental decoding
-	// shape is the tree the next step drafts: fixed at admission, or
-	// written by decidePolicy each iteration on the scheduler goroutine
-	// before the worker pool starts. A shape that drafts nothing makes
-	// the step an incremental one.
+	// shape is the tree the next step drafts: the engine's ceiling,
+	// fixed at admission under Run and RunOnline, or written each
+	// iteration on the scheduler goroutine before the worker pool
+	// starts, by decidePolicy or the shape chooser. A shape that drafts
+	// nothing makes the step an incremental one.
 	shape    speculator.Shape
 	lastTok  model.Token
 	lastDist []float32
@@ -466,7 +501,7 @@ type source interface {
 // under Orca-style iteration-level scheduling: admit into free slots
 // (as soon as one frees, not when the batch drains), prefill the newly
 // admitted, step the batch, retire the finished. clock, when non-nil
-// (live serving), times each step for the speculation policy.
+// (live serving), times each step for the shape chooser.
 func (e *Engine) schedule(src source, clock func() time.Time) {
 	var active []*reqState
 	// Normal exits leave nothing active. A panic unwinding the loop (a
@@ -513,17 +548,25 @@ func (e *Engine) schedule(src source, clock func() time.Time) {
 // keeps the loop race-clean (the engine tests run it under -race).
 //
 // queued is the admission backlog the speculation policy decides with.
-// clock, when non-nil, times each step inside its worker; the policy
-// folds those costs in serially, in slot order, after the pool
+// clock, when non-nil, times each step inside its worker; the shape
+// chooser folds those costs in serially, in slot order, after the pool
 // finishes, and prices the next iteration's decisions with them.
 // Prefill time is not part of any step's cost.
 func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time) IterationRecord {
 	rec := IterationRecord{Reqs: make([]ReqIter, len(batch))}
-	measured := e.pol != nil && clock != nil
-	if e.pol != nil {
+	measured := e.shapes != nil && clock != nil
+	switch {
+	case e.pol != nil:
 		e.decidePolicy(batch, queued, &rec, measured)
+	case measured:
+		for _, st := range batch {
+			st.shape = e.ceiling.Cut(e.shapes.Choose(st.req.ID, e.ceilNodes))
+		}
 	}
-	rec.SpecSteps = specDepth(batch)
+	for i, st := range batch {
+		rec.Reqs[i].Depth = st.shape.Depth()
+		rec.SpecSteps = max(rec.SpecSteps, rec.Reqs[i].Depth)
+	}
 	var durs []time.Duration
 	if measured {
 		durs = make([]time.Duration, len(batch))
@@ -544,17 +587,19 @@ func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time
 			row.PrefixSharedToks = ps.PrefixSharedTokens()
 		}
 	})
-	if e.pol != nil {
-		// Serial, in slot order: the estimate update sequence must not
-		// depend on worker interleaving. A zero-budget step verified
-		// nothing, so only its cost is evidence.
-		for i, row := range rec.Reqs {
-			if row.PolicyNodes > 0 {
-				e.pol.Observe(row.ID, row.SpecAccepted)
-			}
-			if measured {
-				e.pol.ObserveCost(row.ID, row.PolicyNodes, durs[i].Seconds())
-			}
+	// Serial, in slot order: the estimate update sequence must not
+	// depend on worker interleaving. A zero step verified nothing, so
+	// only its cost is evidence.
+	for i, row := range rec.Reqs {
+		switch {
+		case row.Depth == 0:
+		case e.pol != nil:
+			e.pol.Observe(row.ID, row.SpecAccepted)
+		case measured:
+			e.shapes.ObserveAccept(row.ID, row.SpecAccepted)
+		}
+		if measured {
+			e.shapes.ObserveCost(row.ID, row.TreeNodes, durs[i].Seconds())
 		}
 	}
 	return rec
@@ -694,7 +739,7 @@ func sessionCacheBytes(s model.Session) int64 {
 // peak cache footprint by the active batch, not the whole trace. The
 // policy controller's acceptance history is retired with the request
 // for the same reason: the EWMA map stays bounded by the active batch,
-// not the lifetime request count.
+// not the lifetime request count; so is the shape chooser's.
 func (e *Engine) release(st *reqState) {
 	if c, ok := st.llm.(model.Closer); ok {
 		c.Close()
@@ -702,20 +747,12 @@ func (e *Engine) release(st *reqState) {
 	if st.spec != nil {
 		st.spec.Close()
 	}
-	if e.pol != nil {
+	switch {
+	case e.pol != nil:
 		e.pol.Retire(st.req.ID)
+	case e.shapes != nil:
+		e.shapes.Retire(st.req.ID)
 	}
-}
-
-// specDepth is the number of SSM decoding levels an iteration runs:
-// levels run data parallel across the batch, so the deepest shape
-// bounds the speculation phase.
-func specDepth(batch []*reqState) int {
-	depth := 0
-	for _, st := range batch {
-		depth = max(depth, st.shape.Depth())
-	}
-	return depth
 }
 
 // admit opens a request's sessions and RNG stream. It is bookkeeping
@@ -737,21 +774,15 @@ func (e *Engine) admit(req workload.Request) *reqState {
 			ForceTopK: e.cfg.ForceTopK,
 			Seed:      e.cfg.Seed ^ uint64(req.ID)<<17,
 		}
-		switch {
-		case e.cfg.Mode == SequenceSpec:
+		if e.cfg.Mode == SequenceSpec {
 			// The baseline drafts one sequence from the first SSM. Its
 			// SampleK draws come from seed 0: one stream shared by every
 			// request, unlike TreeSpec's per-request seeds.
 			cfg = speculator.Config{Sample: e.cfg.Sample}
 			ssms = ssms[:1]
-			st.shape = speculator.Shape{Expansion: tree.SequenceConfig(e.cfg.SeqDepth)}
-		case e.pol != nil:
-			// decidePolicy writes the shape every iteration.
-		case e.cfg.Adaptive != nil:
-			st.shape = speculator.Shape{Budget: e.cfg.Adaptive.WithDefaults()}
-		default:
-			st.shape = speculator.Shape{Expansion: e.cfg.Expansion}
 		}
+		// Under a Policy decidePolicy writes the shape every iteration.
+		st.shape = e.ceiling
 		st.spec = speculator.New(cfg, ssms...)
 	}
 	st.prefix = opened

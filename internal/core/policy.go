@@ -13,7 +13,8 @@ import (
 // batch-global (its inputs — queue depth and occupancy — are shared);
 // the budget is per-request (scaled by each request's accept-length
 // EWMA) and lands in the request's row of rec. With measured costs the
-// controller may floor a request's budget to zero.
+// budget is a ceiling: the controller's chooser cuts it to the depth,
+// or to zero, that commits tokens fastest (DESIGN.md §26).
 func (e *Engine) decidePolicy(batch []*reqState, queued int, rec *IterationRecord, measured bool) {
 	rec.PolicyMode = e.pol.ModeFor(queued, len(batch), e.cfg.MaxBatch).String()
 	decide := e.pol.Decide

@@ -90,10 +90,12 @@ func (s *poisonSession) Close() {
 // requests, and however they end — completion, a cancel mid-stream, a
 // drain timeout, or a panic in a decode or a prefill that unwinds Serve
 // with its value unchanged — everything a request
-// held returns to zero: prefix-cache pins, the policy's per-request
-// history, LLM sessions (and with them their KV pages), active KV bytes
-// and queued requests. Every case adopts a cached prefix, so the pin
-// check is not vacuous.
+// held returns to zero: prefix-cache pins, the policy's and the shape
+// chooser's per-request history, LLM sessions (and with them their KV
+// pages), active KV bytes and queued requests. Every case adopts a
+// cached prefix, so the pin check is not vacuous. Every case but one
+// runs the policy; the other serves the static tree, priced by the
+// engine's own shape chooser.
 func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 	prompt := prefixTrace(1)[0].Prompt[:64] // exactly one KV page
 	poison := (prompt[63] + 1) % 192
@@ -142,13 +144,20 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 			t.Fatal("the poisoned request never panicked")
 		}
 	}
+	serveComplete := func(t *testing.T, eng *Engine) {
+		cancel, done := startServe(t, eng)
+		serveAll(t, eng, []workload.Request{short(1, a), short(2, b)})
+		waitStats(t, eng, func(st ServeStats) bool { return st.ActiveRequests == 0 && st.KVBytesActive == 0 })
+		waitServeExit(t, cancel, done)
+	}
 	cases := []struct {
 		name         string
 		drainTimeout time.Duration
 		panicAt      int
+		noPolicy     bool
 		serve        func(t *testing.T, eng *Engine)
 	}{
-		{"Run", 0, 0, func(t *testing.T, eng *Engine) {
+		{"Run", 0, 0, false, func(t *testing.T, eng *Engine) {
 			res, _ := eng.Run([]workload.Request{short(1, a), short(2, b)})
 			for _, r := range res {
 				if r.Err != nil || len(r.Output) != 8 {
@@ -156,7 +165,7 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 				}
 			}
 		}},
-		{"RunOnline", 0, 0, func(t *testing.T, eng *Engine) {
+		{"RunOnline", 0, 0, false, func(t *testing.T, eng *Engine) {
 			trace := []TimedRequest{{Request: short(1, a)}, {Request: short(2, b), Arrival: 0.01}}
 			res, _ := eng.RunOnline(trace, func(IterationRecord) float64 { return 1e-3 })
 			for _, r := range res {
@@ -165,13 +174,9 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 				}
 			}
 		}},
-		{"Serve/complete", 0, 0, func(t *testing.T, eng *Engine) {
-			cancel, done := startServe(t, eng)
-			serveAll(t, eng, []workload.Request{short(1, a), short(2, b)})
-			waitStats(t, eng, func(st ServeStats) bool { return st.ActiveRequests == 0 && st.KVBytesActive == 0 })
-			waitServeExit(t, cancel, done)
-		}},
-		{"Serve/cancel", 0, 0, func(t *testing.T, eng *Engine) {
+		{"Serve/complete", 0, 0, false, serveComplete},
+		{"Serve/complete without policy", 0, 0, true, serveComplete},
+		{"Serve/cancel", 0, 0, false, func(t *testing.T, eng *Engine) {
 			cancelServe, done := startServe(t, eng)
 			ctx, cancel := context.WithCancel(context.Background())
 			rc := submitLong(t, eng, ctx)
@@ -182,7 +187,7 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 			waitStats(t, eng, func(st ServeStats) bool { return st.ActiveRequests == 0 && st.KVBytesActive == 0 })
 			waitServeExit(t, cancelServe, done)
 		}},
-		{"Serve/drain timeout", time.Nanosecond, 0, func(t *testing.T, eng *Engine) {
+		{"Serve/drain timeout", time.Nanosecond, 0, false, func(t *testing.T, eng *Engine) {
 			cancelServe, done := startServe(t, eng)
 			rc := submitLong(t, eng, context.Background())
 			cancelServe()
@@ -193,20 +198,31 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 				t.Fatalf("Serve returned %v", err)
 			}
 		}},
-		{"Serve/panic", 0, 3, servePoisoned},
-		{"Serve/prefill panic", 0, 0, servePoisoned},
+		{"Serve/panic", 0, 3, false, servePoisoned},
+		{"Serve/prefill panic", 0, 0, false, servePoisoned},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
 			m := &poisonLLM{Model: llm.(*transformer.Model), poison: poison, panicAt: tc.panicAt}
-			eng := mustEngine(t, Config{
+			cfg := Config{
 				Mode: TreeSpec, LLM: m, SSMs: []model.Model{ssm},
 				Sample: sampling.GreedyConfig(), Seed: 5, MaxBatch: 2,
 				PrefixCacheBytes: 64 << 20, DrainTimeout: tc.drainTimeout,
 				Policy: &policy.Config{},
-			})
+			}
+			if tc.noPolicy {
+				cfg.Policy = nil
+			}
+			eng := mustEngine(t, cfg)
 			tc.serve(t, eng)
+			shapes := eng.ServeStats().Shape
+			if tc.noPolicy && shapes.Steps == 0 {
+				t.Fatal("the shape chooser decided no step")
+			}
+			if shapes.TrackedRequests != 0 {
+				t.Fatalf("%d requests still tracked by the shape chooser", shapes.TrackedRequests)
+			}
 
 			if pc := eng.PrefixCacheStats(); pc.Hits == 0 || pc.Pinned != 0 {
 				t.Fatalf("prefix cache: %d hits, %d entries still pinned; want hits and no pins", pc.Hits, pc.Pinned)

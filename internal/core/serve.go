@@ -157,8 +157,8 @@ type ServeStats struct {
 	// Iterations and TokensCommitted accumulate over the Serve lifetime.
 	Iterations, TokensCommitted uint64
 	// SpecVerifications counts speculative verification passes (one per
-	// request per iteration in the speculative modes, except the
-	// policy's zero-budget steps, which verify nothing) and
+	// request per iteration in the speculative modes, except the zero
+	// steps the shape chooser grants, which verify nothing) and
 	// SpecTokensAccepted the speculated tokens those passes accepted
 	// (committed runs minus bonus tokens, before truncation).
 	// MeanAcceptedLen is their ratio — the mean accept length per
@@ -214,6 +214,14 @@ type ServeStats struct {
 	PolicySpecBudget                          int
 	PolicyTrackedRequests                     int
 	PolicySteps, PolicyZeroSteps              uint64
+	// ShapeEnabled reports whether the engine prices its step shapes:
+	// every speculative mode does under Serve, with or without a
+	// Policy (DESIGN.md §26). Shape then snapshots the shape chooser —
+	// its zero steps, its steps by chosen depth, and its current
+	// zero-step cost and step-cost fit — over the engine's lifetime;
+	// it is zero when ShapeEnabled is false.
+	ShapeEnabled bool
+	Shape        policy.ChooserStats
 }
 
 // Serve runs the scheduler loop (Engine.schedule) on the Submit queue
@@ -413,6 +421,7 @@ func (e *Engine) ServeStats() ServeStats {
 			st.PolicyEnabled = true
 			st.PolicyTrackedRequests = e.pol.Stats().TrackedRequests
 		}
+		e.shapeStats(&st)
 		return st
 	}
 	s.mu.Lock()
@@ -474,7 +483,16 @@ func (e *Engine) ServeStats() ServeStats {
 		st.PolicySteps = s.polSteps
 		st.PolicyZeroSteps = s.polZero
 	}
+	e.shapeStats(&st)
 	return st
+}
+
+// shapeStats fills the shape chooser's block of st.
+func (e *Engine) shapeStats(st *ServeStats) {
+	if e.shapes != nil {
+		st.ShapeEnabled = true
+		st.Shape = e.shapes.Stats()
+	}
 }
 
 // Draining reports whether the engine is refusing new work while
@@ -652,11 +670,13 @@ func (s *serveState) recordIteration(rec IterationRecord) {
 		toks += uint64(r.Committed)
 		polBudget += r.PolicyNodes
 		switch {
-		case policyOn && r.PolicyNodes == 0:
-			zero++ // zero-budget step: nothing was verified
-		case rec.SpecSteps == 0 || r.SpecAccepted < 0:
-			// incremental decoding, or a failed verification: no accept
-			// length to record
+		case r.Depth == 0:
+			// an incremental step: nothing was verified
+			if policyOn {
+				zero++
+			}
+		case r.SpecAccepted < 0:
+			// a failed verification: no accept length to record
 		default:
 			verifs++
 			accepted += uint64(r.SpecAccepted)

@@ -833,9 +833,11 @@ func TestServeSpecAcceptStats(t *testing.T) {
 		t.Fatalf("MeanAcceptedLen %v inconsistent with totals %d/%d", st.MeanAcceptedLen, st.SpecTokensAccepted, st.SpecVerifications)
 	}
 	// Every verification commits its accepted tokens plus one bonus,
-	// minus any budget truncation.
-	if st.TokensCommitted > st.SpecTokensAccepted+st.SpecVerifications {
-		t.Fatalf("committed %d > accepted %d + verifications %d", st.TokensCommitted, st.SpecTokensAccepted, st.SpecVerifications)
+	// minus any budget truncation, and every zero step the shape
+	// chooser grants commits one token.
+	if st.TokensCommitted > st.SpecTokensAccepted+st.SpecVerifications+st.Shape.ZeroSteps {
+		t.Fatalf("committed %d > accepted %d + verifications %d + zero steps %d",
+			st.TokensCommitted, st.SpecTokensAccepted, st.SpecVerifications, st.Shape.ZeroSteps)
 	}
 
 	inc, err := NewEngine(Config{Mode: Incremental, LLM: llm, Sample: sampling.StochasticConfig(), Seed: 41})

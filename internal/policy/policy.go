@@ -32,14 +32,14 @@
 // shallow tree regardless of mode, because nodes past the expected
 // accept point are FLOPs spent on tokens that will be thrown away.
 //
-// Zero-budget floor: the rule above never refuses to speculate, yet on
+// Measured pricing: the rule above never refuses to speculate, yet on
 // hardware where verifying K tree rows costs about K decodes (DESIGN.md
-// §19) a losing tree is slower than plain decoding. When the engine
-// feeds measured step costs (ObserveCost), DecideMeasured compares the
-// rule's budget against a budget of zero — an incremental step — by
-// expected committed tokens per second of measured step time, and
-// picks the better. Floored requests re-probe the rule's budget on a
-// deterministic exponential backoff so a change of regime is noticed.
+// §19) a losing tree is slower than plain decoding. A Chooser prices
+// step shapes from measured costs: it cuts a ceiling shape to each
+// depth and grants the depth, or zero (an incremental step), expected
+// to commit the most tokens per second of measured step time. A live
+// engine prices every speculating request's steps with one; under the
+// rule, DecideMeasured prices the rule's budget as the ceiling.
 //
 // The package depends on nothing but the leaf tree package: decisions
 // are pure functions of (EWMAs, queue, occupancy, cost estimates) so
@@ -174,9 +174,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Constants of the measured-cost floor. They are deliberately not
-// configuration: the floor prices its own decisions from measurements,
-// and these only set how fast the estimates forget.
+// Constants of measured pricing. They are deliberately not
+// configuration: the chooser prices its own decisions from
+// measurements, and these only set how fast the estimates forget.
 const (
 	// poolAlpha is the EWMA decay of the engine-wide accept length that
 	// seeds new requests (slower than Alpha: it pools every request).
@@ -186,8 +186,8 @@ const (
 	// specCostDecay is the per-observation decay of the speculative
 	// step-cost fit: about the last ten speculative steps carry it.
 	specCostDecay = 0.9
-	// maxProbeBackoff caps the zero-budget steps the engine takes
-	// between probes of the rule's budget, and is also how many
+	// maxProbeBackoff caps the steps below the ceiling the engine takes
+	// between probes of the ceiling shape, and is also how many
 	// speculative steps it takes between zero-budget steps that keep
 	// the zero-step cost fresh while speculation wins.
 	maxProbeBackoff = 128
@@ -216,12 +216,6 @@ type Stats struct {
 // reqTrack is one request's history.
 type reqTrack struct {
 	ewma float64 // accept-length EWMA
-	// probed marks that the request's last speculative step was a probe
-	// out of the floor, to be judged at its next decision by its own
-	// outcome: lastAccepted tokens accepted in lastCost seconds.
-	probed       bool
-	lastAccepted int
-	lastCost     float64
 }
 
 // mean is an exponentially weighted mean with no prior: until the
@@ -241,74 +235,22 @@ func (m mean) value() (float64, bool) {
 	return m.num / m.den, true
 }
 
-// costFit is an exponentially decayed least-squares fit of step cost
-// c(n) = a + b·n over speculated-node budgets n.
-type costFit struct{ w, n, nn, c, nc float64 }
-
-func (f *costFit) add(n, c float64) {
-	f.w = specCostDecay*f.w + 1
-	f.n = specCostDecay*f.n + n
-	f.nn = specCostDecay*f.nn + n*n
-	f.c = specCostDecay*f.c + c
-	f.nc = specCostDecay*f.nc + n*c
-}
-
-// at predicts the cost of an n-node step. Step costs cannot have a
-// negative slope or intercept, so the fit is constrained to a, b >= 0:
-// with too little spread in the observed budgets to fit a slope, or a
-// negative one, it falls back to the weighted mean cost; with a
-// negative intercept, to the proportional fit c(n) = b·n.
-func (f costFit) at(n float64) (float64, bool) {
-	if f.w == 0 {
-		return 0, false
-	}
-	mn, mc := f.n/f.w, f.c/f.w
-	b := 0.0
-	if v := f.nn/f.w - mn*mn; v > 1e-9 {
-		b = (f.nc/f.w - mn*mc) / v
-	}
-	switch a := mc - b*mn; {
-	case b <= 0:
-		return mc, true
-	case a < 0:
-		return f.nc / f.nn * n, true
-	default:
-		return a + b*n, true
-	}
-}
-
-// Controller holds per-request acceptance history, the engine-wide
-// acceptance and step-cost estimates, and produces decisions. It is
-// safe for concurrent use; the engine calls Decide/DecideMeasured/
-// Observe/ObserveCost serially from its scheduler goroutine and Retire
-// from retirement paths, while stats readers may snapshot concurrently.
+// Controller holds per-request acceptance history and the engine-wide
+// acceptance estimate, produces the rule's decisions, and prices them
+// with its Chooser under DecideMeasured. It is safe for concurrent use;
+// the engine calls Decide/DecideMeasured/Observe/ObserveCost serially
+// from its scheduler goroutine and Retire from retirement paths, while
+// stats readers may snapshot concurrently.
 type Controller struct {
-	cfg Config
+	cfg    Config
+	shapes *Chooser
 
-	mu   sync.Mutex
-	reqs map[int]*reqTrack // guarded by mu — per-request history
-	pool mean              // guarded by mu — engine-wide accept length
-	// zeroCost is the EWMA of measured zero-budget step seconds and
-	// specCost the fit of speculative step seconds over budgets.
-	zeroCost mean    // guarded by mu
-	specCost costFit // guarded by mu
-	// zeroRun counts zero-budget decisions since the last probe, and
-	// backoff is how many the engine takes before the next floored
-	// request probes: it doubles on a losing probe (up to
-	// maxProbeBackoff) and resets to 1 on a winning one. Both are
-	// engine-wide, like the evidence a probe refreshes, so exploration
-	// is rationed per step served and does not restart with every
-	// short request.
-	zeroRun int // guarded by mu
-	backoff int // guarded by mu
-	// specRun counts speculative decisions the estimates chose since
-	// the last zero-budget step: every maxProbeBackoff of them one step
-	// is taken at zero instead, so the zero-step cost — otherwise
-	// measured only while floored — cannot go stale.
-	specRun int    // guarded by mu
-	lat     uint64 // guarded by mu — latency-mode decision count
-	thr     uint64 // guarded by mu — throughput-mode decision count
-	zero    uint64 // guarded by mu — zero-budget decision count
+	mu    sync.Mutex
+	reqs  map[int]*reqTrack // guarded by mu — per-request history
+	pool  mean              // guarded by mu — engine-wide accept length
+	nodes []int             // guarded by mu — DecideMeasured's candidates
+	lat   uint64            // guarded by mu — latency-mode decision count
+	thr   uint64            // guarded by mu — throughput-mode decision count
 }
 
 // NewController validates the configuration and returns a controller.
@@ -317,11 +259,15 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, reqs: make(map[int]*reqTrack), backoff: 1}, nil
+	return &Controller{cfg: cfg, shapes: NewChooser(), reqs: make(map[int]*reqTrack)}, nil
 }
 
 // Config returns the controller's effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
+
+// Chooser returns the chooser DecideMeasured prices the rule's budgets
+// with, whose estimates Observe and ObserveCost feed.
+func (c *Controller) Chooser() *Chooser { return c.shapes }
 
 // ModeFor applies the mode-switch rule alone: throughput when the
 // queue is at or past the high-water mark, or when the batch is full;
@@ -360,20 +306,13 @@ func (c *Controller) Decide(reqID, queueLen, active, maxBatch int) Decision {
 	return c.rule(mode, ew)
 }
 
-// DecideMeasured is Decide with the zero-budget floor: it grants the
-// rule's budget or zero, whichever gives more expected committed
-// tokens per second of measured step time — (1 + accept EWMA) tokens
-// at the fitted cost of the rule's budget against one token at the
-// zero-step cost. Until both kinds of step have been measured it
-// bootstraps: zero first (measuring the zero-step cost), then the
-// rule's budget. Once the engine has taken backoff zero-budget steps
-// since its last probe, the next floored request probes the rule's
-// budget instead; that request's next decision judges the probe by its
-// own measured outcome, resetting the backoff on a win (the probe
-// committed tokens faster than zero steps do) and doubling it (up to
-// maxProbeBackoff) on a loss. Symmetrically, while speculation wins,
-// one decision in maxProbeBackoff+1 is zero to re-measure the
-// zero-step cost. Like Decide it is a pure function of the
+// DecideMeasured is Decide priced by measured costs: the rule's budget
+// is the ceiling, and the Chooser grants it cut to the depth d in
+// 1…MaxDepth (Budget.MaxDepth = d) expected to commit the most tokens
+// per second of measured step time, or a zero budget when an
+// incremental step is expected to do better. Bootstrap, probes of the
+// rule's full budget and the zero steps that keep the zero-step cost
+// fresh are the Chooser's. Like Decide it is a pure function of the
 // controller's state and its arguments.
 func (c *Controller) DecideMeasured(reqID, queueLen, active, maxBatch int) Decision {
 	mode := c.ModeFor(queueLen, active, maxBatch)
@@ -382,42 +321,18 @@ func (c *Controller) DecideMeasured(reqID, queueLen, active, maxBatch int) Decis
 	t := c.trackLocked(reqID)
 	c.countLocked(mode)
 	d := c.rule(mode, t.ewma)
-	zero := Decision{Mode: mode}
-
-	c0, ok0 := c.zeroCost.value()
-	cn, okn := c.specCost.at(float64(d.Budget.MaxNodes))
-	switch {
-	case !ok0:
-		c.zero++
-		return zero
-	case !okn:
-		return d
+	b := d.Budget.WithDefaults()
+	c.nodes = c.nodes[:0]
+	for depth, ceiling := 1, b.MaxDepth; depth <= ceiling; depth++ {
+		b.MaxDepth = depth
+		c.nodes = append(c.nodes, b.Capacity())
 	}
-	if t.probed {
-		t.probed = false
-		if float64(1+t.lastAccepted)*c0 > t.lastCost {
-			c.backoff = 1
-		} else if c.backoff < maxProbeBackoff {
-			c.backoff *= 2
-		}
+	depth := c.shapes.Choose(reqID, c.nodes)
+	if depth == 0 {
+		return Decision{Mode: mode}
 	}
-	if (1+t.ewma)*c0 > cn {
-		if c.specRun < maxProbeBackoff {
-			c.specRun++
-			return d
-		}
-		c.specRun = 0
-		c.zero++
-		return zero
-	}
-	if c.zeroRun >= c.backoff {
-		c.zeroRun = 0
-		t.probed = true
-		return d
-	}
-	c.zeroRun++
-	c.zero++
-	return zero
+	d.Budget.MaxDepth = depth
+	return d
 }
 
 // rule maps a mode and an accept-length estimate to the mode's budget.
@@ -488,34 +403,17 @@ func (c *Controller) Observe(reqID, accepted int) {
 	defer c.mu.Unlock()
 	t := c.trackLocked(reqID)
 	t.ewma = (1-c.cfg.Alpha)*t.ewma + c.cfg.Alpha*float64(accepted)
-	t.lastAccepted = accepted
 	c.pool.add(float64(accepted), poolAlpha)
+	c.shapes.ObserveAccept(reqID, accepted)
 }
 
-// ObserveCost folds one measured step time of a request into the cost
-// estimates: nodes is the speculated-node budget the step was granted
-// (0 for a zero-budget step) and seconds its wall time, including any
-// SSM catch-up it paid for. Non-positive times are ignored.
+// ObserveCost folds one measured step time of a request into the
+// Chooser's cost estimates: nodes is the number of speculated nodes the
+// step verified (0 for a zero-budget step) and seconds its wall time,
+// including any SSM catch-up it paid for. Non-positive times are
+// ignored.
 func (c *Controller) ObserveCost(reqID, nodes int, seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.reqs[reqID]; ok {
-		t.lastCost = seconds
-	}
-	if nodes <= 0 {
-		if v, ok := c.zeroCost.value(); ok {
-			seconds = math.Min(seconds, outlierCap*v)
-		}
-		c.zeroCost.add(seconds, zeroCostAlpha)
-		return
-	}
-	if v, ok := c.specCost.at(float64(nodes)); ok {
-		seconds = math.Min(seconds, outlierCap*v)
-	}
-	c.specCost.add(float64(nodes), seconds)
+	c.shapes.ObserveCost(reqID, nodes, seconds)
 }
 
 // Retire drops a request's history. The engine calls it at every
@@ -525,6 +423,7 @@ func (c *Controller) Retire(reqID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.reqs, reqID)
+	c.shapes.Retire(reqID)
 }
 
 // Tracked reports how many requests currently have history (the
@@ -542,7 +441,7 @@ func (c *Controller) Stats() Stats {
 	return Stats{
 		LatencyDecisions:    c.lat,
 		ThroughputDecisions: c.thr,
-		ZeroDecisions:       c.zero,
+		ZeroDecisions:       c.shapes.Stats().ZeroSteps,
 		TrackedRequests:     len(c.reqs),
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"specinfer/internal/kvcache"
 	"specinfer/internal/metrics"
 	"specinfer/internal/model"
+	"specinfer/internal/policy"
 	"specinfer/internal/workload"
 )
 
@@ -662,6 +663,33 @@ type FleetStats struct {
 	// PolicySteps and PolicyZeroSteps sum the replicas' policy-decided
 	// request-steps and the zero-budget (incremental) ones among them.
 	PolicySteps, PolicyZeroSteps uint64
+	// ShapeEnabled reports whether any replica prices its step shapes;
+	// Shape then sums their shape choosers' step counts (per depth too)
+	// and tracked requests, and averages their cost estimates weighted
+	// by each replica's steps.
+	ShapeEnabled bool
+	Shape        policy.ChooserStats
+}
+
+// addShape folds one replica's shape chooser into the fleet's: counts
+// sum, and costs accumulate weighted by the replica's steps (FleetStats
+// divides by the fleet's steps once every replica is in).
+func addShape(fleet *policy.ChooserStats, rep policy.ChooserStats) {
+	fleet.Steps += rep.Steps
+	fleet.ZeroSteps += rep.ZeroSteps
+	fleet.Probes += rep.Probes
+	fleet.TrackedRequests += rep.TrackedRequests
+	for d, n := range rep.StepsByDepth {
+		if d == len(fleet.StepsByDepth) {
+			fleet.StepsByDepth = append(fleet.StepsByDepth, 0)
+		}
+		fleet.StepsByDepth[d] += n
+	}
+	w := float64(rep.Steps)
+	fleet.ZeroCost += w * rep.ZeroCost
+	fleet.Cost.Intercept += w * rep.Cost.Intercept
+	fleet.Cost.PerNode += w * rep.Cost.PerNode
+	fleet.Cost.PerLevel += w * rep.Cost.PerLevel
 }
 
 // FleetStats snapshots the fleet.
@@ -721,6 +749,10 @@ func (r *Router) FleetStats() FleetStats {
 			fs.PolicySteps += st.PolicySteps
 			fs.PolicyZeroSteps += st.PolicyZeroSteps
 		}
+		if st.ShapeEnabled {
+			fs.ShapeEnabled = true
+			addShape(&fs.Shape, st.Shape)
+		}
 		lat = append(lat, st.LatencySamples)
 		qd = append(qd, st.QueueDelaySamples)
 		ttft = append(ttft, st.TTFTSamples)
@@ -730,6 +762,12 @@ func (r *Router) FleetStats() FleetStats {
 	fs.TTFT = metrics.Merge(ttft...).Summary()
 	if fs.SpecVerifications > 0 {
 		fs.MeanAcceptedLen = float64(fs.SpecTokensAccepted) / float64(fs.SpecVerifications)
+	}
+	if n := float64(fs.Shape.Steps); n > 0 {
+		fs.Shape.ZeroCost /= n
+		fs.Shape.Cost.Intercept /= n
+		fs.Shape.Cost.PerNode /= n
+		fs.Shape.Cost.PerLevel /= n
 	}
 	r.mu.Lock()
 	for i, rep := range r.reps {

@@ -39,6 +39,7 @@ import (
 	"specinfer/internal/core"
 	"specinfer/internal/metrics"
 	"specinfer/internal/model"
+	"specinfer/internal/policy"
 	"specinfer/internal/router"
 	"specinfer/internal/workload"
 )
@@ -457,6 +458,12 @@ type metriczResponse struct {
 	// enabled (core.Config.Policy). In fleet mode it sums over
 	// policy-enabled replicas.
 	Policy *policyMetrics `json:"policy,omitempty"`
+	// Shape is present when the engine prices its step shapes (every
+	// speculative mode, with or without a policy): how many steps it
+	// decoded incrementally and how many drafted each depth, and the
+	// measured costs it priced them with. In fleet mode the counts sum
+	// over replicas and the costs are step-weighted means.
+	Shape *shapeMetrics `json:"shape,omitempty"`
 	// Router and Replicas are present in fleet mode only: the routing
 	// rollup and the per-replica breakdown. The top-level fields above
 	// stay aggregate (sums; quantiles pooled via metrics.Merge), so
@@ -510,8 +517,38 @@ type policyMetrics struct {
 	ZeroStepShare   float64 `json:"zero_step_share"`
 }
 
-// zeroShare is the share of policy-decided request-steps taken with a
-// zero budget (0 before the first step).
+// shapeMetrics is the /metricz view of the shape chooser
+// (policy.ChooserStats): request-steps decided, the zero (incremental)
+// ones and their share, ceiling probes, steps by chosen depth
+// (steps_by_depth[d-1] drafted d levels), the zero-step cost c₀ and
+// the speculative step-cost fit ĉ(n, d) = intercept + per_node·n +
+// per_level·d, in microseconds, and the requests with live history.
+type shapeMetrics struct {
+	Steps           uint64   `json:"steps"`
+	ZeroSteps       uint64   `json:"zero_steps"`
+	ZeroStepShare   float64  `json:"zero_step_share"`
+	Probes          uint64   `json:"probes"`
+	StepsByDepth    []uint64 `json:"steps_by_depth"`
+	ZeroCostUs      float64  `json:"zero_cost_us"`
+	CostInterceptUs float64  `json:"cost_intercept_us"`
+	CostPerNodeUs   float64  `json:"cost_per_node_us"`
+	CostPerLevelUs  float64  `json:"cost_per_level_us"`
+	TrackedRequests int      `json:"tracked_requests"`
+}
+
+func shapeToMetricz(s policy.ChooserStats) *shapeMetrics {
+	const us = 1e6 // the chooser's costs are in seconds
+	return &shapeMetrics{
+		Steps: s.Steps, ZeroSteps: s.ZeroSteps, ZeroStepShare: zeroShare(s.ZeroSteps, s.Steps),
+		Probes: s.Probes, StepsByDepth: append([]uint64{}, s.StepsByDepth...),
+		ZeroCostUs: s.ZeroCost * us, CostInterceptUs: s.Cost.Intercept * us,
+		CostPerNodeUs: s.Cost.PerNode * us, CostPerLevelUs: s.Cost.PerLevel * us,
+		TrackedRequests: s.TrackedRequests,
+	}
+}
+
+// zeroShare is the share of request-steps taken with a zero budget (0
+// before the first step).
 func zeroShare(zero, steps uint64) float64 {
 	if steps == 0 {
 		return 0
@@ -598,6 +635,9 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 			ZeroStepShare:   zeroShare(st.PolicyZeroSteps, st.PolicySteps),
 		}
 	}
+	if st.ShapeEnabled {
+		resp.Shape = shapeToMetricz(st.Shape)
+	}
 	return resp
 }
 
@@ -671,6 +711,9 @@ func fleetMetricz(fs router.FleetStats) metriczResponse {
 			ZeroSteps:       fs.PolicyZeroSteps,
 			ZeroStepShare:   zeroShare(fs.PolicyZeroSteps, fs.PolicySteps),
 		}
+	}
+	if fs.ShapeEnabled {
+		resp.Shape = shapeToMetricz(fs.Shape)
 	}
 	return resp
 }

@@ -63,6 +63,39 @@ func (sh Shape) Depth() int {
 	return 0
 }
 
+// Cut is the shape cut to its first depth levels: a static
+// configuration's first depth steps, or the budget with MaxDepth set to
+// depth (its defaults must be filled in). Cut(0) drafts nothing.
+func (sh Shape) Cut(depth int) Shape {
+	switch {
+	case depth <= 0:
+		return Shape{}
+	case sh.Expansion != nil:
+		sh.Expansion = sh.Expansion[:min(depth, len(sh.Expansion))]
+	default:
+		sh.Budget.MaxDepth = depth
+	}
+	return sh
+}
+
+// Nodes is the most speculated nodes the shape drafts from a pool of
+// pool SSMs: a static configuration's nodes once per drafting SSM (their
+// trees merge without a prune), or, under a budget, the drafting SSMs'
+// trees pruned back to MaxNodes (its defaults must be filled in).
+func (sh Shape) Nodes(pool int) int {
+	n := sh.SSMs
+	if n <= 0 || n > pool {
+		n = pool
+	}
+	switch {
+	case sh.Expansion != nil:
+		return n * sh.Expansion.MaxNodes()
+	case sh.Budget.MaxNodes > 0:
+		return min(n*sh.Budget.Capacity(), sh.Budget.MaxNodes)
+	}
+	return 0
+}
+
 // Speculator drives the SSM sessions of a single request. It mirrors the
 // request's committed sequence into every SSM session and produces one
 // speculated token tree per decoding iteration.

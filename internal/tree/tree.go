@@ -525,3 +525,16 @@ func (b Budget) WithDefaults() Budget {
 	}
 	return b
 }
+
+// Capacity is the most speculated nodes one tree grown under b can hold:
+// MaxNodes, or fewer when FanoutCap and MaxDepth bound the tree below it
+// (FanoutCap + FanoutCap² + … + FanoutCap^MaxDepth). b must have its
+// defaults filled in.
+func (b Budget) Capacity() int {
+	total, width := 0, 1
+	for d := 0; d < b.MaxDepth && total < b.MaxNodes; d++ {
+		width *= b.FanoutCap
+		total += width
+	}
+	return min(total, b.MaxNodes)
+}

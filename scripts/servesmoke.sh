@@ -63,6 +63,14 @@ case "$metrics" in
     exit 1
     ;;
 esac
+# Tree mode prices its step shapes: the shape block counts the steps.
+case "$metrics" in
+*'"shape":{"steps":'*) ;;
+*)
+    echo "servesmoke: metricz missing the shape block" >&2
+    exit 1
+    ;;
+esac
 
 echo "servesmoke: SIGTERM drain"
 kill -TERM "$PID"
@@ -130,6 +138,13 @@ case "$fleet" in
 *'"live":2'*) ;;
 *)
     echo "servesmoke: fleet metricz does not report 2 live replicas" >&2
+    exit 1
+    ;;
+esac
+case "$fleet" in
+*'"shape":{"steps":'*) ;;
+*)
+    echo "servesmoke: fleet metricz missing the shape rollup" >&2
     exit 1
     ;;
 esac
