@@ -50,13 +50,13 @@ func main() {
 	trace := pair.Trace(8, 64)
 	serve := func(ssms []model.Model) float64 {
 		eng, err := core.NewEngine(core.Config{
-			Mode:      core.TreeSpec,
-			LLM:       pair.LLM,
-			SSMs:      ssms,
-			Expansion: tree.SequenceConfig(8), // per-SSM sequences, merged
-			Sample:    sampling.GreedyConfig(),
-			MaxBatch:  4,
-			Seed:      5,
+			Mode:     core.TreeSpec,
+			LLM:      pair.LLM,
+			SSMs:     ssms,
+			Shape:    speculator.Shape{Expansion: tree.SequenceConfig(8)}, // per-SSM sequences, merged
+			Sample:   sampling.GreedyConfig(),
+			MaxBatch: 4,
+			Seed:     5,
 		})
 		if err != nil {
 			log.Fatal(err)

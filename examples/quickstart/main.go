@@ -20,6 +20,7 @@ import (
 	"specinfer/internal/core"
 	"specinfer/internal/model"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tensor"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
@@ -51,12 +52,14 @@ func main() {
 
 	run := func(mode core.Mode) []core.RequestResult {
 		cfg := core.Config{
-			Mode:      mode,
-			LLM:       llm,
-			SSMs:      []model.Model{ssm},
-			Expansion: tree.ExpansionConfig{3, 1, 1, 1},
-			Sample:    sampling.GreedyConfig(),
-			Seed:      1,
+			Mode:   mode,
+			LLM:    llm,
+			SSMs:   []model.Model{ssm},
+			Sample: sampling.GreedyConfig(),
+			Seed:   1,
+		}
+		if mode == core.TreeSpec {
+			cfg.Shape = speculator.Shape{Expansion: tree.ExpansionConfig{3, 1, 1, 1}}
 		}
 		eng, err := core.NewEngine(cfg)
 		if err != nil {

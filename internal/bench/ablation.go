@@ -48,10 +48,10 @@ func Ablation(cfg Table2Config) []AblationRow {
 
 	for _, mode := range []sampling.Mode{sampling.Greedy, sampling.Stochastic} {
 		add("width-3 at first token", mode, core.Config{
-			Mode: core.TreeSpec, Expansion: tree.WidthConfig(3),
+			Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: tree.WidthConfig(3)},
 		})
 		add("width-3 at third token (paper cfg)", mode, core.Config{
-			Mode: core.TreeSpec, Expansion: tree.ThirdTokenConfig(3),
+			Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: tree.ThirdTokenConfig(3)},
 		})
 		add("sequence (width 1)", mode, core.Config{
 			Mode: core.SequenceSpec,
@@ -59,31 +59,31 @@ func Ablation(cfg Table2Config) []AblationRow {
 	}
 	// Stochastic-only: draft selection policy.
 	add("SampleK drafts (exact)", sampling.Stochastic, core.Config{
-		Mode: core.TreeSpec, Expansion: tree.WidthConfig(3),
+		Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: tree.WidthConfig(3)},
 	})
 	add("TopK drafts (approximate)", sampling.Stochastic, core.Config{
-		Mode: core.TreeSpec, Expansion: tree.WidthConfig(3), ForceTopK: true,
+		Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: tree.WidthConfig(3)}, ForceTopK: true,
 	})
 	// Adaptive (future-work) expansion vs static, at an equal node budget
 	// of 10 speculated nodes.
 	staticBudget := tree.WidthConfig(3) // ⟨3,1,1,1,1,1,1,1⟩ = 10 nodes
 	for _, mode := range []sampling.Mode{sampling.Greedy, sampling.Stochastic} {
 		add("static 10-node tree", mode, core.Config{
-			Mode: core.TreeSpec, Expansion: staticBudget,
+			Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: staticBudget},
 		})
 		add("adaptive 10-node tree (future work)", mode, core.Config{
-			Mode:     core.TreeSpec,
-			Adaptive: &tree.Budget{MaxNodes: staticBudget.MaxNodes(), MaxDepth: 8},
+			Mode:  core.TreeSpec,
+			Shape: speculator.Shape{Budget: tree.Budget{MaxNodes: staticBudget.MaxNodes(), MaxDepth: 8}},
 		})
 	}
 	// Merge-based: 1 vs 3 SSMs proposing sequences.
 	extra := p.ExtraSSMs(2)
 	add("merge: 1 SSM sequences", sampling.Greedy, core.Config{
-		Mode: core.TreeSpec, Expansion: tree.SequenceConfig(8),
+		Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: tree.SequenceConfig(8)},
 		SSMs: []model.Model{p.SSM},
 	})
 	add("merge: 3 SSM sequences", sampling.Greedy, core.Config{
-		Mode: core.TreeSpec, Expansion: tree.SequenceConfig(8),
+		Mode: core.TreeSpec, Shape: speculator.Shape{Expansion: tree.SequenceConfig(8)},
 		SSMs: []model.Model{p.SSM, extra[0], extra[1]},
 	})
 	return rows

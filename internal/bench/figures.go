@@ -7,6 +7,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/offload"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
@@ -191,10 +192,10 @@ func Figure10(cfg LatencyConfig) []Figure10Point {
 				nReq = 2 * bs
 			}
 			_, iters := runEngine(p, core.Config{
-				Mode:      core.TreeSpec,
-				Expansion: tree.WidthConfig(k),
-				Sample:    sampling.StochasticConfig(),
-				MaxBatch:  bs,
+				Mode:     core.TreeSpec,
+				Shape:    speculator.Shape{Expansion: tree.WidthConfig(k)},
+				Sample:   sampling.StochasticConfig(),
+				MaxBatch: bs,
 			}, nReq, bs, cfg.GenLen)
 			out = append(out, Figure10Point{
 				Width: k, BatchSize: bs,

@@ -22,6 +22,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tensor"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
@@ -103,11 +104,9 @@ func RunPolicyBursty(shape string) PolicyBurstyResult {
 			InitAcceptLen:  3,
 		}
 	case "static-deep":
-		deep := policyDeep
-		cfg.Adaptive = &deep
+		cfg.Shape = speculator.Shape{Budget: policyDeep}
 	case "static-narrow":
-		narrow := policyNarrow
-		cfg.Adaptive = &narrow
+		cfg.Shape = speculator.Shape{Budget: policyNarrow}
 	default:
 		panic("bench: unknown policy bursty shape " + shape)
 	}

@@ -7,6 +7,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
@@ -81,7 +82,6 @@ func NewServing(f ServeFlags) (Serving, error) {
 	cfg := core.Config{
 		LLM:              llm,
 		Verifier:         f.Verifier,
-		SeqDepth:         f.Depth,
 		MaxBatch:         f.Batch,
 		Seed:             f.Seed,
 		Workers:          f.Workers,
@@ -96,29 +96,32 @@ func NewServing(f ServeFlags) (Serving, error) {
 			TopP:        f.TopP,
 		}
 	}
-	if f.Adaptive {
-		cfg.Adaptive = &tree.Budget{MaxNodes: f.Width * 3, MaxDepth: f.Depth}
-	}
-	if f.Policy {
-		cfg.Policy = &policy.Config{}
-	}
 	switch f.Mode {
 	case "incremental":
 		cfg.Mode = core.Incremental
 	case "sequence":
 		cfg.Mode = core.SequenceSpec
 		cfg.SSMs = []model.Model{ssm}
+		cfg.Shape.Expansion = tree.SequenceConfig(f.Depth)
 	case "tree":
 		cfg.Mode = core.TreeSpec
-		exp := make(tree.ExpansionConfig, f.Depth)
-		for i := range exp {
-			exp[i] = 1
-		}
-		exp[0] = f.Width
-		cfg.Expansion = exp
 		cfg.SSMs = append([]model.Model{ssm}, extras...)
+		if !f.Policy && !f.Adaptive {
+			// The rule supplies the policy's ceiling; -adaptive's is
+			// the best-first budget below.
+			cfg.Shape.Expansion = tree.SequenceConfig(f.Depth)
+			cfg.Shape.Expansion[0] = f.Width
+		}
 	default:
 		return Serving{}, fmt.Errorf("unknown mode %q", f.Mode)
+	}
+	// A budget or a policy under a mode that cannot take it is the
+	// engine's to reject.
+	if f.Adaptive {
+		cfg.Shape = speculator.Shape{Budget: tree.Budget{MaxNodes: f.Width * 3, MaxDepth: f.Depth}}
+	}
+	if f.Policy {
+		cfg.Policy = &policy.Config{}
 	}
 	sv.Config = cfg
 	return sv, nil

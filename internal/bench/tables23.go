@@ -4,6 +4,7 @@ import (
 	"specinfer/internal/core"
 	"specinfer/internal/metrics"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
@@ -81,9 +82,9 @@ func Table2(cfg Table2Config) []Table2Row {
 // avgVerified runs the engine and returns mean committed tokens per step.
 func avgVerified(p Pair, mode sampling.Mode, exp tree.ExpansionConfig, nReq, genLen int, naive bool) float64 {
 	cfg := core.Config{
-		Mode:      core.TreeSpec,
-		Expansion: exp,
-		Sample:    sampling.Config{Mode: mode, Temperature: 1},
+		Mode:   core.TreeSpec,
+		Shape:  speculator.Shape{Expansion: exp},
+		Sample: sampling.Config{Mode: mode, Temperature: 1},
 	}
 	if naive {
 		cfg.Verifier = core.VerifierNaive
@@ -160,9 +161,9 @@ func Figure9(cfg Figure9Config) []Figure9Series {
 	for _, mode := range []sampling.Mode{sampling.Greedy, sampling.Stochastic} {
 		for k := 1; k <= 5; k++ {
 			res, _ := runEngine(p, core.Config{
-				Mode:      core.TreeSpec,
-				Expansion: tree.WidthConfig(k),
-				Sample:    sampling.Config{Mode: mode, Temperature: 1},
+				Mode:   core.TreeSpec,
+				Shape:  speculator.Shape{Expansion: tree.WidthConfig(k)},
+				Sample: sampling.Config{Mode: mode, Temperature: 1},
 			}, cfg.Requests, 8, cfg.GenLen)
 			var per []float64
 			for _, r := range res {

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,16 +59,20 @@ type Config struct {
 	LLM model.Model
 	// SSMs is the speculative model pool (ignored for Incremental).
 	SSMs []model.Model
-	// Expansion is the token tree expansion configuration for TreeSpec;
-	// defaults to the paper's ⟨1,1,3,1,1,1,1,1⟩. Run and RunOnline draft
-	// it whole on every step. Under Serve it is the ceiling the engine's
-	// shape chooser cuts: each step drafts its first d levels, or none,
-	// whichever the measured step costs and acceptance say commits
-	// tokens fastest (DESIGN.md §26).
-	Expansion tree.ExpansionConfig
-	// SeqDepth is the speculation depth for SequenceSpec; defaults to 8.
-	// Under Serve it is a ceiling, like Expansion.
-	SeqDepth int
+	// Shape is the token tree each speculative step drafts: the ceiling
+	// the engine's shape chooser cuts under Serve — each step drafts its
+	// first d levels, or none, whichever the measured step costs and
+	// acceptance say commits tokens fastest (DESIGN.md §26) — and the
+	// tree Run and RunOnline draft whole on every step. A static
+	// Expansion expands level by level; a Budget grows every SSM's tree
+	// best-first (the paper's stated future work; its zero fields take
+	// tree.Budget's defaults) and prunes the merged tree back to
+	// MaxNodes. The zero value is the paper's ⟨1,1,3,1,1,1,1,1⟩ under
+	// TreeSpec and a chain of 8 (tree.SequenceConfig(8)) under
+	// SequenceSpec, which accepts only chains. Incremental decoding
+	// drafts nothing and rejects a non-zero Shape, and so does Policy,
+	// whose rule supplies every step's ceiling.
+	Shape speculator.Shape
 	// Sample is the decode policy applied to every request.
 	Sample sampling.Config
 	// MaxBatch bounds the number of concurrently served requests
@@ -112,15 +117,6 @@ type Config struct {
 	// or VerifierNaive (the naive-sampling ablation baseline of Table 3).
 	// Ignored under greedy decoding, which always uses argmax descent.
 	Verifier string
-	// Adaptive, when non-nil, replaces the static expansion configuration
-	// with dynamic best-first tree growth under this budget (the paper's
-	// stated future work; see tree.Budget, whose zero fields take its
-	// defaults). Every SSM of the pool grows a tree, and the merged tree
-	// is pruned back to the node budget. TreeSpec mode only. Under Serve
-	// the budget is a ceiling, like Expansion: each step grows its tree
-	// under the budget with MaxDepth cut to the depth the shape chooser
-	// grants, or decodes incrementally.
-	Adaptive *tree.Budget
 	// Policy, when non-nil, enables the per-request, per-iteration
 	// speculation policy engine (see internal/policy): each iteration
 	// the controller picks every request's tree budget and SSM count
@@ -130,15 +126,14 @@ type Config struct {
 	// (throughput mode). The admission-queue depth is the backlog the
 	// scheduler loop's source reports: the Submit queue under Serve,
 	// the arrived-but-unadmitted requests under RunOnline, and none
-	// under Run. Under Serve the rule's budget is only the ceiling: the
-	// engine's shape chooser cuts it to the depth, or to zero, that the
-	// measured step costs and acceptance say commits tokens fastest,
-	// as it does Expansion and Adaptive without a Policy (DESIGN.md §19,
-	// §26). A zero-budget step samples from the LLM's last distribution
-	// and decodes one token, with no tree, verifier or SSM forward. Run
-	// and RunOnline measure nothing and grant the rule's budget whole.
-	// TreeSpec mode only; conflicts with Adaptive (the policy already
-	// drives the adaptive grower, with a moving budget).
+	// under Run. The rule's budget takes the place of Shape: under Serve
+	// it is the ceiling the engine's shape chooser cuts, to the depth, or
+	// to zero, that the measured step costs and acceptance say commits
+	// tokens fastest (DESIGN.md §19, §26). A zero-budget step samples
+	// from the LLM's last distribution and decodes one token, with no
+	// tree, verifier or SSM forward. Run and RunOnline measure nothing
+	// and grant the rule's budget whole. TreeSpec mode only, with a zero
+	// Shape.
 	Policy *policy.Config
 
 	// PrefixCacheBytes, when positive, enables the cross-request prefix
@@ -192,11 +187,14 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Expansion == nil {
-		c.Expansion = tree.PaperDefault()
-	}
-	if c.SeqDepth == 0 {
-		c.SeqDepth = 8
+	switch {
+	case c.Shape.Expansion != nil:
+	case c.Shape.Budget != (tree.Budget{}):
+		c.Shape.Budget = c.Shape.Budget.WithDefaults()
+	case c.Mode == SequenceSpec:
+		c.Shape.Expansion = tree.SequenceConfig(8)
+	case c.Mode == TreeSpec && c.Policy == nil:
+		c.Shape.Expansion = tree.PaperDefault()
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
@@ -248,22 +246,22 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: unknown verifier %q (want %s, %s or %s)",
 			c.Verifier, VerifierMSS, VerifierNaive, VerifierTraversal)
 	}
-	if c.Policy != nil {
-		if c.Mode != TreeSpec {
-			return fmt.Errorf("core: Policy requires TreeSpec mode, got %v", c.Mode)
+	shaped := c.Shape.Expansion != nil || c.Shape.Budget != (tree.Budget{}) || c.Shape.SSMs != 0
+	switch {
+	case c.Policy != nil && c.Mode != TreeSpec:
+		return fmt.Errorf("core: Policy requires TreeSpec mode, got %v", c.Mode)
+	case c.Policy != nil && shaped:
+		return fmt.Errorf("core: Policy conflicts with Shape (the rule supplies every step's ceiling); pick one")
+	case c.Mode == Incremental && shaped:
+		return fmt.Errorf("core: incremental decoding drafts no Shape")
+	case c.Mode == SequenceSpec && (c.Shape.Expansion == nil ||
+		!slices.Equal(c.Shape.Expansion, tree.SequenceConfig(len(c.Shape.Expansion)))):
+		return fmt.Errorf("core: SequenceSpec drafts a chain (tree.SequenceConfig), got %+v", c.Shape)
+	}
+	if c.Shape.Expansion != nil {
+		if msg := c.Shape.Expansion.Validate(); msg != "" {
+			return fmt.Errorf("core: %s", msg)
 		}
-		if c.Adaptive != nil {
-			return fmt.Errorf("core: Policy conflicts with Adaptive (the policy already drives the adaptive grower); pick one")
-		}
-	}
-	if c.Adaptive != nil && c.Mode != TreeSpec {
-		return fmt.Errorf("core: Adaptive requires TreeSpec mode, got %v", c.Mode)
-	}
-	if c.Mode == SequenceSpec && c.SeqDepth < 1 {
-		return fmt.Errorf("core: sequence depth %d < 1", c.SeqDepth)
-	}
-	if msg := c.Expansion.Validate(); msg != "" {
-		return fmt.Errorf("core: %s", msg)
 	}
 	if err := c.Sample.Validate(); err != nil {
 		return err
@@ -386,15 +384,11 @@ type Engine struct {
 	// pol is the speculation policy controller, non-nil when
 	// Config.Policy is set (see policy.go).
 	pol *policy.Controller
-	// shapes prices every speculating request's steps under Serve: the
-	// controller's chooser under Config.Policy, else the engine's own
-	// (nil for incremental decoding). ceiling is the shape it cuts
-	// without a Policy — the admitted static or adaptive shape, the
-	// same for every request — and ceilNodes[d-1] the speculated nodes
-	// of its cut to d levels.
-	shapes    *policy.Chooser
-	ceiling   speculator.Shape
-	ceilNodes []int
+	// shapes prices every speculating request's steps under Serve (nil
+	// for incremental decoding), and nodes is stepBatch's scratch for
+	// the speculated nodes of a ceiling's cuts.
+	shapes *policy.Chooser
+	nodes  []int
 
 	// mu guards srv, the live-serving state installed by Serve. Run and
 	// RunOnline never touch it.
@@ -412,28 +406,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg}
-	switch {
-	case cfg.Policy != nil:
+	if cfg.Policy != nil {
 		ctl, err := policy.NewController(*cfg.Policy)
 		if err != nil {
 			return nil, err
 		}
-		e.pol, e.shapes = ctl, ctl.Chooser()
-	case cfg.Mode != Incremental:
-		pool := len(cfg.SSMs)
-		switch {
-		case cfg.Mode == SequenceSpec:
-			// The baseline drafts one sequence from the first SSM.
-			e.ceiling, pool = speculator.Shape{Expansion: tree.SequenceConfig(cfg.SeqDepth)}, 1
-		case cfg.Adaptive != nil:
-			e.ceiling = speculator.Shape{Budget: cfg.Adaptive.WithDefaults()}
-		default:
-			e.ceiling = speculator.Shape{Expansion: cfg.Expansion}
-		}
+		e.pol = ctl
+	}
+	if cfg.Mode != Incremental {
 		e.shapes = policy.NewChooser()
-		for d := 1; d <= e.ceiling.Depth(); d++ {
-			e.ceilNodes = append(e.ceilNodes, e.ceiling.Cut(d).Nodes(pool))
-		}
 	}
 	if cfg.PrefixCacheBytes > 0 {
 		e.prefix = kvcache.NewPrefixCache(cfg.PrefixCacheBytes)
@@ -451,11 +432,10 @@ type reqState struct {
 	req  workload.Request
 	llm  model.Session
 	spec *speculator.Speculator // nil for incremental decoding
-	// shape is the tree the next step drafts: the engine's ceiling,
-	// fixed at admission under Run and RunOnline, or written each
-	// iteration on the scheduler goroutine before the worker pool
-	// starts, by decidePolicy or the shape chooser. A shape that drafts
-	// nothing makes the step an incremental one.
+	// shape is the tree the next step drafts, written each iteration by
+	// stepBatch on the scheduler goroutine before the worker pool
+	// starts. A shape that drafts nothing makes the step an incremental
+	// one.
 	shape    speculator.Shape
 	lastTok  model.Token
 	lastDist []float32
@@ -555,17 +535,20 @@ func (e *Engine) schedule(src source, clock func() time.Time) {
 func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time) IterationRecord {
 	rec := IterationRecord{Reqs: make([]ReqIter, len(batch))}
 	measured := e.shapes != nil && clock != nil
-	switch {
-	case e.pol != nil:
-		e.decidePolicy(batch, queued, &rec, measured)
-	case measured:
-		for _, st := range batch {
-			st.shape = e.ceiling.Cut(e.shapes.Choose(st.req.ID, e.ceilNodes))
-		}
+	if e.pol != nil {
+		rec.PolicyMode = e.pol.ModeFor(queued, len(batch), e.cfg.MaxBatch).String()
 	}
 	for i, st := range batch {
-		rec.Reqs[i].Depth = st.shape.Depth()
-		rec.SpecSteps = max(rec.SpecSteps, rec.Reqs[i].Depth)
+		st.shape = e.ceiling(st, queued, len(batch), measured)
+		if measured {
+			st.shape = st.shape.Cut(e.shapes.Choose(st.req.ID, e.cutNodes(st.shape)))
+		}
+		row := &rec.Reqs[i]
+		if e.pol != nil {
+			row.PolicyNodes, row.PolicySSMs = st.shape.Budget.MaxNodes, st.shape.SSMs
+		}
+		row.Depth = st.shape.Depth()
+		rec.SpecSteps = max(rec.SpecSteps, row.Depth)
 	}
 	var durs []time.Duration
 	if measured {
@@ -591,18 +574,48 @@ func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time
 	// depend on worker interleaving. A zero step verified nothing, so
 	// only its cost is evidence.
 	for i, row := range rec.Reqs {
-		switch {
-		case row.Depth == 0:
-		case e.pol != nil:
+		if row.Depth > 0 && e.pol != nil {
 			e.pol.Observe(row.ID, row.SpecAccepted)
-		case measured:
-			e.shapes.ObserveAccept(row.ID, row.SpecAccepted)
 		}
 		if measured {
+			if row.Depth > 0 {
+				e.shapes.ObserveAccept(row.ID, row.SpecAccepted)
+			}
 			e.shapes.ObserveCost(row.ID, row.TreeNodes, durs[i].Seconds())
 		}
 	}
 	return rec
+}
+
+// ceiling is the shape a request's step drafts whole, or, when
+// measured, the one the shape chooser cuts: the speculation rule's
+// budget under Config.Policy, else Config.Shape (which drafts nothing
+// under incremental decoding). Under Serve the rule's history of the
+// request starts at its first decision (policy.Controller.Track).
+func (e *Engine) ceiling(st *reqState, queued, active int, measured bool) speculator.Shape {
+	if e.pol == nil {
+		return e.cfg.Shape
+	}
+	if measured {
+		e.pol.Track(st.req.ID)
+	}
+	d := e.pol.Decide(st.req.ID, queued, active, e.cfg.MaxBatch)
+	return speculator.Shape{Budget: d.Budget, SSMs: d.SSMs}
+}
+
+// cutNodes lists, in the engine's scratch, the speculated nodes of
+// ceil cut to each depth 1…ceil.Depth(), drafted from the request's
+// pool: every SSM of it, or the first alone for the sequence baseline.
+func (e *Engine) cutNodes(ceil speculator.Shape) []int {
+	pool := len(e.cfg.SSMs)
+	if e.cfg.Mode == SequenceSpec {
+		pool = 1
+	}
+	e.nodes = e.nodes[:0]
+	for d := 1; d <= ceil.Depth(); d++ {
+		e.nodes = append(e.nodes, ceil.Cut(d).Nodes(pool))
+	}
+	return e.nodes
 }
 
 // prefill is an iteration's prefill phase: it runs the prompts of every
@@ -747,10 +760,10 @@ func (e *Engine) release(st *reqState) {
 	if st.spec != nil {
 		st.spec.Close()
 	}
-	switch {
-	case e.pol != nil:
+	if e.pol != nil {
 		e.pol.Retire(st.req.ID)
-	case e.shapes != nil:
+	}
+	if e.shapes != nil {
 		e.shapes.Retire(st.req.ID)
 	}
 }
@@ -781,8 +794,6 @@ func (e *Engine) admit(req workload.Request) *reqState {
 			cfg = speculator.Config{Sample: e.cfg.Sample}
 			ssms = ssms[:1]
 		}
-		// Under a Policy decidePolicy writes the shape every iteration.
-		st.shape = e.ceiling
 		st.spec = speculator.New(cfg, ssms...)
 	}
 	st.prefix = opened

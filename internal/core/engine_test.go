@@ -222,13 +222,13 @@ func TestMergeBasedMultiSSMEngine(t *testing.T) {
 
 	one, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Expansion: tree.SequenceConfig(8),
-		Sample:    sampling.GreedyConfig(), Seed: 17,
+		Shape:  speculator.Shape{Expansion: tree.SequenceConfig(8)},
+		Sample: sampling.GreedyConfig(), Seed: 17,
 	}, reqs)
 	two, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm, ssm2},
-		Expansion: tree.SequenceConfig(8),
-		Sample:    sampling.GreedyConfig(), Seed: 17,
+		Shape:  speculator.Shape{Expansion: tree.SequenceConfig(8)},
+		Sample: sampling.GreedyConfig(), Seed: 17,
 	}, reqs)
 	// Lossless in both cases...
 	for i := range reqs {
@@ -266,8 +266,8 @@ func TestTransformerBackedEngine(t *testing.T) {
 	inc, _ := run(t, Config{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig(), Seed: 1}, reqs)
 	spec, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Expansion: tree.WidthConfig(3)[:4], // short config to keep it fast
-		Sample:    sampling.GreedyConfig(), Seed: 1,
+		Shape:  speculator.Shape{Expansion: tree.WidthConfig(3)[:4]}, // short config to keep it fast
+		Sample: sampling.GreedyConfig(), Seed: 1,
 	}, reqs)
 	for i := range reqs {
 		for j := range inc[i].Output {
@@ -296,12 +296,21 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("bad sampling config must fail")
 	}
 	// A best-first budget only shapes tree speculation: elsewhere it
-	// would be silently ignored.
+	// would be silently ignored. So would any shape under incremental
+	// decoding, and a tree under the sequence baseline.
 	for _, mode := range []Mode{Incremental, SequenceSpec} {
 		if _, err := NewEngine(Config{Mode: mode, LLM: llm, SSMs: []model.Model{ssm},
-			Adaptive: &tree.Budget{MaxNodes: 8}}); err == nil {
-			t.Fatalf("Adaptive with %v mode must fail", mode)
+			Shape: speculator.Shape{Budget: tree.Budget{MaxNodes: 8}}}); err == nil {
+			t.Fatalf("a budget shape with %v mode must fail", mode)
 		}
+		if _, err := NewEngine(Config{Mode: mode, LLM: llm, SSMs: []model.Model{ssm},
+			Shape: speculator.Shape{Expansion: tree.WidthConfig(2)}}); err == nil {
+			t.Fatalf("a width-2 tree with %v mode must fail", mode)
+		}
+	}
+	if _, err := NewEngine(Config{Mode: SequenceSpec, LLM: llm, SSMs: []model.Model{ssm},
+		Shape: speculator.Shape{Expansion: tree.SequenceConfig(0)}}); err == nil {
+		t.Fatal("an empty chain must fail")
 	}
 	if _, err := NewEngine(Config{Mode: Incremental, LLM: llm}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -329,7 +338,7 @@ func TestAdaptiveSpeculationLossless(t *testing.T) {
 		t.Run(fmt.Sprintf("%d-ssm", len(pool)), func(t *testing.T) {
 			budget := &tree.Budget{MaxNodes: 10, MaxDepth: 8}
 			ada, recs := run(t, Config{
-				Mode: TreeSpec, LLM: llm, SSMs: pool, Adaptive: budget,
+				Mode: TreeSpec, LLM: llm, SSMs: pool, Shape: speculator.Shape{Budget: *budget},
 				Sample: sampling.GreedyConfig(), Seed: 31,
 			}, reqs)
 			var incSteps, adaSteps int
@@ -363,8 +372,8 @@ func TestAdaptiveStochasticRuns(t *testing.T) {
 	llm, ssm, reqs := testModels(t, 2, 32)
 	res, _ := run(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Adaptive: &tree.Budget{MaxNodes: 10},
-		Sample:   sampling.StochasticConfig(), Seed: 32,
+		Shape:  speculator.Shape{Budget: tree.Budget{MaxNodes: 10}},
+		Sample: sampling.StochasticConfig(), Seed: 32,
 	}, reqs)
 	for _, r := range res {
 		if len(r.Output) != 32 {
@@ -513,8 +522,8 @@ func TestDistilledTransformerSSM(t *testing.T) {
 	serve := func(ssm model.Model) ([]RequestResult, float64) {
 		res, _ := run(t, Config{
 			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-			Expansion: tree.ExpansionConfig{2, 1, 1, 1},
-			Sample:    sampling.GreedyConfig(), Seed: 1,
+			Shape:  speculator.Shape{Expansion: tree.ExpansionConfig{2, 1, 1, 1}},
+			Sample: sampling.GreedyConfig(), Seed: 1,
 		}, reqs)
 		var toks, steps int
 		for _, r := range res {
@@ -595,10 +604,14 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		}
 		exp[rng.Intn(len(exp))] = width
 
-		eng, err := NewEngine(Config{
+		cfg := Config{
 			Mode: mode, LLM: llm, SSMs: []model.Model{ssm},
-			Expansion: exp, Sample: policy, MaxBatch: batch, Seed: seed,
-		})
+			Sample: policy, MaxBatch: batch, Seed: seed,
+		}
+		if mode == TreeSpec {
+			cfg.Shape = speculator.Shape{Expansion: exp}
+		}
+		eng, err := NewEngine(cfg)
 		if err != nil {
 			return false
 		}

@@ -175,23 +175,27 @@ func TestFloorLiveGreedyMatchesIncremental(t *testing.T) {
 	}
 	st := eng.ServeStats()
 	waitServeExit(t, cancel, done)
-	steps := 0
+	steps, zero := 0, uint64(0)
 	for _, r := range res {
 		steps += r.Steps
+		for _, n := range r.TreeNodesPerStep {
+			if n == 0 {
+				zero++
+			}
+		}
 	}
-	if st.PolicySteps != uint64(steps) {
-		t.Fatalf("PolicySteps %d, requests stepped %d times", st.PolicySteps, steps)
+	if st.Shape.Steps != uint64(steps) {
+		t.Fatalf("shape steps %d, requests stepped %d times", st.Shape.Steps, steps)
 	}
-	if st.PolicyZeroSteps == 0 || st.PolicyZeroSteps+st.SpecVerifications != st.PolicySteps {
-		t.Fatalf("zero steps %d + verifications %d != policy steps %d",
-			st.PolicyZeroSteps, st.SpecVerifications, st.PolicySteps)
+	if st.Shape.ZeroSteps == 0 || st.Shape.ZeroSteps+st.SpecVerifications != st.Shape.Steps {
+		t.Fatalf("zero steps %d + verifications %d != shape steps %d",
+			st.Shape.ZeroSteps, st.SpecVerifications, st.Shape.Steps)
 	}
-	if share := float64(st.PolicyZeroSteps) / float64(st.PolicySteps); share < 0.5 {
+	if share := float64(st.Shape.ZeroSteps) / float64(st.Shape.Steps); share < 0.5 {
 		t.Fatalf("zero-budget share %.2f with expensive drafting, want most steps floored", share)
 	}
-	ps, _ := eng.PolicyStats()
-	if ps.ZeroDecisions != st.PolicyZeroSteps {
-		t.Fatalf("controller counted %d zero decisions, serve stats %d zero steps", ps.ZeroDecisions, st.PolicyZeroSteps)
+	if zero != st.Shape.ZeroSteps {
+		t.Fatalf("chooser counted %d zero steps, requests took %d", st.Shape.ZeroSteps, zero)
 	}
 }
 
@@ -306,12 +310,13 @@ func TestFloorBacklogReleasedOnRetire(t *testing.T) {
 			if p := st.PrefixCache.Pinned; p != 0 {
 				t.Fatalf("%d prefix-cache entries still pinned", p)
 			}
-			ps, _ := eng.PolicyStats()
-			if ps.ZeroDecisions == 0 {
+			if st.Shape.ZeroSteps == 0 {
 				t.Fatal("no zero-budget steps: the request never held a backlog")
 			}
-			if ps.TrackedRequests != 0 {
-				t.Fatalf("%d requests still tracked by the policy", ps.TrackedRequests)
+			ps, _ := eng.PolicyStats()
+			if ps.TrackedRequests != 0 || st.Shape.TrackedRequests != 0 {
+				t.Fatalf("%d requests still tracked by the policy, %d by the shape chooser",
+					ps.TrackedRequests, st.Shape.TrackedRequests)
 			}
 			if n := m.open.Load(); n != 0 {
 				t.Fatalf("%d SSM sessions still open", n)

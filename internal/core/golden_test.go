@@ -9,6 +9,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
 )
@@ -60,7 +61,7 @@ func TestStochasticOutputsGolden(t *testing.T) {
 		}, "db9d8b1d3eb1822b"},
 		{"T0.7/transformer", Config{
 			Mode: TreeSpec, LLM: tfLLM, SSMs: []model.Model{tfSSM}, Sample: temp(0.7),
-			Expansion: tree.WidthConfig(3)[:4], Seed: 9, MaxBatch: 4,
+			Shape: speculator.Shape{Expansion: tree.WidthConfig(3)[:4]}, Seed: 9, MaxBatch: 4,
 		}, "f95a3cea61c61ca6"},
 	}
 	for _, c := range cases {

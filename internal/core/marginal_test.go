@@ -7,6 +7,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
@@ -35,7 +36,7 @@ func TestBestFirstDraftsPreserveFirstTokenLaw(t *testing.T) {
 	}
 	paths := map[string]func(*Config){
 		"adaptive": func(c *Config) {
-			c.Adaptive = &tree.Budget{MaxNodes: 4, MaxDepth: 2, FanoutCap: 2}
+			c.Shape = speculator.Shape{Budget: tree.Budget{MaxNodes: 4, MaxDepth: 2, FanoutCap: 2}}
 		},
 		"policy": func(c *Config) { c.Policy = &policy.Config{} },
 	}

@@ -7,6 +7,7 @@ import (
 
 	"specinfer/internal/model"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
@@ -48,8 +49,8 @@ func TestRunDeterministicAcrossAttnWorkers(t *testing.T) {
 			llm, ssm := mkModels(attn)
 			res, iters := run(t, Config{
 				Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-				Expansion: tree.WidthConfig(2)[:3],
-				Sample:    sampling.GreedyConfig(), Seed: 17,
+				Shape:  speculator.Shape{Expansion: tree.WidthConfig(2)[:3]},
+				Sample: sampling.GreedyConfig(), Seed: 17,
 				MaxBatch: 2, Workers: workers,
 			}, reqs)
 			if base == nil {

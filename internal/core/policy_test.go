@@ -11,6 +11,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
@@ -251,8 +252,8 @@ func TestPolicyEnsembleRunsAndPrunes(t *testing.T) {
 	}
 }
 
-// TestPolicyConfigConflicts: Policy demands TreeSpec and excludes the
-// static Adaptive field.
+// TestPolicyConfigConflicts: Policy demands TreeSpec and a zero Shape,
+// since its rule supplies every step's ceiling.
 func TestPolicyConfigConflicts(t *testing.T) {
 	llm, ssm, _ := testModels(t, 1, 4)
 	if _, err := NewEngine(Config{
@@ -263,11 +264,19 @@ func TestPolicyConfigConflicts(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-		Sample:   sampling.GreedyConfig(),
-		Policy:   &policy.Config{},
-		Adaptive: &tree.Budget{MaxNodes: 8},
+		Sample: sampling.GreedyConfig(),
+		Policy: &policy.Config{},
+		Shape:  speculator.Shape{Budget: tree.Budget{MaxNodes: 8}},
 	}); err == nil {
-		t.Fatal("Policy accepted alongside Adaptive")
+		t.Fatal("Policy accepted alongside a budget Shape")
+	}
+	if _, err := NewEngine(Config{
+		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
+		Sample: sampling.GreedyConfig(),
+		Policy: &policy.Config{},
+		Shape:  speculator.Shape{Expansion: tree.PaperDefault()},
+	}); err == nil {
+		t.Fatal("Policy accepted alongside a static Shape")
 	}
 	if _, err := NewEngine(Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},

@@ -9,6 +9,7 @@ import (
 	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/tensor"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
@@ -52,8 +53,8 @@ func TestPrefixCacheBitExactAcrossConfigs(t *testing.T) {
 							llm, ssm := prefixTestModels(arch, attn)
 							return Config{
 								Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-								Expansion: tree.WidthConfig(2)[:3],
-								Sample:    sample, Seed: 17,
+								Shape:  speculator.Shape{Expansion: tree.WidthConfig(2)[:3]},
+								Sample: sample, Seed: 17,
 								MaxBatch: 2, Workers: workers,
 								PrefixCacheBytes: pcBytes,
 							}
@@ -234,8 +235,8 @@ func TestGuestAdoptsButNeverInserts(t *testing.T) {
 		llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
 		return mustEngine(t, Config{
 			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-			Expansion: tree.WidthConfig(2)[:3],
-			Sample:    sampling.GreedyConfig(), Seed: 17,
+			Shape:  speculator.Shape{Expansion: tree.WidthConfig(2)[:3]},
+			Sample: sampling.GreedyConfig(), Seed: 17,
 			MaxBatch: 2, PrefixCacheBytes: 64 << 20,
 		})
 	}

@@ -133,10 +133,6 @@ type serveState struct {
 	polLatIters uint64 // guarded by mu
 	polThrIters uint64 // guarded by mu
 	polBudget   int    // guarded by mu
-	// polSteps counts request-steps the policy decided and polZero
-	// those it floored to a zero budget (incremental steps).
-	polSteps uint64 // guarded by mu
-	polZero  uint64 // guarded by mu
 }
 
 // ServeStats is a point-in-time snapshot of the live serving loop, the
@@ -205,23 +201,80 @@ type ServeStats struct {
 	// speculated-node budget granted across the last iteration's batch
 	// (the "current speculation budget"), and PolicyTrackedRequests is
 	// the number of requests with live acceptance history (bounded by
-	// the active batch once retire hooks run). PolicySteps counts the
-	// request-steps the policy decided and PolicyZeroSteps those it
-	// floored to a zero budget — incremental steps taken because
-	// speculation was measured not to pay.
+	// the active batch once retire hooks run).
 	PolicyEnabled                             bool
 	PolicyLatencyIters, PolicyThroughputIters uint64
 	PolicySpecBudget                          int
 	PolicyTrackedRequests                     int
-	PolicySteps, PolicyZeroSteps              uint64
 	// ShapeEnabled reports whether the engine prices its step shapes:
 	// every speculative mode does under Serve, with or without a
 	// Policy (DESIGN.md §26). Shape then snapshots the shape chooser —
-	// its zero steps, its steps by chosen depth, and its current
+	// its zero steps (incremental steps taken because speculation was
+	// measured not to pay), its steps by chosen depth, and its current
 	// zero-step cost and step-cost fit — over the engine's lifetime;
 	// it is zero when ShapeEnabled is false.
 	ShapeEnabled bool
 	Shape        policy.ChooserStats
+}
+
+// SumServeStats rolls the snapshots of several engines — a fleet's
+// replicas — up into one. Counters, gauges, batch and queue bounds and
+// throughputs sum; uptime and the recent window are the longest; the
+// latency, queue-delay and TTFT quantiles come from the pooled sample
+// windows (metrics.Merge), not from averaging per-engine percentiles,
+// which has no defined meaning for P99; the mean accept length is
+// recomputed from the summed counters; the prefix caches' stats sum
+// field by field, and the shape choosers' by policy.SumChooserStats.
+// A block (prefix cache, policy, shape) and Serving and Draining are
+// on when any engine's is.
+func SumServeStats(sts ...ServeStats) ServeStats {
+	var sum ServeStats
+	var lat, qd, ttft []metrics.Snapshot
+	var shapes []policy.ChooserStats
+	for _, st := range sts {
+		sum.Serving = sum.Serving || st.Serving
+		sum.Draining = sum.Draining || st.Draining
+		sum.QueueDepth += st.QueueDepth
+		sum.QueueCap += st.QueueCap
+		sum.ActiveRequests += st.ActiveRequests
+		sum.MaxBatch += st.MaxBatch
+		sum.Submitted += st.Submitted
+		sum.Completed += st.Completed
+		sum.Canceled += st.Canceled
+		sum.Rejected += st.Rejected
+		sum.Iterations += st.Iterations
+		sum.TokensCommitted += st.TokensCommitted
+		sum.SpecVerifications += st.SpecVerifications
+		sum.SpecTokensAccepted += st.SpecTokensAccepted
+		sum.KVBytesActive += st.KVBytesActive
+		sum.UptimeSeconds = max(sum.UptimeSeconds, st.UptimeSeconds)
+		sum.TokensPerSec += st.TokensPerSec
+		sum.RecentTokensPerSec += st.RecentTokensPerSec
+		sum.RecentWindowSeconds = max(sum.RecentWindowSeconds, st.RecentWindowSeconds)
+		lat = append(lat, st.LatencySamples)
+		qd = append(qd, st.QueueDelaySamples)
+		ttft = append(ttft, st.TTFTSamples)
+		sum.PrefixCacheEnabled = sum.PrefixCacheEnabled || st.PrefixCacheEnabled
+		sum.PrefixCache = sum.PrefixCache.Add(st.PrefixCache)
+		sum.PolicyEnabled = sum.PolicyEnabled || st.PolicyEnabled
+		sum.PolicyLatencyIters += st.PolicyLatencyIters
+		sum.PolicyThroughputIters += st.PolicyThroughputIters
+		sum.PolicySpecBudget += st.PolicySpecBudget
+		sum.PolicyTrackedRequests += st.PolicyTrackedRequests
+		sum.ShapeEnabled = sum.ShapeEnabled || st.ShapeEnabled
+		shapes = append(shapes, st.Shape)
+	}
+	if sum.SpecVerifications > 0 {
+		sum.MeanAcceptedLen = float64(sum.SpecTokensAccepted) / float64(sum.SpecVerifications)
+	}
+	sum.LatencySamples = metrics.Merge(lat...)
+	sum.QueueDelaySamples = metrics.Merge(qd...)
+	sum.TTFTSamples = metrics.Merge(ttft...)
+	sum.Latency = sum.LatencySamples.Summary()
+	sum.QueueDelay = sum.QueueDelaySamples.Summary()
+	sum.TTFT = sum.TTFTSamples.Summary()
+	sum.Shape = policy.SumChooserStats(shapes...)
+	return sum
 }
 
 // Serve runs the scheduler loop (Engine.schedule) on the Submit queue
@@ -480,8 +533,6 @@ func (e *Engine) ServeStats() ServeStats {
 		st.PolicyLatencyIters = s.polLatIters
 		st.PolicyThroughputIters = s.polThrIters
 		st.PolicySpecBudget = s.polBudget
-		st.PolicySteps = s.polSteps
-		st.PolicyZeroSteps = s.polZero
 	}
 	e.shapeStats(&st)
 	return st
@@ -664,7 +715,7 @@ func (s *serveState) setDraining() {
 // recordIteration folds one iteration record into the live stats.
 func (s *serveState) recordIteration(rec IterationRecord) {
 	policyOn := rec.PolicyMode != ""
-	var toks, verifs, accepted, zero uint64
+	var toks, verifs, accepted uint64
 	var polBudget int
 	for _, r := range rec.Reqs {
 		toks += uint64(r.Committed)
@@ -672,9 +723,6 @@ func (s *serveState) recordIteration(rec IterationRecord) {
 		switch {
 		case r.Depth == 0:
 			// an incremental step: nothing was verified
-			if policyOn {
-				zero++
-			}
 		case r.SpecAccepted < 0:
 			// a failed verification: no accept length to record
 		default:
@@ -695,8 +743,6 @@ func (s *serveState) recordIteration(rec IterationRecord) {
 			s.polLatIters++
 		}
 		s.polBudget = polBudget
-		s.polSteps += uint64(len(rec.Reqs))
-		s.polZero += zero
 	}
 	s.recentT.Add(now.Sub(s.started).Seconds())
 	s.recentC.Add(float64(s.tokens))

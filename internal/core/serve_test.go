@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"specinfer/internal/kvcache"
 	"specinfer/internal/metrics"
 	"specinfer/internal/model"
+	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
 	"specinfer/internal/tensor"
 	"specinfer/internal/tree"
@@ -855,5 +857,71 @@ func TestServeSpecAcceptStats(t *testing.T) {
 	}
 	if st := inc.ServeStats(); st.SpecVerifications != 0 || st.MeanAcceptedLen != 0 {
 		t.Fatalf("incremental serving reported spec stats: %+v", st)
+	}
+}
+
+// TestSumServeStats: a fleet's rollup sums counters, gauges and bounds,
+// takes the longest uptime and recent window, pools the sample windows
+// for its quantiles, recomputes the mean accept length and the prefix
+// hit rate from the sums, weights the shape choosers' cost estimates by
+// their steps, and turns a block on when any engine's is.
+func TestSumServeStats(t *testing.T) {
+	a := ServeStats{
+		Serving: true, QueueDepth: 1, QueueCap: 4, ActiveRequests: 2, MaxBatch: 2,
+		Submitted: 3, Completed: 2, Canceled: 1, Iterations: 10, TokensCommitted: 30,
+		SpecVerifications: 4, SpecTokensAccepted: 8, MeanAcceptedLen: 2,
+		KVBytesActive: 100, UptimeSeconds: 5, TokensPerSec: 6,
+		RecentTokensPerSec: 7, RecentWindowSeconds: 3,
+		LatencySamples:     metrics.Snapshot{Values: []float64{1, 2}, Total: 2},
+		TTFTSamples:        metrics.Snapshot{Values: []float64{0.5}, Total: 1},
+		PrefixCacheEnabled: true,
+		PrefixCache:        kvcache.PrefixStats{Hits: 1, Misses: 3, Bytes: 10, MaxBytes: 100, Pinned: 1},
+		ShapeEnabled:       true,
+		Shape: policy.ChooserStats{Steps: 1, ZeroSteps: 1, ZeroCost: 1e-3,
+			Cost: policy.CostModel{PerNode: 4e-3}, TrackedRequests: 1},
+	}
+	b := ServeStats{
+		Draining: true, QueueCap: 4, MaxBatch: 2, Submitted: 1, Rejected: 2,
+		Iterations: 5, TokensCommitted: 9, SpecVerifications: 1, SpecTokensAccepted: 2,
+		UptimeSeconds: 8, TokensPerSec: 1, RecentWindowSeconds: 1,
+		LatencySamples:     metrics.Snapshot{Values: []float64{7}, Total: 4},
+		PolicyEnabled:      true,
+		PolicyLatencyIters: 3, PolicySpecBudget: 6, PolicyTrackedRequests: 1,
+		PrefixCache:  kvcache.PrefixStats{Hits: 3, Misses: 1, MaxBytes: 100},
+		ShapeEnabled: true,
+		Shape: policy.ChooserStats{Steps: 3, ZeroSteps: 1, Probes: 1,
+			StepsByDepth: []uint64{0, 2}, ZeroCost: 2e-3},
+	}
+	sum := SumServeStats(a, b)
+	if !sum.Serving || !sum.Draining || !sum.PrefixCacheEnabled || !sum.PolicyEnabled || !sum.ShapeEnabled {
+		t.Fatalf("a block or flag one engine has is off in the sum: %+v", sum)
+	}
+	if sum.QueueCap != 8 || sum.MaxBatch != 4 || sum.ActiveRequests != 2 || sum.Submitted != 4 ||
+		sum.Rejected != 2 || sum.Iterations != 15 || sum.TokensCommitted != 39 ||
+		sum.KVBytesActive != 100 || sum.TokensPerSec != 7 || sum.RecentTokensPerSec != 7 {
+		t.Fatalf("counters not summed: %+v", sum)
+	}
+	if sum.UptimeSeconds != 8 || sum.RecentWindowSeconds != 3 {
+		t.Fatalf("uptime %v, recent window %v: want the longest", sum.UptimeSeconds, sum.RecentWindowSeconds)
+	}
+	if sum.MeanAcceptedLen != 2 {
+		t.Fatalf("mean accept length %v, want 10/5 from the summed counters", sum.MeanAcceptedLen)
+	}
+	if sum.Latency.N != 3 || sum.Latency.Max != 7 || sum.LatencySamples.Total != 6 || sum.TTFT.N != 1 {
+		t.Fatalf("pooled latency %+v (total %d), TTFT %+v", sum.Latency, sum.LatencySamples.Total, sum.TTFT)
+	}
+	if p := sum.PrefixCache; p.Hits != 4 || p.Misses != 4 || p.HitRate() != 0.5 || p.MaxBytes != 200 || p.Pinned != 1 {
+		t.Fatalf("prefix cache sum %+v", p)
+	}
+	if sum.PolicyLatencyIters != 3 || sum.PolicySpecBudget != 6 || sum.PolicyTrackedRequests != 1 {
+		t.Fatalf("policy sum %+v", sum)
+	}
+	sh := sum.Shape
+	if sh.Steps != 4 || sh.ZeroSteps != 2 || sh.Probes != 1 || sh.TrackedRequests != 1 ||
+		len(sh.StepsByDepth) != 2 || sh.StepsByDepth[1] != 2 {
+		t.Fatalf("shape counts %+v", sh)
+	}
+	if !tensor.ApproxEq(sh.ZeroCost, (1e-3+3*2e-3)/4, 1e-12) || !tensor.ApproxEq(sh.Cost.PerNode, 1e-3, 1e-12) {
+		t.Fatalf("shape costs %+v, want means weighted by steps", sh)
 	}
 }

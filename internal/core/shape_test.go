@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"specinfer/internal/model"
+	"specinfer/internal/ngram"
+	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/tensor"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
 )
@@ -210,4 +213,50 @@ func TestServeShapeFollowsCostRegime(t *testing.T) {
 				st.Shape.StepsByDepth, st.Shape.Steps, st.Shape.ZeroSteps)
 		}
 	})
+}
+
+// TestPolicyCeilingPricedAtShapeNodes: every cut of a policy ceiling is
+// priced at the nodes the shape itself drafts from the pool,
+// Shape.Cut(d).Nodes(pool), as a static ceiling's is. With two SSMs the
+// rule's starting budget (6 nodes, depth 3, fan-out 3) cut to depth 1
+// merges two 3-node trees, so it is priced at 6 nodes, not at one
+// tree's 3, and no step verifies more nodes than its cut was priced at.
+func TestPolicyCeilingPricedAtShapeNodes(t *testing.T) {
+	llm, ssm, reqs := testModels(t, 1, 48)
+	mk := workload.NewMarkov(workload.DatasetByName("Alpaca"))
+	ssm2 := ngram.New(ngram.Config{Name: "ssm2", Vocab: 192, Order: 2, Smoothing: 0.05})
+	ssm2.TrainCorpus(mk.Corpus(tensor.NewRNG(777), 20, 256))
+	clock := &passClock{perPass: 100, perLevel: 10}
+	eng := mustEngine(t, Config{
+		Mode: TreeSpec, LLM: meteredLLM{Model: llm, clock: clock},
+		SSMs:   []model.Model{shortDrafter{Model: ssm, right: -1, clock: clock}, ssm2},
+		Sample: sampling.GreedyConfig(), Policy: &policy.Config{}, Workers: 1,
+	})
+	st := eng.admit(reqs[0])
+	defer eng.release(st)
+	batch := eng.prefill([]*reqState{st})
+	for step := 0; !st.done; step++ {
+		ceil := eng.ceiling(st, 0, 1, true)
+		rec := eng.stepBatch(batch, 0, clock.now)
+		if step == 0 {
+			if want := (tree.Budget{MaxNodes: 6, MaxDepth: 3, FanoutCap: 3}); ceil.Budget != want {
+				t.Fatalf("starting ceiling %+v, want %+v", ceil.Budget, want)
+			}
+			if want := []int{6, 6, 6}; !reflect.DeepEqual(eng.nodes, want) {
+				t.Fatalf("starting ceiling priced at %v nodes by depth, want %v", eng.nodes, want)
+			}
+		}
+		if len(eng.nodes) != ceil.Depth() {
+			t.Fatalf("step %d: %d cuts priced, ceiling depth %d", step, len(eng.nodes), ceil.Depth())
+		}
+		for d, n := range eng.nodes {
+			if want := ceil.Cut(d + 1).Nodes(2); n != want {
+				t.Fatalf("step %d: depth %d priced at %d nodes, the cut drafts up to %d", step, d+1, n, want)
+			}
+		}
+		if row := rec.Reqs[0]; row.Depth > 0 && row.TreeNodes > eng.nodes[row.Depth-1] {
+			t.Fatalf("step %d: verified %d nodes at depth %d, priced at %d",
+				step, row.TreeNodes, row.Depth, eng.nodes[row.Depth-1])
+		}
+	}
 }

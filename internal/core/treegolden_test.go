@@ -12,6 +12,7 @@ import (
 	"specinfer/internal/model"
 	"specinfer/internal/policy"
 	"specinfer/internal/sampling"
+	"specinfer/internal/speculator"
 	"specinfer/internal/transformer"
 	"specinfer/internal/tree"
 	"specinfer/internal/workload"
@@ -97,7 +98,7 @@ func TestSpeculatedTreesGolden(t *testing.T) {
 		{ID: 1, Prompt: []model.Token{7, 7, 3, 90, 151}, MaxNewTok: 32},
 	}
 	greedy, stoch := sampling.GreedyConfig(), sampling.StochasticConfig()
-	budget := &tree.Budget{MaxNodes: 10, MaxDepth: 6, FanoutCap: 3}
+	budget := speculator.Shape{Budget: tree.Budget{MaxNodes: 10, MaxDepth: 6, FanoutCap: 3}}
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -108,20 +109,20 @@ func TestSpeculatedTreesGolden(t *testing.T) {
 			Mode: TreeSpec, SSMs: ssms[:1], Sample: greedy, Seed: 3,
 		}, nil, "a9edba25c28d294e"},
 		{"static-samplek/stochastic", Config{
-			Mode: TreeSpec, SSMs: ssms[1:], Expansion: tree.ExpansionConfig{2, 3, 1, 2},
+			Mode: TreeSpec, SSMs: ssms[1:], Shape: speculator.Shape{Expansion: tree.ExpansionConfig{2, 3, 1, 2}},
 			Sample: stoch, Seed: 5,
 		}, nil, "ba2a383c382ee474"},
 		{"sequence/stochastic", Config{
-			Mode: SequenceSpec, SSMs: ssms[1:], SeqDepth: 4, Sample: stoch, Seed: 11,
+			Mode: SequenceSpec, SSMs: ssms[1:], Shape: speculator.Shape{Expansion: tree.SequenceConfig(4)}, Sample: stoch, Seed: 11,
 		}, nil, "d7d9a86b8636174b"},
 		{"merge-2ssm/greedy", Config{
 			Mode: TreeSpec, SSMs: ssms, Sample: greedy, Seed: 13,
 		}, nil, "97ef507ad329f5f7"},
 		{"adaptive/greedy", Config{
-			Mode: TreeSpec, SSMs: ssms[:1], Adaptive: budget, Sample: greedy, Seed: 17,
+			Mode: TreeSpec, SSMs: ssms[:1], Shape: budget, Sample: greedy, Seed: 17,
 		}, nil, "d59e2560f080e42a"},
 		{"adaptive/stochastic", Config{
-			Mode: TreeSpec, SSMs: ssms[:1], Adaptive: budget, Sample: stoch, Seed: 19,
+			Mode: TreeSpec, SSMs: ssms[:1], Shape: budget, Sample: stoch, Seed: 19,
 		}, nil, "083c084bbae694a4"},
 		{"policy-2ssm-deferred/stochastic", Config{
 			Mode: TreeSpec, SSMs: []model.Model{metered, ssms[1]}, Policy: &policy.Config{},
@@ -173,7 +174,7 @@ func TestSpeculatedTreesGolden(t *testing.T) {
 				t.Fatal("no speculated tree was scored")
 			}
 			if cfg.Policy != nil {
-				if ps, _ := eng.PolicyStats(); ps.ZeroDecisions == 0 {
+				if eng.shapes.Stats().ZeroSteps == 0 {
 					t.Fatal("the floor never fired: no deferred backlog was caught up")
 				}
 			}

@@ -142,6 +142,23 @@ func (s PrefixStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
+// Add returns the sum of two caches' stats, field by field: the stats
+// of a fleet whose replicas each own a private cache.
+func (s PrefixStats) Add(o PrefixStats) PrefixStats {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Inserts += o.Inserts
+	s.Evictions += o.Evictions
+	s.TokensShared += o.TokensShared
+	s.BytesShared += o.BytesShared
+	s.Bytes += o.Bytes
+	s.MaxBytes += o.MaxBytes
+	s.Nodes += o.Nodes
+	s.Tails += o.Tails
+	s.Pinned += o.Pinned
+	return s
+}
+
 // NewPrefixCache returns a cache that evicts least-recently-used
 // unpinned entries once its storage exceeds maxBytes. maxBytes must be
 // positive.

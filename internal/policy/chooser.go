@@ -306,6 +306,37 @@ func (c *Chooser) Stats() ChooserStats {
 	return st
 }
 
+// SumChooserStats rolls several choosers' stats up into one, as for the
+// replicas of a fleet: counts sum (steps by depth too), and the cost
+// estimates are means weighted by each chooser's steps.
+func SumChooserStats(sts ...ChooserStats) ChooserStats {
+	var sum ChooserStats
+	for _, st := range sts {
+		sum.Steps += st.Steps
+		sum.ZeroSteps += st.ZeroSteps
+		sum.Probes += st.Probes
+		sum.TrackedRequests += st.TrackedRequests
+		for d, n := range st.StepsByDepth {
+			if d == len(sum.StepsByDepth) {
+				sum.StepsByDepth = append(sum.StepsByDepth, 0)
+			}
+			sum.StepsByDepth[d] += n
+		}
+		w := float64(st.Steps)
+		sum.ZeroCost += w * st.ZeroCost
+		sum.Cost.Intercept += w * st.Cost.Intercept
+		sum.Cost.PerNode += w * st.Cost.PerNode
+		sum.Cost.PerLevel += w * st.Cost.PerLevel
+	}
+	if n := float64(sum.Steps); n > 0 {
+		sum.ZeroCost /= n
+		sum.Cost.Intercept /= n
+		sum.Cost.PerNode /= n
+		sum.Cost.PerLevel /= n
+	}
+	return sum
+}
+
 // costFit is an exponentially decayed (specCostDecay per sample) least
 // squares fit of speculative step cost c = a + b·n + g·d over nodes
 // verified n and levels drafted d, constrained to a, b, g >= 0, with the

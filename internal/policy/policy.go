@@ -39,7 +39,7 @@
 // depth and grants the depth, or zero (an incremental step), expected
 // to commit the most tokens per second of measured step time. A live
 // engine prices every speculating request's steps with one; under the
-// rule, DecideMeasured prices the rule's budget as the ceiling.
+// rule, the ceiling it cuts is the rule's budget.
 //
 // The package depends on nothing but the leaf tree package: decisions
 // are pure functions of (EWMAs, queue, occupancy, cost estimates) so
@@ -79,17 +79,12 @@ func (m Mode) String() string {
 // Decision is one request-iteration's speculation plan.
 type Decision struct {
 	Mode Mode
-	// Budget is the expansion envelope for this request this iteration.
-	// MaxNodes 0 (only DecideMeasured grants it) means "do not
-	// speculate": the engine takes an incremental step — sample from
-	// the LLM's last distribution, one Decode — with no tree, no
-	// verifier and no SSM forward; the SSM sessions catch up on the
-	// skipped tokens in one batched pass the next time the request
-	// speculates.
+	// Budget is the expansion envelope for this request this iteration
+	// (MaxNodes >= 1): what a step drafts whole offline, and the ceiling
+	// a live engine's Chooser cuts.
 	Budget tree.Budget
 	// SSMs is how many models of the ensemble to run (clamped by the
-	// engine to the pool size; >= 1 whenever Budget.MaxNodes > 0, 0 on
-	// a zero-budget step).
+	// engine to the pool size; 0 = all of them).
 	SSMs int
 }
 
@@ -174,9 +169,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Constants of measured pricing. They are deliberately not
-// configuration: the chooser prices its own decisions from
-// measurements, and these only set how fast the estimates forget.
+// Constants of measured pricing and of the engine-wide accept length.
+// They are deliberately not configuration: the chooser prices its own
+// decisions from measurements, and these only set how fast the
+// estimates forget.
 const (
 	// poolAlpha is the EWMA decay of the engine-wide accept length that
 	// seeds new requests (slower than Alpha: it pools every request).
@@ -204,9 +200,6 @@ type Stats struct {
 	// LatencyDecisions / ThroughputDecisions count per-request
 	// decisions made in each mode over the controller's lifetime.
 	LatencyDecisions, ThroughputDecisions uint64
-	// ZeroDecisions counts decisions (of either mode) that granted a
-	// zero budget: an incremental step instead of a speculative one.
-	ZeroDecisions uint64
 	// TrackedRequests is the number of requests with live acceptance
 	// or probe history (bounded by the active batch once retire hooks
 	// run).
@@ -236,21 +229,18 @@ func (m mean) value() (float64, bool) {
 }
 
 // Controller holds per-request acceptance history and the engine-wide
-// acceptance estimate, produces the rule's decisions, and prices them
-// with its Chooser under DecideMeasured. It is safe for concurrent use;
-// the engine calls Decide/DecideMeasured/Observe/ObserveCost serially
-// from its scheduler goroutine and Retire from retirement paths, while
-// stats readers may snapshot concurrently.
+// acceptance estimate, and produces the rule's decisions.
+// It is safe for concurrent use; the engine calls Track, Decide and
+// Observe serially from its scheduler goroutine and Retire from
+// retirement paths, while stats readers may snapshot concurrently.
 type Controller struct {
-	cfg    Config
-	shapes *Chooser
+	cfg Config
 
-	mu    sync.Mutex
-	reqs  map[int]*reqTrack // guarded by mu — per-request history
-	pool  mean              // guarded by mu — engine-wide accept length
-	nodes []int             // guarded by mu — DecideMeasured's candidates
-	lat   uint64            // guarded by mu — latency-mode decision count
-	thr   uint64            // guarded by mu — throughput-mode decision count
+	mu   sync.Mutex
+	reqs map[int]*reqTrack // guarded by mu — per-request history
+	pool mean              // guarded by mu — engine-wide accept length
+	lat  uint64            // guarded by mu — latency-mode decision count
+	thr  uint64            // guarded by mu — throughput-mode decision count
 }
 
 // NewController validates the configuration and returns a controller.
@@ -259,15 +249,11 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, shapes: NewChooser(), reqs: make(map[int]*reqTrack)}, nil
+	return &Controller{cfg: cfg, reqs: make(map[int]*reqTrack)}, nil
 }
 
 // Config returns the controller's effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
-
-// Chooser returns the chooser DecideMeasured prices the rule's budgets
-// with, whose estimates Observe and ObserveCost feed.
-func (c *Controller) Chooser() *Chooser { return c.shapes }
 
 // ModeFor applies the mode-switch rule alone: throughput when the
 // queue is at or past the high-water mark, or when the batch is full;
@@ -306,33 +292,15 @@ func (c *Controller) Decide(reqID, queueLen, active, maxBatch int) Decision {
 	return c.rule(mode, ew)
 }
 
-// DecideMeasured is Decide priced by measured costs: the rule's budget
-// is the ceiling, and the Chooser grants it cut to the depth d in
-// 1…MaxDepth (Budget.MaxDepth = d) expected to commit the most tokens
-// per second of measured step time, or a zero budget when an
-// incremental step is expected to do better. Bootstrap, probes of the
-// rule's full budget and the zero steps that keep the zero-step cost
-// fresh are the Chooser's. Like Decide it is a pure function of the
-// controller's state and its arguments.
-func (c *Controller) DecideMeasured(reqID, queueLen, active, maxBatch int) Decision {
-	mode := c.ModeFor(queueLen, active, maxBatch)
+// Track starts the request's history now, seeded from the engine-wide
+// estimate, unless it has one: Decide then reads the request's own
+// EWMA. A live engine tracks every request from its first decision;
+// without Track, history starts at the request's first Observe, and
+// until then Decide reads the engine-wide estimate as it moves.
+func (c *Controller) Track(reqID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.trackLocked(reqID)
-	c.countLocked(mode)
-	d := c.rule(mode, t.ewma)
-	b := d.Budget.WithDefaults()
-	c.nodes = c.nodes[:0]
-	for depth, ceiling := 1, b.MaxDepth; depth <= ceiling; depth++ {
-		b.MaxDepth = depth
-		c.nodes = append(c.nodes, b.Capacity())
-	}
-	depth := c.shapes.Choose(reqID, c.nodes)
-	if depth == 0 {
-		return Decision{Mode: mode}
-	}
-	d.Budget.MaxDepth = depth
-	return d
+	c.trackLocked(reqID)
 }
 
 // rule maps a mode and an accept-length estimate to the mode's budget.
@@ -404,16 +372,6 @@ func (c *Controller) Observe(reqID, accepted int) {
 	t := c.trackLocked(reqID)
 	t.ewma = (1-c.cfg.Alpha)*t.ewma + c.cfg.Alpha*float64(accepted)
 	c.pool.add(float64(accepted), poolAlpha)
-	c.shapes.ObserveAccept(reqID, accepted)
-}
-
-// ObserveCost folds one measured step time of a request into the
-// Chooser's cost estimates: nodes is the number of speculated nodes the
-// step verified (0 for a zero-budget step) and seconds its wall time,
-// including any SSM catch-up it paid for. Non-positive times are
-// ignored.
-func (c *Controller) ObserveCost(reqID, nodes int, seconds float64) {
-	c.shapes.ObserveCost(reqID, nodes, seconds)
 }
 
 // Retire drops a request's history. The engine calls it at every
@@ -423,7 +381,6 @@ func (c *Controller) Retire(reqID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.reqs, reqID)
-	c.shapes.Retire(reqID)
 }
 
 // Tracked reports how many requests currently have history (the
@@ -441,7 +398,6 @@ func (c *Controller) Stats() Stats {
 	return Stats{
 		LatencyDecisions:    c.lat,
 		ThroughputDecisions: c.thr,
-		ZeroDecisions:       c.shapes.Stats().ZeroSteps,
 		TrackedRequests:     len(c.reqs),
 	}
 }

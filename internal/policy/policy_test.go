@@ -229,21 +229,48 @@ func TestConfigValidation(t *testing.T) {
 // decodeCost is a synthetic zero-budget step time, in seconds.
 const decodeCost = 1e-4
 
+// floor is the rule priced by a Chooser, as a live engine with one SSM
+// runs it: the rule's budget is the ceiling the chooser cuts.
+type floor struct {
+	*Controller
+	shapes *Chooser
+}
+
+func newFloor(t *testing.T) floor {
+	return floor{mustController(t, Config{}), NewChooser()}
+}
+
 // runFloor drives one request through steps decisions, feeding back the
 // accept length and the step cost the two callbacks assign, and returns
 // the granted node budgets (0 = zero-budget step).
-func runFloor(c *Controller, id, steps int, accepted func(nodes int) int, cost func(nodes int) float64) []int {
+func runFloor(f floor, id, steps int, accepted func(nodes int) int, cost func(nodes int) float64) []int {
 	out := make([]int, steps)
 	for i := range out {
-		d := c.DecideMeasured(id, 0, 1, 8)
-		n := d.Budget.MaxNodes
+		f.Track(id)
+		b := f.Decide(id, 0, 1, 8).Budget.WithDefaults()
+		var nodes []int
+		for depth, ceiling := 1, b.MaxDepth; depth <= ceiling; depth++ {
+			b.MaxDepth = depth
+			nodes = append(nodes, b.Capacity())
+		}
+		n := 0
+		if f.shapes.Choose(id, nodes) > 0 {
+			n = b.MaxNodes
+		}
 		out[i] = n
 		if n > 0 {
-			c.Observe(id, accepted(n))
+			f.Observe(id, accepted(n))
+			f.shapes.ObserveAccept(id, accepted(n))
 		}
-		c.ObserveCost(id, n, cost(n))
+		f.shapes.ObserveCost(id, n, cost(n))
 	}
 	return out
+}
+
+// retire drops a request from the rule and the chooser.
+func (f floor) retire(id int) {
+	f.Retire(id)
+	f.shapes.Retire(id)
 }
 
 // requireRefreshOnly fails unless every zero budget in budgets is an
@@ -270,16 +297,16 @@ func requireRefreshOnly(t *testing.T, budgets []int) {
 // decode cost and one refresh step per maxProbeBackoff speculative
 // steps that keeps that measurement current.
 func TestFloorStaysOffWhenSpeculationPays(t *testing.T) {
-	c := mustController(t, Config{})
-	budgets := runFloor(c, 1, 200,
+	f := newFloor(t)
+	budgets := runFloor(f, 1, 200,
 		func(int) int { return 3 },
 		func(int) float64 { return decodeCost })
 	if budgets[0] != 0 {
 		t.Fatalf("first decision budget %d, want the zero-step bootstrap", budgets[0])
 	}
 	requireRefreshOnly(t, budgets[1:])
-	if z, max := c.Stats().ZeroDecisions, uint64(1+200/(maxProbeBackoff+1)); z > max {
-		t.Fatalf("ZeroDecisions = %d, want <= %d (bootstrap and refreshes)", z, max)
+	if z, max := f.shapes.Stats().ZeroSteps, uint64(1+200/(maxProbeBackoff+1)); z > max {
+		t.Fatalf("ZeroSteps = %d, want <= %d (bootstrap and refreshes)", z, max)
 	}
 }
 
@@ -289,8 +316,8 @@ func TestFloorStaysOffWhenSpeculationPays(t *testing.T) {
 // maxProbeBackoff zero steps, so speculative steps settle well under 1/8
 // of all steps.
 func TestFloorFiresAndProbesOnBackoff(t *testing.T) {
-	c := mustController(t, Config{})
-	budgets := runFloor(c, 1, 600,
+	f := newFloor(t)
+	budgets := runFloor(f, 1, 600,
 		func(int) int { return 0 },
 		func(n int) float64 { return decodeCost * float64(n+1) })
 	// Bootstrap: one zero step, one speculative step; then floored.
@@ -323,11 +350,11 @@ func TestFloorFiresAndProbesOnBackoff(t *testing.T) {
 // agree, and from then on the request speculates on every step but the
 // rationed zero-cost refreshes.
 func TestFloorProbeWinResetsBackoff(t *testing.T) {
-	c := mustController(t, Config{})
-	runFloor(c, 1, 200,
+	f := newFloor(t)
+	runFloor(f, 1, 200,
 		func(int) int { return 0 },
 		func(n int) float64 { return decodeCost * float64(n+1) })
-	budgets := runFloor(c, 1, 120,
+	budgets := runFloor(f, 1, 120,
 		func(int) int { return 4 },
 		func(int) float64 { return decodeCost })
 	first := -1 // first speculative step
@@ -371,18 +398,18 @@ func TestNewRequestsSeedFromPooledAcceptance(t *testing.T) {
 // backoff cap on their own still probes, at no more than about one step
 // in maxProbeBackoff once the backoff has grown.
 func TestFloorProbesAcrossShortRequests(t *testing.T) {
-	c := mustController(t, Config{})
+	f := newFloor(t)
 	const reqs, steps = 200, 8
 	spec := 0
 	for id := 0; id < reqs; id++ {
-		for _, n := range runFloor(c, id, steps,
+		for _, n := range runFloor(f, id, steps,
 			func(int) int { return 0 },
 			func(n int) float64 { return decodeCost * float64(n+1) }) {
 			if n > 0 && id >= reqs/2 {
 				spec++
 			}
 		}
-		c.Retire(id)
+		f.retire(id)
 	}
 	// Second half: the backoff sits at its cap.
 	total := reqs / 2 * steps

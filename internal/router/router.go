@@ -10,9 +10,7 @@ import (
 
 	"specinfer/internal/core"
 	"specinfer/internal/kvcache"
-	"specinfer/internal/metrics"
 	"specinfer/internal/model"
-	"specinfer/internal/policy"
 	"specinfer/internal/workload"
 )
 
@@ -615,11 +613,8 @@ type ReplicaStats struct {
 	core.ServeStats
 }
 
-// FleetStats is the fleet-wide /metricz rollup: per-replica snapshots
-// plus aggregates. Latency, queue-delay and TTFT quantiles are computed by
-// pooling the replicas' raw retained samples (metrics.Merge), which is
-// exact for the merged window — not an average of per-replica
-// percentiles, which has no defined meaning for P99.
+// FleetStats is the fleet-wide /metricz rollup: the routing state,
+// per-replica snapshots, and their sum (core.SumServeStats).
 type FleetStats struct {
 	Policy   string
 	Replicas []ReplicaStats
@@ -633,71 +628,16 @@ type FleetStats struct {
 	// their affine replica was busy; Shed counts requests refused with
 	// every replica's queue full.
 	Rerouted, Spilled, Shed uint64
-	// Aggregate counters summed over replicas.
-	Submitted, Completed, Canceled, Rejected uint64
-	TokensCommitted                          uint64
-	// SpecVerifications/SpecTokensAccepted sum the replicas' speculative
-	// verification counters; MeanAcceptedLen is the fleet-wide mean
-	// accept length per verification (recomputed from the sums, not an
-	// average of per-replica means).
-	SpecVerifications, SpecTokensAccepted uint64
-	MeanAcceptedLen                       float64
-	QueueDepth, QueueCap                  int
-	KVBytesActive                         int64
-	TokensPerSec, RecentTokensPerSec      float64
-	// Latency, QueueDelay and TTFT (time to first token) are fleet-wide
-	// quantiles over the pooled per-replica sample windows, in seconds.
-	Latency, QueueDelay, TTFT metrics.Summary
-	// Prefix-cache rollup across replicas (each replica owns a private
-	// cache; these are sums).
-	PrefixCacheEnabled                    bool
-	PrefixHits, PrefixMisses              uint64
-	PrefixTokensShared, PrefixBytesShared uint64
-	PrefixBytes                           int64
-	// Speculation-policy rollup across replicas (core.Config.Policy):
-	// per-mode iteration counts, live speculation budgets, and tracked
-	// acceptance histories summed over policy-enabled replicas.
-	SpecPolicyEnabled                         bool
-	PolicyLatencyIters, PolicyThroughputIters uint64
-	PolicySpecBudget, PolicyTrackedRequests   int
-	// PolicySteps and PolicyZeroSteps sum the replicas' policy-decided
-	// request-steps and the zero-budget (incremental) ones among them.
-	PolicySteps, PolicyZeroSteps uint64
-	// ShapeEnabled reports whether any replica prices its step shapes;
-	// Shape then sums their shape choosers' step counts (per depth too)
-	// and tracked requests, and averages their cost estimates weighted
-	// by each replica's steps.
-	ShapeEnabled bool
-	Shape        policy.ChooserStats
-}
-
-// addShape folds one replica's shape chooser into the fleet's: counts
-// sum, and costs accumulate weighted by the replica's steps (FleetStats
-// divides by the fleet's steps once every replica is in).
-func addShape(fleet *policy.ChooserStats, rep policy.ChooserStats) {
-	fleet.Steps += rep.Steps
-	fleet.ZeroSteps += rep.ZeroSteps
-	fleet.Probes += rep.Probes
-	fleet.TrackedRequests += rep.TrackedRequests
-	for d, n := range rep.StepsByDepth {
-		if d == len(fleet.StepsByDepth) {
-			fleet.StepsByDepth = append(fleet.StepsByDepth, 0)
-		}
-		fleet.StepsByDepth[d] += n
-	}
-	w := float64(rep.Steps)
-	fleet.ZeroCost += w * rep.ZeroCost
-	fleet.Cost.Intercept += w * rep.Cost.Intercept
-	fleet.Cost.PerNode += w * rep.Cost.PerNode
-	fleet.Cost.PerLevel += w * rep.Cost.PerLevel
+	// Total sums the replicas' ServeStats: counters add up, and the
+	// latency, queue-delay and TTFT quantiles are exact over the pooled
+	// per-replica sample windows.
+	Total core.ServeStats
 }
 
 // FleetStats snapshots the fleet.
 func (r *Router) FleetStats() FleetStats {
 	fs := FleetStats{Policy: r.cfg.Policy.String()}
-	lat := make([]metrics.Snapshot, 0, len(r.reps))
-	qd := make([]metrics.Snapshot, 0, len(r.reps))
-	ttft := make([]metrics.Snapshot, 0, len(r.reps))
+	all := make([]core.ServeStats, 0, len(r.reps))
 	for _, rep := range r.reps {
 		st := rep.eng.ServeStats()
 		rs := ReplicaStats{ID: rep.id, ServeStats: st}
@@ -720,55 +660,9 @@ func (r *Router) FleetStats() FleetStats {
 			fs.Live++
 		}
 		fs.Replicas = append(fs.Replicas, rs)
-		fs.Submitted += st.Submitted
-		fs.Completed += st.Completed
-		fs.Canceled += st.Canceled
-		fs.Rejected += st.Rejected
-		fs.TokensCommitted += st.TokensCommitted
-		fs.SpecVerifications += st.SpecVerifications
-		fs.SpecTokensAccepted += st.SpecTokensAccepted
-		fs.QueueDepth += st.QueueDepth
-		fs.QueueCap += st.QueueCap
-		fs.KVBytesActive += st.KVBytesActive
-		fs.TokensPerSec += st.TokensPerSec
-		fs.RecentTokensPerSec += st.RecentTokensPerSec
-		if st.PrefixCacheEnabled {
-			fs.PrefixCacheEnabled = true
-			fs.PrefixHits += st.PrefixCache.Hits
-			fs.PrefixMisses += st.PrefixCache.Misses
-			fs.PrefixTokensShared += st.PrefixCache.TokensShared
-			fs.PrefixBytesShared += st.PrefixCache.BytesShared
-			fs.PrefixBytes += st.PrefixCache.Bytes
-		}
-		if st.PolicyEnabled {
-			fs.SpecPolicyEnabled = true
-			fs.PolicyLatencyIters += st.PolicyLatencyIters
-			fs.PolicyThroughputIters += st.PolicyThroughputIters
-			fs.PolicySpecBudget += st.PolicySpecBudget
-			fs.PolicyTrackedRequests += st.PolicyTrackedRequests
-			fs.PolicySteps += st.PolicySteps
-			fs.PolicyZeroSteps += st.PolicyZeroSteps
-		}
-		if st.ShapeEnabled {
-			fs.ShapeEnabled = true
-			addShape(&fs.Shape, st.Shape)
-		}
-		lat = append(lat, st.LatencySamples)
-		qd = append(qd, st.QueueDelaySamples)
-		ttft = append(ttft, st.TTFTSamples)
+		all = append(all, st)
 	}
-	fs.Latency = metrics.Merge(lat...).Summary()
-	fs.QueueDelay = metrics.Merge(qd...).Summary()
-	fs.TTFT = metrics.Merge(ttft...).Summary()
-	if fs.SpecVerifications > 0 {
-		fs.MeanAcceptedLen = float64(fs.SpecTokensAccepted) / float64(fs.SpecVerifications)
-	}
-	if n := float64(fs.Shape.Steps); n > 0 {
-		fs.Shape.ZeroCost /= n
-		fs.Shape.Cost.Intercept /= n
-		fs.Shape.Cost.PerNode /= n
-		fs.Shape.Cost.PerLevel /= n
-	}
+	fs.Total = core.SumServeStats(all...)
 	r.mu.Lock()
 	for i, rep := range r.reps {
 		fs.Replicas[i].InFlight = rep.inFlight

@@ -650,8 +650,8 @@ func TestFleetRollup(t *testing.T) {
 		}
 	}
 	fs := r.FleetStats()
-	if fs.Submitted != n || fs.Completed != n {
-		t.Fatalf("rollup submitted %d completed %d, want %d", fs.Submitted, fs.Completed, n)
+	if fs.Total.Submitted != n || fs.Total.Completed != n {
+		t.Fatalf("rollup submitted %d completed %d, want %d", fs.Total.Submitted, fs.Total.Completed, n)
 	}
 	var perReplica uint64
 	for _, rs := range fs.Replicas {
@@ -660,8 +660,8 @@ func TestFleetRollup(t *testing.T) {
 	if perReplica != n {
 		t.Fatalf("per-replica completions sum to %d, want %d", perReplica, n)
 	}
-	if fs.Latency.N != n {
-		t.Fatalf("pooled latency sample count %d, want %d", fs.Latency.N, n)
+	if fs.Total.Latency.N != n {
+		t.Fatalf("pooled latency sample count %d, want %d", fs.Total.Latency.N, n)
 	}
 	// Every request streamed a first token: the pooled TTFT window holds
 	// one sample per request, and its maximum is the slowest replica's.
@@ -669,11 +669,11 @@ func TestFleetRollup(t *testing.T) {
 	for _, rs := range fs.Replicas {
 		ttftMax = max(ttftMax, rs.TTFT.Max)
 	}
-	if fs.TTFT.N != n || fs.TTFT.Max != ttftMax {
-		t.Fatalf("pooled TTFT %+v, want %d samples with max %v", fs.TTFT, n, ttftMax)
+	if fs.Total.TTFT.N != n || fs.Total.TTFT.Max != ttftMax {
+		t.Fatalf("pooled TTFT %+v, want %d samples with max %v", fs.Total.TTFT, n, ttftMax)
 	}
-	if fs.TokensCommitted != uint64(3*n) {
-		t.Fatalf("rollup tokens %d, want %d", fs.TokensCommitted, 3*n)
+	if fs.Total.TokensCommitted != uint64(3*n) {
+		t.Fatalf("rollup tokens %d, want %d", fs.Total.TokensCommitted, 3*n)
 	}
 	if fs.Policy != "prefix-affinity" {
 		t.Fatalf("rollup policy %q", fs.Policy)

@@ -64,7 +64,6 @@ var (
 	policyKeys = []string{
 		"policy", "policy.latency_iters", "policy.throughput_iters",
 		"policy.spec_budget", "policy.tracked_requests",
-		"policy.zero_steps", "policy.zero_step_share",
 	}
 	fleetKeys = []string{
 		"router", "router.policy", "router.replicas", "router.live",

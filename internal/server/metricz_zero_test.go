@@ -102,8 +102,8 @@ func TestMetriczFreshReplica(t *testing.T) {
 		}
 		if m.Policy.LatencyIters != 0 || m.Policy.ThroughputIters != 0 ||
 			m.Policy.SpecBudget != 0 || m.Policy.TrackedRequests != 0 ||
-			m.Policy.ZeroSteps != 0 || m.Policy.ZeroStepShare != 0 {
-			t.Fatalf("fresh replica reports policy activity: %+v", m.Policy)
+			m.Shape == nil || m.Shape.ZeroSteps != 0 || m.Shape.ZeroStepShare != 0 {
+			t.Fatalf("fresh replica reports policy activity: %+v, shape %+v", m.Policy, m.Shape)
 		}
 
 		// After traffic the block must go live.
@@ -117,22 +117,24 @@ func TestMetriczFreshReplica(t *testing.T) {
 		if m2.Policy == nil || m2.Policy.LatencyIters+m2.Policy.ThroughputIters == 0 {
 			t.Fatalf("policy iterations not counted after traffic: %+v", m2.Policy)
 		}
-		// The live controller's first step is a zero-budget step that
-		// measures the decode cost, so the counter is live after any
-		// traffic, and the share agrees with the engine's counters.
+		// The shape chooser's first step is a zero-budget step that
+		// measures the decode cost, so the shape block's counter is
+		// live after any traffic, and the share agrees with the
+		// engine's counters.
 		st := env.eng.ServeStats()
-		if m2.Policy.ZeroSteps == 0 || m2.Policy.ZeroSteps != st.PolicyZeroSteps {
-			t.Fatalf("zero_steps %d, engine counted %d (of %d policy steps)",
-				m2.Policy.ZeroSteps, st.PolicyZeroSteps, st.PolicySteps)
+		if m2.Shape == nil || m2.Shape.ZeroSteps == 0 || m2.Shape.ZeroSteps != st.Shape.ZeroSteps {
+			t.Fatalf("zero_steps %+v, engine counted %d (of %d steps)",
+				m2.Shape, st.Shape.ZeroSteps, st.Shape.Steps)
 		}
-		if want := float64(st.PolicyZeroSteps) / float64(st.PolicySteps); m2.Policy.ZeroStepShare != want {
-			t.Fatalf("zero_step_share %v, want %v", m2.Policy.ZeroStepShare, want)
+		if want := float64(st.Shape.ZeroSteps) / float64(st.Shape.Steps); m2.Shape.ZeroStepShare != want {
+			t.Fatalf("zero_step_share %v, want %v", m2.Shape.ZeroStepShare, want)
 		}
 	})
 }
 
-// TestFleetMetriczPolicyZeroSteps: the fleet rollup sums the replicas'
-// zero-budget step counters and recomputes the share from the sums.
+// TestFleetMetriczPolicyZeroSteps: under a policy, the fleet rollup
+// sums the replicas' zero-budget step counters (the shape block's) and
+// recomputes the share from the sums.
 func TestFleetMetriczPolicyZeroSteps(t *testing.T) {
 	env, rt := newFleetEnvWith(t, 2, func(cfg *core.Config) {
 		cfg.Mode = core.TreeSpec
@@ -147,20 +149,20 @@ func TestFleetMetriczPolicyZeroSteps(t *testing.T) {
 	fs := rt.FleetStats()
 	var zero, steps uint64
 	for _, r := range fs.Replicas {
-		zero += r.PolicyZeroSteps
-		steps += r.PolicySteps
+		zero += r.Shape.ZeroSteps
+		steps += r.Shape.Steps
 	}
-	if zero == 0 || fs.PolicyZeroSteps != zero || fs.PolicySteps != steps {
-		t.Fatalf("fleet zero/policy steps %d/%d, replicas sum to %d/%d",
-			fs.PolicyZeroSteps, fs.PolicySteps, zero, steps)
+	if zero == 0 || fs.Total.Shape.ZeroSteps != zero || fs.Total.Shape.Steps != steps {
+		t.Fatalf("fleet zero/shape steps %d/%d, replicas sum to %d/%d",
+			fs.Total.Shape.ZeroSteps, fs.Total.Shape.Steps, zero, steps)
 	}
 	var m metriczResponse
 	if err := json.Unmarshal(getMetriczRaw(t, env.http.URL), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Policy == nil || m.Policy.ZeroSteps != zero ||
-		m.Policy.ZeroStepShare != float64(zero)/float64(steps) {
-		t.Fatalf("fleet policy block %+v, want %d zero steps of %d", m.Policy, zero, steps)
+	if m.Policy == nil || m.Shape == nil || m.Shape.ZeroSteps != zero ||
+		m.Shape.ZeroStepShare != float64(zero)/float64(steps) {
+		t.Fatalf("fleet policy block %+v, shape block %+v, want %d zero steps of %d", m.Policy, m.Shape, zero, steps)
 	}
 }
 
@@ -180,7 +182,7 @@ func TestFleetMetriczZeroTraffic(t *testing.T) {
 	}
 	requireFinite(t, "fleet", any)
 	fs := rt.FleetStats()
-	if fs.SpecVerifications != 0 || fs.MeanAcceptedLen != 0 {
+	if fs.Total.SpecVerifications != 0 || fs.Total.MeanAcceptedLen != 0 {
 		t.Fatalf("zero-traffic fleet reports accept length: %+v", fs)
 	}
 	var m metriczResponse

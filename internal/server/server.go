@@ -455,8 +455,8 @@ type metriczResponse struct {
 	// is the sum over the replicas' private caches.
 	PrefixCache *prefixCacheMetrics `json:"prefix_cache,omitempty"`
 	// Policy is present when the per-iteration speculation policy is
-	// enabled (core.Config.Policy). In fleet mode it sums over
-	// policy-enabled replicas.
+	// enabled (core.Config.Policy). In fleet mode it sums over the
+	// replicas.
 	Policy *policyMetrics `json:"policy,omitempty"`
 	// Shape is present when the engine prices its step shapes (every
 	// speculative mode, with or without a policy): how many steps it
@@ -506,15 +506,13 @@ type replicaMetrics struct {
 // how many iterations each mode decided, the node budget the last
 // iteration granted across its batch, how many per-request acceptance
 // histories the controller currently holds (bounded by the active batch
-// when retirement is working), and how many request-steps — and what
-// share of them — the measured-cost floor took with a zero budget.
+// when retirement is working). The zero steps the shape chooser takes
+// under the policy are the shape block's.
 type policyMetrics struct {
-	LatencyIters    uint64  `json:"latency_iters"`
-	ThroughputIters uint64  `json:"throughput_iters"`
-	SpecBudget      int     `json:"spec_budget"`
-	TrackedRequests int     `json:"tracked_requests"`
-	ZeroSteps       uint64  `json:"zero_steps"`
-	ZeroStepShare   float64 `json:"zero_step_share"`
+	LatencyIters    uint64 `json:"latency_iters"`
+	ThroughputIters uint64 `json:"throughput_iters"`
+	SpecBudget      int    `json:"spec_budget"`
+	TrackedRequests int    `json:"tracked_requests"`
 }
 
 // shapeMetrics is the /metricz view of the shape chooser
@@ -538,22 +536,17 @@ type shapeMetrics struct {
 
 func shapeToMetricz(s policy.ChooserStats) *shapeMetrics {
 	const us = 1e6 // the chooser's costs are in seconds
-	return &shapeMetrics{
-		Steps: s.Steps, ZeroSteps: s.ZeroSteps, ZeroStepShare: zeroShare(s.ZeroSteps, s.Steps),
+	m := &shapeMetrics{
+		Steps: s.Steps, ZeroSteps: s.ZeroSteps,
 		Probes: s.Probes, StepsByDepth: append([]uint64{}, s.StepsByDepth...),
 		ZeroCostUs: s.ZeroCost * us, CostInterceptUs: s.Cost.Intercept * us,
 		CostPerNodeUs: s.Cost.PerNode * us, CostPerLevelUs: s.Cost.PerLevel * us,
 		TrackedRequests: s.TrackedRequests,
 	}
-}
-
-// zeroShare is the share of request-steps taken with a zero budget (0
-// before the first step).
-func zeroShare(zero, steps uint64) float64 {
-	if steps == 0 {
-		return 0
+	if s.Steps > 0 {
+		m.ZeroStepShare = float64(s.ZeroSteps) / float64(s.Steps)
 	}
-	return float64(zero) / float64(steps)
+	return m
 }
 
 // prefixCacheMetrics is the /metricz view of kvcache.PrefixStats.
@@ -631,8 +624,6 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 			ThroughputIters: st.PolicyThroughputIters,
 			SpecBudget:      st.PolicySpecBudget,
 			TrackedRequests: st.PolicyTrackedRequests,
-			ZeroSteps:       st.PolicyZeroSteps,
-			ZeroStepShare:   zeroShare(st.PolicyZeroSteps, st.PolicySteps),
 		}
 	}
 	if st.ShapeEnabled {
@@ -641,79 +632,23 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 	return resp
 }
 
-// fleetMetricz builds the fleet rollup: the same top-level aggregate
-// fields a single engine reports (sums over replicas; latency,
-// queue-delay and TTFT quantiles pooled exactly from the per-replica
-// sample windows), plus the router block and per-replica breakdown.
+// fleetMetricz builds the fleet rollup: one engine's view of the
+// replicas' summed stats (quantiles pooled exactly from the per-replica
+// sample windows), serving while any replica is live, plus the router
+// block and per-replica breakdown. Draining is the server's own flag,
+// which handleMetricz sets.
 func fleetMetricz(fs router.FleetStats) metriczResponse {
-	resp := metriczResponse{
-		Serving:    fs.Live > 0,
-		QueueDepth: fs.QueueDepth, QueueCap: fs.QueueCap,
-		Submitted: fs.Submitted, Completed: fs.Completed,
-		Canceled: fs.Canceled, Rejected: fs.Rejected,
-		TokensCommitted:   fs.TokensCommitted,
-		SpecVerifications: fs.SpecVerifications,
-		MeanAcceptedLen:   fs.MeanAcceptedLen,
-		TokensPerSec:      fs.TokensPerSec, TokensPerSecRecent: fs.RecentTokensPerSec,
-		KVBytesActive: fs.KVBytesActive,
-		LatencyMs:     quantilesMs(fs.Latency),
-		QueueDelayMs:  quantilesMs(fs.QueueDelay),
-		TTFTMs:        quantilesMs(fs.TTFT),
-		Router: &routerMetrics{
-			Policy:   fs.Policy,
-			Replicas: len(fs.Replicas), Live: fs.Live, RingReplicas: fs.RingReplicas,
-			Rerouted: fs.Rerouted, Spilled: fs.Spilled, Shed: fs.Shed,
-		},
+	resp := statsToMetricz(fs.Total)
+	resp.Serving, resp.Draining = fs.Live > 0, false
+	resp.Router = &routerMetrics{
+		Policy:   fs.Policy,
+		Replicas: len(fs.Replicas), Live: fs.Live, RingReplicas: fs.RingReplicas,
+		Rerouted: fs.Rerouted, Spilled: fs.Spilled, Shed: fs.Shed,
 	}
-	var agg *prefixCacheMetrics
 	for _, rs := range fs.Replicas {
-		rm := replicaMetrics{ID: rs.ID, State: rs.State, Err: rs.Err, InFlight: rs.InFlight,
-			metriczResponse: statsToMetricz(rs.ServeStats)}
-		resp.Replicas = append(resp.Replicas, rm)
-		resp.ActiveRequests += rs.ActiveRequests
-		resp.MaxBatch += rs.MaxBatch
-		resp.Iterations += rs.Iterations
-		if rs.UptimeSeconds > resp.UptimeSeconds {
-			resp.UptimeSeconds = rs.UptimeSeconds
-		}
-		if rs.RecentWindowSeconds > resp.RecentWindowSeconds {
-			resp.RecentWindowSeconds = rs.RecentWindowSeconds
-		}
-		if p := rm.PrefixCache; p != nil {
-			if agg == nil {
-				agg = &prefixCacheMetrics{}
-			}
-			agg.Hits += p.Hits
-			agg.Misses += p.Misses
-			agg.Inserts += p.Inserts
-			agg.Evictions += p.Evictions
-			agg.TokensShared += p.TokensShared
-			agg.BytesShared += p.BytesShared
-			agg.Bytes += p.Bytes
-			agg.MaxBytes += p.MaxBytes
-			agg.Nodes += p.Nodes
-			agg.Tails += p.Tails
-			agg.Pinned += p.Pinned
-		}
-	}
-	if agg != nil {
-		if total := agg.Hits + agg.Misses; total > 0 {
-			agg.HitRate = float64(agg.Hits) / float64(total)
-		}
-		resp.PrefixCache = agg
-	}
-	if fs.SpecPolicyEnabled {
-		resp.Policy = &policyMetrics{
-			LatencyIters:    fs.PolicyLatencyIters,
-			ThroughputIters: fs.PolicyThroughputIters,
-			SpecBudget:      fs.PolicySpecBudget,
-			TrackedRequests: fs.PolicyTrackedRequests,
-			ZeroSteps:       fs.PolicyZeroSteps,
-			ZeroStepShare:   zeroShare(fs.PolicyZeroSteps, fs.PolicySteps),
-		}
-	}
-	if fs.ShapeEnabled {
-		resp.Shape = shapeToMetricz(fs.Shape)
+		resp.Replicas = append(resp.Replicas, replicaMetrics{
+			ID: rs.ID, State: rs.State, Err: rs.Err, InFlight: rs.InFlight,
+			metriczResponse: statsToMetricz(rs.ServeStats)})
 	}
 	return resp
 }

@@ -65,7 +65,7 @@ func (sh Shape) Depth() int {
 
 // Cut is the shape cut to its first depth levels: a static
 // configuration's first depth steps, or the budget with MaxDepth set to
-// depth (its defaults must be filled in). Cut(0) drafts nothing.
+// depth. Cut(0) drafts nothing.
 func (sh Shape) Cut(depth int) Shape {
 	switch {
 	case depth <= 0:
@@ -81,7 +81,7 @@ func (sh Shape) Cut(depth int) Shape {
 // Nodes is the most speculated nodes the shape drafts from a pool of
 // pool SSMs: a static configuration's nodes once per drafting SSM (their
 // trees merge without a prune), or, under a budget, the drafting SSMs'
-// trees pruned back to MaxNodes (its defaults must be filled in).
+// trees pruned back to MaxNodes, its zero fields taking their defaults.
 func (sh Shape) Nodes(pool int) int {
 	n := sh.SSMs
 	if n <= 0 || n > pool {
@@ -91,7 +91,7 @@ func (sh Shape) Nodes(pool int) int {
 	case sh.Expansion != nil:
 		return n * sh.Expansion.MaxNodes()
 	case sh.Budget.MaxNodes > 0:
-		return min(n*sh.Budget.Capacity(), sh.Budget.MaxNodes)
+		return min(n*sh.Budget.WithDefaults().Capacity(), sh.Budget.MaxNodes)
 	}
 	return 0
 }

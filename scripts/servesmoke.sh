@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the specinferd serving daemon: boot it, wait
 # for health, run one generation, scrape metrics, then SIGTERM and
-# require a clean (exit 0) graceful drain. CI runs this after the unit
-# gate; `make servesmoke` runs it locally.
+# require a clean (exit 0) graceful drain; then the same for a daemon
+# with the speculation policy and for a two-replica fleet. CI runs this
+# after the unit gate; `make servesmoke` runs it locally.
 #
 # Any failure (including ones surfaced by set -e mid-pipeline) lands in
 # the EXIT trap, which kills a still-running daemon so a broken run can
@@ -22,24 +23,38 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# wait_healthy waits (up to ~10s) for the daemon named $1 to come up.
+wait_healthy() {
+    for _ in $(seq 1 40); do
+        if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
+            return 0
+        fi
+        sleep 0.25
+    done
+    echo "servesmoke: $1 never became healthy" >&2
+    exit 1
+}
+
+# drain sends SIGTERM to the daemon named $1 and requires a clean exit.
+drain() {
+    echo "servesmoke: $1 SIGTERM drain"
+    kill -TERM "$PID"
+    if wait "$PID"; then
+        echo "servesmoke: $1 clean drain (exit 0)"
+        PID=""
+    else
+        code=$?
+        echo "servesmoke: $1 exited $code after SIGTERM" >&2
+        PID=""
+        exit 1
+    fi
+}
+
 go build -o "$BIN" ./cmd/specinferd
 
 "$BIN" -addr "$ADDR" -batch 2 -queue 8 &
 PID=$!
-
-# Wait (up to ~10s) for the daemon to come up.
-up=0
-for _ in $(seq 1 40); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
-        up=1
-        break
-    fi
-    sleep 0.25
-done
-if [ "$up" -ne 1 ]; then
-    echo "servesmoke: daemon never became healthy" >&2
-    exit 1
-fi
+wait_healthy daemon
 
 echo "servesmoke: generate"
 out=$(curl -sf -X POST "http://$ADDR/v1/generate" \
@@ -72,17 +87,41 @@ case "$metrics" in
     ;;
 esac
 
-echo "servesmoke: SIGTERM drain"
-kill -TERM "$PID"
-if wait "$PID"; then
-    echo "servesmoke: clean drain (exit 0)"
-    PID=""
-else
-    code=$?
-    echo "servesmoke: daemon exited $code after SIGTERM" >&2
-    PID=""
+drain daemon
+
+# ---- Policy phase: tree mode with the speculation policy, 2 SSMs ----
+# The rule's budget is the ceiling the engine's shape chooser cuts, so
+# /metricz carries both the policy block and the shape block.
+echo "servesmoke: policy (tree mode, 2 SSMs)"
+"$BIN" -addr "$ADDR" -batch 2 -queue 8 -mode tree -policy -ssms 2 &
+PID=$!
+wait_healthy "policy daemon"
+out=$(curl -sf -X POST "http://$ADDR/v1/generate" \
+    -d '{"prompt":[5,9,2],"max_new_tokens":12}')
+case "$out" in
+*'"tokens":['*) ;;
+*)
+    echo "servesmoke: policy generate missing tokens: $out" >&2
     exit 1
-fi
+    ;;
+esac
+metrics=$(curl -sf "http://$ADDR/metricz")
+echo "$metrics"
+case "$metrics" in
+*'"policy":{"latency_iters":'*) ;;
+*)
+    echo "servesmoke: policy metricz missing the policy block" >&2
+    exit 1
+    ;;
+esac
+case "$metrics" in
+*'"shape":{"steps":'*) ;;
+*)
+    echo "servesmoke: policy metricz missing the shape block" >&2
+    exit 1
+    ;;
+esac
+drain "policy daemon"
 
 # ---- Fleet phase: 2-replica daemon with prefix-affinity routing ----
 # Boot a 2-replica fleet on the paged transformer substrate with the
@@ -95,19 +134,7 @@ echo "servesmoke: fleet (2 replicas, prefix affinity)"
 "$BIN" -addr "$ADDR" -batch 2 -queue 8 -replicas 2 \
     -substrate transformer -prefix-cache-mb 64 &
 PID=$!
-
-up=0
-for _ in $(seq 1 40); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
-        up=1
-        break
-    fi
-    sleep 0.25
-done
-if [ "$up" -ne 1 ]; then
-    echo "servesmoke: fleet daemon never became healthy" >&2
-    exit 1
-fi
+wait_healthy "fleet daemon"
 
 # 72 tokens: one full 64-token KV page plus change, all inside the
 # Alpaca vocabulary (192).
@@ -189,14 +216,4 @@ if [ "$agg_hits" -lt 1 ]; then
     exit 1
 fi
 
-echo "servesmoke: fleet SIGTERM drain"
-kill -TERM "$PID"
-if wait "$PID"; then
-    echo "servesmoke: fleet clean drain (exit 0)"
-    PID=""
-else
-    code=$?
-    echo "servesmoke: fleet daemon exited $code after SIGTERM" >&2
-    PID=""
-    exit 1
-fi
+drain "fleet daemon"
