@@ -263,6 +263,9 @@ func (c Config) validate() error {
 			return fmt.Errorf("core: %s", msg)
 		}
 	}
+	if b := c.Shape.Budget; b.MaxNodes < 0 || b.MaxDepth < 0 || b.FanoutCap < 0 || b.MinPathProb < 0 || c.Shape.SSMs < 0 {
+		return fmt.Errorf("core: negative Shape field: %+v", c.Shape)
+	}
 	if err := c.Sample.Validate(); err != nil {
 		return err
 	}
@@ -385,8 +388,9 @@ type Engine struct {
 	// Config.Policy is set (see policy.go).
 	pol *policy.Controller
 	// shapes prices every speculating request's steps under Serve (nil
-	// for incremental decoding), and nodes is stepBatch's scratch for
-	// the speculated nodes of a ceiling's cuts.
+	// for incremental decoding), and nodes is cutNodes' scratch, which
+	// only Serve's scheduler goroutine touches: a step is priced only
+	// when measured, and at most one Serve runs at a time.
 	shapes *policy.Chooser
 	nodes  []int
 

@@ -312,6 +312,15 @@ func TestConfigValidation(t *testing.T) {
 		Shape: speculator.Shape{Expansion: tree.SequenceConfig(0)}}); err == nil {
 		t.Fatal("an empty chain must fail")
 	}
+	for _, sh := range []speculator.Shape{
+		{Budget: tree.Budget{MaxNodes: -1}},
+		{Budget: tree.Budget{MaxNodes: 8, FanoutCap: -2}},
+		{Expansion: tree.PaperDefault(), SSMs: -1},
+	} {
+		if _, err := NewEngine(Config{Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm}, Shape: sh}); err == nil {
+			t.Fatalf("negative shape %+v must fail", sh)
+		}
+	}
 	if _, err := NewEngine(Config{Mode: Incremental, LLM: llm}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}

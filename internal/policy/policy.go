@@ -169,10 +169,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Constants of measured pricing and of the engine-wide accept length.
-// They are deliberately not configuration: the chooser prices its own
-// decisions from measurements, and these only set how fast the
-// estimates forget.
+// Constants of measured pricing. They are deliberately not
+// configuration: the chooser prices its own decisions from
+// measurements, and these only set how fast the estimates forget.
 const (
 	// poolAlpha is the EWMA decay of the engine-wide accept length that
 	// seeds new requests (slower than Alpha: it pools every request).
@@ -229,10 +228,10 @@ func (m mean) value() (float64, bool) {
 }
 
 // Controller holds per-request acceptance history and the engine-wide
-// acceptance estimate, and produces the rule's decisions.
-// It is safe for concurrent use; the engine calls Track, Decide and
-// Observe serially from its scheduler goroutine and Retire from
-// retirement paths, while stats readers may snapshot concurrently.
+// acceptance estimate, and produces the rule's decisions. It is safe
+// for concurrent use; the engine calls Track, Decide and Observe
+// serially from its scheduler goroutine and Retire from retirement
+// paths, while stats readers may snapshot concurrently.
 type Controller struct {
 	cfg Config
 
