@@ -69,9 +69,11 @@ type Config struct {
 	// tree.Budget's defaults) and prunes the merged tree back to
 	// MaxNodes. The zero value is the paper's ⟨1,1,3,1,1,1,1,1⟩ under
 	// TreeSpec and a chain of 8 (tree.SequenceConfig(8)) under
-	// SequenceSpec, which accepts only chains. Incremental decoding
-	// drafts nothing and rejects a non-zero Shape, and so does Policy,
-	// whose rule supplies every step's ceiling.
+	// SequenceSpec, which accepts only chains. A Shape sets Expansion or
+	// Budget, not both, and leaves SSMs at 0: the drafting pool is
+	// Config.SSMs. Incremental decoding drafts nothing and rejects a
+	// non-zero Shape, and so does Policy, whose rule supplies every
+	// step's ceiling.
 	Shape speculator.Shape
 	// Sample is the decode policy applied to every request.
 	Sample sampling.Config
@@ -246,8 +248,12 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: unknown verifier %q (want %s, %s or %s)",
 			c.Verifier, VerifierMSS, VerifierNaive, VerifierTraversal)
 	}
-	shaped := c.Shape.Expansion != nil || c.Shape.Budget != (tree.Budget{}) || c.Shape.SSMs != 0
+	shaped := c.Shape.Expansion != nil || c.Shape.Budget != (tree.Budget{})
 	switch {
+	case c.Shape.SSMs != 0:
+		return fmt.Errorf("core: Shape.SSMs must be 0 (the drafting pool is Config.SSMs), got %d", c.Shape.SSMs)
+	case c.Shape.Expansion != nil && c.Shape.Budget != (tree.Budget{}):
+		return fmt.Errorf("core: Shape sets both Expansion and Budget; pick one")
 	case c.Policy != nil && c.Mode != TreeSpec:
 		return fmt.Errorf("core: Policy requires TreeSpec mode, got %v", c.Mode)
 	case c.Policy != nil && shaped:
@@ -263,7 +269,7 @@ func (c Config) validate() error {
 			return fmt.Errorf("core: %s", msg)
 		}
 	}
-	if b := c.Shape.Budget; b.MaxNodes < 0 || b.MaxDepth < 0 || b.FanoutCap < 0 || b.MinPathProb < 0 || c.Shape.SSMs < 0 {
+	if b := c.Shape.Budget; b.MaxNodes < 0 || b.MaxDepth < 0 || b.FanoutCap < 0 || b.MinPathProb < 0 {
 		return fmt.Errorf("core: negative Shape field: %+v", c.Shape)
 	}
 	if err := c.Sample.Validate(); err != nil {

@@ -321,6 +321,27 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("negative shape %+v must fail", sh)
 		}
 	}
+	// A shape names one tree: an Expansion next to a Budget, or a pool
+	// cut that Config.SSMs already expresses, would be silently ignored
+	// or duplicate an option. So would a Budget or SSMs beside a chain.
+	for _, c := range []struct {
+		mode Mode
+		sh   speculator.Shape
+	}{
+		{TreeSpec, speculator.Shape{Expansion: tree.PaperDefault(), Budget: tree.Budget{MaxNodes: 8}}},
+		{TreeSpec, speculator.Shape{Expansion: tree.PaperDefault(), SSMs: 1}},
+		{TreeSpec, speculator.Shape{Budget: tree.Budget{MaxNodes: 8}, SSMs: 1}},
+		{SequenceSpec, speculator.Shape{Expansion: tree.SequenceConfig(4), Budget: tree.Budget{MaxNodes: 8}}},
+		{SequenceSpec, speculator.Shape{Expansion: tree.SequenceConfig(4), SSMs: 1}},
+	} {
+		if _, err := NewEngine(Config{Mode: c.mode, LLM: llm, SSMs: []model.Model{ssm}, Shape: c.sh}); err == nil {
+			t.Fatalf("%v shape %+v must fail", c.mode, c.sh)
+		}
+	}
+	if _, err := NewEngine(Config{Mode: SequenceSpec, LLM: llm, SSMs: []model.Model{ssm},
+		Shape: speculator.Shape{Expansion: tree.SequenceConfig(4)}}); err != nil {
+		t.Fatalf("a chain under SequenceSpec rejected: %v", err)
+	}
 	if _, err := NewEngine(Config{Mode: Incremental, LLM: llm}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}

@@ -225,15 +225,14 @@ type ServeStats struct {
 // which has no defined meaning for P99; the mean accept length is
 // recomputed from the summed counters; the prefix caches' stats sum
 // field by field, and the shape choosers' by policy.SumChooserStats.
-// A block (prefix cache, policy, shape) and Serving and Draining are
-// on when any engine's is.
+// A block (prefix cache, policy, shape) is on when any engine's is.
+// Serving and Draining stay false: whether a fleet serves or drains is
+// its owner's state, not a sum of its engines'.
 func SumServeStats(sts ...ServeStats) ServeStats {
 	var sum ServeStats
 	var lat, qd, ttft []metrics.Snapshot
 	var shapes []policy.ChooserStats
 	for _, st := range sts {
-		sum.Serving = sum.Serving || st.Serving
-		sum.Draining = sum.Draining || st.Draining
 		sum.QueueDepth += st.QueueDepth
 		sum.QueueCap += st.QueueCap
 		sum.ActiveRequests += st.ActiveRequests

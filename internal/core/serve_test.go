@@ -864,7 +864,8 @@ func TestServeSpecAcceptStats(t *testing.T) {
 // takes the longest uptime and recent window, pools the sample windows
 // for its quantiles, recomputes the mean accept length and the prefix
 // hit rate from the sums, weights the shape choosers' cost estimates by
-// their steps, and turns a block on when any engine's is.
+// their steps, turns a block on when any engine's is, and leaves Serving
+// and Draining to the fleet's owner.
 func TestSumServeStats(t *testing.T) {
 	a := ServeStats{
 		Serving: true, QueueDepth: 1, QueueCap: 4, ActiveRequests: 2, MaxBatch: 2,
@@ -893,8 +894,11 @@ func TestSumServeStats(t *testing.T) {
 			StepsByDepth: []uint64{0, 2}, ZeroCost: 2e-3},
 	}
 	sum := SumServeStats(a, b)
-	if !sum.Serving || !sum.Draining || !sum.PrefixCacheEnabled || !sum.PolicyEnabled || !sum.ShapeEnabled {
-		t.Fatalf("a block or flag one engine has is off in the sum: %+v", sum)
+	if !sum.PrefixCacheEnabled || !sum.PolicyEnabled || !sum.ShapeEnabled {
+		t.Fatalf("a block one engine has is off in the sum: %+v", sum)
+	}
+	if sum.Serving || sum.Draining {
+		t.Fatalf("the sum sets the fleet's own Serving/Draining: %+v", sum)
 	}
 	if sum.QueueCap != 8 || sum.MaxBatch != 4 || sum.ActiveRequests != 2 || sum.Submitted != 4 ||
 		sum.Rejected != 2 || sum.Iterations != 15 || sum.TokensCommitted != 39 ||

@@ -630,7 +630,8 @@ type FleetStats struct {
 	Rerouted, Spilled, Shed uint64
 	// Total sums the replicas' ServeStats: counters add up, and the
 	// latency, queue-delay and TTFT quantiles are exact over the pooled
-	// per-replica sample windows.
+	// per-replica sample windows. Its Serving is Live > 0; its Draining
+	// stays false, since the router has no fleet-wide drain.
 	Total core.ServeStats
 }
 
@@ -663,6 +664,7 @@ func (r *Router) FleetStats() FleetStats {
 		all = append(all, st)
 	}
 	fs.Total = core.SumServeStats(all...)
+	fs.Total.Serving = fs.Live > 0
 	r.mu.Lock()
 	for i, rep := range r.reps {
 		fs.Replicas[i].InFlight = rep.inFlight

@@ -639,7 +639,6 @@ func statsToMetricz(st core.ServeStats) metriczResponse {
 // which handleMetricz sets.
 func fleetMetricz(fs router.FleetStats) metriczResponse {
 	resp := statsToMetricz(fs.Total)
-	resp.Serving, resp.Draining = fs.Live > 0, false
 	resp.Router = &routerMetrics{
 		Policy:   fs.Policy,
 		Replicas: len(fs.Replicas), Live: fs.Live, RingReplicas: fs.RingReplicas,
