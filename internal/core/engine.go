@@ -778,12 +778,13 @@ func (e *Engine) release(st *reqState) {
 	}
 }
 
-// admit opens a request's sessions and RNG stream. It is bookkeeping
-// only: the iteration's prefill phase runs the prompt through the
-// sessions (Engine.prefill).
-func (e *Engine) admit(req workload.Request) *reqState {
+// admit opens a request's sessions, looking their prompt up in cache
+// (nil: none), and its RNG stream. It is bookkeeping only: the
+// iteration's prefill phase runs the prompt through the sessions
+// (Engine.prefill).
+func (e *Engine) admit(req workload.Request, cache *kvcache.PrefixCache) *reqState {
 	var opened []*prefixSession
-	llm, ssms := e.admissionModels(&opened, req.Guest)
+	llm, ssms := e.admissionModels(&opened, cache, req.Guest)
 	st := &reqState{
 		req:     req,
 		llm:     llm.NewSession(),

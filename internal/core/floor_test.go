@@ -128,7 +128,7 @@ func TestFloorAlternatingStepsMatchIncremental(t *testing.T) {
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample: sampling.GreedyConfig(), Policy: &policy.Config{},
 	})
-	st := eng.admit(req)
+	st := eng.admit(req, eng.prefix)
 	defer eng.release(st)
 	eng.prefill([]*reqState{st})
 	pattern := []bool{true, false, true, true, false, true, true, true, false, false}

@@ -108,7 +108,7 @@ func (t *traceSource) admit(active []*reqState) ([]*reqState, bool) {
 		t.reqs[t.pending[0]].Arrival <= t.now {
 		idx := t.pending[0]
 		t.pending = t.pending[1:]
-		st := t.e.admit(t.reqs[idx].Request)
+		st := t.e.admit(t.reqs[idx].Request, t.e.prefix)
 		st.pos = idx
 		t.results[idx].Start = t.now
 		active = append(active, st)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
@@ -26,8 +27,9 @@ type prefixShared interface {
 	PrefixSharedTokens() int
 }
 
-// prefixModel wraps a model so every session it opens consults the
-// engine's prefix cache at prefill. The namespace isolates this model's
+// prefixModel wraps a model so every session it opens consults a
+// prefix cache at prefill: the engine's own, or for a guest its host's
+// (Engine.SubmitGuest). The namespace isolates this model's
 // entries: the LLM and each SSM see the same token streams but cache
 // incompatible K/V geometries and values. Every session it opens is
 // appended to *opened, so the admission that opened it — the LLM
@@ -57,9 +59,9 @@ func (m prefixModel) NewSession() model.Session {
 // complete and immutable the moment its prefill commits — no need to
 // wait for retirement). Close inserts again, re-seeding entries the LRU
 // evicted while the request ran. A guest session looks up like any
-// other but never inserts: an overflow request placed off its affine
-// replica must not copy its tenant's prefix into this replica's cache
-// (DESIGN.md §13.5).
+// other, in its host's cache when it has one, but never inserts: an
+// overflow request placed off its affine replica must not copy its
+// tenant's prefix into another replica's cache (DESIGN.md §13.5).
 type prefixSession struct {
 	inner  model.Session
 	cache  *kvcache.PrefixCache
@@ -158,19 +160,42 @@ func (s *prefixSession) Close() {
 }
 
 // admissionModels returns the models an admission opens its sessions
-// on: the configured ones, or — with the prefix cache on — wrappers that
-// append every session they open to *opened, as guests when guest is
-// set.
-func (e *Engine) admissionModels(opened *[]*prefixSession, guest bool) (model.Model, []model.Model) {
-	if e.prefix == nil {
+// on: the configured ones, or — when cache is set — wrappers whose
+// sessions look up in cache and append themselves to *opened, as
+// guests when guest is set.
+func (e *Engine) admissionModels(opened *[]*prefixSession, cache *kvcache.PrefixCache, guest bool) (model.Model, []model.Model) {
+	if cache == nil {
 		return e.cfg.LLM, e.cfg.SSMs
 	}
-	llm := prefixModel{Model: e.cfg.LLM, cache: e.prefix, ns: "llm", guest: guest, opened: opened}
+	llm := prefixModel{Model: e.cfg.LLM, cache: cache, ns: "llm", guest: guest, opened: opened}
 	ssms := make([]model.Model, len(e.cfg.SSMs))
 	for i, m := range e.cfg.SSMs {
-		ssms[i] = prefixModel{Model: m, cache: e.prefix, ns: fmt.Sprintf("ssm%d", i), guest: guest, opened: opened}
+		ssms[i] = prefixModel{Model: m, cache: cache, ns: fmt.Sprintf("ssm%d", i), guest: guest, opened: opened}
 	}
 	return llm, ssms
+}
+
+// sharesModels reports whether e and o serve the same LLM and SSM
+// model objects, in the same order: then a page one's prefix cache
+// holds under a namespace is exactly the page the other would compute,
+// so a guest of e may adopt from o's cache. Models whose dynamic type
+// cannot be compared are never the same.
+func (e *Engine) sharesModels(o *Engine) bool {
+	if len(e.cfg.SSMs) != len(o.cfg.SSMs) || !sameModel(e.cfg.LLM, o.cfg.LLM) {
+		return false
+	}
+	for i, m := range e.cfg.SSMs {
+		if !sameModel(m, o.cfg.SSMs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameModel is a == b without the panic == raises on an uncomparable
+// dynamic type.
+func sameModel(a, b model.Model) bool {
+	return reflect.ValueOf(a).Comparable() && a == b
 }
 
 // waitsForInsert reports whether st should sit out this iteration's
@@ -178,7 +203,9 @@ func (e *Engine) admissionModels(opened *[]*prefixSession, guest bool) (model.Mo
 // from the pages an earlier request of the phase (staged) is about to
 // insert than from what the cache holds now. It then prefills one
 // iteration later, adopting those pages (DESIGN.md §10.3). A guest
-// inserts nothing, so it is never a donor.
+// inserts nothing, so it is never a donor, and a donor's inserts land
+// in its own cache, so only a request looking up in that cache waits
+// for them: a guest that adopts from its host's cache never does.
 func waitsForInsert(st *reqState, staged []*reqState) bool {
 	if len(staged) == 0 {
 		return false
@@ -195,7 +222,7 @@ func waitsForInsert(st *reqState, staged []*reqState) bool {
 				continue
 			}
 			for _, d := range donor.prefix {
-				if d.ns != s.ns {
+				if d.ns != s.ns || d.cache != s.cache {
 					continue
 				}
 				n := kvcache.InsertedMatch(d.prompt, prompt, len(prompt)-1, pageRows)

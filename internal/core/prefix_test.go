@@ -283,3 +283,75 @@ func TestGuestAdoptsButNeverInserts(t *testing.T) {
 		t.Fatalf("the second request waited on a guest's inserts (%d stepped in iteration 0)", n)
 	}
 }
+
+// TestGuestWaitsOnlyForItsCachesDonors: a staged request's inserts land
+// in its own engine's cache, so a guest looking up in its host's cache
+// never sits out a prefill phase for them, where a request of the same
+// engine and prompt does.
+func TestGuestWaitsOnlyForItsCachesDonors(t *testing.T) {
+	reqs := prefixTrace(2)
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	eng := mustEngine(t, Config{
+		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
+		Sample: sampling.GreedyConfig(), Seed: 17,
+		MaxBatch: 3, PrefixCacheBytes: 64 << 20,
+	})
+	host := kvcache.NewPrefixCache(64 << 20) // cold, like eng's own
+	donor := eng.admit(reqs[0], eng.prefix)
+	for _, s := range donor.prefix {
+		s.lookup(donor.req.Prompt)
+	}
+	guestReq := reqs[1]
+	guestReq.Guest = true
+	own, guest := eng.admit(reqs[1], eng.prefix), eng.admit(guestReq, host)
+	defer func() {
+		for _, st := range []*reqState{donor, own, guest} {
+			eng.release(st)
+		}
+	}()
+	staged := []*reqState{donor}
+	if !waitsForInsert(own, staged) {
+		t.Fatal("test vacuous: a host request of the same engine does not wait for the donor")
+	}
+	if waitsForInsert(guest, staged) {
+		t.Fatal("a guest of another cache waits for its engine's donor")
+	}
+}
+
+// uncomparableModel is a model whose dynamic type == cannot compare.
+type uncomparableModel struct {
+	model.Model
+	tags []string
+}
+
+// TestSharesModels: engines share models when they hold the same LLM
+// and SSM objects in the same order; equal weights in other objects,
+// another SSM order, or a model type == cannot compare do not count,
+// and the last must not panic.
+func TestSharesModels(t *testing.T) {
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	llm2, ssm2 := prefixTestModels(transformer.ArchLLaMA, 1)
+	engine := func(llm model.Model, ssms ...model.Model) *Engine {
+		return mustEngine(t, Config{
+			Mode: TreeSpec, LLM: llm, SSMs: ssms,
+			Sample: sampling.GreedyConfig(), PrefixCacheBytes: 1 << 20,
+		})
+	}
+	base := engine(llm, ssm, ssm2)
+	odd := uncomparableModel{Model: llm}
+	for _, c := range []struct {
+		name string
+		o    *Engine
+		want bool
+	}{
+		{"same objects", engine(llm, ssm, ssm2), true},
+		{"distinct LLM", engine(llm2, ssm, ssm2), false},
+		{"SSMs reordered", engine(llm, ssm2, ssm), false},
+		{"fewer SSMs", engine(llm, ssm), false},
+		{"uncomparable LLM", engine(odd, ssm, ssm2), false},
+	} {
+		if got := base.sharesModels(c.o); got != c.want {
+			t.Errorf("%s: sharesModels = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -55,6 +55,9 @@ type Result struct {
 type liveReq struct {
 	ctx context.Context
 	req workload.Request
+	// cache is the prefix cache the request's sessions look their
+	// prompt up in: the engine's own, or a guest's host's (SubmitGuest).
+	cache *kvcache.PrefixCache
 	// tokens streams committed tokens in order; its capacity is the
 	// request's full generation budget, so scheduler sends never block
 	// on a slow consumer. Closed at retirement.
@@ -412,6 +415,26 @@ func (l *liveSource) retire(st *reqState) { l.s.deliver(st) }
 // The request's ID seeds its deterministic RNG stream; callers that
 // want reproducible stochastic decoding assign stable IDs.
 func (e *Engine) Submit(ctx context.Context, req workload.Request) (<-chan model.Token, <-chan Result, error) {
+	return e.submit(ctx, req, e.prefix)
+}
+
+// SubmitGuest is Submit for a request placed off its prefix-affine
+// replica, host: it marks req a guest (workload.Request.Guest), whose
+// sessions look their prompt up in host's prefix cache, adopt what is
+// there, and insert nothing anywhere. When host has no prefix cache or
+// serves other model objects than e (sharesModels), the guest looks up
+// in e's own cache instead.
+func (e *Engine) SubmitGuest(ctx context.Context, req workload.Request, host *Engine) (<-chan model.Token, <-chan Result, error) {
+	req.Guest = true
+	cache := e.prefix
+	if host != nil && host.prefix != nil && e.sharesModels(host) {
+		cache = host.prefix
+	}
+	return e.submit(ctx, req, cache)
+}
+
+// submit queues req for the Serve loop, its sessions to look up in cache.
+func (e *Engine) submit(ctx context.Context, req workload.Request, cache *kvcache.PrefixCache) (<-chan model.Token, <-chan Result, error) {
 	if len(req.Prompt) == 0 {
 		return nil, nil, fmt.Errorf("core: Submit requires a non-empty prompt")
 	}
@@ -440,6 +463,7 @@ func (e *Engine) Submit(ctx context.Context, req workload.Request) (<-chan model
 	lr := &liveReq{
 		ctx:       ctx,
 		req:       req,
+		cache:     cache,
 		tokens:    make(chan model.Token, req.MaxNewTok),
 		result:    make(chan Result, 1),
 		submitted: s.clock(),
@@ -597,7 +621,7 @@ func (e *Engine) admitLive(s *serveState, lr *liveReq) *reqState {
 		return nil
 	}
 	lr.started = s.clock()
-	st := e.admit(lr.req)
+	st := e.admit(lr.req, lr.cache)
 	st.live = lr
 	return st
 }

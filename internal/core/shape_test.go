@@ -233,7 +233,7 @@ func TestPolicyCeilingPricedAtShapeNodes(t *testing.T) {
 		SSMs:   []model.Model{shortDrafter{Model: ssm, right: -1, clock: clock}, ssm2},
 		Sample: sampling.GreedyConfig(), Policy: &policy.Config{}, Workers: 1,
 	})
-	st := eng.admit(reqs[0])
+	st := eng.admit(reqs[0], eng.prefix)
 	defer eng.release(st)
 	batch := eng.prefill([]*reqState{st})
 	drafted := 0

@@ -138,7 +138,7 @@ func TestSpeculatedTreesGolden(t *testing.T) {
 			eng := mustEngine(t, cfg)
 			var batch []*reqState
 			for _, r := range reqs {
-				batch = append(batch, eng.admit(r))
+				batch = append(batch, eng.admit(r, eng.prefix))
 			}
 			defer func() {
 				for _, st := range batch {

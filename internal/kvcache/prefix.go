@@ -48,6 +48,11 @@ type PrefixCache struct {
 
 	hits, misses, inserts, evictions uint64 // guarded by mu
 	tokensShared, bytesShared        uint64 // guarded by mu
+
+	// key is the scratch chunk keys are encoded into for map lookups
+	// and comparisons, so a walk allocates nothing; only a new edge or
+	// tail takes an owned copy (see keyOf).
+	key []byte // guarded by mu
 }
 
 // prefixRoot is one namespace's trie: its fixed arena geometry plus the
@@ -202,13 +207,22 @@ func (c *PrefixCache) Stats() PrefixStats {
 	return st
 }
 
-// chunkKey encodes a token run as a map key.
-func chunkKey(tokens []int) string {
-	b := make([]byte, 8*len(tokens))
-	for i, t := range tokens {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(t))
+// appendChunkKey appends the chunk key encoding of tokens to b.
+func appendChunkKey(b []byte, tokens []int) []byte {
+	for _, t := range tokens {
+		b = binary.LittleEndian.AppendUint64(b, uint64(t))
 	}
-	return string(b)
+	return b
+}
+
+// keyOf encodes tokens' chunk key into the cache's scratch. The result
+// is valid until the next keyOf; index and compare with string(key),
+// which the compiler does without a copy, and copy it to keep it.
+//
+//lint:holds c.mu
+func (c *PrefixCache) keyOf(tokens []int) []byte {
+	c.key = appendChunkKey(c.key[:0], tokens)
+	return c.key
 }
 
 // ChunkKey exposes the trie's 8-byte-little-endian chunk encoding of a
@@ -217,7 +231,7 @@ func chunkKey(tokens []int) string {
 // edge" and "requests the ring maps to the same replica" are the same
 // equivalence classes — the property that makes prefix-affinity routing
 // line up with per-replica prefix-cache contents.
-func ChunkKey(tokens []int) string { return chunkKey(tokens) }
+func ChunkKey(tokens []int) string { return string(appendChunkKey(nil, tokens)) }
 
 // tick advances the logical LRU clock.
 //
@@ -234,10 +248,15 @@ func (c *PrefixCache) tick() uint64 {
 func (c *PrefixCache) Lookup(ns string, tokens []int, maxLen int) *PinnedPrefix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, path, tail, n := c.match(ns, tokens, maxLen)
+	r, end, pages, tail, n := c.match(ns, tokens, maxLen)
 	if n == 0 {
 		c.misses++
 		return nil
+	}
+	path := make([]*prefixNode, pages)
+	for nd := end; nd.parent != nil; nd = nd.parent {
+		pages--
+		path[pages] = nd
 	}
 	h := &PinnedPrefix{c: c, geom: r.geom, path: path, tail: tail, n: n}
 	var shared int64
@@ -262,34 +281,33 @@ func (c *PrefixCache) Lookup(ns string, tokens []int, maxLen int) *PinnedPrefix 
 func (c *PrefixCache) Match(ns string, tokens []int, maxLen int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, _, _, n := c.match(ns, tokens, maxLen)
+	_, _, _, _, n := c.match(ns, tokens, maxLen)
 	return n
 }
 
-// match walks ns's trie along tokens, capped at maxLen: the full-page
-// path, the longest exactly matching tail below it, and the matched
-// length (0 on a miss).
+// match walks ns's trie along tokens, capped at maxLen: the last
+// full-page node matched (the root when none) and the number of pages
+// to it, the longest exactly matching tail below it, and the matched
+// length (0 on a miss). It allocates nothing.
 //
 //lint:holds c.mu
-func (c *PrefixCache) match(ns string, tokens []int, maxLen int) (*prefixRoot, []*prefixNode, *prefixTail, int) {
+func (c *PrefixCache) match(ns string, tokens []int, maxLen int) (*prefixRoot, *prefixNode, int, *prefixTail, int) {
 	if maxLen > len(tokens) {
 		maxLen = len(tokens)
 	}
 	r := c.roots[ns]
 	if r == nil {
-		return nil, nil, nil, 0
+		return nil, nil, 0, nil, 0
 	}
 	pr := r.geom.PageRows
 	node := r.node
-	var path []*prefixNode
 	i := 0
 	for i+pr <= maxLen {
-		ch := node.children[chunkKey(tokens[i:i+pr])]
+		ch := node.children[string(c.keyOf(tokens[i:i+pr]))]
 		if ch == nil {
 			break
 		}
 		node = ch
-		path = append(path, ch)
 		i += pr
 	}
 	// A tail extends the match past the last full page, but only when
@@ -300,7 +318,7 @@ func (c *PrefixCache) match(ns string, tokens []int, maxLen int) (*prefixRoot, [
 	var tail *prefixTail
 	for _, t := range node.tails {
 		if t.rows <= maxLen-i && (tail == nil || t.rows > tail.rows) &&
-			t.key == chunkKey(tokens[i:i+t.rows]) {
+			t.key == string(c.keyOf(tokens[i:i+t.rows])) {
 			tail = t
 		}
 	}
@@ -308,7 +326,7 @@ func (c *PrefixCache) match(ns string, tokens []int, maxLen int) (*prefixRoot, [
 	if tail != nil {
 		n += tail.rows
 	}
-	return r, path, tail, n
+	return r, node, i / pr, tail, n
 }
 
 // InsertedMatch reports how many tokens of tokens, capped at maxLen, a
@@ -369,11 +387,11 @@ func (c *PrefixCache) Insert(ns string, tokens []int, a *Arena) {
 	added := false
 	full := len(tokens) / pr
 	for p := 0; p < full; p++ {
-		key := chunkKey(tokens[p*pr : (p+1)*pr])
-		ch := node.children[key]
+		key := c.keyOf(tokens[p*pr : (p+1)*pr])
+		ch := node.children[string(key)]
 		if ch == nil {
 			ch = &prefixNode{
-				parent: node, key: key,
+				parent: node, key: string(key),
 				k:        make([][]float32, streams),
 				v:        make([][]float32, streams),
 				children: make(map[string]*prefixNode),
@@ -383,7 +401,7 @@ func (c *PrefixCache) Insert(ns string, tokens []int, a *Arena) {
 				ch.k[s] = a.k[s][p]
 				ch.v[s] = a.v[s][p]
 			}
-			node.children[key] = ch
+			node.children[ch.key] = ch
 			c.bytes += ch.bytes
 			added = true
 		}
@@ -399,17 +417,17 @@ func (c *PrefixCache) Insert(ns string, tokens []int, a *Arena) {
 	// would keep a copy, so the cache's bytes would grow with the
 	// number of requests served.
 	if rem := len(tokens) - full*pr; rem > 0 && full > 0 {
-		key := chunkKey(tokens[full*pr:])
+		key := c.keyOf(tokens[full*pr:])
 		var tail *prefixTail
 		for _, t := range node.tails {
-			if t.key == key {
+			if t.key == string(key) {
 				tail = t
 				break
 			}
 		}
 		if tail == nil {
 			tail = &prefixTail{
-				owner: node, key: key, rows: rem,
+				owner: node, key: string(key), rows: rem,
 				k:     make([][]float32, streams),
 				v:     make([][]float32, streams),
 				bytes: int64(streams) * 2 * int64(rem*geom.HeadDim) * 4,

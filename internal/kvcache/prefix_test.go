@@ -489,3 +489,64 @@ func TestRecycledPagesNeverAliasThePrefix(t *testing.T) {
 	again.AdoptPrefix(h2)
 	checkPrefix(t, again, cfg, k, v, len(toks))
 }
+
+// TestPrefixWalksAllocateNothing: walking the trie encodes chunk keys
+// into the cache's scratch, so Match and an Insert that adds nothing
+// allocate nothing, and a Lookup hit allocates only its handle and
+// page path.
+func TestPrefixWalksAllocateNothing(t *testing.T) {
+	c := NewPrefixCache(1 << 20)
+	a, cfg := testArena(4)
+	toks := tokensN(0, 10) // 2 full pages + 2-row tail
+	fillRows(a, cfg, tensor.NewRNG(11), len(toks))
+	c.Insert("llm", toks, a)
+
+	if n := testing.AllocsPerRun(20, func() { c.Match("llm", toks, len(toks)) }); n != 0 {
+		t.Errorf("Match allocated %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.Insert("llm", toks, a) }); n != 0 {
+		t.Errorf("refreshing Insert allocated %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.Lookup("llm", toks, len(toks)).Release() }); n != 2 {
+		t.Errorf("Lookup hit allocated %v times per call, want 2 (handle and path)", n)
+	}
+	if st := c.Stats(); st.Pinned != 0 || st.Inserts != 1 {
+		t.Fatalf("after the runs: %d pinned, %d inserts; want 0 and 1", st.Pinned, st.Inserts)
+	}
+}
+
+// TestPrefixAdoptAcrossCaches: an arena may adopt from a cache another
+// arena's owner filled (a fleet guest adopting from its host replica's
+// cache). The pages are the donor's bit for bit, and the geometry check
+// is the handle's namespace geometry, whoever owns the cache: an arena
+// of another geometry refuses the handle.
+func TestPrefixAdoptAcrossCaches(t *testing.T) {
+	host := NewPrefixCache(1 << 20)
+	donor, cfg := testArena(4)
+	toks := tokensN(0, 10)
+	k, v := fillRows(donor, cfg, tensor.NewRNG(12), len(toks))
+	host.Insert("llm", toks, donor)
+
+	h := host.Lookup("llm", toks, len(toks))
+	if h == nil || h.Len() != len(toks) {
+		t.Fatalf("lookup = %v, want a %d-token hit", h, len(toks))
+	}
+	guest := New(cfg)
+	guest.AdoptPrefix(h)
+	checkPrefix(t, guest, cfg, k, v, len(toks))
+
+	other := New(Config{Layers: cfg.Layers, Heads: cfg.Heads, HeadDim: 2 * cfg.HeadDim, PageRows: cfg.PageRows})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an arena of another geometry adopted the handle")
+			}
+		}()
+		other.AdoptPrefix(h)
+	}()
+	guest.Release()
+	h.Release()
+	if st := host.Stats(); st.Pinned != 0 || st.Nodes != 2 || st.Tails != 1 {
+		t.Fatalf("host cache after the guest released: %+v", st)
+	}
+}

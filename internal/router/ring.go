@@ -6,8 +6,9 @@
 // warm for it. Placement is work-conserving: when the affine replica
 // already holds two requests in flight and another live replica holds
 // none, the request goes to the idle replica as a guest
-// (workload.Request.Guest), which adopts that replica's cached prefixes
-// but inserts none, so each cache keeps to its own ring arc. When the
+// (core.Engine.SubmitGuest), which adopts its prefix from the affine
+// replica's cache but inserts none, so each cache keeps to its own
+// ring arc. When the
 // affine replica is saturated the router falls back to the
 // least-loaded replica, and it sheds (ErrQueueFull) only when every
 // replica's admission queue is full. Replicas are isolated

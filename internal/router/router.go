@@ -70,8 +70,10 @@ func ParsePolicy(s string) (Policy, error) {
 type Config struct {
 	// Replicas are the engines the router places requests onto. Each
 	// replica owns its own continuous-batching scheduler, admission
-	// queue, and prefix KV cache; the router never shares KV state
-	// across them. Required, non-empty.
+	// queue, and prefix KV cache. Only a guest reads another replica's
+	// cache, adopting from its affine replica's when the two serve the
+	// same model objects (core.Engine.SubmitGuest); no replica inserts
+	// into another's. Required, non-empty.
 	Replicas []*core.Engine
 	// Policy selects first-choice placement; defaults to PrefixAffinity.
 	Policy Policy
@@ -120,9 +122,8 @@ func (rep *replica) isOut() bool {
 // spillInFlight is the in-flight count at which PrefixAffinity stops
 // holding a request on its affine replica while another live replica
 // has nothing in flight: the request goes to that idle replica as a
-// guest instead. At 1 a guest's cold prefill costs about as much as
-// sharing the busy replica would; at 2 the idle replica's otherwise
-// wasted time outweighs it (DESIGN.md §13.5).
+// guest instead, adopting its prefix from the affine replica's cache.
+// Spilling at 1 measured no better than at 2 (DESIGN.md §13.5).
 const spillInFlight = 2
 
 // Router fronts a fleet of engine replicas: consistent-hash prefix
@@ -302,7 +303,7 @@ func (r *Router) affinityKey(prompt []int) string {
 // replicas never appear. spill, when non-nil, is an idle replica to try
 // before them all with the request as a guest: under PrefixAffinity,
 // the live replica of lowest id with nothing in flight, chosen when
-// the affine replica holds spillInFlight or more.
+// the affine replica, then order[0], holds spillInFlight or more.
 func (r *Router) placement(req workload.Request) (order []*replica, spill *replica) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -366,18 +367,17 @@ func (r *Router) settle(rep *replica) {
 	r.mu.Unlock()
 }
 
-// trySubmit offers the request to spill as a guest, when set, and then
-// to each candidate in order. Saturation (queue full) and lifecycle
+// trySubmit offers the request to spill as a guest of its affine
+// replica order[0], when set, and then to each candidate in order.
+// Saturation (queue full) and lifecycle
 // rejections (draining, stopped) move on to the next candidate;
 // validation errors propagate immediately. When every candidate
 // refused, the error is core.ErrQueueFull if any queue was actually
 // full (the 429 shed signal) and the last lifecycle error otherwise.
 func (r *Router) trySubmit(ctx context.Context, req workload.Request, order []*replica, spill *replica) (*replica, <-chan model.Token, <-chan core.Result, error) {
 	if spill != nil {
-		guest := req
-		guest.Guest = true
 		// A refusal falls through: spill is in order too, as a host.
-		if toks, res, err := spill.eng.Submit(ctx, guest); err == nil {
+		if toks, res, err := spill.eng.SubmitGuest(ctx, req, order[0].eng); err == nil {
 			r.mu.Lock()
 			spill.inFlight++
 			r.spilled++

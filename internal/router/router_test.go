@@ -140,12 +140,18 @@ func startRouter(t *testing.T, r *Router) (context.CancelFunc, chan error) {
 
 // assertSettled fails unless every replica's in-flight count is back
 // to 0: each request the router placed was settled exactly once, on
-// completion, cancel, re-route, drain or replica loss.
+// completion, cancel, re-route, drain or replica loss. Every replica's
+// prefix cache must hold no pin either, a down replica's included: the
+// requests that adopted from it, guests on other replicas among them,
+// have all released their prefixes.
 func assertSettled(t *testing.T, r *Router) {
 	t.Helper()
 	for _, rs := range r.FleetStats().Replicas {
 		if rs.InFlight != 0 {
 			t.Fatalf("replica %d still counts %d requests in flight", rs.ID, rs.InFlight)
+		}
+		if p := r.Replica(rs.ID).PrefixCacheStats().Pinned; p != 0 {
+			t.Fatalf("replica %d's prefix cache still holds %d pinned entries", rs.ID, p)
 		}
 	}
 }

@@ -255,9 +255,11 @@ type Request struct {
 	// check that affinity placement keeps a group on one replica.
 	Group int
 	// Guest marks a request served off its prefix-affine replica as
-	// overflow: it adopts any prefix its replica's cache already holds
-	// but inserts none of its own, so each replica's prefix cache keeps
-	// to its own ring arc. The router sets it; traces leave it false.
+	// overflow: it adopts any prefix already cached — in its affine
+	// replica's cache when placed by core.Engine.SubmitGuest, else in
+	// its own replica's — but inserts none of its own, so each
+	// replica's prefix cache keeps to its own ring arc. The router sets
+	// it; traces leave it false.
 	Guest bool
 }
 

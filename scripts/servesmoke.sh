@@ -190,6 +190,15 @@ if [ "$inflight" -ne 2 ] || [ "$settled" -ne 2 ]; then
     echo "servesmoke: $settled of $inflight replica entries report in_flight 0, want 2 of 2" >&2
     exit 1
 fi
+# Nor does any prefix cache hold a pin: no request, host or guest, is
+# left holding cached pages. The fleet aggregate and both replica
+# entries carry a prefix_cache block, each ending in "pinned".
+unpinned=$(printf '%s' "$fleet" | grep -o '"pinned":0[,}]' | wc -l)
+pinned=$(printf '%s' "$fleet" | grep -o '"pinned":' | wc -l)
+if [ "$pinned" -ne 3 ] || [ "$unpinned" -ne 3 ]; then
+    echo "servesmoke: $unpinned of $pinned prefix_cache blocks report pinned 0, want 3 of 3 (fleet and 2 replicas)" >&2
+    exit 1
+fi
 live_entries=$(printf '%s' "$fleet" | grep -o '"state":"live"' | wc -l)
 if [ "$live_entries" -lt 2 ]; then
     echo "servesmoke: per-replica array reports $live_entries live entries, want 2" >&2
