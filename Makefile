@@ -32,16 +32,20 @@ race:
 # leaves its FMA path, the exp kernel's start-up probe must switch it and
 # the pow kernel off (TestExpKernelOffWithoutFMA,
 # TestPowKernelOffWithoutFMA), and the golden tests must hold on the
-# scalar exponentials and math.Pow. Last, FuzzTreeAttention fuzzes the
-# blocked attention items against the per-row ones for 20 seconds, and
-# FuzzExpKernels the 512-bit and AVX2 exponentials against the scalar
-# loops (it skips on CPUs without AVX-512F), and FuzzTreeMergePrune tree
-# merge and prune against their definitions.
+# scalar exponentials and math.Pow. The KV arena, whose key pages the
+# kernels read dim-major, runs under GOAMD64=v3 too. Last,
+# FuzzTreeAttention fuzzes the blocked attention items against the
+# per-row ones for 20 seconds, FuzzDecodeAttention the one-row item,
+# every head side by side, against them, FuzzExpKernels the 512-bit and
+# AVX2 exponentials against the scalar loops (it skips on CPUs without
+# AVX-512F), and FuzzTreeMergePrune tree merge and prune against their
+# definitions.
 archcheck:
-	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
-	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/... ./internal/kvcache/...
+	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/... ./internal/kvcache/...
 	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...
 	$(GO) test -run '^$$' -fuzz '^FuzzTreeAttention$$' -fuzztime 20s ./internal/transformer/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAttention$$' -fuzztime 20s ./internal/transformer/
 	$(GO) test -run '^$$' -fuzz '^FuzzExpKernels$$' -fuzztime 20s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzTreeMergePrune$$' -fuzztime 20s ./internal/tree/
 
@@ -55,14 +59,15 @@ lint:
 
 # One-iteration pass over every root perf driver (forward passes, engine
 # iterations, verifier accept length, verify-cost curve, one speculation
-# step with its allocations), and the panel
-# and SoftmaxBlock kernel benchmarks on each vector tier: catches bit-rot
-# in the benchmark drivers without paying for a full measurement run.
+# step with its allocations), the panel and SoftmaxBlock kernel
+# benchmarks on each vector tier, and the one-row pass kernels' (DotKeys,
+# SoftmaxHeads, AccumHeads): catches bit-rot in the benchmark drivers
+# without paying for a full measurement run.
 # Measure with the same drivers at a real benchtime, e.g.
 #   go test -run '^$' -bench BenchmarkForward -benchtime 1s .
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkEngineIteration|BenchmarkVerifier|BenchmarkVerifyCost|BenchmarkSpeculationStep' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkMatMulTPacked|BenchmarkSoftmaxBlock' -benchtime 1x ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'BenchmarkMatMulTPacked|BenchmarkSoftmaxBlock|BenchmarkDotKeys|BenchmarkSoftmaxHeads|BenchmarkAccumHeads' -benchtime 1x ./internal/tensor/
 
 # The offline reproductions (Tables 1-3, Figures 7-11, the ablations) are
 # deterministic: diff a fresh `benchtables -quick` (~35 s on 2 vCPUs)

@@ -400,6 +400,11 @@ type Engine struct {
 	shapes *policy.Chooser
 	nodes  []int
 
+	// pool runs the scheduler loop's parallel phases; schedule sets it
+	// for the loop's life, and only that loop's goroutine reads it (one
+	// scheduler loop runs at a time, as for nodes).
+	pool *workerPool
+
 	// mu guards srv, the live-serving state installed by Serve. Run and
 	// RunOnline never touch it.
 	mu  sync.Mutex
@@ -448,7 +453,7 @@ type reqState struct {
 	// one.
 	shape    speculator.Shape
 	lastTok  model.Token
-	lastDist []float32
+	lastDist []float32 // the LLM session's, borrowed until its next call (model.Session.Decode)
 	rng      *tensor.RNG
 	res      RequestResult
 	done     bool
@@ -504,6 +509,13 @@ func (e *Engine) schedule(src source, clock func() time.Time) {
 		for _, st := range active {
 			e.release(st)
 		}
+	}()
+	// Deferred after the release above, so it runs first: the pool's
+	// workers exit before schedule returns or unwinds.
+	e.pool = newWorkerPool()
+	defer func() {
+		e.pool.stop()
+		e.pool = nil
 	}()
 	for {
 		var more bool
@@ -688,7 +700,9 @@ func (e *Engine) prefill(active []*reqState) []*reqState {
 // parallel runs fn(0) … fn(n-1) on the worker pool: up to
 // Config.Workers goroutines (GOMAXPROCS when 0), each claiming indices
 // from an atomic counter, or inline when one worker suffices. fn must
-// write only to state owned by index i.
+// write only to state owned by index i. Outside a scheduler loop (e.pool
+// nil) the phase runs on a pool of its own, stopped before parallel
+// returns.
 //
 // A panic inside a worker goroutine would kill the whole process before
 // any caller could contain it, so the first one is captured and
@@ -710,40 +724,99 @@ func (e *Engine) parallel(n int, fn func(i int)) {
 		}
 		return
 	}
-	var panicMu sync.Mutex
-	var panicked any // guarded by panicMu
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
+	p := e.pool
+	if p == nil {
+		p = newWorkerPool()
+		defer p.stop()
+	}
+	p.run(nw, n, fn)
+}
+
+// workerPool runs parallel phases on worker goroutines that, once
+// started, wait for the next phase until stop. A scheduler loop keeps
+// one for its life: goroutines started afresh for every phase regrew
+// their stacks in the forward pass's kernels each time (runtime.newstack
+// and copystack were 2.6 % of a serving profile), while a worker keeps
+// its grown stack from phase to phase. The calling goroutine waits
+// rather than taking a share: a worker it wakes goes to its processor's
+// next-to-run slot, which other processors steal only after a delay, so
+// the phase would run mostly on the caller alone (e2ebench burst-stoch
+// read 21 % more time per token that way).
+type workerPool struct {
+	phases  chan *phase
+	workers sync.WaitGroup
+	started int // workers started, all waiting on phases between runs
+}
+
+func newWorkerPool() *workerPool { return &workerPool{phases: make(chan *phase)} }
+
+// phase is one parallel call's work: indices [0, n) of fn, claimed from
+// next, and the first panic any worker's share raised.
+type phase struct {
+	n        int
+	fn       func(i int)
+	next     atomic.Int64
+	done     sync.WaitGroup // workers still working on the phase
+	mu       sync.Mutex
+	panicked any // guarded by mu
+}
+
+// run runs the phase on nw workers, starting the ones the pool lacks,
+// and re-raises the first panic once every worker has left the phase.
+func (p *workerPool) run(nw, n int, fn func(i int)) {
+	for ; p.started < nw; p.started++ {
+		p.workers.Add(1)
+		// A worker works on each phase it receives until stop closes
+		// phases.
 		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = p
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+			defer p.workers.Done()
+			for ph := range p.phases {
+				ph.work()
+				ph.done.Done()
 			}
 		}()
 	}
-	wg.Wait()
-	panicMu.Lock()
-	p := panicked
-	panicMu.Unlock()
-	if p != nil {
-		//lint:ignore panicmsg re-raising the worker's original panic value preserves it for the fleet supervisor's recover
-		panic(p)
+	ph := &phase{n: n, fn: fn}
+	ph.done.Add(nw)
+	for w := 0; w < nw; w++ {
+		p.phases <- ph
 	}
+	ph.done.Wait()
+	ph.mu.Lock()
+	panicked := ph.panicked
+	ph.mu.Unlock()
+	if panicked != nil {
+		//lint:ignore panicmsg re-raising the worker's original panic value preserves it for the fleet supervisor's recover
+		panic(panicked)
+	}
+}
+
+// work claims and runs indices until none is left or fn panics, which
+// it records.
+func (ph *phase) work() {
+	defer func() {
+		if r := recover(); r != nil {
+			ph.mu.Lock()
+			if ph.panicked == nil {
+				ph.panicked = r
+			}
+			ph.mu.Unlock()
+		}
+	}()
+	for {
+		i := int(ph.next.Add(1)) - 1
+		if i >= ph.n {
+			return
+		}
+		ph.fn(i)
+	}
+}
+
+// stop ends the pool's workers and waits for them to exit. The pool
+// must be idle: no run in progress.
+func (p *workerPool) stop() {
+	close(p.phases)
+	p.workers.Wait()
 }
 
 // sessionCacheBytes reports a session's KV-cache footprint when it
@@ -767,6 +840,7 @@ func (e *Engine) release(st *reqState) {
 	if c, ok := st.llm.(model.Closer); ok {
 		c.Close()
 	}
+	st.lastDist = nil // the closed session's buffer, which another session may reuse
 	if st.spec != nil {
 		st.spec.Close()
 	}

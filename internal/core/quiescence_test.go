@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,10 +93,12 @@ func (s *poisonSession) Close() {
 // with its value unchanged — everything a request
 // held returns to zero: prefix-cache pins, the policy's and the shape
 // chooser's per-request history, LLM sessions (and with them their KV
-// pages), active KV bytes and queued requests. Every case adopts a
-// cached prefix, so the pin check is not vacuous. Every case but one
-// runs the policy; the other serves the static tree, priced by the
-// engine's own shape chooser.
+// pages), active KV bytes and queued requests; and no goroutine the
+// entry point started, the scheduler loop's worker pool included,
+// outlives it. Every case adopts a cached prefix, so the pin check is
+// not vacuous, and runs two workers, so the pool has workers to stop.
+// Every case but one runs the policy; the other serves the static tree,
+// priced by the engine's own shape chooser.
 func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 	prompt := prefixTrace(1)[0].Prompt[:64] // exactly one KV page
 	poison := (prompt[63] + 1) % 192
@@ -203,13 +206,14 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			goroutines := runtime.NumGoroutine()
 			llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
 			m := &poisonLLM{Model: llm.(*transformer.Model), poison: poison, panicAt: tc.panicAt}
 			cfg := Config{
 				Mode: TreeSpec, LLM: m, SSMs: []model.Model{ssm},
 				Sample: sampling.GreedyConfig(), Seed: 5, MaxBatch: 2,
 				PrefixCacheBytes: 64 << 20, DrainTimeout: tc.drainTimeout,
-				Policy: &policy.Config{},
+				Policy: &policy.Config{}, Workers: 2,
 			}
 			if tc.noPolicy {
 				cfg.Policy = nil
@@ -235,6 +239,14 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 			}
 			if st := eng.ServeStats(); st.KVBytesActive != 0 || eng.QueueLen() != 0 {
 				t.Fatalf("%d KV bytes active, %d requests queued after the entry point returned", st.KVBytesActive, eng.QueueLen())
+			}
+			// The test's own Serve goroutines end just after Serve
+			// returns; give them a moment.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the entry point returned, %d before it started", runtime.NumGoroutine(), goroutines)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}

@@ -7,10 +7,15 @@
 // Layout: for every (layer, head) pair the arena keeps two page lists —
 // one for keys, one for values. A page is a fixed-size contiguous
 // []float32 holding PageRows consecutive positions of that head
-// (PageRows × HeadDim floats). Appending a position copies each head's
-// segment of the hidden-wide row into the current page; reading the
-// committed context for one head therefore touches at most
-// ceil(n/PageRows) contiguous slices instead of n heap-scattered
+// (PageRows × HeadDim floats). Value pages are position-major: position
+// r of a page is page[r*HeadDim:][:HeadDim]. Key pages are dim-major:
+// element k of position r is page[k*PageRows+r], so one row of a key
+// page holds one dimension of PageRows consecutive keys, and a one-row
+// score pass multiplies a broadcast query element into whole vectors of
+// keys without transposing them (DESIGN.md §27). Appending a position
+// copies each head's segment of the hidden-wide rows into the current
+// pages; reading the committed context for one head therefore touches
+// at most ceil(n/PageRows) contiguous slices instead of n heap-scattered
 // per-position rows. This head-major layout is what makes the verifier's
 // cached-segment attention stream sequentially: with H heads a
 // position-major row interleaves the heads, so a per-head score pass
@@ -150,15 +155,18 @@ func (a *Arena) Append(layer int, kRow, vRow []float32) {
 	}
 	row := a.fill[layer]
 	a.fill[layer]++
-	page, off := row/a.pageRows, (row%a.pageRows)*a.hd
+	page, r := row/a.pageRows, row%a.pageRows
 	for h := 0; h < a.heads; h++ {
 		s := layer*a.heads + h
 		if page == len(a.k[s]) {
 			a.k[s] = append(a.k[s], a.newPage())
 			a.v[s] = append(a.v[s], a.newPage())
 		}
-		copy(a.k[s][page][off:off+a.hd], kRow[h*a.hd:(h+1)*a.hd])
-		copy(a.v[s][page][off:off+a.hd], vRow[h*a.hd:(h+1)*a.hd])
+		kp := a.k[s][page]
+		for k, x := range kRow[h*a.hd : (h+1)*a.hd] {
+			kp[k*a.pageRows+r] = x
+		}
+		copy(a.v[s][page][r*a.hd:][:a.hd], vRow[h*a.hd:(h+1)*a.hd])
 	}
 }
 
@@ -178,30 +186,49 @@ func (a *Arena) Advance(nNew int) {
 	a.n += nNew
 }
 
-// KPages returns the page list holding (layer, head)'s keys. Position p
-// lives at pages[p/PageRows][(p%PageRows)*HeadDim:]; only the first Len()
-// positions are valid, and the last page is partially filled unless Len()
-// is a multiple of PageRows. The returned slice aliases arena storage and
+// KPages returns the page list holding (layer, head)'s keys, dim-major:
+// element k of position p lives at pages[p/PageRows][k*PageRows+p%PageRows],
+// so a page is HeadDim runs of PageRows keys' elements, each run a
+// stride of PageRows floats from the last. Only the first Len() positions
+// are valid, and the last page is partially filled unless Len() is a
+// multiple of PageRows. The returned slice aliases arena storage and
 // must not be mutated.
 func (a *Arena) KPages(layer, head int) [][]float32 { return a.k[layer*a.heads+head] }
 
-// VPages is KPages for the value rows.
+// VPages returns the page list holding (layer, head)'s values,
+// position-major: position p lives at
+// pages[p/PageRows][(p%PageRows)*HeadDim:][:HeadDim]. The same validity
+// and aliasing rules as KPages apply.
 func (a *Arena) VPages(layer, head int) [][]float32 { return a.v[layer*a.heads+head] }
 
-// KRow returns the key vector of one committed position for one head
+// KRow returns a copy of the key vector of one committed position for
+// one head (length HeadDim). Key pages are dim-major, so no key vector
+// is contiguous in page storage.
+func (a *Arena) KRow(layer, head, pos int) []float32 {
+	a.checkPos(pos)
+	p := a.k[layer*a.heads+head][pos/a.pageRows]
+	r := pos % a.pageRows
+	row := make([]float32, a.hd)
+	for k := range row {
+		row[k] = p[k*a.pageRows+r]
+	}
+	return row
+}
+
+// VRow returns the value vector of one committed position for one head
 // (length HeadDim, aliasing page storage).
-func (a *Arena) KRow(layer, head, pos int) []float32 { return a.row(a.k, layer, head, pos) }
+func (a *Arena) VRow(layer, head, pos int) []float32 { return a.valueRow(layer, head, pos) }
 
-// VRow is KRow for the value rows.
-func (a *Arena) VRow(layer, head, pos int) []float32 { return a.row(a.v, layer, head, pos) }
+func (a *Arena) valueRow(layer, head, pos int) []float32 {
+	a.checkPos(pos)
+	p := a.v[layer*a.heads+head][pos/a.pageRows]
+	return p[(pos%a.pageRows)*a.hd:][:a.hd]
+}
 
-func (a *Arena) row(pages [][][]float32, layer, head, pos int) []float32 {
+func (a *Arena) checkPos(pos int) {
 	if pos < 0 || pos >= a.n {
 		panic(fmt.Sprintf("kvcache: position %d out of committed range %d", pos, a.n))
 	}
-	p := pages[layer*a.heads+head][pos/a.pageRows]
-	off := (pos % a.pageRows) * a.hd
-	return p[off : off+a.hd]
 }
 
 // Bytes reports the page storage currently held, in bytes (K and V),

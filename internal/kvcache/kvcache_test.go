@@ -75,16 +75,23 @@ func TestPageBoundaries(t *testing.T) {
 	if got := len(a.KPages(0, 0)); got != 1 {
 		t.Fatalf("exactly-full: %d pages, want 1", got)
 	}
-	k, _ := fillRows(a, cfg, rng, 1) // one over
+	k, v := fillRows(a, cfg, rng, 1) // one over
 	if got := len(a.KPages(0, 0)); got != 2 {
 		t.Fatalf("one-over: %d pages, want 2", got)
 	}
-	// The overflow row must be the first row of the second page.
-	page := a.KPages(1, 2)[1]
+	// The overflow row must be the first row of the second pages: the
+	// first key of every dimension's run, and the first value row.
+	kPage, vPage := a.KPages(1, 2)[1], a.VPages(1, 2)[1]
 	want := k[1][0][2*cfg.HeadDim : 3*cfg.HeadDim]
 	for d := range want {
-		if page[d] != want[d] {
-			t.Fatal("overflow row not at the start of the new page")
+		if kPage[d*a.PageRows()] != want[d] {
+			t.Fatal("overflow key not at the start of the new page")
+		}
+	}
+	wantV := v[1][0][2*cfg.HeadDim : 3*cfg.HeadDim]
+	for d := range wantV {
+		if vPage[d] != wantV[d] {
+			t.Fatal("overflow value not at the start of the new page")
 		}
 	}
 	if a.Len() != 5 {
@@ -175,21 +182,70 @@ func TestAdvanceInvariants(t *testing.T) {
 }
 
 // TestKPagesSlicingMath documents the read-path contract the transformer
-// relies on: position p of (layer, head) lives at
-// pages[p/PageRows][(p%PageRows)*HeadDim:].
+// relies on: key element d of position p of (layer, head) lives at
+// KPages[p/PageRows][d*PageRows+p%PageRows] (dim-major), and its value
+// element at VPages[p/PageRows][(p%PageRows)*HeadDim+d] (position-major).
 func TestKPagesSlicingMath(t *testing.T) {
 	a, cfg := testArena(4)
 	rng := tensor.NewRNG(23)
-	k, _ := fillRows(a, cfg, rng, 11)
+	k, v := fillRows(a, cfg, rng, 11)
+	pr := a.PageRows()
 	for pos := 0; pos < 11; pos++ {
-		pages := a.KPages(1, 1)
-		page := pages[pos/a.PageRows()]
-		off := (pos % a.PageRows()) * a.HeadDim()
-		want := k[1][pos][1*cfg.HeadDim : 2*cfg.HeadDim]
+		kPage := a.KPages(1, 1)[pos/pr]
+		vPage := a.VPages(1, 1)[pos/pr]
+		wantK := k[1][pos][1*cfg.HeadDim : 2*cfg.HeadDim]
+		wantV := v[1][pos][1*cfg.HeadDim : 2*cfg.HeadDim]
 		for d := 0; d < cfg.HeadDim; d++ {
-			if page[off+d] != want[d] {
-				t.Fatalf("pos %d: slicing contract broken", pos)
+			if kPage[d*pr+pos%pr] != wantK[d] {
+				t.Fatalf("pos %d dim %d: key slicing contract broken", pos, d)
 			}
+			if vPage[(pos%pr)*a.HeadDim()+d] != wantV[d] {
+				t.Fatalf("pos %d dim %d: value slicing contract broken", pos, d)
+			}
+		}
+	}
+}
+
+// TestKeyPagesAcrossBoundaries appends positions one at a time across
+// several page boundaries, at head dims 1, 8 and 16 and page sizes that
+// do and do not divide the run, and reads every committed position back
+// through KRow and VRow after each Advance: a dim-major write that
+// strays into a neighbouring position's or dimension's slot shows as a
+// changed earlier row.
+func TestKeyPagesAcrossBoundaries(t *testing.T) {
+	for _, hd := range []int{1, 8, 16} {
+		for _, pageRows := range []int{1, 3, 16, 64} {
+			cfg := Config{Layers: 2, Heads: 2, HeadDim: hd, PageRows: pageRows}
+			a := New(cfg)
+			rng := tensor.NewRNG(uint64(hd*100 + pageRows))
+			n := 2*pageRows + 5
+			var k, v [][][]float32
+			for i := 0; i < n; i++ {
+				ki, vi := fillRows(a, cfg, rng, 1)
+				for l := range ki {
+					if i == 0 {
+						k, v = append(k, nil), append(v, nil)
+					}
+					k[l], v[l] = append(k[l], ki[l][0]), append(v[l], vi[l][0])
+				}
+				for pos := 0; pos <= i; pos++ {
+					for l := 0; l < cfg.Layers; l++ {
+						for h := 0; h < cfg.Heads; h++ {
+							gotK, gotV := a.KRow(l, h, pos), a.VRow(l, h, pos)
+							for d := 0; d < hd; d++ {
+								if gotK[d] != k[l][pos][h*hd+d] || gotV[d] != v[l][pos][h*hd+d] {
+									t.Fatalf("hd %d pageRows %d, after %d appends: (l%d h%d pos%d d%d) mismatch",
+										hd, pageRows, i+1, l, h, pos, d)
+								}
+							}
+						}
+					}
+				}
+			}
+			if want := (n + pageRows - 1) / pageRows; len(a.KPages(1, 1)) != want {
+				t.Fatalf("hd %d pageRows %d: %d key pages, want %d", hd, pageRows, len(a.KPages(1, 1)), want)
+			}
+			a.Release()
 		}
 	}
 }

@@ -83,7 +83,7 @@ type prefixTail struct {
 	owner    *prefixNode
 	key      string // chunk key of the remainder tokens
 	rows     int
-	k, v     [][]float32 // [layer*heads+head] rows*HeadDim floats each
+	k, v     [][]float32 // [layer*heads+head] rows*HeadDim floats each; keys dim-major at stride rows
 	pins     int
 	lastUsed uint64
 	bytes    int64
@@ -433,7 +433,8 @@ func (c *PrefixCache) Insert(ns string, tokens []int, a *Arena) {
 				bytes: int64(streams) * 2 * int64(rem*geom.HeadDim) * 4,
 			}
 			for s := 0; s < streams; s++ {
-				tail.k[s] = append([]float32(nil), a.k[s][full][:rem*geom.HeadDim]...)
+				tail.k[s] = make([]float32, rem*geom.HeadDim)
+				copyKeys(tail.k[s], rem, a.k[s][full], pr, rem, geom.HeadDim)
 				tail.v[s] = append([]float32(nil), a.v[s][full][:rem*geom.HeadDim]...)
 			}
 			node.tails = append(node.tails, tail)
@@ -546,10 +547,10 @@ func (a *Arena) AdoptPrefix(h *PinnedPrefix) {
 			k = append(k, nd.k[s])
 			v = append(v, nd.v[s])
 		}
-		if h.tail != nil {
+		if t := h.tail; t != nil {
 			pk, pv := a.newPage(), a.newPage()
-			copy(pk, h.tail.k[s])
-			copy(pv, h.tail.v[s])
+			copyKeys(pk, a.pageRows, t.k[s], t.rows, t.rows, a.hd)
+			copy(pv, t.v[s])
 			k = append(k, pk)
 			v = append(v, pv)
 		}
@@ -560,4 +561,14 @@ func (a *Arena) AdoptPrefix(h *PinnedPrefix) {
 		a.fill[l] = h.n
 	}
 	a.n = h.n
+}
+
+// copyKeys copies the first rows keys of the dim-major run src, whose
+// element k of key r is src[k*srcStride+r] for k < hd, into dst with
+// stride dstStride. A cached tail keeps its keys at stride rows, an
+// arena page at stride PageRows.
+func copyKeys(dst []float32, dstStride int, src []float32, srcStride, rows, hd int) {
+	for k := 0; k < hd; k++ {
+		copy(dst[k*dstStride:][:rows], src[k*srcStride:][:rows])
+	}
 }

@@ -550,3 +550,43 @@ func TestPrefixAdoptAcrossCaches(t *testing.T) {
 		t.Fatalf("host cache after the guest released: %+v", st)
 	}
 }
+
+// TestPrefixAdoptPartialTail inserts prompts that end part-way into a
+// page, at head dims 8 and 16, and adopts them into fresh arenas: the
+// tail's dim-major keys are compacted to a stride of its row count on
+// insert and spread back to PageRows on adoption, so every adopted
+// position, and every position the adopter appends after the tail, must
+// read back as the donor's or its own rows.
+func TestPrefixAdoptPartialTail(t *testing.T) {
+	for _, hd := range []int{8, 16} {
+		for _, tail := range []int{1, 3, 7} {
+			cfg := Config{Layers: 2, Heads: 3, HeadDim: hd, PageRows: 8}
+			c := NewPrefixCache(1 << 22)
+			donor := New(cfg)
+			rng := tensor.NewRNG(uint64(hd*10 + tail))
+			toks := tokensN(0, 2*cfg.PageRows+tail)
+			k, v := fillRows(donor, cfg, rng, len(toks))
+			c.Insert("llm", toks, donor)
+			// The donor keeps appending into its boundary page; the
+			// cached tail must not see it.
+			fillRows(donor, cfg, rng, cfg.PageRows)
+
+			h := c.Lookup("llm", toks, len(toks))
+			if h == nil || h.Len() != len(toks) {
+				t.Fatalf("hd %d tail %d: lookup = %v, want a %d-token hit", hd, tail, h, len(toks))
+			}
+			b := New(cfg)
+			b.AdoptPrefix(h)
+			checkPrefix(t, b, cfg, k, v, len(toks))
+			ownK, ownV := fillRows(b, cfg, rng, cfg.PageRows)
+			for l := range ownK {
+				k[l] = append(k[l][:len(toks)], ownK[l]...)
+				v[l] = append(v[l][:len(toks)], ownV[l]...)
+			}
+			checkPrefix(t, b, cfg, k, v, b.Len())
+			b.Release()
+			h.Release()
+			donor.Release()
+		}
+	}
+}

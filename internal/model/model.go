@@ -34,9 +34,9 @@ type Model interface {
 // probabilities at temperature 1 over the model vocabulary; samplers apply
 // temperature / top-k / top-p downstream.
 //
-// The distributions Prefill, Decode and Accept return are owned by the
-// caller (implementations must not reuse their backing arrays). Those
-// DecodeTree returns are borrowed: see DecodeTree.
+// The distribution Prefill returns is owned by the caller
+// (implementations must not reuse its backing array). Those Decode,
+// Accept and DecodeTree return are borrowed: see each method.
 type Session interface {
 	// Prefill processes the prompt in one pass and returns the next-token
 	// distribution after its last token. Must be called exactly once,
@@ -45,6 +45,10 @@ type Session interface {
 
 	// Decode commits one token to the sequence and returns the next-token
 	// distribution. This is the paper's incremental-decoding step.
+	//
+	// The distribution may be the session's own storage: it stays valid
+	// until the session's next Prefill, Decode, Accept or Close. Callers
+	// must treat it as read-only and copy whatever they keep longer.
 	Decode(tok Token) []float32
 
 	// DecodeTree scores a speculated token tree rooted at the last
@@ -71,7 +75,8 @@ type Session interface {
 	// root, which is already committed) and returns the next-token
 	// distribution after the last one. Implementations may reuse KV
 	// entries computed by the immediately preceding DecodeTree call when
-	// the tokens follow a path of that tree.
+	// the tokens follow a path of that tree. Its distribution is borrowed
+	// as Decode's is.
 	Accept(tokens []Token) []float32
 
 	// Len reports the number of committed tokens (prompt included).

@@ -19,37 +19,51 @@ import (
 // BlockLanes is the number of query rows one attention block carries.
 const BlockLanes = 8
 
-// DotBlock scores a block of queries against n keys:
-// out[r*BlockLanes+i] = Dot(q_i, keys[r*hd:][:hd]) * scale for r < n and
-// every lane i. qT holds the queries transposed, qT[k*BlockLanes+i] =
-// q_i[k], so hd = len(qT)/BlockLanes. The scale is the same single
-// rounding of the finished dot as a separate Scale pass.
-func DotBlock(qT, keys []float32, n int, scale float32, out []float32) {
+// DotBlock scores a block of queries against n dim-major keys:
+// out[r*BlockLanes+i] = Dot(q_i, key r) * scale for r < n and every lane
+// i, where element k of key r is keys[k*stride+r], the key layout of the
+// paged cache (DESIGN.md §27). qT holds the queries transposed,
+// qT[k*BlockLanes+i] = q_i[k], so hd = len(qT)/BlockLanes. The scale is
+// the same single rounding of the finished dot as a separate Scale pass.
+// On the 512-bit tier whole groups of sixteen keys share a register, and
+// the AVX2 kernel takes the rest.
+func DotBlock(qT, keys []float32, stride, n int, scale float32, out []float32) {
+	dotBlockTier(qT, keys, stride, n, scale, out, panelTier)
+}
+
+func dotBlockTier(qT, keys []float32, stride, n int, scale float32, out []float32, t tier) {
 	hd := len(qT) / BlockLanes
 	if hd == 0 || len(qT) != hd*BlockLanes {
 		panic(fmt.Sprintf("tensor: DotBlock transposed queries of length %d", len(qT)))
 	}
-	if len(keys) < n*hd || len(out) < n*BlockLanes {
-		panic(fmt.Sprintf("tensor: DotBlock keys %d / out %d too short for %d keys of dim %d", len(keys), len(out), n, hd))
+	if n > stride || n > 0 && len(keys) < (hd-1)*stride+n || len(out) < n*BlockLanes {
+		panic(fmt.Sprintf("tensor: DotBlock keys %d / out %d too short for %d keys of dim %d at stride %d",
+			len(keys), len(out), n, hd, stride))
 	}
 	if n == 0 {
 		return
 	}
-	if hasPackedKernel {
-		dotBlockAVX(&qT[0], &keys[0], hd, n, scale, &out[0])
+	if t == scalarTier {
+		dotBlock(qT, keys, hd, stride, n, scale, out)
 		return
 	}
-	dotBlock(qT, keys, hd, n, scale, out)
+	r := 0
+	if t == avx512Tier {
+		dotBlockAVX512(&qT[0], &keys[0], hd, stride, n, scale, &out[0])
+		r = n &^ 15
+	}
+	if r < n {
+		dotBlockAVX(&qT[0], &keys[r], hd, stride, n-r, scale, &out[r*BlockLanes])
+	}
 }
 
 // dotBlock is DotBlock's portable loop and its kernel's oracle.
-func dotBlock(qT, keys []float32, hd, n int, scale float32, out []float32) {
+func dotBlock(qT, keys []float32, hd, stride, n int, scale float32, out []float32) {
 	for r := 0; r < n; r++ {
-		key := keys[r*hd:][:hd]
 		for i := 0; i < BlockLanes; i++ {
 			var s float32
-			for k, v := range key {
-				s += qT[k*BlockLanes+i] * v
+			for k := 0; k < hd; k++ {
+				s += qT[k*BlockLanes+i] * keys[k*stride+r]
 			}
 			out[r*BlockLanes+i] = s * scale
 		}
@@ -200,11 +214,16 @@ func softmaxLane(x []float32, i, n int) {
 // lanes rows: acc[i*hd+d] += w[r*BlockLanes+i] * v[r*hd+d] for i < lanes
 // and d < hd = len(acc)/BlockLanes, value rows in increasing r, and a
 // row's ±0 weights skipped — AttnAccumContig's per-row order in every
-// lane. The other lanes' outputs are left unspecified. The kernel takes
-// hd's whole groups of eight columns, with one accumulator chain per
-// lane (four lanes for a block of at most four rows); the loop takes the
-// rest.
+// lane. The other lanes' outputs are left unspecified. The AVX2 kernel
+// takes hd's whole groups of eight columns, with one accumulator chain
+// per lane (four lanes for a block of at most four rows), and the loop
+// the rest; the 512-bit kernel takes sixteen columns per register and
+// every column, its last group masked.
 func AccumBlock(w []float32, n int, v, acc []float32, lanes int) {
+	accumBlockTier(w, n, v, acc, lanes, panelTier)
+}
+
+func accumBlockTier(w []float32, n int, v, acc []float32, lanes int, t tier) {
 	hd := len(acc) / BlockLanes
 	if len(acc) != hd*BlockLanes || len(w) < n*BlockLanes || len(v) < n*hd || lanes < 1 || lanes > BlockLanes {
 		panic(fmt.Sprintf("tensor: AccumBlock weights %d, values %d, outputs %d for %d rows of %d lanes", len(w), len(v), len(acc), n, lanes))
@@ -213,7 +232,14 @@ func AccumBlock(w []float32, n int, v, acc []float32, lanes int) {
 		return
 	}
 	c := 0
-	if hasPackedKernel && hd >= 8 {
+	switch {
+	case t == avx512Tier && lanes <= 4:
+		accBlock4AVX512(&w[0], n, &v[0], hd, &acc[0])
+		return
+	case t == avx512Tier:
+		accBlockAVX512(&w[0], n, &v[0], hd, &acc[0])
+		return
+	case t == avx2Tier && hd >= 8:
 		if lanes <= 4 {
 			accBlock4AVX(&w[0], n, &v[0], hd, &acc[0])
 		} else {

@@ -27,6 +27,23 @@ func blockSpans(rows int) [][2]int {
 	return spans
 }
 
+// dimMajor returns the n position-major rows of page (row r at
+// page[r*hd:][:hd]) dim-major at the given stride: element k of row r at
+// [k*stride+r]. The slots past the n rows hold NaN, which no kernel may
+// read.
+func dimMajor(page []float32, n, hd, stride int) []float32 {
+	dm := make([]float32, hd*stride)
+	for i := range dm {
+		dm[i] = float32(math.NaN())
+	}
+	for r := 0; r < n; r++ {
+		for k := 0; k < hd; k++ {
+			dm[k*stride+r] = page[r*hd+k]
+		}
+	}
+	return dm
+}
+
 // transposeBlock fills qT with the block's queries, lane i = q[first+i];
 // lanes past the block repeat its last row.
 func transposeBlock(qT []float32, q [][]float32, first, size int) {
@@ -50,13 +67,17 @@ func TestDotBlockMatchesDot(t *testing.T) {
 					q[i] = make([]float32, hd)
 					fillSpecial(q[i], seed+uint64(i))
 				}
-				page := make([]float32, keys*hd+3) // a page may run past the keys read
+				page := make([]float32, keys*hd)
 				fillSpecial(page, seed+99)
+				// Dim-major at a stride past the keys read, as a page holds
+				// fewer keys than it has room for.
+				stride := keys + 3
+				keysDM := dimMajor(page, keys, hd, stride)
 				qT := make([]float32, hd*BlockLanes)
 				out := make([]float32, keys*BlockLanes)
 				for _, sp := range blockSpans(rows) {
 					transposeBlock(qT, q, sp[0], sp[1])
-					DotBlock(qT, page, keys, scale, out)
+					DotBlock(qT, keysDM, stride, keys, scale, out)
 					for r := 0; r < keys; r++ {
 						for i := 0; i < sp[1]; i++ {
 							want := Dot(q[sp[0]+i], page[r*hd:][:hd]) * scale
@@ -218,9 +239,9 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 		lens[i] = keys
 	}
 	for name, f := range map[string]func(){
-		"DotBlock":      func() { DotBlock(qT, page, keys, 0.25, x) },
-		"SoftmaxBlock":  func() { DotBlock(qT, page, keys, 0.25, x); SoftmaxBlock(x, keys, lens) },
-		"SoftmaxBlock4": func() { DotBlock(qT, page, keys, 0.25, x); SoftmaxBlock(x, keys, lens[:4]) },
+		"DotBlock":      func() { DotBlock(qT, page, keys, keys, 0.25, x) },
+		"SoftmaxBlock":  func() { DotBlock(qT, page, keys, keys, 0.25, x); SoftmaxBlock(x, keys, lens) },
+		"SoftmaxBlock4": func() { DotBlock(qT, page, keys, keys, 0.25, x); SoftmaxBlock(x, keys, lens[:4]) },
 		"AccumBlock":    func() { AccumBlock(x, keys, page, acc, BlockLanes) },
 		"AccumBlock4":   func() { AccumBlock(x, keys, page, acc, 4) },
 	} {
@@ -241,14 +262,13 @@ func BenchmarkDotBlock(b *testing.B) {
 	out := make([]float32, keys*BlockLanes)
 	b.Run("block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			DotBlock(qT, page, keys, 0.25, out)
+			DotBlock(qT, page, keys, keys, 0.25, out)
 		}
 	})
 	b.Run("perRow", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for l := 0; l < BlockLanes; l++ {
-				DotRowsContig4(qT[l*hd:(l+1)*hd], page, out[l*keys:(l+1)*keys])
-				Scale(0.25, out[l*keys:(l+1)*keys])
+				DotKeys(qT[l*hd:(l+1)*hd], page, keys, 0.25, out[l*keys:(l+1)*keys])
 			}
 		}
 	})
@@ -308,6 +328,65 @@ func BenchmarkAccumBlock(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for l := 0; l < BlockLanes; l++ {
 				AttnAccumContig(w[l*keys:(l+1)*keys], page, acc[l*hd:(l+1)*hd])
+			}
+		}
+	})
+}
+
+// TestAccumBlockTiersMatchAccumRows runs AccumBlock's loop, its AVX2
+// kernels and its 512-bit kernels (sixteen columns to a register, a
+// masked last group) over 1-8 lanes, against accumRows lane by lane:
+// ±0 weights against an infinite value and a -0 accumulator, and keys
+// whose weights are all other than ±0, so the unconditional path runs
+// too.
+func TestAccumBlockTiersMatchAccumRows(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	forAllTiers(t, hasPackedKernel, hasAVX512, func(t *testing.T, tr tier) {
+		for _, keys := range []int{0, 1, 7, 16, 65, 300} {
+			for _, hd := range []int{1, 2, 6, 8, 12, 16, 17, 32} {
+				for lanes := 1; lanes <= BlockLanes; lanes++ {
+					for _, dense := range []bool{false, true} {
+						seed := uint64(keys*10000 + hd*100 + lanes)
+						w := make([]float32, keys*BlockLanes)
+						fillSpecial(w, seed) // ±0 weights included
+						if dense {
+							for r, x := range w {
+								if x == 0 {
+									w[r] = 1 + float32(r%7)/8
+								}
+							}
+						}
+						v := make([]float32, keys*hd+hd) // a page may run past the rows read
+						fillSpecial(v, seed+1)
+						if keys > 1 && !dense {
+							// A skipped weight must not touch an infinite value.
+							w[0], v[0] = negZero, float32(math.Inf(1))
+						}
+						acc := make([]float32, hd*BlockLanes)
+						fillSpecial(acc, seed+2)
+						want := make([][]float32, lanes)
+						for i := range want {
+							acc[i*hd] = negZero // only a skipped row leaves a -0 accumulator alone
+							want[i] = append([]float32(nil), acc[i*hd:(i+1)*hd]...)
+							lane := make([]float32, keys)
+							for r := range lane {
+								lane[r] = w[r*BlockLanes+i]
+							}
+							accumRows(lane, v, hd, want[i])
+						}
+						accumBlockTier(w, keys, v, acc, lanes, tr)
+						for i := range want {
+							requireSameFloat32s(t, acc[i*hd:(i+1)*hd], want[i],
+								fmt.Sprintf("tier %d keys %d hd %d lanes %d dense %v lane %d", tr, keys, hd, lanes, dense, i))
+						}
+					}
+				}
+			}
+		}
+		w, v, acc := make([]float32, 300*BlockLanes), make([]float32, 300*16), make([]float32, 16*BlockLanes)
+		for _, lanes := range []int{4, BlockLanes} {
+			if n := testing.AllocsPerRun(20, func() { accumBlockTier(w, 300, v, acc, lanes, tr) }); n != 0 {
+				t.Fatalf("tier %d AccumBlock of %d lanes allocates %v times per call", tr, lanes, n)
 			}
 		}
 	})

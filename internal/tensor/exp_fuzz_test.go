@@ -91,7 +91,7 @@ func FuzzExpKernels(f *testing.F) {
 				softmax(got, masked, tr)
 				requireSameFloat32s(t, got, want, what+" softmax")
 				got = append(got[:0], vals...)
-				i, sum := expShiftVec(got, maxv, masked, tr)
+				i, sum := expShiftVec(got, maxv, masked, tr, 0)
 				sum = expShift(got[i:], maxv, masked, sum)
 				if math.Float64bits(sum) != math.Float64bits(wantSum) {
 					t.Fatalf("%s maxv %v: sum %v, scalar loop gives %v", what, maxv, sum, wantSum)

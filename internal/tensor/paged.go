@@ -2,52 +2,56 @@ package tensor
 
 import "fmt"
 
-// Contiguous-page attention kernels. The paged KV cache packs a head's
-// rows back to back in one []float32 (row r at page[r*hd:(r+1)*hd]), so
-// the score and value passes can stream a page without the [][]float32
-// double indirection of the per-row kernels. Both kernels keep every
-// per-element reduction in the same strictly-sequential order as their
-// per-row counterparts (Dot, Axpy), so results are bit-identical — the
-// layout changes which cache lines are touched, never the arithmetic.
+// Paged-cache attention kernels (DESIGN.md §18, §27). The paged KV cache
+// keeps each head's values position-major, row r at page[r*hd:][:hd],
+// and its keys dim-major, element k of key r at page[k*stride+r], so the
+// score pass multiplies one broadcast query element into whole vectors of
+// consecutive keys, and the value pass streams a page without the
+// [][]float32 double indirection of the per-row kernels. Every kernel
+// keeps each per-element reduction in the same strictly-sequential order
+// as its per-row counterpart (Dot, Axpy), so results are bit-identical —
+// the layout changes which cache lines are touched, never the arithmetic.
 
-// DotRowsContig4 computes out[r] = Dot(q, page[r*hd:(r+1)*hd]) for
-// r in [0, len(out)), where hd = len(q) — one query against a page of
-// keys, the attention-score kernel. Each score is an independent sequential reduction,
-// bit-identical to a per-row Dot. With the AVX2 kernel and hd a multiple
-// of 8, whole groups of 8 rows run on dotRowsAVX, one lane per row
-// (DESIGN.md §18.3); the rest are register-blocked four rows per step
-// (wider blocking spills row pointers and loses).
-func DotRowsContig4(q, page []float32, out []float32) {
-	hd := len(q)
-	rows := len(out)
-	if len(page) < rows*hd {
-		panic(fmt.Sprintf("tensor: DotRowsContig4 page %d < rows %d * dim %d", len(page), rows, hd))
+// DotKeys scores one query against a dim-major run of keys, the
+// attention-score kernel: out[r] = Dot(q, key r) * scale for r <
+// len(out), where element k of key r is keys[k*stride+r]. Each score is
+// its own sequential reduction over k, bit-identical to a per-row Dot
+// followed by a Scale pass. The kernels put sixteen (AVX-512) or eight
+// (AVX2) consecutive keys in one register, one lane each, and a masked
+// last group takes the keys that do not fill one.
+func DotKeys(q, keys []float32, stride int, scale float32, out []float32) {
+	dotKeys(q, keys, stride, scale, out, panelTier)
+}
+
+func dotKeys(q, keys []float32, stride int, scale float32, out []float32, t tier) {
+	hd, n := len(q), len(out)
+	if n > stride || hd > 0 && n > 0 && len(keys) < (hd-1)*stride+n {
+		panic(fmt.Sprintf("tensor: DotKeys %d keys of dim %d at stride %d in %d floats", n, hd, stride, len(keys)))
 	}
-	r := 0
-	if hasPackedKernel && hd > 0 && hd%8 == 0 && rows >= 8 {
-		r = dotRowsAVX(&q[0], &page[0], hd, rows, &out[0])
+	if n == 0 {
+		return
 	}
-	for ; r+3 < rows; r += 4 {
-		// The two-step reslice gives each row slice a length the
-		// bounds-check prover can tie to hd = len(q), keeping the inner
-		// loop check-free (a single-step page[a:b] slice defeats it).
-		base := r * hd
-		p0 := page[base:][:hd]
-		p1 := page[base+hd:][:hd]
-		p2 := page[base+2*hd:][:hd]
-		p3 := page[base+3*hd:][:hd]
-		var s0, s1, s2, s3 float32
-		for k := 0; k < hd; k++ {
-			qk := q[k]
-			s0 += p0[k] * qk
-			s1 += p1[k] * qk
-			s2 += p2[k] * qk
-			s3 += p3[k] * qk
+	switch {
+	case hd == 0:
+	case t == avx512Tier:
+		dotKeysAVX512(&q[0], hd, &keys[0], stride, n, scale, &out[0])
+		return
+	case t == avx2Tier:
+		dotKeysAVX(&q[0], hd, &keys[0], stride, n, scale, &out[0])
+		return
+	}
+	dotKeysLoop(q, keys, stride, scale, out)
+}
+
+// dotKeysLoop is DotKeys' portable loop and its kernels' oracle: every
+// score Dot's chain, from +0 over k in increasing order, then scaled.
+func dotKeysLoop(q, keys []float32, stride int, scale float32, out []float32) {
+	for r := range out {
+		var s float32
+		for k, qk := range q {
+			s += qk * keys[k*stride+r]
 		}
-		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
-	}
-	for ; r < rows; r++ {
-		out[r] = Dot(q, page[r*hd:][:hd])
+		out[r] = s * scale
 	}
 }
 
@@ -101,7 +105,7 @@ func AttnAccumContig(scores, page, dst []float32) {
 }
 
 // accumRows is the per-row remainder/fallback of AttnAccumContig, and
-// the oracle of its vector kernel: dst[d] += scores[r]*page[r*hd+d] for
+// the oracle of the value kernels: dst[d] += scores[r]*page[r*hd+d] for
 // d < len(dst), rows in increasing r, zero weights skipped. dst may be a
 // leading part of a row (with page offset to match).
 func accumRows(scores, page []float32, hd int, dst []float32) {

@@ -6,7 +6,7 @@ import "testing"
 // counterparts: same sequential reduction per element, only the storage
 // layout differs.
 
-func TestDotRowsContig4BitExact(t *testing.T) {
+func TestDotKeysBitExact(t *testing.T) {
 	rng := NewRNG(99)
 	for _, hd := range []int{1, 4, 16} {
 		for _, rows := range []int{0, 1, 3, 4, 5, 17} {
@@ -15,7 +15,7 @@ func TestDotRowsContig4BitExact(t *testing.T) {
 			rng.FillNormal(q, 1)
 			rng.FillNormal(page, 1)
 			got := make([]float32, rows)
-			DotRowsContig4(q, page, got)
+			DotKeys(q, dimMajor(page, rows, hd, rows), rows, 1, got)
 			for r := 0; r < rows; r++ {
 				want := Dot(q, page[r*hd:(r+1)*hd])
 				if got[r] != want {
@@ -74,8 +74,11 @@ func TestPagedKernelPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("DotRowsContig4 short page", func() {
-		DotRowsContig4(make([]float32, 4), make([]float32, 7), make([]float32, 2))
+	mustPanic("DotKeys short page", func() {
+		DotKeys(make([]float32, 4), make([]float32, 7), 2, 1, make([]float32, 2))
+	})
+	mustPanic("DotKeys more keys than the stride", func() {
+		DotKeys(make([]float32, 4), make([]float32, 12), 2, 1, make([]float32, 3))
 	})
 	mustPanic("AttnAccumContig short page", func() {
 		AttnAccumContig(make([]float32, 2), make([]float32, 7), make([]float32, 4))
@@ -103,12 +106,12 @@ func benchPages() (q []float32, pages [][]float32, out []float32) {
 	return q, pages, make([]float32, benchRows)
 }
 
-func BenchmarkDotRowsContig4(b *testing.B) {
+func BenchmarkDotKeys(b *testing.B) {
 	q, pages, out := benchPages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p, o := 0, 0; o < benchRows; p++ {
-			DotRowsContig4(q, pages[p], out[o:o+benchPgSz])
+			DotKeys(q, pages[p], benchPgSz, 0.25, out[o:o+benchPgSz])
 			o += benchPgSz
 		}
 	}

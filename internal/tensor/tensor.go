@@ -296,19 +296,7 @@ func softmax(x []float32, masked bool, t tier) {
 	if len(x) == 0 {
 		return
 	}
-	maxv, i := x[0], 1
-	if vec && len(x) >= 8 {
-		// The kernel's maximum may differ from the loop's only in the
-		// sign of a zero maximum, which no v-maxv below can see.
-		if m, ok := maxAVX(&x[0], len(x)); ok {
-			maxv, i = m, len(x)&^7
-		}
-	}
-	for _, v := range x[i:] {
-		if v > maxv {
-			maxv = v
-		}
-	}
+	maxv := rowMax(x, t)
 	if isNegInf(maxv) {
 		// All entries masked: define softmax as uniform to avoid NaN.
 		u := float32(1.0) / float32(len(x))
@@ -318,11 +306,38 @@ func softmax(x []float32, masked bool, t tier) {
 		return
 	}
 	var sum float64
-	i = 0
+	i := 0
 	if vec {
-		i, sum = expShiftVec(x, maxv, masked, t)
+		i, sum = expShiftVec(x, maxv, masked, t, 0)
 	}
 	sum = expShift(x[i:], maxv, masked, sum)
+	normalize(x, sum, masked, vec)
+}
+
+// rowMax is softmax's maximum of a non-empty x: the scalar loop's, which
+// keeps x[0] when that is NaN and skips every later NaN. On a vector
+// tier the kernel takes whole blocks of eight when none of them is NaN;
+// its maximum may differ from the loop's only in the sign of a zero
+// maximum, which no v-maxv can see.
+func rowMax(x []float32, t tier) float32 {
+	maxv, i := x[0], 1
+	if t != scalarTier && len(x) >= 8 {
+		if m, ok := maxAVX(&x[0], len(x)); ok {
+			maxv, i = m, len(x)&^7
+		}
+	}
+	for _, v := range x[i:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	return maxv
+}
+
+// normalize is softmax's last pass: x[i] *= float32(1/sum). Masked, a
+// zero stays zero even when the inverse is NaN; vec runs the multiply on
+// Scale, whose kernel rounds each product as the loop does.
+func normalize(x []float32, sum float64, masked, vec bool) {
 	inv := float32(1.0 / sum)
 	switch {
 	case vec && (!masked || inv <= math.MaxFloat32):
@@ -362,13 +377,13 @@ func expShift(x []float32, maxv float32, masked bool, sum float64) float64 {
 }
 
 // expShiftVec is expShift over x's whole blocks of four on tier t's
-// kernel; a block the kernel declines (an argument out of its range) is
-// computed by expShift. It returns how many leading elements are done and
-// the sum so far. The kernel needs no mask test: with a finite or +Inf
-// maximum a NegInf entry's argument is -Inf, which it maps to +0 like
-// math.Exp, and any other maximum makes it decline the block.
-func expShiftVec(x []float32, maxv float32, masked bool, t tier) (int, float64) {
-	var sum float64
+// kernel, continuing the float64 sum from sum; a block the kernel
+// declines (an argument out of its range) is computed by expShift. It
+// returns how many leading elements are done and the sum so far. The
+// kernel needs no mask test: with a finite or +Inf maximum a NegInf
+// entry's argument is -Inf, which it maps to +0 like math.Exp, and any
+// other maximum makes it decline the block.
+func expShiftVec(x []float32, maxv float32, masked bool, t tier, sum float64) (int, float64) {
 	n := len(x) &^ 3
 	i := 0
 	for i < n {

@@ -111,7 +111,7 @@ func TestExpTiersMatchScalar(t *testing.T) {
 						}
 					}
 					got := append([]float32(nil), x...)
-					i, sum := expShiftVec(got, maxv, masked, tr)
+					i, sum := expShiftVec(got, maxv, masked, tr, 0)
 					sum = expShift(got[i:], maxv, masked, sum)
 					want := append([]float32(nil), x...)
 					if wantSum := expShift(want, maxv, masked, 0); math.Float64bits(sum) != math.Float64bits(wantSum) {

@@ -148,11 +148,16 @@ func powExpAVX(x *float32, t *float64, n int, yi int) int
 //go:noescape
 func siluAVX(x *float32, n int) int
 
-// dotRowsAVX sets out[r] = Dot(q, page[r*hd:][:hd]) for r < n&^7, with q
-// of length hd, a multiple of 8, and returns n&^7.
+// dotKeysAVX sets out[r] = Dot(q, key r) * scale for r < n, hd >= 1 and
+// n >= 1, where element k of key r is keys[k*stride+r] (DotKeys).
 //
 //go:noescape
-func dotRowsAVX(q, page *float32, hd, n int, out *float32) int
+func dotKeysAVX(q *float32, hd int, keys *float32, stride, n int, scale float32, out *float32)
+
+// dotKeysAVX512 is dotKeysAVX sixteen keys to a register. AVX-512F.
+//
+//go:noescape
+func dotKeysAVX512(q *float32, hd int, keys *float32, stride, n int, scale float32, out *float32)
 
 // attnAccumAVX adds scores[r]*page[r*hd+d] to dst[d] for d < hd&^3 over
 // the n rows in increasing r, skipping zero weights, and returns hd&^3.
@@ -171,11 +176,18 @@ func maxAVX(x *float32, n int) (m float32, ok bool)
 //go:noescape
 func scaleAVX(x *float32, n int, a float32)
 
-// dotBlockAVX sets out[r*8+i] = Dot(q_i, keys[r*hd:][:hd]) * scale for
-// r < n and i < 8, given qT[k*8+i] = q_i[k], hd >= 1.
+// dotBlockAVX sets out[r*8+i] = Dot(q_i, key r) * scale for r < n and
+// i < 8, given qT[k*8+i] = q_i[k] and element k of key r at
+// keys[k*stride+r], hd >= 1.
 //
 //go:noescape
-func dotBlockAVX(qT, keys *float32, hd, n int, scale float32, out *float32)
+func dotBlockAVX(qT, keys *float32, hd, stride, n int, scale float32, out *float32)
+
+// dotBlockAVX512 is dotBlockAVX over the first n&^15 keys, sixteen keys
+// to a register. AVX-512F.
+//
+//go:noescape
+func dotBlockAVX512(qT, keys *float32, hd, stride, n int, scale float32, out *float32)
 
 // accBlockAVX adds w[r*8+i]*v[r*hd+d] to acc[i*hd+d] for i < 8 and
 // d < hd&^7 over the n rows in increasing r, skipping ±0 weights, hd >= 8.
@@ -187,6 +199,17 @@ func accBlockAVX(w *float32, n int, v *float32, hd int, acc *float32)
 //
 //go:noescape
 func accBlock4AVX(w *float32, n int, v *float32, hd int, acc *float32)
+
+// accBlockAVX512 is accBlockAVX over every d < hd, sixteen columns to a
+// register and a masked last group. AVX-512F.
+//
+//go:noescape
+func accBlockAVX512(w *float32, n int, v *float32, hd int, acc *float32)
+
+// accBlock4AVX512 is accBlockAVX512 over lanes 0-3 only.
+//
+//go:noescape
+func accBlock4AVX512(w *float32, n int, v *float32, hd int, acc *float32)
 
 // maxBlockAVX sets m[i] to the largest of x[r*8+i] over r < n, n >= 1,
 // and returns false if any of those is NaN. Between +0 and -0 it may
@@ -248,3 +271,36 @@ func expBlockAVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes
 //
 //go:noescape
 func expBlock4AVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int
+
+// The multi-head kernels of one-row passes (heads.go, DESIGN.md §27):
+// four rows (heads) side by side, each its own chain in its per-row
+// order. A caller with fewer heads repeats head 0 in the spare slots.
+
+// expShiftHeadsAVX is the side-by-side exponential pass of SoftmaxHeads:
+// for i in [off, off+n&^3), in blocks of four, and every row h < 4,
+// e = math.Exp(float64(x[h][i]-maxv[h])), x[h][i] = float32(e) and
+// sums[h] += e, each row's sum one index-order float64 chain. It returns
+// the number done: n&^3, or up to the first block in which some row's
+// argument is off EXP4's range (left unchanged).
+//
+//go:noescape
+func expShiftHeadsAVX(x *[HeadGroup]*float32, off, n int, maxv *[HeadGroup]float32, sums *[HeadGroup]float64) int
+
+// expShiftHeadsAVX512 is expShiftHeadsAVX on EXP8 in blocks of eight,
+// for i in [off, off+n&^7).
+//
+//go:noescape
+func expShiftHeadsAVX512(x *[HeadGroup]*float32, off, n int, maxv *[HeadGroup]float32, sums *[HeadGroup]float64) int
+
+// accHeadsAVX adds w[h][r]*v[h][r*hd+d] to dst[h][d] for h < 4, d < hd&^7
+// and r < n, rows in increasing r, skipping a head's ±0 weights
+// (AccumHeads).
+//
+//go:noescape
+func accHeadsAVX(w *[HeadGroup]*float32, n int, v *[HeadGroup]*float32, hd int, dst *[HeadGroup]*float32)
+
+// accHeadsAVX512 is accHeadsAVX over every d < hd, sixteen columns to a
+// register and a masked last group. AVX-512F.
+//
+//go:noescape
+func accHeadsAVX512(w *[HeadGroup]*float32, n int, v *[HeadGroup]*float32, hd int, dst *[HeadGroup]*float32)

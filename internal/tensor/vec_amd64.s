@@ -294,115 +294,128 @@ siluDone:
 	VZEROUPPER
 	RET
 
-// func dotRowsAVX(q, page *float32, hd, n int, out *float32) int
+// func dotKeysAVX(q *float32, hd int, keys *float32, stride, n int, scale float32, out *float32)
 //
-// out[r] = sum over k of page[r*hd+k]*q[k] for r < n&^7, with hd a
-// multiple of 8, one lane per row: each lane's chain starts at +0 and
-// adds its rounded products in increasing k (VMULPS then VADDPS, never
-// fused), exactly as Dot does. Each 8-row by 8-column tile is transposed
-// in registers: the VINSERTF128 loads pair row j with row j+4, then
-// UNPCK/SHUFPS finish the 4x4 transposes within each 128-bit half, which
-// leaves column k of the tile in one register, row j in lane j.
-TEXT ·dotRowsAVX(SB), NOSPLIT, $0-48
+// out[r] = (sum over k of q[k]*keys[k*stride+r]) * scale, one lane per
+// key: each lane's chain starts at +0 and adds its rounded products in
+// increasing k (VMULPS then VADDPS, never fused), exactly as Dot does,
+// and the scale multiplies the finished sum. The keys' element k is one
+// contiguous run, so a broadcast q[k] multiplies eight keys per load.
+// Keys go 32 at a time (four chains), then 8, then the last n%8 under a
+// VMASKMOVPS mask.
+TEXT ·dotKeysAVX(SB), NOSPLIT, $0-56
 	MOVQ         q+0(FP), AX
-	MOVQ         page+8(FP), SI
-	MOVQ         hd+16(FP), DX
-	MOVQ         n+24(FP), BX
-	MOVQ         out+32(FP), DI
-	ANDQ         $~7, BX
-	MOVQ         BX, ret+40(FP)
-	MOVQ         DX, R12
-	SHLQ         $2, R12                 // R12: row stride in bytes
-	SHRQ         $3, DX                  // DX: tiles per row
+	MOVQ         hd+8(FP), DX
+	MOVQ         keys+16(FP), SI
+	MOVQ         stride+24(FP), R12
+	SHLQ         $2, R12                 // R12: dimension stride in bytes
+	MOVQ         n+32(FP), BX
+	VBROADCASTSS scale+40(FP), Y15
+	MOVQ         out+48(FP), DI
 
-dotRows8:
-	CMPQ         BX, $8
-	JLT          dotDone
+dka32:
+	CMPQ         BX, $32
+	JLT          dka8
 	VXORPS       Y0, Y0, Y0
-	MOVQ         SI, R10                 // rows 0, 1, 2 (and 4 via R12*4)
-	LEAQ         (SI)(R12*4), R9         // rows 4, 5, 6
-	LEAQ         (SI)(R12*2), R11
-	ADDQ         R12, R11                // rows 3, 7
+	VXORPS       Y1, Y1, Y1
+	VXORPS       Y2, Y2, Y2
+	VXORPS       Y3, Y3, Y3
+	MOVQ         SI, R10
 	MOVQ         AX, R8
 	MOVQ         DX, CX
 
-dotTile:
-	// Columns 0-3 of the tile.
-	VMOVUPS      (R10), X1
-	VINSERTF128  $1, (R9), Y1, Y1
-	VMOVUPS      (R10)(R12*1), X2
-	VINSERTF128  $1, (R9)(R12*1), Y2, Y2
-	VMOVUPS      (R10)(R12*2), X3
-	VINSERTF128  $1, (R9)(R12*2), Y3, Y3
-	VMOVUPS      (R11), X4
-	VINSERTF128  $1, (R11)(R12*4), Y4, Y4
-	VUNPCKLPS    Y2, Y1, Y5
-	VUNPCKHPS    Y2, Y1, Y6
-	VUNPCKLPS    Y4, Y3, Y7
-	VUNPCKHPS    Y4, Y3, Y8
-	VSHUFPS      $0x44, Y7, Y5, Y1
-	VSHUFPS      $0xEE, Y7, Y5, Y2
-	VSHUFPS      $0x44, Y8, Y6, Y3
-	VSHUFPS      $0xEE, Y8, Y6, Y4
-	VBROADCASTSS (R8), Y9
-	VMULPS       Y9, Y1, Y1
-	VADDPS       Y1, Y0, Y0
-	VBROADCASTSS 4(R8), Y10
-	VMULPS       Y10, Y2, Y2
-	VADDPS       Y2, Y0, Y0
-	VBROADCASTSS 8(R8), Y11
-	VMULPS       Y11, Y3, Y3
-	VADDPS       Y3, Y0, Y0
-	VBROADCASTSS 12(R8), Y12
-	VMULPS       Y12, Y4, Y4
-	VADDPS       Y4, Y0, Y0
-
-	// Columns 4-7.
-	VMOVUPS      16(R10), X1
-	VINSERTF128  $1, 16(R9), Y1, Y1
-	VMOVUPS      16(R10)(R12*1), X2
-	VINSERTF128  $1, 16(R9)(R12*1), Y2, Y2
-	VMOVUPS      16(R10)(R12*2), X3
-	VINSERTF128  $1, 16(R9)(R12*2), Y3, Y3
-	VMOVUPS      16(R11), X4
-	VINSERTF128  $1, 16(R11)(R12*4), Y4, Y4
-	VUNPCKLPS    Y2, Y1, Y5
-	VUNPCKHPS    Y2, Y1, Y6
-	VUNPCKLPS    Y4, Y3, Y7
-	VUNPCKHPS    Y4, Y3, Y8
-	VSHUFPS      $0x44, Y7, Y5, Y1
-	VSHUFPS      $0xEE, Y7, Y5, Y2
-	VSHUFPS      $0x44, Y8, Y6, Y3
-	VSHUFPS      $0xEE, Y8, Y6, Y4
-	VBROADCASTSS 16(R8), Y9
-	VMULPS       Y9, Y1, Y1
-	VADDPS       Y1, Y0, Y0
-	VBROADCASTSS 20(R8), Y10
-	VMULPS       Y10, Y2, Y2
-	VADDPS       Y2, Y0, Y0
-	VBROADCASTSS 24(R8), Y11
-	VMULPS       Y11, Y3, Y3
-	VADDPS       Y3, Y0, Y0
-	VBROADCASTSS 28(R8), Y12
-	VMULPS       Y12, Y4, Y4
-	VADDPS       Y4, Y0, Y0
-
-	ADDQ         $32, R10
-	ADDQ         $32, R9
-	ADDQ         $32, R11
-	ADDQ         $32, R8
+dka32Dim:
+	VBROADCASTSS (R8), Y8
+	VMULPS       (R10), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	VMULPS       32(R10), Y8, Y10
+	VADDPS       Y10, Y1, Y1
+	VMULPS       64(R10), Y8, Y11
+	VADDPS       Y11, Y2, Y2
+	VMULPS       96(R10), Y8, Y12
+	VADDPS       Y12, Y3, Y3
+	ADDQ         $4, R8
+	ADDQ         R12, R10
 	DECQ         CX
-	JNZ          dotTile
+	JNZ          dka32Dim
 
+	VMULPS       Y15, Y0, Y0
+	VMULPS       Y15, Y1, Y1
+	VMULPS       Y15, Y2, Y2
+	VMULPS       Y15, Y3, Y3
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	SUBQ         $32, BX
+	JMP          dka32
+
+dka8:
+	CMPQ         BX, $8
+	JLT          dkaTail
+	VXORPS       Y0, Y0, Y0
+	MOVQ         SI, R10
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dka8Dim:
+	VBROADCASTSS (R8), Y8
+	VMULPS       (R10), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	ADDQ         $4, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JNZ          dka8Dim
+
+	VMULPS       Y15, Y0, Y0
 	VMOVUPS      Y0, (DI)
 	ADDQ         $32, DI
-	LEAQ         (SI)(R12*8), SI
+	ADDQ         $32, SI
 	SUBQ         $8, BX
-	JMP          dotRows8
+	JMP          dka8
 
-dotDone:
+dkaTail:
+	TESTQ        BX, BX
+	JZ           dkaDone
+	MOVQ         $8, CX
+	SUBQ         BX, CX
+	LEAQ         tailMask<>(SB), R9
+	VMOVUPS      (R9)(CX*4), Y7          // Y7: lanes below BX
+	VXORPS       Y0, Y0, Y0
+	MOVQ         SI, R10
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dkaTailDim:
+	VBROADCASTSS (R8), Y8
+	VMASKMOVPS   (R10), Y7, Y9
+	VMULPS       Y9, Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	ADDQ         $4, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JNZ          dkaTailDim
+
+	VMULPS       Y15, Y0, Y0
+	VMASKMOVPS   Y0, Y7, (DI)
+
+dkaDone:
 	VZEROUPPER
 	RET
+
+// tailMask is eight set int32 lanes then eight clear ones: the eight at
+// tailMask+4*(8-m) set the first m lanes.
+DATA tailMask<>+0(SB)/8, $-1
+DATA tailMask<>+8(SB)/8, $-1
+DATA tailMask<>+16(SB)/8, $-1
+DATA tailMask<>+24(SB)/8, $-1
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+DATA tailMask<>+48(SB)/8, $0
+DATA tailMask<>+56(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA, $64
 
 // func attnAccumAVX(scores *float32, n int, page *float32, hd int, dst *float32) int
 //
@@ -853,23 +866,24 @@ powDone:
 // entry for every row. Each lane runs its row's chain of the per-row
 // kernels in the same order: no fused multiply-add, sums in key order.
 
-// func dotBlockAVX(qT, keys *float32, hd, n int, scale float32, out *float32)
+// func dotBlockAVX(qT, keys *float32, hd, stride, n int, scale float32, out *float32)
 //
-// out[r*8+i] = (sum over k of qT[k*8+i]*keys[r*hd+k]) * scale. Eight keys
-// go together, one accumulator each: per k, the eight keys' k-th elements
-// are broadcast and multiplied by the column qT[k] of all eight queries,
-// and added to the key's lanes (VMULPS then VADDPS, from +0 in increasing
-// k, as Dot). The scale multiplies the finished sums before the store.
-// The last n%8 keys go one at a time.
-TEXT ·dotBlockAVX(SB), NOSPLIT, $0-48
+// out[r*8+i] = (sum over k of qT[k*8+i]*keys[k*stride+r]) * scale. Eight
+// keys go together, one accumulator each: per k, the eight keys' k-th
+// elements, contiguous in the dim-major layout, are broadcast and
+// multiplied by the column qT[k] of all eight queries, and added to the
+// key's lanes (VMULPS then VADDPS, from +0 in increasing k, as Dot). The
+// scale multiplies the finished sums before the store. The last n%8 keys
+// go one at a time.
+TEXT ·dotBlockAVX(SB), NOSPLIT, $0-56
 	MOVQ         qT+0(FP), AX
 	MOVQ         keys+8(FP), SI
 	MOVQ         hd+16(FP), DX
-	MOVQ         n+24(FP), BX
-	VBROADCASTSS scale+32(FP), Y15
-	MOVQ         out+40(FP), DI
-	MOVQ         DX, R12
-	SHLQ         $2, R12                 // R12: key stride in bytes
+	MOVQ         stride+24(FP), R12
+	SHLQ         $2, R12                 // R12: dimension stride in bytes
+	MOVQ         n+32(FP), BX
+	VBROADCASTSS scale+40(FP), Y15
+	MOVQ         out+48(FP), DI
 
 dbk8:
 	CMPQ         BX, $8
@@ -882,10 +896,7 @@ dbk8:
 	VXORPS       Y5, Y5, Y5
 	VXORPS       Y6, Y6, Y6
 	VXORPS       Y7, Y7, Y7
-	MOVQ         SI, R10                 // keys 0, 1, 2
-	LEAQ         (SI)(R12*4), R9         // keys 4, 5, 6
-	LEAQ         (SI)(R12*2), R11
-	ADDQ         R12, R11                // keys 3 and 7 (via R12*4)
+	MOVQ         SI, R10                 // element k of keys r..r+7
 	MOVQ         AX, R8
 	MOVQ         DX, CX
 
@@ -894,30 +905,28 @@ dbk8Col:
 	VBROADCASTSS (R10), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y0, Y0
-	VBROADCASTSS (R10)(R12*1), Y10
+	VBROADCASTSS 4(R10), Y10
 	VMULPS       Y8, Y10, Y10
 	VADDPS       Y10, Y1, Y1
-	VBROADCASTSS (R10)(R12*2), Y11
+	VBROADCASTSS 8(R10), Y11
 	VMULPS       Y8, Y11, Y11
 	VADDPS       Y11, Y2, Y2
-	VBROADCASTSS (R11), Y12
+	VBROADCASTSS 12(R10), Y12
 	VMULPS       Y8, Y12, Y12
 	VADDPS       Y12, Y3, Y3
-	VBROADCASTSS (R9), Y13
+	VBROADCASTSS 16(R10), Y13
 	VMULPS       Y8, Y13, Y13
 	VADDPS       Y13, Y4, Y4
-	VBROADCASTSS (R9)(R12*1), Y14
+	VBROADCASTSS 20(R10), Y14
 	VMULPS       Y8, Y14, Y14
 	VADDPS       Y14, Y5, Y5
-	VBROADCASTSS (R9)(R12*2), Y9
+	VBROADCASTSS 24(R10), Y9
 	VMULPS       Y8, Y9, Y9
 	VADDPS       Y9, Y6, Y6
-	VBROADCASTSS (R11)(R12*4), Y10
+	VBROADCASTSS 28(R10), Y10
 	VMULPS       Y8, Y10, Y10
 	VADDPS       Y10, Y7, Y7
-	ADDQ         $4, R10
-	ADDQ         $4, R9
-	ADDQ         $4, R11
+	ADDQ         R12, R10
 	ADDQ         $32, R8
 	DECQ         CX
 	JNZ          dbk8Col
@@ -939,7 +948,7 @@ dbk8Col:
 	VMOVUPS      Y6, 192(DI)
 	VMOVUPS      Y7, 224(DI)
 	ADDQ         $256, DI
-	LEAQ         (SI)(R12*8), SI
+	ADDQ         $32, SI
 	SUBQ         $8, BX
 	JMP          dbk8
 
@@ -955,7 +964,7 @@ dbk1Col:
 	VBROADCASTSS (R10), Y9
 	VMULPS       (R8), Y9, Y9
 	VADDPS       Y9, Y0, Y0
-	ADDQ         $4, R10
+	ADDQ         R12, R10
 	ADDQ         $32, R8
 	DECQ         CX
 	JNZ          dbk1Col
@@ -963,7 +972,7 @@ dbk1Col:
 	VMULPS       Y15, Y0, Y0
 	VMOVUPS      Y0, (DI)
 	ADDQ         $32, DI
-	ADDQ         R12, SI
+	ADDQ         $4, SI
 	DECQ         BX
 	JMP          dbk1
 
@@ -1595,5 +1604,922 @@ eb48One:
 eb48Done:
 	VMOVUPD       Y13, (R8)
 	MOVQ          CX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func dotKeysAVX512(q *float32, hd int, keys *float32, stride, n int, scale float32, out *float32)
+//
+// dotKeysAVX sixteen keys to a ZMM register: 64 keys at a time (four
+// chains, a whole default page), then 16, then the last n%16 under the
+// opmask K1, whose masked-off lanes are neither loaded nor stored.
+TEXT ·dotKeysAVX512(SB), NOSPLIT, $0-56
+	MOVQ         q+0(FP), AX
+	MOVQ         hd+8(FP), DX
+	MOVQ         keys+16(FP), SI
+	MOVQ         stride+24(FP), R12
+	SHLQ         $2, R12                 // R12: dimension stride in bytes
+	MOVQ         n+32(FP), BX
+	VBROADCASTSS scale+40(FP), Z15
+	MOVQ         out+48(FP), DI
+
+dkz64:
+	CMPQ         BX, $64
+	JLT          dkz16
+	VPXORD       Z0, Z0, Z0
+	VPXORD       Z1, Z1, Z1
+	VPXORD       Z2, Z2, Z2
+	VPXORD       Z3, Z3, Z3
+	MOVQ         SI, R10
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dkz64Dim:
+	VBROADCASTSS (R8), Z8
+	VMULPS       (R10), Z8, Z9
+	VADDPS       Z9, Z0, Z0
+	VMULPS       64(R10), Z8, Z10
+	VADDPS       Z10, Z1, Z1
+	VMULPS       128(R10), Z8, Z11
+	VADDPS       Z11, Z2, Z2
+	VMULPS       192(R10), Z8, Z12
+	VADDPS       Z12, Z3, Z3
+	ADDQ         $4, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JNZ          dkz64Dim
+
+	VMULPS       Z15, Z0, Z0
+	VMULPS       Z15, Z1, Z1
+	VMULPS       Z15, Z2, Z2
+	VMULPS       Z15, Z3, Z3
+	VMOVUPS      Z0, (DI)
+	VMOVUPS      Z1, 64(DI)
+	VMOVUPS      Z2, 128(DI)
+	VMOVUPS      Z3, 192(DI)
+	ADDQ         $256, DI
+	ADDQ         $256, SI
+	SUBQ         $64, BX
+	JMP          dkz64
+
+dkz16:
+	CMPQ         BX, $16
+	JLT          dkzTail
+	VPXORD       Z0, Z0, Z0
+	MOVQ         SI, R10
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dkz16Dim:
+	VBROADCASTSS (R8), Z8
+	VMULPS       (R10), Z8, Z9
+	VADDPS       Z9, Z0, Z0
+	ADDQ         $4, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JNZ          dkz16Dim
+
+	VMULPS       Z15, Z0, Z0
+	VMOVUPS      Z0, (DI)
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	SUBQ         $16, BX
+	JMP          dkz16
+
+dkzTail:
+	TESTQ        BX, BX
+	JZ           dkzDone
+	MOVQ         BX, CX
+	MOVL         $1, R9
+	SHLL         CX, R9
+	DECL         R9
+	KMOVW        R9, K1                  // K1: lanes below BX
+	VPXORD       Z0, Z0, Z0
+	MOVQ         SI, R10
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dkzTailDim:
+	VBROADCASTSS (R8), Z8
+	VMULPS.Z     (R10), Z8, K1, Z9
+	VADDPS       Z9, Z0, Z0
+	ADDQ         $4, R8
+	ADDQ         R12, R10
+	DECQ         CX
+	JNZ          dkzTailDim
+
+	VMULPS       Z15, Z0, Z0
+	VMOVUPS      Z0, K1, (DI)
+
+dkzDone:
+	VZEROUPPER
+	RET
+
+// The multi-head kernels of one-row passes (heads.go, DESIGN.md §27).
+// Each carries four rows (heads) side by side, every row its own chain in
+// its per-row kernel's order: a row's float64 softmax sum in index order,
+// a row's value accumulators over the keys in increasing order. A caller
+// with fewer heads points the spare slots at head 0, whose work they then
+// repeat bit for bit.
+
+// headsIdx holds the VPERMT2PD indices that interleave two tables' 128-bit
+// lanes: lanes 0 and 1 of each (0,1 then 8,9, 2,3 then 10,11), and lanes 2
+// and 3 (4,5 then 12,13, 6,7 then 14,15).
+DATA headsIdx<>+0(SB)/8, $0
+DATA headsIdx<>+8(SB)/8, $1
+DATA headsIdx<>+16(SB)/8, $8
+DATA headsIdx<>+24(SB)/8, $9
+DATA headsIdx<>+32(SB)/8, $2
+DATA headsIdx<>+40(SB)/8, $3
+DATA headsIdx<>+48(SB)/8, $10
+DATA headsIdx<>+56(SB)/8, $11
+DATA headsIdx<>+64(SB)/8, $4
+DATA headsIdx<>+72(SB)/8, $5
+DATA headsIdx<>+80(SB)/8, $12
+DATA headsIdx<>+88(SB)/8, $13
+DATA headsIdx<>+96(SB)/8, $6
+DATA headsIdx<>+104(SB)/8, $7
+DATA headsIdx<>+112(SB)/8, $14
+DATA headsIdx<>+120(SB)/8, $15
+GLOBL headsIdx<>(SB), RODATA, $128
+
+// func expShiftHeadsAVX(x *[4]*float32, off, n int, maxv *[4]float32, sums *[4]float64) int
+//
+// Per block of 4 elements of the four rows: EXP4 on each row's
+// x[h][i]-maxv[h], then the 4x4 transpose that puts element i of every
+// row in one register, so the four float64 sums, one lane each in Y15,
+// add element i, then i+1, ..., each sum its own index-order chain.
+TEXT ·expShiftHeadsAVX(SB), NOSPLIT, $0-48
+	MOVQ         x+0(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         8(AX), R9
+	MOVQ         16(AX), R10
+	MOVQ         24(AX), R11
+	MOVQ         off+8(FP), CX
+	MOVQ         n+16(FP), BX
+	ANDQ         $~3, BX
+	ADDQ         CX, BX                  // BX: end
+	MOVQ         CX, R12                 // R12: start
+	MOVQ         maxv+24(FP), SI
+	VBROADCASTSS 0(SI), X11
+	VBROADCASTSS 4(SI), X12
+	VBROADCASTSS 8(SI), X13
+	VBROADCASTSS 12(SI), X14
+	MOVQ         sums+32(FP), DI
+	VMOVUPD      (DI), Y15
+
+hx4Loop:
+	CMPQ         CX, BX
+	JGE          hx4Done
+	VMOVUPS      (R8)(CX*4), X0
+	VSUBPS       X11, X0, X0
+	VCVTPS2PD    X0, Y0
+	VMOVUPS      (R9)(CX*4), X1
+	VSUBPS       X12, X1, X1
+	VCVTPS2PD    X1, Y1
+	VMOVUPS      (R10)(CX*4), X2
+	VSUBPS       X13, X2, X2
+	VCVTPS2PD    X2, Y2
+	VMOVUPS      (R11)(CX*4), X3
+	VSUBPS       X14, X3, X3
+	VCVTPS2PD    X3, Y3
+	EXPRANGE(Y0, Y4, Y8)
+	EXPRANGE(Y1, Y5, Y9)
+	VANDPD       Y9, Y8, Y8
+	EXPRANGE(Y2, Y6, Y9)
+	VANDPD       Y9, Y8, Y8
+	EXPRANGE(Y3, Y7, Y9)
+	VANDPD       Y9, Y8, Y8
+	VMOVMSKPD    Y8, AX
+	CMPQ         AX, $15
+	JNE          hx4Done
+	EXP4(Y0, Y4, Y8, X9, Y10)
+	EXP4(Y1, Y5, Y8, X9, Y10)
+	EXP4(Y2, Y6, Y8, X9, Y10)
+	EXP4(Y3, Y7, Y8, X9, Y10)
+	VCVTPD2PSY   Y0, X4
+	VMOVUPS      X4, (R8)(CX*4)
+	VCVTPD2PSY   Y1, X4
+	VMOVUPS      X4, (R9)(CX*4)
+	VCVTPD2PSY   Y2, X4
+	VMOVUPS      X4, (R10)(CX*4)
+	VCVTPD2PSY   Y3, X4
+	VMOVUPS      X4, (R11)(CX*4)
+	VUNPCKLPD    Y1, Y0, Y4              // a0 b0 a2 b2
+	VUNPCKHPD    Y1, Y0, Y5              // a1 b1 a3 b3
+	VUNPCKLPD    Y3, Y2, Y6              // c0 d0 c2 d2
+	VUNPCKHPD    Y3, Y2, Y7              // c1 d1 c3 d3
+	VPERM2F128   $0x20, Y6, Y4, Y8       // element 0 of every row
+	VADDPD       Y8, Y15, Y15
+	VPERM2F128   $0x20, Y7, Y5, Y8       // element 1
+	VADDPD       Y8, Y15, Y15
+	VPERM2F128   $0x31, Y6, Y4, Y8       // element 2
+	VADDPD       Y8, Y15, Y15
+	VPERM2F128   $0x31, Y7, Y5, Y8       // element 3
+	VADDPD       Y8, Y15, Y15
+	ADDQ         $4, CX
+	JMP          hx4Loop
+
+hx4Done:
+	VMOVUPD      Y15, (DI)
+	SUBQ         R12, CX
+	MOVQ         CX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func expShiftHeadsAVX512(x *[4]*float32, off, n int, maxv *[4]float32, sums *[4]float64) int
+//
+// expShiftHeadsAVX on EXP8, per block of 8 elements of the four rows:
+// the 4x8 transpose (VUNPCKLPD/VUNPCKHPD within 128-bit lanes, then
+// VPERMT2PD across them) leaves elements i and i+2 of every row in one
+// ZMM register, and the sums add element i, i+1, ..., i+7 in turn. The
+// subtraction runs on the low eight float32 lanes of a ZMM register, so
+// the kernel needs no AVX-512VL.
+TEXT ·expShiftHeadsAVX512(SB), NOSPLIT, $0-48
+	MOVQ         x+0(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         8(AX), R9
+	MOVQ         16(AX), R10
+	MOVQ         24(AX), R11
+	MOVQ         off+8(FP), CX
+	MOVQ         n+16(FP), BX
+	ANDQ         $~7, BX
+	ADDQ         CX, BX                  // BX: end
+	MOVQ         CX, R12                 // R12: start
+	MOVQ         maxv+24(FP), SI
+	MOVQ         sums+32(FP), DI
+	VMOVUPD      (DI), Y15
+	VMOVDQU64    headsIdx<>+0(SB), Z21
+	VMOVDQU64    headsIdx<>+64(SB), Z22
+
+hx8Loop:
+	CMPQ         CX, BX
+	JGE          hx8Done
+	VMOVUPS      (R8)(CX*4), Y0
+	VSUBPS.BCST  0(SI), Z0, Z0
+	VCVTPS2PD    Y0, Z0
+	VMOVUPS      (R9)(CX*4), Y1
+	VSUBPS.BCST  4(SI), Z1, Z1
+	VCVTPS2PD    Y1, Z1
+	VMOVUPS      (R10)(CX*4), Y2
+	VSUBPS.BCST  8(SI), Z2, Z2
+	VCVTPS2PD    Y2, Z2
+	VMOVUPS      (R11)(CX*4), Y3
+	VSUBPS.BCST  12(SI), Z3, Z3
+	VCVTPS2PD    Y3, Z3
+	EXPRANGE8(Z0, K1, K5)
+	EXPRANGE8(Z1, K2, K6)
+	KANDW        K6, K5, K5
+	EXPRANGE8(Z2, K3, K6)
+	KANDW        K6, K5, K5
+	EXPRANGE8(Z3, K4, K6)
+	KANDW        K6, K5, K5
+	KMOVW        K5, AX
+	CMPL         AX, $0xff
+	JNE          hx8Done
+	EXP8(Z0, K1, Z4, Y5, Z6)
+	EXP8(Z1, K2, Z7, Y8, Z9)
+	EXP8(Z2, K3, Z10, Y11, Z12)
+	EXP8(Z3, K4, Z13, Y14, Z16)
+	VCVTPD2PS    Z0, Y4
+	VMOVUPS      Y4, (R8)(CX*4)
+	VCVTPD2PS    Z1, Y4
+	VMOVUPS      Y4, (R9)(CX*4)
+	VCVTPD2PS    Z2, Y4
+	VMOVUPS      Y4, (R10)(CX*4)
+	VCVTPD2PS    Z3, Y4
+	VMOVUPS      Y4, (R11)(CX*4)
+	VUNPCKLPD    Z1, Z0, Z4              // a0 b0 a2 b2 a4 b4 a6 b6
+	VUNPCKHPD    Z1, Z0, Z5              // a1 b1 a3 b3 ...
+	VUNPCKLPD    Z3, Z2, Z6              // c0 d0 c2 d2 ...
+	VUNPCKHPD    Z3, Z2, Z7              // c1 d1 c3 d3 ...
+	VMOVAPD      Z4, Z8
+	VPERMT2PD    Z6, Z21, Z8             // elements 0 | 2 of every row
+	VMOVAPD      Z5, Z9
+	VPERMT2PD    Z7, Z21, Z9             // elements 1 | 3
+	VPERMT2PD    Z6, Z22, Z4             // elements 4 | 6
+	VPERMT2PD    Z7, Z22, Z5             // elements 5 | 7
+	VADDPD       Y8, Y15, Y15
+	VADDPD       Y9, Y15, Y15
+	VEXTRACTF64X4 $1, Z8, Y10
+	VADDPD       Y10, Y15, Y15
+	VEXTRACTF64X4 $1, Z9, Y10
+	VADDPD       Y10, Y15, Y15
+	VADDPD       Y4, Y15, Y15
+	VADDPD       Y5, Y15, Y15
+	VEXTRACTF64X4 $1, Z4, Y10
+	VADDPD       Y10, Y15, Y15
+	VEXTRACTF64X4 $1, Z5, Y10
+	VADDPD       Y10, Y15, Y15
+	ADDQ         $8, CX
+	JMP          hx8Loop
+
+hx8Done:
+	VMOVUPD      Y15, (DI)
+	SUBQ         R12, CX
+	MOVQ         CX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// The value kernels keep the four rows' weight pointers in R8-R11, their
+// value pages in R12, R13, SI and DI, the row stride in bytes in AX, the
+// key in CX, and in DX the key's row offset plus the column group's,
+// R14. The output pointers are read from dst at each group's start and
+// end.
+
+// AHKEY adds one key's terms to the four accumulators Z0-Z3, weights at
+// off past key CX, columns under K7, and steps DX to the next row.
+#define AHKEY(off) \
+	VBROADCASTSS off(R8)(CX*4), Z16 \
+	VMULPS.Z     (R12)(DX*1), Z16, K7, Z16 \
+	VADDPS       Z16, Z0, Z0 \
+	VBROADCASTSS off(R9)(CX*4), Z17 \
+	VMULPS.Z     (R13)(DX*1), Z17, K7, Z17 \
+	VADDPS       Z17, Z1, Z1 \
+	VBROADCASTSS off(R10)(CX*4), Z18 \
+	VMULPS.Z     (SI)(DX*1), Z18, K7, Z18 \
+	VADDPS       Z18, Z2, Z2 \
+	VBROADCASTSS off(R11)(CX*4), Z19 \
+	VMULPS.Z     (DI)(DX*1), Z19, K7, Z19 \
+	VADDPS       Z19, Z3, Z3 \
+	ADDQ         AX, DX
+
+// AHKEYM is AHKEY with each add under the opmask of its weight's being
+// other than ±0 (NEQ_UQ, so a NaN weight adds), which skips a ±0 weight
+// as accumRows does.
+#define AHKEYM(off) \
+	VBROADCASTSS off(R8)(CX*4), Z16 \
+	VCMPPS       $4, Z31, Z16, K1 \
+	VMULPS.Z     (R12)(DX*1), Z16, K7, Z16 \
+	VADDPS       Z16, Z0, K1, Z0 \
+	VBROADCASTSS off(R9)(CX*4), Z17 \
+	VCMPPS       $4, Z31, Z17, K2 \
+	VMULPS.Z     (R13)(DX*1), Z17, K7, Z17 \
+	VADDPS       Z17, Z1, K2, Z1 \
+	VBROADCASTSS off(R10)(CX*4), Z18 \
+	VCMPPS       $4, Z31, Z18, K3 \
+	VMULPS.Z     (SI)(DX*1), Z18, K7, Z18 \
+	VADDPS       Z18, Z2, K3, Z2 \
+	VBROADCASTSS off(R11)(CX*4), Z19 \
+	VCMPPS       $4, Z31, Z19, K4 \
+	VMULPS.Z     (DI)(DX*1), Z19, K7, Z19 \
+	VADDPS       Z19, Z3, K4, Z3 \
+	ADDQ         AX, DX
+
+// func accHeadsAVX512(w *[4]*float32, n int, v *[4]*float32, hd int, dst *[4]*float32)
+//
+// dst[h][d] += w[h][r]*v[h][r*hd+d], rounded product then add, rows in
+// increasing r and ±0 weights skipped. Columns go sixteen at a time, the
+// last group masked by K7, with head h's sixteen in Z<h>. Keys go
+// sixteen at a time: a block whose 64 weights are all other than ±0 (the
+// common case) adds with no per-key test, any other block and the last
+// n%16 keys add under per-head masks.
+TEXT ·accHeadsAVX512(SB), NOSPLIT, $0-40
+	MOVQ         w+0(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         8(AX), R9
+	MOVQ         16(AX), R10
+	MOVQ         24(AX), R11
+	MOVQ         v+16(FP), AX
+	MOVQ         0(AX), R12
+	MOVQ         8(AX), R13
+	MOVQ         16(AX), SI
+	MOVQ         24(AX), DI
+	MOVQ         n+8(FP), BX
+	ANDQ         $~15, BX                // BX: keys in whole blocks of 16
+	MOVQ         hd+24(FP), AX
+	SHLQ         $2, AX                  // AX: row stride in bytes
+	VPXORD       Z31, Z31, Z31
+	XORQ         R14, R14                // R14: column group offset in bytes
+
+ahCols:
+	MOVQ         AX, CX
+	SUBQ         R14, CX
+	SHRQ         $2, CX                  // columns left
+	MOVL         $0xffff, DX
+	CMPQ         CX, $16
+	JGE          ahMask
+	MOVL         $1, DX
+	SHLL         CX, DX
+	DECL         DX
+
+ahMask:
+	KMOVW        DX, K7
+	MOVQ         dst+32(FP), CX
+	MOVQ         0(CX), DX
+	VMOVUPS.Z    (DX)(R14*1), K7, Z0
+	MOVQ         8(CX), DX
+	VMOVUPS.Z    (DX)(R14*1), K7, Z1
+	MOVQ         16(CX), DX
+	VMOVUPS.Z    (DX)(R14*1), K7, Z2
+	MOVQ         24(CX), DX
+	VMOVUPS.Z    (DX)(R14*1), K7, Z3
+	XORQ         CX, CX
+	MOVQ         R14, DX
+
+ah16:
+	CMPQ         CX, BX
+	JGE          ahTail
+	VCMPPS       $0, (R8)(CX*4), Z31, K1 // keys whose weight is ±0
+	VCMPPS       $0, (R9)(CX*4), Z31, K2
+	KORW         K2, K1, K1
+	VCMPPS       $0, (R10)(CX*4), Z31, K2
+	KORW         K2, K1, K1
+	VCMPPS       $0, (R11)(CX*4), Z31, K2
+	KORW         K2, K1, K1
+	KORTESTW     K1, K1
+	JNZ          ah16Sparse
+	AHKEY(0)
+	AHKEY(4)
+	AHKEY(8)
+	AHKEY(12)
+	AHKEY(16)
+	AHKEY(20)
+	AHKEY(24)
+	AHKEY(28)
+	AHKEY(32)
+	AHKEY(36)
+	AHKEY(40)
+	AHKEY(44)
+	AHKEY(48)
+	AHKEY(52)
+	AHKEY(56)
+	AHKEY(60)
+	ADDQ         $16, CX
+	JMP          ah16
+
+ah16Sparse:
+	AHKEYM(0)
+	AHKEYM(4)
+	AHKEYM(8)
+	AHKEYM(12)
+	AHKEYM(16)
+	AHKEYM(20)
+	AHKEYM(24)
+	AHKEYM(28)
+	AHKEYM(32)
+	AHKEYM(36)
+	AHKEYM(40)
+	AHKEYM(44)
+	AHKEYM(48)
+	AHKEYM(52)
+	AHKEYM(56)
+	AHKEYM(60)
+	ADDQ         $16, CX
+	JMP          ah16
+
+ahTail:
+	CMPQ         CX, n+8(FP)
+	JGE          ahStore
+	AHKEYM(0)
+	INCQ         CX
+	JMP          ahTail
+
+ahStore:
+	MOVQ         dst+32(FP), CX
+	MOVQ         0(CX), DX
+	VMOVUPS      Z0, K7, (DX)(R14*1)
+	MOVQ         8(CX), DX
+	VMOVUPS      Z1, K7, (DX)(R14*1)
+	MOVQ         16(CX), DX
+	VMOVUPS      Z2, K7, (DX)(R14*1)
+	MOVQ         24(CX), DX
+	VMOVUPS      Z3, K7, (DX)(R14*1)
+	ADDQ         $64, R14
+	CMPQ         R14, AX
+	JLT          ahCols
+
+	VZEROUPPER
+	RET
+
+// AHKEY8 is AHKEY on eight columns in Y0-Y3.
+#define AHKEY8(off) \
+	VBROADCASTSS off(R8)(CX*4), Y4 \
+	VMULPS       (R12)(DX*1), Y4, Y4 \
+	VADDPS       Y4, Y0, Y0 \
+	VBROADCASTSS off(R9)(CX*4), Y5 \
+	VMULPS       (R13)(DX*1), Y5, Y5 \
+	VADDPS       Y5, Y1, Y1 \
+	VBROADCASTSS off(R10)(CX*4), Y6 \
+	VMULPS       (SI)(DX*1), Y6, Y6 \
+	VADDPS       Y6, Y2, Y2 \
+	VBROADCASTSS off(R11)(CX*4), Y7 \
+	VMULPS       (DI)(DX*1), Y7, Y7 \
+	VADDPS       Y7, Y3, Y3 \
+	ADDQ         AX, DX
+
+// AHLANE8 adds one head's term, weight at off(w), value row at (v)(DX),
+// to acc unless the weight is ±0: the sum is blended in under the
+// weight's NEQ_UQ mask.
+#define AHLANE8(off, w, v, acc) \
+	VBROADCASTSS off(w)(CX*4), Y4 \
+	VCMPPS       $4, Y15, Y4, Y5 \
+	VMULPS       (v)(DX*1), Y4, Y4 \
+	VADDPS       Y4, acc, Y6 \
+	VBLENDVPS    Y5, Y6, acc, acc
+
+// AHKEYM8 is AHKEY8 with each head's ±0 weight skipped.
+#define AHKEYM8(off) \
+	AHLANE8(off, R8, R12, Y0) \
+	AHLANE8(off, R9, R13, Y1) \
+	AHLANE8(off, R10, SI, Y2) \
+	AHLANE8(off, R11, DI, Y3) \
+	ADDQ         AX, DX
+
+// func accHeadsAVX(w *[4]*float32, n int, v *[4]*float32, hd int, dst *[4]*float32)
+//
+// accHeadsAVX512 on eight columns at a time, over hd&^7, with head h's
+// eight in Y<h>; keys go eight at a time with the same all-nonzero test,
+// and any other block and the last n%8 keys blend each add in under its
+// weight's mask.
+TEXT ·accHeadsAVX(SB), NOSPLIT, $0-40
+	MOVQ         w+0(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         8(AX), R9
+	MOVQ         16(AX), R10
+	MOVQ         24(AX), R11
+	MOVQ         v+16(FP), AX
+	MOVQ         0(AX), R12
+	MOVQ         8(AX), R13
+	MOVQ         16(AX), SI
+	MOVQ         24(AX), DI
+	MOVQ         n+8(FP), BX
+	ANDQ         $~7, BX                 // BX: keys in whole blocks of 8
+	MOVQ         hd+24(FP), AX
+	SHLQ         $2, AX                  // AX: row stride in bytes
+	VXORPS       Y15, Y15, Y15
+	XORQ         R14, R14                // R14: column group offset in bytes
+
+a8Cols:
+	MOVQ         dst+32(FP), CX
+	MOVQ         0(CX), DX
+	VMOVUPS      (DX)(R14*1), Y0
+	MOVQ         8(CX), DX
+	VMOVUPS      (DX)(R14*1), Y1
+	MOVQ         16(CX), DX
+	VMOVUPS      (DX)(R14*1), Y2
+	MOVQ         24(CX), DX
+	VMOVUPS      (DX)(R14*1), Y3
+	XORQ         CX, CX
+	MOVQ         R14, DX
+
+a8Keys:
+	CMPQ         CX, BX
+	JGE          a8Tail
+	VCMPPS       $0, (R8)(CX*4), Y15, Y4 // keys whose weight is ±0
+	VCMPPS       $0, (R9)(CX*4), Y15, Y5
+	VORPS        Y5, Y4, Y4
+	VCMPPS       $0, (R10)(CX*4), Y15, Y5
+	VORPS        Y5, Y4, Y4
+	VCMPPS       $0, (R11)(CX*4), Y15, Y5
+	VORPS        Y5, Y4, Y4
+	VPTEST       Y4, Y4
+	JNZ          a8Sparse
+	AHKEY8(0)
+	AHKEY8(4)
+	AHKEY8(8)
+	AHKEY8(12)
+	AHKEY8(16)
+	AHKEY8(20)
+	AHKEY8(24)
+	AHKEY8(28)
+	ADDQ         $8, CX
+	JMP          a8Keys
+
+a8Sparse:
+	AHKEYM8(0)
+	AHKEYM8(4)
+	AHKEYM8(8)
+	AHKEYM8(12)
+	AHKEYM8(16)
+	AHKEYM8(20)
+	AHKEYM8(24)
+	AHKEYM8(28)
+	ADDQ         $8, CX
+	JMP          a8Keys
+
+a8Tail:
+	CMPQ         CX, n+8(FP)
+	JGE          a8Store
+	AHKEYM8(0)
+	INCQ         CX
+	JMP          a8Tail
+
+a8Store:
+	MOVQ         dst+32(FP), CX
+	MOVQ         0(CX), DX
+	VMOVUPS      Y0, (DX)(R14*1)
+	MOVQ         8(CX), DX
+	VMOVUPS      Y1, (DX)(R14*1)
+	MOVQ         16(CX), DX
+	VMOVUPS      Y2, (DX)(R14*1)
+	MOVQ         24(CX), DX
+	VMOVUPS      Y3, (DX)(R14*1)
+	ADDQ         $32, R14
+	MOVQ         AX, CX
+	ANDQ         $~31, CX                // bytes of hd&^7 columns
+	CMPQ         R14, CX
+	JLT          a8Cols
+
+	VZEROUPPER
+	RET
+
+// func dotBlockAVX512(qT, keys *float32, hd, stride, n int, scale float32, out *float32)
+//
+// dotBlockAVX for the first n&^15 keys, sixteen keys to a register: per
+// k, the sixteen keys' k-th elements, one contiguous run in the
+// dim-major layout, are loaded once and multiplied by lane i's broadcast
+// qT[k*8+i] into lane i's accumulator Z<i> (VMULPS then VADDPS, from +0
+// in increasing k, the key the first operand as in dotBlockAVX). The
+// finished sums are scaled and transposed to the key-major block layout:
+// VUNPCKLPS/VUNPCKHPS and VUNPCKLPD/VUNPCKHPD within 128-bit lanes leave
+// key 4l+j's lanes 0-3 and 4-7 in lane l of two registers, and two rounds
+// of VSHUFF32X4 pair them up, two keys to an output register.
+TEXT ·dotBlockAVX512(SB), NOSPLIT, $0-56
+	MOVQ         qT+0(FP), AX
+	MOVQ         keys+8(FP), SI
+	MOVQ         hd+16(FP), DX
+	MOVQ         stride+24(FP), R12
+	SHLQ         $2, R12                 // R12: dimension stride in bytes
+	MOVQ         n+32(FP), BX
+	ANDQ         $~15, BX
+	VBROADCASTSS scale+40(FP), Z31
+	MOVQ         out+48(FP), DI
+
+dbz16:
+	TESTQ        BX, BX
+	JZ           dbzDone
+	VPXORD       Z0, Z0, Z0
+	VPXORD       Z1, Z1, Z1
+	VPXORD       Z2, Z2, Z2
+	VPXORD       Z3, Z3, Z3
+	VPXORD       Z4, Z4, Z4
+	VPXORD       Z5, Z5, Z5
+	VPXORD       Z6, Z6, Z6
+	VPXORD       Z7, Z7, Z7
+	MOVQ         SI, R10                 // element k of keys r..r+15
+	MOVQ         AX, R8
+	MOVQ         DX, CX
+
+dbz16Dim:
+	VMOVUPS      (R10), Z24
+	VMULPS.BCST  (R8), Z24, Z16
+	VADDPS       Z16, Z0, Z0
+	VMULPS.BCST  4(R8), Z24, Z17
+	VADDPS       Z17, Z1, Z1
+	VMULPS.BCST  8(R8), Z24, Z18
+	VADDPS       Z18, Z2, Z2
+	VMULPS.BCST  12(R8), Z24, Z19
+	VADDPS       Z19, Z3, Z3
+	VMULPS.BCST  16(R8), Z24, Z20
+	VADDPS       Z20, Z4, Z4
+	VMULPS.BCST  20(R8), Z24, Z21
+	VADDPS       Z21, Z5, Z5
+	VMULPS.BCST  24(R8), Z24, Z22
+	VADDPS       Z22, Z6, Z6
+	VMULPS.BCST  28(R8), Z24, Z23
+	VADDPS       Z23, Z7, Z7
+	ADDQ         R12, R10
+	ADDQ         $32, R8
+	DECQ         CX
+	JNZ          dbz16Dim
+
+	VMULPS       Z31, Z0, Z0
+	VMULPS       Z31, Z1, Z1
+	VMULPS       Z31, Z2, Z2
+	VMULPS       Z31, Z3, Z3
+	VMULPS       Z31, Z4, Z4
+	VMULPS       Z31, Z5, Z5
+	VMULPS       Z31, Z6, Z6
+	VMULPS       Z31, Z7, Z7
+	VUNPCKLPS    Z1, Z0, Z8              // lanes 0,1 of keys 4l, 4l+1
+	VUNPCKHPS    Z1, Z0, Z9              // lanes 0,1 of keys 4l+2, 4l+3
+	VUNPCKLPS    Z3, Z2, Z10
+	VUNPCKHPS    Z3, Z2, Z11
+	VUNPCKLPS    Z5, Z4, Z12
+	VUNPCKHPS    Z5, Z4, Z13
+	VUNPCKLPS    Z7, Z6, Z14
+	VUNPCKHPS    Z7, Z6, Z15
+	VUNPCKLPD    Z10, Z8, Z0             // lanes 0-3 of key 4l
+	VUNPCKHPD    Z10, Z8, Z1             // lanes 0-3 of key 4l+1
+	VUNPCKLPD    Z11, Z9, Z2             // ... of key 4l+2
+	VUNPCKHPD    Z11, Z9, Z3             // ... of key 4l+3
+	VUNPCKLPD    Z14, Z12, Z4            // lanes 4-7 of key 4l
+	VUNPCKHPD    Z14, Z12, Z5
+	VUNPCKLPD    Z15, Z13, Z6
+	VUNPCKHPD    Z15, Z13, Z7
+	VSHUFF32X4   $0x44, Z4, Z0, Z8       // keys 0 and 4: lanes 0-3, then 4-7
+	VSHUFF32X4   $0xEE, Z4, Z0, Z9       // keys 8 and 12
+	VSHUFF32X4   $0x44, Z5, Z1, Z10      // keys 1 and 5
+	VSHUFF32X4   $0xEE, Z5, Z1, Z11      // keys 9 and 13
+	VSHUFF32X4   $0x88, Z10, Z8, Z12     // keys 0, 1
+	VMOVUPS      Z12, (DI)
+	VSHUFF32X4   $0xDD, Z10, Z8, Z13     // keys 4, 5
+	VMOVUPS      Z13, 128(DI)
+	VSHUFF32X4   $0x88, Z11, Z9, Z12     // keys 8, 9
+	VMOVUPS      Z12, 256(DI)
+	VSHUFF32X4   $0xDD, Z11, Z9, Z13     // keys 12, 13
+	VMOVUPS      Z13, 384(DI)
+	VSHUFF32X4   $0x44, Z6, Z2, Z8       // keys 2 and 6
+	VSHUFF32X4   $0xEE, Z6, Z2, Z9       // keys 10 and 14
+	VSHUFF32X4   $0x44, Z7, Z3, Z10      // keys 3 and 7
+	VSHUFF32X4   $0xEE, Z7, Z3, Z11      // keys 11 and 15
+	VSHUFF32X4   $0x88, Z10, Z8, Z12     // keys 2, 3
+	VMOVUPS      Z12, 64(DI)
+	VSHUFF32X4   $0xDD, Z10, Z8, Z13     // keys 6, 7
+	VMOVUPS      Z13, 192(DI)
+	VSHUFF32X4   $0x88, Z11, Z9, Z12     // keys 10, 11
+	VMOVUPS      Z12, 320(DI)
+	VSHUFF32X4   $0xDD, Z11, Z9, Z13     // keys 14, 15
+	VMOVUPS      Z13, 448(DI)
+	ADDQ         $512, DI
+	ADDQ         $64, SI
+	SUBQ         $16, BX
+	JMP          dbz16
+
+dbzDone:
+	VZEROUPPER
+	RET
+
+// The blocked value kernels on the 512-bit tier: accBlockAVX with
+// sixteen columns per register, lane i's in Z<i>, and a masked last
+// group, so every column runs on the kernel. The row's columns are
+// loaded once per key; each lane's term is its broadcast weight times
+// them (the weight the first operand, as in accumRows), added to the
+// lane's accumulator.
+
+// ACCZ adds lane i's term, weight at off(R8), to acc.
+#define ACCZ(off, acc, t) \
+	VBROADCASTSS off(R8), t \
+	VMULPS       Z8, t, t \
+	VADDPS       t, acc, acc
+
+// ACCZM is ACCZ under the opmask of the weight's being other than ±0.
+#define ACCZM(off, acc) \
+	VBROADCASTSS off(R8), Z16 \
+	VCMPPS       $4, Z31, Z16, K2 \
+	VMULPS       Z8, Z16, Z16 \
+	VADDPS       Z16, acc, K2, acc
+
+// ACCZCOLS sets K7 to the column group at R14 of rows R12 bytes long,
+// sixteen columns or the last hd%16, clobbering CX and DX.
+#define ACCZCOLS \
+	MOVQ         R12, CX \
+	SUBQ         R14, CX \
+	SHRQ         $2, CX \
+	MOVL         $0xffff, DX \
+	CMPQ         CX, $16 \
+	JGE          4(PC) \
+	MOVL         $1, DX \
+	SHLL         CX, DX \
+	DECL         DX \
+	KMOVW        DX, K7
+
+// func accBlockAVX512(w *float32, n int, v *float32, hd int, acc *float32)
+//
+// acc[i*hd+d] += w[r*8+i]*v[r*hd+d] for i < 8 and d < hd, rows in
+// increasing r, rounded product then add, and a lane whose weight is ±0
+// skipped. A key whose eight weights are all other than ±0 adds with
+// no per-lane test.
+TEXT ·accBlockAVX512(SB), NOSPLIT, $0-40
+	MOVQ         w+0(FP), AX
+	MOVQ         n+8(FP), BX
+	MOVQ         v+16(FP), SI
+	MOVQ         hd+24(FP), R12
+	SHLQ         $2, R12                 // R12: row and lane stride in bytes
+	MOVQ         acc+32(FP), DI
+	VPXORD       Z31, Z31, Z31
+	MOVL         $0xff, CX
+	KMOVW        CX, K6                  // a key's eight weights
+	XORQ         R14, R14                // R14: column group offset in bytes
+
+abzCols:
+	ACCZCOLS
+	LEAQ         (DI)(R14*1), R9         // lanes 0, 1, 2
+	LEAQ         (R9)(R12*4), R10        // lanes 4, 5, 6
+	LEAQ         (R9)(R12*2), R11
+	ADDQ         R12, R11                // lanes 3 and 7 (via R12*4)
+	VMOVUPS.Z    (R9), K7, Z0
+	VMOVUPS.Z    (R9)(R12*1), K7, Z1
+	VMOVUPS.Z    (R9)(R12*2), K7, Z2
+	VMOVUPS.Z    (R11), K7, Z3
+	VMOVUPS.Z    (R10), K7, Z4
+	VMOVUPS.Z    (R10)(R12*1), K7, Z5
+	VMOVUPS.Z    (R10)(R12*2), K7, Z6
+	VMOVUPS.Z    (R11)(R12*4), K7, Z7
+	MOVQ         AX, R8
+	LEAQ         (SI)(R14*1), DX
+	MOVQ         BX, CX
+
+abzRow:
+	TESTQ        CX, CX
+	JZ           abzStore
+	VMOVUPS.Z    (DX), K7, Z8
+	VCMPPS       $0, (R8), Z31, K6, K1   // lanes whose weight is ±0
+	KORTESTW     K1, K1
+	JNZ          abzSparse
+	ACCZ(0, Z0, Z16)
+	ACCZ(4, Z1, Z17)
+	ACCZ(8, Z2, Z18)
+	ACCZ(12, Z3, Z19)
+	ACCZ(16, Z4, Z20)
+	ACCZ(20, Z5, Z21)
+	ACCZ(24, Z6, Z22)
+	ACCZ(28, Z7, Z23)
+
+abzNext:
+	ADDQ         $32, R8
+	ADDQ         R12, DX
+	DECQ         CX
+	JMP          abzRow
+
+abzSparse:
+	ACCZM(0, Z0)
+	ACCZM(4, Z1)
+	ACCZM(8, Z2)
+	ACCZM(12, Z3)
+	ACCZM(16, Z4)
+	ACCZM(20, Z5)
+	ACCZM(24, Z6)
+	ACCZM(28, Z7)
+	JMP          abzNext
+
+abzStore:
+	VMOVUPS      Z0, K7, (R9)
+	VMOVUPS      Z1, K7, (R9)(R12*1)
+	VMOVUPS      Z2, K7, (R9)(R12*2)
+	VMOVUPS      Z3, K7, (R11)
+	VMOVUPS      Z4, K7, (R10)
+	VMOVUPS      Z5, K7, (R10)(R12*1)
+	VMOVUPS      Z6, K7, (R10)(R12*2)
+	VMOVUPS      Z7, K7, (R11)(R12*4)
+	ADDQ         $64, R14
+	CMPQ         R14, R12
+	JLT          abzCols
+
+	VZEROUPPER
+	RET
+
+// func accBlock4AVX512(w *float32, n int, v *float32, hd int, acc *float32)
+//
+// accBlockAVX512 over lanes 0-3 only.
+TEXT ·accBlock4AVX512(SB), NOSPLIT, $0-40
+	MOVQ         w+0(FP), AX
+	MOVQ         n+8(FP), BX
+	MOVQ         v+16(FP), SI
+	MOVQ         hd+24(FP), R12
+	SHLQ         $2, R12                 // R12: row and lane stride in bytes
+	MOVQ         acc+32(FP), DI
+	VPXORD       Z31, Z31, Z31
+	MOVL         $0x0f, CX
+	KMOVW        CX, K6                  // a key's first four weights
+	XORQ         R14, R14                // R14: column group offset in bytes
+
+a4zCols:
+	ACCZCOLS
+	LEAQ         (DI)(R14*1), R9         // lanes 0, 1, 2
+	LEAQ         (R9)(R12*2), R11
+	ADDQ         R12, R11                // lane 3
+	VMOVUPS.Z    (R9), K7, Z0
+	VMOVUPS.Z    (R9)(R12*1), K7, Z1
+	VMOVUPS.Z    (R9)(R12*2), K7, Z2
+	VMOVUPS.Z    (R11), K7, Z3
+	MOVQ         AX, R8
+	LEAQ         (SI)(R14*1), DX
+	MOVQ         BX, CX
+
+a4zRow:
+	TESTQ        CX, CX
+	JZ           a4zStore
+	VMOVUPS.Z    (DX), K7, Z8
+	VCMPPS       $0, (R8), Z31, K6, K1   // lanes whose weight is ±0
+	KORTESTW     K1, K1
+	JNZ          a4zSparse
+	ACCZ(0, Z0, Z16)
+	ACCZ(4, Z1, Z17)
+	ACCZ(8, Z2, Z18)
+	ACCZ(12, Z3, Z19)
+
+a4zNext:
+	ADDQ         $32, R8
+	ADDQ         R12, DX
+	DECQ         CX
+	JMP          a4zRow
+
+a4zSparse:
+	ACCZM(0, Z0)
+	ACCZM(4, Z1)
+	ACCZM(8, Z2)
+	ACCZM(12, Z3)
+	JMP          a4zNext
+
+a4zStore:
+	VMOVUPS      Z0, K7, (R9)
+	VMOVUPS      Z1, K7, (R9)(R12*1)
+	VMOVUPS      Z2, K7, (R9)(R12*2)
+	VMOVUPS      Z3, K7, (R11)
+	ADDQ         $64, R14
+	CMPQ         R14, R12
+	JLT          a4zCols
+
 	VZEROUPPER
 	RET

@@ -28,7 +28,11 @@ func powExpAVX(x *float32, t *float64, n int, yi int) int {
 
 func siluAVX(x *float32, n int) int { panic("tensor: vector kernels not built") }
 
-func dotRowsAVX(q, page *float32, hd, n int, out *float32) int {
+func dotKeysAVX(q *float32, hd int, keys *float32, stride, n int, scale float32, out *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func dotKeysAVX512(q *float32, hd int, keys *float32, stride, n int, scale float32, out *float32) {
 	panic("tensor: vector kernels not built")
 }
 
@@ -40,7 +44,11 @@ func maxAVX(x *float32, n int) (float32, bool) { panic("tensor: vector kernels n
 
 func scaleAVX(x *float32, n int, a float32) { panic("tensor: vector kernels not built") }
 
-func dotBlockAVX(qT, keys *float32, hd, n int, scale float32, out *float32) {
+func dotBlockAVX(qT, keys *float32, hd, stride, n int, scale float32, out *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func dotBlockAVX512(qT, keys *float32, hd, stride, n int, scale float32, out *float32) {
 	panic("tensor: vector kernels not built")
 }
 
@@ -49,6 +57,14 @@ func accBlockAVX(w *float32, n int, v *float32, hd int, acc *float32) {
 }
 
 func accBlock4AVX(w *float32, n int, v *float32, hd int, acc *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func accBlockAVX512(w *float32, n int, v *float32, hd int, acc *float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func accBlock4AVX512(w *float32, n int, v *float32, hd int, acc *float32) {
 	panic("tensor: vector kernels not built")
 }
 
@@ -81,5 +97,21 @@ func expBlockAVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes
 }
 
 func expBlock4AVX512(x *float32, n int, m *[BlockLanes]float32, sums *[BlockLanes]float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func expShiftHeadsAVX(x *[HeadGroup]*float32, off, n int, maxv *[HeadGroup]float32, sums *[HeadGroup]float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func expShiftHeadsAVX512(x *[HeadGroup]*float32, off, n int, maxv *[HeadGroup]float32, sums *[HeadGroup]float64) int {
+	panic("tensor: vector kernels not built")
+}
+
+func accHeadsAVX(w *[HeadGroup]*float32, n int, v *[HeadGroup]*float32, hd int, dst *[HeadGroup]*float32) {
+	panic("tensor: vector kernels not built")
+}
+
+func accHeadsAVX512(w *[HeadGroup]*float32, n int, v *[HeadGroup]*float32, hd int, dst *[HeadGroup]*float32) {
 	panic("tensor: vector kernels not built")
 }

@@ -221,7 +221,7 @@ func TestSoftmaxKernelsMatchScalar(t *testing.T) {
 					}
 				}
 				got := append([]float32(nil), x...)
-				i, sum := expShiftVec(got, maxv, masked, expTier)
+				i, sum := expShiftVec(got, maxv, masked, expTier, 0)
 				sum = expShift(got[i:], maxv, masked, sum)
 				want := append([]float32(nil), x...)
 				wantSum := expShift(want, maxv, masked, 0)
@@ -454,18 +454,19 @@ var (
 	attnHeadDims  = []int{2, 6, 8, 16, 32, 64}
 )
 
-func TestDotRowsContig4KernelMatchesDot(t *testing.T) {
+func TestDotKeysKernelMatchesDot(t *testing.T) {
 	for _, rows := range attnRowCounts {
 		for _, hd := range attnHeadDims {
 			q := make([]float32, hd)
-			page := make([]float32, rows*hd+3) // a page may run past the rows read
+			page := make([]float32, rows*hd)
 			fillSpecial(q, uint64(rows*100+hd))
 			fillSpecial(page, uint64(rows*100+hd+1))
+			stride := rows + 3 // a page may have room past the keys read
 			got := make([]float32, rows)
-			DotRowsContig4(q, page, got)
+			DotKeys(q, dimMajor(page, rows, hd, stride), stride, 0.25, got)
 			want := make([]float32, rows)
 			for r := range want {
-				want[r] = Dot(q, page[r*hd:][:hd])
+				want[r] = Dot(q, page[r*hd:][:hd]) * 0.25
 			}
 			requireSameFloat32s(t, got, want, fmt.Sprintf("rows %d hd %d", rows, hd))
 		}
@@ -506,7 +507,7 @@ func TestVectorKernelsAllocFree(t *testing.T) {
 		"SoftmaxMasked":   func() { SoftmaxMasked(x) },
 		"Softmax":         func() { Softmax(logits) },
 		"SiLU":            func() { SiLU(act) },
-		"DotRowsContig4":  func() { DotRowsContig4(q, page, out) },
+		"DotKeys":         func() { DotKeys(q, page, 64, 0.25, out) },
 		"AttnAccumContig": func() { AttnAccumContig(out, page, dst) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {

@@ -11,10 +11,11 @@ import (
 // attnStage is one layer's attention stage of a batched forward pass.
 // Every new row i attends the whole committed cache, the prior rows j of
 // an incremental tree pass with priorMask(i, j), and the pass's own rows
-// j <= i with mask(i, j). Work items are either one (row, head) pair or
-// one (block, head) pair (DESIGN.md §21); each writes a disjoint span of
-// out, and no item reads another's output, so the items may run in any
-// order on any number of workers without changing a bit.
+// j <= i with mask(i, j). Work items are one (row, head) pair or one
+// (block, head) pair (DESIGN.md §21), except in a one-row pass, whose one
+// item is the whole layer, every head side by side (§27); each writes a
+// disjoint span of out, and no item reads another's output, so the items
+// may run in any order on any number of workers without changing a bit.
 type attnStage struct {
 	heads, hd int
 	scale     float32
@@ -30,8 +31,10 @@ type attnStage struct {
 	// plan, when non-nil, runs the leading rows as blocks; the rows
 	// after plan.blocked() go one at a time.
 	plan *blockPlan
-	// Head-major copies of the prior and new K/V rows for the blocks:
-	// head h's rows of a segment are back to back, like a cache page.
+	// Head-major copies of the prior and new K/V rows for the blocks,
+	// laid out like cache pages: head h's values of a segment back to
+	// back, and its keys dim-major, element k of the segment's rows at
+	// stride the segment's row count.
 	kPrior, vPrior, kNew, vNew []float32
 }
 
@@ -114,9 +117,9 @@ func (p *blockPlan) blocked() int { return (p.blocks-1)*tensor.BlockLanes + p.la
 // stageRows lays the prior and new rows out head-major in the scratch arena,
 // once per layer, for the blocks' contiguous-row kernels.
 func (a *attnStage) stageRows(scr *tensor.Scratch) {
-	a.kPrior = headMajor(scr, "kprior", a.priorK, a.heads, a.hd)
+	a.kPrior = headMajorKeys(scr, "kprior", a.priorK, a.heads, a.hd)
 	a.vPrior = headMajor(scr, "vprior", a.priorV, a.heads, a.hd)
-	a.kNew = headMajor(scr, "knew", a.kRows, a.heads, a.hd)
+	a.kNew = headMajorKeys(scr, "knew", a.kRows, a.heads, a.hd)
 	a.vNew = headMajor(scr, "vnew", a.vRows, a.heads, a.hd)
 }
 
@@ -131,11 +134,27 @@ func headMajor(scr *tensor.Scratch, key string, rows [][]float32, heads, hd int)
 	return dst
 }
 
+// headMajorKeys is headMajor with each head's rows dim-major, like a key
+// page: element k of row j of head h at [(h*hd+k)*n+j].
+func headMajorKeys(scr *tensor.Scratch, key string, rows [][]float32, heads, hd int) []float32 {
+	n := len(rows)
+	dst := scr.Floats(key, heads*n*hd)
+	for j, row := range rows {
+		for c, x := range row[:heads*hd] {
+			dst[c*n+j] = x
+		}
+	}
+	return dst
+}
+
 // items returns the stage's work-item count and the score scratch one
 // item needs.
 func (a *attnStage) items() (items, bufLen int) {
 	nNew := a.q.Rows
 	nKeys := a.nCached + len(a.priorK) + nNew
+	if nNew == 1 {
+		return 1, a.heads * nKeys
+	}
 	perRow := nNew
 	bufLen = nKeys
 	if a.plan != nil {
@@ -148,8 +167,12 @@ func (a *attnStage) items() (items, bufLen int) {
 
 // item runs work item it: the blocks first, then the per-row items, each
 // head-outer, so consecutive items share a head and its cached pages stay
-// hot across them.
+// hot across them. A one-row pass's only item is oneRow.
 func (a *attnStage) item(it int, buf []float32) {
+	if a.q.Rows == 1 {
+		a.oneRow(buf)
+		return
+	}
 	first := 0
 	if a.plan != nil {
 		nb := a.plan.blocks
@@ -167,20 +190,38 @@ func (a *attnStage) item(it int, buf []float32) {
 // row attends new row i at head h. The cached segment is dense (every
 // new row sees the whole committed context): each head's keys and values
 // are read from the paged arena as a handful of contiguous page slices
-// streamed by the contiguous kernels. The raw dots are scaled in a
-// separate pass, preserving the reference's dot-then-scale rounding.
+// streamed by the page kernels.
 func (a *attnStage) row(i, h int, buf []float32) {
+	hd, nCached := a.hd, a.nCached
+	scores := buf[:nCached+len(a.priorK)+i+1]
+	a.rowScores(i, h, scores)
+	tensor.SoftmaxMasked(scores)
+	oh := a.out.Row(i)[h*hd : (h+1)*hd]
+	clear(oh)
+	pageRows := a.cache.PageRows()
+	vPages := a.cache.VPages(a.layer, h)
+	for p, o := 0, 0; o < nCached; p++ {
+		rows := min(pageRows, nCached-o)
+		tensor.AttnAccumContig(scores[o:o+rows], vPages[p], oh)
+		o += rows
+	}
+	a.rowValues(i, h, scores, oh)
+}
+
+// rowScores sets scores, nCached+nPrior+i+1 long, to row i's scores at
+// head h: the cached keys page by page on the dim-major key kernel, then
+// the prior rows and the pass's rows up to i, each the reference's dot
+// then its scale, or NegInf where the mask hides the key.
+func (a *attnStage) rowScores(i, h int, scores []float32) {
 	hd, nCached, nPrior := a.hd, a.nCached, len(a.priorK)
-	scores := buf[:nCached+nPrior+i+1]
 	qh := a.q.Row(i)[h*hd : (h+1)*hd]
 	pageRows := a.cache.PageRows()
 	kPages := a.cache.KPages(a.layer, h)
 	for p, o := 0, 0; o < nCached; p++ {
 		rows := min(pageRows, nCached-o)
-		tensor.DotRowsContig4(qh, kPages[p], scores[o:o+rows])
+		tensor.DotKeys(qh, kPages[p], pageRows, a.scale, scores[o:o+rows])
 		o += rows
 	}
-	tensor.Scale(a.scale, scores[:nCached])
 	for j := 0; j < nPrior; j++ {
 		if a.priorMask(i, j) {
 			scores[nCached+j] = tensor.Dot(qh, a.priorK[j][h*hd:(h+1)*hd]) * a.scale
@@ -196,23 +237,59 @@ func (a *attnStage) row(i, h int, buf []float32) {
 			newScores[j] = tensor.NegInf
 		}
 	}
-	tensor.SoftmaxMasked(scores)
-	oh := a.out.Row(i)[h*hd : (h+1)*hd]
-	clear(oh)
-	vPages := a.cache.VPages(a.layer, h)
-	for p, o := 0, 0; o < nCached; p++ {
-		rows := min(pageRows, nCached-o)
-		tensor.AttnAccumContig(scores[o:o+rows], vPages[p], oh)
-		o += rows
-	}
+}
+
+// rowValues adds row i's prior and in-pass value terms at head h to oh,
+// in key order after the cached ones, skipping zero weights.
+func (a *attnStage) rowValues(i, h int, scores, oh []float32) {
+	hd, nCached, nPrior := a.hd, a.nCached, len(a.priorK)
 	for j := 0; j < nPrior; j++ {
 		if scores[nCached+j] != 0 {
 			tensor.Axpy(scores[nCached+j], a.priorV[j][h*hd:(h+1)*hd], oh)
 		}
 	}
+	newScores := scores[nCached+nPrior:]
 	for j := 0; j <= i; j++ {
 		if newScores[j] != 0 {
 			tensor.Axpy(newScores[j], a.vRows[j][h*hd:(h+1)*hd], oh)
+		}
+	}
+}
+
+// oneRow attends a one-row pass's row at every head (DESIGN.md §27).
+// Each head's scores are the per-row item's, in its own nKeys-long span
+// of buf; the softmax and the cached segment's value accumulation then
+// carry up to tensor.HeadGroup heads side by side, each head's chains in
+// the per-row item's order, so every head's output has the per-row
+// item's bits.
+func (a *attnStage) oneRow(buf []float32) {
+	hd, nCached := a.hd, a.nCached
+	nKeys := nCached + len(a.priorK) + 1
+	for h := 0; h < a.heads; h++ {
+		a.rowScores(0, h, buf[h*nKeys:][:nKeys])
+	}
+	tensor.SoftmaxHeads(buf[:a.heads*nKeys], nKeys)
+
+	out := a.out.Row(0)
+	clear(out)
+	pageRows := a.cache.PageRows()
+	var w, v, dst [tensor.HeadGroup][]float32
+	for h0 := 0; h0 < a.heads; h0 += tensor.HeadGroup {
+		g := min(tensor.HeadGroup, a.heads-h0)
+		for i := 0; i < g; i++ {
+			dst[i] = out[(h0+i)*hd:][:hd]
+		}
+		for p, o := 0, 0; o < nCached; p++ {
+			rows := min(pageRows, nCached-o)
+			for i := 0; i < g; i++ {
+				w[i] = buf[(h0+i)*nKeys+o:][:rows]
+				v[i] = a.cache.VPages(a.layer, h0+i)[p]
+			}
+			tensor.AccumHeads(g, rows, &w, &v, &dst)
+			o += rows
+		}
+		for i := 0; i < g; i++ {
+			a.rowValues(0, h0+i, buf[(h0+i)*nKeys:][:nKeys], dst[i])
 		}
 	}
 }
@@ -250,11 +327,11 @@ func (a *attnStage) block(b, h int, buf []float32) {
 	kPages := a.cache.KPages(a.layer, h)
 	for pg, o := 0, 0; o < nCached; pg++ {
 		rows := min(pageRows, nCached-o)
-		tensor.DotBlock(qT, kPages[pg], rows, a.scale, sc[o*lanes:])
+		tensor.DotBlock(qT, kPages[pg], pageRows, rows, a.scale, sc[o*lanes:])
 		o += rows
 	}
-	tensor.DotBlock(qT, a.kPrior[h*nPrior*hd:], nPrior, a.scale, sc[nCached*lanes:])
-	tensor.DotBlock(qT, a.kNew[h*p.nNew*hd:], nIn, a.scale, sc[(nCached+nPrior)*lanes:])
+	tensor.DotBlock(qT, a.kPrior[h*nPrior*hd:], nPrior, nPrior, a.scale, sc[nCached*lanes:])
+	tensor.DotBlock(qT, a.kNew[h*p.nNew*hd:], p.nNew, nIn, a.scale, sc[(nCached+nPrior)*lanes:])
 	masked := sc[nCached*lanes:]
 	for j, m := range p.bits[b*(nPrior+p.nNew):][:nPrior+nIn] {
 		if m == 0xFF {

@@ -13,9 +13,19 @@ import (
 type attnCase struct {
 	heads, hd, nNew, nCached, nPrior, pageRows int
 	selfMask                                   bool // the diagonal is fuzzed too, so rows can be fully masked
-	data                                       []byte
-	pos                                        int
-	state                                      uint64
+	// shared is the number of leading cached rows the arena adopts from
+	// a prefix cache instead of appending: whole pages aliased, the
+	// partial tail copied into a page of its own.
+	shared int
+	// qScale, when nonzero, scales the queries: small scores spread the
+	// softmax's weight over every key, so each key's term shows in the
+	// output's bits. plain turns the specials off, whose huge scores
+	// would take all the weight.
+	qScale float32
+	plain  bool
+	data   []byte
+	pos    int
+	state  uint64
 }
 
 // next returns the next input byte, continuing with a generator seeded
@@ -44,7 +54,7 @@ var attnSpecials = []float32{
 // value decodes one float: a special, or a small value on a 1/32 grid.
 func (c *attnCase) value() float32 {
 	b := c.next()
-	if int(b) < len(attnSpecials) {
+	if int(b) < len(attnSpecials) && !c.plain {
 		return attnSpecials[b]
 	}
 	return (float32(b) - 140) / 32
@@ -66,13 +76,7 @@ func (c *attnCase) bits(n int) []bool {
 }
 
 func decodeAttnCase(data []byte) *attnCase {
-	c := &attnCase{data: data, state: 0x9E3779B97F4A7C15}
-	for _, b := range data {
-		c.state = (c.state ^ uint64(b)) * 0x100000001B3
-	}
-	if c.state == 0 {
-		c.state = 1
-	}
+	c := newAttnCase(data)
 	c.hd = []int{8, 16, 32, 128}[c.next()%4]
 	c.heads = 1 + int(c.next()%2)
 	c.nNew = 1 + int(c.next()%24)
@@ -83,18 +87,54 @@ func decodeAttnCase(data []byte) *attnCase {
 	return c
 }
 
+func newAttnCase(data []byte) *attnCase {
+	c := &attnCase{data: data, state: 0x9E3779B97F4A7C15}
+	for _, b := range data {
+		c.state = (c.state ^ uint64(b)) * 0x100000001B3
+	}
+	if c.state == 0 {
+		c.state = 1
+	}
+	return c
+}
+
 // stage builds the decoded stage: a one-layer arena holding the cached
-// rows, the new rows' queries and K/V rows, prior rows, and masks.
+// rows, the new rows' queries and K/V rows, prior rows, and masks. With
+// shared rows, a donor arena commits them first and the stage's arena
+// adopts them through a prefix cache; the handle stays pinned for the
+// arena's life, as a session's does.
 func (c *attnCase) stage() *attnStage {
 	hidden := c.heads * c.hd
-	arena := kvcache.New(kvcache.Config{Layers: 1, Heads: c.heads, HeadDim: c.hd, PageRows: c.pageRows})
+	geom := kvcache.Config{Layers: 1, Heads: c.heads, HeadDim: c.hd, PageRows: c.pageRows}
+	arena := kvcache.New(geom)
 	k, v := make([]float32, hidden), make([]float32, hidden)
-	for p := 0; p < c.nCached; p++ {
+	if c.shared > 0 {
+		donor := kvcache.New(geom)
+		for p := 0; p < c.shared; p++ {
+			c.fill(k)
+			c.fill(v)
+			donor.Append(0, k, v)
+		}
+		donor.Advance(c.shared)
+		toks := make([]int, c.shared)
+		for i := range toks {
+			toks[i] = i
+		}
+		cache := kvcache.NewPrefixCache(1 << 30)
+		cache.Insert("fuzz", toks, donor)
+		donor.Release() // the cache keeps the pages it aliased
+		h := cache.Lookup("fuzz", toks, len(toks))
+		if h == nil || h.Len() != c.shared {
+			panic("attnCase: the inserted prefix does not match whole")
+		}
+		arena.AdoptPrefix(h)
+	}
+	for p := c.shared; p < c.nCached; p++ {
 		c.fill(k)
 		c.fill(v)
 		arena.Append(0, k, v)
 	}
-	arena.Advance(c.nCached)
+	arena.Advance(c.nCached - c.shared)
 	rows := func(n int) [][]float32 {
 		m := tensor.NewMatrix(n, hidden)
 		c.fill(m.Data)
@@ -106,6 +146,9 @@ func (c *attnCase) stage() *attnStage {
 	}
 	q := tensor.NewMatrix(c.nNew, hidden)
 	c.fill(q.Data)
+	if c.qScale != 0 {
+		tensor.Scale(c.qScale, q.Data)
+	}
 	a := &attnStage{
 		heads: c.heads, hd: c.hd, scale: float32(1.0 / math.Sqrt(float64(c.hd))),
 		q: q, out: tensor.NewMatrix(c.nNew, hidden), cache: arena, nCached: c.nCached,
@@ -160,6 +203,73 @@ func FuzzTreeAttention(f *testing.F) {
 				t.Fatalf("hd %d heads %d rows %d cached %d prior %d pages of %d: row %d col %d: blocked %v (%#x), per-row %v (%#x)",
 					c.hd, c.heads, c.nNew, c.nCached, c.nPrior, c.pageRows, i/a.out.Cols, i%a.out.Cols,
 					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	})
+}
+
+// decodeOneRowCase decodes a one-row stage: heads 1, 2, 3, 4, 5 or 8 of
+// head dim 3 to 32 (around the 8- and 16-column groups), up to 299
+// cached rows on pages of 3 to 64 rows, up to 11 prior rows, a fuzzed
+// diagonal, possibly a prefix of one or two whole pages and a partial
+// tail adopted from a prefix cache, queries possibly scaled by 1/64, and
+// values with or without the specials.
+func decodeOneRowCase(data []byte) *attnCase {
+	c := newAttnCase(data)
+	c.heads = []int{1, 2, 3, 4, 5, 8}[c.next()%6]
+	c.hd = []int{3, 8, 16, 20, 32}[c.next()%5]
+	c.nNew = 1
+	c.pageRows = []int{3, 7, 16, 64}[c.next()%4]
+	c.nCached = (int(c.next())<<8 | int(c.next())) % 300
+	c.nPrior = int(c.next() % 12)
+	c.selfMask = c.next()%4 == 0
+	if b := c.next(); b%2 == 1 {
+		shared := c.pageRows*(1+int(b>>1)%2) + 1 + int(b>>2)%(c.pageRows-1)
+		if shared <= c.nCached {
+			c.shared = shared
+		}
+	}
+	b := c.next()
+	if b&1 != 0 {
+		c.qScale = 1.0 / 64
+	}
+	c.plain = b&2 != 0
+	return c
+}
+
+// FuzzDecodeAttention checks the one-row item, every head side by side
+// on the multi-head kernels (DESIGN.md §27), against the per-row items,
+// one head at a time, bit for bit: heads 1 to 8, contexts crossing page
+// boundaries, arenas that adopted a prefix with a partial tail, prior
+// rows, a masked diagonal and special values (whose dots overflow to
+// ±Inf and NaN, and whose softmax arguments leave the exp kernels'
+// range). Plain go test runs the seeds below and the committed corpus in
+// testdata/fuzz/FuzzDecodeAttention.
+func FuzzDecodeAttention(f *testing.F) {
+	f.Add([]byte{3, 2, 3, 1, 16, 0, 1, 1, 3})          // 4 heads of 16, 272 cached rows on 64-row pages, 65 adopted: prefix-fleet's decode
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0})           // one head of 3, no cached rows: the diagonal alone
+	f.Add([]byte{4, 4, 1, 0, 200, 5, 0, 3, 3})         // 5 heads of 32, 7-row pages, a masked diagonal, a two-page prefix
+	f.Add([]byte{5, 3, 2, 1, 9, 11, 1, 7, 1, 0, 1, 5}) // 8 heads of 20, 16-row pages, 11 prior rows, signed zeros up front
+	f.Add([]byte{2, 1, 1, 0, 40, 2, 2, 5, 0, 5, 6, 5}) // 3 heads of 8, a 9-row prefix, float32's limits up front: Inf and NaN scores
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := decodeOneRowCase(data)
+		a := c.stage()
+		items, bufLen := a.items()
+		if items != 1 {
+			t.Fatalf("a one-row pass has %d items, want 1", items)
+		}
+		buf := make([]float32, c.nCached+c.nPrior+1)
+		for h := 0; h < c.heads; h++ {
+			a.row(0, h, buf)
+		}
+		want := append([]float32(nil), a.out.Data...)
+		clear(a.out.Data)
+		a.item(0, make([]float32, bufLen))
+		for i, w := range want {
+			if g := a.out.Data[i]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("heads %d hd %d cached %d (%d adopted) prior %d pages of %d: head %d col %d: one-row item %v (%#x), per-row %v (%#x)",
+					c.heads, c.hd, c.nCached, c.shared, c.nPrior, c.pageRows, i/c.hd, i%c.hd,
+					g, math.Float32bits(g), w, math.Float32bits(w))
 			}
 		}
 	})

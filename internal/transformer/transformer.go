@@ -462,7 +462,9 @@ func (s *Session) PrefillShared(h *kvcache.PinnedPrefix, prompt []model.Token) [
 	return cloneVec(s.lastDist)
 }
 
-// Decode implements model.Session.
+// Decode implements model.Session. The distribution it returns is the
+// session's workspace buffer: it stays valid until the session's next
+// Prefill, Decode, Accept or Close.
 func (s *Session) Decode(tok model.Token) []float32 {
 	s.live()
 	if s.n == 0 {
@@ -472,7 +474,7 @@ func (s *Session) Decode(tok model.Token) []float32 {
 	toks[0] = tok
 	s.commitPass(toks, true)
 	s.invalidateTree()
-	return cloneVec(s.lastDist)
+	return s.lastDist
 }
 
 // DecodeTree implements model.Session: tree-based parallel decoding. All
@@ -574,7 +576,9 @@ func (s *Session) retain(dists [][]float32, k, v [][][]float32) {
 // Accept implements model.Session: commits verified tokens. Tokens that
 // follow a path of the last speculated tree reuse the K/V rows computed by
 // DecodeTree; any remaining tokens (e.g. the bonus token sampled from the
-// LLM on speculation miss) are decoded in one batched forward pass.
+// LLM on speculation miss) are decoded in one batched forward pass. Like
+// Decode's, the distribution it returns is the session's buffer, valid
+// until the session's next Prefill, Decode, Accept or Close.
 func (s *Session) Accept(tokens []model.Token) []float32 {
 	s.live()
 	if s.n == 0 {
@@ -625,7 +629,7 @@ func (s *Session) Accept(tokens []model.Token) []float32 {
 	if rest := tokens[i:]; len(rest) > 0 {
 		s.commitPass(rest, true)
 	}
-	return cloneVec(s.lastDist)
+	return s.lastDist
 }
 
 func (s *Session) invalidateTree() {

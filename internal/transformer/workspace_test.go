@@ -251,7 +251,9 @@ func TestPoolsSharedAcrossGoroutines(t *testing.T) {
 		root := prompt[len(prompt)-1]
 		tr := chainTree(root, m.cfg.Vocab)
 		s.DecodeTree(tr)
-		return s.Accept([]model.Token{(root + 1) % m.cfg.Vocab, (root + 2) % m.cfg.Vocab, 5})
+		// Accept's distribution is the session's, and the deferred Close
+		// hands it on: keep a copy.
+		return cloneVec(s.Accept([]model.Token{(root + 1) % m.cfg.Vocab, (root + 2) % m.cfg.Vocab, 5}))
 	}
 	const replicas, requests = 2, 12
 	want := make([][]float32, replicas*requests)
