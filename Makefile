@@ -39,8 +39,10 @@ race:
 # every head side by side, against them, FuzzExpKernels the 512-bit and
 # AVX2 exponentials against the scalar loops (it skips on CPUs without
 # AVX-512F), and FuzzTreeMergePrune tree merge and prune against their
-# definitions.
+# definitions. First, internal/tensor must import neither sync nor
+# runtime: its kernels stay serial (DESIGN.md §28).
 archcheck:
+	GO=$(GO) bash scripts/serialkernels.sh
 	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/transformer/... ./internal/sampling/... ./internal/kvcache/...
 	GOAMD64=v3 $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/... ./internal/kvcache/...
 	GODEBUG=cpu.fma=off $(GO) test ./internal/tensor/... ./internal/transformer/... ./internal/sampling/...

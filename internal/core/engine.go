@@ -86,7 +86,10 @@ type Config struct {
 	// newly admitted request, then the step phase, in which each
 	// request's SSM speculation + LLM tree verification is independent
 	// of every other's. 0 means GOMAXPROCS; 1 forces serial prefill and
-	// stepping. Output is bit-identical for every setting: per-request
+	// stepping. It does not bound the one split inside a request's pass:
+	// the transformer runs a layer's attention items on up to GOMAXPROCS
+	// goroutines once the stage is large enough (DESIGN.md §28), whatever
+	// Workers is. Output is bit-identical for every setting: per-request
 	// RNG streams are split from Seed, sessions are per-request, results
 	// are written to slot-indexed arrays, and every prefix-cache call
 	// runs on the scheduler goroutine in slot order, so no observable
@@ -160,10 +163,6 @@ type Config struct {
 	// with ErrDrainTimeout. Zero waits for all in-flight requests to
 	// finish, however long they take.
 	DrainTimeout time.Duration
-	// LatencyWindow is the number of recent completed requests whose
-	// latency/queue-delay the live stats retain for quantiles (see
-	// ServeStats). Defaults to 1024.
-	LatencyWindow int
 	// Clock supplies wall-clock time for live serving (queue-delay and
 	// latency accounting in Serve/Submit, the drain deadline, and the
 	// per-step costs the shape chooser prices its decisions with).
@@ -209,9 +208,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
-	}
-	if c.LatencyWindow == 0 {
-		c.LatencyWindow = 1024
 	}
 	if c.Verifier == "" {
 		c.Verifier = VerifierMSS
@@ -697,12 +693,11 @@ func (e *Engine) prefill(active []*reqState) []*reqState {
 	return batch
 }
 
-// parallel runs fn(0) … fn(n-1) on the worker pool: up to
-// Config.Workers goroutines (GOMAXPROCS when 0), each claiming indices
-// from an atomic counter, or inline when one worker suffices. fn must
-// write only to state owned by index i. Outside a scheduler loop (e.pool
-// nil) the phase runs on a pool of its own, stopped before parallel
-// returns.
+// parallel runs fn(0) … fn(n-1) on the scheduler loop's worker pool:
+// up to Config.Workers goroutines (GOMAXPROCS when 0), each claiming
+// indices from an atomic counter, or inline when one worker suffices.
+// fn must write only to state owned by index i. Both callers (prefill
+// and stepBatch) run inside schedule, which keeps e.pool.
 //
 // A panic inside a worker goroutine would kill the whole process before
 // any caller could contain it, so the first one is captured and
@@ -724,12 +719,7 @@ func (e *Engine) parallel(n int, fn func(i int)) {
 		}
 		return
 	}
-	p := e.pool
-	if p == nil {
-		p = newWorkerPool()
-		defer p.stop()
-	}
-	p.run(nw, n, fn)
+	e.pool.run(nw, n, fn)
 }
 
 // workerPool runs parallel phases on worker goroutines that, once

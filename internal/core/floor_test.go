@@ -80,7 +80,7 @@ func costClock(m *meteredSSM) func() time.Time {
 // its cost clock, and serial stepping so every step is timed alone.
 func floorConfig(t *testing.T, sample sampling.Config) (Config, *meteredSSM) {
 	t.Helper()
-	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 	m := &meteredSSM{Model: ssm}
 	return Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{m},
@@ -119,7 +119,7 @@ func serveAll(t *testing.T, eng *Engine, reqs []workload.Request) []Result {
 // time — and requires greedy output token-identical to incremental
 // decoding, with the zero steps recorded as one-token steps over no tree.
 func TestFloorAlternatingStepsMatchIncremental(t *testing.T) {
-	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 	req := prefixTrace(1)[0]
 	req.MaxNewTok = 40
 	inc, _ := run(t, Config{Mode: Incremental, LLM: llm, Sample: sampling.GreedyConfig()}, []workload.Request{req})
@@ -204,7 +204,7 @@ func TestFloorLiveGreedyMatchesIncremental(t *testing.T) {
 // tokens, parents, ranking probabilities and distributions — to one fed
 // each token eagerly, and must have forwarded exactly as many tokens.
 func TestDeferredCatchUpBitIdentical(t *testing.T) {
-	_, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	_, ssm := prefixTestModels(transformer.ArchLLaMA)
 	sample := sampling.GreedyConfig()
 	eagerSSM, lazySSM := &meteredSSM{Model: ssm}, &meteredSSM{Model: ssm}
 	eager := speculator.New(speculator.Config{Sample: sample}, eagerSSM)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"specinfer/internal/model"
@@ -55,7 +56,9 @@ func requireSameTree(t *testing.T, ctx string, got, want *tree.Tree) {
 // static SampleK, a merged 2-SSM ensemble, adaptive, and the policy
 // speculator — over a few speculate/accept rounds on incremental SSM
 // sessions and on Reference() oracle sessions, for both architectures
-// and AttnWorkers 1 and 4.
+// and 1 and 4 attention workers (GOMAXPROCS, the bound of the
+// transformer's attention split). The 128-token prompt's prefill crosses
+// the split's floor, so at w4 it runs on four goroutines.
 func TestIncrementalGrowersBitExact(t *testing.T) {
 	greedy := sampling.GreedyConfig()
 	stoch := sampling.StochasticConfig()
@@ -76,14 +79,16 @@ func TestIncrementalGrowersBitExact(t *testing.T) {
 		{"policy", 2, speculator.Config{Sample: stoch},
 			speculator.Shape{Budget: tree.Budget{MaxNodes: 12, MaxDepth: 6, FanoutCap: 3}, SSMs: 2}},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, arch := range []transformer.Arch{transformer.ArchLLaMA, transformer.ArchOPT} {
 		for _, workers := range []int{1, 4} {
+			runtime.GOMAXPROCS(workers)
 			incSSMs := make([]model.Model, 2)
 			refSSMs := make([]model.Model, 2)
 			for i := range incSSMs {
 				m := transformer.New(transformer.Config{
 					Name: "inc-ssm", Arch: arch, Vocab: 48, Hidden: 16, Heads: 2, FFN: 32,
-					Layers: 2, Seed: uint64(60 + i), AttnWorkers: workers,
+					Layers: 2, Seed: uint64(60 + i),
 				})
 				incSSMs[i], refSSMs[i] = m, m.Reference()
 			}
@@ -94,7 +99,10 @@ func TestIncrementalGrowersBitExact(t *testing.T) {
 					inc := speculator.New(g.cfg, incSSMs[:g.nSSM]...)
 					oracle := speculator.New(g.cfg, refSSMs[:g.nSSM]...)
 					rng := tensor.NewRNG(313)
-					prompt := []model.Token{4, 8, 15, 16, 23, 42}
+					prompt := make([]model.Token, 128)
+					for i := range prompt {
+						prompt[i] = 4 + i*11%44
+					}
 					inc.Prefill(prompt)
 					oracle.Prefill(prompt)
 					root := prompt[len(prompt)-1]

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"specinfer/internal/model"
@@ -15,28 +16,30 @@ import (
 
 // Determinism contract for the paged transformer under the full engine:
 // the engine's batch-stepping pool (Config.Workers) and the transformer's
-// intra-forward attention pool (transformer.Config.AttnWorkers) are two
-// independent axes of parallelism, and the serving output must be
-// byte-identical across every combination. Run under -race this also
-// proves the attention pool's disjoint-span writes are race-clean while
-// multiple engine workers step sessions concurrently.
+// attention split, bounded by GOMAXPROCS, are two independent axes of
+// parallelism, and the serving output must be byte-identical across
+// every combination. The 96-token prompt's prefill crosses the split's
+// floor, so at GOMAXPROCS 4 its attention items run on four goroutines.
+// Run under -race this also proves the split's disjoint-span writes are
+// race-clean while multiple engine workers step sessions concurrently.
 func TestRunDeterministicAcrossAttnWorkers(t *testing.T) {
-	mkModels := func(attnWorkers int) (model.Model, model.Model) {
-		llm := transformer.New(transformer.Config{
-			Name: "paged-llm", Vocab: 64, Hidden: 32, Heads: 4, FFN: 64,
-			Layers: 2, Seed: 1, AttnWorkers: attnWorkers,
-		})
-		ssm := transformer.New(transformer.Config{
-			Name: "paged-ssm", Vocab: 64, Hidden: 16, Heads: 2, FFN: 32,
-			Layers: 1, Seed: 2, AttnWorkers: attnWorkers,
-		})
-		return llm, ssm
+	llm := transformer.New(transformer.Config{
+		Name: "paged-llm", Vocab: 64, Hidden: 32, Heads: 4, FFN: 64, Layers: 2, Seed: 1,
+	})
+	ssm := transformer.New(transformer.Config{
+		Name: "paged-ssm", Vocab: 64, Hidden: 16, Heads: 2, FFN: 32, Layers: 1, Seed: 2,
+	})
+	long := make([]int, 96)
+	for i := range long {
+		long[i] = (i * 7) % 64
 	}
 	reqs := []workload.Request{
 		{ID: 0, Prompt: []int{1, 2, 3, 4, 5}, MaxNewTok: 12},
 		{ID: 1, Prompt: []int{9, 8, 7}, MaxNewTok: 12},
 		{ID: 2, Prompt: []int{5, 5, 6, 6}, MaxNewTok: 12},
+		{ID: 3, Prompt: long, MaxNewTok: 12},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	type outcome struct {
 		res   []RequestResult
@@ -44,9 +47,9 @@ func TestRunDeterministicAcrossAttnWorkers(t *testing.T) {
 	}
 	var base *outcome
 	for _, workers := range []int{1, 4} {
-		for _, attn := range []int{1, 4} {
-			name := fmt.Sprintf("workers=%d/attnworkers=%d", workers, attn)
-			llm, ssm := mkModels(attn)
+		for _, procs := range []int{1, 4} {
+			name := fmt.Sprintf("workers=%d/procs=%d", workers, procs)
+			runtime.GOMAXPROCS(procs)
 			res, iters := run(t, Config{
 				Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 				Shape:  speculator.Shape{Expansion: tree.WidthConfig(2)[:3]},
@@ -58,10 +61,10 @@ func TestRunDeterministicAcrossAttnWorkers(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(base.res, res) {
-				t.Fatalf("%s: results differ from workers=1/attnworkers=1", name)
+				t.Fatalf("%s: results differ from workers=1/procs=1", name)
 			}
 			if !reflect.DeepEqual(base.iters, iters) {
-				t.Fatalf("%s: iteration records differ from workers=1/attnworkers=1", name)
+				t.Fatalf("%s: iteration records differ from workers=1/procs=1", name)
 			}
 		}
 	}

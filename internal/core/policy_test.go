@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -61,20 +60,15 @@ func TestPolicyRecordsDecisions(t *testing.T) {
 
 // TestPolicyDeterministicAcrossWorkers: identical trace and seed must
 // yield identical outputs AND identical policy decisions for every
-// Workers × AttnWorkers combination — decisions are computed serially
-// on the scheduler goroutine, so no parallelism axis can perturb them.
+// Workers setting — decisions are computed serially on the scheduler
+// goroutine, so no parallelism axis can perturb them.
 func TestPolicyDeterministicAcrossWorkers(t *testing.T) {
-	mkModels := func(attnWorkers int) (model.Model, model.Model) {
-		llm := transformer.New(transformer.Config{
-			Name: "pol-llm", Vocab: 64, Hidden: 32, Heads: 4, FFN: 64,
-			Layers: 2, Seed: 1, AttnWorkers: attnWorkers,
-		})
-		ssm := transformer.New(transformer.Config{
-			Name: "pol-ssm", Vocab: 64, Hidden: 16, Heads: 2, FFN: 32,
-			Layers: 1, Seed: 2, AttnWorkers: attnWorkers,
-		})
-		return llm, ssm
-	}
+	llm := transformer.New(transformer.Config{
+		Name: "pol-llm", Vocab: 64, Hidden: 32, Heads: 4, FFN: 64, Layers: 2, Seed: 1,
+	})
+	ssm := transformer.New(transformer.Config{
+		Name: "pol-ssm", Vocab: 64, Hidden: 16, Heads: 2, FFN: 32, Layers: 1, Seed: 2,
+	})
 	reqs := []workload.Request{
 		{ID: 0, Prompt: []int{1, 2, 3, 4, 5}, MaxNewTok: 12},
 		{ID: 1, Prompt: []int{9, 8, 7}, MaxNewTok: 12},
@@ -86,25 +80,21 @@ func TestPolicyDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var base *outcome
 	for _, workers := range []int{1, 2, 4} {
-		for _, attn := range []int{1, 4} {
-			name := fmt.Sprintf("workers=%d/attnworkers=%d", workers, attn)
-			llm, ssm := mkModels(attn)
-			res, iters := run(t, Config{
-				Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
-				Sample: sampling.GreedyConfig(), Seed: 17,
-				MaxBatch: 2, Workers: workers,
-				Policy: &policy.Config{},
-			}, reqs)
-			if base == nil {
-				base = &outcome{res, iters}
-				continue
-			}
-			if !reflect.DeepEqual(base.res, res) {
-				t.Fatalf("%s: results differ from workers=1/attnworkers=1", name)
-			}
-			if !reflect.DeepEqual(base.iters, iters) {
-				t.Fatalf("%s: iteration records (incl. policy decisions) differ", name)
-			}
+		res, iters := run(t, Config{
+			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
+			Sample: sampling.GreedyConfig(), Seed: 17,
+			MaxBatch: 2, Workers: workers,
+			Policy: &policy.Config{},
+		}, reqs)
+		if base == nil {
+			base = &outcome{res, iters}
+			continue
+		}
+		if !reflect.DeepEqual(base.res, res) {
+			t.Fatalf("workers=%d: results differ from workers=1", workers)
+		}
+		if !reflect.DeepEqual(base.iters, iters) {
+			t.Fatalf("workers=%d: iteration records (incl. policy decisions) differ", workers)
 		}
 	}
 	// The records must actually carry decisions, or the comparison above

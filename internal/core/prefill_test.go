@@ -130,7 +130,7 @@ func TestPrefixCacheDeterministicUnderEviction(t *testing.T) {
 		stats   kvcache.PrefixStats
 	}
 	serve := func(workers int) outcome {
-		llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+		llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 		eng := mustEngine(t, Config{
 			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 			Sample: sampling.StochasticConfig(), Seed: 5, Policy: &policy.Config{},
@@ -176,7 +176,7 @@ func TestPrefixCacheDeterministicUnderEviction(t *testing.T) {
 // iteration for the first's insert and then adopts both pages.
 func TestSameBurstFollowerAdoptsNextIteration(t *testing.T) {
 	reqs := workload.NewMarkov(workload.DatasetByName("Alpaca")).SharedPrefixTrace(tensor.NewRNG(9), 2, 128, 5, 3)
-	llm, ssm := prefixTestModels(transformer.ArchOPT, 1)
+	llm, ssm := prefixTestModels(transformer.ArchOPT)
 	eng := mustEngine(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample: sampling.GreedyConfig(), MaxBatch: 2, Workers: 2, PrefixCacheBytes: 64 << 20,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -18,14 +19,14 @@ import (
 
 // prefixTestModels builds a paged transformer (llm, ssm) pair over the
 // workload vocabulary, so SharedPrefixTrace prompts are valid input.
-func prefixTestModels(arch transformer.Arch, attnWorkers int) (model.Model, model.Model) {
+func prefixTestModels(arch transformer.Arch) (model.Model, model.Model) {
 	llm := transformer.New(transformer.Config{
 		Name: "pfx-llm", Arch: arch, Vocab: 192, Hidden: 32, Heads: 4, FFN: 64,
-		Layers: 2, Seed: 21, AttnWorkers: attnWorkers,
+		Layers: 2, Seed: 21,
 	})
 	ssm := transformer.New(transformer.Config{
 		Name: "pfx-ssm", Arch: arch, Vocab: 192, Hidden: 16, Heads: 2, FFN: 32,
-		Layers: 1, Seed: 22, AttnWorkers: attnWorkers,
+		Layers: 1, Seed: 22,
 	})
 	return llm, ssm
 }
@@ -36,21 +37,27 @@ func prefixTrace(n int) []workload.Request {
 	return mk.SharedPrefixTrace(tensor.NewRNG(777), n, 70, 6, 8)
 }
 
-// TestPrefixCacheBitExactAcrossConfigs is the tentpole's golden gate:
-// enabling the prefix cache must not change a single output token — for
-// both architectures, greedy and stochastic sampling, and across the
-// engine-worker x attention-worker parallelism grid. The warm run must
-// also actually hit the cache, so the equality is not vacuous.
+// TestPrefixCacheBitExactAcrossConfigs is the prefix cache's golden
+// gate: enabling it must not change a single output token — for both
+// architectures, greedy and stochastic sampling, and across the grid of
+// engine workers x attention workers (GOMAXPROCS, the bound of the
+// transformer's attention split). The 90-token shared prefix makes every
+// cold LLM prefill cross the split's floor, so at attnworkers=3 those
+// stages run on three goroutines. The warm run must also actually hit
+// the cache, so the equality is not vacuous.
 func TestPrefixCacheBitExactAcrossConfigs(t *testing.T) {
-	reqs := prefixTrace(4)
+	markov := workload.NewMarkov(workload.DatasetByName("Alpaca"))
+	reqs := markov.SharedPrefixTrace(tensor.NewRNG(777), 4, 90, 6, 8)
 	for _, arch := range []transformer.Arch{transformer.ArchLLaMA, transformer.ArchOPT} {
 		for _, sample := range []sampling.Config{sampling.GreedyConfig(), sampling.StochasticConfig()} {
 			for _, workers := range []int{1, 2} {
 				for _, attn := range []int{1, 3} {
 					name := fmt.Sprintf("%v/%v/workers=%d/attnworkers=%d", arch, sample.Mode, workers, attn)
 					t.Run(name, func(t *testing.T) {
+						prev := runtime.GOMAXPROCS(attn)
+						defer runtime.GOMAXPROCS(prev)
 						mk := func(pcBytes int64) Config {
-							llm, ssm := prefixTestModels(arch, attn)
+							llm, ssm := prefixTestModels(arch)
 							return Config{
 								Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 								Shape:  speculator.Shape{Expansion: tree.WidthConfig(2)[:3]},
@@ -204,7 +211,7 @@ func TestPrefixCacheSharedPrefill(t *testing.T) {
 		}
 		reqs[i] = workload.Request{ID: i, Prompt: p, MaxNewTok: 1}
 	}
-	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 	prefillRows := func(cacheBytes int64) int64 {
 		var rows atomic.Int64
 		run(t, Config{
@@ -232,7 +239,7 @@ func TestPrefixCacheSharedPrefill(t *testing.T) {
 func TestGuestAdoptsButNeverInserts(t *testing.T) {
 	reqs := prefixTrace(2)
 	engine := func() *Engine {
-		llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+		llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 		return mustEngine(t, Config{
 			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 			Shape:  speculator.Shape{Expansion: tree.WidthConfig(2)[:3]},
@@ -290,7 +297,7 @@ func TestGuestAdoptsButNeverInserts(t *testing.T) {
 // engine and prompt does.
 func TestGuestWaitsOnlyForItsCachesDonors(t *testing.T) {
 	reqs := prefixTrace(2)
-	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 	eng := mustEngine(t, Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample: sampling.GreedyConfig(), Seed: 17,
@@ -329,8 +336,8 @@ type uncomparableModel struct {
 // another SSM order, or a model type == cannot compare do not count,
 // and the last must not panic.
 func TestSharesModels(t *testing.T) {
-	llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
-	llm2, ssm2 := prefixTestModels(transformer.ArchLLaMA, 1)
+	llm, ssm := prefixTestModels(transformer.ArchLLaMA)
+	llm2, ssm2 := prefixTestModels(transformer.ArchLLaMA)
 	engine := func(llm model.Model, ssms ...model.Model) *Engine {
 		return mustEngine(t, Config{
 			Mode: TreeSpec, LLM: llm, SSMs: ssms,

@@ -207,7 +207,7 @@ func TestQuiescentAfterEveryEntryPoint(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			goroutines := runtime.NumGoroutine()
-			llm, ssm := prefixTestModels(transformer.ArchLLaMA, 1)
+			llm, ssm := prefixTestModels(transformer.ArchLLaMA)
 			m := &poisonLLM{Model: llm.(*transformer.Model), poison: poison, panicAt: tc.panicAt}
 			cfg := Config{
 				Mode: TreeSpec, LLM: m, SSMs: []model.Model{ssm},

@@ -21,6 +21,10 @@ import (
 // of reporting a stale lifetime average as if it were current.
 const recentThroughputSamples = 128
 
+// latencyWindow is the number of recent completed requests whose latency,
+// queue delay and time to first token ServeStats retains for quantiles.
+const latencyWindow = 1024
+
 // Live-serving errors. The HTTP layer maps them to status codes
 // (ErrQueueFull -> 429, ErrDraining/ErrNotServing -> 503).
 var (
@@ -182,7 +186,7 @@ type ServeStats struct {
 	RecentTokensPerSec  float64
 	RecentWindowSeconds float64
 	// Latency and QueueDelay summarize the most recent completed
-	// requests (Config.LatencyWindow of them), in seconds. TTFT
+	// requests (latencyWindow of them), in seconds. TTFT
 	// summarizes the time to first token — Submit to the first streamed
 	// token — of the most recent requests that streamed one.
 	Latency, QueueDelay, TTFT metrics.Summary
@@ -298,9 +302,9 @@ func (e *Engine) Serve(ctx context.Context) error {
 		admit:      make(chan *liveReq, e.cfg.QueueDepth),
 		clock:      e.cfg.Clock,
 		started:    e.cfg.Clock(),
-		latency:    metrics.NewWindow(e.cfg.LatencyWindow),
-		queueDelay: metrics.NewWindow(e.cfg.LatencyWindow),
-		ttft:       metrics.NewWindow(e.cfg.LatencyWindow),
+		latency:    metrics.NewWindow(latencyWindow),
+		queueDelay: metrics.NewWindow(latencyWindow),
+		ttft:       metrics.NewWindow(latencyWindow),
 		recentT:    metrics.NewWindow(recentThroughputSamples),
 		recentC:    metrics.NewWindow(recentThroughputSamples),
 	}

@@ -36,28 +36,6 @@ func TestMatMulTMatchesMatVec(t *testing.T) {
 	}
 }
 
-func TestMatMulTParallelMatchesSerial(t *testing.T) {
-	// Large enough to cross parallelThreshold and take the goroutine path.
-	w := NewMatrix(301, 130)
-	x := NewMatrix(5, 130)
-	fillSeq(w.Data, 0.7)
-	fillSeq(x.Data, -0.4)
-	par := NewMatrix(5, 301)
-	MatMulT(w, x, par)
-	if 5*301*130 < parallelThreshold {
-		t.Fatal("test geometry no longer crosses parallelThreshold")
-	}
-	want := make([]float32, 301)
-	for i := 0; i < 5; i++ {
-		MatVec(w, x.Row(i), want)
-		for j := range want {
-			if par.At(i, j) != want[j] {
-				t.Fatalf("parallel out[%d][%d] = %v, serial gives %v", i, j, par.At(i, j), want[j])
-			}
-		}
-	}
-}
-
 func TestMatMulTPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

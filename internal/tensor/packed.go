@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Packed-panel weights for the vectorized projection kernel.
 //
@@ -18,10 +15,10 @@ import (
 // The kernel (amd64 AVX2, panel_amd64.s) gives each output row its own
 // vector lane and walks k in increasing order, multiplying and then
 // adding (VMULPS, VADDPS; never a fused multiply-add) into a lane that
-// starts at +0. That is exactly the scalar chain matMulTChunk runs per
+// starts at +0. That is exactly the scalar chain matMulTRow runs per
 // output element — s += w[k]*x[k] with the product rounded to float32
 // before the add — so MatMulTPacked is bit-identical to MatMulT for
-// every shape, split and input, ±0 and subnormals included. MatMulT
+// every shape and input, ±0 and subnormals included. MatMulT
 // stays the portable path and the oracle the packed kernel is tested
 // against. On AVX-512F CPUs the same chains run sixteen lanes to a
 // register (DESIGN.md §22): four input rows per panel step, or one or
@@ -30,16 +27,6 @@ import (
 // PanelRows is the number of output rows in one packed panel: four
 // 8-lane AVX vectors, or two 16-lane AVX-512 ones.
 const PanelRows = 32
-
-// packedParallelThreshold is the minimum number of multiply-adds at
-// which MatMulTPacked splits its panels across goroutines: the smallest
-// size at which the 2-way split has not lost to the serial kernel in
-// any measurement session on a 2-vCPU Xeon (DESIGN.md §17.4, §22.5;
-// the isolated crossover moved between 1.3 M and 34 M from session to
-// session). It is 256x MatMulT's parallelThreshold, so every projection
-// of the serving-size models runs serially, where both cores are
-// already busy with the engine's workers.
-const packedParallelThreshold = 1 << 24
 
 // PackedMatrix is a (Rows x Cols) weight matrix in packed-panel layout.
 // Data holds ceil(Rows/PanelRows) panels of PanelRows*Cols floats each;
@@ -83,9 +70,7 @@ func (p *PackedMatrix) Repack(w *Matrix) {
 
 // MatMulTPacked computes out = X * W^T like MatMulT, with W in packed
 // layout, and returns bit-identical results (see the comment at the top
-// of this file). Large products split their panels across goroutines;
-// every output element is still one independent sequential reduction,
-// so the split cannot change a bit.
+// of this file).
 func MatMulTPacked(w *PackedMatrix, x *Matrix, out *Matrix) {
 	if x.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTPacked inner dim mismatch %d vs %d", x.Cols, w.Cols))
@@ -94,19 +79,11 @@ func MatMulTPacked(w *PackedMatrix, x *Matrix, out *Matrix) {
 		panic("tensor: MatMulTPacked out dims mismatch")
 	}
 	panels := (w.Rows + PanelRows - 1) / PanelRows
-	nw := 1
-	if x.Rows*w.Rows*w.Cols >= packedParallelThreshold {
-		nw = min(runtime.GOMAXPROCS(0), panels)
-	}
-	run := packedPanels
 	if panelTier == avx512Tier {
-		run = packedPanels512
-	}
-	if nw <= 1 {
-		run(w, x, out, 0, panels)
+		packedPanels512(w, x, out, 0, panels)
 		return
 	}
-	parallelRows(panels, nw, func(s, e int) { run(w, x, out, s, e) })
+	packedPanels(w, x, out, 0, panels)
 }
 
 // packedPanels computes the output columns of panels [s, e) for every

@@ -101,22 +101,6 @@ func TestMatMulTPackedAllZeroSigns(t *testing.T) {
 	}
 }
 
-func TestMatMulTPackedParallelMatchesSerial(t *testing.T) {
-	requirePackedKernel(t)
-	w := NewMatrix(301, 520)
-	x := NewMatrix(109, 520)
-	if x.Rows*w.Rows*w.Cols < packedParallelThreshold {
-		t.Fatal("test geometry no longer crosses packedParallelThreshold")
-	}
-	fillSpecial(w.Data, 11)
-	fillSpecial(x.Data, 12)
-	want := NewMatrix(109, 301)
-	MatMulT(w, x, want)
-	got := NewMatrix(109, 301)
-	MatMulTPacked(Pack(w), x, got)
-	requireSameBits(t, got, want, "parallel")
-}
-
 func TestRepackTracksWeights(t *testing.T) {
 	requirePackedKernel(t)
 	w := NewMatrix(40, 13)
@@ -156,10 +140,8 @@ func TestPackedMatMulAllocFree(t *testing.T) {
 }
 
 // BenchmarkMatMulTPacked times the packed kernel against MatMulT on the
-// serving models' projection shapes and on larger ones, and the packed
-// kernel serial against a forced 2-way panel split (run with -cpu 1,2
-// to find the crossover that sets packedParallelThreshold): packed-* on
-// the AVX2 tier and, where it runs, avx512-* on the 512-bit tier.
+// serving models' projection shapes and on larger ones: packed-* on the
+// AVX2 tier and, where it runs, avx512-* on the 512-bit tier.
 func BenchmarkMatMulTPacked(b *testing.B) {
 	requirePackedKernel(b)
 	for _, sh := range []struct{ n, rows, cols int }{
@@ -186,22 +168,12 @@ func BenchmarkMatMulTPacked(b *testing.B) {
 				packedPanels(p, x, out, 0, panels)
 			}
 		})
-		b.Run(name+"/packed-split2", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				parallelRows(panels, 2, func(s, e int) { packedPanels(p, x, out, s, e) })
-			}
-		})
 		if !hasAVX512 {
 			continue
 		}
 		b.Run(name+"/avx512-serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				packedPanels512(p, x, out, 0, panels)
-			}
-		})
-		b.Run(name+"/avx512-split2", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				parallelRows(panels, 2, func(s, e int) { packedPanels512(p, x, out, s, e) })
 			}
 		})
 	}

@@ -5,15 +5,14 @@
 //
 // The package is deliberately minimal: everything is row-major []float32
 // with explicit dimensions, no reflection, no interface dispatch in inner
-// loops. Matmul parallelizes across rows with goroutines when the work is
-// large enough to amortize scheduling.
+// loops. Every kernel runs on its caller's goroutine: work is split
+// across requests by the engine and across one layer's attention items by
+// the transformer (DESIGN.md §28), never inside a kernel.
 package tensor
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -109,62 +108,18 @@ func MatVec(w *Matrix, x, out []float32) {
 	}
 }
 
-// parallelThreshold is the minimum number of scalar multiply-adds below
-// which MatMul stays single-threaded.
-const parallelThreshold = 1 << 16
-
-// MatMul computes out = X * W^T where X is (n x in) holding n row vectors
-// and W is (out x in); the result is (n x out). This is the layout used by
-// the transformer: each weight matrix stores output rows, so a batch of
-// activations multiplies against the transpose.
-func MatMul(x *Matrix, w *Matrix, out *Matrix) {
-	if x.Cols != w.Cols {
-		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %d vs %d", x.Cols, w.Cols))
-	}
-	if out.Rows != x.Rows || out.Cols != w.Rows {
-		panic("tensor: MatMul out dims mismatch")
-	}
-	work := x.Rows * w.Rows * w.Cols
-	if work < parallelThreshold || x.Rows == 1 {
-		for i := 0; i < x.Rows; i++ {
-			xr := x.Row(i)
-			or := out.Row(i)
-			for j := 0; j < w.Rows; j++ {
-				or[j] = Dot(w.Row(j), xr)
-			}
-		}
-		return
-	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > x.Rows {
-		nw = x.Rows
-	}
-	parallelRows(x.Rows, nw, func(s, e int) {
-		for i := s; i < e; i++ {
-			xr := x.Row(i)
-			or := out.Row(i)
-			for j := 0; j < w.Rows; j++ {
-				or[j] = Dot(w.Row(j), xr)
-			}
-		}
-	})
-}
-
-// MatMulT computes out = X * W^T like MatMul, but splits work across the
-// OUTPUT columns (W's rows) instead of X's rows. This is the right split
-// for the transformer's forward path, where X holds a handful of token
-// activations (often just one) while W has hundreds of output rows: row
-// parallelism would cap the worker count at the token count, column
-// parallelism keeps every core busy even for single-token decode.
+// MatMulT computes out = X * W^T where X is (n x in) holding n row
+// vectors and W is (out x in); the result is (n x out). This is the
+// layout the transformer uses: each weight matrix stores output rows, so
+// a batch of activations multiplies against the transpose.
 //
 // Each output element is a full sequential Dot over the shared inner
-// dimension, so results are bit-identical to MatVec/MatMul regardless of
-// the split. The inner kernel register-blocks four output rows at a time:
-// the four accumulators are INDEPENDENT chains, each still summing its
-// own products in strictly increasing k — identical rounding to four
-// separate Dot calls — but interleaved so the CPU overlaps their FMA
-// latencies instead of stalling on one dependent chain. On a single core
-// this is where the batched path's wall-clock win comes from.
+// dimension, so results are bit-identical to MatVec. The inner kernel
+// register-blocks four output rows at a time: the four accumulators are
+// INDEPENDENT chains, each still summing its own products in strictly
+// increasing k — identical rounding to four separate Dot calls — but
+// interleaved so the CPU overlaps their FMA latencies instead of
+// stalling on one dependent chain.
 func MatMulT(w *Matrix, x *Matrix, out *Matrix) {
 	if x.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT inner dim mismatch %d vs %d", x.Cols, w.Cols))
@@ -172,54 +127,18 @@ func MatMulT(w *Matrix, x *Matrix, out *Matrix) {
 	if out.Rows != x.Rows || out.Cols != w.Rows {
 		panic("tensor: MatMulT out dims mismatch")
 	}
-	work := x.Rows * w.Rows * w.Cols
-	nw := 1
-	if work >= parallelThreshold && w.Rows > 1 {
-		nw = runtime.GOMAXPROCS(0)
-		if nw > w.Rows {
-			nw = w.Rows
-		}
+	for i := 0; i < x.Rows; i++ {
+		matMulTRow(w, x.Row(i), out.Row(i))
 	}
-	if nw == 1 {
-		for i := 0; i < x.Rows; i++ {
-			matMulTChunk(w, x.Row(i), out.Row(i), 0, w.Rows)
-		}
-		return
-	}
-	parallelRows(w.Rows, nw, func(s, e int) {
-		for i := 0; i < x.Rows; i++ {
-			matMulTChunk(w, x.Row(i), out.Row(i), s, e)
-		}
-	})
 }
 
-// parallelRows splits [0, rows) into nw contiguous chunks and runs f on
-// each from its own goroutine, waiting for all of them.
-func parallelRows(rows, nw int, f func(s, e int)) {
-	var wg sync.WaitGroup
-	chunk := (rows + nw - 1) / nw
-	for s := 0; s < rows; s += chunk {
-		e := s + chunk
-		if e > rows {
-			e = rows
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			f(s, e)
-		}(s, e)
-	}
-	wg.Wait()
-}
-
-// matMulTChunk computes or[j] = Dot(w.Row(j), xr) for j in [s, e), four
-// rows per step. Chunk boundaries cannot affect results: every element is
-// an independent reduction. Row slices are clamped to len(xr) so the
-// compiler can hoist the bounds checks out of the inner loop.
-func matMulTChunk(w *Matrix, xr, or []float32, s, e int) {
+// matMulTRow computes or[j] = Dot(w.Row(j), xr) for every row j of w,
+// four rows per step. Row slices are clamped to len(xr) so the compiler
+// can hoist the bounds checks out of the inner loop.
+func matMulTRow(w *Matrix, xr, or []float32) {
 	n := len(xr)
-	j := s
-	for ; j+3 < e; j += 4 {
+	j := 0
+	for ; j+3 < w.Rows; j += 4 {
 		w0 := w.Row(j)[:n]
 		w1 := w.Row(j + 1)[:n]
 		w2 := w.Row(j + 2)[:n]
@@ -234,7 +153,7 @@ func matMulTChunk(w *Matrix, xr, or []float32, s, e int) {
 		}
 		or[j], or[j+1], or[j+2], or[j+3] = s0, s1, s2, s3
 	}
-	for ; j < e; j++ {
+	for ; j < w.Rows; j++ {
 		or[j] = Dot(w.Row(j), xr)
 	}
 }

@@ -19,44 +19,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestMatMulMatchesMatVec(t *testing.T) {
-	rng := NewRNG(7)
-	x := NewMatrix(5, 17)
-	w := NewMatrix(11, 17)
-	rng.FillNormal(x.Data, 1)
-	rng.FillNormal(w.Data, 1)
-	out := NewMatrix(5, 11)
-	MatMul(x, w, out)
-	row := make([]float32, 11)
-	for i := 0; i < 5; i++ {
-		MatVec(w, x.Row(i), row)
-		for j := range row {
-			if !almostEq(float64(row[j]), float64(out.At(i, j)), 1e-5) {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, row[j], out.At(i, j))
-			}
-		}
-	}
-}
-
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := NewRNG(9)
-	// Big enough to trigger the parallel path.
-	x := NewMatrix(64, 64)
-	w := NewMatrix(64, 64)
-	rng.FillNormal(x.Data, 1)
-	rng.FillNormal(w.Data, 1)
-	out := NewMatrix(64, 64)
-	MatMul(x, w, out)
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < w.Rows; j++ {
-			want := Dot(w.Row(j), x.Row(i))
-			if !almostEq(float64(want), float64(out.At(i, j)), 1e-4) {
-				t.Fatalf("(%d,%d): got %v want %v", i, j, out.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(raw []float32) bool {
 		if len(raw) == 0 {

@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -362,24 +363,29 @@ func (a *attnStage) block(b, h int, buf []float32) {
 
 // attnParallelFloor is the minimum number of multiply-adds in one layer's
 // attention stage (new rows × heads × keys × head dim, as the per-row
-// items count them) below which an implicit (GOMAXPROCS-sized) worker
-// pool falls back to the serial loop: spawning goroutines costs more than
-// it saves (BenchmarkAttentionFanout, DESIGN.md §18.5 and §21).
+// items count them) at which runAttention splits the stage's items
+// across GOMAXPROCS goroutines; below it the serial loop wins, as
+// spawning goroutines costs more than it saves (BenchmarkAttentionFanout,
+// DESIGN.md §18.5, §21 and §28).
 const attnParallelFloor = 1 << 18
 
-// runAttention executes one layer's attention work items, either serially
-// or on a bounded goroutine pool (Config.AttnWorkers). Workers claim
-// items from an atomic counter and each item is computed by exactly the
-// same code on the same read-only inputs regardless of which worker runs
-// it, so outputs are bit-identical for every pool size; only the score
-// scratch is per-worker.
+// runAttention executes one layer's attention work items, serially below
+// attnParallelFloor and on up to GOMAXPROCS goroutines above it (exactly
+// Model.attnSplit goroutines when a test sets it). Workers claim items
+// from an atomic counter and each item is computed by exactly the same
+// code on the same read-only inputs regardless of which worker runs it,
+// so outputs are bit-identical for every split; only the score scratch
+// is per-worker.
 func (s *Session) runAttention(a *attnStage) {
 	items, bufLen := a.items()
-	nw := min(s.attnPool, items)
-	if !s.attnExplicit && a.q.Rows*a.heads*(a.nCached+len(a.priorK)+a.q.Rows)*a.hd < attnParallelFloor {
+	nw := s.m.attnSplit
+	if nw == 0 {
 		nw = 1
+		if a.q.Rows*a.heads*(a.nCached+len(a.priorK)+a.q.Rows)*a.hd >= attnParallelFloor {
+			nw = runtime.GOMAXPROCS(0)
+		}
 	}
-	if nw <= 1 {
+	if nw = min(nw, items); nw <= 1 {
 		buf := s.ws.scr.Floats("scores", bufLen)
 		for it := 0; it < items; it++ {
 			a.item(it, buf)

@@ -13,9 +13,10 @@ import (
 // BenchmarkAttentionFanout times one full tree pass of a one-layer model
 // at the serving shapes (head dim 8 as the drafter, 16 as the LLM; 20 to
 // 300 cached keys; 1 to 21 new rows) with the attention stage serial
-// (workers=1) and on a two-worker pool (workers=2). The projections are
-// the same work in both, so the difference is the fan-out's cost or gain;
-// attnParallelFloor sits where it changes sign. The row counts cover each
+// (workers=1) and split two ways (workers=2), both forced through
+// Model.attnSplit. The projections are the same work in both, so the
+// difference is the fan-out's cost or gain; attnParallelFloor sits where
+// it changes sign. The row counts cover each
 // item shape: one row (per-row items only), 3 (a four-lane block), 5 and
 // 8 (one eight-lane block) and 21 (three blocks). Run with -cpu 1,2.
 func BenchmarkAttentionFanout(b *testing.B) {
@@ -27,8 +28,9 @@ func BenchmarkAttentionFanout(b *testing.B) {
 					b.Run(name, func(b *testing.B) {
 						m := New(Config{
 							Name: "fanout", Vocab: 256, Hidden: 4 * hd, Heads: 4, FFN: 160,
-							Layers: 1, Seed: 5, AttnWorkers: workers,
+							Layers: 1, Seed: 5,
 						})
+						m.attnSplit = workers
 						s := m.NewSession()
 						prompt := make([]model.Token, keys)
 						for i := range prompt {

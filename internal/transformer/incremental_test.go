@@ -32,15 +32,15 @@ func cloneTree(t *tree.Tree) *tree.Tree {
 // time, scoring after every growth step, and requires each returned
 // distribution — and the distribution after accepting a path of the
 // final tree plus a bonus token — to equal the Reference() oracle's bit
-// for bit. Both architectures, AttnWorkers 1 and 4. Every node must have
+// for bit. Both architectures, attention split 1 and 4 ways (Model.attnSplit). Every node must have
 // been forwarded exactly once.
 func TestIncrementalDecodeTreeBitExact(t *testing.T) {
 	for _, base := range goldenConfigs() {
 		for _, workers := range []int{1, 4} {
 			cfg := base
-			cfg.AttnWorkers = workers
 			t.Run(fmt.Sprintf("%s/w%d/float", cfg.Arch, workers), func(t *testing.T) {
 				m := New(cfg)
+				m.attnSplit = workers
 				incrementalVsOracle(t, cfg.Vocab, m, m.Reference())
 			})
 		}

@@ -5,12 +5,14 @@ import (
 	"runtime"
 	"testing"
 
+	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
 	"specinfer/internal/tensor"
+	"specinfer/internal/tree"
 )
 
-// Golden tests for the paged head-major KV arena and the intra-forward
-// attention pool. Three sessions of the same weights must agree
+// Golden tests for the paged head-major KV arena and the attention
+// stage's split. Three sessions of the same weights must agree
 // float-for-float on every distribution under every attention-worker
 // count:
 //
@@ -24,10 +26,9 @@ import (
 // sharding changed the arithmetic, which would silently alter acceptance
 // decisions downstream.
 
-// attnWorkerCounts returns the pool sizes the sweep covers. An explicit
-// count always engages the pool (the small-pass serial gate only applies
-// to the implicit default), so even tiny golden models exercise the
-// parallel path at 4 workers.
+// attnWorkerCounts returns the attention splits the sweep forces through
+// Model.attnSplit. A forced split ignores attnParallelFloor, so even tiny
+// golden models exercise the split path at 4 workers.
 func attnWorkerCounts() []int {
 	counts := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
@@ -45,10 +46,9 @@ func TestPagedForwardBitExactThreeWay(t *testing.T) {
 	for _, base := range goldenConfigs() {
 		for _, workers := range attnWorkerCounts() {
 			cfg := base
-			cfg.Name = fmt.Sprintf("%s-w%d", base.Name, workers)
-			cfg.AttnWorkers = workers
 			t.Run(fmt.Sprintf("%s/attnworkers=%d", cfg.Arch, workers), func(t *testing.T) {
 				m := New(cfg)
+				m.attnSplit = workers
 				paged := m.NewSession()
 				split := m.NewSession()
 				ref := m.Reference().NewSession()
@@ -105,24 +105,73 @@ func TestPagedForwardBitExactThreeWay(t *testing.T) {
 	}
 }
 
-// TestAttnWorkersDefaultMatchesExplicit: the implicit pool (AttnWorkers=0,
-// size gate active) must be bit-identical to an explicit single worker.
-func TestAttnWorkersDefaultMatchesExplicit(t *testing.T) {
-	base := goldenConfigs()[0]
-	one := base
-	one.Name, one.AttnWorkers = base.Name+"-w1", 1
-	mDef, mOne := New(base), New(one)
-	a, b := mDef.NewSession(), mOne.NewSession()
-	rng := tensor.NewRNG(55)
-	prompt := make([]model.Token, 8)
-	for i := range prompt {
-		prompt[i] = rng.Intn(base.Vocab)
+// TestAttnSplitBitExactAtServingShapes runs perf-LLM's geometry through
+// three attention stages that cross attnParallelFloor — the 128-row
+// chunks of a cold 272-token prefill, a 16-token suffix prefilled over
+// an adopted 256-token prefix, and a pass over 21 tree nodes at context
+// 272 —
+// and requires the split, both forced through Model.attnSplit and taken
+// by the default path at GOMAXPROCS >= 2, to match the serial stage bit
+// for bit.
+func TestAttnSplitBitExactAtServingShapes(t *testing.T) {
+	cfg := Config{Name: "perf-LLM", Vocab: 256, Hidden: 64, Heads: 4, FFN: 160, Layers: 4, Seed: 61}
+	for _, st := range []struct {
+		what       string
+		rows, keys int // new rows; keys each attends, the new rows included
+	}{
+		{"prefill chunk", prefillChunk, prefillChunk},
+		{"shared suffix", 16, 256 + 16},
+		{"tree pass", 21, 272 + 21},
+	} {
+		if st.rows*cfg.Heads*st.keys*cfg.headDim() < attnParallelFloor {
+			t.Fatalf("the %s stage no longer crosses attnParallelFloor", st.what)
+		}
 	}
-	requireExact(t, "prefill", a.Prefill(prompt), b.Prefill(prompt))
-	for i := 0; i < 6; i++ {
-		tok := rng.Intn(base.Vocab)
-		requireExact(t, fmt.Sprintf("decode %d", i), a.Decode(tok), b.Decode(tok))
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
+	serial := servingShapeDists(t, cfg, 1)
+	for _, split := range []int{0, 2, 4} {
+		got := servingShapeDists(t, cfg, split)
+		for i := range serial {
+			requireExact(t, fmt.Sprintf("split %d, distribution %d", split, i), got[i], serial[i])
+		}
+	}
+}
+
+// servingShapeDists returns every distribution of the serving-shape
+// scenario above on a model whose attnSplit is split: the cold prefill's,
+// the shared-prefix prefill's, then the tree pass's, node by node.
+func servingShapeDists(t *testing.T, cfg Config, split int) [][]float32 {
+	t.Helper()
+	m := New(cfg)
+	m.attnSplit = split
+	donorPrompt, probePrompt := sharedPrompts(tensor.NewRNG(2718), cfg.Vocab, 256, 16)
+	donor := m.NewSession().(*Session)
+	defer donor.Close()
+	dists := [][]float32{donor.Prefill(donorPrompt)}
+
+	cache := kvcache.NewPrefixCache(1 << 24)
+	cache.Insert(m.Name(), donorPrompt, donor.Arena())
+	h := cache.Lookup(m.Name(), probePrompt, len(probePrompt)-1)
+	if h == nil || h.Len() != 256 {
+		t.Fatalf("lookup = %v, want a 256-token hit", h)
+	}
+	defer h.Release()
+	warm := m.NewSession().(*Session)
+	defer warm.Close()
+	dists = append(dists, warm.PrefillShared(h, probePrompt))
+
+	tr := tree.New(probePrompt[len(probePrompt)-1])
+	for i := 1; i <= 21; i++ {
+		tr.AddChild(tree.NodeID((i-1)/3), model.Token(i*11%cfg.Vocab), 0, 0)
+	}
+	// The tree's rows live in the session's workspace, which Close hands
+	// back to the model: copy them out.
+	for _, d := range warm.DecodeTree(tr) {
+		dists = append(dists, append([]float32(nil), d...))
+	}
+	return dists
 }
 
 // TestSessionCloseAndCacheBytes covers the optional model interfaces: a

@@ -37,10 +37,9 @@ func TestPrefillSharedBitExactVsColdPrefill(t *testing.T) {
 	for _, base := range goldenConfigs() {
 		for _, workers := range attnWorkerCounts() {
 			cfg := base
-			cfg.Name = fmt.Sprintf("%s-shared-w%d", base.Name, workers)
-			cfg.AttnWorkers = workers
 			t.Run(fmt.Sprintf("%s/attnworkers=%d", cfg.Arch, workers), func(t *testing.T) {
 				m := New(cfg)
+				m.attnSplit = workers
 				cache := kvcache.NewPrefixCache(1 << 24)
 				rng := tensor.NewRNG(4242)
 				// 70 shared tokens: one full 64-row page plus 6 boundary

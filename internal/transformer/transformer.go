@@ -22,7 +22,6 @@ package transformer
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"specinfer/internal/freelist"
 	"specinfer/internal/kvcache"
@@ -61,16 +60,6 @@ type Config struct {
 	RopeTheta float64 // 0 means 10000 (ArchLLaMA)
 	MaxSeq    int     // learned-position capacity; 0 means 1024 (ArchOPT)
 	Seed      uint64  // weight-initialization seed
-
-	// AttnWorkers bounds the goroutine pool that shards the attention
-	// stage of the batched forward pass across (new token × head) work
-	// items. 0 means GOMAXPROCS with a small-pass serial fallback; 1
-	// forces the serial loop; an explicit count > 1 is always honored
-	// (the determinism tests and benchmarks rely on that). Outputs are
-	// bit-identical for every setting: each work item writes one disjoint
-	// output span and its per-element reduction order never depends on
-	// the pool size.
-	AttnWorkers int
 }
 
 func (c Config) headDim() int { return c.Hidden / c.Heads }
@@ -86,8 +75,6 @@ func (c Config) validate() {
 		panic(fmt.Sprintf("transformer: hidden %d not divisible by heads %d", c.Hidden, c.Heads))
 	case c.headDim()%2 != 0:
 		panic("transformer: head dim must be even for RoPE")
-	case c.AttnWorkers < 0:
-		panic(fmt.Sprintf("transformer: negative AttnWorkers %d", c.AttnWorkers))
 	}
 }
 
@@ -141,6 +128,12 @@ type Model struct {
 	// workspaces holds closed sessions' forward-pass storage for the
 	// sessions opened next.
 	workspaces freelist.List[*workspace]
+
+	// attnSplit, when positive, runs every attention stage on exactly
+	// that many goroutines (1: serially), above attnParallelFloor or
+	// not. Only the package's tests set it; zero sizes the split from
+	// GOMAXPROCS and the floor (runAttention).
+	attnSplit int
 }
 
 var _ model.Model = (*Model)(nil)
@@ -253,11 +246,6 @@ func (m *Model) NewSession() model.Session {
 		ws = newWorkspace(m)
 	}
 	s := &Session{m: m, ws: ws}
-	s.attnPool = m.cfg.AttnWorkers
-	s.attnExplicit = s.attnPool > 0
-	if !s.attnExplicit {
-		s.attnPool = runtime.GOMAXPROCS(0)
-	}
 	s.cache = kvcache.New(kvcache.Config{
 		Layers: m.cfg.Layers, Heads: m.cfg.Heads, HeadDim: m.cfg.headDim(),
 	})
@@ -281,9 +269,6 @@ type Session struct {
 	cache  *kvcache.Arena
 	cacheK [][][]float32
 	cacheV [][][]float32
-
-	attnPool     int  // resolved attention worker bound (>= 1)
-	attnExplicit bool // AttnWorkers was set explicitly; skip the size gate
 
 	n        int       // committed tokens
 	lastDist []float32 // ws.last once a token is committed: the next-token distribution

@@ -166,8 +166,9 @@ func TestClosedWorkspaceHoldsNoStaleRows(t *testing.T) {
 // and an Accept along the tree allocates only the distribution it
 // returns.
 func TestWarmTreePassAllocatesNothing(t *testing.T) {
-	cfg := Config{Name: "perf-LLM", Vocab: 256, Hidden: 64, Heads: 4, FFN: 160, Layers: 4, Seed: 61, AttnWorkers: 1}
+	cfg := Config{Name: "perf-LLM", Vocab: 256, Hidden: 64, Heads: 4, FFN: 160, Layers: 4, Seed: 61}
 	m := New(cfg)
+	m.attnSplit = 1
 	prompt := make([]model.Token, 32)
 	for i := range prompt {
 		prompt[i] = (7 * i) % cfg.Vocab

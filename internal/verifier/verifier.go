@@ -178,12 +178,3 @@ func VerifyNaive(dists [][]float32, tr *tree.Tree, policy sampling.Config, rng *
 		u = v
 	}
 }
-
-// Verify dispatches on the policy mode: greedy policies use VerifyGreedy,
-// stochastic ones use MSS.
-func Verify(dists [][]float32, tr *tree.Tree, policy sampling.Config, rng *tensor.RNG) ([]model.Token, error) {
-	if policy.Mode == sampling.Greedy {
-		return VerifyGreedy(dists, tr), nil
-	}
-	return VerifyStochastic(dists, tr, policy, rng)
-}

@@ -247,21 +247,6 @@ func TestMSSDeepTreeVerifiesMultiple(t *testing.T) {
 	}
 }
 
-func TestVerifyDispatch(t *testing.T) {
-	p := []float32{0, 1}
-	tr := tree.New(1)
-	tr.AddChildDist(tr.Root(), 1, 1, 0, p)
-	rng := tensor.NewRNG(2)
-	g, gerr := Verify(fixedDists(tr, p), tr, sampling.GreedyConfig(), rng)
-	s, serr := Verify(fixedDists(tr, p), tr, sampling.StochasticConfig(), rng)
-	if gerr != nil || serr != nil {
-		t.Fatalf("dispatch errors greedy=%v stochastic=%v", gerr, serr)
-	}
-	if len(g) != 2 || len(s) != 2 {
-		t.Fatalf("dispatch results greedy=%v stochastic=%v", g, s)
-	}
-}
-
 // TestStochasticRequiresSSMDist: a tree built for greedy verification
 // (nil proposal Dist) fed to a stochastic verifier must fail with a
 // MissingDistError naming the offending node and token — not panic, so a
