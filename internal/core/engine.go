@@ -456,10 +456,15 @@ type reqState struct {
 	// prefilled is set once the prefill phase has run the request's
 	// prompt through its sessions; until then it is not stepped.
 	prefilled bool
-	// prefix lists the request's prefix-cache sessions (LLM first, then
-	// the speculator's SSM sessions), whose cache calls the prefill
-	// phase stages on the scheduler goroutine. Nil with the cache off.
-	prefix []*prefixSession
+	// sessions are the request's sessions, the LLM's first, then the
+	// speculator's, and slots holds each one's prefix-cache state
+	// (prefix.go). cache is the prefix cache the slots look up in: the
+	// engine's own, a guest's host's, or nil with the cache off. shared
+	// is how many prompt tokens the LLM session adopted from it.
+	sessions []model.Session
+	slots    []cacheSlot
+	cache    *kvcache.PrefixCache
+	shared   int
 	// live is the submission handle when the request arrived through
 	// Submit (nil under Run/RunOnline).
 	live *liveReq
@@ -584,9 +589,7 @@ func (e *Engine) stepBatch(batch []*reqState, queued int, clock func() time.Time
 		}
 		row.CtxLen = st.llm.Len()
 		row.CacheBytes = sessionCacheBytes(st.llm)
-		if ps, ok := st.llm.(prefixShared); ok {
-			row.PrefixSharedToks = ps.PrefixSharedTokens()
-		}
+		row.PrefixSharedToks = st.shared
 	})
 	// Serial, in slot order: the estimate update sequence must not
 	// depend on worker interleaving. A zero step verified nothing, so
@@ -660,9 +663,7 @@ func (e *Engine) prefill(active []*reqState) []*reqState {
 			waiting++
 			continue
 		}
-		for _, s := range st.prefix {
-			s.lookup(st.req.Prompt)
-		}
+		st.lookup()
 		staged = append(staged, st)
 	}
 	if len(staged) == 0 {
@@ -670,15 +671,16 @@ func (e *Engine) prefill(active []*reqState) []*reqState {
 	}
 	e.parallel(len(staged), func(i int) {
 		st := staged[i]
-		st.lastDist = st.llm.Prefill(st.req.Prompt)
-		if st.spec != nil {
-			st.spec.Prefill(st.req.Prompt)
+		for j := range st.sessions {
+			if dist := st.prefillSession(j); j == 0 {
+				st.lastDist = dist
+			}
 		}
 	})
 	for _, st := range staged {
 		st.prefilled = true
-		for _, s := range st.prefix {
-			s.publish()
+		for j := range st.slots {
+			st.publish(j)
 		}
 	}
 	if waiting == 0 {
@@ -827,6 +829,15 @@ func sessionCacheBytes(s model.Session) int64 {
 // for the same reason: the EWMA map stays bounded by the active batch,
 // not the lifetime request count; so is the shape chooser's.
 func (e *Engine) release(st *reqState) {
+	// Session by session, before any closes: re-insert the prompt
+	// prefix, restoring entries the LRU may have evicted while the
+	// request ran (the insert-on-retire half of the policy), then
+	// unpin. Nil slots make a second release insert and unpin nothing.
+	for i := range st.slots {
+		st.publish(i)
+		st.slots[i].pinned.Release()
+	}
+	st.slots = nil
 	if c, ok := st.llm.(model.Closer); ok {
 		c.Close()
 	}
@@ -842,19 +853,19 @@ func (e *Engine) release(st *reqState) {
 	}
 }
 
-// admit opens a request's sessions, looking their prompt up in cache
-// (nil: none), and its RNG stream. It is bookkeeping only: the
+// admit opens a request's sessions, their slots looking the prompt up
+// in cache (nil: none), and its RNG stream. It is bookkeeping only: the
 // iteration's prefill phase runs the prompt through the sessions
 // (Engine.prefill).
 func (e *Engine) admit(req workload.Request, cache *kvcache.PrefixCache) *reqState {
-	var opened []*prefixSession
-	llm, ssms := e.admissionModels(&opened, cache, req.Guest)
+	llm := e.cfg.LLM.NewSession()
 	st := &reqState{
-		req:     req,
-		llm:     llm.NewSession(),
-		lastTok: req.Prompt[len(req.Prompt)-1],
-		rng:     tensor.NewRNG(e.cfg.Seed ^ (uint64(req.ID)+1)*0x9e3779b97f4a7c15),
-		res:     RequestResult{ID: req.ID, PromptLen: len(req.Prompt)},
+		req:      req,
+		llm:      llm,
+		sessions: []model.Session{llm},
+		lastTok:  req.Prompt[len(req.Prompt)-1],
+		rng:      tensor.NewRNG(e.cfg.Seed ^ (uint64(req.ID)+1)*0x9e3779b97f4a7c15),
+		res:      RequestResult{ID: req.ID, PromptLen: len(req.Prompt)},
 	}
 	if e.cfg.Mode != Incremental { // incremental decoding samples straight from the LLM
 		cfg := speculator.Config{
@@ -862,6 +873,7 @@ func (e *Engine) admit(req workload.Request, cache *kvcache.PrefixCache) *reqSta
 			ForceTopK: e.cfg.ForceTopK,
 			Seed:      e.cfg.Seed ^ uint64(req.ID)<<17,
 		}
+		ssms := e.cfg.SSMs
 		if e.cfg.Mode == SequenceSpec {
 			// The baseline drafts one sequence from the first SSM. Its
 			// SampleK draws come from seed 0: one stream shared by every
@@ -870,8 +882,9 @@ func (e *Engine) admit(req workload.Request, cache *kvcache.PrefixCache) *reqSta
 			ssms = ssms[:1]
 		}
 		st.spec = speculator.New(cfg, ssms...)
+		st.sessions = append(st.sessions, st.spec.Sessions()...)
 	}
-	st.prefix = opened
+	st.openSlots(cache)
 	return st
 }
 

@@ -127,7 +127,7 @@ func TestPolicyRunOnlineDeterministicAcrossWorkers(t *testing.T) {
 			Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 			Sample: sampling.StochasticConfig(), Seed: 23,
 			MaxBatch: 3, Workers: workers,
-			Policy: &policy.Config{QueueHighWater: 2},
+			Policy: &policy.Config{},
 		})
 		res, iters := eng.RunOnline(timed, pricer)
 		if base == nil {
@@ -138,12 +138,17 @@ func TestPolicyRunOnlineDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: RunOnline results or records differ from workers=1", workers)
 		}
 	}
+	modes := map[string]bool{}
 	for _, rec := range baseIters {
+		modes[rec.PolicyMode] = true
 		for _, r := range rec.Reqs {
 			if r.PolicyNodes == 0 {
 				t.Fatal("offline RunOnline granted a zero budget: it has no measured costs")
 			}
 		}
+	}
+	if !modes["latency"] || !modes["throughput"] {
+		t.Fatalf("the trace reached modes %v, want both: the comparison covers one rule branch", modes)
 	}
 }
 
@@ -176,7 +181,7 @@ func TestPolicyModeSwitchLive(t *testing.T) {
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample: sampling.GreedyConfig(), Seed: 5, MaxBatch: 2, QueueDepth: 16,
 		Workers: 1, Clock: clk.now,
-		Policy: &policy.Config{QueueHighWater: 3},
+		Policy: &policy.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +276,7 @@ func TestPolicyConfigConflicts(t *testing.T) {
 	if _, err := NewEngine(Config{
 		Mode: TreeSpec, LLM: llm, SSMs: []model.Model{ssm},
 		Sample: sampling.GreedyConfig(),
-		Policy: &policy.Config{Alpha: 2}, // invalid controller config
+		Policy: &policy.Config{InitAcceptLen: -1}, // invalid controller config
 	}); err == nil {
 		t.Fatal("invalid policy config accepted")
 	}

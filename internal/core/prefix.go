@@ -6,7 +6,6 @@ import (
 
 	"specinfer/internal/kvcache"
 	"specinfer/internal/model"
-	"specinfer/internal/tree"
 )
 
 // prefixSharer is the optional session capability the prefix cache
@@ -21,158 +20,96 @@ type prefixSharer interface {
 	PrefillShared(h *kvcache.PinnedPrefix, prompt []model.Token) []float32
 }
 
-// prefixShared reports how many prompt tokens a session served from the
-// prefix cache (0 on a miss), for the iteration records.
-type prefixShared interface {
-	PrefixSharedTokens() int
-}
-
-// prefixModel wraps a model so every session it opens consults a
-// prefix cache at prefill: the engine's own, or for a guest its host's
-// (Engine.SubmitGuest). The namespace isolates this model's
-// entries: the LLM and each SSM see the same token streams but cache
-// incompatible K/V geometries and values. Every session it opens is
-// appended to *opened, so the admission that opened it — the LLM
-// session directly, the SSM sessions inside a speculator — can stage
-// its cache calls in the prefill phase. A guest request's sessions
-// (workload.Request.Guest) are opened as guests.
-type prefixModel struct {
-	model.Model
-	cache  *kvcache.PrefixCache
-	ns     string
-	guest  bool
-	opened *[]*prefixSession
-}
-
-func (m prefixModel) NewSession() model.Session {
-	s := &prefixSession{inner: m.Model.NewSession(), cache: m.cache, ns: m.ns, guest: m.guest}
-	*m.opened = append(*m.opened, s)
-	return s
-}
-
-// prefixSession decorates one session with the prefix cache. Its
-// prefill is split in three so the cache is only ever called from the
-// scheduler goroutine: lookup pins the longest cached prefix before the
-// prefill phase, Prefill runs the forward pass on a worker (adopting the
+// cacheSlot is one session's prefix-cache state. The engine stages
+// its cache calls on the scheduler goroutine, in slot order, so cache
+// hits, evictions and PrefixSharedToks do not depend on goroutine
+// interleaving: lookup pins the longest cached prefix before the
+// prefill phase, the phase's worker prefills the session (adopting the
 // pinned prefix, or cold), and publish inserts the prompt's pages after
 // the phase, so later admissions hit (the pages of a prompt are
 // complete and immutable the moment its prefill commits — no need to
-// wait for retirement). Close inserts again, re-seeding entries the LRU
-// evicted while the request ran. A guest session looks up like any
-// other, in its host's cache when it has one, but never inserts: an
-// overflow request placed off its affine replica must not copy its
-// tenant's prefix into another replica's cache (DESIGN.md §13.5).
-type prefixSession struct {
-	inner  model.Session
-	cache  *kvcache.PrefixCache
+// wait for retirement). Release inserts again, re-seeding entries the
+// LRU evicted while the request ran, then unpins and closes. A guest
+// request (workload.Request.Guest) looks up like any other, in its
+// host's cache when it has one, but never inserts: an overflow request
+// placed off its affine replica must not copy its tenant's prefix into
+// another replica's cache (DESIGN.md §13.5).
+type cacheSlot struct {
+	// ns isolates the session's entries: "llm" or "ssm<i>", since the
+	// LLM and each SSM see the same token streams but cache
+	// incompatible K/V geometries and values. Empty when the cache is
+	// off or the session has no arena: it then prefills cold and never
+	// touches the cache.
 	ns     string
-	guest  bool
-	prompt []model.Token
-	pinned *kvcache.PinnedPrefix
-	shared int
-	filled bool // the prompt's K/V are in the arena
-	closed bool
+	pinned *kvcache.PinnedPrefix // the prefix lookup pinned; nil on a miss
+	filled bool                  // the prompt's K/V are in the session's arena
 }
 
-var _ model.Session = (*prefixSession)(nil)
-var _ model.Closer = (*prefixSession)(nil)
-
-// arena returns the inner session's paged arena, or nil when it cannot
-// share pages (such sessions prefill cold and never touch the cache).
-func (s *prefixSession) arena() *kvcache.Arena {
-	if sh, ok := s.inner.(prefixSharer); ok {
+// arena returns a session's paged arena, or nil when it cannot share
+// pages.
+func arena(s model.Session) *kvcache.Arena {
+	if sh, ok := s.(prefixSharer); ok {
 		return sh.Arena()
 	}
 	return nil
 }
 
-// lookup pins the longest cached prefix of prompt for the coming
-// Prefill. Scheduler goroutine only.
-func (s *prefixSession) lookup(prompt []model.Token) {
-	s.prompt = append([]model.Token(nil), prompt...)
-	if s.arena() == nil {
+// openSlots gives each of st's sessions a slot that looks up in cache
+// (nil: the cache is off).
+func (st *reqState) openSlots(cache *kvcache.PrefixCache) {
+	st.cache = cache
+	st.slots = make([]cacheSlot, len(st.sessions))
+	if cache == nil {
 		return
 	}
-	// Cap the lookup one short of the full prompt: at least one token
-	// must run through the forward pass to produce the last-token
-	// distribution a prefill returns.
-	if h := s.cache.Lookup(s.ns, s.prompt, len(prompt)-1); h != nil {
-		s.pinned, s.shared = h, h.Len()
+	for i, s := range st.sessions {
+		switch {
+		case arena(s) == nil:
+		case i == 0:
+			st.slots[i].ns = "llm"
+		default:
+			st.slots[i].ns = fmt.Sprintf("ssm%d", i-1)
+		}
 	}
 }
 
-// Prefill forwards the prompt lookup staged: only the suffix past the
-// pinned prefix on a hit, the whole prompt otherwise. It never calls
-// the cache, so it may run on a worker goroutine.
-func (s *prefixSession) Prefill(prompt []model.Token) []float32 {
-	var dist []float32
-	if s.pinned != nil {
-		dist = s.inner.(prefixSharer).PrefillShared(s.pinned, prompt)
-	} else {
-		dist = s.inner.Prefill(prompt)
+// lookup pins the longest cached prefix of the prompt for every
+// session that shares pages. Scheduler goroutine only.
+func (st *reqState) lookup() {
+	prompt := st.req.Prompt
+	for i := range st.slots {
+		if sl := &st.slots[i]; sl.ns != "" {
+			// Cap the lookup one short of the full prompt: at least one
+			// token must run through the forward pass to produce the
+			// last-token distribution a prefill returns.
+			sl.pinned = st.cache.Lookup(sl.ns, prompt, len(prompt)-1)
+		}
 	}
-	s.filled = true // only now: a prefill that panics leaves nothing to insert
+	if h := st.slots[0].pinned; h != nil {
+		st.shared = h.Len()
+	}
+}
+
+// prefillSession forwards the prompt through session i: only the suffix
+// past the pinned prefix on a hit, the whole prompt otherwise. It never
+// calls the cache, so it may run on a worker goroutine.
+func (st *reqState) prefillSession(i int) []float32 {
+	var dist []float32
+	if sl := st.slots[i]; sl.pinned != nil {
+		dist = st.sessions[i].(prefixSharer).PrefillShared(sl.pinned, st.req.Prompt)
+	} else {
+		dist = st.sessions[i].Prefill(st.req.Prompt)
+	}
+	st.slots[i].filled = true // only now: a prefill that panics leaves nothing to insert
 	return dist
 }
 
-// publish inserts the prefilled prompt's pages for later requests; a
-// guest's publish does nothing. Scheduler goroutine only.
-func (s *prefixSession) publish() {
-	if s.filled && !s.guest && s.arena() != nil {
-		s.cache.Insert(s.ns, s.prompt, s.arena())
+// publish inserts session i's prefilled prompt pages for later
+// requests; a guest's publish does nothing. Scheduler goroutine only.
+func (st *reqState) publish(i int) {
+	if sl := st.slots[i]; sl.filled && sl.ns != "" && !st.req.Guest {
+		st.cache.Insert(sl.ns, st.req.Prompt, arena(st.sessions[i]))
 	}
-}
-
-func (s *prefixSession) Decode(tok model.Token) []float32      { return s.inner.Decode(tok) }
-func (s *prefixSession) DecodeTree(t *tree.Tree) [][]float32   { return s.inner.DecodeTree(t) }
-func (s *prefixSession) Accept(tokens []model.Token) []float32 { return s.inner.Accept(tokens) }
-func (s *prefixSession) Len() int                              { return s.inner.Len() }
-
-// PrefixSharedTokens reports the prompt tokens served from the cache.
-func (s *prefixSession) PrefixSharedTokens() int { return s.shared }
-
-// CacheBytes forwards the inner session's KV footprint (0 when the
-// inner session does not size itself).
-func (s *prefixSession) CacheBytes() int {
-	if cs, ok := s.inner.(model.CacheSizer); ok {
-		return cs.CacheBytes()
-	}
-	return 0
-}
-
-// Close re-inserts the prompt prefix (restoring entries the LRU may
-// have evicted while the request ran — the insert-on-retire half of the
-// policy), releases the pin, and closes the inner session. A session
-// retired before its prefill inserts nothing.
-func (s *prefixSession) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.publish()
-	if s.pinned != nil {
-		s.pinned.Release()
-		s.pinned = nil
-	}
-	if c, ok := s.inner.(model.Closer); ok {
-		c.Close()
-	}
-}
-
-// admissionModels returns the models an admission opens its sessions
-// on: the configured ones, or — when cache is set — wrappers whose
-// sessions look up in cache and append themselves to *opened, as
-// guests when guest is set.
-func (e *Engine) admissionModels(opened *[]*prefixSession, cache *kvcache.PrefixCache, guest bool) (model.Model, []model.Model) {
-	if cache == nil {
-		return e.cfg.LLM, e.cfg.SSMs
-	}
-	llm := prefixModel{Model: e.cfg.LLM, cache: cache, ns: "llm", guest: guest, opened: opened}
-	ssms := make([]model.Model, len(e.cfg.SSMs))
-	for i, m := range e.cfg.SSMs {
-		ssms[i] = prefixModel{Model: m, cache: cache, ns: fmt.Sprintf("ssm%d", i), guest: guest, opened: opened}
-	}
-	return llm, ssms
 }
 
 // sharesModels reports whether e and o serve the same LLM and SSM
@@ -211,30 +148,25 @@ func waitsForInsert(st *reqState, staged []*reqState) bool {
 		return false
 	}
 	prompt := st.req.Prompt
-	for _, s := range st.prefix {
-		if s.arena() == nil {
+	for i, sl := range st.slots {
+		if sl.ns == "" {
 			continue
 		}
-		pageRows := s.arena().PageRows()
+		pageRows := arena(st.sessions[i]).PageRows()
 		have := -1 // looked up only when some donor could share
 		for _, donor := range staged {
-			if donor.req.Guest {
+			if donor.req.Guest || donor.cache != st.cache || donor.slots[i].ns != sl.ns {
 				continue
 			}
-			for _, d := range donor.prefix {
-				if d.ns != s.ns || d.cache != s.cache {
-					continue
-				}
-				n := kvcache.InsertedMatch(d.prompt, prompt, len(prompt)-1, pageRows)
-				if n == 0 {
-					continue
-				}
-				if have < 0 {
-					have = s.cache.Match(s.ns, prompt, len(prompt)-1)
-				}
-				if n > have {
-					return true
-				}
+			n := kvcache.InsertedMatch(donor.req.Prompt, prompt, len(prompt)-1, pageRows)
+			if n == 0 {
+				continue
+			}
+			if have < 0 {
+				have = st.cache.Match(sl.ns, prompt, len(prompt)-1)
+			}
+			if n > have {
+				return true
 			}
 		}
 	}

@@ -120,7 +120,7 @@ func mustEngine(t *testing.T, cfg Config) *Engine {
 
 // TestPrefixCacheWithNonPagedModels: models whose sessions cannot share
 // pages (the n-gram substrate) must run unchanged under an enabled
-// cache — the wrapper falls back to cold prefill and records nothing.
+// cache — the engine prefills them cold and records nothing.
 func TestPrefixCacheWithNonPagedModels(t *testing.T) {
 	llm, ssm, reqs := testModels(t, 4, 16)
 	base, _ := run(t, Config{
@@ -305,9 +305,7 @@ func TestGuestWaitsOnlyForItsCachesDonors(t *testing.T) {
 	})
 	host := kvcache.NewPrefixCache(64 << 20) // cold, like eng's own
 	donor := eng.admit(reqs[0], eng.prefix)
-	for _, s := range donor.prefix {
-		s.lookup(donor.req.Prompt)
-	}
+	donor.lookup()
 	guestReq := reqs[1]
 	guestReq.Guest = true
 	own, guest := eng.admit(reqs[1], eng.prefix), eng.admit(guestReq, host)

@@ -21,8 +21,8 @@
 //     but unadmitted requests under RunOnline, none under Run), and
 //   - batch occupancy (active requests vs. MaxBatch slots).
 //
-// Mode rule: when the queue is at or past QueueHighWater — or the batch
-// is full — verification FLOPs are the contended resource, so
+// Mode rule: when the queue is at or past a high-water mark of 4 — or
+// the batch is full — verification FLOPs are the contended resource, so
 // speculation narrows (throughput mode: wasted tree nodes
 // cost other requests' latency). Otherwise the batch is underfull and
 // tree verification rides along nearly free with the batched pass, so
@@ -91,12 +91,6 @@ type Decision struct {
 // Config parameterizes the controller. The zero value is usable: every
 // field defaults to the documented value via validation-time filling.
 type Config struct {
-	// QueueHighWater is the admission-queue depth at or above which the
-	// controller switches to throughput mode. Defaults to 4.
-	QueueHighWater int
-	// Alpha is the EWMA decay for per-request accept length:
-	// ewma = (1-Alpha)*ewma + Alpha*observed. Defaults to 0.3.
-	Alpha float64
 	// InitAcceptLen seeds a request's EWMA before its first
 	// verification (a fresh request has no measurement yet). Defaults
 	// to 2 — mildly optimistic, so new requests get a real tree and the
@@ -106,10 +100,6 @@ type Config struct {
 	// Latency defaults to {MaxNodes: 16, MaxDepth: 8, FanoutCap: 3};
 	// Throughput defaults to {MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}.
 	Latency, Throughput tree.Budget
-	// LatencySSMs / ThroughputSSMs bound how many ensemble members run
-	// per mode. 0 means "all available" for latency and 1 for
-	// throughput.
-	LatencySSMs, ThroughputSSMs int
 	// NodesPerAccept converts a request's expected accept length into
 	// its node budget: nodes = ceil((ewma+1) * NodesPerAccept), clamped
 	// to the mode ceiling. Defaults to 2 — roughly fanout-2 coverage
@@ -117,13 +107,20 @@ type Config struct {
 	NodesPerAccept float64
 }
 
+// Constants of the rule.
+const (
+	// queueHighWater is the admission-queue depth at or above which the
+	// controller switches to throughput mode.
+	queueHighWater = 4
+	// alpha is the EWMA decay for per-request accept length:
+	// ewma = (1-alpha)*ewma + alpha*observed.
+	alpha = 0.3
+	// latencySSMs and throughputSSMs bound how many ensemble members
+	// run per mode: 0 means all of them.
+	latencySSMs, throughputSSMs = 0, 1
+)
+
 func (c Config) withDefaults() Config {
-	if c.QueueHighWater == 0 {
-		c.QueueHighWater = 4
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
 	if c.InitAcceptLen == 0 {
 		c.InitAcceptLen = 2
 	}
@@ -133,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.Throughput == (tree.Budget{}) {
 		c.Throughput = tree.Budget{MaxNodes: 2, MaxDepth: 2, FanoutCap: 1}
 	}
-	if c.ThroughputSSMs == 0 {
-		c.ThroughputSSMs = 1
-	}
 	if c.NodesPerAccept == 0 {
 		c.NodesPerAccept = 2
 	}
@@ -143,12 +137,6 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.QueueHighWater < 0 {
-		return fmt.Errorf("policy: negative QueueHighWater %d", c.QueueHighWater)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("policy: Alpha %v outside [0,1]", c.Alpha)
-	}
 	if c.InitAcceptLen < 0 {
 		return fmt.Errorf("policy: negative InitAcceptLen %v", c.InitAcceptLen)
 	}
@@ -163,9 +151,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("policy: negative %s budget field: %+v", b.name, b.b)
 		}
 	}
-	if c.LatencySSMs < 0 || c.ThroughputSSMs < 0 {
-		return fmt.Errorf("policy: negative SSM bound (%d, %d)", c.LatencySSMs, c.ThroughputSSMs)
-	}
 	return nil
 }
 
@@ -174,7 +159,7 @@ func (c Config) validate() error {
 // measurements, and these only set how fast the estimates forget.
 const (
 	// poolAlpha is the EWMA decay of the engine-wide accept length that
-	// seeds new requests (slower than Alpha: it pools every request).
+	// seeds new requests (slower than alpha: it pools every request).
 	poolAlpha = 0.1
 	// zeroCostAlpha is the EWMA decay of the zero-budget step cost.
 	zeroCostAlpha = 0.1
@@ -264,7 +249,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // one mode per iteration (the inputs are shared by every request of
 // the batch).
 func (c *Controller) ModeFor(queueLen, active, maxBatch int) Mode {
-	if queueLen >= c.cfg.QueueHighWater {
+	if queueLen >= queueHighWater {
 		return Throughput
 	}
 	if maxBatch > 0 && active >= maxBatch {
@@ -304,9 +289,9 @@ func (c *Controller) Track(reqID int) {
 
 // rule maps a mode and an accept-length estimate to the mode's budget.
 func (c *Controller) rule(mode Mode, ew float64) Decision {
-	ceiling, ssms := c.cfg.Latency, c.cfg.LatencySSMs
+	ceiling, ssms := c.cfg.Latency, latencySSMs
 	if mode == Throughput {
-		ceiling, ssms = c.cfg.Throughput, c.cfg.ThroughputSSMs
+		ceiling, ssms = c.cfg.Throughput, throughputSSMs
 	}
 	// Scale the node and depth budget by the request's expected accept
 	// length: tree mass past the expected accept point is verification
@@ -369,7 +354,7 @@ func (c *Controller) Observe(reqID, accepted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.trackLocked(reqID)
-	t.ewma = (1-c.cfg.Alpha)*t.ewma + c.cfg.Alpha*float64(accepted)
+	t.ewma = (1-alpha)*t.ewma + alpha*float64(accepted)
 	c.pool.add(float64(accepted), poolAlpha)
 }
 

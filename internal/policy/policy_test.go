@@ -19,9 +19,9 @@ func mustController(t *testing.T, cfg Config) *Controller {
 
 // TestModeRule walks the mode-switch rule over the queue-depth
 // threshold and the full-batch condition, including the exact flip
-// point at QueueHighWater.
+// point at queueHighWater.
 func TestModeRule(t *testing.T) {
-	c := mustController(t, Config{QueueHighWater: 4})
+	c := mustController(t, Config{})
 	cases := []struct {
 		name                    string
 		queue, active, maxBatch int
@@ -29,9 +29,9 @@ func TestModeRule(t *testing.T) {
 	}{
 		{"idle", 0, 0, 8, Latency},
 		{"underfull no queue", 0, 3, 8, Latency},
-		{"queue below threshold", 3, 3, 8, Latency},
-		{"queue at threshold flips", 4, 3, 8, Throughput},
-		{"queue above threshold", 9, 3, 8, Throughput},
+		{"queue below threshold", queueHighWater - 1, 3, 8, Latency},
+		{"queue at threshold flips", queueHighWater, 3, 8, Throughput},
+		{"queue above threshold", queueHighWater + 5, 3, 8, Throughput},
 		{"full batch empty queue", 0, 8, 8, Throughput},
 		{"full batch one queued", 1, 8, 8, Throughput},
 		{"overfull batch queued", 1, 9, 8, Throughput},
@@ -75,11 +75,13 @@ func TestDecisionBudgets(t *testing.T) {
 			want: tree.Budget{MaxNodes: 10, MaxDepth: 4, FanoutCap: 2},
 		},
 		{
-			name: "zero acceptance shrinks to a stub tree",
-			cfg:  Config{Alpha: 1}, // EWMA tracks the last observation exactly
-			ewma: []int{0},
-			// nodes = ceil(1*2) = 2, depth = ceil(0)+1 = 1
-			want: tree.Budget{MaxNodes: 2, MaxDepth: 1, FanoutCap: 3},
+			name: "zero acceptance shrinks the tree",
+			ewma: []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+			// ewma = 2*0.7^10 ≈ 0.056: nodes = ceil(1.056*2) = 3,
+			// depth = ceil(0.056)+1 = 2. A request's own EWMA never
+			// reaches zero; the pooled seed's stub tree is
+			// TestNewRequestsSeedFromPooledAcceptance's.
+			want: tree.Budget{MaxNodes: 3, MaxDepth: 2, FanoutCap: 3},
 		},
 		{
 			name:  "throughput ceiling MaxNodes=1 FanoutCap=1",
@@ -116,7 +118,7 @@ func TestDecisionBudgets(t *testing.T) {
 // TestObserveIgnoresFailedVerification: the engine's -1 sentinel for a
 // failed verification must not poison the EWMA.
 func TestObserveIgnoresFailedVerification(t *testing.T) {
-	c := mustController(t, Config{Alpha: 1})
+	c := mustController(t, Config{})
 	c.Observe(7, 5)
 	before := c.Decide(7, 0, 1, 8)
 	c.Observe(7, -1)
@@ -166,10 +168,10 @@ func TestDecideDeterministic(t *testing.T) {
 // TestStatsCounters: decision counts split by mode, tracked set follows
 // observe/retire.
 func TestStatsCounters(t *testing.T) {
-	c := mustController(t, Config{QueueHighWater: 2})
-	c.Decide(1, 0, 1, 8) // latency
-	c.Decide(1, 5, 1, 8) // throughput
-	c.Decide(2, 5, 1, 8) // throughput
+	c := mustController(t, Config{})
+	c.Decide(1, 0, 1, 8)              // latency
+	c.Decide(1, queueHighWater, 1, 8) // throughput
+	c.Decide(2, queueHighWater, 1, 8) // throughput
 	c.Observe(1, 2)
 	st := c.Stats()
 	if st.LatencyDecisions != 1 || st.ThroughputDecisions != 2 {
@@ -207,14 +209,10 @@ func TestControllerConcurrentAccess(t *testing.T) {
 // TestConfigValidation rejects out-of-range fields.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{QueueHighWater: -1},
-		{Alpha: -0.5},
-		{Alpha: 1.5},
 		{InitAcceptLen: -1},
 		{NodesPerAccept: -2},
 		{Latency: tree.Budget{MaxNodes: -1, MaxDepth: 1, FanoutCap: 1}},
 		{Throughput: tree.Budget{MaxNodes: 1, MaxDepth: 1, FanoutCap: -1}},
-		{LatencySSMs: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewController(cfg); err == nil {

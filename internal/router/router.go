@@ -77,17 +77,18 @@ type Config struct {
 	Replicas []*core.Engine
 	// Policy selects first-choice placement; defaults to PrefixAffinity.
 	Policy Policy
-	// AffinityTokens is how many leading prompt tokens form the
-	// affinity key; defaults to kvcache.DefaultPageRows (64) so the key
-	// is exactly the prefix trie's first chunk — two prompts map to the
-	// same replica iff they fall in the same first-page cache
-	// equivalence class.
-	AffinityTokens int
-	// VirtualNodes is the number of ring points per replica; defaults
-	// to 64, enough to keep arc ownership within a few percent of even
-	// for small fleets.
-	VirtualNodes int
 }
+
+const (
+	// affinityTokens is how many leading prompt tokens form the
+	// affinity key: exactly the prefix trie's first chunk, so two
+	// prompts map to the same replica iff they fall in the same
+	// first-page cache equivalence class.
+	affinityTokens = kvcache.DefaultPageRows
+	// virtualNodes is the number of ring points per replica, enough to
+	// keep arc ownership within a few percent of even for small fleets.
+	virtualNodes = 64
+)
 
 // replica is one engine plus its fleet-side lifecycle state.
 type replica struct {
@@ -156,19 +157,7 @@ func New(cfg Config) (*Router, error) {
 	default:
 		return nil, fmt.Errorf("router: unknown Policy %d", int(cfg.Policy))
 	}
-	if cfg.AffinityTokens < 0 {
-		return nil, fmt.Errorf("router: AffinityTokens must be non-negative, got %d", cfg.AffinityTokens)
-	}
-	if cfg.AffinityTokens == 0 {
-		cfg.AffinityTokens = kvcache.DefaultPageRows
-	}
-	if cfg.VirtualNodes < 0 {
-		return nil, fmt.Errorf("router: VirtualNodes must be non-negative, got %d", cfg.VirtualNodes)
-	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = 64
-	}
-	r := &Router{cfg: cfg, ring: newRing(cfg.VirtualNodes)}
+	r := &Router{cfg: cfg, ring: newRing(virtualNodes)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, eng := range cfg.Replicas {
@@ -285,16 +274,12 @@ func (r *Router) DrainReplica(id int) error {
 }
 
 // affinityKey is the placement key: the prefix-trie chunk key of the
-// prompt's leading AffinityTokens tokens. Using the trie's own key
+// prompt's leading affinityTokens tokens. Using the trie's own key
 // (not a re-hash of the raw tokens) keeps the router's equivalence
 // classes aligned with the cache's — prompts that would share a cached
 // first page always share a replica.
 func (r *Router) affinityKey(prompt []int) string {
-	n := r.cfg.AffinityTokens
-	if len(prompt) < n {
-		n = len(prompt)
-	}
-	return kvcache.ChunkKey(prompt[:n])
+	return kvcache.ChunkKey(prompt[:min(len(prompt), affinityTokens)])
 }
 
 // placement returns candidate replicas in submission order: the

@@ -136,6 +136,9 @@ func New(cfg Config, ssms ...model.Model) *Speculator {
 	return s
 }
 
+// Sessions returns the SSM sessions, one per model in New's order.
+func (s *Speculator) Sessions() []model.Session { return s.sessions }
+
 // Prefill feeds the request prompt to every SSM session.
 func (s *Speculator) Prefill(prompt []model.Token) {
 	for _, sess := range s.sessions {

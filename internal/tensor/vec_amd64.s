@@ -7,7 +7,8 @@
 // (DESIGN.md §18, §21).
 //
 // EXP4 is Go's math.archExp (src/math/exp_amd64.s, the FMA path) with
-// every scalar instruction replaced by its 4-lane packed twin: the same
+// every scalar instruction replaced by its 4-lane packed twin, save the
+// integer rounding of k, which two adds reproduce exactly: the same
 // constants, the same range reduction (k = round-to-nearest of x*log2(e),
 // then two fused steps with the split ln 2), the same Taylor polynomial
 // by fused multiply-adds in the same order, the same three squarings and
@@ -38,6 +39,7 @@
 #define HI 448
 #define NEGINF 480
 #define BIAS 512
+#define SHIFT 544
 
 DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920
 DATA expc<>+8(SB)/8, $1.4426950408889634073599246810018920
@@ -107,7 +109,11 @@ DATA expc<>+512(SB)/8, $0x3FF
 DATA expc<>+520(SB)/8, $0x3FF
 DATA expc<>+528(SB)/8, $0x3FF
 DATA expc<>+536(SB)/8, $0x3FF
-GLOBL expc<>(SB), RODATA, $544
+DATA expc<>+544(SB)/8, $0x4338000000000000
+DATA expc<>+552(SB)/8, $0x4338000000000000
+DATA expc<>+560(SB)/8, $0x4338000000000000
+DATA expc<>+568(SB)/8, $0x4338000000000000
+GLOBL expc<>(SB), RODATA, $576
 
 // Float32 lane constants for SiLU: the sign bit and 1.0.
 DATA f32c<>+0(SB)/4, $0x80000000
@@ -125,17 +131,20 @@ GLOBL f32c<>(SB), RODATA, $8
 	VORPD        m, ok, ok
 
 // EXP4 replaces the four float64 lanes of x by their exponentials, given
-// EXPRANGE's m, and zeroes the -Inf lanes. t, k (the X form of a third
-// register) and s are scratch. Each line is the packed form of the
-// archExp line at the same place: MULSD by LOG2E, CVTSD2SL and CVTSL2SD
-// (k, rounded to nearest), two VFNMADD231SD by LN2U and LN2L, MULSD
-// $0.0625, the Taylor chain of seven VFMADD213SD from C8, MULSD, three
-// ADDSD $2.0/MULSD pairs, ADDSD $2.0 and VFMADD213SD 1.0, then ldexp's
-// (k+0x3FF)<<52 and one MULSD.
-#define EXP4(x, m, t, k, s) \
+// EXPRANGE's m, and zeroes the -Inf lanes. t and s are scratch. Each line
+// is the packed form of the archExp line at the same place: MULSD by
+// LOG2E; then, where archExp rounds k to nearest with CVTSD2SL and
+// CVTSL2SD, adding and subtracting SHIFT (1.5·2^52), which rounds to the
+// same nearest-even k for |k| < 2^51 and leaves k's integer in the low
+// bits of the sum, s; two VFNMADD231SD by LN2U and LN2L, MULSD $0.0625,
+// the Taylor chain of seven VFMADD213SD from C8, MULSD, three ADDSD
+// $2.0/MULSD pairs, ADDSD $2.0 and VFMADD213SD 1.0, then ldexp's
+// (k+0x3FF)<<52 from s (the sum's exponent bits shift out) and one
+// MULSD.
+#define EXP4(x, m, t, s) \
 	VMULPD       expc<>+LOG2E(SB), x, t \
-	VCVTPD2DQY   t, k \
-	VCVTDQ2PD    k, t \
+	VADDPD       expc<>+SHIFT(SB), t, s \
+	VSUBPD       expc<>+SHIFT(SB), s, t \
 	VFNMADD231PD expc<>+LN2U(SB), t, x \
 	VFNMADD231PD expc<>+LN2L(SB), t, x \
 	VMULPD       expc<>+SIXTEENTH(SB), x, x \
@@ -156,20 +165,19 @@ GLOBL f32c<>(SB), RODATA, $8
 	VMULPD       t, x, x \
 	VADDPD       expc<>+TWO(SB), x, t \
 	VFMADD213PD  expc<>+ONE(SB), t, x \
-	VPMOVSXDQ    k, s \
 	VPADDQ       expc<>+BIAS(SB), s, s \
 	VPSLLQ       $52, s, s \
 	VMULPD       s, x, x \
 	VANDPD       m, x, x
 
-// EXP4OR is EXPRANGE then EXP4 on Y0 with Y1-Y5 as scratch, jumping to
-// fail (clobbering AX) when the block is not the kernel's.
+// EXP4OR is EXPRANGE then EXP4 on Y0 with Y1 and Y3-Y5 as scratch,
+// jumping to fail (clobbering AX) when the block is not the kernel's.
 #define EXP4OR(fail) \
 	EXPRANGE(Y0, Y4, Y5) \
 	VMOVMSKPD    Y5, AX \
 	CMPQ         AX, $15 \
 	JNE          fail \
-	EXP4(Y0, Y4, Y1, X2, Y3)
+	EXP4(Y0, Y4, Y1, Y3)
 
 // SUM4 adds the four lanes of y (X form x) to the float64 in X15, lane 0
 // first; t is scratch.
@@ -234,8 +242,8 @@ shiftPair:
 	VMOVMSKPD    Y5, AX
 	CMPQ         AX, $15
 	JNE          shiftLoop
-	EXP4(Y0, Y4, Y1, X2, Y3)
-	EXP4(Y6, Y10, Y7, X8, Y9)
+	EXP4(Y0, Y4, Y1, Y3)
+	EXP4(Y6, Y10, Y7, Y9)
 	VCVTPD2PSY   Y0, X12
 	VMOVUPS      X12, (DI)(CX*4)
 	VCVTPD2PSY   Y6, X13
@@ -799,7 +807,7 @@ powLoop:
 	VMOVMSKPD    Y5, AX
 	CMPQ         AX, $15
 	JNE          powDone
-	EXP4(Y0, Y4, Y5, X6, Y7)             // a1
+	EXP4(Y0, Y4, Y5, Y7)             // a1
 
 	// Frexp of the active lanes' x: x1 in Y1, xe in Y2.
 	VMOVUPS      (DI)(CX*4), X12
@@ -1248,8 +1256,8 @@ ebLoop:
 	VMOVMSKPD    Y5, AX
 	CMPQ         AX, $15
 	JNE          ebDone
-	EXP4(Y0, Y4, Y1, X2, Y3)
-	EXP4(Y6, Y10, Y7, X8, Y9)
+	EXP4(Y0, Y4, Y1, Y3)
+	EXP4(Y6, Y10, Y7, Y9)
 	VADDPD       Y0, Y13, Y13
 	VADDPD       Y6, Y14, Y14
 	VCVTPD2PSY   Y0, X0
@@ -1339,12 +1347,12 @@ sbDone:
 	VCMPPD.BCST  $0x00, expc<>+NEGINF(SB), x, ok \
 	KORW         m, ok, ok
 
-// EXP8 is EXP4 line for line on ZMM registers x, t and s, with k a YMM
-// register for the eight int32 k, given EXPRANGE8's opmask m.
-#define EXP8(x, m, t, k, s) \
+// EXP8 is EXP4 line for line on ZMM registers x, t and s, given
+// EXPRANGE8's opmask m.
+#define EXP8(x, m, t, s) \
 	VMULPD.BCST       expc<>+LOG2E(SB), x, t \
-	VCVTPD2DQ         t, k \
-	VCVTDQ2PD         k, t \
+	VADDPD.BCST       expc<>+SHIFT(SB), t, s \
+	VSUBPD.BCST       expc<>+SHIFT(SB), s, t \
 	VFNMADD231PD.BCST expc<>+LN2U(SB), t, x \
 	VFNMADD231PD.BCST expc<>+LN2L(SB), t, x \
 	VMULPD.BCST       expc<>+SIXTEENTH(SB), x, x \
@@ -1365,19 +1373,18 @@ sbDone:
 	VMULPD            t, x, x \
 	VADDPD.BCST       expc<>+TWO(SB), x, t \
 	VFMADD213PD.BCST  expc<>+ONE(SB), t, x \
-	VPMOVSXDQ         k, s \
 	VPADDQ.BCST       expc<>+BIAS(SB), s, s \
 	VPSLLQ            $52, s, s \
 	VMULPD.Z          s, x, m, x
 
-// EXP8OR is EXPRANGE8 then EXP8 on Z0 with Z1-Z3, K1 and K2 as scratch,
+// EXP8OR is EXPRANGE8 then EXP8 on Z0 with Z1, Z3, K1 and K2 as scratch,
 // jumping to fail (clobbering AX) when the block is not the kernel's.
 #define EXP8OR(fail) \
 	EXPRANGE8(Z0, K1, K2) \
 	KMOVW        K2, AX \
 	CMPL         AX, $0xff \
 	JNE          fail \
-	EXP8(Z0, K1, Z1, Y2, Z3)
+	EXP8(Z0, K1, Z1, Z3)
 
 // SUM8 adds the eight lanes of z to the float64 in X15, lane 0 first;
 // y and x are z's YMM and XMM forms, t a YMM scratch register and tx its
@@ -1576,7 +1583,7 @@ eb48Pair:
 	KMOVW         K2, AX
 	CMPL          AX, $0xff
 	JNE           eb48One
-	EXP8(Z0, K1, Z1, Y2, Z3)
+	EXP8(Z0, K1, Z1, Z3)
 	VADDPD        Y0, Y13, Y13
 	VEXTRACTF64X4 $1, Z0, Y1
 	VADDPD        Y1, Y13, Y13
@@ -1792,10 +1799,10 @@ hx4Loop:
 	VMOVMSKPD    Y8, AX
 	CMPQ         AX, $15
 	JNE          hx4Done
-	EXP4(Y0, Y4, Y8, X9, Y10)
-	EXP4(Y1, Y5, Y8, X9, Y10)
-	EXP4(Y2, Y6, Y8, X9, Y10)
-	EXP4(Y3, Y7, Y8, X9, Y10)
+	EXP4(Y0, Y4, Y8, Y10)
+	EXP4(Y1, Y5, Y8, Y10)
+	EXP4(Y2, Y6, Y8, Y10)
+	EXP4(Y3, Y7, Y8, Y10)
 	VCVTPD2PSY   Y0, X4
 	VMOVUPS      X4, (R8)(CX*4)
 	VCVTPD2PSY   Y1, X4
@@ -1876,10 +1883,10 @@ hx8Loop:
 	KMOVW        K5, AX
 	CMPL         AX, $0xff
 	JNE          hx8Done
-	EXP8(Z0, K1, Z4, Y5, Z6)
-	EXP8(Z1, K2, Z7, Y8, Z9)
-	EXP8(Z2, K3, Z10, Y11, Z12)
-	EXP8(Z3, K4, Z13, Y14, Z16)
+	EXP8(Z0, K1, Z4, Z6)
+	EXP8(Z1, K2, Z7, Z9)
+	EXP8(Z2, K3, Z10, Z12)
+	EXP8(Z3, K4, Z13, Z16)
 	VCVTPD2PS    Z0, Y4
 	VMOVUPS      Y4, (R8)(CX*4)
 	VCVTPD2PS    Z1, Y4

@@ -2,8 +2,9 @@
 # End-to-end smoke test of the specinferd serving daemon: boot it, wait
 # for health, run one generation, scrape metrics, then SIGTERM and
 # require a clean (exit 0) graceful drain; then the same for a daemon
-# with the speculation policy and for a two-replica fleet. CI runs this
-# after the unit gate; `make servesmoke` runs it locally.
+# with the speculation policy, for one engine with the prefix cache and
+# for a two-replica fleet. CI runs this after the unit gate; `make
+# servesmoke` runs it locally.
 #
 # Any failure (including ones surfaced by set -e mid-pipeline) lands in
 # the EXIT trap, which kills a still-running daemon so a broken run can
@@ -123,6 +124,51 @@ case "$metrics" in
 esac
 drain "policy daemon"
 
+# 72 tokens: one full 64-token KV page plus change, all inside the
+# Alpaca vocabulary (192).
+prompt=$(seq 1 72 | paste -sd, -)
+
+# generate_twice sends the SAME prompt twice to the daemon named $1.
+generate_twice() {
+    for i in 1 2; do
+        out=$(curl -sf -X POST "http://$ADDR/v1/generate" \
+            -d "{\"prompt\":[$prompt],\"max_new_tokens\":4}")
+        case "$out" in
+        *'"tokens":['*) ;;
+        *)
+            echo "servesmoke: $1 generate $i missing tokens: $out" >&2
+            exit 1
+            ;;
+        esac
+    done
+}
+
+# ---- Prefix phase: one engine with the prefix cache ----
+# The single-engine daemon serves through server.Config{Engine}, not the
+# router: the second request must adopt the first's cached prompt page,
+# and no pin may outlive the two requests.
+echo "servesmoke: prefix cache (one engine)"
+"$BIN" -addr "$ADDR" -batch 2 -queue 8 \
+    -substrate transformer -prefix-cache-mb 64 &
+PID=$!
+wait_healthy "prefix daemon"
+generate_twice "prefix daemon"
+metrics=$(curl -sf "http://$ADDR/metricz")
+echo "$metrics"
+hits=$(printf '%s' "$metrics" | grep -o '"hits":[0-9]*' | cut -d: -f2)
+if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
+    echo "servesmoke: second same-prompt request missed the prefix cache (hits '$hits')" >&2
+    exit 1
+fi
+case "$metrics" in
+*'"pinned":0}'*) ;;
+*)
+    echo "servesmoke: prefix cache holds a pin after both requests finished" >&2
+    exit 1
+    ;;
+esac
+drain "prefix daemon"
+
 # ---- Fleet phase: 2-replica daemon with prefix-affinity routing ----
 # Boot a 2-replica fleet on the paged transformer substrate with the
 # prefix cache on, send the SAME >64-token prompt twice, and assert the
@@ -135,21 +181,7 @@ echo "servesmoke: fleet (2 replicas, prefix affinity)"
     -substrate transformer -prefix-cache-mb 64 &
 PID=$!
 wait_healthy "fleet daemon"
-
-# 72 tokens: one full 64-token KV page plus change, all inside the
-# Alpaca vocabulary (192).
-prompt=$(seq 1 72 | paste -sd, -)
-for i in 1 2; do
-    out=$(curl -sf -X POST "http://$ADDR/v1/generate" \
-        -d "{\"prompt\":[$prompt],\"max_new_tokens\":4}")
-    case "$out" in
-    *'"tokens":['*) ;;
-    *)
-        echo "servesmoke: fleet generate $i missing tokens: $out" >&2
-        exit 1
-        ;;
-    esac
-done
+generate_twice "fleet daemon"
 
 echo "servesmoke: fleet metricz rollup"
 fleet=$(curl -sf "http://$ADDR/metricz")
